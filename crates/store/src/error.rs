@@ -43,8 +43,8 @@ pub enum StoreError {
     Truncated(&'static str),
     /// The bytes parsed but described an impossible structure.
     Corrupt(String),
-    /// [`crate::PacStore::snapshot_at`] was asked for a version that is
-    /// neither current nor retained in history.
+    /// [`crate::ShardedStore::snapshot_at`] was asked for a version
+    /// that is neither current nor retained in history.
     VersionNotFound(u64),
     /// A disk operation (`save`, log append) on an in-memory store.
     Ephemeral,
@@ -52,8 +52,9 @@ pub enum StoreError {
     /// another live handle, possibly in another process).
     Locked,
     /// An earlier failed log append could not be rolled back, so the
-    /// log cannot accept further records until [`crate::PacStore::save`]
-    /// resets it.
+    /// logs cannot accept further records until a checkpoint
+    /// ([`crate::ShardedStore::save`] or
+    /// [`crate::ShardedStore::compact`]) rewrites them.
     LogPoisoned,
     /// The commit group this batch was part of failed; the message is
     /// the leader's error.
@@ -61,9 +62,15 @@ pub enum StoreError {
     /// The key-range boundaries handed to a [`crate::Router`] were not
     /// strictly ascending.
     InvalidBoundaries(String),
-    /// A sharded store directory's partition map disagrees with the
-    /// store being opened (shard count, or a missing/foreign file).
+    /// A store directory's partition map disagrees with the store
+    /// being opened (shard count, or a missing/foreign file) — which
+    /// includes [`crate::PacStore::open`] on a multi-shard directory.
     PartitionMismatch(String),
+    /// The directory holds the flat single-directory layout `PacStore`
+    /// wrote before it became the one-shard case of the sharded engine
+    /// (snapshot pages or a log at the root, no partition map). It is
+    /// refused rather than shadowed by a fresh, empty store.
+    LegacyLayout(String),
     /// The log (or manifest) references versions the checkpoint pages
     /// do not reach: the first replayable record is more than one step
     /// past the checkpointed version, so the intermediate history is
@@ -76,11 +83,11 @@ pub enum StoreError {
         /// The first version the log asks to apply.
         first: u64,
     },
-    /// [`crate::PacStore::unpin_version`] was asked to release a
+    /// [`crate::ShardedStore::unpin_version`] was asked to release a
     /// version that holds no pin.
     NotPinned(u64),
-    /// [`crate::PacStore::save_incremental`] was asked to diff against
-    /// a version that is not the store's latest checkpoint.
+    /// [`crate::ShardedStore::save_incremental`] was asked to diff
+    /// against a version that is not the store's latest checkpoint.
     CheckpointMismatch {
         /// The base version the caller asked to diff against.
         requested: u64,
@@ -129,6 +136,7 @@ impl std::fmt::Display for StoreError {
             StoreError::PartitionMismatch(msg) => {
                 write!(f, "partition map mismatch: {msg}")
             }
+            StoreError::LegacyLayout(msg) => write!(f, "legacy store layout: {msg}"),
             StoreError::VersionGap { checkpoint, first } => write!(
                 f,
                 "log references version {first} but the checkpoint pages only reach \

@@ -6,24 +6,31 @@
 //! this way). This crate turns the workspace's [`cpam::PacMap`] into a
 //! serveable system:
 //!
-//! * **[`PacStore`]** — an MVCC key-value store. Writers submit batches
-//!   to a group-commit pipeline (one tree update and one log write per
-//!   *group*, not per batch); readers pin any retained version as an
-//!   O(1) [`Snapshot`] and never block.
-//! * **Snapshot pages** ([`pagefmt`]) — a binary codec serializing a
-//!   whole PaC-tree: interior structure as a tagged pre-order stream,
-//!   leaves as their *already-encoded compressed blocks*, copied
-//!   verbatim both ways (decode does no re-sorting and no re-encoding,
-//!   so space accounting is bit-identical). Pages carry a CRC-32 so
-//!   truncation and bit flips surface as typed [`StoreError`]s.
-//! * **Durability** ([`wal`]) — `save`/`open` of snapshot pages plus an
-//!   append-only batch log replayed on open, with standard
-//!   torn-tail recovery.
-//! * **[`ShardedStore`]** — N independent MVCC shards over disjoint key
-//!   ranges (a [`Router`] partition map), batches split by range and
-//!   applied to shards in parallel, with *atomic* cross-shard commits
-//!   via a two-phase manifest and cross-shard snapshot isolation
-//!   (every [`ShardedSnapshot`] pins one consistent version vector).
+//! * **One engine** — an MVCC key-value store over N key-range shards
+//!   (a [`Router`] partition map), each shard a PaC-tree with its own
+//!   page chain and write-ahead log. Writers submit batches to a
+//!   group-commit pipeline (one parallel tree update, one WAL record per
+//!   participating shard and one manifest record per *group*, not per
+//!   batch), committed *atomically* across shards by a two-phase
+//!   protocol; readers pin any retained version as an O(1) snapshot of
+//!   one consistent version vector and never block. Open/recovery,
+//!   commit, pin/GC and the checkpoint routine exist once.
+//! * **[`ShardedStore`]** is the engine's handle at any shard count,
+//!   with [`ShardedSnapshot`]s spanning the shards; **[`PacStore`]** is
+//!   the same engine at one shard ([`Router::single`]), whose
+//!   [`Snapshot`] exposes the single [`cpam::PacMap`] directly. A
+//!   `PacStore` directory is a one-shard `ShardedStore` directory.
+//! * **Snapshot pages** ([`pagefmt`], [`paged`]) — binary codecs
+//!   serializing a whole PaC-tree: interior structure as a tagged
+//!   pre-order stream, leaves as their *already-encoded compressed
+//!   blocks*, copied verbatim both ways (decode does no re-sorting and
+//!   no re-encoding, so space accounting is bit-identical). Pages
+//!   carry CRC-32s so truncation and bit flips surface as typed
+//!   [`StoreError`]s.
+//! * **Durability** ([`wal`]) — per-shard append-only batch logs plus
+//!   a manifest, replayed on open with standard torn-tail recovery;
+//!   `save`/`save_incremental`/`compact` checkpoint the committed
+//!   state into pages and trim the logs they cover.
 //!
 //! ```
 //! use store::{Op, PacStore};
@@ -45,8 +52,11 @@
 //! ```
 //!
 //! Durable stores work the same way, plus [`PacStore::open`] /
-//! [`PacStore::save`]; see `examples/versioned_store.rs` for the tour
-//! and `DESIGN.md` §"pacstore on-disk formats" for the byte layouts.
+//! [`PacStore::save`]; see `examples/versioned_store.rs` and
+//! `examples/sharded_store.rs` for the tours, `DESIGN.md` §"The store
+//! engine" for the directory layout, commit protocol, recovery rule
+//! and checkpoint routine, and §"pacstore on-disk formats" for the
+//! byte layouts.
 
 pub mod checksum;
 mod error;

@@ -6,15 +6,14 @@
 //! old version ever referenced. The lifecycle subsystem reclaims that
 //! space along two axes:
 //!
-//! * **Version GC** ([`crate::PacStore::gc`] /
-//!   [`crate::ShardedStore::gc`]): drops retained history entries that
+//! * **Version GC** ([`crate::ShardedStore::gc`]): drops retained history entries that
 //!   are neither within the [`RetentionPolicy`]'s `keep_last` window
 //!   nor pinned in the [`VersionRegistry`]. Dropping a version is just
 //!   dropping its root `Arc`; the existing refcount machinery frees
 //!   exactly the subtrees no surviving version shares, which the
 //!   [`cpam::stats`] `nodes_dropped` counter makes observable.
-//! * **Log compaction** ([`crate::PacStore::compact`] /
-//!   [`crate::ShardedStore::compact`]): checkpoint-then-truncate — the
+//! * **Log compaction** ([`crate::ShardedStore::compact`]):
+//!   checkpoint-then-truncate — the
 //!   committed version is persisted (incrementally when a previous
 //!   checkpoint is pinned), then the WAL prefix it covers is dropped,
 //!   bounding log growth under sustained writes.
@@ -73,7 +72,6 @@ pub struct GcStats {
 }
 
 /// Cumulative lifecycle counters for one store handle, read via
-/// [`crate::PacStore::lifecycle_stats`] /
 /// [`crate::ShardedStore::lifecycle_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleStats {
@@ -124,7 +122,7 @@ impl LifecycleStats {
 /// The registry is bookkeeping only — the memory safety of a pinned
 /// snapshot comes from the `Arc` the history entry holds. What a pin
 /// buys is *retention*: GC and commit-time history eviction skip
-/// pinned versions, so [`crate::PacStore::snapshot_at`] keeps working
+/// pinned versions, so [`crate::ShardedStore::snapshot_at`] keeps working
 /// for them.
 pub struct VersionRegistry {
     pins: Mutex<HashMap<u64, usize>>,

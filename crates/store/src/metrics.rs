@@ -16,10 +16,10 @@
 //! `pacstore_wal_append_ns{shard="003"}` — which
 //! [`obs::Registry::render_text`] merges with quantile labels and
 //! [`obs::Registry::histogram_snapshot_prefixed`] can aggregate.
-//! A single-directory [`crate::PacStore`] is shard `"000"` of a
-//! one-shard layout, so dashboards see one schema for both store kinds.
+//! A [`crate::PacStore`] is a one-shard store, so its series carry
+//! shard `"000"` and dashboards see one schema for every shard count.
 //!
-//! Both store kinds share the global registry: two stores in one
+//! All stores share the global registry: two stores in one
 //! process record into the same series. That is deliberate (the
 //! process, not the handle, is the unit a scrape observes); tests that
 //! need isolation take before/after [`obs::HistogramSnapshot::delta`]s.
@@ -124,7 +124,7 @@ pub(crate) struct StoreMetrics {
 /// across repeated publishes.
 ///
 /// Publishing happens on the stats read path
-/// ([`crate::PacStore::pool_stats`] and the sharded equivalents) — pool
+/// ([`crate::ShardedStore::pool_stats`]) — pool
 /// operations themselves touch only the pool's own relaxed atomics,
 /// preserving the zero-overhead policy of DESIGN.md §10.
 pub(crate) struct PoolMetrics {
@@ -165,8 +165,7 @@ impl PoolMetrics {
 
 impl StoreMetrics {
     /// Resolve all handles against [`obs::global`] for a store with
-    /// `shards` shards (1 for [`crate::PacStore`]) and install the cpam
-    /// bridge.
+    /// `shards` shards and install the cpam bridge.
     pub fn new(shards: usize) -> Arc<StoreMetrics> {
         install_cpam_bridge();
         let r = obs::global();

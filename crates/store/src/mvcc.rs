@@ -1,13 +1,14 @@
-//! The versioned store: multi-version concurrency control with group
-//! commit, built directly on [`PacMap`]'s O(1) functional snapshots.
+//! The store's vocabulary — [`Op`], [`StoreOptions`], the key/value
+//! bounds, the file-name constants, [`apply_ops`] — and the
+//! single-shard handle [`PacStore`] with its [`Snapshot`] view.
 //!
-//! * **Writers** submit batches of [`Op`]s to [`PacStore::commit`]. The
-//!   first writer to arrive becomes the group *leader*: it drains every
-//!   batch queued so far, applies them in submission order with one
-//!   parallel batch insert/delete, appends one record to the
-//!   write-ahead log, and publishes the result as a single new
-//!   immutable version. Followers just wait for their ticket — under
-//!   contention, many batches ride one tree update and one log write.
+//! The MVCC machinery itself (group commit, write-ahead logging,
+//! recovery, checkpoints, pins and GC) lives once, in the engine behind
+//! [`ShardedStore`]; a `PacStore` is that engine with one shard:
+//!
+//! * **Writers** submit batches of [`Op`]s to [`PacStore::commit`];
+//!   batches queued concurrently ride one tree update and one log write
+//!   (see [`ShardedStore::commit`]).
 //! * **Readers** never block on writers: pinning a version is cloning a
 //!   `PacMap` root (`Arc` bump) under a briefly-held lock. A pinned
 //!   [`Snapshot`] stays alive and consistent no matter how many
@@ -17,21 +18,16 @@
 //!   consecutive versions makes this cheap (`O(log n)` fresh nodes per
 //!   version, the paper's path-copying bound).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::BTreeMap;
+use std::path::Path;
 
 use codecs::{BlockIo, ByteEncode, Codec, RawCodec};
 use cpam::{Element, NoAug, PacMap, ScalarKey, DEFAULT_B};
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::StoreError;
-use crate::lifecycle::{self, GcStats, LifecycleStats, RetentionPolicy, VersionRegistry};
-use crate::metrics::StoreMetrics;
-use crate::pagefmt;
-use crate::wal;
+use crate::lifecycle::{GcStats, LifecycleStats, RetentionPolicy};
+use crate::router::Router;
+use crate::shard::{ShardedSnapshot, ShardedStore};
 
 /// Key bound for [`PacStore`]: ordered (a PaC-tree key) and
 /// byte-encodable (for the log and snapshot formats).
@@ -51,16 +47,16 @@ pub enum Op<K, V> {
     Delete(K),
 }
 
-/// Tunables for a [`PacStore`].
+/// Tunables for a [`PacStore`] or [`ShardedStore`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Leaf block size of the state tree (paper default 128). Ignored
     /// when opening an existing snapshot, which records its own.
     pub block_size: usize,
-    /// How many recent versions [`PacStore::snapshot_at`] can reach.
-    /// Pinned [`Snapshot`]s outlive eviction.
+    /// How many recent versions `snapshot_at` can reach. Pinned
+    /// snapshots outlive eviction.
     pub history_limit: usize,
-    /// If true, a torn or corrupt log tail fails [`PacStore::open_with`]
+    /// If true, a torn or corrupt log (or manifest) tail fails `open`
     /// instead of being truncated away.
     pub strict_log: bool,
     /// If true, every commit group is `fsync`ed (`sync_data`) to disk
@@ -101,19 +97,19 @@ impl Default for StoreOptions {
     }
 }
 
-/// File name of the snapshot page inside a store directory.
+/// File name of the snapshot page inside a shard directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.pac";
-/// File name of the *paged* snapshot inside a store directory, written
+/// File name of the *paged* snapshot inside a shard directory, written
 /// instead of [`SNAPSHOT_FILE`] when [`StoreOptions::pool_pages`] is
 /// set. Opens prefer it when present (newest version wins if both
 /// formats survive a crashed save).
 pub const PAGED_FILE: &str = "snapshot.pgf";
 /// Incremental chains longer than this are collapsed into a full page
-/// by [`PacStore::compact`]: each link costs a decode pass at `open`,
+/// by [`ShardedStore::compact`]: each link costs a decode pass at `open`,
 /// and past this depth the cumulative incremental bytes approach a
 /// full page anyway.
 pub(crate) const MAX_INCR_CHAIN: usize = 16;
-/// File name of the append-only batch log inside a store directory.
+/// File name of the append-only batch log inside a shard directory.
 pub const LOG_FILE: &str = "wal.pac";
 /// File name of the advisory lock inside a store directory: held for a
 /// handle's lifetime so two handles (or processes) can never interleave
@@ -198,97 +194,15 @@ where
     }
 }
 
-struct State<K, V, C>
-where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
-{
-    version: u64,
-    map: PacMap<K, V, NoAug, C>,
-    /// Recent `(version, map)` pairs, oldest first; always contains the
-    /// current version as its back element.
-    history: VecDeque<(u64, PacMap<K, V, NoAug, C>)>,
-}
-
-/// The last *persisted* version: its in-memory root is kept pinned so
-/// the next incremental save can detect still-shared subtrees by `Arc`
-/// identity (a pinned root keeps its nodes at refcount ≥ 2, which also
-/// bars the in-place-reuse write path from mutating them — see
-/// [`cpam::PacMap::visit_nodes_diff`]).
-struct Checkpoint<K, V, C>
-where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
-{
-    version: u64,
-    map: PacMap<K, V, NoAug, C>,
-    /// Incremental pages on disk after the full page; bounds
-    /// [`PacStore::compact`]'s full-vs-incremental choice.
-    chain_len: usize,
-}
-
-struct CommitQueue<K, V> {
-    pending: Vec<(u64, Vec<Op<K, V>>)>,
-    next_ticket: u64,
-    results: HashMap<u64, Result<u64, String>>,
-    leader_running: bool,
-}
-
-/// The batch log handle. `Poisoned` means an append failure could not
-/// be rolled back: the stranded partial record would swallow every
-/// later record at replay, so commits are refused until `save()`
-/// truncates the log and restores `Active`.
-enum LogState {
-    /// In-memory store: nothing to log.
-    None,
-    /// Healthy log, appends allowed.
-    Active(File),
-    /// Unrolled-back append failure; the file is kept so `save()` can
-    /// reset and heal it.
-    Poisoned(File),
-}
-
-struct Inner<K, V, C>
-where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
-{
-    opts: StoreOptions,
-    dir: Option<PathBuf>,
-    /// Held for the lifetime of this store's handles; the OS releases
-    /// the advisory lock when the file closes, even on a crash.
-    _dir_lock: Option<File>,
-    /// Log handle. Lock order: `log` before `state`; leaders hold it
-    /// across append *and* publish, so under this lock every logged
-    /// record's version is `<=` the published version — which is what
-    /// makes [`PacStore::save`]'s log reset safe.
-    log: Mutex<LogState>,
-    state: Mutex<State<K, V, C>>,
-    commit: Mutex<CommitQueue<K, V>>,
-    commit_cv: Condvar,
-    /// Serializes `save` / `save_incremental` / `compact` against each
-    /// other (taken before `log`), so the checkpoint pin and the pages
-    /// on disk can never interleave.
-    checkpoint_lock: Mutex<()>,
-    /// The pinned last checkpoint; `None` until the first full save.
-    /// Taken under `log` (after `state`) where both are held.
-    checkpoint: Mutex<Option<Checkpoint<K, V, C>>>,
-    /// Explicitly pinned (GC-exempt) versions.
-    registry: VersionRegistry,
-    lifecycle: Mutex<LifecycleStats>,
-    /// Pre-resolved observability handles (see [`crate::metrics`]); hot
-    /// paths record via relaxed atomics only.
-    metrics: Arc<StoreMetrics>,
-    /// The page cache behind lazy (paged) opens; `Some` exactly when
-    /// [`StoreOptions::pool_pages`] is set on a durable store. Every
-    /// paged open of this store streams through this one pool.
-    pool: Option<Arc<crate::pool::BufferPool<C::Block>>>,
-}
-
-/// A versioned, persistent key-value store whose state is a [`PacMap`].
+/// The single-shard store: a versioned, persistent key-value store
+/// whose state is one [`PacMap`].
+///
+/// A `PacStore` is a handle on a [`ShardedStore`] built with
+/// [`Router::single`] — it has no locks, files or queues of its own.
+/// Every method forwards to the engine, and a durable `PacStore`
+/// directory *is* a one-shard [`ShardedStore`] directory (either handle
+/// opens it). What the handle adds is the single-map view: a
+/// [`Snapshot`] exposes the shard's [`PacMap`] directly.
 ///
 /// Handles are cheap to clone and share one store; all methods take
 /// `&self`. See the [crate docs](crate) for an end-to-end example.
@@ -298,7 +212,7 @@ where
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
-    inner: Arc<Inner<K, V, C>>,
+    engine: ShardedStore<K, V, C>,
 }
 
 impl<K, V, C> Clone for PacStore<K, V, C>
@@ -308,9 +222,7 @@ where
     C: BlockIo<(K, V)>,
 {
     fn clone(&self) -> Self {
-        PacStore {
-            inner: Arc::clone(&self.inner),
-        }
+        PacStore { engine: self.engine.clone() }
     }
 }
 
@@ -321,20 +233,18 @@ where
     C: BlockIo<(K, V)>,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.inner.state.lock();
         f.debug_struct("PacStore")
-            .field("version", &s.version)
-            .field("len", &s.map.len())
-            .field("dir", &self.inner.dir)
+            .field("version", &self.current_version())
+            .field("len", &self.len())
+            .field("dir", &self.dir())
             .finish()
     }
 }
 
 /// Applies a batch to a map: collapses to last-op-wins per key (ops are
 /// in submission order), then one parallel batch insert plus one batch
-/// delete. Used identically by commit and by log replay — and by each
-/// shard of a [`crate::ShardedStore`] — so a replayed store converges
-/// to the same state.
+/// delete. Used identically by commit and by log replay, for every
+/// shard, so a replayed store converges to the same state.
 ///
 /// Consumes the working map: the group leader hands over its private
 /// clone, so the batch insert frees or reuses whatever spine nodes the
@@ -387,43 +297,9 @@ where
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts(
-        opts: StoreOptions,
-        dir: Option<PathBuf>,
-        dir_lock: Option<File>,
-        log: LogState,
-        version: u64,
-        map: PacMap<K, V, NoAug, C>,
-        history: VecDeque<(u64, PacMap<K, V, NoAug, C>)>,
-        checkpoint: Option<Checkpoint<K, V, C>>,
-        registry: VersionRegistry,
-        pool: Option<Arc<crate::pool::BufferPool<C::Block>>>,
-    ) -> Self {
-        PacStore {
-            inner: Arc::new(Inner {
-                opts,
-                dir,
-                _dir_lock: dir_lock,
-                log: Mutex::new(log),
-                state: Mutex::new(State { version, map, history }),
-                commit: Mutex::new(CommitQueue {
-                    pending: Vec::new(),
-                    next_ticket: 0,
-                    results: HashMap::new(),
-                    leader_running: false,
-                }),
-                commit_cv: Condvar::new(),
-                checkpoint_lock: Mutex::new(()),
-                checkpoint: Mutex::new(checkpoint),
-                registry,
-                lifecycle: Mutex::new(LifecycleStats::default()),
-                // A single-directory store is shard "000" of a
-                // one-shard layout (see crate::metrics).
-                metrics: StoreMetrics::new(1),
-                pool,
-            }),
-        }
+    /// The single-map view of a one-shard engine snapshot.
+    fn pin(snap: ShardedSnapshot<K, V, C>) -> Snapshot<K, V, C> {
+        Snapshot { version: snap.version(), map: snap.shard_map(0).clone() }
     }
 
     /// An empty, ephemeral store (no directory: `save` is an error).
@@ -433,31 +309,17 @@ where
 
     /// [`PacStore::in_memory`] with explicit options.
     pub fn in_memory_with(opts: StoreOptions) -> Self {
-        let map = PacMap::with_block_size(opts.block_size);
-        let mut history = VecDeque::new();
-        history.push_back((0, map.clone()));
-        Self::from_parts(
-            opts,
-            None,
-            None,
-            LogState::None,
-            0,
-            map,
-            history,
-            None,
-            VersionRegistry::default(),
-            None,
-        )
+        PacStore { engine: ShardedStore::ephemeral(Router::single(), opts) }
     }
 
-    /// Opens (or creates) a durable store in `dir`: loads the snapshot
-    /// page if present, then replays the batch log past it.
+    /// Opens (or creates) a durable store in `dir`; see
+    /// [`ShardedStore::open_or_create`].
     ///
     /// # Errors
     ///
-    /// I/O errors; every snapshot-integrity error of
-    /// [`crate::pagefmt::decode_snapshot`]; [`StoreError::Corrupt`] for
-    /// a torn log tail under [`StoreOptions::strict_log`].
+    /// Everything [`ShardedStore::open_or_create`] returns;
+    /// [`StoreError::PartitionMismatch`] in particular when `dir` holds
+    /// a store of more than one shard.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_with(dir, StoreOptions::default())
     }
@@ -468,638 +330,154 @@ where
     ///
     /// See [`PacStore::open`].
     pub fn open_with(dir: impl AsRef<Path>, opts: StoreOptions) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-
-        // Exclusive advisory lock: without it, two live handles would
-        // each assign versions independently and interleave them in one
-        // log — acknowledged commits would vanish at replay.
-        let dir_lock = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(dir.join(LOCK_FILE))?;
-        match dir_lock.try_lock() {
-            Ok(()) => {}
-            Err(std::fs::TryLockError::WouldBlock) => return Err(StoreError::Locked),
-            Err(std::fs::TryLockError::Error(e)) => return Err(e.into()),
-        }
-
-        // Full page plus any incremental pages chained onto it. With a
-        // pool budget configured, a paged snapshot opens *lazily*: the
-        // base tree holds page references and the open does O(structure)
-        // I/O — leaf pages stream through the pool on first access.
-        let pool = opts.pool_pages.map(crate::pool::BufferPool::new);
-        let chain =
-            crate::paged::load_chain_auto::<K, V, C>(&dir, PAGED_FILE, SNAPSHOT_FILE, pool.as_ref())?;
-        let checkpoint = chain.as_ref().map(|(map, version, chain_len)| Checkpoint {
-            version: *version,
-            map: map.clone(),
-            chain_len: *chain_len,
-        });
-        let (mut map, mut version) = match chain {
-            Some((map, version, _)) => (map, version),
-            None => (PacMap::with_block_size(opts.block_size), 0),
-        };
-
-        let mut history = VecDeque::new();
-        history.push_back((version, map.clone()));
-
-        // Pins persisted by a previous handle, loaded *before* replay:
-        // replay-time history eviction must honor them or a pinned
-        // version silently vanishes across a reopen.
-        let registry = VersionRegistry::from_pins(lifecycle::load_pins(&dir)?);
-
-        let log_path = dir.join(LOG_FILE);
-        if log_path.exists() {
-            let bytes = std::fs::read(&log_path)?;
-            let expected = crate::checksum::schema_id::<(K, V)>();
-            let replay = wal::replay::<K, V>(&bytes, expected);
-            if let Some(found) = replay.schema_mismatch {
-                return Err(StoreError::SchemaMismatch { found, expected });
-            }
-            if let Some(found) = replay.format_mismatch {
-                return Err(StoreError::Corrupt(format!(
-                    "log record format {found:#04x}, this build reads {:#04x}",
-                    wal::LOG_FORMAT
-                )));
-            }
-            if replay.torn && opts.strict_log {
-                return Err(StoreError::Corrupt(format!(
-                    "torn or corrupt log tail after byte {}",
-                    replay.valid_len
-                )));
-            }
-            for record in replay.records {
-                if record.version <= version {
-                    // Already covered by the snapshot pages.
-                    continue;
-                }
-                if record.version > version + 1 {
-                    // Commits assign consecutive versions, so a jump
-                    // means the pages that held the intermediate state
-                    // are gone (deleted snapshot or incremental link)
-                    // while the log was already truncated past it.
-                    // Replaying from here would silently resurrect an
-                    // old state minus the missing commits.
-                    return Err(StoreError::VersionGap {
-                        checkpoint: version,
-                        first: record.version,
-                    });
-                }
-                version = record.version;
-                map = apply_ops(map, record.ops);
-                history.push_back((version, map.clone()));
-                // Same pin-aware eviction as the commit path
-                // (`apply_group`): a pinned version must survive the
-                // replay walk exactly as it survives live commits.
-                lifecycle::evict_history(
-                    &mut history,
-                    opts.history_limit,
-                    |(v, _)| *v,
-                    &registry,
-                );
-            }
-            if replay.torn {
-                // Drop the bad tail so future appends start at a clean
-                // record boundary.
-                let f = OpenOptions::new().write(true).open(&log_path)?;
-                f.set_len(replay.valid_len as u64)?;
-            }
-        }
-
-        let log_existed = log_path.exists();
-        let log = OpenOptions::new().create(true).append(true).open(&log_path)?;
-        if !log_existed {
-            // The first `fsync_commits` append syncs the log's *data*,
-            // but an un-synced directory entry can lose the whole file
-            // on crash — persist the creation now, once.
-            crate::pagefmt::fsync_dir(&dir)?;
-        }
-        Ok(Self::from_parts(
-            opts,
-            Some(dir),
-            Some(dir_lock),
-            LogState::Active(log),
-            version,
-            map,
-            history,
-            checkpoint,
-            registry,
-            pool,
-        ))
+        ShardedStore::open_or_create(dir, Router::single(), opts).map(|engine| PacStore { engine })
     }
 
-    /// Submits one batch and blocks until it is in the log (flushed to
-    /// the OS; `fsync`ed when [`StoreOptions::fsync_commits`] is set)
-    /// and visible in a published version; returns that version.
-    /// Batches queued concurrently are applied together by a group
-    /// leader — one tree update, one log append for the whole group.
-    ///
-    /// Within a batch and across a group, later ops win per key.
+    /// See [`ShardedStore::commit`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::CommitFailed`] when the group's log append failed;
-    /// no version is published in that case.
+    /// See [`ShardedStore::commit`].
     pub fn commit(&self, ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
-        let inner = &self.inner;
-        let enqueued = Instant::now();
-        let mut wait_ns = 0u64;
-        let mut q = inner.commit.lock();
-        let ticket = q.next_ticket;
-        q.next_ticket += 1;
-        q.pending.push((ticket, ops));
-        loop {
-            if let Some(result) = q.results.remove(&ticket) {
-                drop(q);
-                inner.metrics.ticket_wait.record(wait_ns);
-                inner.metrics.commit.record_duration(enqueued.elapsed());
-                return result.map_err(StoreError::CommitFailed);
-            }
-            if q.leader_running {
-                let parked = Instant::now();
-                inner.commit_cv.wait(&mut q);
-                wait_ns += parked.elapsed().as_nanos() as u64;
-                continue;
-            }
-            // Become the leader for everything queued so far.
-            q.leader_running = true;
-            let group = std::mem::take(&mut q.pending);
-            drop(q);
-            let tickets: Vec<u64> = group.iter().map(|(t, _)| *t).collect();
-            let all_ops: Vec<Op<K, V>> =
-                group.into_iter().flat_map(|(_, ops)| ops).collect();
-            let outcome = self.apply_group(all_ops);
-            q = inner.commit.lock();
-            q.leader_running = false;
-            match &outcome {
-                Ok(version) => {
-                    for t in tickets {
-                        q.results.insert(t, Ok(*version));
-                    }
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    for t in tickets {
-                        q.results.insert(t, Err(msg.clone()));
-                    }
-                }
-            }
-            inner.commit_cv.notify_all();
-        }
+        self.engine.commit(ops)
     }
 
     /// Shorthand for committing a single [`Op::Put`].
     ///
     /// # Errors
     ///
-    /// See [`PacStore::commit`].
+    /// See [`ShardedStore::commit`].
     pub fn put(&self, key: K, value: V) -> Result<u64, StoreError> {
-        self.commit(vec![Op::Put(key, value)])
+        self.engine.put(key, value)
     }
 
     /// Shorthand for committing a single [`Op::Delete`].
     ///
     /// # Errors
     ///
-    /// See [`PacStore::commit`].
+    /// See [`ShardedStore::commit`].
     pub fn delete(&self, key: K) -> Result<u64, StoreError> {
-        self.commit(vec![Op::Delete(key)])
-    }
-
-    /// Applies one commit group: one tree update, one log record, one
-    /// published version.
-    fn apply_group(&self, all_ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
-        let mut log_guard = self.inner.log.lock();
-        if matches!(*log_guard, LogState::Poisoned(_)) {
-            return Err(StoreError::LogPoisoned);
-        }
-        let (base_map, base_version) = {
-            let s = self.inner.state.lock();
-            (s.map.clone(), s.version)
-        };
-        let new_version = base_version + 1;
-        // Serialize the record first: applying consumes the ops.
-        let record = matches!(*log_guard, LogState::Active(_)).then(|| {
-            wal::encode_record(
-                new_version,
-                new_version,
-                &[],
-                crate::checksum::schema_id::<(K, V)>(),
-                &all_ops,
-            )
-        });
-        let apply_start = Instant::now();
-        let new_map = apply_ops(base_map, all_ops);
-        self.inner.metrics.apply.record_duration(apply_start.elapsed());
-
-        // Durability before visibility: log the group (all-or-nothing,
-        // so a failed group can never strand a record whose version the
-        // next group reuses), then publish.
-        if let (LogState::Active(file), Some(record)) = (&mut *log_guard, record) {
-            let fsync = self.inner.opts.fsync_commits;
-            match wal::append_bytes(file, &record, fsync) {
-                Ok(timings) => self.inner.metrics.record_wal_append(0, timings, fsync),
-                Err(fail) => {
-                    if !fail.rolled_back {
-                        // A stranded partial record would swallow every
-                        // later append at replay: refuse them until
-                        // save() resets the log.
-                        let state = std::mem::replace(&mut *log_guard, LogState::None);
-                        if let LogState::Active(file) = state {
-                            *log_guard = LogState::Poisoned(file);
-                        }
-                    }
-                    return Err(fail.error.into());
-                }
-            }
-        }
-
-        let mut s = self.inner.state.lock();
-        s.version = new_version;
-        s.map = new_map.clone();
-        s.history.push_back((new_version, new_map));
-        lifecycle::evict_history(
-            &mut s.history,
-            self.inner.opts.history_limit,
-            |(v, _)| *v,
-            &self.inner.registry,
-        );
-        drop(s);
-        drop(log_guard);
-        Ok(new_version)
+        self.engine.delete(key)
     }
 
     /// Pins the current version: O(1), never blocked by writers beyond
     /// a brief lock for the pointer copy.
     pub fn snapshot(&self) -> Snapshot<K, V, C> {
-        self.inner.metrics.snapshots.inc();
-        let s = self.inner.state.lock();
-        Snapshot {
-            version: s.version,
-            map: s.map.clone(),
-        }
+        Self::pin(self.engine.snapshot())
     }
 
     /// Pins a historical version (time-travel read).
     ///
     /// # Errors
     ///
-    /// [`StoreError::VersionNotFound`] if `version` is older than the
-    /// retained history (or never existed).
+    /// See [`ShardedStore::snapshot_at`].
     pub fn snapshot_at(&self, version: u64) -> Result<Snapshot<K, V, C>, StoreError> {
-        let s = self.inner.state.lock();
-        s.history
-            .iter()
-            .find(|(v, _)| *v == version)
-            .map(|(v, m)| Snapshot {
-                version: *v,
-                map: m.clone(),
-            })
-            .ok_or(StoreError::VersionNotFound(version))
+        self.engine.snapshot_at(version).map(Self::pin)
     }
 
-    /// The versions currently reachable via [`PacStore::snapshot_at`],
-    /// oldest first (the last one is the current version).
+    /// See [`ShardedStore::versions`].
     pub fn versions(&self) -> Vec<u64> {
-        self.inner.state.lock().history.iter().map(|(v, _)| *v).collect()
+        self.engine.versions()
     }
 
-    /// The current (latest committed) version.
+    /// See [`ShardedStore::current_version`].
     pub fn current_version(&self) -> u64 {
-        self.inner.state.lock().version
+        self.engine.current_version()
     }
 
-    /// The value under `k` in the current version.
+    /// See [`ShardedStore::get`].
     pub fn get(&self, k: &K) -> Option<V> {
-        let _span = obs::span!(self.inner.metrics.point_read);
-        self.snapshot().get(k)
+        self.engine.get(k)
     }
 
-    /// All entries with keys in `[lo, hi]` at the current version,
-    /// ascending — a pinned-snapshot range read, timed into
-    /// `pacstore_range_read_ns`.
+    /// See [`ShardedStore::range_entries`].
     pub fn range_entries(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        let _span = obs::span!(self.inner.metrics.range_read);
-        self.snapshot().map().range(lo, hi).to_vec()
+        self.engine.range_entries(lo, hi)
     }
 
-    /// Number of entries in the current version.
+    /// See [`ShardedStore::len`].
     pub fn len(&self) -> usize {
-        self.inner.state.lock().map.len()
+        self.engine.len()
     }
 
-    /// True if the current version is empty.
+    /// See [`ShardedStore::is_empty`].
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.engine.is_empty()
     }
 
-    /// Writes the current version to the snapshot page (atomic and
-    /// durable: temp file + `fsync` + rename + directory `fsync`) and
-    /// resets the log, whose records it now covers. Returns the saved
-    /// version.
+    /// See [`ShardedStore::save`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors.
+    /// See [`ShardedStore::save`].
     pub fn save(&self) -> Result<u64, StoreError> {
-        let _ckpt = self.inner.checkpoint_lock.lock();
-        self.save_full_locked()
+        self.engine.save()
     }
 
-    fn save_full_locked(&self) -> Result<u64, StoreError> {
-        let dir = self.inner.dir.as_ref().ok_or(StoreError::Ephemeral)?;
-        let _span = obs::span!(self.inner.metrics.save);
-        let mut log_guard = self.inner.log.lock();
-        let (map, version) = {
-            let s = self.inner.state.lock();
-            (s.map.clone(), s.version)
-        };
-        // One format owns the directory at a time: write the configured
-        // one, then remove the other and the superseded incremental
-        // chain. A crash in between leaves extra files on disk — open
-        // arbitrates by version, and the page written here wins.
-        let page_bytes = crate::paged::write_full_snapshot(
-            self.inner.opts.pool_pages.is_some(),
-            dir,
-            PAGED_FILE,
-            SNAPSHOT_FILE,
-            &map,
-            version,
-        )?;
-        let truncated = Self::reset_log(&mut log_guard)?;
-        *self.inner.checkpoint.lock() = Some(Checkpoint {
-            version,
-            map,
-            chain_len: 0,
-        });
-        self.inner.metrics.incr_chain_depth[0].set(0);
-        let mut stats = self.inner.lifecycle.lock();
-        stats.full_saves += 1;
-        stats.full_page_bytes += page_bytes as u64;
-        stats.wal_bytes_truncated += truncated;
-        Ok(version)
-    }
-
-
-    /// Persists only what changed since the previous checkpoint: an
-    /// incremental page diffed against the pinned root of
-    /// `prev_version`, then resets the log the page now covers. `open`
-    /// chains the page back onto the full snapshot. Returns the saved
-    /// version.
-    ///
-    /// `prev_version` must be the store's latest checkpoint (see
-    /// [`PacStore::latest_checkpoint`]) — the page records it as the
-    /// chain link, and the diff is only sound against that pinned root.
-    /// [`PacStore::compact`] automates the choice between this and a
-    /// full [`PacStore::save`].
+    /// See [`ShardedStore::save_incremental`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::CheckpointMismatch`] when `prev_version` is not
-    /// the latest checkpoint (or none exists);
-    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors.
+    /// See [`ShardedStore::save_incremental`].
     pub fn save_incremental(&self, prev_version: u64) -> Result<u64, StoreError> {
-        let _ckpt = self.inner.checkpoint_lock.lock();
-        self.save_incremental_locked(prev_version)
+        self.engine.save_incremental(prev_version)
     }
 
-    fn save_incremental_locked(&self, prev_version: u64) -> Result<u64, StoreError> {
-        let dir = self.inner.dir.as_ref().ok_or(StoreError::Ephemeral)?;
-        let _span = obs::span!(self.inner.metrics.save);
-        let mut log_guard = self.inner.log.lock();
-        let (map, version) = {
-            let s = self.inner.state.lock();
-            (s.map.clone(), s.version)
-        };
-        let mut checkpoint = self.inner.checkpoint.lock();
-        let ck = match checkpoint.as_ref() {
-            Some(ck) if ck.version == prev_version => ck,
-            other => {
-                return Err(StoreError::CheckpointMismatch {
-                    requested: prev_version,
-                    actual: other.map(|ck| ck.version),
-                })
-            }
-        };
-        if version == ck.version {
-            // Nothing committed since the checkpoint; the log can only
-            // hold covered records (we hold the log lock), so just
-            // reset it.
-            let truncated = Self::reset_log(&mut log_guard)?;
-            self.inner.lifecycle.lock().wal_bytes_truncated += truncated;
-            return Ok(version);
-        }
-        let page = pagefmt::encode_incremental(&map, &ck.map, ck.version, version);
-        pagefmt::write_file_atomic(&dir.join(pagefmt::incr_file_name(version)), &page)?;
-        let chain_len = ck.chain_len + 1;
-        let truncated = Self::reset_log(&mut log_guard)?;
-        *checkpoint = Some(Checkpoint {
-            version,
-            map,
-            chain_len,
-        });
-        self.inner.metrics.incr_chain_depth[0].set(chain_len as i64);
-        let mut stats = self.inner.lifecycle.lock();
-        stats.incremental_saves += 1;
-        stats.incremental_page_bytes += page.len() as u64;
-        stats.wal_bytes_truncated += truncated;
-        Ok(version)
-    }
-
-    /// One checkpoint-then-truncate cycle: persists the current
-    /// committed version — incrementally when a checkpoint exists and
-    /// the chain is short, as a full page otherwise (first save, or
-    /// every `MAX_INCR_CHAIN` links to bound `open`'s chain walk) —
-    /// and truncates the log it covers. Returns the checkpointed
-    /// version.
+    /// See [`ShardedStore::compact`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors.
+    /// See [`ShardedStore::compact`].
     pub fn compact(&self) -> Result<u64, StoreError> {
-        let span = obs::span!(self.inner.metrics.compact_pause);
-        let _ckpt = self.inner.checkpoint_lock.lock();
-        let base = self
-            .inner
-            .checkpoint
-            .lock()
-            .as_ref()
-            .filter(|ck| ck.chain_len < MAX_INCR_CHAIN)
-            .map(|ck| ck.version);
-        let version = match base {
-            Some(prev) => self.save_incremental_locked(prev)?,
-            None => self.save_full_locked()?,
-        };
-        self.inner.lifecycle.lock().compactions += 1;
-        drop(span);
-        Ok(version)
+        self.engine.compact()
     }
 
-    /// Truncates the log under its held lock; every record is covered
-    /// by the page just written (no group is between append and
-    /// publish while the lock is held). A successful truncation also
-    /// heals a poisoned log — the stranded partial record is gone.
-    /// Returns the number of bytes dropped.
-    fn reset_log(log_guard: &mut LogState) -> Result<u64, StoreError> {
-        let state = std::mem::replace(log_guard, LogState::None);
-        match state {
-            LogState::None => Ok(0),
-            LogState::Active(f) | LogState::Poisoned(f) => {
-                let len = f.metadata().map(|m| m.len()).unwrap_or(0);
-                match f.set_len(0) {
-                    Ok(()) => {
-                        *log_guard = LogState::Active(f);
-                        Ok(len)
-                    }
-                    Err(e) => {
-                        // Keep refusing appends: the page is saved but
-                        // the log still holds stale (covered) records.
-                        *log_guard = LogState::Poisoned(f);
-                        Err(e.into())
-                    }
-                }
-            }
-        }
-    }
-
-    /// The version of the latest persisted checkpoint (full page plus
-    /// incremental chain), or `None` if nothing was saved yet.
+    /// See [`ShardedStore::latest_checkpoint`].
     pub fn latest_checkpoint(&self) -> Option<u64> {
-        self.inner.checkpoint.lock().as_ref().map(|ck| ck.version)
+        self.engine.latest_checkpoint()
     }
 
-    /// Pins `version` against history eviction and [`PacStore::gc`]:
-    /// [`PacStore::snapshot_at`] keeps working for it until every pin
-    /// is released. Pins are counted per version. For a durable store
-    /// the pin table is rewritten atomically, so the pin also survives
-    /// a reopen (as long as the WAL still reaches the version).
+    /// See [`ShardedStore::pin_version`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::VersionNotFound`] when `version` is not currently
-    /// in history (an evicted version cannot be resurrected); I/O
-    /// errors persisting the pin table (the in-memory pin is rolled
-    /// back, so memory and disk never disagree).
+    /// See [`ShardedStore::pin_version`].
     pub fn pin_version(&self, version: u64) -> Result<(), StoreError> {
-        // Under the state lock so eviction (which consults the
-        // registry under the same lock) cannot race the containment
-        // check; persistence rides under the same lock so concurrent
-        // pin/unpin cannot interleave stale table writes.
-        let s = self.inner.state.lock();
-        if !s.history.iter().any(|(v, _)| *v == version) {
-            return Err(StoreError::VersionNotFound(version));
-        }
-        self.inner.registry.pin(version);
-        if let Some(dir) = &self.inner.dir {
-            if let Err(e) = lifecycle::persist_pins(dir, &self.inner.registry) {
-                self.inner.registry.unpin(version);
-                return Err(e);
-            }
-        }
-        drop(s);
-        self.inner.metrics.pins.inc();
-        Ok(())
+        self.engine.pin_version(version)
     }
 
-    /// Releases one pin on `version` (it becomes GC-eligible when the
-    /// count reaches zero and it leaves the retention window). Durable
-    /// stores rewrite the pin table.
+    /// See [`ShardedStore::unpin_version`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotPinned`] when `version` holds no pin; I/O
-    /// errors persisting the pin table (the in-memory release is
-    /// rolled back).
+    /// See [`ShardedStore::unpin_version`].
     pub fn unpin_version(&self, version: u64) -> Result<(), StoreError> {
-        let s = self.inner.state.lock();
-        if !self.inner.registry.unpin(version) {
-            return Err(StoreError::NotPinned(version));
-        }
-        if let Some(dir) = &self.inner.dir {
-            if let Err(e) = lifecycle::persist_pins(dir, &self.inner.registry) {
-                self.inner.registry.pin(version);
-                return Err(e);
-            }
-        }
-        drop(s);
-        self.inner.metrics.unpins.inc();
-        Ok(())
+        self.engine.unpin_version(version)
     }
 
-    /// The currently pinned versions, ascending.
+    /// See [`ShardedStore::pinned_versions`].
     pub fn pinned_versions(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.inner.registry.pinned().into_iter().collect();
-        v.sort_unstable();
-        v
+        self.engine.pinned_versions()
     }
 
-    /// Drops retained history outside `policy`'s window (pinned
-    /// versions and the current version always survive), releasing
-    /// every subtree no surviving version shares. Space reclamation is
-    /// the existing refcount machinery — dropping a version's root
-    /// `Arc` frees exactly its unshared nodes, counted in
-    /// [`GcStats::nodes_reclaimed`].
+    /// See [`ShardedStore::gc`].
     pub fn gc(&self, policy: RetentionPolicy) -> GcStats {
-        let _span = obs::span!(self.inner.metrics.gc_pause);
-        let keep = policy.keep_last.max(1);
-        let mut dropped_maps = Vec::new();
-        let versions_retained;
-        {
-            let mut s = self.inner.state.lock();
-            let pinned = self.inner.registry.pinned();
-            let cut = s.history.len().saturating_sub(keep);
-            let old = std::mem::take(&mut s.history);
-            for (i, (v, m)) in old.into_iter().enumerate() {
-                if i >= cut || pinned.contains(&v) {
-                    s.history.push_back((v, m));
-                } else {
-                    dropped_maps.push(m);
-                }
-            }
-            versions_retained = s.history.len();
-        }
-        // Drop outside the state lock — freeing a deep unshared
-        // version walks its whole tree — and measure what came back.
-        let versions_dropped = dropped_maps.len();
-        let before = cpam::stats::read();
-        drop(dropped_maps);
-        let nodes_reclaimed = cpam::stats::read().delta(before).nodes_dropped;
-        let mut stats = self.inner.lifecycle.lock();
-        stats.gc_runs += 1;
-        stats.versions_dropped += versions_dropped as u64;
-        stats.nodes_reclaimed += nodes_reclaimed;
-        self.inner.metrics.gc_versions_dropped.add(versions_dropped as u64);
-        self.inner.metrics.gc_nodes_reclaimed.add(nodes_reclaimed);
-        GcStats {
-            versions_dropped,
-            versions_retained,
-            nodes_reclaimed,
-        }
+        self.engine.gc(policy)
     }
 
-    /// Cumulative lifecycle counters for this store handle.
+    /// See [`ShardedStore::lifecycle_stats`].
     pub fn lifecycle_stats(&self) -> LifecycleStats {
-        *self.inner.lifecycle.lock()
+        self.engine.lifecycle_stats()
     }
 
-    /// The store's directory (`None` for in-memory stores).
+    /// See [`ShardedStore::dir`].
     pub fn dir(&self) -> Option<&Path> {
-        self.inner.dir.as_deref()
+        self.engine.dir()
     }
 
-    /// Statistics of the page cache behind this store's lazy (paged)
-    /// opens; `None` unless [`StoreOptions::pool_pages`] is set on a
-    /// durable store. Reading also publishes the snapshot into the
-    /// metrics registry (`pacstore_pool_*` gauges and counters), so a
-    /// scrape path that calls this before rendering gets fresh values.
+    /// See [`ShardedStore::pool_stats`].
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        let stats = self.inner.pool.as_ref().map(|p| p.stats());
-        if let Some(s) = &stats {
-            self.inner.metrics.pool.publish(s);
-        }
-        stats
+        self.engine.pool_stats()
     }
 }
 
@@ -1191,11 +569,5 @@ mod tests {
         }
         // Group commit coalesces: version count <= commit count.
         assert!(store.current_version() <= (threads * per_thread) as u64);
-    }
-
-    #[test]
-    fn ephemeral_save_is_typed_error() {
-        let store: PacStore<u64, u64> = PacStore::in_memory();
-        assert!(matches!(store.save(), Err(StoreError::Ephemeral)));
     }
 }

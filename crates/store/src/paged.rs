@@ -576,8 +576,7 @@ where
 /// — paged (`paged_file`) when `paged` is set, classic (`legacy_file`)
 /// otherwise — then removes the superseded other-format file and the
 /// incremental chain the full page now covers. Returns the page's byte
-/// size. Shared by [`crate::PacStore`] and each shard of a
-/// [`crate::ShardedStore`].
+/// size. Called once per shard by a full checkpoint.
 ///
 /// A crash between the write and the removals leaves both formats (or
 /// stale incrementals) on disk; [`load_chain_auto`] arbitrates by

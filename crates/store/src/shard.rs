@@ -1,11 +1,14 @@
-//! The sharded store: N independent MVCC shards over disjoint key
-//! ranges, with atomic cross-shard batch commits.
+//! The store engine: N independent MVCC shards over disjoint key
+//! ranges, with atomic cross-shard batch commits. There is exactly one
+//! engine — [`crate::PacStore`] is a handle on the one-shard case
+//! ([`Router::single`]), with the same directory layout, commit
+//! protocol, recovery walk and checkpoint routine as any other shard
+//! count.
 //!
-//! Each shard is a complete single-directory store in miniature — its
-//! own PaC-tree state, snapshot page, and write-ahead log in a
-//! `shard-NNN/` subdirectory — so independent key ranges commit with
-//! independent tree updates, applied **in parallel** with
-//! [`parlay::join`] (the same batch-parallel ethos as the paper's
+//! Each shard owns a PaC-tree state, a snapshot page chain and a
+//! write-ahead log in a `shard-NNN/` subdirectory, so independent key
+//! ranges commit with independent tree updates, applied **in parallel**
+//! with [`parlay::join`] (the same batch-parallel ethos as the paper's
 //! `multi_insert`, scaled out across trees). What makes the composite
 //! a single store rather than N stores is the *global commit
 //! protocol*:
@@ -21,6 +24,10 @@
 //! 3. **Publish** — the new shard maps and the version vector become
 //!    visible to readers atomically, under one state lock.
 //!
+//! Writers meet in a group-commit queue: the first to arrive becomes
+//! the *leader*, drains every batch queued so far and runs the three
+//! steps once for the whole group; followers wait for their ticket.
+//!
 //! Recovery (open) replays the manifest and every shard WAL, then
 //! rolls a global commit forward **iff it is fully prepared**: every
 //! participant either holds a checksum-valid WAL record for `g` or has
@@ -33,6 +40,13 @@
 //! is written, so every *acknowledged* commit is fully prepared on
 //! disk and survives; without it the same ordering holds for process
 //! crashes (completed `write`s survive) but not machine crashes.
+//!
+//! Checkpoints ([`ShardedStore::save`], [`ShardedStore::save_incremental`],
+//! [`ShardedStore::compact`]) are one routine under three page
+//! policies: capture the committed version vector, write per-shard
+//! pages (full, incremental, or nothing for an unchanged shard) with
+//! commits still flowing, then briefly exclude writers to trim the
+//! WALs and swap the manifest for a checkpoint record.
 //!
 //! Readers get cross-shard snapshot isolation: [`ShardedStore::snapshot`]
 //! pins one consistent version vector (one `Arc` bump per shard) and
@@ -192,6 +206,18 @@ pub(crate) fn replay_manifest(bytes: &[u8], shard_count: usize) -> ManifestRepla
     }
 }
 
+/// Byte offset of the first replayed record satisfying `pred` — where
+/// to cut a log so that record and everything after it goes — or
+/// `valid_len` when none does. `offsets[i]` is where `records[i]` starts.
+fn offset_of_first<R>(
+    records: &[R],
+    offsets: &[usize],
+    valid_len: usize,
+    pred: impl Fn(&R) -> bool,
+) -> usize {
+    records.iter().position(pred).map_or(valid_len, |idx| offsets[idx])
+}
+
 // ---------------------------------------------------------------------
 // Parallel helpers
 // ---------------------------------------------------------------------
@@ -213,6 +239,76 @@ fn par_for_shards<R: Send>(n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R>
         return Vec::new();
     }
     parlay::run(|| rec(0, n, f))
+}
+
+// ---------------------------------------------------------------------
+// Log trimming (the tail of a checkpoint)
+// ---------------------------------------------------------------------
+
+/// Opens the append handle on the WAL or manifest at `path`.
+fn open_append(path: &Path) -> std::io::Result<File> {
+    #[cfg(test)]
+    if tests::FAIL_OPEN_APPEND.with(|fail| fail.replace(false)) {
+        return Err(std::io::Error::other("injected open failure"));
+    }
+    OpenOptions::new().append(true).open(path)
+}
+
+/// Drops from the shard WAL at `path` every record the checkpoint pages
+/// cover (local version `<= covered`) and anything past `published`,
+/// keeping the records of the commits in between. `log` is the append
+/// handle on the file, replaced when the file is — and first of all
+/// when `stale_handle` says it may no longer be on the file at `path`.
+/// Returns the number of bytes dropped.
+fn trim_shard_log<K: StoreKey, V: StoreValue>(
+    path: &Path,
+    log: &mut File,
+    stale_handle: bool,
+    covered: u64,
+    published: u64,
+) -> Result<u64, StoreError> {
+    if stale_handle {
+        *log = open_append(path)?;
+    }
+    if published == covered {
+        // Nothing landed on this shard while the pages were written:
+        // the whole file is covered, no need to read it.
+        let len = log.metadata()?.len();
+        log.set_len(0)?;
+        return Ok(len);
+    }
+    let bytes = std::fs::read(path)?;
+    let replay = wal::replay::<K, V>(&bytes, crate::checksum::schema_id::<(K, V)>());
+    let offset_past = |version: u64| {
+        offset_of_first(&replay.records, &replay.offsets, replay.valid_len, |r| r.version > version)
+    };
+    let keep = &bytes[offset_past(covered)..offset_past(published)];
+    if keep.len() < bytes.len() {
+        pagefmt::write_file_atomic(path, keep)?;
+        *log = open_append(path)?;
+    }
+    Ok((bytes.len() - keep.len()) as u64)
+}
+
+/// Replaces the manifest at `path` with `checkpoint` followed by the
+/// records of the commits after it up to global id `published`. Returns
+/// an append handle on the new file and the number of bytes dropped.
+fn swap_manifest(
+    path: &Path,
+    checkpoint: &ManifestRecord,
+    published: u64,
+) -> Result<(File, u64), StoreError> {
+    let old = if path.exists() { std::fs::read(path)? } else { Vec::new() };
+    let replay = replay_manifest(&old, checkpoint.locals.len());
+    let offset_past = |global: u64| {
+        offset_of_first(&replay.records, &replay.offsets, replay.valid_len, |r| r.global > global)
+    };
+    let keep = &old[offset_past(checkpoint.global)..offset_past(published)];
+    let mut new = encode_manifest_record(checkpoint);
+    new.extend_from_slice(keep);
+    pagefmt::write_file_atomic(path, &new)?;
+    let file = open_append(path)?;
+    Ok((file, (old.len() - keep.len()) as u64))
 }
 
 // ---------------------------------------------------------------------
@@ -290,8 +386,12 @@ where
     /// All entries in global key order (shards hold contiguous ranges,
     /// so concatenating per-shard entries in shard order is sorted).
     pub fn to_vec(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        for m in &self.maps {
+        // The first shard's vector is the output; later shards append
+        // to it (a one-shard store copies nothing).
+        let (first, rest) = self.maps.split_first().expect("a router has at least one shard");
+        let mut out = first.to_vec();
+        out.reserve(rest.iter().map(PacMap::len).sum());
+        for m in rest {
             out.extend(m.to_vec());
         }
         out
@@ -299,13 +399,14 @@ where
 
     /// The entries with keys in `[lo, hi]`, in key order, composed from
     /// the per-shard [`PacMap::range_entries`] of the overlapping
-    /// shards only.
+    /// shards only. The first overlapping shard's vector is the output
+    /// and later shards append to it, so a range inside one shard is
+    /// returned without a second copy.
     pub fn range_entries(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for s in self.router.shards_overlapping(lo, hi) {
+        let mut shards = self.router.shards_overlapping(lo, hi);
+        let Some(first) = shards.next() else { return Vec::new() };
+        let mut out = self.maps[first].range_entries(lo, hi);
+        for s in shards {
             out.extend(self.maps[s].range_entries(lo, hi));
         }
         out
@@ -355,19 +456,29 @@ where
     history: VecDeque<HistoryEntry<K, V, C>>,
 }
 
-/// The durable half of a sharded store: per-shard WAL handles plus the
-/// manifest. `Poisoned` mirrors [`crate::PacStore`]'s log poisoning: an
-/// append failure that could not be rolled back refuses further commits
-/// until [`ShardedStore::save`] resets every log.
-enum DurableState {
-    /// In-memory store: nothing to log.
-    None,
-    /// Healthy logs, appends allowed.
-    Active { shard_logs: Vec<File>, manifest: File },
-    /// Unrolled-back append failure; the shard logs are kept so
-    /// `save()` can reset and heal them (the manifest is reopened from
-    /// its checkpoint).
-    Poisoned { shard_logs: Vec<File> },
+/// The durable half of a store: per-shard WAL handles plus the
+/// manifest. `poisoned` means an append failure could not be rolled
+/// back: the stranded partial record would swallow every later record
+/// at replay, so commits are refused until a checkpoint rewrites the
+/// logs and clears the flag.
+struct Logs {
+    shard_logs: Vec<File>,
+    manifest: File,
+    poisoned: bool,
+}
+
+/// Which pages one checkpoint writes (see [`ShardedStore::checkpoint`]).
+#[derive(Clone, Copy)]
+enum PagePolicy {
+    /// A full page for every shard ([`ShardedStore::save`]).
+    Full,
+    /// An incremental page for every changed shard, however long its
+    /// chain, diffed against the checkpoint at this global commit id —
+    /// which must be the latest ([`ShardedStore::save_incremental`]).
+    Incremental(u64),
+    /// Incremental while a shard's chain is short, full once it
+    /// reaches [`MAX_INCR_CHAIN`] ([`ShardedStore::compact`]).
+    Chain,
 }
 
 /// One shard's latest persisted checkpoint: the version its on-disk
@@ -429,20 +540,20 @@ where
     opts: StoreOptions,
     router: Arc<Router<K>>,
     dir: Option<PathBuf>,
-    /// Held for the lifetime of this store's handles (see
-    /// [`crate::PacStore`]'s lock discussion).
+    /// Held for the lifetime of this store's handles; the OS releases
+    /// the advisory lock when the file closes, even on a crash.
     _dir_lock: Option<File>,
-    /// Lock order: `checkpoint_lock` before `log` before `state`
-    /// (leaders hold `log` across prepare, manifest append, *and*
-    /// publish; `save`/`compact` hold `checkpoint_lock` across a whole
-    /// checkpoint cycle).
-    checkpoint_lock: Mutex<()>,
-    log: Mutex<DurableState>,
+    /// Lock order: `checkpoints` before `log` before `state`. Leaders
+    /// hold `log` across prepare, manifest append, *and* publish, so
+    /// under it every logged record belongs to a published commit; a
+    /// checkpoint holds `checkpoints` for its whole cycle, so the pins
+    /// and the pages on disk can never interleave.
+    checkpoints: Mutex<Checkpoints<K, V, C>>,
+    /// `None` for an in-memory store: nothing to log.
+    log: Mutex<Option<Logs>>,
     state: Mutex<ShardedState<K, V, C>>,
     commit: Mutex<CommitQueue<K, V>>,
     commit_cv: Condvar,
-    /// Per-shard checkpoint pins; `checkpoint_lock` serializes writers.
-    checkpoints: Mutex<Checkpoints<K, V, C>>,
     registry: VersionRegistry,
     lifecycle: Mutex<LifecycleStats>,
     /// Pre-resolved observability handles (see [`crate::metrics`]); hot
@@ -527,23 +638,22 @@ where
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
-    // One argument per piece of open state the two open paths assemble;
-    // bundling them into a struct would just rename the problem.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a store from its opened parts; `durable` is the
+    /// directory, its held advisory lock and the log handles (`None`
+    /// for an in-memory store).
     fn from_parts(
         opts: StoreOptions,
         router: Router<K>,
-        durable_dir: Option<(PathBuf, File)>,
-        log: DurableState,
+        durable: Option<(PathBuf, File, Logs)>,
         state: ShardedState<K, V, C>,
         checkpoints: Checkpoints<K, V, C>,
         registry: VersionRegistry,
         pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>>,
     ) -> Self {
         let metrics = StoreMetrics::new(router.shard_count());
-        let (dir, dir_lock) = match durable_dir {
-            Some((dir, lock)) => (Some(dir), Some(lock)),
-            None => (None, None),
+        let (dir, dir_lock, log) = match durable {
+            Some((dir, lock, log)) => (Some(dir), Some(lock), Some(log)),
+            None => (None, None, None),
         };
         ShardedStore {
             inner: Arc::new(Inner {
@@ -551,7 +661,7 @@ where
                 router: Arc::new(router),
                 dir,
                 _dir_lock: dir_lock,
-                checkpoint_lock: Mutex::new(()),
+                checkpoints: Mutex::new(checkpoints),
                 log: Mutex::new(log),
                 state: Mutex::new(state),
                 commit: Mutex::new(CommitQueue {
@@ -561,7 +671,6 @@ where
                     leader_running: false,
                 }),
                 commit_cv: Condvar::new(),
-                checkpoints: Mutex::new(checkpoints),
                 registry,
                 lifecycle: Mutex::new(LifecycleStats::default()),
                 metrics,
@@ -596,18 +705,22 @@ where
     ///
     /// See [`ShardedStore::in_memory`].
     pub fn in_memory_with(router: Router<K>, opts: StoreOptions) -> Result<Self, StoreError> {
+        Ok(Self::ephemeral(router, opts))
+    }
+
+    /// The infallible body of [`ShardedStore::in_memory_with`].
+    pub(crate) fn ephemeral(router: Router<K>, opts: StoreOptions) -> Self {
         let shards = router.shard_count();
         let state = Self::fresh_state(&opts, shards);
-        Ok(Self::from_parts(
+        Self::from_parts(
             opts,
             router,
             None,
-            DurableState::None,
             state,
             Checkpoints::empty(shards),
             VersionRegistry::default(),
             vec![None; shards],
-        ))
+        )
     }
 
     /// Opens an existing sharded store in `dir`, recovering the routing
@@ -647,9 +760,14 @@ where
     ///
     /// [`StoreError::Locked`] when another handle holds the directory;
     /// [`StoreError::PartitionMismatch`] when `router` disagrees with
-    /// the persisted map; every shard-level open error of
-    /// [`crate::PacStore::open`]; [`StoreError::Corrupt`] for torn
-    /// manifests or WAL tails under [`StoreOptions::strict_log`].
+    /// the persisted map; [`StoreError::LegacyLayout`] when `dir` holds
+    /// a pre-sharding flat store instead of a partition map; every
+    /// snapshot-integrity error of [`crate::pagefmt::decode_snapshot`]
+    /// and [`crate::paged::open_paged_file`] for a shard's pages;
+    /// [`StoreError::SchemaMismatch`] for WAL records of other key/value
+    /// types; [`StoreError::VersionGap`] when the logs reference
+    /// versions the pages no longer reach; [`StoreError::Corrupt`] for
+    /// torn manifests or WAL tails under [`StoreOptions::strict_log`].
     pub fn open_or_create(
         dir: impl AsRef<Path>,
         router: Router<K>,
@@ -665,7 +783,10 @@ where
     ) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
 
-        // One advisory lock for the whole sharded directory.
+        // One exclusive advisory lock for the whole directory: without
+        // it, two live handles would each assign versions independently
+        // and interleave them in the same logs — acknowledged commits
+        // would vanish at replay.
         let dir_lock = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -700,6 +821,22 @@ where
                     dir.display()
                 ))
             })?;
+            // Pages or a log at the root with no partition map is the
+            // flat layout `PacStore` wrote before it became the
+            // one-shard case of this engine. Creating a fresh store
+            // here would shadow that data and later overwrite it.
+            let flat = [SNAPSHOT_FILE, PAGED_FILE, LOG_FILE]
+                .into_iter()
+                .find(|f| dir.join(f).exists())
+                .or(pagefmt::list_incr_files(dir)?.first().map(|_| "incremental pages"));
+            if let Some(found) = flat {
+                return Err(StoreError::LegacyLayout(format!(
+                    "{} holds {found} at its root and no {PARTITION_FILE}: a flat \
+                     single-directory store, which this build does not read (stores live in \
+                     `shard-NNN/` subdirectories under a partition map and a manifest)",
+                    dir.display(),
+                )));
+            }
             router.save(&partition_path)?;
             router
         };
@@ -921,20 +1058,16 @@ where
                 }
                 // Drop g and everything after it from every WAL and
                 // from the manifest: all-or-nothing.
-                let wal_cuts: Vec<usize> = (0..shards)
-                    .map(|i| {
-                        shard_replays[i]
-                            .records
-                            .iter()
-                            .position(|rec| rec.global >= g)
-                            .map_or(shard_replays[i].valid_len, |idx| shard_replays[i].offsets[idx])
-                    })
-                    .collect();
-                let manifest_cut = manifest
-                    .records
+                let wal_cuts: Vec<usize> = shard_replays
                     .iter()
-                    .position(|rec| rec.global >= g)
-                    .map_or(manifest.valid_len, |idx| manifest.offsets[idx]);
+                    .map(|r| offset_of_first(&r.records, &r.offsets, r.valid_len, |rec| rec.global >= g))
+                    .collect();
+                let manifest_cut = offset_of_first(
+                    &manifest.records,
+                    &manifest.offsets,
+                    manifest.valid_len,
+                    |rec| rec.global >= g,
+                );
                 cut = Some((g, wal_cuts, manifest_cut));
                 break 'walk;
             }
@@ -1079,11 +1212,11 @@ where
             shards: checkpoint_pins,
         };
         let state = ShardedState { global, locals, maps, history };
+        let logs = Logs { shard_logs, manifest: manifest_file, poisoned: false };
         Ok(Self::from_parts(
             opts,
             router,
-            Some((dir.to_path_buf(), dir_lock)),
-            DurableState::Active { shard_logs, manifest: manifest_file },
+            Some((dir.to_path_buf(), dir_lock, logs)),
             state,
             checkpoints,
             registry,
@@ -1174,7 +1307,7 @@ where
     fn apply_group(&self, all_ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let mut log_guard = inner.log.lock();
-        if matches!(*log_guard, DurableState::Poisoned { .. }) {
+        if log_guard.as_ref().is_some_and(|logs| logs.poisoned) {
             return Err(StoreError::LogPoisoned);
         }
         let (base_maps, base_locals, base_global) = {
@@ -1194,7 +1327,7 @@ where
 
         // Parallel fan-out: per participating shard, encode the prepare
         // record and apply the sub-batch to its tree.
-        let durable = matches!(*log_guard, DurableState::Active { .. });
+        let durable = log_guard.is_some();
         let schema = crate::checksum::schema_id::<(K, V)>();
         struct ShardResult<M> {
             shard: usize,
@@ -1234,7 +1367,7 @@ where
         // Durability before visibility: prepare every shard, then write
         // the manifest record (the commit point), rolling back every
         // appended prepare on failure.
-        if let DurableState::Active { shard_logs, manifest } = &mut *log_guard {
+        if let Some(Logs { shard_logs, manifest, poisoned }) = log_guard.as_mut() {
             let mut appended: Vec<(usize, u64)> = Vec::new(); // (shard, prior len)
             let mut failure: Option<std::io::Error> = None;
             for r in &results {
@@ -1310,12 +1443,7 @@ where
                         stranded = true;
                     }
                 }
-                if stranded {
-                    let state = std::mem::replace(&mut *log_guard, DurableState::None);
-                    if let DurableState::Active { shard_logs, .. } = state {
-                        *log_guard = DurableState::Poisoned { shard_logs };
-                    }
-                }
+                *poisoned = stranded;
                 return Err(error.into());
             }
         }
@@ -1436,147 +1564,83 @@ where
         &self.inner.router
     }
 
-    /// Writes every shard's snapshot page **in parallel**, then resets
-    /// all shard WALs and the manifest (a single checkpoint record at
-    /// the saved version vector). Returns the saved global commit id.
+    /// A full checkpoint: writes every shard's snapshot page **in
+    /// parallel** (superseding its incremental chain), then drops the
+    /// WAL and manifest records the pages cover. Returns the saved
+    /// global commit id.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors.
+    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors (see
+    /// [`ShardedStore::compact`] for what a failure leaves behind).
     pub fn save(&self) -> Result<u64, StoreError> {
-        let inner = &self.inner;
-        let dir = inner.dir.as_ref().ok_or(StoreError::Ephemeral)?;
-        let _span = obs::span!(inner.metrics.save);
-        let _ckpt = inner.checkpoint_lock.lock();
-        let mut log_guard = inner.log.lock();
-        let (maps, locals, global) = {
-            let s = inner.state.lock();
-            (s.maps.clone(), s.locals.clone(), s.global)
-        };
+        let _span = obs::span!(self.inner.metrics.save);
+        self.checkpoint(PagePolicy::Full)
+    }
 
-        // Parallel snapshot-page writes (atomic per shard) in the
-        // configured format (paged under a pool budget, classic
-        // otherwise). A full page supersedes the shard's incremental
-        // chain; stale links and superseded other-format files that
-        // survive a crash here are skipped (and re-deleted) next time.
-        let paged = inner.opts.pool_pages.is_some();
-        let writes: Vec<Result<usize, StoreError>> = {
-            let maps = &maps;
-            let locals = &locals;
-            par_for_shards(maps.len(), &move |i| {
-                let sdir = dir.join(shard_dir_name(i));
-                std::fs::create_dir_all(&sdir)?;
-                crate::paged::write_full_snapshot(
-                    paged,
-                    &sdir,
-                    PAGED_FILE,
-                    SNAPSHOT_FILE,
-                    &maps[i],
-                    locals[i],
-                )
-            })
-        };
-        let mut full_page_bytes = 0u64;
-        for w in writes {
-            full_page_bytes += w? as u64;
-        }
-        // Re-pin every shard at the pages just written.
-        {
-            let mut ckpts = inner.checkpoints.lock();
-            for (i, m) in maps.iter().enumerate() {
-                ckpts.shards[i] = Some(ShardCheckpoint {
-                    version: locals[i],
-                    map: m.clone(),
-                    chain_len: 0,
-                });
-                inner.metrics.incr_chain_depth[i].set(0);
-            }
-            ckpts.global = Some(global);
-        }
-        {
-            let mut stats = inner.lifecycle.lock();
-            stats.full_saves += maps.len() as u64;
-            stats.full_page_bytes += full_page_bytes;
-        }
-
-        // Checkpoint the manifest, then reset the WALs it covers.
-        // Holding the log lock, no commit is between prepare and
-        // publish, so every logged record is covered by the pages just
-        // written. A successful reset also heals a poisoned log.
-        let checkpoint = encode_manifest_record(&ManifestRecord {
-            global,
-            participants: Vec::new(),
-            locals,
-        });
-        pagefmt::write_file_atomic(&dir.join(MANIFEST_FILE), &checkpoint)?;
-        let state = std::mem::replace(&mut *log_guard, DurableState::None);
-        match state {
-            DurableState::None => {}
-            DurableState::Active { shard_logs, .. } | DurableState::Poisoned { shard_logs } => {
-                let mut ok = true;
-                let mut truncated = 0u64;
-                for f in &shard_logs {
-                    truncated += f.metadata().map(|m| m.len()).unwrap_or(0);
-                    if f.set_len(0).is_err() {
-                        ok = false;
-                    }
-                }
-                inner.lifecycle.lock().wal_bytes_truncated += truncated;
-                // The checkpoint replaced the manifest file on disk;
-                // reopen an append handle on the new file. Any failure
-                // here poisons rather than leaving the state `None`,
-                // which would silently stop logging while still
-                // acknowledging commits.
-                let manifest = match OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(dir.join(MANIFEST_FILE))
-                {
-                    Ok(f) => f,
-                    Err(e) => {
-                        *log_guard = DurableState::Poisoned { shard_logs };
-                        return Err(e.into());
-                    }
-                };
-                *log_guard = if ok {
-                    DurableState::Active { shard_logs, manifest }
-                } else {
-                    DurableState::Poisoned { shard_logs }
-                };
-                if !ok {
-                    return Err(StoreError::Io(std::io::Error::other(
-                        "failed to truncate a shard log after checkpoint",
-                    )));
-                }
-            }
-        }
-        Ok(global)
+    /// An incremental checkpoint: every shard that changed since the
+    /// checkpoint at global commit `prev_version` writes one page
+    /// diffed against its pinned root there, however long its chain;
+    /// `open` chains the pages back onto the full ones. Returns the
+    /// saved global commit id.
+    ///
+    /// `prev_version` must be the store's latest checkpoint (see
+    /// [`ShardedStore::latest_checkpoint`]) — the diff is only sound
+    /// against that pinned root. [`ShardedStore::compact`] automates
+    /// the choice between this and a full [`ShardedStore::save`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::CheckpointMismatch`] when `prev_version` is not
+    /// the latest checkpoint (or none exists);
+    /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors.
+    pub fn save_incremental(&self, prev_version: u64) -> Result<u64, StoreError> {
+        let _span = obs::span!(self.inner.metrics.save);
+        self.checkpoint(PagePolicy::Incremental(prev_version))
     }
 
     /// One checkpoint-then-truncate cycle: persists the committed
     /// version vector — per shard, an incremental page diffed against
     /// the shard's pinned checkpoint when the chain is short, a full
-    /// page otherwise, nothing at all for shards unchanged since their
-    /// checkpoint — then drops the WAL prefixes and manifest records
-    /// the pages now cover. Returns the checkpointed global commit id.
-    ///
-    /// Unlike [`ShardedStore::save`], the page writes happen *outside*
-    /// the log lock, so commits keep flowing while pages are encoded;
-    /// only the final manifest/WAL truncation briefly excludes writers.
-    /// Records appended during the page writes are past the captured
-    /// version vector and survive the truncation.
+    /// page otherwise (first checkpoint, or every `MAX_INCR_CHAIN`
+    /// links to bound `open`'s chain walk), nothing at all for shards
+    /// unchanged since their checkpoint — then drops the WAL and
+    /// manifest records the pages now cover. Returns the checkpointed
+    /// global commit id.
     ///
     /// # Errors
     ///
     /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors. A
     /// failure during the truncation step poisons the log
-    /// (conservatively — the on-disk state stays recoverable);
-    /// [`ShardedStore::save`] heals it.
+    /// (conservatively — the on-disk state stays recoverable); the next
+    /// successful checkpoint heals it.
     pub fn compact(&self) -> Result<u64, StoreError> {
+        let _span = obs::span!(self.inner.metrics.compact_pause);
+        let global = self.checkpoint(PagePolicy::Chain)?;
+        self.inner.lifecycle.lock().compactions += 1;
+        Ok(global)
+    }
+
+    /// The checkpoint routine behind `save`, `save_incremental` and
+    /// `compact`: capture the committed version vector, write the pages
+    /// `policy` asks for, then trim the logs.
+    ///
+    /// The page writes happen *outside* the log lock, so commits keep
+    /// flowing while pages are encoded; only the final WAL/manifest
+    /// trim briefly excludes writers. Records appended during the page
+    /// writes are past the captured version vector and survive it.
+    fn checkpoint(&self, policy: PagePolicy) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let dir = inner.dir.as_ref().ok_or(StoreError::Ephemeral)?;
-        let _span = obs::span!(inner.metrics.compact_pause);
-        let _ckpt = inner.checkpoint_lock.lock();
+        let mut ckpts = inner.checkpoints.lock();
+        if let PagePolicy::Incremental(base) = policy {
+            if ckpts.global != Some(base) {
+                return Err(StoreError::CheckpointMismatch {
+                    requested: base,
+                    actual: ckpts.global,
+                });
+            }
+        }
 
         // Capture the committed state to checkpoint. Commits may land
         // after this point; they stay in the logs.
@@ -1587,12 +1651,16 @@ where
         let shards = maps.len();
 
         // ----- Phase 1: page writes, in parallel, no log lock. --------
+        //
+        // A full page is written in the configured format (paged under
+        // a pool budget, classic otherwise) and supersedes the shard's
+        // incremental chain; stale links and other-format files that
+        // survive a crash here are skipped (and re-deleted) next time.
         enum PageWrite {
             Skipped,
             Incremental(usize),
             Full(usize),
         }
-        let mut ckpts = inner.checkpoints.lock();
         let pages_span = obs::span!(inner.metrics.compact_pages);
         let paged = inner.opts.pool_pages.is_some();
         let writes: Vec<Result<PageWrite, StoreError>> = {
@@ -1602,9 +1670,16 @@ where
             par_for_shards(shards, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
-                match pins[i].as_ref() {
+                let base = match policy {
+                    PagePolicy::Full => None,
+                    PagePolicy::Incremental(_) => pins[i].as_ref(),
+                    PagePolicy::Chain => {
+                        pins[i].as_ref().filter(|ck| ck.chain_len < MAX_INCR_CHAIN)
+                    }
+                };
+                match base {
                     Some(ck) if ck.version == locals[i] => Ok(PageWrite::Skipped),
-                    Some(ck) if ck.chain_len < MAX_INCR_CHAIN => {
+                    Some(ck) => {
                         let page = pagefmt::encode_incremental(
                             &maps[i], &ck.map, ck.version, locals[i],
                         );
@@ -1614,7 +1689,7 @@ where
                         )?;
                         Ok(PageWrite::Incremental(page.len()))
                     }
-                    _ => {
+                    None => {
                         let n = crate::paged::write_full_snapshot(
                             paged,
                             &sdir,
@@ -1663,135 +1738,48 @@ where
             return Err(e);
         }
         ckpts.global = Some(global);
-        drop(ckpts);
 
-        // ----- Phase 2: truncate, under the log lock. -----------------
+        // ----- Phase 2: trim the logs, under the log lock. ------------
         //
         // Ordering is WAL trims first, manifest swap last, and every
         // intermediate state recovers exactly: `open` judges coverage
         // against the pages themselves, so a commit's WAL records can
         // vanish the moment the pages reach its version vector, with
         // or without the manifest checkpoint record.
-        let truncate_span = obs::span!(inner.metrics.compact_truncate);
+        //
+        // While the log lock is held no commit is between prepare and
+        // publish, so the records to keep are exactly those of commits
+        // published since the capture. Anything later is the stranded
+        // prepare of a *failed* commit in a poisoned log, which must
+        // not survive into the healed one (its ids will be reused).
+        let _truncate_span = obs::span!(inner.metrics.compact_truncate);
         let mut log_guard = inner.log.lock();
-        let poisoned = matches!(&*log_guard, DurableState::Poisoned { .. });
-        let poison = |log_guard: &mut DurableState| {
-            let state = std::mem::replace(log_guard, DurableState::None);
-            if let DurableState::Active { shard_logs, .. }
-            | DurableState::Poisoned { shard_logs } = state
-            {
-                *log_guard = DurableState::Poisoned { shard_logs };
-            }
+        let logs = log_guard.as_mut().ok_or(StoreError::Ephemeral)?;
+        let (now_locals, now_global) = {
+            let s = inner.state.lock();
+            (s.locals.clone(), s.global)
         };
-        let expected = crate::checksum::schema_id::<(K, V)>();
-        let mut wal_bytes_truncated = 0u64;
-        for (i, &local) in locals.iter().enumerate() {
-            let log_path = dir.join(shard_dir_name(i)).join(LOG_FILE);
-            let bytes = if log_path.exists() { std::fs::read(&log_path)? } else { Vec::new() };
-            let replay = wal::replay::<K, V>(&bytes, expected);
-            // Keep the records past the captured vector (commits that
-            // landed during phase 1) and drop any torn tail. A poisoned
-            // log holds no acknowledged record past the vector — only
-            // the stranded prepares of a *failed* commit, which must
-            // not survive into a healed log (their global id will be
-            // reused) — so it resets completely.
-            let keep: &[u8] = if poisoned {
-                &[]
-            } else {
-                let cut = replay
-                    .records
-                    .iter()
-                    .position(|r| r.version > local)
-                    .map_or(replay.valid_len, |idx| replay.offsets[idx]);
-                &bytes[cut..replay.valid_len]
-            };
-            if keep.len() == bytes.len() {
-                continue;
+        let trimmed = (|| -> Result<u64, StoreError> {
+            let mut dropped = 0u64;
+            for (i, log) in logs.shard_logs.iter_mut().enumerate() {
+                let path = dir.join(shard_dir_name(i)).join(LOG_FILE);
+                dropped += trim_shard_log::<K, V>(
+                    &path, log, logs.poisoned, locals[i], now_locals[i],
+                )?;
             }
-            wal_bytes_truncated += (bytes.len() - keep.len()) as u64;
-            if pagefmt::write_file_atomic(&log_path, keep).is_err()
-                || !self.reopen_shard_log(&mut log_guard, i, &log_path)
-            {
-                // The old handle may point at the renamed-over file;
-                // refuse appends until save() resets everything.
-                poison(&mut log_guard);
-                return Err(StoreError::Io(std::io::Error::other(format!(
-                    "failed to truncate shard {i}'s log during compaction"
-                ))));
-            }
-        }
-        // Swap the manifest for one checkpoint record plus the records
-        // past the captured global id.
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest_bytes =
-            if manifest_path.exists() { std::fs::read(&manifest_path)? } else { Vec::new() };
-        let mreplay = replay_manifest(&manifest_bytes, shards);
-        let mcut = mreplay
-            .records
-            .iter()
-            .position(|r| r.global > global)
-            .map_or(mreplay.valid_len, |idx| mreplay.offsets[idx]);
-        let mut new_manifest = encode_manifest_record(&ManifestRecord {
-            global,
-            participants: Vec::new(),
-            locals: locals.clone(),
-        });
-        new_manifest.extend_from_slice(&manifest_bytes[mcut..mreplay.valid_len]);
-        wal_bytes_truncated +=
-            (manifest_bytes.len() - (mreplay.valid_len - mcut)) as u64;
-        let reopened = pagefmt::write_file_atomic(&manifest_path, &new_manifest)
-            .and_then(|()| {
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&manifest_path)
-                    .map_err(StoreError::Io)
-            });
-        let manifest_file = match reopened {
-            Ok(f) => f,
-            Err(e) => {
-                poison(&mut log_guard);
-                return Err(e);
-            }
-        };
-        // Install the new manifest handle; a fully truncated log is
-        // also a healed one (the stranded bytes are gone).
-        let state = std::mem::replace(&mut *log_guard, DurableState::None);
-        match state {
-            DurableState::None => {}
-            DurableState::Active { shard_logs, .. } | DurableState::Poisoned { shard_logs } => {
-                *log_guard = DurableState::Active { shard_logs, manifest: manifest_file };
-            }
-        }
-        drop(log_guard);
-        drop(truncate_span);
-
-        let mut stats = inner.lifecycle.lock();
-        stats.compactions += 1;
-        stats.wal_bytes_truncated += wal_bytes_truncated;
+            let checkpoint = ManifestRecord { global, participants: Vec::new(), locals };
+            let (manifest, n) = swap_manifest(&dir.join(MANIFEST_FILE), &checkpoint, now_global)?;
+            logs.manifest = manifest;
+            Ok(dropped + n)
+        })();
+        // A log trimmed down to published commits is also a healed one;
+        // a half-trimmed one may hold a handle on a renamed-over file,
+        // so it refuses appends until a checkpoint goes through (which
+        // reopens every shard handle by path first).
+        logs.poisoned = trimmed.is_err();
+        let dropped = trimmed?;
+        inner.lifecycle.lock().wal_bytes_truncated += dropped;
         Ok(global)
-    }
-
-    /// Replaces shard `i`'s log handle with a fresh append handle on
-    /// `path`; `false` when the open failed (caller poisons).
-    fn reopen_shard_log(
-        &self,
-        log_guard: &mut DurableState,
-        i: usize,
-        path: &Path,
-    ) -> bool {
-        let (DurableState::Active { shard_logs, .. } | DurableState::Poisoned { shard_logs }) =
-            log_guard
-        else {
-            return true;
-        };
-        match OpenOptions::new().create(true).append(true).open(path) {
-            Ok(f) => {
-                shard_logs[i] = f;
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// The global commit id of the latest persisted checkpoint (full
@@ -1864,8 +1852,10 @@ where
 
     /// Drops retained history outside `policy`'s window (pinned
     /// versions and the current version always survive), releasing
-    /// every shard subtree no surviving version shares — see
-    /// [`crate::PacStore::gc`].
+    /// every shard subtree no surviving version shares. Space
+    /// reclamation is the existing refcount machinery — dropping a
+    /// version's root `Arc`s frees exactly its unshared nodes, counted
+    /// in [`GcStats::nodes_reclaimed`].
     pub fn gc(&self, policy: RetentionPolicy) -> GcStats {
         let _span = obs::span!(self.inner.metrics.gc_pause);
         let keep = policy.keep_last.max(1);
@@ -1955,6 +1945,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::io::Write;
+
+    thread_local! {
+        /// One-shot fail point: the next `open_append` on this thread
+        /// fails.
+        pub(super) static FAIL_OPEN_APPEND: Cell<bool> = const { Cell::new(false) };
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pacshard-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
 
     fn mem(shards: usize) -> ShardedStore<u64, u64> {
         ShardedStore::in_memory(Router::uniform_span(shards, 1_000)).unwrap()
@@ -2039,19 +2044,6 @@ mod tests {
         let v = store.commit(Vec::new()).unwrap();
         assert_eq!(v, 1);
         assert_eq!(store.version_vector(), vec![0, 0]);
-    }
-
-    #[test]
-    fn single_shard_matches_unsharded_semantics() {
-        let store: ShardedStore<u64, u64> =
-            ShardedStore::in_memory(Router::single()).unwrap();
-        store.put(1, 10).unwrap();
-        store.put(2, 20).unwrap();
-        store.delete(1).unwrap();
-        assert_eq!(store.get(&1), None);
-        assert_eq!(store.get(&2), Some(20));
-        assert_eq!(store.current_version(), 3);
-        assert_eq!(store.version_vector(), vec![3]);
     }
 
     #[test]
@@ -2156,5 +2148,62 @@ mod tests {
         // Wrong shard count is a parse failure, not a misread.
         let one = encode_manifest_record(&rec);
         assert!(replay_manifest(&one, 2).records.is_empty());
+    }
+
+    /// A trim that renames the new WAL into place and then fails to
+    /// reopen it leaves the append handle on the unlinked old file. The
+    /// next trim must get back onto the file at the path before it
+    /// reports success, or later appends vanish.
+    #[test]
+    fn trim_after_a_failed_reopen_gets_back_onto_the_file() {
+        let dir = scratch("stale-handle");
+        let path = dir.join(LOG_FILE);
+        let schema = crate::checksum::schema_id::<(u64, u64)>();
+        let rec = |v: u64| wal::encode_record(v, v, &[0], schema, &[Op::Put(v, v)]);
+        std::fs::write(&path, [rec(1), rec(2), rec(3)].concat()).unwrap();
+        let mut log = open_append(&path).unwrap();
+
+        // Pages cover v1, v2..=v3 were published meanwhile: the file is
+        // rewritten, and the reopen after the rename fails.
+        FAIL_OPEN_APPEND.with(|fail| fail.set(true));
+        assert!(trim_shard_log::<u64, u64>(&path, &mut log, false, 1, 3).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), [rec(2), rec(3)].concat());
+
+        // The healing checkpoint covers everything: in-place fast path.
+        let dropped = trim_shard_log::<u64, u64>(&path, &mut log, true, 3, 3).unwrap();
+        assert_eq!(dropped, (rec(2).len() + rec(3).len()) as u64);
+        log.write_all(&rec(4)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), rec(4));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint that fails while trimming poisons the log; the next
+    /// one heals it, and nothing acknowledged before or after is lost.
+    #[test]
+    fn failed_trim_poisons_until_the_next_checkpoint_heals() {
+        for shards in [1usize, 3] {
+            let dir = scratch(&format!("poison-heal-{shards}"));
+            let open = || {
+                ShardedStore::<u64, u64>::open_or_create(
+                    &dir,
+                    Router::uniform_span(shards, 1_000),
+                    StoreOptions::default(),
+                )
+                .unwrap()
+            };
+            let store = open();
+            store.commit(vec![Op::Put(1, 1), Op::Put(900, 1)]).unwrap();
+            FAIL_OPEN_APPEND.with(|fail| fail.set(true));
+            assert!(matches!(store.compact(), Err(StoreError::Io(_))));
+            let refused = store.put(2, 2).unwrap_err().to_string();
+            assert!(refused.contains(&StoreError::LogPoisoned.to_string()), "{refused}");
+            store.compact().unwrap();
+            store.commit(vec![Op::Put(3, 3), Op::Put(901, 3)]).unwrap();
+            drop(store);
+            let store = open();
+            assert_eq!(store.snapshot().to_vec(), vec![(1, 1), (3, 3), (900, 1), (901, 3)]);
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

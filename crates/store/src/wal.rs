@@ -25,12 +25,11 @@
 //! replaying a log with mismatched key/value types is a typed error,
 //! not a misparse.
 //!
-//! The global commit id and participant list serve the sharded store's
+//! The global commit id and participant list serve the engine's
 //! two-phase commit ([`crate::ShardedStore`]): a shard's record is the
 //! *prepare* half of a cross-shard commit, tagged with the global id it
 //! belongs to and the full set of shards that must also hold a prepare
-//! record for that id. A single-directory [`crate::PacStore`] writes
-//! `global == version` with an empty participant list.
+//! record for that id.
 //!
 //! Torn-write policy: replay stops at the first record whose framing or
 //! checksum fails, or whose version is not strictly greater than its

@@ -14,13 +14,20 @@
 //! must survive every maintenance operation, pinned snapshots must stay
 //! readable after GC, and unpinned history must actually disappear.
 //! (`DIFF_LIFECYCLE_CASES` overrides its volume, default 50.)
+//!
+//! The last suite is the executable statement that there is one store
+//! engine: one seeded script replayed through a [`PacStore`] and
+//! through a one-shard [`ShardedStore`] must give equal answers, equal
+//! lifecycle counters and byte-identical directory trees.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use store::{Op, PacStore, RetentionPolicy, Router, ShardedStore, StoreError, StoreOptions};
+use store::{
+    LifecycleStats, Op, PacStore, RetentionPolicy, Router, ShardedStore, StoreError, StoreOptions,
+};
 
 /// Keys are drawn a little past the routed span so the last shard's
 /// open upper range is exercised too.
@@ -746,6 +753,247 @@ fn out_of_core_grid_pool_budget_is_invisible() {
                      reproduce with: PROPTEST_SEED={seed} cargo test -p store --test differential"
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One engine: PacStore ≡ one-shard ShardedStore, byte for byte
+// ---------------------------------------------------------------------
+//
+// A `PacStore` is a handle on a `ShardedStore` built with
+// `Router::single()`. One seeded script of commits, deletes, `save`,
+// `save_incremental`, `compact`, pin/unpin, `gc` and drop + reopen is
+// replayed through both handles, in the eager and the 8-page paged
+// format; every answer, the lifecycle counters and every byte either
+// leaves on disk must agree. (`DIFF_ENGINE_CASES` overrides the
+// volume, default 20.)
+
+/// Steps of one engine-identity script; concrete so both replays are
+/// identical by construction.
+enum EngineStep {
+    Commit(Vec<Op<u64, u32>>),
+    Save,
+    /// Against the latest checkpoint (a full save when there is none),
+    /// then once more against a stale base, which must be refused.
+    SaveIncremental,
+    Compact,
+    /// Pin the current version if it is not pinned yet.
+    Pin,
+    /// Release the oldest pin, if any.
+    Unpin,
+    Gc(usize),
+    Reopen,
+}
+
+fn engine_cases() -> u64 {
+    std::env::var("DIFF_ENGINE_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(20)
+}
+
+fn engine_script(seed: u64) -> Vec<EngineStep> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0E16_1E00_51D6_1E00);
+    // Enough keys for several leaf blocks, so incremental pages share
+    // subtrees with their base instead of rewriting the one leaf.
+    let mut steps =
+        vec![EngineStep::Commit((0..600u64).map(|k| Op::Put(k * 3, k as u32)).collect())];
+    for _ in 0..12 + rng.gen_range(0..10usize) {
+        steps.push(match rng.gen_range(0..100u32) {
+            0..=44 => {
+                let len = rng.gen_range(0..24usize); // empty commits too
+                EngineStep::Commit(
+                    (0..len)
+                        .map(|_| {
+                            let k = rng.gen_range(0..2_000u64);
+                            if rng.gen_range(0..10) < 7 {
+                                Op::Put(k, rng.gen_range(0..1_000u32))
+                            } else {
+                                Op::Delete(k)
+                            }
+                        })
+                        .collect(),
+                )
+            }
+            45..=52 => EngineStep::Save,
+            53..=62 => EngineStep::SaveIncremental,
+            63..=72 => EngineStep::Compact,
+            73..=79 => EngineStep::Pin,
+            80..=84 => EngineStep::Unpin,
+            85..=91 => EngineStep::Gc(1 + rng.gen_range(0..3usize)),
+            _ => EngineStep::Reopen,
+        });
+    }
+    steps
+}
+
+/// The calls the script makes, on either handle. The two impls differ
+/// only in how the handle is opened and how a version's entries are
+/// listed; every other method has the same name on both types.
+trait EngineHandle: Sized {
+    fn open_at(dir: &Path, opts: StoreOptions) -> Result<Self, StoreError>;
+    fn entries_at(&self, version: u64) -> Result<Vec<(u64, u32)>, StoreError>;
+    /// Runs one step and renders everything observable afterwards.
+    fn step(&self, step: &EngineStep) -> String;
+    fn counters(&self) -> LifecycleStats;
+}
+
+macro_rules! engine_handle {
+    ($ty:ty, $open:expr, $entries:expr) => {
+        impl EngineHandle for $ty {
+            fn open_at(dir: &Path, opts: StoreOptions) -> Result<Self, StoreError> {
+                $open(dir, opts)
+            }
+            fn entries_at(&self, version: u64) -> Result<Vec<(u64, u32)>, StoreError> {
+                self.snapshot_at(version).map($entries)
+            }
+            fn step(&self, step: &EngineStep) -> String {
+                let did = match step {
+                    EngineStep::Commit(ops) => format!("{:?}", self.commit(ops.clone())),
+                    EngineStep::Save => format!("{:?}", self.save()),
+                    EngineStep::SaveIncremental => {
+                        let saved = match self.latest_checkpoint() {
+                            Some(base) => self.save_incremental(base),
+                            None => self.save(),
+                        };
+                        let stale = saved.as_ref().map_or(0, |v| v + 1);
+                        format!("{saved:?} then {:?}", self.save_incremental(stale))
+                    }
+                    EngineStep::Compact => format!("{:?}", self.compact()),
+                    EngineStep::Pin => {
+                        let cur = self.current_version();
+                        if self.pinned_versions().contains(&cur) {
+                            "already pinned".into()
+                        } else {
+                            format!("{:?}", self.pin_version(cur))
+                        }
+                    }
+                    EngineStep::Unpin => match self.pinned_versions().first() {
+                        Some(&v) => format!("{:?}", self.unpin_version(v)),
+                        None => "nothing pinned".into(),
+                    },
+                    EngineStep::Gc(keep) => {
+                        let gc = self.gc(RetentionPolicy::keep_last(*keep));
+                        format!("{} dropped, {} retained", gc.versions_dropped, gc.versions_retained)
+                    }
+                    EngineStep::Reopen => unreachable!("the replay loop reopens"),
+                };
+                let versions = self.versions();
+                let history: Vec<_> = versions.iter().map(|&v| self.entries_at(v)).collect();
+                format!(
+                    "{did}; version {} of {versions:?}, checkpoint {:?}, pins {:?}, len {}, \
+                     get(3) {:?}, range {:?}, history {history:?}",
+                    self.current_version(),
+                    self.latest_checkpoint(),
+                    self.pinned_versions(),
+                    self.len(),
+                    self.get(&3),
+                    self.range_entries(&100, &400),
+                )
+            }
+            fn counters(&self) -> LifecycleStats {
+                // `nodes_reclaimed` is a delta of process-global cpam
+                // counters, which concurrently running tests move.
+                LifecycleStats { nodes_reclaimed: 0, ..self.lifecycle_stats() }
+            }
+        }
+    };
+}
+
+engine_handle!(
+    PacStore<u64, u32>,
+    |dir: &Path, opts| PacStore::open_with(dir, opts),
+    |snap: store::Snapshot<u64, u32>| snap.map().to_vec()
+);
+engine_handle!(
+    ShardedStore<u64, u32>,
+    |dir: &Path, opts| ShardedStore::open_or_create(dir, Router::single(), opts),
+    |snap: store::ShardedSnapshot<u64, u32>| snap.to_vec()
+);
+
+/// Replays `steps` through one handle type; returns the answer log
+/// (with the lifecycle counters of every handle generation) and leaves
+/// the directory behind for comparison.
+fn engine_replay<H: EngineHandle>(dir: &Path, opts: &StoreOptions, steps: &[EngineStep]) -> Vec<String> {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut store = H::open_at(dir, opts.clone()).expect("open");
+    let mut log = Vec::new();
+    for step in steps {
+        if let EngineStep::Reopen = step {
+            log.push(format!("{:?}", store.counters()));
+            drop(store);
+            store = H::open_at(dir, opts.clone()).expect("reopen");
+            // A reopened handle must already agree before its first step.
+            log.push(store.step(&EngineStep::Unpin));
+        } else {
+            log.push(store.step(step));
+        }
+    }
+    log.push(format!("{:?}", store.counters()));
+    log
+}
+
+/// Every file under `dir`, by relative path.
+fn dir_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).expect("under root").to_path_buf();
+                out.insert(rel, std::fs::read(&path).expect("read file"));
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
+#[test]
+fn pacstore_is_the_one_shard_sharded_store_byte_for_byte() {
+    let (start, n) = match env_seed() {
+        Some(seed) => (seed, 1),
+        None => (0x0E16u64.wrapping_mul(0x9E37_79B9_7F4A_7C15), engine_cases()),
+    };
+    for case in 0..n {
+        let seed = start.wrapping_add(case);
+        let steps = engine_script(seed);
+        for pool in [Some(8), None] {
+            let opts = StoreOptions {
+                block_size: 16,
+                history_limit: 4,
+                pool_pages: pool,
+                ..StoreOptions::default()
+            };
+            let tag = pool.map_or("none".into(), |p: usize| p.to_string());
+            let scratch = |kind: &str| {
+                std::env::temp_dir().join(format!("pacstore-diff-engine-{kind}-{tag}-{seed:016x}"))
+            };
+            let (pac_dir, sharded_dir) = (scratch("pac"), scratch("sharded"));
+            let pac = engine_replay::<PacStore<u64, u32>>(&pac_dir, &opts, &steps);
+            let sharded = engine_replay::<ShardedStore<u64, u32>>(&sharded_dir, &opts, &steps);
+            let repro = format!(
+                "pool_pages={pool:?}; reproduce with: PROPTEST_SEED={seed} \
+                 cargo test -p store --test differential"
+            );
+            for (i, (a, b)) in pac.iter().zip(&sharded).enumerate() {
+                assert_eq!(a, b, "entry {i} of the answer logs diverges ({repro})");
+            }
+            assert_eq!(pac.len(), sharded.len());
+            let (pac_tree, sharded_tree) = (dir_tree(&pac_dir), dir_tree(&sharded_dir));
+            assert_eq!(
+                pac_tree.keys().collect::<Vec<_>>(),
+                sharded_tree.keys().collect::<Vec<_>>(),
+                "directory listings diverge ({repro})"
+            );
+            for (path, bytes) in &pac_tree {
+                assert!(bytes == &sharded_tree[path], "{} differs ({repro})", path.display());
+            }
+            std::fs::remove_dir_all(&pac_dir).expect("cleanup");
+            std::fs::remove_dir_all(&sharded_dir).expect("cleanup");
         }
     }
 }

@@ -27,13 +27,27 @@ fn classic() -> StoreOptions {
     StoreOptions { pool_pages: None, ..StoreOptions::default() }
 }
 
-/// The [`cpam::stats`] counters are process-global; tests that measure
-/// allocation deltas must not run concurrently with other tests in this
-/// binary.
+/// The [`cpam::stats`] counters are process-global: the leak gate
+/// measures allocation deltas, which any test building a tree at the
+/// same time would skew. Every test in this binary therefore holds this
+/// gate for its whole body.
 static STATS_GATE: Mutex<()> = Mutex::new(());
+
+fn stats_gate() -> std::sync::MutexGuard<'static, ()> {
+    STATS_GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn live_nodes() -> u64 {
     cpam::stats::read().live_nodes()
+}
+
+/// The shard counts the handle-agnostic cases run at: what a
+/// [`PacStore`] is, and a genuinely sharded store.
+const SHARD_COUNTS: [usize; 2] = [1, 3];
+
+/// The only shard's directory of a `PacStore` at `dir`.
+fn shard0(dir: &std::path::Path) -> PathBuf {
+    dir.join(shard_dir_name(0))
 }
 
 // ---------------------------------------------------------------------
@@ -42,65 +56,50 @@ fn live_nodes() -> u64 {
 
 #[test]
 fn gc_returns_node_footprint_to_a_fresh_store_within_tolerance() {
-    let _g = STATS_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let base = live_nodes();
-    {
-        let opts = StoreOptions { history_limit: 100, ..StoreOptions::default() };
-        let store: PacStore<u64, u64> = PacStore::in_memory_with(opts.clone());
-        // 50 full-overwrite versions: each rebuilds most leaf blocks, so
-        // retained history pins ~50 tree's worth of unshared nodes.
-        for round in 0..50u64 {
-            store
-                .commit((0..400u64).map(|k| Op::Put(k, round)).collect())
+    let _g = stats_gate();
+    for shards in SHARD_COUNTS {
+        let base = live_nodes();
+        {
+            let opts = StoreOptions { history_limit: 100, ..StoreOptions::default() };
+            let open = || -> ShardedStore<u64, u64> {
+                ShardedStore::in_memory_with(Router::uniform_span(shards, 400), opts.clone())
+                    .unwrap()
+            };
+            let store = open();
+            // 50 full-overwrite versions: each rebuilds most leaf blocks,
+            // so retained history pins ~50 trees' worth of unshared nodes
+            // in every shard.
+            for round in 0..50u64 {
+                store
+                    .commit((0..400u64).map(|k| Op::Put(k, round)).collect())
+                    .unwrap();
+            }
+            let bloated = live_nodes() - base;
+
+            let stats = store.gc(RetentionPolicy::keep_last(1));
+            assert_eq!(stats.versions_dropped, 50, "v0..v49 dropped, v50 kept");
+            assert_eq!(stats.versions_retained, 1);
+            assert!(stats.nodes_reclaimed > 0, "GC reclaimed nothing");
+
+            // The footprint after GC must be within tolerance of a fresh
+            // store holding the identical final contents — history cannot
+            // keep pinning dropped versions' subtrees.
+            let after_gc = live_nodes() - base;
+            assert!(after_gc < bloated, "GC did not shrink the footprint");
+            let fresh = open();
+            fresh
+                .commit((0..400u64).map(|k| Op::Put(k, 49)).collect())
                 .unwrap();
+            let fresh_net = live_nodes() - base - after_gc;
+            assert!(
+                after_gc <= fresh_net * 2 + 16 && fresh_net <= after_gc * 2 + 16,
+                "{shards} shards: post-GC footprint {after_gc} vs fresh footprint {fresh_net}: leak"
+            );
         }
-        let bloated = live_nodes() - base;
-
-        let stats = store.gc(RetentionPolicy::keep_last(1));
-        assert_eq!(stats.versions_dropped, 50, "v0..v49 dropped, v50 kept");
-        assert_eq!(stats.versions_retained, 1);
-        assert!(stats.nodes_reclaimed > 0, "GC reclaimed nothing");
-
-        // The footprint after GC must be within tolerance of a fresh
-        // store holding the identical final contents — history cannot
-        // keep pinning dropped versions' subtrees.
-        let after_gc = live_nodes() - base;
-        assert!(after_gc < bloated, "GC did not shrink the footprint");
-        let fresh: PacStore<u64, u64> = PacStore::in_memory_with(opts);
-        fresh
-            .commit((0..400u64).map(|k| Op::Put(k, 49)).collect())
-            .unwrap();
-        let fresh_net = live_nodes() - base - after_gc;
-        assert!(
-            after_gc <= fresh_net * 2 + 16 && fresh_net <= after_gc * 2 + 16,
-            "post-GC footprint {after_gc} vs fresh footprint {fresh_net}: leak"
-        );
+        // Dropping every handle returns the counters to the baseline: no
+        // node outlives its last reference.
+        assert_eq!(live_nodes(), base, "{shards} shards: nodes leaked past the last handle");
     }
-    // Dropping every handle returns the counters to the baseline: no
-    // node outlives its last reference.
-    assert_eq!(live_nodes(), base, "nodes leaked past the last handle");
-}
-
-#[test]
-fn sharded_gc_reclaims_across_all_shards_and_leaks_nothing() {
-    let _g = STATS_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let base = live_nodes();
-    {
-        let opts = StoreOptions { history_limit: 100, ..StoreOptions::default() };
-        let store: ShardedStore<u64, u64> =
-            ShardedStore::in_memory_with(Router::uniform_span(4, 4_000), opts).unwrap();
-        for round in 0..30u64 {
-            store
-                .commit((0..4_000u64).step_by(10).map(|k| Op::Put(k, round)).collect())
-                .unwrap();
-        }
-        let bloated = live_nodes() - base;
-        let stats = store.gc(RetentionPolicy::keep_last(2));
-        assert_eq!(stats.versions_dropped, 29);
-        assert!(stats.nodes_reclaimed > 0);
-        assert!(live_nodes() - base < bloated);
-    }
-    assert_eq!(live_nodes(), base, "sharded nodes leaked past the last handle");
 }
 
 // ---------------------------------------------------------------------
@@ -109,6 +108,7 @@ fn sharded_gc_reclaims_across_all_shards_and_leaks_nothing() {
 
 #[test]
 fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
+    let _g = stats_gate();
     let dir = scratch("chain-rollover");
     {
         let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
@@ -145,6 +145,7 @@ fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
 
 #[test]
 fn incremental_pages_are_much_smaller_than_full_pages() {
+    let _g = stats_gate();
     let dir = scratch("incr-size");
     let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
     store.commit((0..50_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
@@ -174,6 +175,7 @@ fn incremental_pages_are_much_smaller_than_full_pages() {
 
 #[test]
 fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
+    let _g = stats_gate();
     let dir = scratch("gap-deleted-snapshot");
     {
         let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
@@ -185,9 +187,18 @@ fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
         store.commit(vec![Op::Put(10, 10)]).unwrap();
         store.commit(vec![Op::Put(11, 11)]).unwrap();
     }
-    std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+    std::fs::remove_file(shard0(&dir).join(SNAPSHOT_FILE)).unwrap();
     // Replaying v4 onto an empty tree would silently resurrect a store
-    // missing v1..v3; the gap must be typed instead.
+    // missing v1..v3; the gap must be typed instead. (The manifest's
+    // checkpoint record at v3 is the first thing the pages fail to
+    // reach.)
+    let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+    assert!(
+        matches!(err, StoreError::VersionGap { checkpoint: 0, first: 3 }),
+        "unexpected error: {err}"
+    );
+    // With the manifest gone too, the WAL's first record is the gap.
+    std::fs::remove_file(dir.join(store::MANIFEST_FILE)).unwrap();
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(
         matches!(err, StoreError::VersionGap { checkpoint: 0, first: 4 }),
@@ -198,6 +209,7 @@ fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
 
 #[test]
 fn broken_incremental_chain_is_typed() {
+    let _g = stats_gate();
     let dir = scratch("gap-broken-chain");
     {
         let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
@@ -209,7 +221,7 @@ fn broken_incremental_chain_is_typed() {
         store.save_incremental(2).unwrap();
     }
     // Deleting the middle link (incr @ v2) breaks v3's base reference.
-    let incr2 = dir.join(store::incr_file_name(2));
+    let incr2 = shard0(&dir).join(store::incr_file_name(2));
     let incr2_bytes = std::fs::read(&incr2).unwrap();
     std::fs::remove_file(&incr2).unwrap();
     assert!(matches!(
@@ -218,7 +230,7 @@ fn broken_incremental_chain_is_typed() {
     ));
     std::fs::write(&incr2, &incr2_bytes).unwrap();
     // Deleting the base page strands the incrementals entirely.
-    std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+    std::fs::remove_file(shard0(&dir).join(SNAPSHOT_FILE)).unwrap();
     assert!(matches!(
         PacStore::<u64, u64>::open(&dir).unwrap_err(),
         StoreError::Corrupt(_)
@@ -228,6 +240,7 @@ fn broken_incremental_chain_is_typed() {
 
 #[test]
 fn sharded_missing_page_chain_is_a_version_gap() {
+    let _g = stats_gate();
     let dir = scratch("gap-sharded");
     let router = Router::uniform_span(3, 3_000);
     let all_shards =
@@ -283,6 +296,7 @@ fn sharded_missing_page_chain_is_a_version_gap() {
 
 #[test]
 fn pinned_snapshots_stay_readable_through_gc_and_compaction() {
+    let _g = stats_gate();
     let dir = scratch("pin-through-compact");
     let store: PacStore<u64, u64> = PacStore::open_with(
         &dir,
@@ -328,68 +342,47 @@ fn pinned_snapshots_stay_readable_through_gc_and_compaction() {
 // `pins.pac` before replay.
 
 #[test]
-fn pin_survives_reopen_for_pacstore() {
-    let dir = scratch("pin-reopen");
-    let opts = StoreOptions { history_limit: 3, ..StoreOptions::default() };
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts.clone()).unwrap();
-        store.commit(vec![Op::Put(1, 10)]).unwrap();
-        store.pin_version(1).unwrap();
-        assert!(dir.join("pins.pac").exists(), "pin was not persisted");
-        // Push v1 far outside the retention window.
-        for i in 2..=10u64 {
-            store.commit(vec![Op::Put(i, i * 10)]).unwrap();
+fn pin_survives_reopen() {
+    let _g = stats_gate();
+    for shards in SHARD_COUNTS {
+        let dir = scratch(&format!("pin-reopen-{shards}"));
+        let opts = StoreOptions { history_limit: 3, ..StoreOptions::default() };
+        let router = Router::uniform_span(shards, 2_000);
+        {
+            let store: ShardedStore<u64, u64> =
+                ShardedStore::open_or_create(&dir, router, opts.clone()).unwrap();
+            store.commit(vec![Op::Put(1, 10), Op::Put(1_001, 10)]).unwrap();
+            store.pin_version(1).unwrap();
+            assert!(dir.join("pins.pac").exists(), "pin was not persisted");
+            // Push v1 far outside the retention window.
+            for i in 2..=10u64 {
+                store.commit(vec![Op::Put(i, i), Op::Put(1_000 + i, i)]).unwrap();
+            }
+            assert_eq!(store.snapshot_at(1).unwrap().get(&1), Some(10));
         }
-        assert_eq!(store.snapshot_at(1).unwrap().get(&1), Some(10));
-    }
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts.clone()).unwrap();
-        assert_eq!(store.pinned_versions(), vec![1], "pin lost across reopen");
-        let pinned = store.snapshot_at(1).unwrap();
-        assert_eq!(pinned.get(&1), Some(10));
-        assert_eq!(pinned.get(&2), None);
-        // Unpinned history outside the window did get evicted.
-        assert!(matches!(store.snapshot_at(5), Err(StoreError::VersionNotFound(5))));
-        store.unpin_version(1).unwrap();
-    }
-    // The release is durable too.
-    let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts).unwrap();
-    assert!(store.pinned_versions().is_empty());
-    drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn pin_survives_reopen_for_sharded_store() {
-    let dir = scratch("pin-reopen-sharded");
-    let opts = StoreOptions { history_limit: 3, ..StoreOptions::default() };
-    let router = Router::uniform_span(2, 2_000);
-    {
-        let store: ShardedStore<u64, u64> =
-            ShardedStore::open_or_create(&dir, router.clone(), opts.clone()).unwrap();
-        store.commit(vec![Op::Put(1, 10), Op::Put(1_001, 10)]).unwrap();
-        store.pin_version(1).unwrap();
-        for i in 2..=10u64 {
-            store.commit(vec![Op::Put(i, i), Op::Put(1_000 + i, i)]).unwrap();
+        {
+            let store: ShardedStore<u64, u64> =
+                ShardedStore::open_with(&dir, opts.clone()).unwrap();
+            assert_eq!(store.pinned_versions(), vec![1], "pin lost across reopen");
+            let snap = store.snapshot_at(1).unwrap();
+            assert_eq!(snap.get(&1), Some(10));
+            assert_eq!(snap.get(&1_001), Some(10));
+            assert_eq!(snap.get(&2), None);
+            // Unpinned history outside the window did get evicted.
+            assert!(matches!(store.snapshot_at(5), Err(StoreError::VersionNotFound(5))));
+            store.unpin_version(1).unwrap();
         }
+        // The release is durable too.
+        let store: ShardedStore<u64, u64> = ShardedStore::open_with(&dir, opts).unwrap();
+        assert!(store.pinned_versions().is_empty());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    {
-        let store: ShardedStore<u64, u64> = ShardedStore::open(&dir).unwrap();
-        assert_eq!(store.pinned_versions(), vec![1], "pin lost across reopen");
-        let snap = store.snapshot_at(1).unwrap();
-        assert_eq!(snap.get(&1), Some(10));
-        assert_eq!(snap.get(&1_001), Some(10));
-        assert_eq!(snap.get(&2), None);
-        store.unpin_version(1).unwrap();
-    }
-    let store: ShardedStore<u64, u64> = ShardedStore::open(&dir).unwrap();
-    assert!(store.pinned_versions().is_empty());
-    drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn clobbered_pin_table_fails_open_typed() {
+    let _g = stats_gate();
     let dir = scratch("pin-clobbered");
     {
         let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();

@@ -90,6 +90,34 @@ fn pacstore_write_path_records_every_stage() {
 }
 
 #[test]
+fn snapshot_at_counts_into_snapshots_total_for_both_handles() {
+    // `PacStore::snapshot_at` used to skip the counter its sharded twin
+    // bumped; with one engine a time-travel pin counts whichever handle
+    // takes it. Other tests in this binary also pin snapshots, so the
+    // assertions are lower bounds on a window.
+    let pac: PacStore<u64, u64> = PacStore::in_memory();
+    pac.commit(vec![Op::Put(1, 1)]).unwrap();
+    let sharded: ShardedStore<u64, u64> =
+        ShardedStore::in_memory(Router::uniform_span(2, 1_000)).unwrap();
+    sharded.commit(vec![Op::Put(1, 1), Op::Put(900, 9)]).unwrap();
+
+    let before = counter("pacstore_snapshots_total");
+    for _ in 0..3 {
+        assert_eq!(pac.snapshot_at(1).unwrap().get(&1), Some(1));
+    }
+    let after_pac = counter("pacstore_snapshots_total");
+    assert!(after_pac >= before + 3, "PacStore::snapshot_at uncounted: {before} -> {after_pac}");
+    for _ in 0..3 {
+        assert_eq!(sharded.snapshot_at(1).unwrap().get(&900), Some(9));
+    }
+    let after_sharded = counter("pacstore_snapshots_total");
+    assert!(
+        after_sharded >= after_pac + 3,
+        "ShardedStore::snapshot_at uncounted: {after_pac} -> {after_sharded}"
+    );
+}
+
+#[test]
 fn sharded_store_labels_shards_and_times_compaction_phases() {
     let dir = std::env::temp_dir().join(format!("metrics-sharded-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,16 +4,23 @@
 //! on a lazy base, and the sharded store's per-shard pools.
 
 use store::{
-    Op, PacStore, Router, ShardedStore, StoreOptions, LOG_FILE, PAGED_FILE, SNAPSHOT_FILE,
+    shard_dir_name, Op, PacStore, Router, ShardedStore, StoreOptions, LOG_FILE, PAGED_FILE,
+    SNAPSHOT_FILE,
 };
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A fresh, empty scratch directory unique to this test.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pacpaging-test-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The only shard's directory of a `PacStore` at `dir`: where its
+/// pages and log live.
+fn shard0(dir: &Path) -> PathBuf {
+    dir.join(shard_dir_name(0))
 }
 
 fn pooled(pages: usize) -> StoreOptions {
@@ -37,8 +44,8 @@ fn paged_open_is_lazy_and_residency_is_bounded() {
         store.commit((0..N).map(|k| Op::Put(k, k * 3)).collect()).unwrap();
         store.save().unwrap();
     }
-    assert!(dir.join(PAGED_FILE).exists());
-    assert!(!dir.join(SNAPSHOT_FILE).exists());
+    assert!(shard0(&dir).join(PAGED_FILE).exists());
+    assert!(!shard0(&dir).join(SNAPSHOT_FILE).exists());
 
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
     let s = store.pool_stats().expect("pooled store has stats");
@@ -73,7 +80,7 @@ fn paged_and_classic_formats_interoperate() {
         store.commit((0..1_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
         store.save().unwrap();
     }
-    assert!(dir.join(SNAPSHOT_FILE).exists());
+    assert!(shard0(&dir).join(SNAPSHOT_FILE).exists());
     // ...opened by a pooled handle (falls back to the classic chain),
     // which then saves in the paged format and removes the classic file.
     {
@@ -82,8 +89,8 @@ fn paged_and_classic_formats_interoperate() {
         store.commit(vec![Op::Put(5_000, 1)]).unwrap();
         store.save().unwrap();
     }
-    assert!(dir.join(PAGED_FILE).exists());
-    assert!(!dir.join(SNAPSHOT_FILE).exists());
+    assert!(shard0(&dir).join(PAGED_FILE).exists());
+    assert!(!shard0(&dir).join(SNAPSHOT_FILE).exists());
     // ...opened by an unpooled handle (eager paged read), which saves
     // classic again.
     {
@@ -93,8 +100,8 @@ fn paged_and_classic_formats_interoperate() {
         assert!(store.pool_stats().is_none());
         store.save().unwrap();
     }
-    assert!(dir.join(SNAPSHOT_FILE).exists());
-    assert!(!dir.join(PAGED_FILE).exists());
+    assert!(shard0(&dir).join(SNAPSHOT_FILE).exists());
+    assert!(!shard0(&dir).join(PAGED_FILE).exists());
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
     assert_eq!(store.len(), 1_001);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -109,7 +116,7 @@ fn stale_paged_file_loses_to_newer_classic() {
         store.commit(vec![Op::Put(1, 1)]).unwrap();
         store.save().unwrap();
     }
-    let paged_bytes = std::fs::read(dir.join(PAGED_FILE)).unwrap();
+    let paged_bytes = std::fs::read(shard0(&dir).join(PAGED_FILE)).unwrap();
     // ...superseded by a classic save at version 2, then the stale
     // paged file "survives a crash" (we resurrect it by hand).
     {
@@ -117,7 +124,7 @@ fn stale_paged_file_loses_to_newer_classic() {
         store.commit(vec![Op::Put(2, 2)]).unwrap();
         store.save().unwrap();
     }
-    std::fs::write(dir.join(PAGED_FILE), &paged_bytes).unwrap();
+    std::fs::write(shard0(&dir).join(PAGED_FILE), &paged_bytes).unwrap();
     // Both formats present: the newer classic version must win, under
     // either opening mode.
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
@@ -142,7 +149,7 @@ fn incrementals_and_wal_replay_chain_onto_lazy_base() {
         store.commit(vec![Op::Put(50_000, 1), Op::Delete(7)]).unwrap();
         store.compact().unwrap();
         store.commit(vec![Op::Put(50_001, 2)]).unwrap();
-        assert!(dir.join(LOG_FILE).metadata().unwrap().len() > 0);
+        assert!(shard0(&dir).join(LOG_FILE).metadata().unwrap().len() > 0);
     }
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
     assert_eq!(store.current_version(), 3);

@@ -50,7 +50,9 @@ fn main() {
     assert_eq!(db.get(&7_000_000), Some(7)); // replayed from the log
     assert_eq!(db.get(&42), None);
 
-    let snap_bytes = std::fs::metadata(db.dir().unwrap().join(store::SNAPSHOT_FILE))
+    // A PacStore is a one-shard store: its pages live in `shard-000/`.
+    let shard_dir = db.dir().unwrap().join(store::shard_dir_name(0));
+    let snap_bytes = std::fs::metadata(shard_dir.join(store::SNAPSHOT_FILE))
         .expect("snapshot file")
         .len();
     println!(
