@@ -178,6 +178,6 @@ fn main() {
         "BENCH_store.json",
         "shard_throughput",
         &section,
-        &["store_lifecycle", "store_paging"],
+        &["store_lifecycle"],
     );
 }

@@ -198,7 +198,7 @@ fn main() {
         "BENCH_store.json",
         "store_lifecycle",
         &section,
-        &["shard_throughput", "store_paging"],
+        &["shard_throughput"],
     );
 
     drop(store);

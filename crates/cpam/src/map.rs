@@ -561,8 +561,23 @@ where
     /// *already-encoded* leaf blocks (see [`crate::structure`]). This is
     /// the serialization hook — a snapshot codec copies blocks verbatim
     /// instead of flattening and re-encoding the map.
-    pub fn visit_nodes(&self, f: &mut impl FnMut(structure::NodeRef<'_, (K, V), C::Block>)) {
-        structure::visit_preorder(&self.root, f);
+    ///
+    /// With `base`, subtrees physically shared with it (same `Arc`
+    /// allocation, i.e. untouched since `base` was pinned) are reported
+    /// as a single [`structure::NodeRef::Shared`] carrying the subtree's
+    /// pre-order index in `base`, and are not descended into: a page
+    /// diffed against the previous checkpoint's pinned root serializes
+    /// only the new nodes. Sound only while the caller keeps `base`
+    /// alive for the duration of the walk — a pinned base keeps its
+    /// refcounts ≥ 2, which the in-place-reuse machinery treats as
+    /// immutable.
+    pub fn visit_nodes(
+        &self,
+        base: Option<&Self>,
+        f: &mut impl FnMut(structure::NodeRef<'_, (K, V), C::Block>),
+    ) {
+        let index = base.map(|base| structure::index_preorder(&base.root));
+        structure::visit_preorder(&self.root, index.as_ref(), f);
     }
 
     /// Bulk constructor from a pre-order node stream — the inverse of
@@ -570,69 +585,35 @@ where
     /// same encoded blocks, no re-sorting) with block size `b`,
     /// recomputing cached sizes and augmented values.
     ///
+    /// `base` must be behaviourally equal to the tree the encoder
+    /// walked against (same shape and blocks; typically the decoded
+    /// previous checkpoint): shared references resolve to its subtrees,
+    /// so the result shares structure with it. `src` is where
+    /// [`structure::NodeOwned::Lazy`] leaves materialize from, on first
+    /// access (`find`/`range`/iteration touch only the pages their path
+    /// crosses) — building them is `O(structure)` work, independent of
+    /// the data size, and only valid for unaugmented maps.
+    ///
     /// # Errors
     ///
     /// [`structure::BuildError`] when the stream's source fails or the
-    /// stream is structurally invalid (oversized blocks, runaway depth).
+    /// stream is structurally invalid (oversized leaves, runaway depth,
+    /// shared indices past the base tree, lazy leaves without a source
+    /// or in an augmented map).
     ///
     /// # Panics
     ///
     /// Panics if `b == 0`.
     pub fn from_node_stream<S>(
         b: usize,
+        base: Option<&Self>,
+        src: Option<std::sync::Arc<dyn crate::BlockSource<C::Block>>>,
         next: &mut impl FnMut() -> Result<structure::NodeOwned<(K, V), C::Block>, S>,
     ) -> Result<Self, structure::BuildError<S>> {
         assert!(b > 0, "block size must be positive");
+        let subtrees = base.map(|base| structure::collect_preorder(&base.root));
         Ok(PacMap {
-            root: structure::build_preorder(b, next)?,
-            b,
-        })
-    }
-
-    /// Pre-order *diff* walk against `base`: subtrees physically shared
-    /// with `base` (same `Arc` allocation, i.e. untouched since `base`
-    /// was pinned) are reported as a single
-    /// [`structure::DiffNodeRef::Shared`] carrying the subtree's
-    /// pre-order index in `base`, and are not descended into. This is
-    /// the incremental-snapshot hook: a page diffed against the
-    /// previous checkpoint's pinned root serializes only the new nodes.
-    ///
-    /// Sound only while the caller keeps `base` alive for the duration
-    /// of the walk — a pinned base keeps its refcounts ≥ 2, which the
-    /// in-place-reuse machinery treats as immutable.
-    pub fn visit_nodes_diff(
-        &self,
-        base: &Self,
-        f: &mut impl FnMut(structure::DiffNodeRef<'_, (K, V), C::Block>),
-    ) {
-        let index = structure::index_preorder(&base.root);
-        structure::visit_preorder_diff(&self.root, &index, f);
-    }
-
-    /// Bulk constructor from a pre-order diff stream — the inverse of
-    /// [`PacMap::visit_nodes_diff`]. `base` must be behaviourally equal
-    /// to the tree the encoder diffed against (same shape and blocks;
-    /// typically the decoded previous checkpoint); shared references
-    /// resolve to its subtrees, so the result shares structure with it.
-    ///
-    /// # Errors
-    ///
-    /// [`structure::BuildError`] when the stream's source fails or the
-    /// stream is structurally invalid (oversized blocks, runaway depth,
-    /// shared indices past the base tree).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn from_diff_node_stream<S>(
-        b: usize,
-        base: &Self,
-        next: &mut impl FnMut() -> Result<structure::DiffNodeOwned<(K, V), C::Block>, S>,
-    ) -> Result<Self, structure::BuildError<S>> {
-        assert!(b > 0, "block size must be positive");
-        let subtrees = structure::collect_preorder(&base.root);
-        Ok(PacMap {
-            root: structure::build_preorder_diff(b, &subtrees, next)?,
+            root: structure::build_preorder(b, subtrees.as_deref(), src.as_ref(), next, 0)?,
             b,
         })
     }
@@ -672,44 +653,6 @@ where
             root: jn::join(left.b, None, left.root.clone(), (k, v), right.root.clone()),
             b: left.b,
         }
-    }
-}
-
-impl<K, V, C> PacMap<K, V, NoAug, C>
-where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
-{
-    /// Bulk constructor from a pre-order *paged* node stream: like
-    /// [`PacMap::from_node_stream`], but leaves arrive as `(page, len)`
-    /// references into a paged snapshot file instead of inline blocks,
-    /// and are materialized lazily through `src` on first access
-    /// (`find`/`range`/iteration touch only the pages their path
-    /// crosses). `O(structure)` work — independent of the data size.
-    ///
-    /// Only unaugmented maps can be paged: a lazy leaf cannot compute
-    /// an aggregate without defeating the point of not reading it.
-    ///
-    /// # Errors
-    ///
-    /// [`structure::BuildError`] when the stream's source fails or the
-    /// stream is structurally invalid (oversized leaves, runaway
-    /// depth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn from_paged_stream<S>(
-        b: usize,
-        src: std::sync::Arc<dyn crate::BlockSource<C::Block>>,
-        next: &mut impl FnMut() -> Result<structure::PagedNodeOwned<(K, V)>, S>,
-    ) -> Result<Self, structure::BuildError<S>> {
-        assert!(b > 0, "block size must be positive");
-        Ok(PacMap {
-            root: structure::build_preorder_paged(b, &src, next)?,
-            b,
-        })
     }
 }
 

@@ -35,10 +35,10 @@ use crate::stats;
 /// A (sub)tree: `None` is the empty tree.
 pub(crate) type Tree<E, A, C> = Option<Arc<Node<E, A, C>>>;
 
-/// Source of leaf blocks for *lazy* (paged) leaves: a leaf built by
-/// [`crate::PacMap::from_paged_stream`] holds a page id instead of the
-/// encoded bytes and materializes them through its source on first
-/// access. The `store` crate's buffer pool is the canonical
+/// Source of leaf blocks for *lazy* leaves: a leaf built from a
+/// [`crate::structure::NodeOwned::Lazy`] stream node holds a page id
+/// instead of the encoded bytes and materializes them through its
+/// source on first access. The `store` crate's buffer pool is the canonical
 /// implementation — it caches the strong [`Arc`]s, so a lazy tree's
 /// resident footprint is bounded by the pool budget, not the data size.
 ///
@@ -104,8 +104,8 @@ where
         /// The encoded entries.
         block: C::Block,
     },
-    /// A *lazy* leaf: the entries live on a page of a paged snapshot
-    /// file and are materialized through `src` on first access. Only
+    /// A *lazy* leaf: the entries live on a page of a [`BlockSource`]
+    /// and are materialized through `src` on first access. Only
     /// built for unaugmented trees (`aug` is the identity — a lazy
     /// leaf cannot compute an aggregate without touching its page, and
     /// the store only pages `NoAug` trees).
@@ -423,8 +423,8 @@ where
 /// Builds a lazy leaf over `page` of `src`, with `len` entries.
 ///
 /// The aggregate is the identity — callers must only build lazy leaves
-/// for unaugmented trees (the `NoAug` constraint is enforced by the
-/// public constructor, [`crate::PacMap::from_paged_stream`]).
+/// for unaugmented trees (enforced by the one caller, the stream builder
+/// in [`crate::structure`]).
 pub(crate) fn make_lazy<E, A, C>(
     len: usize,
     page: u32,

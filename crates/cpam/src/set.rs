@@ -377,17 +377,25 @@ where
         crate::node::space(&self.root)
     }
 
-    /// Pre-order walk over the tree's nodes: regular pivot entries and
-    /// *already-encoded* leaf blocks (see [`crate::structure`]). The
-    /// serialization hook used by the `store` crate's snapshot codec.
-    pub fn visit_nodes(&self, f: &mut impl FnMut(structure::NodeRef<'_, K, C::Block>)) {
-        structure::visit_preorder(&self.root, f);
+    /// Pre-order walk over the tree's nodes, optionally against a base
+    /// tree whose shared subtrees are pruned; the set counterpart of
+    /// [`crate::PacMap::visit_nodes`]. The serialization hook used by
+    /// the `store` crate's page-file format.
+    pub fn visit_nodes(
+        &self,
+        base: Option<&Self>,
+        f: &mut impl FnMut(structure::NodeRef<'_, K, C::Block>),
+    ) {
+        let index = base.map(|base| structure::index_preorder(&base.root));
+        structure::visit_preorder(&self.root, index.as_ref(), f);
     }
 
     /// Bulk constructor from a pre-order node stream — the inverse of
-    /// [`PacSet::visit_nodes`]: rebuilds the identical tree with block
-    /// size `b`, adopting encoded blocks verbatim (no re-sorting or
-    /// re-encoding) and recomputing cached sizes and aggregates.
+    /// [`PacSet::visit_nodes`] and the set counterpart of
+    /// [`crate::PacMap::from_node_stream`]: rebuilds the identical tree
+    /// with block size `b`, adopting encoded blocks verbatim (no
+    /// re-sorting or re-encoding) and recomputing cached sizes and
+    /// aggregates.
     ///
     /// # Errors
     ///
@@ -399,48 +407,14 @@ where
     /// Panics if `b == 0`.
     pub fn from_node_stream<S>(
         b: usize,
+        base: Option<&Self>,
+        src: Option<std::sync::Arc<dyn crate::BlockSource<C::Block>>>,
         next: &mut impl FnMut() -> Result<structure::NodeOwned<K, C::Block>, S>,
     ) -> Result<Self, structure::BuildError<S>> {
         assert!(b > 0, "block size must be positive");
+        let subtrees = base.map(|base| structure::collect_preorder(&base.root));
         Ok(PacSet {
-            root: structure::build_preorder(b, next)?,
-            b,
-        })
-    }
-
-    /// Pre-order diff walk against `base`; the set counterpart of
-    /// [`crate::PacMap::visit_nodes_diff`]. Subtrees shared with `base`
-    /// are reported by base-pre-order index and pruned.
-    pub fn visit_nodes_diff(
-        &self,
-        base: &Self,
-        f: &mut impl FnMut(structure::DiffNodeRef<'_, K, C::Block>),
-    ) {
-        let index = structure::index_preorder(&base.root);
-        structure::visit_preorder_diff(&self.root, &index, f);
-    }
-
-    /// Bulk constructor from a pre-order diff stream — the inverse of
-    /// [`PacSet::visit_nodes_diff`]; the set counterpart of
-    /// [`crate::PacMap::from_diff_node_stream`].
-    ///
-    /// # Errors
-    ///
-    /// [`structure::BuildError`] when the stream's source fails or the
-    /// stream is structurally invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn from_diff_node_stream<S>(
-        b: usize,
-        base: &Self,
-        next: &mut impl FnMut() -> Result<structure::DiffNodeOwned<K, C::Block>, S>,
-    ) -> Result<Self, structure::BuildError<S>> {
-        assert!(b > 0, "block size must be positive");
-        let subtrees = structure::collect_preorder(&base.root);
-        Ok(PacSet {
-            root: structure::build_preorder_diff(b, &subtrees, next)?,
+            root: structure::build_preorder(b, subtrees.as_deref(), src.as_ref(), next, 0)?,
             b,
         })
     }

@@ -1,33 +1,38 @@
 //! Structural hooks: walking a tree's nodes and rebuilding one from a
 //! node stream, without going through entry arrays.
 //!
-//! These are the serialization hooks the `store` crate's snapshot codec
-//! is built on. A PaC-tree's value is that its leaves are *already
-//! encoded* blocks ([`codecs::Codec::Block`]); a byte-level snapshot
-//! should therefore copy those blocks verbatim rather than flatten the
-//! tree to entries and rebuild it (which would re-sort, re-balance and
-//! re-encode `O(n)` data). The hooks expose exactly enough structure to
-//! do that while keeping the node representation private:
+//! These are the serialization hooks the `store` crate's page-file
+//! format is built on. A PaC-tree's value is that its leaves are
+//! *already encoded* blocks ([`codecs::Codec::Block`]); a byte-level
+//! snapshot should therefore copy those blocks verbatim rather than
+//! flatten the tree to entries and rebuild it (which would re-sort,
+//! re-balance and re-encode `O(n)` data). The hooks expose exactly
+//! enough structure to do that while keeping the node representation
+//! private:
 //!
 //! * [`PacMap::visit_nodes`](crate::PacMap::visit_nodes) /
 //!   [`PacSet::visit_nodes`](crate::PacSet::visit_nodes) walk the tree
 //!   in *pre-order*, reporting each node as a [`NodeRef`]: a regular
-//!   node's pivot entry, a flat node's encoded block, or an empty
-//!   subtree. Every regular node is followed by the full visit of its
-//!   left subtree, then its right — so the visit order alone
-//!   reconstructs the shape.
+//!   node's pivot entry, a leaf's encoded block, an empty subtree, or —
+//!   when walking against a base tree — a whole subtree physically
+//!   shared with that base. Every regular node is followed by the full
+//!   visit of its left subtree, then its right — so the visit order
+//!   alone reconstructs the shape.
 //! * [`PacMap::from_node_stream`](crate::PacMap::from_node_stream) /
 //!   [`PacSet::from_node_stream`](crate::PacSet::from_node_stream) are
 //!   the inverse bulk constructors: they pull [`NodeOwned`]s from a
 //!   callback in the same pre-order and rebuild the identical tree —
 //!   same shape, same blocks — recomputing only the cached sizes and
-//!   augmented values. No sorting, no re-encoding.
+//!   augmented values. No sorting, no re-encoding. Shared references
+//!   resolve against the optional base tree; leaves may arrive as
+//!   references into an optional [`BlockSource`] instead of as blocks.
 //!
 //! The builder trusts the stream's *entry data* (a tree read back from
 //! bytes whose integrity was verified upstream, e.g. by the `store`
-//! page checksum) but still validates structure: impossible block sizes,
-//! runaway recursion depth, and truncated streams all produce a typed
-//! [`BuildError`] instead of a panic or an invalid tree.
+//! page checksums) but still validates structure: impossible block
+//! sizes, runaway recursion depth, dangling references and truncated
+//! streams all produce a typed [`BuildError`] instead of a panic or an
+//! invalid tree.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,8 +51,17 @@ pub enum NodeRef<'a, E, B> {
     /// A regular (binary) node's pivot entry; its left subtree is
     /// visited next, then its right.
     Regular(&'a E),
-    /// A flat leaf's encoded block.
+    /// A leaf's encoded block (a lazy leaf is materialized for the
+    /// callback's duration).
     Flat(&'a B),
+    /// Only in a walk against a base tree: the whole subtree is
+    /// physically shared with the base (same `Arc` allocation) and is
+    /// not descended into. The value is the subtree root's position in
+    /// the base tree's pre-order enumeration of *non-empty* nodes — a
+    /// purely structural coordinate, so an encoder and a decoder that
+    /// hold behaviourally equal copies of the base (e.g. the in-memory
+    /// pinned root and its read-back-from-disk counterpart) agree on it.
+    Shared(u64),
 }
 
 /// One node of a pre-order tree stream, by value (the decode-side
@@ -58,67 +72,20 @@ pub enum NodeOwned<E, B> {
     Empty,
     /// A regular node's pivot entry (left subtree follows, then right).
     Regular(E),
-    /// A flat leaf's encoded block, adopted verbatim.
+    /// A leaf's encoded block, adopted verbatim as a resident leaf.
     Flat(B),
-}
-
-/// One node of a pre-order *paged* stream: leaves are page references,
-/// not inline blocks (the decode-side counterpart of a paged snapshot's
-/// structure stream; see
-/// [`PacMap::from_paged_stream`](crate::PacMap::from_paged_stream)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PagedNodeOwned<E> {
-    /// An empty subtree.
-    Empty,
-    /// A regular node's pivot entry (left subtree follows, then right).
-    Regular(E),
-    /// A leaf stored on `page`, holding `len` entries. Materialized
-    /// lazily through the tree's [`BlockSource`] on first access.
-    Leaf {
-        /// The page id in the paged snapshot file.
+    /// A leaf of `len` entries left on `page` of the stream's
+    /// [`BlockSource`], materialized through it on first access. Only
+    /// unaugmented trees can hold one: a lazy leaf cannot supply an
+    /// aggregate without being read.
+    Lazy {
+        /// The page id handed to [`BlockSource::load`].
         page: u32,
         /// Number of entries on the page.
         len: u32,
     },
-}
-
-/// One node of a pre-order *diff* walk against a base tree
-/// ([`PacMap::visit_nodes_diff`](crate::PacMap::visit_nodes_diff)).
-///
-/// Identical to [`NodeRef`] except that a subtree physically shared
-/// with the base tree (same `Arc` allocation) is reported as a single
-/// [`DiffNodeRef::Shared`] and not descended into. The index it
-/// carries is the subtree root's position in the base tree's pre-order
-/// enumeration of *non-empty* nodes — a purely structural coordinate,
-/// so an encoder and a decoder that hold behaviourally equal copies of
-/// the base (e.g. the in-memory pinned root and its decoded-from-disk
-/// counterpart) agree on it.
-#[derive(Debug)]
-pub enum DiffNodeRef<'a, E, B> {
-    /// An empty subtree.
-    Empty,
-    /// A regular node's pivot entry (not shared with the base); its
-    /// left diff follows, then its right.
-    Regular(&'a E),
-    /// A flat leaf's encoded block (not shared with the base).
-    Flat(&'a B),
-    /// The whole subtree is shared with the base tree: the value is
-    /// the base-pre-order index of its root.
-    Shared(u64),
-}
-
-/// One node of a pre-order diff stream, by value (the decode-side
-/// counterpart of [`DiffNodeRef`]).
-#[derive(Debug)]
-pub enum DiffNodeOwned<E, B> {
-    /// An empty subtree.
-    Empty,
-    /// A regular node's pivot entry (left diff follows, then right).
-    Regular(E),
-    /// A flat leaf's encoded block, adopted verbatim.
-    Flat(B),
     /// A subtree taken wholesale from the base tree, by its
-    /// base-pre-order index.
+    /// base-pre-order index (see [`NodeRef::Shared`]).
     Shared(u64),
 }
 
@@ -148,144 +115,32 @@ impl<S: std::fmt::Debug + std::fmt::Display> std::error::Error for BuildError<S>
 /// so deeper streams can only come from corrupt or adversarial input.
 const MAX_DEPTH: usize = 512;
 
-/// Pre-order walk of `t`, invoking `f` on every node (including empty
-/// subtrees, which delimit the shape).
-pub(crate) fn visit_preorder<E, A, C, F>(t: &Tree<E, A, C>, f: &mut F)
+/// Calls `f` on every non-empty node of `t` in pre-order: the one
+/// enumeration both sides of a [`NodeRef::Shared`] index count by. A
+/// DAG-shared node is visited (and counted) once per path.
+fn each_preorder<E, A, C>(t: &Tree<E, A, C>, f: &mut impl FnMut(&Arc<Node<E, A, C>>))
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
-    F: FnMut(NodeRef<'_, E, C::Block>),
 {
-    match t {
-        None => f(NodeRef::Empty),
-        Some(node) => match &**node {
-            Node::Regular {
-                left, entry, right, ..
-            } => {
-                f(NodeRef::Regular(entry));
-                visit_preorder(left, f);
-                visit_preorder(right, f);
-            }
-            Node::Flat { block, .. } => f(NodeRef::Flat(block)),
-            Node::Lazy { .. } => {
-                // Materialize through the source for the duration of
-                // the callback; the `Arc` in the `BlockRef` keeps the
-                // borrow alive, and is dropped right after (the pool
-                // retains its own copy under its budget).
-                let block = node.leaf_block();
-                f(NodeRef::Flat(&block));
-            }
-        },
+    let Some(arc) = t else { return };
+    f(arc);
+    if let Node::Regular { left, right, .. } = &**arc {
+        each_preorder(left, f);
+        each_preorder(right, f);
     }
 }
 
-/// Rebuilds a tree from a pre-order node stream; inverse of
-/// [`visit_preorder`]. Cached sizes and augmented values are recomputed
-/// bottom-up; blocks are adopted as-is.
-pub(crate) fn build_preorder<E, A, C, S, N>(
-    b: usize,
-    next: &mut N,
-) -> Result<Tree<E, A, C>, BuildError<S>>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    N: FnMut() -> Result<NodeOwned<E, C::Block>, S>,
-{
-    build_rec(b, next, 0)
-}
-
-fn build_rec<E, A, C, S, N>(
-    b: usize,
-    next: &mut N,
-    depth: usize,
-) -> Result<Tree<E, A, C>, BuildError<S>>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    N: FnMut() -> Result<NodeOwned<E, C::Block>, S>,
-{
-    if depth > MAX_DEPTH {
-        return Err(BuildError::Invalid("node stream deeper than any balanced tree"));
-    }
-    match next().map_err(BuildError::Source)? {
-        NodeOwned::Empty => Ok(None),
-        NodeOwned::Flat(block) => {
-            let len = C::len(&block);
-            if len == 0 {
-                return Err(BuildError::Invalid("empty flat block"));
-            }
-            if len > 2 * b {
-                return Err(BuildError::Invalid("flat block larger than 2b"));
-            }
-            Ok(make_flat_from_block(block))
-        }
-        NodeOwned::Regular(entry) => {
-            let left = build_rec(b, next, depth + 1)?;
-            let right = build_rec(b, next, depth + 1)?;
-            Ok(make_regular(left, entry, right))
-        }
-    }
-}
-
-/// Rebuilds a tree from a pre-order *paged* node stream: the structural
-/// twin of [`build_preorder`], except leaves become lazy nodes holding
-/// a page id and materializing through `src` on demand. Only valid for
-/// unaugmented trees (lazy leaves carry the identity aggregate); the
-/// public constructor enforces `A = NoAug`.
-pub(crate) fn build_preorder_paged<E, A, C, S, N>(
-    b: usize,
-    src: &Arc<dyn BlockSource<C::Block>>,
-    next: &mut N,
-) -> Result<Tree<E, A, C>, BuildError<S>>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    N: FnMut() -> Result<PagedNodeOwned<E>, S>,
-{
-    fn go<E, A, C, S, N>(
-        b: usize,
-        src: &Arc<dyn BlockSource<C::Block>>,
-        next: &mut N,
-        depth: usize,
-    ) -> Result<Tree<E, A, C>, BuildError<S>>
-    where
-        E: Element,
-        A: Augmentation<E>,
-        C: Codec<E>,
-        N: FnMut() -> Result<PagedNodeOwned<E>, S>,
-    {
-        if depth > MAX_DEPTH {
-            return Err(BuildError::Invalid("node stream deeper than any balanced tree"));
-        }
-        match next().map_err(BuildError::Source)? {
-            PagedNodeOwned::Empty => Ok(None),
-            PagedNodeOwned::Leaf { page, len } => {
-                let len = len as usize;
-                if len == 0 {
-                    return Err(BuildError::Invalid("empty paged leaf"));
-                }
-                if len > 2 * b {
-                    return Err(BuildError::Invalid("paged leaf larger than 2b"));
-                }
-                Ok(make_lazy(len, page, Arc::clone(src)))
-            }
-            PagedNodeOwned::Regular(entry) => {
-                let left = go(b, src, next, depth + 1)?;
-                let right = go(b, src, next, depth + 1)?;
-                Ok(make_regular(left, entry, right))
-            }
-        }
-    }
-    go(b, src, next, 0)
+fn address<T>(arc: &Arc<T>) -> usize {
+    Arc::as_ptr(arc) as *const () as usize
 }
 
 /// Indexes every non-empty node of `t` by allocation address, mapping
-/// it to its pre-order position. Shared-with-base detection in
-/// [`visit_preorder_diff`] is a lookup in this map.
+/// it to its pre-order position (the latest one for a node reachable by
+/// several paths — any of them resolves to the same subtree on the
+/// decode side). Shared-with-base detection in [`visit_preorder`] is a
+/// lookup in this map.
 ///
 /// Address identity is sound as a "same content" witness only while the
 /// base tree is *pinned* (its `Arc`s held alive by the caller): a live
@@ -300,32 +155,17 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    fn go<E, A, C>(t: &Tree<E, A, C>, map: &mut HashMap<usize, u64>, next: &mut u64)
-    where
-        E: Element,
-        A: Augmentation<E>,
-        C: Codec<E>,
-    {
-        let Some(arc) = t else { return };
-        // A DAG-shared node is visited (and counted) once per path; the
-        // map keeps the latest index. Any of its indices resolves to
-        // the same subtree on the decode side, which enumerates with
-        // the identical revisiting walk.
-        map.insert(Arc::as_ptr(arc) as *const () as usize, *next);
-        *next += 1;
-        if let Node::Regular { left, right, .. } = &**arc {
-            go(left, map, next);
-            go(right, map, next);
-        }
-    }
     let mut map = HashMap::new();
     let mut next = 0;
-    go(t, &mut map, &mut next);
+    each_preorder(t, &mut |arc| {
+        map.insert(address(arc), next);
+        next += 1;
+    });
     map
 }
 
 /// Collects every non-empty subtree of `t` in pre-order — the decode
-/// side's resolution table for [`DiffNodeOwned::Shared`] indices. Each
+/// side's resolution table for [`NodeOwned::Shared`] indices. Each
 /// entry is an `Arc` clone, so the vector is cheap (`O(n)` pointer
 /// copies) and shares all structure with `t`.
 pub(crate) fn collect_preorder<E, A, C>(t: &Tree<E, A, C>) -> Vec<Tree<E, A, C>>
@@ -334,121 +174,106 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    fn go<E, A, C>(t: &Tree<E, A, C>, out: &mut Vec<Tree<E, A, C>>)
-    where
-        E: Element,
-        A: Augmentation<E>,
-        C: Codec<E>,
-    {
-        let Some(arc) = t else { return };
-        out.push(Some(Arc::clone(arc)));
-        if let Node::Regular { left, right, .. } = &**arc {
-            go(left, out);
-            go(right, out);
-        }
-    }
     let mut out = Vec::new();
-    go(t, &mut out);
+    each_preorder(t, &mut |arc| out.push(Some(Arc::clone(arc))));
     out
 }
 
-/// Pre-order diff walk of `t` against an address index of a pinned base
-/// tree (see [`index_preorder`]): subtrees found in the index are
-/// reported as [`DiffNodeRef::Shared`] and pruned, everything else is
-/// walked like [`visit_preorder`].
-pub(crate) fn visit_preorder_diff<E, A, C, F>(
+/// Pre-order walk of `t`, invoking `f` on every node (including empty
+/// subtrees, which delimit the shape). With `base` — the address index
+/// of a pinned base tree, see [`index_preorder`] — subtrees found in it
+/// are reported as [`NodeRef::Shared`] and pruned.
+pub(crate) fn visit_preorder<E, A, C, F>(
     t: &Tree<E, A, C>,
-    base: &HashMap<usize, u64>,
+    base: Option<&HashMap<usize, u64>>,
     f: &mut F,
 ) where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
-    F: FnMut(DiffNodeRef<'_, E, C::Block>),
+    F: FnMut(NodeRef<'_, E, C::Block>),
 {
-    match t {
-        None => f(DiffNodeRef::Empty),
-        Some(arc) => {
-            if let Some(&idx) = base.get(&(Arc::as_ptr(arc) as *const () as usize)) {
-                f(DiffNodeRef::Shared(idx));
-                return;
-            }
-            match &**arc {
-                Node::Regular {
-                    left, entry, right, ..
-                } => {
-                    f(DiffNodeRef::Regular(entry));
-                    visit_preorder_diff(left, base, f);
-                    visit_preorder_diff(right, base, f);
-                }
-                Node::Flat { block, .. } => f(DiffNodeRef::Flat(block)),
-                Node::Lazy { .. } => {
-                    // An unshared lazy leaf genuinely changed identity
-                    // since the base; its bytes must travel with the
-                    // diff, so materialize for the callback's duration.
-                    let block = arc.leaf_block();
-                    f(DiffNodeRef::Flat(&block));
-                }
-            }
+    let Some(node) = t else {
+        return f(NodeRef::Empty);
+    };
+    if let Some(&idx) = base.and_then(|index| index.get(&address(node))) {
+        return f(NodeRef::Shared(idx));
+    }
+    match &**node {
+        Node::Regular {
+            left, entry, right, ..
+        } => {
+            f(NodeRef::Regular(entry));
+            visit_preorder(left, base, f);
+            visit_preorder(right, base, f);
         }
+        // A lazy leaf that reaches here is either part of a full walk
+        // or genuinely changed identity since the base: its bytes must
+        // travel, so `leaf_block` materializes it for the callback's
+        // duration (the source's cache keeps its own copy under its
+        // budget).
+        _ => f(NodeRef::Flat(&node.leaf_block())),
     }
 }
 
-/// Rebuilds a tree from a pre-order diff stream; inverse of
-/// [`visit_preorder_diff`]. `base` is the pre-order subtree table of
-/// the same base tree the encoder diffed against (see
-/// [`collect_preorder`]); shared references resolve to `Arc` clones out
+/// Rebuilds a tree from a pre-order node stream; inverse of
+/// [`visit_preorder`]. Cached sizes and augmented values are recomputed
+/// bottom-up; blocks are adopted as-is. `base` is the pre-order subtree
+/// table of the tree the encoder walked against (see
+/// [`collect_preorder`]): shared references resolve to `Arc` clones out
 /// of it, so the rebuilt tree shares those subtrees with the base.
-pub(crate) fn build_preorder_diff<E, A, C, S, N>(
+/// `src` is where [`NodeOwned::Lazy`] leaves materialize from; `depth`
+/// is the nesting so far (0 at the root).
+pub(crate) fn build_preorder<E, A, C, S, N>(
     b: usize,
-    base: &[Tree<E, A, C>],
+    base: Option<&[Tree<E, A, C>]>,
+    src: Option<&Arc<dyn BlockSource<C::Block>>>,
     next: &mut N,
+    depth: usize,
 ) -> Result<Tree<E, A, C>, BuildError<S>>
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
-    N: FnMut() -> Result<DiffNodeOwned<E, C::Block>, S>,
+    N: FnMut() -> Result<NodeOwned<E, C::Block>, S>,
 {
-    fn go<E, A, C, S, N>(
-        b: usize,
-        base: &[Tree<E, A, C>],
-        next: &mut N,
-        depth: usize,
-    ) -> Result<Tree<E, A, C>, BuildError<S>>
-    where
-        E: Element,
-        A: Augmentation<E>,
-        C: Codec<E>,
-        N: FnMut() -> Result<DiffNodeOwned<E, C::Block>, S>,
-    {
-        if depth > MAX_DEPTH {
-            return Err(BuildError::Invalid("node stream deeper than any balanced tree"));
+    if depth > MAX_DEPTH {
+        return Err(BuildError::Invalid(
+            "node stream deeper than any balanced tree",
+        ));
+    }
+    let leaf_len = |len: usize| match len {
+        0 => Err(BuildError::Invalid("empty leaf")),
+        _ if len > b.saturating_mul(2) => Err(BuildError::Invalid("leaf larger than 2b")),
+        _ => Ok(len),
+    };
+    match next().map_err(BuildError::Source)? {
+        NodeOwned::Empty => Ok(None),
+        NodeOwned::Shared(idx) => usize::try_from(idx)
+            .ok()
+            .and_then(|i| base?.get(i).cloned())
+            .ok_or(BuildError::Invalid(
+                "shared subtree index past the base tree",
+            )),
+        NodeOwned::Flat(block) => {
+            leaf_len(C::len(&block))?;
+            Ok(make_flat_from_block(block))
         }
-        match next().map_err(BuildError::Source)? {
-            DiffNodeOwned::Empty => Ok(None),
-            DiffNodeOwned::Shared(idx) => match base.get(idx as usize) {
-                Some(sub) => Ok(sub.clone()),
-                None => Err(BuildError::Invalid("shared subtree index past the base tree")),
-            },
-            DiffNodeOwned::Flat(block) => {
-                let len = C::len(&block);
-                if len == 0 {
-                    return Err(BuildError::Invalid("empty flat block"));
-                }
-                if len > 2 * b {
-                    return Err(BuildError::Invalid("flat block larger than 2b"));
-                }
-                Ok(make_flat_from_block(block))
+        NodeOwned::Lazy { page, len } => {
+            // The identity aggregate a lazy leaf carries is only right
+            // when it is the sole value of its type.
+            if std::mem::size_of::<A::Value>() != 0 {
+                return Err(BuildError::Invalid("lazy leaf in an augmented tree"));
             }
-            DiffNodeOwned::Regular(entry) => {
-                let left = go(b, base, next, depth + 1)?;
-                let right = go(b, base, next, depth + 1)?;
-                Ok(make_regular(left, entry, right))
-            }
+            let src = src.ok_or(BuildError::Invalid("lazy leaf without a block source"))?;
+            Ok(make_lazy(leaf_len(len as usize)?, page, Arc::clone(src)))
+        }
+        NodeOwned::Regular(entry) => {
+            let left = build_preorder(b, base, src, next, depth + 1)?;
+            let right = build_preorder(b, base, src, next, depth + 1)?;
+            Ok(make_regular(left, entry, right))
         }
     }
-    go(b, base, next, 0)
 }
 
 #[cfg(test)]
@@ -457,11 +282,20 @@ mod tests {
     use crate::{NoAug, PacMap, PacSet};
     use codecs::DeltaCodec;
 
-    fn drain<E: Clone, B: Clone>(
+    fn drain<E, B>(
         nodes: Vec<NodeOwned<E, B>>,
     ) -> impl FnMut() -> Result<NodeOwned<E, B>, &'static str> {
         let mut it = nodes.into_iter();
         move || it.next().ok_or("stream exhausted")
+    }
+
+    fn owned<E: Clone, B: Clone>(n: NodeRef<'_, E, B>) -> NodeOwned<E, B> {
+        match n {
+            NodeRef::Empty => NodeOwned::Empty,
+            NodeRef::Regular(e) => NodeOwned::Regular(e.clone()),
+            NodeRef::Flat(b) => NodeOwned::Flat(b.clone()),
+            NodeRef::Shared(i) => NodeOwned::Shared(i),
+        }
     }
 
     fn collect_set<K, A, C>(s: &PacSet<K, A, C>) -> Vec<NodeOwned<K, C::Block>>
@@ -471,13 +305,15 @@ mod tests {
         C: Codec<K>,
     {
         let mut nodes = Vec::new();
-        s.visit_nodes(&mut |n| {
-            nodes.push(match n {
-                NodeRef::Empty => NodeOwned::Empty,
-                NodeRef::Regular(e) => NodeOwned::Regular(e.clone()),
-                NodeRef::Flat(b) => NodeOwned::Flat(b.clone()),
-            });
-        });
+        s.visit_nodes(None, &mut |n| nodes.push(owned(n)));
+        nodes
+    }
+
+    type MapNode = NodeOwned<(u64, u32), Box<[(u64, u32)]>>;
+
+    fn collect_map(m: &PacMap<u64, u32>, base: Option<&PacMap<u64, u32>>) -> Vec<MapNode> {
+        let mut nodes = Vec::new();
+        m.visit_nodes(base, &mut |n| nodes.push(owned(n)));
         nodes
     }
 
@@ -486,7 +322,7 @@ mod tests {
         let s: PacSet<u64, NoAug, DeltaCodec> =
             PacSet::from_keys_with(16, (0..10_000).map(|i| 3 * i).collect());
         let rebuilt: PacSet<u64, NoAug, DeltaCodec> =
-            PacSet::from_node_stream(16, &mut drain(collect_set(&s))).expect("rebuild");
+            PacSet::from_node_stream(16, None, None, &mut drain(collect_set(&s))).expect("rebuild");
         assert_eq!(rebuilt.to_vec(), s.to_vec());
         // Blocks were adopted verbatim: identical space accounting.
         assert_eq!(rebuilt.space_stats(), s.space_stats());
@@ -497,16 +333,9 @@ mod tests {
     fn map_roundtrips_through_node_stream() {
         let m: PacMap<u64, u32> =
             PacMap::from_pairs_with(32, (0..5_000).map(|i| (i, (i % 97) as u32)).collect());
-        let mut nodes = Vec::new();
-        m.visit_nodes(&mut |n| {
-            nodes.push(match n {
-                NodeRef::Empty => NodeOwned::Empty,
-                NodeRef::Regular(e) => NodeOwned::Regular(*e),
-                NodeRef::Flat(b) => NodeOwned::Flat(b.clone()),
-            });
-        });
         let rebuilt: PacMap<u64, u32> =
-            PacMap::from_node_stream(32, &mut drain(nodes)).expect("rebuild");
+            PacMap::from_node_stream(32, None, None, &mut drain(collect_map(&m, None)))
+                .expect("rebuild");
         assert_eq!(rebuilt.to_vec(), m.to_vec());
         assert_eq!(rebuilt.space_stats(), m.space_stats());
         rebuilt.check_invariants().expect("invariants");
@@ -517,7 +346,7 @@ mod tests {
         for keys in [vec![], vec![42u64]] {
             let s: PacSet<u64> = PacSet::from_keys(keys);
             let rebuilt: PacSet<u64> =
-                PacSet::from_node_stream(s.block_size(), &mut drain(collect_set(&s)))
+                PacSet::from_node_stream(s.block_size(), None, None, &mut drain(collect_set(&s)))
                     .expect("rebuild");
             assert_eq!(rebuilt.to_vec(), s.to_vec());
         }
@@ -528,34 +357,12 @@ mod tests {
         let s: PacSet<u64> = PacSet::from_keys_with(4, (0..1000).collect());
         let mut nodes = collect_set(&s);
         nodes.truncate(nodes.len() / 2);
-        let err = PacSet::<u64>::from_node_stream(4, &mut drain(nodes)).unwrap_err();
+        let err = PacSet::<u64>::from_node_stream(4, None, None, &mut drain(nodes)).unwrap_err();
         assert_eq!(err, BuildError::Source("stream exhausted"));
     }
 
-    fn drain_diff<E: Clone, B: Clone>(
-        nodes: Vec<DiffNodeOwned<E, B>>,
-    ) -> impl FnMut() -> Result<DiffNodeOwned<E, B>, &'static str> {
-        let mut it = nodes.into_iter();
-        move || it.next().ok_or("stream exhausted")
-    }
-
-    macro_rules! collect_diff {
-        ($m:expr, $base:expr) => {{
-            let mut nodes = Vec::new();
-            $m.visit_nodes_diff($base, &mut |n| {
-                nodes.push(match n {
-                    DiffNodeRef::Empty => DiffNodeOwned::Empty,
-                    DiffNodeRef::Regular(e) => DiffNodeOwned::Regular(*e),
-                    DiffNodeRef::Flat(b) => DiffNodeOwned::Flat(b.clone()),
-                    DiffNodeRef::Shared(i) => DiffNodeOwned::Shared(i),
-                });
-            });
-            nodes
-        }};
-    }
-
     #[test]
-    fn diff_stream_roundtrips_and_prunes_shared_subtrees() {
+    fn walk_against_a_base_roundtrips_and_prunes_shared_subtrees() {
         let base: PacMap<u64, u32> =
             PacMap::from_pairs_with(8, (0..4_000).map(|i| (i, i as u32)).collect());
         // A sparse update: most of the tree stays physically shared.
@@ -564,17 +371,16 @@ mod tests {
             m = m.insert(k, 7);
         }
 
-        let diff = collect_diff!(&m, &base);
-        let full_len = {
-            let mut n = 0usize;
-            m.visit_nodes(&mut |_| n += 1);
-            n
-        };
+        let diff = collect_map(&m, Some(&base));
+        let full_len = collect_map(&m, None).len();
         let shared = diff
             .iter()
-            .filter(|n| matches!(n, DiffNodeOwned::Shared(_)))
+            .filter(|n| matches!(n, NodeOwned::Shared(_)))
             .count();
-        assert!(shared > 0, "sparse update must share subtrees with the base");
+        assert!(
+            shared > 0,
+            "sparse update must share subtrees with the base"
+        );
         assert!(
             diff.len() < full_len,
             "diff stream ({}) should be shorter than the full walk ({full_len})",
@@ -582,52 +388,45 @@ mod tests {
         );
 
         let rebuilt: PacMap<u64, u32> =
-            PacMap::from_diff_node_stream(8, &base, &mut drain_diff(diff)).expect("rebuild");
+            PacMap::from_node_stream(8, Some(&base), None, &mut drain(diff)).expect("rebuild");
         assert_eq!(rebuilt.to_vec(), m.to_vec());
         rebuilt.check_invariants().expect("invariants");
     }
 
     #[test]
-    fn diff_against_disjoint_base_degenerates_to_full_stream() {
+    fn walk_against_a_disjoint_base_degenerates_to_the_full_stream() {
         let base: PacMap<u64, u32> = PacMap::from_pairs_with(8, vec![(1, 1)]);
         let m: PacMap<u64, u32> =
             PacMap::from_pairs_with(8, (0..500).map(|i| (i, i as u32)).collect());
-        let diff = collect_diff!(&m, &base);
-        assert!(diff.iter().all(|n| !matches!(n, DiffNodeOwned::Shared(_))));
+        let diff = collect_map(&m, Some(&base));
+        assert!(diff.iter().all(|n| !matches!(n, NodeOwned::Shared(_))));
         let rebuilt: PacMap<u64, u32> =
-            PacMap::from_diff_node_stream(8, &base, &mut drain_diff(diff)).expect("rebuild");
+            PacMap::from_node_stream(8, Some(&base), None, &mut drain(diff)).expect("rebuild");
         assert_eq!(rebuilt.to_vec(), m.to_vec());
     }
 
     #[test]
-    fn shared_index_past_the_base_is_rejected() {
+    fn dangling_references_are_rejected() {
         let base: PacMap<u64, u32> = PacMap::from_pairs_with(8, vec![(1, 1)]);
-        let err = PacMap::<u64, u32>::from_diff_node_stream(
-            8,
-            &base,
-            &mut drain_diff(vec![DiffNodeOwned::Shared(999)]),
-        )
-        .unwrap_err();
-        assert!(matches!(err, BuildError::Invalid(_)));
-    }
-
-    #[test]
-    fn dropped_nodes_are_counted() {
-        let before = crate::stats::read();
-        let s: PacSet<u64> = PacSet::from_keys_with(4, (0..10_000).collect());
-        drop(s);
-        let d = crate::stats::read().delta(before);
-        assert!(d.nodes_dropped >= d.node_allocs);
-        // Allocs and drops balance for a build-then-drop window up to
-        // concurrent-test noise; the gate tests in `store` serialize.
-        assert!(d.node_allocs > 0);
+        // A shared index past the base, a shared index with no base at
+        // all, and a lazy leaf with no source to load it from.
+        for (base, node) in [
+            (Some(&base), NodeOwned::Shared(999)),
+            (None, NodeOwned::Shared(0)),
+            (None, NodeOwned::Lazy { page: 0, len: 4 }),
+        ] {
+            let err = PacMap::<u64, u32>::from_node_stream(8, base, None, &mut drain(vec![node]))
+                .unwrap_err();
+            assert!(matches!(err, BuildError::Invalid(_)));
+        }
     }
 
     #[test]
     fn oversized_block_is_rejected() {
         let s: PacSet<u64> = PacSet::from_keys_with(64, (0..100).collect());
         // Rebuild claiming a block size too small for the stored block.
-        let err = PacSet::<u64>::from_node_stream(4, &mut drain(collect_set(&s))).unwrap_err();
+        let err = PacSet::<u64>::from_node_stream(4, None, None, &mut drain(collect_set(&s)))
+            .unwrap_err();
         assert!(matches!(err, BuildError::Invalid(_)));
     }
 }

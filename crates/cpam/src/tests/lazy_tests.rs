@@ -1,14 +1,15 @@
-//! Lazy (paged) leaf behaviour: `from_paged_stream` builds a tree whose
-//! leaves are page references, materialized through a [`BlockSource`]
-//! only when a query path crosses them.
+//! Lazy leaf behaviour: `from_node_stream` with a [`BlockSource`] builds
+//! a tree whose leaves are page references, materialized through the
+//! source only when a query path crosses them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::structure::PagedNodeOwned;
+use crate::structure::{NodeOwned, NodeRef};
 use crate::{BlockSource, PacMap};
 
 type Block = Box<[(u64, u64)]>;
+type LazyNode = NodeOwned<(u64, u64), Block>;
 
 /// An in-memory page store that counts loads. With `evict_always` it
 /// hands out a fresh allocation per load, modelling a pool whose every
@@ -32,19 +33,20 @@ impl BlockSource<Block> for VecSource {
 }
 
 /// Flattens `map` into (pre-order structure stream, page store).
-fn page_out(map: &PacMap<u64, u64>) -> (Vec<PagedNodeOwned<(u64, u64)>>, VecSource) {
+fn page_out(map: &PacMap<u64, u64>) -> (Vec<LazyNode>, VecSource) {
     let mut stream = Vec::new();
     let mut pages: Vec<Arc<Block>> = Vec::new();
-    map.visit_nodes(&mut |node| match node {
-        crate::structure::NodeRef::Empty => stream.push(PagedNodeOwned::Empty),
-        crate::structure::NodeRef::Regular(e) => stream.push(PagedNodeOwned::Regular(*e)),
-        crate::structure::NodeRef::Flat(block) => {
-            stream.push(PagedNodeOwned::Leaf {
+    map.visit_nodes(None, &mut |node| match node {
+        NodeRef::Empty => stream.push(NodeOwned::Empty),
+        NodeRef::Regular(e) => stream.push(NodeOwned::Regular(*e)),
+        NodeRef::Flat(block) => {
+            stream.push(NodeOwned::Lazy {
                 page: pages.len() as u32,
                 len: block.len() as u32,
             });
             pages.push(Arc::new(block.clone()));
         }
+        NodeRef::Shared(_) => unreachable!("no base to share with"),
     });
     (
         stream,
@@ -64,9 +66,10 @@ fn paged_copy_with(
     src.evict_always = evict_always;
     let src = Arc::new(src);
     let mut it = stream.into_iter();
-    let lazy = PacMap::from_paged_stream::<()>(
+    let lazy = PacMap::from_node_stream::<()>(
         map.block_size(),
-        src.clone() as Arc<dyn BlockSource<Block>>,
+        None,
+        Some(src.clone() as Arc<dyn BlockSource<Block>>),
         &mut || Ok(it.next().expect("stream exhausted")),
     )
     .expect("valid stream");
@@ -172,13 +175,29 @@ fn oversized_paged_leaf_is_rejected() {
         evict_always: false,
     });
     let mut fed = false;
-    let res = PacMap::<u64, u64>::from_paged_stream::<()>(
+    let res = PacMap::<u64, u64>::from_node_stream::<()>(
         B,
-        src as Arc<dyn BlockSource<Block>>,
+        None,
+        Some(src as Arc<dyn BlockSource<Block>>),
         &mut || {
             assert!(!std::mem::replace(&mut fed, true), "should stop after one node");
-            Ok(PagedNodeOwned::Leaf { page: 0, len: 100 })
+            Ok(NodeOwned::Lazy { page: 0, len: 100 })
         },
+    );
+    assert!(res.is_err());
+}
+
+#[test]
+fn lazy_leaf_in_an_augmented_map_is_rejected() {
+    // A lazy leaf carries the identity aggregate; under `SumAug` that
+    // would silently read as a sum of zero.
+    let (stream, src) = page_out(&sample(100));
+    let mut it = stream.into_iter();
+    let res = PacMap::<u64, u64, crate::SumAug>::from_node_stream::<()>(
+        B,
+        None,
+        Some(Arc::new(src) as Arc<dyn BlockSource<Block>>),
+        &mut || Ok(it.next().expect("stream exhausted")),
     );
     assert!(res.is_err());
 }

@@ -8,6 +8,10 @@
 //!   place** (`nodes_reused`), while the same loop against a spine
 //!   pinned by snapshots must reuse **nothing** (`nodes_copied` only) —
 //!   the safety half of the refcount-1 rule, not just the speed half.
+//! * Drop accounting: over a build-then-drop window allocs and drops
+//!   balance. (It lives here, not among the crate's unit tests: they
+//!   allocate concurrently in one process, and a gate only this test
+//!   held would not exclude them.)
 //!
 //! The counters are process-wide, so the tests in this binary serialize
 //! on one mutex; each reads its deltas inside the critical section.
@@ -15,7 +19,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use cpam::{stats, DiffMap, DiffSet, PacMap};
+use cpam::{stats, DiffMap, DiffSet, PacMap, PacSet};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -151,4 +155,17 @@ fn pinned_snapshot_spines_are_never_reused() {
         }
         assert_eq!(m.len(), reference.len());
     });
+}
+
+#[test]
+fn dropped_nodes_are_counted() {
+    let _serialize = counters_lock();
+    let before = stats::read();
+    let s: PacSet<u64> = PacSet::from_keys_with(4, (0..10_000).collect());
+    drop(s);
+    let d = stats::read().delta(before);
+    // Allocs and drops balance over a build-then-drop window; nothing
+    // else in this binary touches the counters meanwhile.
+    assert!(d.nodes_dropped >= d.node_allocs);
+    assert!(d.node_allocs > 0);
 }

@@ -9,8 +9,9 @@ use codecs::BlockIoError;
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// The file does not start with the snapshot magic — not a pacstore
-    /// snapshot (or the header itself was clobbered).
+    /// The file does not start with the page magic — not a pacstore
+    /// page file, or one written by an earlier build's formats (or the
+    /// header itself was clobbered).
     BadMagic,
     /// The snapshot was written with a different block codec than the
     /// one this store is instantiated with.
@@ -66,10 +67,12 @@ pub enum StoreError {
     /// being opened (shard count, or a missing/foreign file) — which
     /// includes [`crate::PacStore::open`] on a multi-shard directory.
     PartitionMismatch(String),
-    /// The directory holds the flat single-directory layout `PacStore`
-    /// wrote before it became the one-shard case of the sharded engine
-    /// (snapshot pages or a log at the root, no partition map). It is
-    /// refused rather than shadowed by a fresh, empty store.
+    /// The directory holds an earlier build's layout: the flat
+    /// single-directory one `PacStore` wrote before it became the
+    /// one-shard case of the sharded engine (snapshot pages or a log at
+    /// the root, no partition map), or a shard directory with a paged
+    /// snapshot from before there was one page format. It is refused
+    /// rather than shadowed by a fresh, empty store.
     LegacyLayout(String),
     /// The log (or manifest) references versions the checkpoint pages
     /// do not reach: the first replayable record is more than one step

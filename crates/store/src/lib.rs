@@ -20,13 +20,17 @@
 //!   the same engine at one shard ([`Router::single`]), whose
 //!   [`Snapshot`] exposes the single [`cpam::PacMap`] directly. A
 //!   `PacStore` directory is a one-shard `ShardedStore` directory.
-//! * **Snapshot pages** ([`pagefmt`], [`paged`]) — binary codecs
-//!   serializing a whole PaC-tree: interior structure as a tagged
-//!   pre-order stream, leaves as their *already-encoded compressed
-//!   blocks*, copied verbatim both ways (decode does no re-sorting and
-//!   no re-encoding, so space accounting is bit-identical). Pages
-//!   carry CRC-32s so truncation and bit flips surface as typed
-//!   [`StoreError`]s.
+//! * **Page files** ([`page`]) — the one on-disk image of a PaC-tree,
+//!   full snapshot and incremental diff alike: interior structure as a
+//!   tagged pre-order stream, leaves as their *already-encoded
+//!   compressed blocks*, copied verbatim both ways (decode does no
+//!   re-sorting and no re-encoding, so space accounting is
+//!   bit-identical). [`StoreOptions::pool_pages`] is a *read policy*
+//!   over that one format — every leaf adopted resident at `open`, or
+//!   `O(structure)` opens with leaves paged through a [`BufferPool`] —
+//!   never a choice of what is written. CRC-32s over the metadata and
+//!   over every leaf record make truncation and bit flips surface as
+//!   typed [`StoreError`]s.
 //! * **Durability** ([`wal`]) — per-shard append-only batch logs plus
 //!   a manifest, replayed on open with standard torn-tail recovery;
 //!   `save`/`save_incremental`/`compact` checkpoint the committed
@@ -63,8 +67,7 @@ mod error;
 mod lifecycle;
 pub mod metrics;
 mod mvcc;
-pub mod paged;
-pub mod pagefmt;
+pub mod page;
 pub mod pool;
 mod router;
 mod shard;
@@ -73,17 +76,11 @@ pub mod wal;
 pub use error::StoreError;
 pub use lifecycle::{GcStats, LifecycleStats, RetentionPolicy, VersionRegistry};
 pub use mvcc::{
-    Op, PacStore, Snapshot, StoreKey, StoreOptions, StoreValue, LOCK_FILE, LOG_FILE, PAGED_FILE,
-    SNAPSHOT_FILE,
+    Op, PacStore, Snapshot, StoreKey, StoreOptions, StoreValue, LOCK_FILE, LOG_FILE, SNAPSHOT_FILE,
 };
-pub use paged::{
-    encode_paged, open_paged_file, write_paged_file, PagedSnapshot, PagedSource, PAGED_MAGIC,
+pub use page::{
+    decode_snapshot, encode_snapshot, incr_file_name, write_file_atomic, DiskTree, PAGE_MAGIC,
 };
-pub use pagefmt::{
-    decode_incremental, decode_snapshot, encode_incremental, encode_snapshot, incr_file_name,
-    read_snapshot_file, write_file_atomic, write_snapshot_file, DiskTree, INCREMENTAL_MAGIC,
-    SNAPSHOT_MAGIC,
-};
-pub use pool::{BufferPool, PageGuard, PoolStats};
+pub use pool::{BufferPool, PageGuard, PageKey, PoolStats};
 pub use router::{Router, PARTITION_FILE, PARTITION_MAGIC};
 pub use shard::{shard_dir_name, ShardedSnapshot, ShardedStore, MANIFEST_FILE};

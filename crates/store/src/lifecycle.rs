@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
-use crate::pagefmt;
+use crate::page;
 
 /// Which retained versions GC may drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,13 +316,13 @@ pub(crate) fn load_pins(dir: &Path) -> Result<HashMap<u64, usize>, StoreError> {
 }
 
 /// Durably rewrites `dir`'s pin table from `registry`'s current state
-/// (atomic temp-then-rename; see [`pagefmt::write_file_atomic`]).
+/// (atomic temp-then-rename; see [`page::write_file_atomic`]).
 ///
 /// # Errors
 ///
 /// Any underlying I/O error.
 pub(crate) fn persist_pins(dir: &Path, registry: &VersionRegistry) -> Result<(), StoreError> {
-    pagefmt::write_file_atomic(&dir.join(PINS_FILE), &encode_pins(&registry.dump()))
+    page::write_file_atomic(&dir.join(PINS_FILE), &encode_pins(&registry.dump()))
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub fn install_cpam_bridge() {
 }
 
 /// Process-global page-codec counters (pages and bytes through
-/// [`crate::pagefmt`] encode/decode). Global rather than per-store:
+/// [`crate::page`] encode/decode). Global rather than per-store:
 /// the codec layer has no store handle in scope.
 pub(crate) struct PageCounters {
     pub pages_written: Arc<Counter>,

@@ -65,22 +65,25 @@ pub struct StoreOptions {
     /// flushed to the OS only: they survive a process crash but not a
     /// machine crash.
     pub fsync_commits: bool,
-    /// `Some(n)`: saves write the *paged* snapshot format and opens are
-    /// lazy — `O(structure)` I/O up front, leaf pages streamed through
-    /// an `n`-page [`crate::BufferPool`] on first access, resident
-    /// cache bytes bounded by the budget (out-of-core operation).
-    /// `None` (default): the classic fully-resident format and
-    /// behavior, bit for bit.
+    /// The *read policy* for a shard's page files — never what a
+    /// checkpoint writes, which is the same bytes either way. `Some(n)`:
+    /// opens are lazy — `O(structure)` I/O up front for the full
+    /// snapshot and every incremental link, leaf records streamed
+    /// through the shard's `n`-page [`crate::BufferPool`] on first
+    /// access, resident cache bytes bounded by the budget (out-of-core
+    /// operation). `None` (default): opens are eager — every leaf
+    /// record read, CRC-verified and adopted resident.
     ///
     /// `Default::default()` seeds this from the `PAC_POOL_PAGES`
     /// environment variable when set to a positive integer — CI runs
-    /// the store suite under `PAC_POOL_PAGES=8` to put forced-eviction
-    /// paging behind every test that doesn't pin a format explicitly.
+    /// the store suite under `PAC_POOL_PAGES` 8 and 64 to put
+    /// forced-eviction paging behind every test that doesn't pin a
+    /// policy explicitly.
     pub pool_pages: Option<usize>,
 }
 
-/// `PAC_POOL_PAGES` as a pool budget: a positive integer enables the
-/// paged format with that many pages; unset/invalid/zero means `None`.
+/// `PAC_POOL_PAGES` as a pool budget: a positive integer selects lazy
+/// reads through that many pages; unset/invalid/zero means `None`.
 fn pool_pages_from_env() -> Option<usize> {
     std::env::var("PAC_POOL_PAGES").ok()?.trim().parse().ok().filter(|&n: &usize| n > 0)
 }
@@ -97,15 +100,10 @@ impl Default for StoreOptions {
     }
 }
 
-/// File name of the snapshot page inside a shard directory.
+/// File name of the full snapshot page inside a shard directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.pac";
-/// File name of the *paged* snapshot inside a shard directory, written
-/// instead of [`SNAPSHOT_FILE`] when [`StoreOptions::pool_pages`] is
-/// set. Opens prefer it when present (newest version wins if both
-/// formats survive a crashed save).
-pub const PAGED_FILE: &str = "snapshot.pgf";
 /// Incremental chains longer than this are collapsed into a full page
-/// by [`ShardedStore::compact`]: each link costs a decode pass at `open`,
+/// by [`ShardedStore::compact`]: each link costs a read pass at `open`,
 /// and past this depth the cumulative incremental bytes approach a
 /// full page anyway.
 pub(crate) const MAX_INCR_CHAIN: usize = 16;

@@ -1,0 +1,1165 @@
+//! The page file: the one on-disk image of a PaC-tree (DESIGN.md §5
+//! has the byte-level specification).
+//!
+//! A page file is a CRC-checked *metadata section* — what the tree is,
+//! and its shape as a tagged pre-order stream — followed by the tree's
+//! leaves as unpadded *records*, each the leaf's *already-encoded*
+//! block copied verbatim through [`codecs::BlockIo`]:
+//!
+//! ```text
+//! magic        8 bytes   b"PACPAGE1"
+//! meta length  8 bytes   LE, byte length of the metadata that follows
+//! metadata:
+//!   codec id     1 byte    BlockIo::CODEC_ID (raw = 0, delta = 1, gamma = 2)
+//!   schema       4 bytes   LE entry-type fingerprint (schema_id)
+//!   block size   varint    the tree's B parameter
+//!   base         varint    0 for a full snapshot, else 1 + the version of
+//!                          the snapshot this page is a diff against
+//!   version      varint    store version this page captures
+//!   count        varint    entries in the resulting tree
+//!   structure    ...       tagged pre-order node stream, to the end
+//! meta crc     4 bytes   LE, over everything above
+//! records      ...       leaf records back to back, in stream order
+//! ```
+//!
+//! Structure tags: `0` = empty subtree; `1` = regular node + its pivot
+//! entry ([`codecs::ByteEncode`]); `2` = leaf: entry count (varint), the
+//! byte length of its record (varint) and the record's CRC-32 (4 bytes
+//! LE); `3` = a subtree shared with the base: its pre-order index among
+//! the base tree's non-empty nodes (varint). Pre-order with explicit
+//! empties is self-delimiting; record `i` starts where the lengths of
+//! the records before it sum to, so there is no offset table and no
+//! padding, and the last record must end exactly at the end of the file.
+//!
+//! A *full snapshot* is the file with no base and no tag `3`; an
+//! *incremental* page is the same writer driven by the walk against the
+//! previous checkpoint's pinned root (see
+//! [`cpam::PacMap::visit_nodes`]), and both are read by the same
+//! reader. How the records are read is a *policy*, not a format
+//! ([`crate::StoreOptions::pool_pages`]): eagerly — every record read,
+//! CRC-verified and adopted as a resident leaf, the decoded tree's
+//! [`cpam::SpaceStats`] identical to the encoded one's — or lazily —
+//! `O(structure)` I/O at open, leaves materialized through a
+//! [`BufferPool`] when a query first crosses them.
+//!
+//! Integrity: the metadata CRC is verified before any field is parsed,
+//! every offset, length and index taken from the file goes through
+//! checked arithmetic and a bound against the file length, and a
+//! record's CRC is verified when the record is read (lazily: on its
+//! first load) — so truncations, bit flips and hostile lengths surface
+//! as typed [`StoreError`]s, never as panics or silently wrong data.
+
+use std::fs::File;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use codecs::{bytecode, BlockIo, ByteEncode, Codec};
+use cpam::structure::{BuildError, NodeOwned, NodeRef};
+use cpam::{Augmentation, BlockSource, Element, PacMap, PacSet, ScalarKey};
+
+use crate::checksum::{crc32, schema_id};
+use crate::error::StoreError;
+use crate::mvcc::SNAPSHOT_FILE;
+use crate::pool::BufferPool;
+
+/// Identifies a page file.
+pub const PAGE_MAGIC: [u8; 8] = *b"PACPAGE1";
+
+/// Magic plus metadata length.
+const HEAD_LEN: usize = 16;
+
+const TAG_EMPTY: u8 = 0;
+const TAG_REGULAR: u8 = 1;
+const TAG_LEAF: u8 = 2;
+const TAG_SHARED: u8 = 3;
+
+/// Earlier builds wrote three formats, none of which this build reads:
+/// `PACSNP02` full and `PACINC01` incremental pages under the names
+/// still in use, which now fail the magic check, and `PACPGF01` paged
+/// snapshots under this name, refused by name.
+const LEGACY_PAGED_FILE: &str = "snapshot.pgf";
+
+/// A collection that can be written to and read from a page file:
+/// implemented for [`PacMap`] and [`PacSet`] whose entries are
+/// byte-encodable and whose codec supports [`BlockIo`].
+pub trait DiskTree: Clone + Sized + Send + Sync + 'static {
+    /// What the tree stores; its fingerprint goes in the metadata so
+    /// mistyped loads fail with a typed error.
+    type Entry: Element + ByteEncode;
+    /// The leaf codec; its id goes in the metadata likewise.
+    type Codec: BlockIo<Self::Entry>;
+
+    /// The tree's block size parameter.
+    fn disk_block_size(&self) -> usize;
+    /// Number of entries.
+    fn disk_len(&self) -> usize;
+    /// Pre-order walk, against `base` when given (`visit_nodes`).
+    fn visit(
+        &self,
+        base: Option<&Self>,
+        f: &mut impl FnMut(NodeRef<'_, Self::Entry, BlockOf<Self>>),
+    );
+    /// Rebuilds a tree from a pre-order stream (`from_node_stream`).
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError`] when `next` fails or the stream is structurally
+    /// invalid.
+    fn build(
+        b: usize,
+        base: Option<&Self>,
+        src: Option<Arc<dyn BlockSource<BlockOf<Self>>>>,
+        next: &mut impl FnMut() -> Result<NodeOf<Self>, StoreError>,
+    ) -> Result<Self, BuildError<StoreError>>;
+}
+
+/// The encoded leaf block type of a [`DiskTree`].
+pub type BlockOf<T> = <<T as DiskTree>::Codec as Codec<<T as DiskTree>::Entry>>::Block;
+
+/// One owned stream node of a [`DiskTree`].
+type NodeOf<T> = NodeOwned<<T as DiskTree>::Entry, BlockOf<T>>;
+
+impl<K, V, A, C> DiskTree for PacMap<K, V, A, C>
+where
+    K: ScalarKey + ByteEncode,
+    V: Element + ByteEncode,
+    A: Augmentation<(K, V)>,
+    C: BlockIo<(K, V)>,
+{
+    type Entry = (K, V);
+    type Codec = C;
+
+    fn disk_block_size(&self) -> usize {
+        self.block_size()
+    }
+
+    fn disk_len(&self) -> usize {
+        self.len()
+    }
+
+    fn visit(&self, base: Option<&Self>, f: &mut impl FnMut(NodeRef<'_, (K, V), C::Block>)) {
+        self.visit_nodes(base, f);
+    }
+
+    fn build(
+        b: usize,
+        base: Option<&Self>,
+        src: Option<Arc<dyn BlockSource<C::Block>>>,
+        next: &mut impl FnMut() -> Result<NodeOwned<(K, V), C::Block>, StoreError>,
+    ) -> Result<Self, BuildError<StoreError>> {
+        Self::from_node_stream(b, base, src, next)
+    }
+}
+
+impl<K, A, C> DiskTree for PacSet<K, A, C>
+where
+    K: ScalarKey + ByteEncode,
+    A: Augmentation<K>,
+    C: BlockIo<K>,
+{
+    type Entry = K;
+    type Codec = C;
+
+    fn disk_block_size(&self) -> usize {
+        self.block_size()
+    }
+
+    fn disk_len(&self) -> usize {
+        self.len()
+    }
+
+    fn visit(&self, base: Option<&Self>, f: &mut impl FnMut(NodeRef<'_, K, C::Block>)) {
+        self.visit_nodes(base, f);
+    }
+
+    fn build(
+        b: usize,
+        base: Option<&Self>,
+        src: Option<Arc<dyn BlockSource<C::Block>>>,
+        next: &mut impl FnMut() -> Result<NodeOwned<K, C::Block>, StoreError>,
+    ) -> Result<Self, BuildError<StoreError>> {
+        Self::from_node_stream(b, base, src, next)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
+
+/// Encodes `tree` (captured at `version`) into a complete page image:
+/// a full snapshot, or — given `base`, the tree persisted at the paired
+/// version — the diff against it.
+///
+/// A diff is sound only if `base` is the *pinned* checkpoint root
+/// `tree` evolved from (see [`cpam::PacMap::visit_nodes`] for why the
+/// pin makes pointer identity a valid sharing witness).
+pub(crate) fn encode_page<T: DiskTree>(tree: &T, base: Option<(&T, u64)>, version: u64) -> Vec<u8> {
+    let mut meta = vec![<T::Codec as BlockIo<T::Entry>>::CODEC_ID];
+    meta.extend_from_slice(&schema_id::<T::Entry>().to_le_bytes());
+    bytecode::write_varint(tree.disk_block_size() as u64, &mut meta);
+    bytecode::write_varint(base.map_or(0, |(_, v)| v + 1), &mut meta);
+    bytecode::write_varint(version, &mut meta);
+    bytecode::write_varint(tree.disk_len() as u64, &mut meta);
+    let mut records = Vec::new();
+    tree.visit(base.map(|(base, _)| base), &mut |node| match node {
+        NodeRef::Empty => meta.push(TAG_EMPTY),
+        NodeRef::Regular(entry) => {
+            meta.push(TAG_REGULAR);
+            entry.write(&mut meta);
+        }
+        NodeRef::Flat(block) => {
+            let start = records.len();
+            T::Codec::write_block(block, &mut records);
+            meta.push(TAG_LEAF);
+            bytecode::write_varint(T::Codec::len(block) as u64, &mut meta);
+            bytecode::write_varint((records.len() - start) as u64, &mut meta);
+            meta.extend_from_slice(&crc32(&records[start..]).to_le_bytes());
+        }
+        NodeRef::Shared(index) => {
+            meta.push(TAG_SHARED);
+            bytecode::write_varint(index, &mut meta);
+        }
+    });
+
+    let mut page = Vec::with_capacity(HEAD_LEN + meta.len() + 4 + records.len());
+    page.extend_from_slice(&PAGE_MAGIC);
+    page.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+    page.extend_from_slice(&meta);
+    let crc = crc32(&page);
+    page.extend_from_slice(&crc.to_le_bytes());
+    page.extend_from_slice(&records);
+    let pc = crate::metrics::page_counters();
+    pc.pages_written.inc();
+    pc.page_bytes_written.add(page.len() as u64);
+    page
+}
+
+/// Encodes `tree` (captured at `version`) into a full-snapshot page
+/// image — what a store writes as its `snapshot.pac`.
+pub fn encode_snapshot<T: DiskTree>(tree: &T, version: u64) -> Vec<u8> {
+    encode_page(tree, None, version)
+}
+
+// ---------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------
+
+fn take<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+    what: &'static str,
+) -> Result<&'a [u8], StoreError> {
+    let end = pos.checked_add(n).filter(|&end| end <= buf.len());
+    let end = end.ok_or(StoreError::Truncated(what))?;
+    let out = &buf[*pos..end];
+    *pos = end;
+    Ok(out)
+}
+
+fn take_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, StoreError> {
+    let bytes = take(buf, pos, 4, what)?;
+    Ok(u32::from_le_bytes(
+        bytes.try_into().expect("take returned 4 bytes"),
+    ))
+}
+
+fn take_varint(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, StoreError> {
+    bytecode::try_read_varint(buf, pos).ok_or(StoreError::Truncated(what))
+}
+
+/// What a page's metadata says about it besides the tree.
+#[derive(Clone, Copy)]
+pub(crate) struct PageHead {
+    /// The version of the snapshot the page diffs against, if any.
+    pub base: Option<u64>,
+    /// The store version the page captures.
+    pub version: u64,
+}
+
+/// The metadata section of a page, CRC-verified and parsed up to the
+/// structure stream.
+struct Meta<'a> {
+    b: usize,
+    head: PageHead,
+    count: u64,
+    structure: &'a [u8],
+    /// File offset of the first leaf record.
+    data_off: u64,
+}
+
+/// Where a page's leaf records start, from the first [`HEAD_LEN`]
+/// bytes of its file: all a lazy open needs to size its one read.
+fn records_start(head: &[u8]) -> Result<usize, StoreError> {
+    let mut pos = 0;
+    if take(head, &mut pos, PAGE_MAGIC.len(), "page head")? != PAGE_MAGIC {
+        return Err(StoreError::BadMagic);
+    }
+    let len = take(head, &mut pos, 8, "page head")?;
+    let len = u64::from_le_bytes(len.try_into().expect("take returned 8 bytes"));
+    usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_add(HEAD_LEN + 4))
+        .ok_or_else(|| StoreError::Corrupt("metadata length overflows".into()))
+}
+
+/// Verifies and parses the metadata section at the front of `bytes` (a
+/// whole page image, or at least its first [`records_start`] bytes).
+fn parse_meta<T: DiskTree>(bytes: &[u8]) -> Result<Meta<'_>, StoreError> {
+    let end = records_start(bytes)?;
+    let section = bytes
+        .get(..end)
+        .ok_or(StoreError::Truncated("page metadata"))?;
+    let (body, crc) = section.split_at(end - 4);
+    let stored = u32::from_le_bytes(crc.try_into().expect("split off 4 bytes"));
+    let computed = crc32(body);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch { stored, computed });
+    }
+
+    let mut pos = HEAD_LEN;
+    let found = take(body, &mut pos, 1, "codec id")?[0];
+    let expected = <T::Codec as BlockIo<T::Entry>>::CODEC_ID;
+    if found != expected {
+        let expected_name = <T::Codec as BlockIo<T::Entry>>::CODEC_NAME;
+        return Err(StoreError::CodecMismatch {
+            found,
+            expected,
+            expected_name,
+        });
+    }
+    let found = take_u32(body, &mut pos, "schema")?;
+    let expected = schema_id::<T::Entry>();
+    if found != expected {
+        return Err(StoreError::SchemaMismatch { found, expected });
+    }
+    // A leaf holds up to 2B entries, counted in a `u32`.
+    let b = take_varint(body, &mut pos, "block size")?;
+    if !(1..=u64::from(u32::MAX / 2)).contains(&b) {
+        return Err(StoreError::Corrupt(format!("block size {b} out of range")));
+    }
+    Ok(Meta {
+        b: b as usize,
+        head: PageHead {
+            base: take_varint(body, &mut pos, "base version")?.checked_sub(1),
+            version: take_varint(body, &mut pos, "version")?,
+        },
+        count: take_varint(body, &mut pos, "entry count")?,
+        structure: &body[pos..],
+        data_off: end as u64,
+    })
+}
+
+/// Where one leaf record lives in its file, and what its structure tag
+/// promised about it.
+struct Record {
+    off: u64,
+    len: usize,
+    crc: u32,
+    entries: u64,
+    /// "CRC verified" latch for lazy loads: a record is checked on its
+    /// first load only; re-loads after eviction trust the kernel page
+    /// cache / disk to return what was already verified.
+    verified: AtomicBool,
+}
+
+/// Decodes the leaf record `bytes` against its tag.
+fn decode_record<T: DiskTree>(
+    bytes: &[u8],
+    rec: &Record,
+    verify_crc: bool,
+) -> Result<BlockOf<T>, StoreError> {
+    if verify_crc {
+        let computed = crc32(bytes);
+        if computed != rec.crc {
+            return Err(StoreError::ChecksumMismatch {
+                stored: rec.crc,
+                computed,
+            });
+        }
+    }
+    let mut pos = 0;
+    let block = T::Codec::read_block(bytes, &mut pos)?;
+    if pos != bytes.len() || T::Codec::len(&block) as u64 != rec.entries {
+        return Err(StoreError::Corrupt(
+            "leaf record disagrees with its structure tag".into(),
+        ));
+    }
+    Ok(block)
+}
+
+/// Parses the structure stream into owned nodes, locating every leaf
+/// record by prefix sum. With the whole page `image` in memory (the
+/// eager policy) each record is verified and decoded into a resident
+/// leaf; without it, leaves become lazy references into the returned
+/// record table. Either way the records must tile the file exactly:
+/// `file_len` is where the last one has to end.
+fn parse_structure<T: DiskTree>(
+    meta: &Meta<'_>,
+    file_len: u64,
+    image: Option<&[u8]>,
+) -> Result<(Vec<NodeOf<T>>, Vec<Record>), StoreError> {
+    let (mut nodes, mut records) = (Vec::new(), Vec::new());
+    let stream = meta.structure;
+    let (mut pos, mut off) = (0, meta.data_off);
+    while let Some(&tag) = stream.get(pos) {
+        pos += 1;
+        nodes.push(match tag {
+            TAG_EMPTY => NodeOwned::Empty,
+            TAG_REGULAR => NodeOwned::Regular(
+                T::Entry::try_read(stream, &mut pos).ok_or(StoreError::Truncated("pivot entry"))?,
+            ),
+            TAG_SHARED => NodeOwned::Shared(take_varint(stream, &mut pos, "shared subtree index")?),
+            TAG_LEAF => {
+                let entries = take_varint(stream, &mut pos, "leaf entry count")?;
+                let len = take_varint(stream, &mut pos, "leaf record length")?;
+                let crc = take_u32(stream, &mut pos, "leaf record crc")?;
+                let end = off.checked_add(len).filter(|&end| end <= file_len);
+                let (end, len) = end
+                    .zip(usize::try_from(len).ok())
+                    .ok_or(StoreError::Truncated("leaf record"))?;
+                let rec = Record {
+                    off,
+                    len,
+                    crc,
+                    entries,
+                    verified: false.into(),
+                };
+                off = end;
+                match image {
+                    Some(image) => {
+                        let bytes = &image[rec.off as usize..end as usize];
+                        NodeOwned::Flat(decode_record::<T>(bytes, &rec, true)?)
+                    }
+                    None => {
+                        let too_big = |_| StoreError::Corrupt("leaf reference out of range".into());
+                        let page = u32::try_from(records.len()).map_err(too_big)?;
+                        let len = u32::try_from(entries).map_err(too_big)?;
+                        records.push(rec);
+                        NodeOwned::Lazy { page, len }
+                    }
+                }
+            }
+            other => return Err(StoreError::Corrupt(format!("unknown node tag {other}"))),
+        });
+    }
+    if off != file_len {
+        return Err(StoreError::Corrupt(
+            "bytes past the last leaf record".into(),
+        ));
+    }
+    Ok((nodes, records))
+}
+
+/// Builds the tree a parsed page describes and checks it against the
+/// metadata. `base` must be given exactly when the page names one.
+fn build_tree<T: DiskTree>(
+    meta: &Meta<'_>,
+    nodes: Vec<NodeOf<T>>,
+    base: Option<&T>,
+    src: Option<Arc<dyn BlockSource<BlockOf<T>>>>,
+) -> Result<T, StoreError> {
+    if meta.head.base.is_some() != base.is_some() {
+        return Err(StoreError::Corrupt(
+            "an incremental page needs its base, a full snapshot takes none".into(),
+        ));
+    }
+    if base.is_some_and(|base| base.disk_block_size() != meta.b) {
+        return Err(StoreError::Corrupt(
+            "page block size differs from its base's".into(),
+        ));
+    }
+    let mut nodes = nodes.into_iter();
+    let mut next = || {
+        nodes
+            .next()
+            .ok_or(StoreError::Truncated("structure stream"))
+    };
+    let tree = T::build(meta.b, base, src, &mut next).map_err(|e| match e {
+        BuildError::Source(e) => e,
+        BuildError::Invalid(what) => StoreError::Corrupt(what.into()),
+    })?;
+    if nodes.next().is_some() {
+        return Err(StoreError::Corrupt(
+            "nodes after the end of the tree".into(),
+        ));
+    }
+    if tree.disk_len() as u64 != meta.count {
+        return Err(StoreError::Corrupt(format!(
+            "entry count mismatch: metadata {}, tree {}",
+            meta.count,
+            tree.disk_len()
+        )));
+    }
+    Ok(tree)
+}
+
+/// Decodes a whole page image eagerly, against `base` if it is a diff.
+fn decode_page<T: DiskTree>(bytes: &[u8], base: Option<&T>) -> Result<(T, PageHead), StoreError> {
+    let meta = parse_meta::<T>(bytes)?;
+    let (nodes, _) = parse_structure::<T>(&meta, bytes.len() as u64, Some(bytes))?;
+    let tree = build_tree(&meta, nodes, base, None)?;
+    let pc = crate::metrics::page_counters();
+    pc.pages_read.inc();
+    pc.page_bytes_read.add(bytes.len() as u64);
+    Ok((tree, meta.head))
+}
+
+/// Decodes a full-snapshot page image produced by [`encode_snapshot`],
+/// returning the tree and the version it captured.
+///
+/// # Errors
+///
+/// Typed [`StoreError`]s: [`StoreError::BadMagic`] for foreign files,
+/// [`StoreError::ChecksumMismatch`] for bit-flipped metadata or leaf
+/// records (verified before they are parsed),
+/// [`StoreError::CodecMismatch`] / [`StoreError::SchemaMismatch`] when
+/// `T`'s codec or entry types differ from the ones the page was written
+/// with, and [`StoreError::Truncated`] / [`StoreError::Corrupt`] for
+/// images that are cut short or structurally impossible.
+pub fn decode_snapshot<T: DiskTree>(bytes: &[u8]) -> Result<(T, u64), StoreError> {
+    let (tree, head) = decode_page(bytes, None)?;
+    Ok((tree, head.version))
+}
+
+/// Positioned exact read; positional I/O keeps the handle shareable
+/// across concurrent record loads without a seek lock.
+#[cfg(unix)]
+fn pread(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, off)
+}
+
+#[cfg(not(unix))]
+fn pread(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut f = file;
+    f.seek(SeekFrom::Start(off))?;
+    f.read_exact(buf)
+}
+
+/// The [`BlockSource`] behind a lazily opened page file: reads leaf
+/// records through a [`BufferPool`]. Lazy leaves hold it behind an
+/// `Arc`, so the source (and its file handle) lives exactly as long as
+/// any tree still references the file.
+struct PageSource<T: DiskTree> {
+    file: File,
+    path: PathBuf,
+    /// This file's half of its [`crate::pool::PageKey`]s.
+    file_id: u32,
+    pool: Arc<BufferPool<BlockOf<T>>>,
+    records: Vec<Record>,
+}
+
+impl<T: DiskTree> PageSource<T> {
+    /// Reads, verifies (first load only) and decodes record `page`.
+    fn fetch(&self, page: u32) -> Result<(Arc<BlockOf<T>>, usize), StoreError> {
+        let rec = &self.records[page as usize];
+        let mut bytes = vec![0u8; rec.len];
+        pread(&self.file, &mut bytes, rec.off)?;
+        let block = decode_record::<T>(&bytes, rec, !rec.verified.load(Ordering::Acquire))?;
+        rec.verified.store(true, Ordering::Release);
+        crate::metrics::page_counters()
+            .page_bytes_read
+            .add(rec.len as u64);
+        let heap = T::Codec::heap_bytes(&block) + std::mem::size_of::<BlockOf<T>>();
+        Ok((Arc::new(block), heap))
+    }
+}
+
+impl<T: DiskTree> BlockSource<BlockOf<T>> for PageSource<T> {
+    fn load(&self, page: u32) -> Arc<BlockOf<T>> {
+        match self.pool.get((self.file_id, page), || self.fetch(page)) {
+            Ok(guard) => guard.share(),
+            // `BlockSource::load` is infallible by contract: queries
+            // have no error channel. A record that was in bounds at
+            // open and fails now is an environment failure, not a
+            // caller error — surface the typed error's message.
+            Err(e) => panic!(
+                "page file {}: leaf record {page} unreadable: {e}",
+                self.path.display()
+            ),
+        }
+    }
+}
+
+/// Reads the page file at `path` under the read policy `pool` selects,
+/// against `base` if it is a diff.
+///
+/// With `pool: None` the read is *eager*: the file is read once and
+/// every record verified and adopted as a resident leaf. With a pool it
+/// is *lazy*: `O(structure)` I/O now (the metadata section only), leaf
+/// records streamed through the pool on first access, resident cache
+/// bytes bounded by the pool budget.
+///
+/// # Errors
+///
+/// I/O errors plus every [`decode_snapshot`] error; under the lazy
+/// policy a damaged leaf record surfaces at its first load instead.
+pub(crate) fn read_page_file<T: DiskTree>(
+    path: &Path,
+    base: Option<&T>,
+    pool: Option<&Arc<BufferPool<BlockOf<T>>>>,
+) -> Result<(T, PageHead), StoreError> {
+    let Some(pool) = pool else {
+        return decode_page(&std::fs::read(path)?, base);
+    };
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    // Whatever the head claims, read no further than the file goes: the
+    // parsers say what is missing.
+    let prefix = |want: usize| -> std::io::Result<Vec<u8>> {
+        let mut bytes = vec![0u8; file_len.min(want as u64) as usize];
+        pread(&file, &mut bytes, 0)?;
+        Ok(bytes)
+    };
+    let section = prefix(records_start(&prefix(HEAD_LEN)?)?)?;
+    let meta = parse_meta::<T>(&section)?;
+    let (nodes, records) = parse_structure::<T>(&meta, file_len, None)?;
+    let source = PageSource::<T> {
+        file,
+        path: path.to_path_buf(),
+        file_id: pool.new_file_id(),
+        pool: Arc::clone(pool),
+        records,
+    };
+    let tree = build_tree(&meta, nodes, base, Some(Arc::new(source)))?;
+    let pc = crate::metrics::page_counters();
+    pc.pages_read.inc();
+    pc.page_bytes_read.add(section.len() as u64);
+    Ok((tree, meta.head))
+}
+
+// ---------------------------------------------------------------------
+// Files and chains
+// ---------------------------------------------------------------------
+
+/// Writes `bytes` to `path` atomically and durably: temp file, `fsync`,
+/// rename, then `fsync` of the containing directory — so after this
+/// returns, a machine crash leaves either the old file or the new one,
+/// never a torn or vanished file. Used for page files, the partition
+/// map, rewritten logs and the pin table.
+///
+/// # Errors
+///
+/// Any underlying I/O error.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut file = File::create(&tmp)?;
+        std::io::Write::write_all(&mut file, bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        // Persist the rename itself (directory entry update).
+        fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// `fsync`s a directory, persisting entry creations, renames, and
+/// removals inside it. Every mutation of the store directory's name
+/// space (atomic page renames, incremental cleanup, log creation) must
+/// be followed by one of these before the change is acknowledged, or a
+/// crash can resurrect removed files / vanish created ones.
+///
+/// # Errors
+///
+/// Any underlying I/O error.
+pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// The file name an incremental page captured at `version` is stored
+/// under (zero-padded so lexical order is version order).
+pub fn incr_file_name(version: u64) -> String {
+    format!("incr-{version:020}.pac")
+}
+
+/// Parses a file name produced by [`incr_file_name`].
+fn parse_incr_file_name(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("incr-")?.strip_suffix(".pac")?;
+    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// Lists the incremental pages in `dir`, sorted by captured version.
+///
+/// # Errors
+///
+/// Any underlying I/O error while reading the directory.
+pub(crate) fn list_incr_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(v) = entry.file_name().to_str().and_then(parse_incr_file_name) {
+            out.push((v, entry.path()));
+        }
+    }
+    out.sort_unstable_by_key(|&(v, _)| v);
+    Ok(out)
+}
+
+/// Deletes every incremental page in `dir` — called after a full
+/// snapshot supersedes the chain. Ignores missing files (idempotent).
+/// The directory is `fsync`ed after the removals, so a crash cannot
+/// resurrect a superseded chain the caller already acknowledged as
+/// cleaned up (the load path *also* skips stale incrementals, but the
+/// durable removal keeps the two defenses independent).
+///
+/// # Errors
+///
+/// Any underlying I/O error other than the files already being gone.
+pub(crate) fn remove_incr_files(dir: &Path) -> Result<(), StoreError> {
+    let mut removed = false;
+    for (_, path) in list_incr_files(dir)? {
+        match std::fs::remove_file(&path) {
+            Ok(()) => removed = true,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    if removed {
+        fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// The page-file names of earlier builds' layouts found in `dir`, if
+/// any: what `open` refuses as [`StoreError::LegacyLayout`] when it
+/// sits where this build would otherwise start an empty store. (An old
+/// page under a name this build still uses fails its magic check.)
+pub(crate) fn legacy_page_file(dir: &Path) -> Option<&'static str> {
+    dir.join(LEGACY_PAGED_FILE)
+        .exists()
+        .then_some(LEGACY_PAGED_FILE)
+}
+
+/// Loads a shard directory's page chain: the full snapshot, then every
+/// newer incremental page chained onto it in version order, every file
+/// read under the policy `pool` selects (lazy links page through the
+/// same pool as their base). Returns `None` when `dir` has no full
+/// snapshot (and, as a consistency check, no incrementals either);
+/// otherwise the chained tree, the version it reaches, and the number
+/// of incrementals applied.
+///
+/// Incrementals at or below the full snapshot's version are *stale* —
+/// superseded by a later full save whose cleanup did not complete — and
+/// are skipped. An incremental whose recorded base version is not the
+/// version the chain has reached means a link was deleted, one whose
+/// recorded version is not the one in its file name that it was renamed
+/// or misplaced: typed [`StoreError::Corrupt`], never a silently
+/// shortened or re-labelled history.
+///
+/// # Errors
+///
+/// [`StoreError::LegacyLayout`] for a directory holding an earlier
+/// build's paged snapshot; I/O errors; every [`read_page_file`] error;
+/// [`StoreError::Corrupt`] for a broken chain.
+pub(crate) fn load_chain<T: DiskTree>(
+    dir: &Path,
+    pool: Option<&Arc<BufferPool<BlockOf<T>>>>,
+) -> Result<Option<(T, u64, usize)>, StoreError> {
+    if let Some(found) = legacy_page_file(dir) {
+        return Err(StoreError::LegacyLayout(format!(
+            "{} holds {found}, the paged snapshot of an earlier build, which this build does \
+             not read (a shard's pages are {SNAPSHOT_FILE} plus incr-<version>.pac)",
+            dir.display()
+        )));
+    }
+    let links = list_incr_files(dir)?;
+    let full = dir.join(SNAPSHOT_FILE);
+    if !full.exists() {
+        if !links.is_empty() {
+            return Err(StoreError::Corrupt(
+                "incremental pages present without a base snapshot".into(),
+            ));
+        }
+        return Ok(None);
+    }
+    let (mut tree, head) = read_page_file::<T>(&full, None, pool)?;
+    let mut version = head.version;
+    let mut applied = 0;
+    for (named, path) in links {
+        if named <= version {
+            continue;
+        }
+        let (next, head) = read_page_file(&path, Some(&tree), pool)?;
+        if head.base != Some(version) {
+            return Err(StoreError::Corrupt(format!(
+                "incremental page {} diffs against version {:?}, but the chain reaches \
+                 {version}: a link is missing",
+                path.display(),
+                head.base
+            )));
+        }
+        if head.version != named {
+            return Err(StoreError::Corrupt(format!(
+                "incremental page {} captures version {}, not the one it is named for",
+                path.display(),
+                head.version
+            )));
+        }
+        tree = next;
+        version = named;
+        applied += 1;
+    }
+    Ok(Some((tree, version, applied)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use codecs::{DeltaCodec, RawCodec};
+    use cpam::NoAug;
+    use std::sync::atomic::AtomicU64;
+
+    type DeltaMap = PacMap<u64, u64, NoAug, DeltaCodec>;
+    type RawMap = PacMap<u64, u64, NoAug, RawCodec>;
+
+    /// The two read policies.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Policy {
+        Eager,
+        Lazy,
+    }
+
+    /// Reads the page image `bytes` under `policy`: straight from
+    /// memory when eager, through a scratch file and a 2-page pool when
+    /// lazy (the file outlives the call through the tree's source).
+    fn read<T: DiskTree>(
+        bytes: &[u8],
+        base: Option<&T>,
+        policy: Policy,
+    ) -> Result<(T, PageHead), StoreError> {
+        if policy == Policy::Eager {
+            return decode_page(bytes, base);
+        }
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "pacpage-unit-{}-{}.pac",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let result = read_page_file(&path, base, Some(&BufferPool::new(2)));
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    fn sample<C: BlockIo<(u64, u64)>>(b: usize, n: u64) -> PacMap<u64, u64, NoAug, C> {
+        PacMap::from_sorted_pairs(b, &(0..n).map(|i| (2 * i, i)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn full_page_roundtrips_under_both_policies() {
+        for n in [0u64, 1, 7, 100, 20_000] {
+            let m: DeltaMap = sample(32, n);
+            let page = encode_snapshot(&m, 7);
+            let (back, version): (DeltaMap, u64) = decode_snapshot(&page).expect("decode");
+            assert_eq!(version, 7);
+            assert!(back.iter().eq(m.iter()), "n = {n}");
+            // Blocks were adopted verbatim: identical space accounting.
+            assert_eq!(back.space_stats(), m.space_stats());
+            back.check_invariants().expect("invariants");
+
+            let (lazy, head) = read::<DeltaMap>(&page, None, Policy::Lazy).expect("lazy read");
+            assert_eq!((head.base, head.version), (None, 7));
+            assert_eq!(lazy.space_stats().lazy_nodes, lazy.space_stats().flat_nodes);
+            assert!(lazy.iter().eq(m.iter()), "n = {n}");
+            assert_eq!(lazy.range_entries(&100, &900), m.range_entries(&100, &900));
+            lazy.check_invariants().expect("invariants");
+        }
+    }
+
+    #[test]
+    fn lazy_read_touches_no_record_and_bounds_residency() {
+        let dir = std::env::temp_dir().join(format!("pacpage-unit-lazy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let m: RawMap = sample(8, 20_000);
+        write_file_atomic(&path, &encode_snapshot(&m, 7)).unwrap();
+
+        let pool = BufferPool::new(8);
+        let (lazy, _) = read_page_file::<RawMap>(&path, None, Some(&pool)).unwrap();
+        assert_eq!(lazy.len(), m.len());
+        assert_eq!(pool.stats().misses, 0, "open touched leaf records");
+        // A point query pages in exactly one leaf.
+        assert_eq!(lazy.find(&2000), Some(1000));
+        assert_eq!(pool.stats().misses, 1);
+        // A full scan streams every record but residency stays capped.
+        assert!(lazy.iter().eq(m.iter()));
+        let s = pool.stats();
+        assert!(s.resident_pages <= 8, "resident {} pages", s.resident_pages);
+        assert!(s.evictions > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn incremental_page_roundtrips_and_is_small() {
+        let base: RawMap = sample(32, 20_000);
+        let mut m = base.clone();
+        for k in [1u64, 20_001, 39_999] {
+            m = m.insert(k, 0);
+        }
+        let full = encode_snapshot(&m, 8);
+        let page = encode_page(&m, Some((&base, 7)), 8);
+        assert!(
+            page.len() * 10 < full.len(),
+            "sparse diff page ({}) should be far smaller than the full page ({})",
+            page.len(),
+            full.len()
+        );
+        for policy in [Policy::Eager, Policy::Lazy] {
+            let (back, head) = read(&page, Some(&base), policy).expect("decode");
+            assert_eq!((head.base, head.version), (Some(7), 8), "{policy:?}");
+            assert!(back.iter().eq(m.iter()), "{policy:?}");
+            back.check_invariants().expect("invariants");
+        }
+    }
+
+    /// `Ok` if `result` is one of the typed errors damage may surface
+    /// as; a lazily opened tree is `Err` (damage must not open cleanly
+    /// unless a first load then catches it).
+    fn typed<T>(result: Result<T, StoreError>) -> Result<(), T> {
+        match result {
+            Err(
+                StoreError::Truncated(_)
+                | StoreError::Corrupt(_)
+                | StoreError::BadMagic
+                | StoreError::ChecksumMismatch { .. },
+            ) => Ok(()),
+            Err(other) => panic!("damage surfaced as {other:?}"),
+            Ok(tree) => Err(tree),
+        }
+    }
+
+    /// The one corruption sweep: over {full, incremental} × {eager,
+    /// lazy}, every truncation length and every single-bit flip of a
+    /// small page is a typed error at open — or, for a flip inside a
+    /// leaf record read lazily, caught by the record's CRC at its first
+    /// load, where `BlockSource::load` turns it into a panic carrying
+    /// the typed error's message — never a mis-decode.
+    #[test]
+    fn every_truncation_and_bit_flip_is_caught() {
+        let base: DeltaMap = sample(2, 12);
+        let next = base.insert(7, 7).remove(&20);
+        let pages = [
+            (encode_snapshot(&next, 2), None),
+            (encode_page(&next, Some((&base, 1)), 2), Some(&base)),
+        ];
+        for (page, base) in &pages {
+            for policy in [Policy::Eager, Policy::Lazy] {
+                let (back, _) = read(page, *base, policy).expect("undamaged");
+                assert!(back.iter().eq(next.iter()));
+                for cut in 0..page.len() {
+                    let opened = typed(read::<DeltaMap>(&page[..cut], *base, policy));
+                    assert!(opened.is_ok(), "{policy:?}: a page cut at {cut} opened");
+                }
+                for bit in 0..page.len() * 8 {
+                    let mut flipped = page.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let Err((tree, _)) = typed(read::<DeltaMap>(&flipped, *base, policy)) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        policy,
+                        Policy::Lazy,
+                        "bit {bit}: a damaged page decoded eagerly"
+                    );
+                    let scan = std::panic::AssertUnwindSafe(|| tree.iter().count());
+                    let scan = std::panic::catch_unwind(scan);
+                    let message = *scan
+                        .expect_err("damaged record read")
+                        .downcast::<String>()
+                        .unwrap();
+                    assert!(
+                        message.contains("unreadable: checksum mismatch"),
+                        "bit {bit}: {message}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pages_read_as_the_wrong_thing_are_typed() {
+        let base: DeltaMap = sample(8, 100);
+        let next = base.insert(500, 0);
+        let full = encode_snapshot(&next, 2);
+        let diff = encode_page(&next, Some((&base, 1)), 2);
+        let other_b: DeltaMap = sample(16, 100);
+        for policy in [Policy::Eager, Policy::Lazy] {
+            assert!(matches!(
+                read::<RawMap>(&full, None, policy),
+                Err(StoreError::CodecMismatch {
+                    found: 1,
+                    expected: 0,
+                    ..
+                })
+            ));
+            assert!(matches!(
+                read::<PacMap<u64, u32, NoAug, DeltaCodec>>(&full, None, policy),
+                Err(StoreError::SchemaMismatch { .. })
+            ));
+            assert!(matches!(
+                read::<DeltaMap>(b"definitely not a page file", None, policy),
+                Err(StoreError::BadMagic)
+            ));
+            // A diff needs its base — the right one — and a full
+            // snapshot takes none.
+            for (page, base) in [(&diff, None), (&diff, Some(&other_b)), (&full, Some(&base))] {
+                assert!(matches!(
+                    read(page, base, policy),
+                    Err(StoreError::Corrupt(_))
+                ));
+            }
+        }
+    }
+
+    /// Assembles a page image by hand around `structure` and `records`
+    /// with a valid metadata CRC: what a hostile writer could produce.
+    fn assemble(fields: [u64; 4], structure: &[u8], records: &[u8]) -> Vec<u8> {
+        let mut meta = vec![<RawCodec as BlockIo<(u64, u64)>>::CODEC_ID];
+        meta.extend_from_slice(&schema_id::<(u64, u64)>().to_le_bytes());
+        for field in fields {
+            bytecode::write_varint(field, &mut meta);
+        }
+        meta.extend_from_slice(structure);
+        let mut page = PAGE_MAGIC.to_vec();
+        page.extend_from_slice(&(meta.len() as u64).to_le_bytes());
+        page.extend_from_slice(&meta);
+        let crc = crc32(&page);
+        page.extend_from_slice(&crc.to_le_bytes());
+        page.extend_from_slice(records);
+        page
+    }
+
+    fn leaf_tag(entries: u64, len: u64, crc: u32) -> Vec<u8> {
+        let mut tag = vec![TAG_LEAF];
+        bytecode::write_varint(entries, &mut tag);
+        bytecode::write_varint(len, &mut tag);
+        tag.extend_from_slice(&crc.to_le_bytes());
+        tag
+    }
+
+    /// Every length, count and index a page carries, set to values that
+    /// overflow or point outside the file *under a valid CRC*: typed
+    /// `Truncated`/`Corrupt` under both policies, never a panic or an
+    /// allocation sized by the lie.
+    #[test]
+    fn hostile_geometry_under_a_valid_crc_is_typed() {
+        let one_leaf: RawMap = sample(4, 3);
+        let mut record = Vec::new();
+        one_leaf.visit_nodes(None, &mut |n| {
+            if let NodeRef::Flat(block) = n {
+                RawCodec::write_block(block, &mut record);
+            }
+        });
+        let (len, crc) = (record.len() as u64, crc32(&record));
+        let honest = leaf_tag(3, len, crc);
+        // The hand assembler and the writer agree on the honest page.
+        assert_eq!(
+            assemble([4, 0, 9, 3], &honest, &record),
+            encode_snapshot(&one_leaf, 9)
+        );
+
+        let shared = |index: u64| {
+            let mut tag = vec![TAG_SHARED];
+            bytecode::write_varint(index, &mut tag);
+            tag
+        };
+        let two_leaves = [leaf_tag(3, len, crc), leaf_tag(3, len, crc)].concat();
+        let mut long_meta = assemble([4, 0, 9, 3], &honest, &record);
+        long_meta[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut meta_past_eof = long_meta.clone();
+        meta_past_eof[8..16].copy_from_slice(&(long_meta.len() as u64).to_le_bytes());
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("metadata length overflows", long_meta),
+            ("metadata length past the file", meta_past_eof),
+            ("zero block size", assemble([0, 0, 9, 3], &honest, &record)),
+            (
+                "block size overflows 2b",
+                assemble([u64::MAX, 0, 9, 3], &honest, &record),
+            ),
+            (
+                "entry count lies",
+                assemble([4, 0, 9, u64::MAX], &honest, &record),
+            ),
+            (
+                "base version on a full page",
+                assemble([4, u64::MAX, 9, 3], &honest, &record),
+            ),
+            (
+                "record length overflows",
+                assemble([4, 0, 9, 3], &leaf_tag(3, u64::MAX, crc), &record),
+            ),
+            (
+                "record past the file",
+                assemble([4, 0, 9, 3], &leaf_tag(3, len + 1, crc), &record),
+            ),
+            (
+                "records do not tile the file",
+                assemble([4, 0, 9, 3], &honest, &[&record[..], b"x"].concat()),
+            ),
+            (
+                "leaf entry count lies",
+                assemble([4, 0, 9, 3], &leaf_tag(u64::MAX, len, crc), &record),
+            ),
+            (
+                "leaf larger than 2b",
+                assemble([1, 0, 9, 3], &honest, &record),
+            ),
+            (
+                "a record too many",
+                assemble(
+                    [4, 0, 9, 3],
+                    &two_leaves,
+                    &[&record[..], &record[..]].concat(),
+                ),
+            ),
+            (
+                "shared index with no base",
+                assemble([4, 0, 9, 3], &shared(u64::MAX), &[]),
+            ),
+            ("no structure at all", assemble([4, 0, 9, 0], &[], &[])),
+            (
+                "pivot entry cut short",
+                assemble([4, 0, 9, 1], &[TAG_REGULAR, 0x80], &[]),
+            ),
+            ("unknown tag", assemble([4, 0, 9, 3], &[9], &[])),
+        ];
+        for policy in [Policy::Eager, Policy::Lazy] {
+            for (what, page) in &hostile {
+                let err = read::<RawMap>(page, None, policy).err();
+                assert!(
+                    matches!(err, Some(StoreError::Truncated(_) | StoreError::Corrupt(_))),
+                    "{policy:?}, {what}: {err:?}"
+                );
+            }
+            // Against a base: an index past it, and one past `usize`.
+            for index in [3, u64::MAX] {
+                let page = assemble([4, 9, 10, 3], &shared(index), &[]);
+                let err = read(&page, Some(&one_leaf), policy).err();
+                assert!(
+                    matches!(err, Some(StoreError::Corrupt(_))),
+                    "{policy:?}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn incr_file_names_roundtrip_in_version_order() {
+        assert_eq!(parse_incr_file_name(&incr_file_name(42)), Some(42));
+        assert_eq!(parse_incr_file_name("incr-x.pac"), None);
+        assert_eq!(parse_incr_file_name("snapshot.pac"), None);
+        assert!(incr_file_name(9) < incr_file_name(10));
+        assert!(incr_file_name(99) < incr_file_name(100));
+    }
+}

@@ -1,8 +1,10 @@
 //! A capped buffer pool of decoded leaf blocks — the residency policy
-//! behind out-of-core paged stores.
+//! behind lazily opened stores.
 //!
 //! A [`BufferPool`] holds up to `capacity` *frames*, each caching one
-//! decoded page (an `Arc<B>` plus its byte accounting). Lookups pin the
+//! decoded page (an `Arc<B>` plus its byte accounting), keyed by
+//! [`PageKey`] so every page file of a shard's chain shares one budget.
+//! Lookups pin the
 //! frame with a [`PageGuard`]; eviction is **clock** (second chance):
 //! every hit sets a referenced bit (admission does not, so one-touch
 //! scans are evicted before re-used pages), the clock hand sweeps
@@ -20,14 +22,18 @@
 //! plain atomics so metric scrapes never contend with the page path.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::StoreError;
 
+/// What a frame caches: `(file id, leaf record index)`. File ids come
+/// from [`BufferPool::new_file_id`], one per opened page file.
+pub type PageKey = (u32, u32);
+
 /// One cached page.
 struct Frame<B> {
-    page: u32,
+    page: PageKey,
     block: Arc<B>,
     /// Accounted heap bytes (payload + block header), fixed at admission.
     bytes: usize,
@@ -42,8 +48,8 @@ struct Frame<B> {
 struct PoolState<B> {
     /// Frame slots; `None` slots are listed in `free`.
     frames: Vec<Option<Frame<B>>>,
-    /// page id -> slot index.
-    table: HashMap<u32, usize>,
+    /// page key -> slot index.
+    table: HashMap<PageKey, usize>,
     /// Recycled empty slots.
     free: Vec<usize>,
     /// Clock hand: next slot the eviction sweep examines.
@@ -76,6 +82,7 @@ pub struct PoolStats {
 pub struct BufferPool<B> {
     capacity: usize,
     state: Mutex<PoolState<B>>,
+    next_file: AtomicU32,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -97,6 +104,7 @@ impl<B> BufferPool<B> {
                 free: Vec::new(),
                 hand: 0,
             }),
+            next_file: AtomicU32::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -111,6 +119,12 @@ impl<B> BufferPool<B> {
         self.capacity
     }
 
+    /// A file id no other file paging through this pool has: the first
+    /// half of that file's [`PageKey`]s.
+    pub fn new_file_id(&self) -> u32 {
+        self.next_file.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Returns `page` pinned, fetching (and possibly evicting) on miss.
     ///
     /// `fetch` produces the decoded block and its accounted byte size;
@@ -122,7 +136,7 @@ impl<B> BufferPool<B> {
     /// Propagates `fetch`'s error; the pool is unchanged on failure.
     pub fn get(
         self: &Arc<Self>,
-        page: u32,
+        page: PageKey,
         fetch: impl FnOnce() -> Result<(Arc<B>, usize), StoreError>,
     ) -> Result<PageGuard<B>, StoreError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -214,7 +228,7 @@ impl<B> BufferPool<B> {
     }
 
     /// True if `page` is currently resident (regardless of pins).
-    pub fn contains(&self, page: u32) -> bool {
+    pub fn contains(&self, page: PageKey) -> bool {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.table.contains_key(&page)
     }
@@ -283,10 +297,10 @@ mod tests {
     fn hit_after_miss_and_stats() {
         let pool = BufferPool::new(4);
         {
-            let g = pool.get(7, fetch(7)).unwrap();
+            let g = pool.get((0, 7), fetch(7)).unwrap();
             assert_eq!(*g, vec![7; 4]);
         }
-        let g = pool.get(7, || panic!("resident page refetched")).unwrap();
+        let g = pool.get((0, 7), || panic!("resident page refetched")).unwrap();
         assert_eq!(*g, vec![7; 4]);
         drop(g);
         let s = pool.stats();
@@ -300,7 +314,7 @@ mod tests {
     fn capacity_bounds_residency() {
         let pool = BufferPool::new(3);
         for p in 0..10 {
-            drop(pool.get(p, fetch(p)).unwrap());
+            drop(pool.get((0, p), fetch(p)).unwrap());
         }
         let s = pool.stats();
         assert_eq!(s.resident_pages, 3);
@@ -312,40 +326,40 @@ mod tests {
     #[test]
     fn second_chance_protects_hot_page() {
         let pool = BufferPool::new(2);
-        drop(pool.get(0, fetch(0)).unwrap());
-        drop(pool.get(1, fetch(1)).unwrap());
+        drop(pool.get((0, 0), fetch(0)).unwrap());
+        drop(pool.get((0, 1), fetch(1)).unwrap());
         // Re-reference page 0, then force an eviction: the sweep gives
         // 0 its second chance and takes 1.
-        drop(pool.get(0, || panic!("page 0 evicted")).unwrap());
-        drop(pool.get(2, fetch(2)).unwrap());
-        assert!(pool.contains(0), "hot page lost its second chance");
-        assert!(!pool.contains(1));
+        drop(pool.get((0, 0), || panic!("page 0 evicted")).unwrap());
+        drop(pool.get((0, 2), fetch(2)).unwrap());
+        assert!(pool.contains((0, 0)), "hot page lost its second chance");
+        assert!(!pool.contains((0, 1)));
     }
 
     #[test]
     fn pinned_pages_survive_pressure() {
         let pool = BufferPool::new(2);
-        let hold = pool.get(0, fetch(0)).unwrap();
+        let hold = pool.get((0, 0), fetch(0)).unwrap();
         for p in 1..6 {
-            drop(pool.get(p, fetch(p)).unwrap());
+            drop(pool.get((0, p), fetch(p)).unwrap());
         }
-        assert!(pool.contains(0), "pinned page evicted");
+        assert!(pool.contains((0, 0)), "pinned page evicted");
         assert_eq!(*hold, vec![0; 4]);
         drop(hold);
         // Unpinned now; further pressure may take it.
         for p in 6..12 {
-            drop(pool.get(p, fetch(p)).unwrap());
+            drop(pool.get((0, p), fetch(p)).unwrap());
         }
-        assert!(!pool.contains(0));
+        assert!(!pool.contains((0, 0)));
         assert!(pool.stats().resident_pages <= 2);
     }
 
     #[test]
     fn all_pinned_overflows_instead_of_deadlocking() {
         let pool = BufferPool::new(2);
-        let a = pool.get(0, fetch(0)).unwrap();
-        let b = pool.get(1, fetch(1)).unwrap();
-        let c = pool.get(2, fetch(2)).unwrap();
+        let a = pool.get((0, 0), fetch(0)).unwrap();
+        let b = pool.get((0, 1), fetch(1)).unwrap();
+        let c = pool.get((0, 2), fetch(2)).unwrap();
         let s = pool.stats();
         assert_eq!(s.resident_pages, 3, "overflow frame admitted");
         assert_eq!(s.pinned_pages, 3);
@@ -353,7 +367,7 @@ mod tests {
         assert_eq!(pool.stats().pinned_pages, 0);
         // The overflow frame is reclaimable once unpinned.
         for p in 3..8 {
-            drop(pool.get(p, fetch(p)).unwrap());
+            drop(pool.get((0, p), fetch(p)).unwrap());
         }
         assert!(pool.stats().resident_pages <= 3);
     }
@@ -361,20 +375,31 @@ mod tests {
     #[test]
     fn fetch_error_leaves_pool_unchanged() {
         let pool = BufferPool::<Vec<u32>>::new(2);
-        let err = pool.get(9, || Err(StoreError::Truncated("page"))).unwrap_err();
+        let err = pool.get((0, 9), || Err(StoreError::Truncated("page"))).unwrap_err();
         assert!(matches!(err, StoreError::Truncated("page")));
         let s = pool.stats();
         assert_eq!(s.resident_pages, 0);
         assert_eq!(s.misses, 1);
-        assert!(!pool.contains(9));
+        assert!(!pool.contains((0, 9)));
+    }
+
+    #[test]
+    fn files_do_not_collide_on_record_indices() {
+        let pool = BufferPool::new(4);
+        let (a, b) = (pool.new_file_id(), pool.new_file_id());
+        assert_ne!(a, b);
+        drop(pool.get((a, 0), fetch(1)).unwrap());
+        // Same record index, other file: a miss, not file a's block.
+        assert_eq!(*pool.get((b, 0), fetch(2)).unwrap(), vec![2; 4]);
+        assert_eq!(*pool.get((a, 0), || panic!("resident page refetched")).unwrap(), vec![1; 4]);
     }
 
     #[test]
     fn share_outlives_eviction() {
         let pool = BufferPool::new(1);
-        let shared = pool.get(0, fetch(0)).unwrap().share();
-        drop(pool.get(1, fetch(1)).unwrap());
-        assert!(!pool.contains(0));
+        let shared = pool.get((0, 0), fetch(0)).unwrap().share();
+        drop(pool.get((0, 1), fetch(1)).unwrap());
+        assert!(!pool.contains((0, 0)));
         assert_eq!(*shared, vec![0; 4], "evicted block stays alive via Arc");
     }
 }

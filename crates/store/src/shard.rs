@@ -67,9 +67,9 @@ use crate::lifecycle::{self, GcStats, LifecycleStats, RetentionPolicy, VersionRe
 use crate::metrics::StoreMetrics;
 use crate::mvcc::{
     apply_ops, Op, StoreKey, StoreOptions, StoreValue, LOCK_FILE, LOG_FILE, MAX_INCR_CHAIN,
-    PAGED_FILE, SNAPSHOT_FILE,
+    SNAPSHOT_FILE,
 };
-use crate::pagefmt;
+use crate::page;
 use crate::router::{Router, PARTITION_FILE};
 use crate::wal;
 
@@ -284,7 +284,7 @@ fn trim_shard_log<K: StoreKey, V: StoreValue>(
     };
     let keep = &bytes[offset_past(covered)..offset_past(published)];
     if keep.len() < bytes.len() {
-        pagefmt::write_file_atomic(path, keep)?;
+        page::write_file_atomic(path, keep)?;
         *log = open_append(path)?;
     }
     Ok((bytes.len() - keep.len()) as u64)
@@ -306,7 +306,7 @@ fn swap_manifest(
     let keep = &old[offset_past(checkpoint.global)..offset_past(published)];
     let mut new = encode_manifest_record(checkpoint);
     new.extend_from_slice(keep);
-    pagefmt::write_file_atomic(path, &new)?;
+    page::write_file_atomic(path, &new)?;
     let file = open_append(path)?;
     Ok((file, (old.len() - keep.len()) as u64))
 }
@@ -559,10 +559,11 @@ where
     /// Pre-resolved observability handles (see [`crate::metrics`]); hot
     /// paths record via relaxed atomics only.
     metrics: Arc<StoreMetrics>,
-    /// Per-shard page caches behind lazy (paged) opens; entries are
-    /// `Some` exactly when [`StoreOptions::pool_pages`] is set on a
-    /// durable store. Independent pools keep shard opens and query
-    /// paging embarrassingly parallel (no shared lock).
+    /// Per-shard page caches behind lazy opens; entries are `Some`
+    /// exactly when [`StoreOptions::pool_pages`] is set on a durable
+    /// store. A shard's full snapshot and its incremental links share
+    /// its pool; independent pools keep shard opens and query paging
+    /// embarrassingly parallel (no shared lock).
     pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>>,
 }
 
@@ -761,9 +762,10 @@ where
     /// [`StoreError::Locked`] when another handle holds the directory;
     /// [`StoreError::PartitionMismatch`] when `router` disagrees with
     /// the persisted map; [`StoreError::LegacyLayout`] when `dir` holds
-    /// a pre-sharding flat store instead of a partition map; every
-    /// snapshot-integrity error of [`crate::pagefmt::decode_snapshot`]
-    /// and [`crate::paged::open_paged_file`] for a shard's pages;
+    /// a pre-sharding flat store instead of a partition map, or a
+    /// shard directory an earlier build's paged snapshot; every
+    /// integrity error of [`crate::decode_snapshot`] for a shard's
+    /// pages;
     /// [`StoreError::SchemaMismatch`] for WAL records of other key/value
     /// types; [`StoreError::VersionGap`] when the logs reference
     /// versions the pages no longer reach; [`StoreError::Corrupt`] for
@@ -825,10 +827,11 @@ where
             // flat layout `PacStore` wrote before it became the
             // one-shard case of this engine. Creating a fresh store
             // here would shadow that data and later overwrite it.
-            let flat = [SNAPSHOT_FILE, PAGED_FILE, LOG_FILE]
+            let flat = [SNAPSHOT_FILE, LOG_FILE]
                 .into_iter()
                 .find(|f| dir.join(f).exists())
-                .or(pagefmt::list_incr_files(dir)?.first().map(|_| "incremental pages"));
+                .or(page::legacy_page_file(dir))
+                .or(page::list_incr_files(dir)?.first().map(|_| "incremental pages"));
             if let Some(found) = flat {
                 return Err(StoreError::LegacyLayout(format!(
                     "{} holds {found} at its root and no {PARTITION_FILE}: a flat \
@@ -844,8 +847,8 @@ where
 
         // Load shard page chains (full page plus incrementals) in
         // parallel. `None` chain length = no pages yet. With a pool
-        // budget configured, each shard gets its own page cache and a
-        // paged shard snapshot opens lazily through it.
+        // budget configured, each shard gets its own page cache and
+        // every file of its chain opens lazily through it.
         let pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>> =
             (0..shards).map(|_| opts.pool_pages.map(crate::pool::BufferPool::new)).collect();
         type Loaded<K, V, C> =
@@ -855,12 +858,7 @@ where
             par_for_shards(shards, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
-                match crate::paged::load_chain_auto::<K, V, C>(
-                    &sdir,
-                    PAGED_FILE,
-                    SNAPSHOT_FILE,
-                    pools[i].as_ref(),
-                )? {
+                match page::load_chain::<PacMap<K, V, NoAug, C>>(&sdir, pools[i].as_ref())? {
                     Some((m, v, applied)) => Ok((m, v, Some(applied))),
                     None => Ok((PacMap::with_block_size(opts.block_size), 0, None)),
                 }
@@ -1171,7 +1169,7 @@ where
                 if !existed {
                     // Persist the directory entry; appended commits sync
                     // only the file's data.
-                    pagefmt::fsync_dir(&sdir)?;
+                    page::fsync_dir(&sdir)?;
                 }
                 Ok(f)
             })
@@ -1180,7 +1178,7 @@ where
         let mut manifest_file =
             OpenOptions::new().create(true).append(true).open(&manifest_path)?;
         if !manifest_existed {
-            pagefmt::fsync_dir(dir)?;
+            page::fsync_dir(dir)?;
         }
         // Heal: at most one commit can have been in flight at the
         // crash, so a healed record always extends the manifest's
@@ -1652,17 +1650,17 @@ where
 
         // ----- Phase 1: page writes, in parallel, no log lock. --------
         //
-        // A full page is written in the configured format (paged under
-        // a pool budget, classic otherwise) and supersedes the shard's
-        // incremental chain; stale links and other-format files that
-        // survive a crash here are skipped (and re-deleted) next time.
+        // One writer: a page diffed against the shard's pinned base is
+        // the next link of its chain, a page with no base is a full
+        // snapshot and supersedes the chain; stale links that survive a
+        // crash between the two steps are skipped by `open` (and
+        // re-deleted next time).
         enum PageWrite {
             Skipped,
             Incremental(usize),
             Full(usize),
         }
         let pages_span = obs::span!(inner.metrics.compact_pages);
-        let paged = inner.opts.pool_pages.is_some();
         let writes: Vec<Result<PageWrite, StoreError>> = {
             let maps = &maps;
             let locals = &locals;
@@ -1677,29 +1675,18 @@ where
                         pins[i].as_ref().filter(|ck| ck.chain_len < MAX_INCR_CHAIN)
                     }
                 };
-                match base {
-                    Some(ck) if ck.version == locals[i] => Ok(PageWrite::Skipped),
-                    Some(ck) => {
-                        let page = pagefmt::encode_incremental(
-                            &maps[i], &ck.map, ck.version, locals[i],
-                        );
-                        pagefmt::write_file_atomic(
-                            &sdir.join(pagefmt::incr_file_name(locals[i])),
-                            &page,
-                        )?;
-                        Ok(PageWrite::Incremental(page.len()))
-                    }
-                    None => {
-                        let n = crate::paged::write_full_snapshot(
-                            paged,
-                            &sdir,
-                            PAGED_FILE,
-                            SNAPSHOT_FILE,
-                            &maps[i],
-                            locals[i],
-                        )?;
-                        Ok(PageWrite::Full(n))
-                    }
+                if base.is_some_and(|ck| ck.version == locals[i]) {
+                    return Ok(PageWrite::Skipped);
+                }
+                let bytes =
+                    page::encode_page(&maps[i], base.map(|ck| (&ck.map, ck.version)), locals[i]);
+                if base.is_some() {
+                    page::write_file_atomic(&sdir.join(page::incr_file_name(locals[i])), &bytes)?;
+                    Ok(PageWrite::Incremental(bytes.len()))
+                } else {
+                    page::write_file_atomic(&sdir.join(SNAPSHOT_FILE), &bytes)?;
+                    page::remove_incr_files(&sdir)?;
+                    Ok(PageWrite::Full(bytes.len()))
                 }
             })
         };

@@ -18,7 +18,10 @@
 //! The last suite is the executable statement that there is one store
 //! engine: one seeded script replayed through a [`PacStore`] and
 //! through a one-shard [`ShardedStore`] must give equal answers, equal
-//! lifecycle counters and byte-identical directory trees.
+//! lifecycle counters and byte-identical directory trees. Beside it,
+//! the statement that there is one page format: one script replayed
+//! under both read policies (`pool_pages`) must leave byte-identical
+//! directory trees too, each opening under the other policy.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -545,7 +548,7 @@ lifecycle_grid! {
 // One deterministic script of commits, saves, compacts, reopens, and
 // probes is generated per seed, then replayed on three configurations —
 // `pool_pages` 8 (heavy eviction), 64 (mostly resident), and `None`
-// (classic eager format) — each checked against its own `BTreeMap`
+// (eager reads) — each checked against its own `BTreeMap`
 // oracle after every step. The cache budget may only change *when*
 // pages are read, never *what* any query returns; at the tiny setting
 // the replay also asserts residency stays within budget while the data
@@ -728,7 +731,7 @@ fn ooc_exec(seed: u64, pool: Option<usize>, steps: &[OocStep]) -> Result<(), Str
                 ));
             }
         }
-        (None, Some(_)) => return Err("classic replay reports pool stats".into()),
+        (None, Some(_)) => return Err("eager replay reports pool stats".into()),
         _ => {}
     }
 
@@ -764,8 +767,8 @@ fn out_of_core_grid_pool_budget_is_invisible() {
 // A `PacStore` is a handle on a `ShardedStore` built with
 // `Router::single()`. One seeded script of commits, deletes, `save`,
 // `save_incremental`, `compact`, pin/unpin, `gc` and drop + reopen is
-// replayed through both handles, in the eager and the 8-page paged
-// format; every answer, the lifecycle counters and every byte either
+// replayed through both handles, under the eager and the 8-page lazy
+// read policy; every answer, the lifecycle counters and every byte either
 // leaves on disk must agree. (`DIFF_ENGINE_CASES` overrides the
 // volume, default 20.)
 
@@ -996,6 +999,148 @@ fn pacstore_is_the_one_shard_sharded_store_byte_for_byte() {
             std::fs::remove_dir_all(&sharded_dir).expect("cleanup");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One format: `pool_pages` is a read policy
+// ---------------------------------------------------------------------
+//
+// One seeded script — commits (empty ones and deletes among them),
+// `save`, `save_incremental`, `compact` past one `MAX_INCR_CHAIN`
+// rollover, reopens in between — replayed under `pool_pages` `None` and
+// `Some(8)` must leave byte-identical directory trees, each of which
+// opens under the other policy with answers equal to the oracle.
+
+/// One step of the policy script; concrete so both replays are
+/// identical by construction.
+enum PolicyStep {
+    Commit(Vec<Op<u64, u64>>),
+    Save,
+    SaveIncremental,
+    Compact,
+    Reopen,
+}
+
+/// The script: ends on a full snapshot with a few links on it and a
+/// commit left in the log.
+fn policy_script() -> Vec<PolicyStep> {
+    let mut rng = StdRng::seed_from_u64(0x9A6E_F11E);
+    let mut commit = move || {
+        let len = rng.gen_range(0..40usize);
+        PolicyStep::Commit(
+            (0..len)
+                .map(|_| {
+                    let k = rng.gen_range(0..6_000u64);
+                    if rng.gen_range(0..10) < 7 {
+                        Op::Put(k, rng.gen_range(0..1_000))
+                    } else {
+                        Op::Delete(k)
+                    }
+                })
+                .collect(),
+        )
+    };
+    let load = (0..4_000u64).map(|k| Op::Put(k, k)).collect();
+    let mut steps = vec![PolicyStep::Commit(load), PolicyStep::Save];
+    // 16 links, then the rollover to a full page, then three more.
+    for round in 0..20 {
+        steps.push(commit());
+        steps.push(PolicyStep::Commit(Vec::new()));
+        steps.push(match round % 5 {
+            3 => PolicyStep::SaveIncremental,
+            _ => PolicyStep::Compact,
+        });
+        if round % 6 == 5 {
+            steps.push(PolicyStep::Reopen);
+        }
+    }
+    steps.push(commit()); // left in the log
+    steps
+}
+
+fn policy_oracle(steps: &[PolicyStep]) -> BTreeMap<u64, u64> {
+    let mut oracle = BTreeMap::new();
+    for step in steps {
+        if let PolicyStep::Commit(ops) = step {
+            for op in ops {
+                match op {
+                    Op::Put(k, v) => oracle.insert(*k, *v),
+                    Op::Delete(k) => oracle.remove(k),
+                };
+            }
+        }
+    }
+    oracle
+}
+
+fn policy_replay(dir: &Path, opts: &StoreOptions, steps: &[PolicyStep]) {
+    let open = || PacStore::<u64, u64>::open_with(dir, opts.clone()).unwrap();
+    let mut store = open();
+    for step in steps {
+        match step {
+            PolicyStep::Commit(ops) => drop(store.commit(ops.clone()).unwrap()),
+            PolicyStep::Save => drop(store.save().unwrap()),
+            PolicyStep::SaveIncremental => {
+                let base = store.latest_checkpoint().expect("the script saves first");
+                store.save_incremental(base).unwrap();
+            }
+            PolicyStep::Compact => drop(store.compact().unwrap()),
+            PolicyStep::Reopen => {
+                drop(store);
+                store = open();
+            }
+        }
+    }
+}
+
+#[test]
+fn pool_pages_is_a_read_policy_not_a_format() {
+    let steps = policy_script();
+    let want: Vec<(u64, u64)> = policy_oracle(&steps).into_iter().collect();
+    let scratch = |kind: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("pacstore-diff-policy-{kind}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (eager_dir, lazy_dir) = (scratch("eager"), scratch("lazy"));
+    let eager = StoreOptions { pool_pages: None, ..StoreOptions::default() };
+    let lazy = StoreOptions { pool_pages: Some(8), ..StoreOptions::default() };
+    policy_replay(&eager_dir, &eager, &steps);
+    policy_replay(&lazy_dir, &lazy, &steps);
+
+    // The policy a directory was written under leaves no trace in it.
+    let (eager_tree, lazy_tree) = (dir_tree(&eager_dir), dir_tree(&lazy_dir));
+    assert_eq!(eager_tree.keys().collect::<Vec<_>>(), lazy_tree.keys().collect::<Vec<_>>());
+    for (path, bytes) in &eager_tree {
+        assert!(bytes == &lazy_tree[path], "{} differs between policies", path.display());
+    }
+    // 20 checkpoints after the first save, a handful of links left: the
+    // chain rolled over to a full page and grew again.
+    let links = eager_tree.keys().filter(|p| p.to_string_lossy().contains("incr-")).count();
+    assert!((2..=4).contains(&links), "the script must end on a short chain: {links} links");
+
+    // Written under either, it opens under the other.
+    let store: PacStore<u64, u64> = PacStore::open_with(&lazy_dir, eager).unwrap();
+    assert!(store.pool_stats().is_none());
+    assert_eq!(store.range_entries(&0, &u64::MAX), want);
+    drop(store);
+    let store: PacStore<u64, u64> = PacStore::open_with(&eager_dir, lazy.clone()).unwrap();
+    assert_eq!(store.range_entries(&0, &u64::MAX), want);
+    // With the log tail checkpointed away, a lazy open reads no leaf
+    // record of the base *or* of its links, and a full scan stays
+    // within the one budget they share.
+    store.compact().unwrap();
+    drop(store);
+    let store: PacStore<u64, u64> = PacStore::open_with(&eager_dir, lazy).unwrap();
+    assert_eq!(store.pool_stats().unwrap().misses, 0);
+    assert_eq!(store.range_entries(&0, &u64::MAX), want);
+    let s = store.pool_stats().unwrap();
+    assert!(s.misses > 8 && s.evictions > 0, "{s:?}");
+    assert!(s.resident_pages <= 8, "resident {} pages", s.resident_pages);
+    drop(store);
+    std::fs::remove_dir_all(&eager_dir).unwrap();
+    std::fs::remove_dir_all(&lazy_dir).unwrap();
 }
 
 /// The oracle harness must actually catch divergences: a store with a

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use store::{
     incr_file_name, shard_dir_name, Op, PacStore, Router, ShardedStore, StoreError, StoreOptions,
-    LOG_FILE, MANIFEST_FILE, PAGED_FILE, PARTITION_FILE, SNAPSHOT_FILE,
+    LOG_FILE, MANIFEST_FILE, PARTITION_FILE, SNAPSHOT_FILE,
 };
 
 /// A fresh, empty scratch directory unique to this test.
@@ -27,11 +27,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Options pinning the *classic* snapshot format, immune to the
-/// `PAC_POOL_PAGES` environment override — for tests that corrupt
-/// [`SNAPSHOT_FILE`] at the byte level and so depend on which file a
-/// save writes.
-fn classic() -> StoreOptions {
+/// Options pinning the *eager* read policy, immune to the
+/// `PAC_POOL_PAGES` environment override — for tests that damage a leaf
+/// record of [`SNAPSHOT_FILE`] and expect the error at `open`, where a
+/// lazy open would meet it at the record's first load.
+fn eager() -> StoreOptions {
     StoreOptions { pool_pages: None, ..StoreOptions::default() }
 }
 
@@ -64,14 +64,9 @@ fn save_and_reopen_serves_same_data() {
             // Post-save commits live only in the shard WALs + manifest.
             store.commit(vec![Op::Put(5, 500), Op::Put(2_500, 1)]).unwrap();
         }
-        // Every shard subdirectory holds its own snapshot page (classic
-        // or paged, depending on the PAC_POOL_PAGES override).
+        // Every shard subdirectory holds its own snapshot page.
         for i in 0..shards {
-            let sdir = dir.join(shard_dir_name(i));
-            assert!(
-                sdir.join(SNAPSHOT_FILE).exists() || sdir.join(PAGED_FILE).exists(),
-                "shard {i}"
-            );
+            assert!(dir.join(shard_dir_name(i)).join(SNAPSHOT_FILE).exists(), "shard {i}");
         }
         let store = sharded_open(&dir, shards);
         assert_eq!(store.current_version(), 3);
@@ -114,14 +109,16 @@ fn log_replay_recovers_unsaved_commits() {
 fn truncated_snapshot_is_a_typed_error() {
     let dir = scratch("truncate-snap");
     {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
+        let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
         store.commit((0..2_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
         store.save().unwrap();
     }
     let path = shard0(&dir).join(SNAPSHOT_FILE);
     let full = std::fs::read(&path).unwrap();
     // Truncate at a spread of byte positions, including header-only.
-    for cut in [0, 1, 7, 8, 9, 12, full.len() / 2, full.len() - 5, full.len() - 1] {
+    // The leaf records must tile the file exactly, so a cut is caught
+    // at `open` under either read policy.
+    for cut in [0, 1, 7, 8, 9, 12, 16, 20, full.len() / 2, full.len() - 5, full.len() - 1] {
         std::fs::write(&path, &full[..cut]).unwrap();
         let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
         assert!(
@@ -139,17 +136,19 @@ fn truncated_snapshot_is_a_typed_error() {
 fn bit_flipped_snapshot_is_a_checksum_error() {
     let dir = scratch("bitflip-snap");
     {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
+        let store: PacStore<u64, u64> = PacStore::open_with(&dir, eager()).unwrap();
         store.commit((0..2_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
         store.save().unwrap();
     }
     let path = shard0(&dir).join(SNAPSHOT_FILE);
     let full = std::fs::read(&path).unwrap();
-    for byte in [9, 20, full.len() / 2, full.len() - 2] {
+    // In the metadata (codec id, schema) and in the first, a middle and
+    // the last leaf record.
+    for byte in [16, 20, full.len() / 2, full.len() - 2] {
         let mut flipped = full.clone();
         flipped[byte] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
-        let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+        let err = PacStore::<u64, u64>::open_with(&dir, eager()).unwrap_err();
         assert!(
             matches!(err, StoreError::ChecksumMismatch { .. }),
             "flip at {byte}: unexpected error {err}"
@@ -160,7 +159,7 @@ fn bit_flipped_snapshot_is_a_checksum_error() {
     flipped[0] ^= 0xff;
     std::fs::write(&path, &flipped).unwrap();
     assert!(matches!(
-        PacStore::<u64, u64>::open(&dir).unwrap_err(),
+        PacStore::<u64, u64>::open_with(&dir, eager()).unwrap_err(),
         StoreError::BadMagic
     ));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -317,6 +316,33 @@ fn resurrected_incrementals_after_a_full_save_are_ignored_and_recleaned() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn renamed_incremental_link_is_corrupt_not_applied_under_the_wrong_version() {
+    for shards in SHARD_COUNTS {
+        let dir = scratch(&format!("renamed-link-{shards}"));
+        {
+            let store = sharded_open(&dir, shards);
+            let all_shards = |v: u64| vec![Op::Put(1, v), Op::Put(1_001, v), Op::Put(2_001, v)];
+            store.commit(all_shards(1)).unwrap();
+            store.save().unwrap(); // full page @1
+            store.commit(all_shards(2)).unwrap();
+            store.compact().unwrap(); // link @2, the last page of the chain
+        }
+        // The link keeps its bytes (and so its base, version 1) but
+        // claims version 3 by name: the chain would reach a version
+        // that was never checkpointed.
+        let sdir = dir.join(shard_dir_name(shards - 1));
+        std::fs::rename(sdir.join(incr_file_name(2)), sdir.join(incr_file_name(3))).unwrap();
+        let err = ShardedStore::<u64, u64>::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{shards} shards: unexpected error {err}");
+        assert!(err.to_string().contains(&incr_file_name(3)), "{err}");
+        // Put back, the chain reads as before.
+        std::fs::rename(sdir.join(incr_file_name(3)), sdir.join(incr_file_name(2))).unwrap();
+        assert_eq!(sharded_open(&dir, shards).get(&2_001), Some(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Which handle opens which directory
 // ---------------------------------------------------------------------
@@ -394,7 +420,7 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
     // Build one by flattening a real store's shard directory.
     let dir = scratch("legacy-flat");
     {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
+        let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
         store.commit((0..100u64).map(|k| Op::Put(k, k)).collect()).unwrap();
         store.save().unwrap();
         store.commit(vec![Op::Put(100, 100)]).unwrap();
@@ -434,6 +460,75 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
     assert!(!dir.join(MANIFEST_FILE).exists());
     assert!(!shard0(&dir).exists());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store directory with one full page and one link, for the tests
+/// that plant an earlier build's files in it. Returns shard 0's
+/// directory.
+fn old_format_fixture(dir: &Path) -> PathBuf {
+    let store: PacStore<u64, u64> = PacStore::open(dir).unwrap();
+    store.commit(vec![Op::Put(1, 1)]).unwrap();
+    store.save().unwrap();
+    store.commit(vec![Op::Put(2, 2)]).unwrap();
+    store.compact().unwrap();
+    shard0(dir)
+}
+
+/// The fixed-width prefix every earlier page format started with:
+/// magic, codec id 0 (raw), four schema bytes, then varints.
+fn old_header(magic: &[u8; 8]) -> Vec<u8> {
+    let mut bytes = magic.to_vec();
+    bytes.extend_from_slice(b"\x00\xde\xad\xbe\xef\x80\x01\x01\x01\x00");
+    bytes
+}
+
+#[test]
+fn old_full_snapshot_magic_fails_open_typed() {
+    let dir = scratch("old-magic-snp");
+    let sdir = old_format_fixture(&dir);
+    std::fs::write(sdir.join(SNAPSHOT_FILE), old_header(b"PACSNP02")).unwrap();
+    let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+    assert!(matches!(err, StoreError::BadMagic), "unexpected error {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn old_incremental_magic_fails_open_typed() {
+    let dir = scratch("old-magic-inc");
+    let sdir = old_format_fixture(&dir);
+    std::fs::write(sdir.join(incr_file_name(2)), old_header(b"PACINC01")).unwrap();
+    let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+    assert!(matches!(err, StoreError::BadMagic), "unexpected error {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn old_paged_snapshot_file_fails_open_typed_even_beside_new_pages() {
+    // `snapshot.pgf` was what a pooled store wrote *instead of*
+    // `snapshot.pac`. Alone in a shard directory it must not read as
+    // "no pages yet" (an empty store); beside newer pages it is still
+    // refused rather than guessed about.
+    let dir = scratch("old-magic-pgf");
+    let sdir = old_format_fixture(&dir);
+    for beside_new_pages in [true, false] {
+        if !beside_new_pages {
+            std::fs::remove_file(sdir.join(SNAPSHOT_FILE)).unwrap();
+            std::fs::remove_file(sdir.join(incr_file_name(2))).unwrap();
+        }
+        std::fs::write(sdir.join("snapshot.pgf"), old_header(b"PACPGF01")).unwrap();
+        let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::LegacyLayout(_)), "unexpected error {err}");
+        assert!(err.to_string().contains("snapshot.pgf"), "{err}");
+    }
+    // At the root of a directory with no partition map it marks a flat
+    // legacy store like the other page names do.
+    let flat = scratch("old-magic-pgf-flat");
+    std::fs::create_dir_all(&flat).unwrap();
+    std::fs::write(flat.join("snapshot.pgf"), old_header(b"PACPGF01")).unwrap();
+    let err = PacStore::<u64, u64>::open(&flat).unwrap_err();
+    assert!(matches!(err, StoreError::LegacyLayout(_)), "unexpected error {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&flat).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -814,13 +909,7 @@ fn truncated_checkpoint_pages_are_typed_errors() {
         }
         std::fs::write(&incr_path, &incr_full).unwrap();
 
-        // Whichever snapshot format the fixture's saves wrote (the paged
-        // file under a PAC_POOL_PAGES override): both bootstrap through
-        // CRC-checked framing, so every cut must stay a typed error.
-        let snap_path = {
-            let p = sdir.join(SNAPSHOT_FILE);
-            if p.exists() { p } else { sdir.join(PAGED_FILE) }
-        };
+        let snap_path = sdir.join(SNAPSHOT_FILE);
         let snap_full = std::fs::read(&snap_path).unwrap();
         for cut in [0, 1, 8, 9, 13, snap_full.len() / 2, snap_full.len() - 1] {
             std::fs::write(&snap_path, &snap_full[..cut]).unwrap();

@@ -20,13 +20,6 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Options pinning the *classic* snapshot format, immune to the
-/// `PAC_POOL_PAGES` environment override — for tests that delete
-/// [`SNAPSHOT_FILE`] by name to break the checkpoint chain.
-fn classic() -> StoreOptions {
-    StoreOptions { pool_pages: None, ..StoreOptions::default() }
-}
-
 /// The [`cpam::stats`] counters are process-global: the leak gate
 /// measures allocation deltas, which any test building a tree at the
 /// same time would skew. Every test in this binary therefore holds this
@@ -178,7 +171,7 @@ fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
     let _g = stats_gate();
     let dir = scratch("gap-deleted-snapshot");
     {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
+        let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
         for i in 0..3u64 {
             store.commit(vec![Op::Put(i, i)]).unwrap();
         }
@@ -212,7 +205,7 @@ fn broken_incremental_chain_is_typed() {
     let _g = stats_gate();
     let dir = scratch("gap-broken-chain");
     {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, classic()).unwrap();
+        let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
         store.commit(vec![Op::Put(1, 1)]).unwrap();
         store.save().unwrap();
         store.commit(vec![Op::Put(2, 2)]).unwrap();

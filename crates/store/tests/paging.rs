@@ -1,11 +1,11 @@
-//! End-to-end tests of the paged snapshot format and buffer-pool
-//! residency: out-of-core opens (`StoreOptions::pool_pages`), format
-//! interop with the classic snapshot, incremental chains and WAL replay
-//! on a lazy base, and the sharded store's per-shard pools.
+//! End-to-end tests of the lazy read policy and buffer-pool residency:
+//! out-of-core opens (`StoreOptions::pool_pages`), incremental chains
+//! and WAL replay on a lazy base, and the sharded store's per-shard
+//! pools. (That the policy is not a format — byte-identical directories
+//! under both — is stated in `differential.rs`.)
 
 use store::{
-    shard_dir_name, Op, PacStore, Router, ShardedStore, StoreOptions, LOG_FILE, PAGED_FILE,
-    SNAPSHOT_FILE,
+    shard_dir_name, Op, PacStore, Router, ShardedStore, StoreOptions, LOG_FILE, SNAPSHOT_FILE,
 };
 
 use std::path::{Path, PathBuf};
@@ -27,9 +27,8 @@ fn pooled(pages: usize) -> StoreOptions {
     StoreOptions { pool_pages: Some(pages), ..StoreOptions::default() }
 }
 
-/// Explicitly classic-format options: these tests assert which snapshot
-/// file a save writes, so they must not inherit a `PAC_POOL_PAGES`
-/// override through `StoreOptions::default()`.
+/// Explicitly eager options: immune to a `PAC_POOL_PAGES` override
+/// through `StoreOptions::default()`.
 fn unpooled() -> StoreOptions {
     StoreOptions { pool_pages: None, ..StoreOptions::default() }
 }
@@ -37,19 +36,18 @@ fn unpooled() -> StoreOptions {
 const N: u64 = 50_000;
 
 #[test]
-fn paged_open_is_lazy_and_residency_is_bounded() {
+fn lazy_open_reads_no_leaf_and_residency_is_bounded() {
     let dir = scratch("lazy-open");
     {
         let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
         store.commit((0..N).map(|k| Op::Put(k, k * 3)).collect()).unwrap();
         store.save().unwrap();
     }
-    assert!(shard0(&dir).join(PAGED_FILE).exists());
-    assert!(!shard0(&dir).join(SNAPSHOT_FILE).exists());
+    assert!(shard0(&dir).join(SNAPSHOT_FILE).exists());
 
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
     let s = store.pool_stats().expect("pooled store has stats");
-    // Opening read structure only — not one data page.
+    // Opening read structure only — not one leaf record.
     assert_eq!(s.misses, 0, "open touched {} pages", s.misses);
     assert_eq!(store.len(), N as usize);
 
@@ -68,68 +66,6 @@ fn paged_open_is_lazy_and_residency_is_bounded() {
     // u64 pair block at default b=128 is ≤ 256 entries × 16 bytes plus
     // headers — use a generous 64 KiB/page ceiling.
     assert!(s.resident_bytes <= 8 * 64 * 1024, "resident {} bytes", s.resident_bytes);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn paged_and_classic_formats_interoperate() {
-    let dir = scratch("interop");
-    // Classic save...
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
-        store.commit((0..1_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
-        store.save().unwrap();
-    }
-    assert!(shard0(&dir).join(SNAPSHOT_FILE).exists());
-    // ...opened by a pooled handle (falls back to the classic chain),
-    // which then saves in the paged format and removes the classic file.
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
-        assert_eq!(store.len(), 1_000);
-        store.commit(vec![Op::Put(5_000, 1)]).unwrap();
-        store.save().unwrap();
-    }
-    assert!(shard0(&dir).join(PAGED_FILE).exists());
-    assert!(!shard0(&dir).join(SNAPSHOT_FILE).exists());
-    // ...opened by an unpooled handle (eager paged read), which saves
-    // classic again.
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
-        assert_eq!(store.len(), 1_001);
-        assert_eq!(store.get(&5_000), Some(1));
-        assert!(store.pool_stats().is_none());
-        store.save().unwrap();
-    }
-    assert!(shard0(&dir).join(SNAPSHOT_FILE).exists());
-    assert!(!shard0(&dir).join(PAGED_FILE).exists());
-    let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
-    assert_eq!(store.len(), 1_001);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn stale_paged_file_loses_to_newer_classic() {
-    let dir = scratch("stale-paged");
-    // Paged save at version 1...
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
-        store.commit(vec![Op::Put(1, 1)]).unwrap();
-        store.save().unwrap();
-    }
-    let paged_bytes = std::fs::read(shard0(&dir).join(PAGED_FILE)).unwrap();
-    // ...superseded by a classic save at version 2, then the stale
-    // paged file "survives a crash" (we resurrect it by hand).
-    {
-        let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
-        store.commit(vec![Op::Put(2, 2)]).unwrap();
-        store.save().unwrap();
-    }
-    std::fs::write(shard0(&dir).join(PAGED_FILE), &paged_bytes).unwrap();
-    // Both formats present: the newer classic version must win, under
-    // either opening mode.
-    let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
-    assert_eq!(store.current_version(), 2);
-    assert_eq!(store.get(&2), Some(2));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -162,8 +98,8 @@ fn incrementals_and_wal_replay_chain_onto_lazy_base() {
 }
 
 #[test]
-fn sharded_paged_store_keeps_per_shard_pools() {
-    let dir = scratch("sharded-paged");
+fn sharded_lazy_store_keeps_per_shard_pools() {
+    let dir = scratch("sharded-lazy");
     let router = Router::uniform_span(4, N);
     {
         let store: ShardedStore<u64, u64> =

@@ -1,9 +1,10 @@
-//! pacstore tour: commits become versions, reads time-travel, and the
-//! whole store survives a restart via snapshot + log replay.
+//! pacstore tour: commits become versions, reads time-travel, the
+//! whole store survives a restart via snapshot + log replay, and the
+//! same files open eagerly or lazily (`pool_pages` is a read policy).
 //!
 //! Run with: `cargo run --release --example versioned_store`
 
-use store::{Op, PacStore};
+use store::{Op, PacStore, StoreOptions};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("pacstore-example-{}", std::process::id()));
@@ -61,6 +62,23 @@ fn main() {
         db.len(),
         snap_bytes as f64 / db.len() as f64
     );
+
+    // --- Read policy: the same files, opened lazily -----------------
+    // `pool_pages` never changes what is written; it selects how pages
+    // are read. With a budget, open reads structure only and leaves
+    // stream through a capped pool on demand.
+    drop(db);
+    let lazy = StoreOptions { pool_pages: Some(64), ..StoreOptions::default() };
+    let db: PacStore<u64, u64> = PacStore::open_with(&dir, lazy).expect("lazy reopen");
+    assert_eq!(db.get(&43), Some(1));
+    let pool = db.pool_stats().expect("a pooled store reports its pool");
+    println!(
+        "lazy reopen: log replay + one get read {} leaf records of {} entries' worth ({} resident bytes)",
+        pool.misses,
+        db.len(),
+        pool.resident_bytes
+    );
+    drop(db);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
