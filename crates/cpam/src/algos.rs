@@ -300,14 +300,19 @@ where
     }
 }
 
-/// The subtree of entries with keys in `[lo, hi]` (the paper's Range).
-/// `O(log n + B)` work.
+/// The subtree of entries with keys in `[lo, hi]` (the paper's Range);
+/// empty when `hi < lo`. `O(log n + B)` work.
 pub(crate) fn range<E, A, C>(b: usize, t: Tree<E, A, C>, lo: &E::Key, hi: &E::Key) -> Tree<E, A, C>
 where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
 {
+    // The two splits below put the entry *at* `lo` back even when `hi`
+    // lies before it, so an inverted interval is answered here.
+    if hi < lo {
+        return None;
+    }
     let (_, m_lo, ge_lo) = split(b, t, lo);
     let (mid, m_hi, _) = split(b, ge_lo, hi);
     let mut out = mid;

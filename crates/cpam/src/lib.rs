@@ -8,12 +8,19 @@
 //! giving close-to-array space usage while keeping `O(log n)`-style
 //! functional updates and a full parallel collection interface.
 //!
-//! # The three collection types
+//! # The collection types
 //!
-//! * [`PacSet`] — ordered sets (union/intersect/difference, rank/select,
-//!   ranges);
-//! * [`PacMap`] — ordered maps with optional *augmentation* (an
-//!   associative aggregate maintained per subtree, e.g. max or sum);
+//! Ordered collections are one generic type, [`PacOrd`], parameterised
+//! by its entry as in PAM, and used through two aliases:
+//!
+//! * [`PacSet`]`<K>` = `PacOrd<K>` — ordered sets
+//!   (union/intersect/difference, rank/select, ranges);
+//! * [`PacMap`]`<K, V>` = `PacOrd<(K, V)>` — ordered maps with optional
+//!   *augmentation* (an associative aggregate maintained per subtree,
+//!   e.g. max or sum).
+//!
+//! Positional collections are a separate type:
+//!
 //! * [`PacSeq`] — sequences (take/subseq/append/reverse/map/reduce).
 //!
 //! All are persistent: every operation returns a new collection sharing
@@ -62,6 +69,7 @@ mod verify;
 
 mod aug;
 mod map;
+mod ordered;
 mod pseq;
 mod set;
 mod tradeoff;
@@ -74,6 +82,7 @@ pub use entry::{Element, Entry, ScalarKey};
 pub use iter::Iter;
 pub use map::{PacMap, RangePart};
 pub use node::{BlockSource, SpaceStats};
+pub use ordered::PacOrd;
 pub use pseq::PacSeq;
 pub use set::PacSet;
 pub use tradeoff::UnsortedLeafSet;

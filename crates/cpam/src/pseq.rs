@@ -156,7 +156,14 @@ where
 
     /// Concatenation (paper's Append): `O(log n + B)` — no copying of
     /// either input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sequences have different block sizes (the
+    /// result shares subtrees with both inputs, so mismatched `B` would
+    /// silently violate the leaf-size invariant).
     pub fn append(&self, other: &Self) -> Self {
+        assert_eq!(self.b, other.b, "append requires equal block sizes");
         PacSeq {
             root: seq::append(self.b, &self.root, &other.root),
             b: self.b,

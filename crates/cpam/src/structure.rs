@@ -10,18 +10,16 @@
 //! enough structure to do that while keeping the node representation
 //! private:
 //!
-//! * [`PacMap::visit_nodes`](crate::PacMap::visit_nodes) /
-//!   [`PacSet::visit_nodes`](crate::PacSet::visit_nodes) walk the tree
-//!   in *pre-order*, reporting each node as a [`NodeRef`]: a regular
-//!   node's pivot entry, a leaf's encoded block, an empty subtree, or —
+//! * [`PacOrd::visit_nodes`](crate::PacOrd::visit_nodes) (one method
+//!   for maps and sets alike) walks the tree in *pre-order*, reporting
+//!   each node as a [`NodeRef`]: a regular node's pivot entry, a leaf's encoded block, an empty subtree, or —
 //!   when walking against a base tree — a whole subtree physically
 //!   shared with that base. Every regular node is followed by the full
 //!   visit of its left subtree, then its right — so the visit order
 //!   alone reconstructs the shape.
-//! * [`PacMap::from_node_stream`](crate::PacMap::from_node_stream) /
-//!   [`PacSet::from_node_stream`](crate::PacSet::from_node_stream) are
-//!   the inverse bulk constructors: they pull [`NodeOwned`]s from a
-//!   callback in the same pre-order and rebuild the identical tree —
+//! * [`PacOrd::from_node_stream`](crate::PacOrd::from_node_stream) is
+//!   the inverse bulk constructor: it pulls [`NodeOwned`]s from a
+//!   callback in the same pre-order and rebuilds the identical tree —
 //!   same shape, same blocks — recomputing only the cached sizes and
 //!   augmented values. No sorting, no re-encoding. Shared references
 //!   resolve against the optional base tree; leaves may arrive as
@@ -89,7 +87,7 @@ pub enum NodeOwned<E, B> {
     Shared(u64),
 }
 
-/// Why [`from_node_stream`](crate::PacMap::from_node_stream) rejected a
+/// Why [`from_node_stream`](crate::PacOrd::from_node_stream) rejected a
 /// stream.
 #[derive(Debug, PartialEq, Eq)]
 pub enum BuildError<S> {

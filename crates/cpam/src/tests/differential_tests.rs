@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::PacMap;
+use crate::{PacMap, PacSeq, PacSet};
 
 const KEY_SPAN: u64 = 128;
 
@@ -251,4 +251,87 @@ fn union_with_mismatched_block_sizes_panics() {
     let a: PacMap<u64, u64> = PacMap::from_pairs_with(2, vec![(1, 1)]);
     let b: PacMap<u64, u64> = PacMap::from_pairs_with(64, (0..40).map(|i| (i, i)).collect());
     let _ = a.union(&b);
+}
+
+// `append` and `join` (and `PacSeq::append`, `union_naive`) share
+// subtrees with both inputs exactly as union does, and used to skip the
+// check: `from_sorted_pairs(4, 0..100).append(&from_sorted_pairs(64,
+// 100..400))` answered a `B = 4` map holding 75-entry leaves.
+
+/// Two maps with every key of the first below 100 and every key of the
+/// second above it.
+fn low_high(b_low: usize, b_high: usize) -> (PacMap<u64, u64>, PacMap<u64, u64>) {
+    let pairs = |r: std::ops::Range<u64>| r.map(|i| (i, i)).collect::<Vec<_>>();
+    (
+        PacMap::from_sorted_pairs(b_low, &pairs(0..100)),
+        PacMap::from_sorted_pairs(b_high, &pairs(101..400)),
+    )
+}
+
+#[test]
+#[should_panic(expected = "equal block sizes")]
+fn map_append_with_mismatched_block_sizes_panics() {
+    let (low, high) = low_high(4, 64);
+    let _ = low.append(&high);
+}
+
+#[test]
+#[should_panic(expected = "equal block sizes")]
+fn map_join_with_mismatched_block_sizes_panics() {
+    let (low, high) = low_high(4, 64);
+    let _ = PacMap::join(&low, 100, 100, &high);
+}
+
+#[test]
+#[should_panic(expected = "equal block sizes")]
+fn set_union_naive_with_mismatched_block_sizes_panics() {
+    let a: PacSet<u64> = PacSet::from_keys_with(2, vec![1]);
+    let b: PacSet<u64> = PacSet::from_keys_with(64, (0..40).collect());
+    let _ = a.union_naive(&b);
+}
+
+#[test]
+#[should_panic(expected = "equal block sizes")]
+fn seq_append_with_mismatched_block_sizes_panics() {
+    let a: PacSeq<u64> = PacSeq::from_slice_with(4, &(0..100).collect::<Vec<_>>());
+    let b: PacSeq<u64> = PacSeq::from_slice_with(64, &(100..400).collect::<Vec<_>>());
+    let _ = a.append(&b);
+}
+
+#[test]
+fn append_and_join_with_equal_block_sizes_keep_the_leaf_invariant() {
+    let (low, high) = low_high(4, 4);
+    let appended = low.append(&high);
+    appended.check_invariants().expect("append");
+    assert_eq!(appended.len(), 399);
+    let joined = PacMap::join(&low, 100, 100, &high);
+    joined.check_invariants().expect("join");
+    assert_eq!(joined.keys(), (0..400).collect::<Vec<_>>());
+}
+
+/// Every public constructor that takes a block size rejects `b == 0`
+/// (the `from_*` ones used to build a leafless all-binary tree).
+#[test]
+fn every_constructor_rejects_a_zero_block_size() {
+    type M = PacMap<u64, u64>;
+    type S = PacSet<u64>;
+    let constructors: [(&str, fn()); 8] = [
+        ("PacMap::with_block_size", || drop(M::with_block_size(0))),
+        ("PacMap::from_pairs_with", || drop(M::from_pairs_with(0, vec![(1, 1)]))),
+        ("PacMap::from_sorted_pairs", || drop(M::from_sorted_pairs(0, &[(1, 1)]))),
+        ("PacMap::from_node_stream", || {
+            drop(M::from_node_stream::<()>(0, None, None, &mut || Ok(crate::structure::NodeOwned::Empty)));
+        }),
+        ("PacSet::with_block_size", || drop(S::with_block_size(0))),
+        ("PacSet::from_keys_with", || drop(S::from_keys_with(0, vec![1]))),
+        ("PacSet::from_sorted_keys", || drop(S::from_sorted_keys(0, &[1]))),
+        ("PacSet::from_node_stream", || {
+            drop(S::from_node_stream::<()>(0, None, None, &mut || Ok(crate::structure::NodeOwned::Empty)));
+        }),
+    ];
+    for (name, construct) in constructors {
+        let panic = std::panic::catch_unwind(construct).expect_err(name);
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("block size must be positive"), "{name}: {message:?}");
+    }
 }

@@ -165,6 +165,22 @@ fn range_decompose_counts_match_range_entries() {
     }
 }
 
+/// `count_range` is the length of `range_entries`, inverted and empty
+/// intervals included (on a map the method only exists since the front
+/// ends were merged; on a set the inverted case used to underflow).
+#[test]
+fn count_range_matches_range_entries() {
+    let m = PacMap::<u64, u64, SumAug>::from_pairs_with(4, pairs(0..500, |i| 3 * i));
+    let intervals = [(0u64, 499u64), (10, 10), (13, 257), (490, 600), (600, 700)];
+    for (lo, hi) in intervals.into_iter().chain(intervals.map(|(lo, hi)| (hi + 1, lo))) {
+        let entries = m.range_entries(&lo, &hi);
+        assert_eq!(m.count_range(&lo, &hi), entries.len(), "[{lo},{hi}]");
+        assert_eq!(m.range(&lo, &hi).to_vec(), entries, "[{lo},{hi}]");
+        assert_eq!(m.aug_range(&lo, &hi), entries.iter().map(|e| e.1).sum(), "[{lo},{hi}]");
+    }
+    assert_eq!(m.count_range(&257, &13), 0);
+}
+
 #[test]
 fn rank_select_succ_pred() {
     let m = PacMap::<u64, u64>::from_pairs_with(16, pairs(0..100, |i| i).into_iter().map(|(k, v)| (k * 3, v)).collect());

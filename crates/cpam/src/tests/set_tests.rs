@@ -179,6 +179,20 @@ fn range_and_count_range() {
     assert_eq!(s.count_range(&26, &29), 0);
 }
 
+/// An inverted interval is empty: `count_range` used to underflow on it
+/// (a panic in debug, `2^64 - k` in release).
+#[test]
+fn inverted_interval_is_empty() {
+    for &b in BLOCK_SIZES {
+        let s = PacSet::<u64>::from_keys_with(b, keys((0..200).map(|i| i * 5)));
+        for (lo, hi) in [(500, 100), (100, 95), (101, 100), (1, 0), (u64::MAX, 0), (995, 0)] {
+            assert_eq!(s.range_keys(&lo, &hi), keys([]), "b={b} [{lo}, {hi}]");
+            assert_eq!(s.count_range(&lo, &hi), 0, "b={b} [{lo}, {hi}]");
+            assert!(s.range(&lo, &hi).is_empty(), "b={b} [{lo}, {hi}]");
+        }
+    }
+}
+
 #[test]
 fn filter_and_map_reduce() {
     let s = PacSet::<u64>::from_keys_with(16, keys(0..1000));

@@ -710,8 +710,11 @@ impl<K: ScalarKey> PamSet<K> {
         self.map.to_vec().into_iter().map(|(k, ())| k).collect()
     }
 
-    /// Number of elements in `[lo, hi]`.
+    /// Number of elements in `[lo, hi]` (0 when `hi < lo`).
     pub fn count_range(&self, lo: &K, hi: &K) -> usize {
+        if hi < lo {
+            return 0;
+        }
         let below_hi = self.map.rank(hi) + usize::from(self.contains(hi));
         below_hi - self.map.rank(lo)
     }

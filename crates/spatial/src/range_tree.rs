@@ -327,6 +327,34 @@ mod tests {
         }
     }
 
+    /// A rectangle inverted in only one dimension is empty: with a valid
+    /// x-range and `y1 > y2` the inner sets are asked for an inverted
+    /// interval, which used to underflow in `count_range` (a panic in
+    /// debug builds, `2^64 - k` in release ones) while `report` on the
+    /// same rectangle answered `[]`.
+    #[test]
+    fn count_of_a_half_inverted_rectangle_is_zero_like_report() {
+        let points = random_points(2000, 2000, 5);
+        let t = RangeTree2D::from_points(&points);
+        let p = PamRangeTree2D::from_points(&points);
+        for &(x1, y1, x2, y2) in &[
+            (0u32, 500u32, 1999u32, 100u32), // y1 > y2
+            (0, 1999, 1999, 0),
+            (300, 301, 900, 300),
+            (1500, 0, 200, 1999), // x1 > x2
+            (1, 0, 0, u32::MAX),
+        ] {
+            assert_eq!(t.report(x1, y1, x2, y2), vec![], "pac {x1},{y1},{x2},{y2}");
+            assert_eq!(t.count(x1, y1, x2, y2), 0, "pac {x1},{y1},{x2},{y2}");
+            assert_eq!(p.report(x1, y1, x2, y2), vec![], "pam {x1},{y1},{x2},{y2}");
+            assert_eq!(p.count(x1, y1, x2, y2), 0, "pam {x1},{y1},{x2},{y2}");
+        }
+        // And on ordinary rectangles the two queries agree.
+        for &(x1, y1, x2, y2) in &[(0u32, 0u32, 1999u32, 1999u32), (100, 900, 1200, 901)] {
+            assert_eq!(t.count(x1, y1, x2, y2), t.report(x1, y1, x2, y2).len());
+        }
+    }
+
     #[test]
     fn report_matches_brute_force() {
         let points = random_points(1500, 500, 33);
