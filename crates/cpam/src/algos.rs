@@ -14,7 +14,7 @@ use crate::aug::Augmentation;
 use crate::base::{from_sorted, rebuild_leaf, to_vec};
 use crate::entry::{Element, Entry};
 use crate::join::{expose_owned, join, join2, split};
-use crate::node::{size, Node, Tree};
+use crate::node::{size, BlockRef, Node, Tree};
 use crate::scratch::with_scratch;
 use crate::stats;
 
@@ -119,17 +119,19 @@ where
     let node = t?;
     if node.is_flat() {
         stats::count_cursor_op();
-        let hit = {
-            let block = node.leaf_block();
-            match C::search_by(&block, |x| x.key().cmp(k)) {
-                Ok((hit, _)) => hit,
-                // Miss: nothing to rebuild, keep the node as-is.
-                Err(_) => return Some(node),
-            }
+        // One materialization serves the probe and the rebuild: a lazy
+        // leaf asks its source once, and the handle keeps the block
+        // alive whatever the source evicts in between.
+        let block = node.leaf_block();
+        let hit = C::search_by(&block, |x| x.key().cmp(k)).map(|(hit, _)| hit);
+        let held = block.into_loaded();
+        let Ok(hit) = hit else {
+            // Miss: nothing to rebuild, keep the node as-is.
+            return Some(node);
         };
         return with_scratch(node.size(), |out: &mut Vec<E>| {
             {
-                let block = node.leaf_block();
+                let block = held.map_or_else(|| node.leaf_block(), BlockRef::Loaded);
                 let mut cur = C::cursor(&block);
                 let mut i = 0;
                 while let Some(x) = cur.peek() {

@@ -24,7 +24,7 @@
 //! a million-node tree drops in bounded stack space, in parallel.
 
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
 use codecs::Codec;
 
@@ -37,17 +37,23 @@ pub(crate) type Tree<E, A, C> = Option<Arc<Node<E, A, C>>>;
 
 /// Source of leaf blocks for *lazy* leaves: a leaf built from a
 /// [`crate::structure::NodeOwned::Lazy`] stream node holds a page id
-/// instead of the encoded bytes and materializes them through its
-/// source on first access. The `store` crate's buffer pool is the canonical
-/// implementation — it caches the strong [`Arc`]s, so a lazy tree's
-/// resident footprint is bounded by the pool budget, not the data size.
+/// instead of the encoded bytes and asks its source for them on *every*
+/// access. The source is the one owner of residency: the tree keeps no
+/// handle of its own between accesses, so what stays in memory, for how
+/// long and at what budget is the source's policy alone — the `store`
+/// crate's buffer pool is the canonical implementation — and every
+/// access shows up in the source's counters.
+///
+/// The returned [`Arc`] is the pin: whoever holds it keeps the block
+/// alive for as long as they need it, whatever the source evicts in the
+/// meantime. Operations therefore load a leaf once and hold the handle
+/// across everything they do with it.
 ///
 /// `load` is infallible by contract: tree queries (`find`, iteration,
 /// ...) have no error channel, so a source that cannot produce the page
 /// it promised at build time must panic (the pool panics with the
 /// underlying typed I/O error's message). Loads must be idempotent —
-/// the same page may be requested many times as the cached weak
-/// reference expires under cache pressure.
+/// the same page is requested once per access.
 pub trait BlockSource<B>: Send + Sync + 'static {
     /// Loads (or retrieves from cache) the block stored on `page`.
     fn load(&self, page: u32) -> Arc<B>;
@@ -63,6 +69,19 @@ pub(crate) enum BlockRef<'a, B> {
     /// The block was materialized through a [`BlockSource`]; the `Arc`
     /// keeps it alive for the borrow's duration.
     Loaded(Arc<B>),
+}
+
+impl<B> BlockRef<'_, B> {
+    /// Ends the borrow of the node while keeping a loaded block pinned:
+    /// `Some` for a lazy leaf's handle, `None` for a resident leaf (whose
+    /// block is a free re-borrow). Lets an update hold one load across a
+    /// probe and the rebuild that consumes the node.
+    pub(crate) fn into_loaded(self) -> Option<Arc<B>> {
+        match self {
+            BlockRef::Borrowed(_) => None,
+            BlockRef::Loaded(arc) => Some(arc),
+        }
+    }
 }
 
 impl<B> Deref for BlockRef<'_, B> {
@@ -105,7 +124,7 @@ where
         block: C::Block,
     },
     /// A *lazy* leaf: the entries live on a page of a [`BlockSource`]
-    /// and are materialized through `src` on first access. Only
+    /// and are materialized through `src` on every access. Only
     /// built for unaugmented trees (`aug` is the identity — a lazy
     /// leaf cannot compute an aggregate without touching its page, and
     /// the store only pages `NoAug` trees).
@@ -119,11 +138,6 @@ where
         page: u32,
         /// Where to materialize the block from.
         src: Arc<dyn BlockSource<C::Block>>,
-        /// Weak handle to the last materialization: upgrades for free
-        /// while the source's cache still holds the block, reloads
-        /// after eviction. Weak — never a strong `Arc` — so a cold
-        /// tree's resident bytes stay bounded by the source's budget.
-        cached: Mutex<Weak<C::Block>>,
     },
 }
 
@@ -165,17 +179,7 @@ where
     pub(crate) fn leaf_block(&self) -> BlockRef<'_, C::Block> {
         match self {
             Node::Flat { block, .. } => BlockRef::Borrowed(block),
-            Node::Lazy {
-                page, src, cached, ..
-            } => {
-                let mut slot = cached.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(arc) = slot.upgrade() {
-                    return BlockRef::Loaded(arc);
-                }
-                let arc = src.load(*page);
-                *slot = Arc::downgrade(&arc);
-                BlockRef::Loaded(arc)
-            }
+            Node::Lazy { page, src, .. } => BlockRef::Loaded(src.load(*page)),
             Node::Regular { .. } => unreachable!("leaf_block on regular node"),
         }
     }
@@ -442,7 +446,6 @@ where
         len,
         page,
         src,
-        cached: Mutex::new(Weak::new()),
     }))
 }
 

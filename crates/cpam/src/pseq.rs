@@ -103,7 +103,12 @@ where
     }
 
     /// [`PacSeq::from_slice`] with an explicit block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b == 0`.
     pub fn from_slice_with(b: usize, values: &[V]) -> Self {
+        assert!(b > 0, "block size must be positive");
         PacSeq {
             root: seq::from_slice(b, values),
             b,

@@ -315,7 +315,8 @@ fn append_and_join_with_equal_block_sizes_keep_the_leaf_invariant() {
 fn every_constructor_rejects_a_zero_block_size() {
     type M = PacMap<u64, u64>;
     type S = PacSet<u64>;
-    let constructors: [(&str, fn()); 8] = [
+    type Q = PacSeq<u64>;
+    let constructors: [(&str, fn()); 10] = [
         ("PacMap::with_block_size", || drop(M::with_block_size(0))),
         ("PacMap::from_pairs_with", || drop(M::from_pairs_with(0, vec![(1, 1)]))),
         ("PacMap::from_sorted_pairs", || drop(M::from_sorted_pairs(0, &[(1, 1)]))),
@@ -328,6 +329,8 @@ fn every_constructor_rejects_a_zero_block_size() {
         ("PacSet::from_node_stream", || {
             drop(S::from_node_stream::<()>(0, None, None, &mut || Ok(crate::structure::NodeOwned::Empty)));
         }),
+        ("PacSeq::with_block_size", || drop(Q::with_block_size(0))),
+        ("PacSeq::from_slice_with", || drop(Q::from_slice_with(0, &[1]))),
     ];
     for (name, construct) in constructors {
         let panic = std::panic::catch_unwind(construct).expect_err(name);

@@ -11,24 +11,16 @@ use crate::{BlockSource, PacMap};
 type Block = Box<[(u64, u64)]>;
 type LazyNode = NodeOwned<(u64, u64), Block>;
 
-/// An in-memory page store that counts loads. With `evict_always` it
-/// hands out a fresh allocation per load, modelling a pool whose every
-/// page has been evicted between queries.
+/// An in-memory page store that counts loads.
 struct VecSource {
     pages: Vec<Arc<Block>>,
     loads: AtomicUsize,
-    evict_always: bool,
 }
 
 impl BlockSource<Block> for VecSource {
     fn load(&self, page: u32) -> Arc<Block> {
         self.loads.fetch_add(1, Ordering::Relaxed);
-        let page = &self.pages[page as usize];
-        if self.evict_always {
-            Arc::new((**page).clone())
-        } else {
-            Arc::clone(page)
-        }
+        Arc::clone(&self.pages[page as usize])
     }
 }
 
@@ -53,17 +45,12 @@ fn page_out(map: &PacMap<u64, u64>) -> (Vec<LazyNode>, VecSource) {
         VecSource {
             pages,
             loads: AtomicUsize::new(0),
-            evict_always: false,
         },
     )
 }
 
-fn paged_copy_with(
-    map: &PacMap<u64, u64>,
-    evict_always: bool,
-) -> (PacMap<u64, u64>, Arc<VecSource>) {
-    let (stream, mut src) = page_out(map);
-    src.evict_always = evict_always;
+fn paged_copy(map: &PacMap<u64, u64>) -> (PacMap<u64, u64>, Arc<VecSource>) {
+    let (stream, src) = page_out(map);
     let src = Arc::new(src);
     let mut it = stream.into_iter();
     let lazy = PacMap::from_node_stream::<()>(
@@ -74,10 +61,6 @@ fn paged_copy_with(
     )
     .expect("valid stream");
     (lazy, src)
-}
-
-fn paged_copy(map: &PacMap<u64, u64>) -> (PacMap<u64, u64>, Arc<VecSource>) {
-    paged_copy_with(map, false)
 }
 
 const B: usize = 8;
@@ -117,29 +100,36 @@ fn lazy_tree_is_equivalent_and_valid() {
 }
 
 #[test]
-fn weak_cache_releases_blocks_between_queries() {
-    let map = sample(5_000);
-    let (lazy, src) = paged_copy_with(&map, true);
-    lazy.find(&300);
-    lazy.find(&300);
-    // The per-leaf cache is weak: once the first query's handle drops
-    // and the source has evicted the page, the second query must load
-    // again. Memory stays bounded by the source's (pool) policy, not
-    // by the tree.
-    assert_eq!(src.loads.load(Ordering::Relaxed), 2);
-}
-
-#[test]
-fn weak_cache_hits_while_source_keeps_page_resident() {
-    let map = sample(5_000);
+fn every_leaf_access_asks_the_source_exactly_once() {
+    // At most 2B entries: the whole tree is one lazy leaf, so every
+    // operation below is exactly one leaf access.
+    let map = sample(12);
     let (lazy, src) = paged_copy(&map);
-    lazy.find(&300);
-    lazy.find(&300);
-    // The source kept a strong handle (page still resident), so the
-    // leaf's weak cache upgrades and the second query is load-free at
-    // this layer too — no round-trip through the source at all would
-    // need a strong per-leaf cache; one cheap re-load is the deal.
-    assert!(src.loads.load(Ordering::Relaxed) <= 2);
+    assert_eq!(src.pages.len(), 1);
+    let mut expected = 0;
+    let mut one_more = |what: &str| {
+        expected += 1;
+        assert_eq!(src.loads.load(Ordering::Relaxed), expected, "{what}");
+    };
+    // The tree keeps no handle of its own: a re-read of a page the
+    // source still holds goes back to the source, so the source's
+    // counters (and its replacement policy) see every access.
+    for _ in 0..3 {
+        assert_eq!(lazy.find(&30), Some(10));
+        one_more("find");
+    }
+    assert_eq!(lazy.rank(&30), 10);
+    one_more("rank");
+    assert_eq!(lazy.select(10), Some((30, 10)));
+    one_more("select");
+    // Updates load the leaf they rewrite once, and hold that handle
+    // across probe and rebuild: a miss and a hit both cost one load.
+    assert_eq!(lazy.remove(&31).len(), map.len());
+    one_more("remove miss");
+    assert_eq!(lazy.remove(&30).len(), map.len() - 1);
+    one_more("remove hit");
+    assert_eq!(lazy.insert(31, 7).len(), map.len() + 1);
+    one_more("insert");
 }
 
 #[test]
@@ -172,7 +162,6 @@ fn oversized_paged_leaf_is_rejected() {
     let src = Arc::new(VecSource {
         pages: vec![Arc::new((0..100u64).map(|i| (i, i)).collect::<Vec<_>>().into_boxed_slice())],
         loads: AtomicUsize::new(0),
-        evict_always: false,
     });
     let mut fed = false;
     let res = PacMap::<u64, u64>::from_node_stream::<()>(

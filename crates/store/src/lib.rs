@@ -81,6 +81,6 @@ pub use mvcc::{
 pub use page::{
     decode_snapshot, encode_snapshot, incr_file_name, write_file_atomic, DiskTree, PAGE_MAGIC,
 };
-pub use pool::{BufferPool, PageGuard, PageKey, PoolStats};
+pub use pool::{BufferPool, PageKey, PoolStats};
 pub use router::{Router, PARTITION_FILE, PARTITION_MAGIC};
 pub use shard::{shard_dir_name, ShardedSnapshot, ShardedStore, MANIFEST_FILE};

@@ -153,7 +153,6 @@ impl PoolMetrics {
             ("pacstore_pool_capacity_pages", s.capacity_pages as i64),
             ("pacstore_pool_resident_pages", s.resident_pages as i64),
             ("pacstore_pool_resident_bytes", s.resident_bytes as i64),
-            ("pacstore_pool_pinned_pages", s.pinned_pages as i64),
         ]);
         let mut last = self.last.lock();
         self.hits.add(s.hits.saturating_sub(last.0));

@@ -541,7 +541,7 @@ impl<T: DiskTree> PageSource<T> {
 impl<T: DiskTree> BlockSource<BlockOf<T>> for PageSource<T> {
     fn load(&self, page: u32) -> Arc<BlockOf<T>> {
         match self.pool.get((self.file_id, page), || self.fetch(page)) {
-            Ok(guard) => guard.share(),
+            Ok(block) => block,
             // `BlockSource::load` is infallible by contract: queries
             // have no error channel. A record that was in bounds at
             // open and fails now is an environment failure, not a

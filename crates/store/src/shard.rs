@@ -1902,20 +1902,11 @@ where
     /// calls this before rendering gets fresh values.
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
         let total = self.shard_pool_stats().map(|per_shard| {
-            let mut total = crate::pool::PoolStats {
-                capacity_pages: 0,
-                resident_pages: 0,
-                resident_bytes: 0,
-                pinned_pages: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            };
+            let mut total = crate::pool::PoolStats::default();
             for s in per_shard {
                 total.capacity_pages += s.capacity_pages;
                 total.resident_pages += s.resident_pages;
                 total.resident_bytes += s.resident_bytes;
-                total.pinned_pages += s.pinned_pages;
                 total.hits += s.hits;
                 total.misses += s.misses;
                 total.evictions += s.evictions;

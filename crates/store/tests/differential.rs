@@ -546,13 +546,14 @@ lifecycle_grid! {
 // ---------------------------------------------------------------------
 //
 // One deterministic script of commits, saves, compacts, reopens, and
-// probes is generated per seed, then replayed on three configurations —
+// probes is generated per seed, then replayed on three read policies —
 // `pool_pages` 8 (heavy eviction), 64 (mostly resident), and `None`
-// (eager reads) — each checked against its own `BTreeMap`
-// oracle after every step. The cache budget may only change *when*
-// pages are read, never *what* any query returns; at the tiny setting
-// the replay also asserts residency stays within budget while the data
-// set is many times larger. (`DIFF_OOC_CASES` overrides the volume,
+// (eager reads) — at one and at three shards, each checked against its
+// own `BTreeMap` oracle after every step. The cache budget may only
+// change *when* pages are read, never *what* any query returns; every
+// shard's pool stays within its budget at every step (there is no
+// overflow), the tiny pool must have evicted and the roomy one must
+// have served re-reads as hits. (`DIFF_OOC_CASES` overrides the volume,
 // default 5 — the script is durable and deliberately large.)
 
 /// Steps of one out-of-core script; concrete ops so every replay is
@@ -587,6 +588,9 @@ fn ooc_script(seed: u64) -> Vec<OocStep> {
         // Scan the freshly reopened, fully-lazy base: on the 8-page pool
         // this is guaranteed eviction pressure (~60 pages through 8 slots).
         OocStep::Probe(Vec::new(), 0, OOC_SPAN),
+        // Re-read what the scan just crossed: the 64-page pool still
+        // holds it (hits), the 8-page pool mostly does not.
+        OocStep::Probe(vec![1_000, 5_000, 7_999], 0, 0),
     ];
     let rounds = 5 + rng.gen_range(0..6usize);
     for _ in 0..rounds {
@@ -622,23 +626,28 @@ fn ooc_script(seed: u64) -> Vec<OocStep> {
     steps
 }
 
-/// Replays `steps` on one pool configuration against a fresh oracle.
-fn ooc_exec(seed: u64, pool: Option<usize>, steps: &[OocStep]) -> Result<(), String> {
+/// Replays `steps` on one pool configuration and shard count against a
+/// fresh oracle.
+fn ooc_exec(seed: u64, pool: Option<usize>, shards: usize, steps: &[OocStep]) -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!(
-        "pacstore-diff-ooc-{}-{seed:016x}",
+        "pacstore-diff-ooc-{}-s{shards}-{seed:016x}",
         pool.map_or("none".into(), |p| p.to_string())
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = StoreOptions { pool_pages: pool, ..StoreOptions::default() };
-    let open = |dir: &PathBuf| -> Result<PacStore<u64, u32>, String> {
-        PacStore::open_with(dir, opts.clone()).map_err(|e| format!("open: {e}"))
+    let router = match shards {
+        1 => Router::single(),
+        n => Router::uniform_span(n, OOC_SPAN),
+    };
+    let open = |dir: &PathBuf| -> Result<ShardedStore<u64, u32>, String> {
+        ShardedStore::open_or_create(dir, router.clone(), opts.clone())
+            .map_err(|e| format!("open: {e}"))
     };
     let mut store = open(&dir)?;
     let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
     // Pools are per-handle; accumulate the monotone fields across
     // reopens so the end-of-script sanity check sees the whole replay.
-    let mut cum_misses = 0u64;
-    let mut cum_evictions = 0u64;
+    let (mut cum_hits, mut cum_misses, mut cum_evictions) = (0u64, 0u64, 0u64);
 
     for (i, step) in steps.iter().enumerate() {
         match step {
@@ -664,6 +673,7 @@ fn ooc_exec(seed: u64, pool: Option<usize>, steps: &[OocStep]) -> Result<(), Str
             OocStep::Reopen => {
                 let version = store.current_version();
                 if let Some(s) = store.pool_stats() {
+                    cum_hits += s.hits;
                     cum_misses += s.misses;
                     cum_evictions += s.evictions;
                 }
@@ -705,12 +715,12 @@ fn ooc_exec(seed: u64, pool: Option<usize>, steps: &[OocStep]) -> Result<(), Str
                 }
             }
         }
-        // The cache budget is a hard bound at every step, not just at
-        // quiescence.
-        if let (Some(budget), Some(s)) = (pool, store.pool_stats()) {
-            if s.resident_pages > budget {
+        // The cache budget is a hard bound on every shard's pool at
+        // every step, not just at quiescence: nothing can overflow it.
+        for (shard, s) in store.shard_pool_stats().into_iter().flatten().enumerate() {
+            if pool.is_some_and(|budget| s.resident_pages > budget) {
                 return Err(format!(
-                    "step {i}: resident {} pages over budget {budget}",
+                    "step {i}: shard {shard} holds {} resident pages, budget {pool:?}",
                     s.resident_pages
                 ));
             }
@@ -719,15 +729,23 @@ fn ooc_exec(seed: u64, pool: Option<usize>, steps: &[OocStep]) -> Result<(), Str
 
     // Configuration sanity: the tiny pool actually worked out-of-core
     // (the replay paged and evicted — the data set exceeds 8 pages),
-    // and `None` reports no pool at all.
+    // the roomy pool saw the re-reads (every access to a lazy leaf goes
+    // through it), and `None` reports no pool at all.
     match (pool, store.pool_stats()) {
         (Some(budget), Some(s)) => {
+            cum_hits += s.hits;
             cum_misses += s.misses;
             cum_evictions += s.evictions;
             if budget == 8 && (cum_misses <= 8 || cum_evictions == 0) {
                 return Err(format!(
                     "8-page replay never worked out-of-core: \
                      {cum_misses} misses, {cum_evictions} evictions"
+                ));
+            }
+            if budget == 64 && cum_hits == 0 {
+                return Err(format!(
+                    "64-page replay re-read resident pages without a single pool hit \
+                     ({cum_misses} misses)"
                 ));
             }
         }
@@ -749,10 +767,11 @@ fn out_of_core_grid_pool_budget_is_invisible() {
     for case in 0..n {
         let seed = start.wrapping_add(case);
         let steps = ooc_script(seed);
-        for pool in [Some(8), Some(64), None] {
-            if let Err(msg) = ooc_exec(seed, pool, &steps) {
+        for (pool, shards) in [Some(8), Some(64), None].into_iter().flat_map(|p| [(p, 1), (p, 3)]) {
+            if let Err(msg) = ooc_exec(seed, pool, shards, &steps) {
                 panic!(
-                    "out-of-core differential divergence (pool_pages={pool:?}): {msg}\n\
+                    "out-of-core differential divergence (pool_pages={pool:?}, {shards} shards): \
+                     {msg}\n\
                      reproduce with: PROPTEST_SEED={seed} cargo test -p store --test differential"
                 );
             }

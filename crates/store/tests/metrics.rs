@@ -173,7 +173,7 @@ fn pool_stats_publish_gauges_and_counter_deltas() {
     assert_eq!(gauge("pacstore_pool_capacity_pages"), 4);
     assert_eq!(gauge("pacstore_pool_resident_pages"), s.resident_pages as i64);
     assert_eq!(gauge("pacstore_pool_resident_bytes"), s.resident_bytes as i64);
-    assert_eq!(gauge("pacstore_pool_pinned_pages"), s.pinned_pages as i64);
+    assert_eq!(obs::global().gauge_value("pacstore_pool_pinned_pages"), None, "gauge is gone");
 
     // Counters advanced by at least this store's activity; a second
     // publish with no intervening pool traffic adds nothing (deltas,
@@ -189,7 +189,7 @@ fn pool_stats_publish_gauges_and_counter_deltas() {
     let text = obs::global().render_text();
     for series in [
         "# TYPE pacstore_pool_resident_bytes gauge",
-        "# TYPE pacstore_pool_pinned_pages gauge",
+        "# TYPE pacstore_pool_resident_pages gauge",
         "pacstore_pool_hits_total",
         "pacstore_pool_misses_total",
         "pacstore_pool_evictions_total",

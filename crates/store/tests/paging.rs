@@ -5,7 +5,8 @@
 //! under both — is stated in `differential.rs`.)
 
 use store::{
-    shard_dir_name, Op, PacStore, Router, ShardedStore, StoreOptions, LOG_FILE, SNAPSHOT_FILE,
+    shard_dir_name, Op, PacStore, PoolStats, Router, ShardedStore, StoreOptions, LOG_FILE,
+    SNAPSHOT_FILE,
 };
 
 use std::path::{Path, PathBuf};
@@ -67,6 +68,98 @@ fn lazy_open_reads_no_leaf_and_residency_is_bounded() {
     // headers — use a generous 64 KiB/page ceiling.
     assert!(s.resident_bytes <= 8 * 64 * 1024, "resident {} bytes", s.resident_bytes);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store's point read and the stats of the one pool it goes through.
+type Get<'a> = &'a dyn Fn(u64) -> Option<u64>;
+type Stats<'a> = &'a dyn Fn() -> PoolStats;
+
+/// One point read, which must cross exactly one leaf (none of the keys
+/// used below is a pivot): what it added to the pool's `(hits, misses)`.
+fn read(get: Get, stats: Stats, k: u64) -> (u64, u64) {
+    let before = stats();
+    assert_eq!(get(k), Some(k * 3));
+    let after = stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert_eq!(hits + misses, 1, "get({k}) crossed {} leaves", hits + misses);
+    (hits, misses)
+}
+
+const HIT: (u64, u64) = (1, 0);
+const MISS: (u64, u64) = (0, 1);
+
+/// Every access to a lazy leaf is a pool lookup: K re-reads of one key
+/// are one miss, then exactly K hits.
+fn rereads_are_hits(get: Get, stats: Stats) {
+    assert_eq!(read(get, stats, 1_003), MISS);
+    let before = stats();
+    for _ in 0..100 {
+        assert_eq!(get(1_003), Some(3_009));
+    }
+    let after = stats();
+    assert_eq!((after.hits - before.hits, after.misses), (100, before.misses));
+}
+
+/// Second chance through the production read path, on a 4-page pool: a
+/// leaf re-read between cold reads has its reference bit set, so the
+/// sweep the fifth leaf forces passes it by (clearing the bit) and
+/// evicts the oldest *untouched* leaf instead.
+fn reread_leaf_survives_a_sweep(get: Get, stats: Stats) {
+    assert_eq!(stats().capacity_pages, 4);
+    let (hot, cold) = (1_003, [3_003, 5_003, 7_003, 9_003]);
+    assert_eq!(read(get, stats, hot), MISS);
+    assert_eq!(read(get, stats, cold[0]), MISS);
+    assert_eq!(get(hot), Some(hot * 3)); // the re-read
+    assert_eq!(read(get, stats, cold[1]), MISS);
+    assert_eq!(read(get, stats, cold[2]), MISS);
+    assert_eq!(stats().evictions, 0);
+    assert_eq!(read(get, stats, cold[3]), MISS);
+    assert_eq!((stats().evictions, stats().resident_pages), (1, 4));
+    assert_eq!(read(get, stats, hot), HIT, "cold reads flushed the re-read leaf");
+    assert_eq!(read(get, stats, cold[0]), MISS, "the untouched leaf should have gone");
+}
+
+/// Runs `check` on a freshly reopened 4-page `PacStore`, then on shard 0
+/// of a three-shard `ShardedStore` (the keys used are below `N / 3`),
+/// whose pool is its own: the other shards' pools must see nothing.
+fn on_both_handles(name: &str, check: fn(Get, Stats)) {
+    let load = || (0..N).map(|k| Op::Put(k, k * 3)).collect::<Vec<_>>();
+
+    let dir = scratch(name);
+    {
+        let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
+        store.commit(load()).unwrap();
+        store.save().unwrap();
+    }
+    let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(4)).unwrap();
+    check(&|k| store.get(&k), &|| store.pool_stats().unwrap());
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let router = Router::uniform_span(3, N);
+    {
+        let store: ShardedStore<u64, u64> =
+            ShardedStore::open_or_create(&dir, router.clone(), pooled(4)).unwrap();
+        store.commit(load()).unwrap();
+        store.save().unwrap();
+    }
+    let store: ShardedStore<u64, u64> =
+        ShardedStore::open_or_create(&dir, router, pooled(4)).unwrap();
+    check(&|k| store.get(&k), &|| store.shard_pool_stats().unwrap()[0]);
+    let others = &store.shard_pool_stats().unwrap()[1..];
+    assert!(others.iter().all(|s| s.hits + s.misses == 0), "{others:?}");
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn k_rereads_of_one_key_are_k_pool_hits_and_no_miss() {
+    on_both_handles("reread-hits", rereads_are_hits);
+}
+
+#[test]
+fn a_reread_leaf_survives_the_sweep_that_evicts_an_untouched_one() {
+    on_both_handles("second-chance", reread_leaf_survives_a_sweep);
 }
 
 #[test]

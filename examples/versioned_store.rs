@@ -66,18 +66,23 @@ fn main() {
     // --- Read policy: the same files, opened lazily -----------------
     // `pool_pages` never changes what is written; it selects how pages
     // are read. With a budget, open reads structure only and leaves
-    // stream through a capped pool on demand.
+    // stream through a capped pool on demand. The pool is the one
+    // owner of residency, so the second read of a key is a pool hit.
     drop(db);
     let lazy = StoreOptions { pool_pages: Some(64), ..StoreOptions::default() };
     let db: PacStore<u64, u64> = PacStore::open_with(&dir, lazy).expect("lazy reopen");
     assert_eq!(db.get(&43), Some(1));
+    assert_eq!(db.get(&43), Some(1));
     let pool = db.pool_stats().expect("a pooled store reports its pool");
     println!(
-        "lazy reopen: log replay + one get read {} leaf records of {} entries' worth ({} resident bytes)",
+        "lazy reopen: log replay + two gets read {} leaf records of {} entries' worth \
+         ({} resident bytes), {} pool hits",
         pool.misses,
         db.len(),
-        pool.resident_bytes
+        pool.resident_bytes,
+        pool.hits
     );
+    assert!(pool.hits >= 1, "a re-read of a resident leaf is a pool hit");
     drop(db);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
