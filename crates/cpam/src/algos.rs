@@ -11,10 +11,10 @@
 use codecs::{BlockCursor, Codec};
 
 use crate::aug::Augmentation;
-use crate::base::{from_sorted, rebuild_leaf, to_vec};
+use crate::base::{delete_sorted, from_sorted, merge_sorted, rebuild_leaf, to_vec};
 use crate::entry::{Element, Entry};
 use crate::join::{expose_owned, join, join2, split};
-use crate::node::{size, BlockRef, Node, Tree};
+use crate::node::{size, Node, Tree};
 use crate::scratch::with_scratch;
 use crate::stats;
 
@@ -42,17 +42,20 @@ where
             leaf => {
                 stats::count_cursor_op();
                 let block = leaf.leaf_block();
-                return C::search_by(&block, |e| e.key().cmp(k)).ok().map(|(_, e)| e);
+                return C::search_by(&block, |e| e.key().cmp(k))
+                    .ok()
+                    .map(|(_, e)| e);
             }
         }
     }
 }
 
 /// Inserts one entry; `f(old, new)` combines with an existing entry.
-/// `O(log n + B)` work. Consumes the tree: every uniquely-owned node on
-/// the root-to-leaf path is rebuilt in place; shared nodes (and
-/// everything below the first shared node reached through them) are
-/// path-copied as before.
+/// `O(log n + B)` work: the one leaf on the path is rewritten once
+/// ([`merge_sorted`]), its sibling is linked back untouched. Consumes the
+/// tree: every uniquely-owned node on the root-to-leaf path is rebuilt
+/// in place; shared nodes (and everything below the first shared node
+/// reached through them) are path-copied as before.
 pub(crate) fn insert<E, A, C, F>(b: usize, t: Tree<E, A, C>, e: E, f: &F) -> Tree<E, A, C>
 where
     E: Entry,
@@ -64,39 +67,7 @@ where
         return from_sorted(b, std::slice::from_ref(&e));
     };
     if node.is_flat() {
-        // Merge the new entry in one cursor pass over the block —
-        // no decode-then-`Vec::insert` shuffle — into a scratch
-        // buffer that is re-encoded into the node's own allocation
-        // when we hold the only reference.
-        stats::count_cursor_op();
-        return with_scratch(node.size() + 1, |out: &mut Vec<E>| {
-            {
-                let block = node.leaf_block();
-                let mut cur = C::cursor(&block);
-                let mut pending = Some(e);
-                while let Some(x) = cur.peek() {
-                    if let Some(new) = pending.take() {
-                        match x.key().cmp(new.key()) {
-                            std::cmp::Ordering::Less => pending = Some(new),
-                            std::cmp::Ordering::Equal => {
-                                out.push(f(x, &new));
-                                cur.advance();
-                                continue;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                out.push(new);
-                            }
-                        }
-                    }
-                    out.push(x.clone());
-                    cur.advance();
-                }
-                if let Some(new) = pending {
-                    out.push(new);
-                }
-            }
-            rebuild_leaf(b, Some(node), out)
-        });
+        return merge_sorted(b, Some(node), std::slice::from_ref(&e), f);
     }
     let (left, entry, right, husk) = expose_owned(Some(node));
     match e.key().cmp(entry.key()) {
@@ -107,8 +78,8 @@ where
 }
 
 /// Removes the entry with key `k`, if present. `O(log n + B)` work; a
-/// miss is allocation-free (the block is probed with a cursor search and
-/// the unchanged tree is returned as-is). Consumes the tree like
+/// miss is allocation-free ([`delete_sorted`] probes the block with a
+/// cursor search and returns the leaf as it is). Consumes the tree like
 /// [`insert`].
 pub(crate) fn remove<E, A, C>(b: usize, t: Tree<E, A, C>, k: &E::Key) -> Tree<E, A, C>
 where
@@ -118,32 +89,7 @@ where
 {
     let node = t?;
     if node.is_flat() {
-        stats::count_cursor_op();
-        // One materialization serves the probe and the rebuild: a lazy
-        // leaf asks its source once, and the handle keeps the block
-        // alive whatever the source evicts in between.
-        let block = node.leaf_block();
-        let hit = C::search_by(&block, |x| x.key().cmp(k)).map(|(hit, _)| hit);
-        let held = block.into_loaded();
-        let Ok(hit) = hit else {
-            // Miss: nothing to rebuild, keep the node as-is.
-            return Some(node);
-        };
-        return with_scratch(node.size(), |out: &mut Vec<E>| {
-            {
-                let block = held.map_or_else(|| node.leaf_block(), BlockRef::Loaded);
-                let mut cur = C::cursor(&block);
-                let mut i = 0;
-                while let Some(x) = cur.peek() {
-                    if i != hit {
-                        out.push(x.clone());
-                    }
-                    i += 1;
-                    cur.advance();
-                }
-            }
-            rebuild_leaf(b, Some(node), out)
-        });
+        return delete_sorted(b, Some(node), std::slice::from_ref(k));
     }
     let (left, entry, right, husk) = expose_owned(Some(node));
     match k.cmp(entry.key()) {
@@ -400,11 +346,8 @@ pub(crate) fn range_decompose<E, A, C>(
 }
 
 /// Contributes everything with key >= `lo` from `t`.
-fn descend_ge<E, A, C>(
-    t: &Tree<E, A, C>,
-    lo: &E::Key,
-    f: &mut PartSink<'_, E, A::Value>,
-) where
+fn descend_ge<E, A, C>(t: &Tree<E, A, C>, lo: &E::Key, f: &mut PartSink<'_, E, A::Value>)
+where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
@@ -442,11 +385,8 @@ fn descend_ge<E, A, C>(
 }
 
 /// Contributes everything with key <= `hi` from `t`.
-fn descend_le<E, A, C>(
-    t: &Tree<E, A, C>,
-    hi: &E::Key,
-    f: &mut PartSink<'_, E, A::Value>,
-) where
+fn descend_le<E, A, C>(t: &Tree<E, A, C>, hi: &E::Key, f: &mut PartSink<'_, E, A::Value>)
+where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
@@ -698,13 +638,7 @@ where
     map_reduce_rec(grain, t, m, op, id)
 }
 
-fn map_reduce_rec<E, A, C, R, M, Op>(
-    grain: usize,
-    t: &Tree<E, A, C>,
-    m: &M,
-    op: &Op,
-    id: R,
-) -> R
+fn map_reduce_rec<E, A, C, R, M, Op>(grain: usize, t: &Tree<E, A, C>, m: &M, op: &Op, id: R) -> R
 where
     E: Element,
     A: Augmentation<E>,
@@ -800,7 +734,11 @@ where
 
 /// Folds over every stored augmented value (one per node, regular or
 /// flat) — used for space accounting of tree-valued augmentations.
-pub(crate) fn fold_augs<E, A, C, R>(t: &Tree<E, A, C>, acc: R, f: &mut dyn FnMut(R, &A::Value) -> R) -> R
+pub(crate) fn fold_augs<E, A, C, R>(
+    t: &Tree<E, A, C>,
+    acc: R,
+    f: &mut dyn FnMut(R, &A::Value) -> R,
+) -> R
 where
     E: Element,
     A: Augmentation<E>,

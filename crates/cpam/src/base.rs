@@ -3,14 +3,19 @@
 //! These are the paper's `fold`/`unfold` primitives (Fig. 5): a tree can
 //! be flattened into an entry array and rebuilt from one, and a flat node
 //! can be expanded into a perfectly balanced all-regular subtree.
+//!
+//! It is also where an update finally meets a leaf: [`merge_sorted`] and
+//! [`delete_sorted`] are the one routine per direction through which
+//! `insert`/`multi_insert` and `remove`/`multi_delete` rewrite blocks.
 
 use codecs::Codec;
 use parlay::SendPtr;
 
 use crate::aug::Augmentation;
-use crate::entry::Element;
+use crate::entry::{Element, Entry};
 use crate::grain::walk_grain;
 use crate::node::{make_flat, make_regular, reuse_flat, reuse_regular, size, Node, Tree};
+use crate::scratch::with_scratch;
 use crate::stats;
 
 /// Builds a PaC-tree from entries already in collection order.
@@ -211,4 +216,115 @@ where
             C::decode(&block, out);
         }
     }
+}
+
+/// Streams every entry of `t` through `f` in order, without
+/// materializing anything: each leaf block is loaded once and walked
+/// with the codec's allocation-free `for_each` (one cursor op per leaf).
+fn for_each_entry<E, A, C>(t: &Tree<E, A, C>, f: &mut impl FnMut(&E))
+where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    let Some(node) = t else { return };
+    match &**node {
+        Node::Regular {
+            left, entry, right, ..
+        } => {
+            for_each_entry(left, f);
+            f(entry);
+            for_each_entry(right, f);
+        }
+        leaf => {
+            stats::count_cursor_op();
+            C::for_each(&leaf.leaf_block(), f);
+        }
+    }
+}
+
+/// Merges the key-sorted, duplicate-free `batch` into `t` and rebuilds
+/// it as one packed piece ([`rebuild_leaf`]); `f(old, new)` combines on
+/// equal keys. `t` is a leaf — where `insert` (a one-entry batch) and a
+/// sparse `multi_insert` slice end up — or a subtree of at most κ
+/// entries that the batch hits densely (the Section 8 array base case).
+/// The tree's entries are streamed against the batch straight into one
+/// scratch buffer, each leaf loaded once; `O(|t| + |batch|)` work.
+pub(crate) fn merge_sorted<E, A, C, F>(
+    b: usize,
+    t: Tree<E, A, C>,
+    batch: &[E],
+    f: &F,
+) -> Tree<E, A, C>
+where
+    E: Entry,
+    A: Augmentation<E>,
+    C: Codec<E>,
+    F: Fn(&E, &E) -> E,
+{
+    with_scratch(size(&t) + batch.len(), |out: &mut Vec<E>| {
+        let mut rest = batch;
+        for_each_entry(&t, &mut |x: &E| {
+            while let Some((new, tail)) = rest.split_first() {
+                match new.key().cmp(x.key()) {
+                    std::cmp::Ordering::Less => out.push(new.clone()),
+                    std::cmp::Ordering::Equal => {
+                        out.push(f(x, new));
+                        rest = tail;
+                        return;
+                    }
+                    std::cmp::Ordering::Greater => break,
+                }
+                rest = tail;
+            }
+            out.push(x.clone());
+        });
+        out.extend_from_slice(rest);
+        rebuild_leaf(b, t, out)
+    })
+}
+
+/// Removes the entries of `t` whose keys appear in the sorted,
+/// duplicate-free `keys` and rebuilds what is left as one packed piece;
+/// the counterpart of [`merge_sorted`] for `remove` (one key) and
+/// `multi_delete`, over the same two shapes of `t`. A tree that none of
+/// the keys hits comes back as it went in — not re-encoded, and for a
+/// single leaf not even copied: the block is probed first, on the same
+/// load the copy then streams (a lazy leaf asks its source once).
+pub(crate) fn delete_sorted<E, A, C>(b: usize, t: Tree<E, A, C>, keys: &[E::Key]) -> Tree<E, A, C>
+where
+    E: Entry,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    with_scratch(size(&t), |out: &mut Vec<E>| {
+        let (mut rest, mut removed) = (keys, 0usize);
+        let mut keep = |x: &E| {
+            while rest.first().is_some_and(|k| k < x.key()) {
+                rest = &rest[1..];
+            }
+            if rest.first() == Some(x.key()) {
+                removed += 1;
+            } else {
+                out.push(x.clone());
+            }
+        };
+        match t.as_deref() {
+            Some(leaf) if leaf.is_flat() => {
+                stats::count_cursor_op();
+                let block = leaf.leaf_block();
+                if keys
+                    .iter()
+                    .any(|k| C::search_by(&block, |x| x.key().cmp(k)).is_ok())
+                {
+                    C::for_each(&block, &mut keep);
+                }
+            }
+            _ => for_each_entry(&t, &mut keep),
+        }
+        if removed == 0 {
+            return t;
+        }
+        rebuild_leaf(b, t, out)
+    })
 }

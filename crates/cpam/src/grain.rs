@@ -19,6 +19,12 @@
 //! at the entry point and thread it through their recursion, so the
 //! cutoff is a property of the whole operation, not of each subtree.
 //!
+//! For the batch updates the problem is the *batch's work*, not the
+//! tree: 16 keys into a million entries touch 16 leaves, so
+//! [`batch_grain`] takes the entries the batch can reach and has a
+//! floor of its own, below which an operation never enters the
+//! scheduler at all.
+//!
 //! The worker count is read once and cached: the pool's size is fixed
 //! after startup, and the policy is consulted on every recursive step.
 
@@ -30,7 +36,7 @@ fn pool_threads() -> usize {
 }
 
 /// Fork cutoff for the divide-and-conquer set operations (union,
-/// intersect, difference, multi_insert, multi_delete) on trees with
+/// intersect, difference, filter) on trees with
 /// block-size parameter `b`, for a root problem of `n` entries.
 ///
 /// Subproblems of at most `max(4b, 1024)` entries — a handful of leaf
@@ -42,6 +48,28 @@ pub(crate) fn par_grain(b: usize, n: usize) -> usize {
         return usize::MAX;
     }
     (4 * b).max(1024).max(n / (8 * threads))
+}
+
+/// Least batch work ([`batch_grain`]'s unit: entries a batch can touch)
+/// worth a fork. Set from the measured T = 1 / T = 2 crossover on the
+/// 2-core reference box (DESIGN.md §12): below it the wake-up of a
+/// parked worker costs more than the half of the batch it would take.
+/// A commit-sized batch — 64 keys at B = 128 touch at most 64·256 + 64
+/// entries — stays under it and never enters the scheduler.
+const BATCH_FLOOR: usize = 1 << 15;
+const _: () = assert!(64 * 256 + 64 <= BATCH_FLOOR);
+
+/// Fork cutoff for the batch updates (`multi_insert`, `multi_delete`)
+/// whose root problem is `work` entries of batch work — what the keys
+/// can touch, not the size of the tree they land in: a small batch into
+/// a large tree is a small problem. Same `8T` tasks scaling as
+/// [`par_grain`] above the floor.
+pub(crate) fn batch_grain(work: usize) -> usize {
+    let threads = pool_threads();
+    if threads <= 1 {
+        return usize::MAX;
+    }
+    BATCH_FLOOR.max(work / (8 * threads))
 }
 
 /// Fork cutoff for structure builds and linear walks (`from_sorted`,
@@ -82,6 +110,19 @@ mod tests {
             assert_eq!(walk_grain(n), n / (8 * t));
             assert!(pool_is_parallel());
         }
+    }
+
+    #[test]
+    fn batch_grain_follows_the_batch_not_the_tree() {
+        if pool_threads() <= 1 {
+            assert_eq!(batch_grain(1 << 30), usize::MAX);
+            return;
+        }
+        // A commit-sized batch (64 keys at B = 128) is under the floor
+        // whatever tree it lands in; bulk work scales as work / 8T.
+        assert_eq!(batch_grain(64 * 256 + 64), BATCH_FLOOR);
+        let work = 80_000_000;
+        assert_eq!(batch_grain(work), work / (8 * pool_threads()));
     }
 
     #[test]

@@ -24,7 +24,9 @@ use codecs::Codec;
 use crate::aug::Augmentation;
 use crate::base::{build_regular, flatten_into, from_sorted, rebuild_leaf};
 use crate::entry::{Element, Entry};
-use crate::node::{decode_flat_into, make_flat, reuse_regular, reuse_flat, size, weight, Node, Tree};
+use crate::node::{
+    decode_flat_into, make_flat, reuse_flat, reuse_regular, size, weight, Node, Tree,
+};
 use crate::scratch::with_scratch;
 
 /// Weight-balance factor α = 0.29 (paper default; α ≤ 1 − 1/√2).
@@ -47,9 +49,16 @@ fn left_heavy(wl: usize, wr: usize) -> bool {
 /// The `node()` smart constructor (Fig. 5): links `l`, `e`, `r` and
 /// enforces the blocked-leaves invariant:
 ///
-/// * total > 4b — plain regular node;
+/// * total > 4b, or `l` and `r` are both leaves of `b..=2b` entries —
+///   plain regular node. Two valid leaves are BB[α]-balanced whatever
+///   their fill ((b+1)/(3b+2) ≥ 0.29), so the pair is already what the
+///   redistribution below would produce: linking it leaves the sibling
+///   of a rewritten leaf untouched — not decoded, not re-encoded, a lazy
+///   one not even loaded (`size()` reads no page) — and shared with the
+///   previous version;
 /// * total ≤ 2b — fold everything into one flat node;
-/// * 2b < total ≤ 4b — redistribute into two half-size flat children.
+/// * otherwise (an undersized leaf, a regular or empty child) —
+///   redistribute into two half-size flat children.
 ///
 /// `src` is the husk of the node this rebuild replaces (or `None` when
 /// the caller does not own one); a uniquely-owned husk is overwritten in
@@ -66,8 +75,12 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
+    let valid_leaf = |t: &Tree<E, A, C>| {
+        t.as_ref()
+            .is_some_and(|n| n.is_flat() && (b..=2 * b).contains(&n.size()))
+    };
     let total = size(&l) + size(&r) + 1;
-    if total > 4 * b {
+    if total > 4 * b || (valid_leaf(&l) && valid_leaf(&r)) {
         return reuse_regular(src, l, e, r);
     }
     // Folding path: flatten into a reused scratch buffer (sized once

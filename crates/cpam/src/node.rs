@@ -71,19 +71,6 @@ pub(crate) enum BlockRef<'a, B> {
     Loaded(Arc<B>),
 }
 
-impl<B> BlockRef<'_, B> {
-    /// Ends the borrow of the node while keeping a loaded block pinned:
-    /// `Some` for a lazy leaf's handle, `None` for a resident leaf (whose
-    /// block is a free re-borrow). Lets an update hold one load across a
-    /// probe and the rebuild that consumes the node.
-    pub(crate) fn into_loaded(self) -> Option<Arc<B>> {
-        match self {
-            BlockRef::Borrowed(_) => None,
-            BlockRef::Loaded(arc) => Some(arc),
-        }
-    }
-}
-
 impl<B> Deref for BlockRef<'_, B> {
     type Target = B;
 
@@ -212,8 +199,9 @@ where
 
 /// Drops two large subtrees without deep recursion: single-child chains
 /// are walked in a loop, two-child splits fork through [`parlay::join`]
-/// (halving weights keep the fork depth `O(log n)` with tiny frames),
-/// and shared nodes are just a refcount decrement. Each `Arc` dropped
+/// when both children are uniquely owned (halving weights keep the
+/// depth `O(log n)` with tiny frames, forked or not), and shared nodes
+/// are just a refcount decrement. Each `Arc` dropped
 /// here has had its heavy children taken out first, so its own `Drop`
 /// returns immediately.
 fn drop_heavy<E, A, C>(l: Tree<E, A, C>, r: Tree<E, A, C>)
@@ -251,13 +239,16 @@ where
         }
     }
     match (l, r) {
-        (Some(a), Some(b)) => {
-            if crate::grain::pool_is_parallel() {
-                parlay::join(|| one(Some(a)), || one(Some(b)));
-            } else {
-                one(Some(a));
-                one(Some(b));
-            }
+        // A fork pays only when both sides have nodes to free: a shared
+        // side — all but one path of a superseded version — is one
+        // refcount decrement, and off the pool a `join` is a hand-off to
+        // a worker and a wait.
+        (Some(a), Some(b))
+            if crate::grain::pool_is_parallel()
+                && Arc::strong_count(&a) == 1
+                && Arc::strong_count(&b) == 1 =>
+        {
+            parlay::join(|| one(Some(a)), || one(Some(b)));
         }
         (a, b) => {
             one(a);

@@ -11,9 +11,9 @@ use std::sync::Arc;
 use codecs::Codec;
 
 use crate::aug::Augmentation;
-use crate::base::{from_sorted, push_all, rebuild_leaf, to_vec};
+use crate::base::{delete_sorted, from_sorted, merge_sorted, push_all, rebuild_leaf, to_vec};
 use crate::entry::Entry;
-use crate::grain::par_grain;
+use crate::grain::{batch_grain, par_grain};
 use crate::join::{expose_owned, join, join2, split};
 use crate::node::{size, Tree};
 use crate::scratch::with_scratch;
@@ -361,8 +361,28 @@ where
     join2(b, husk, tl, tr)
 }
 
+/// Entries a batch of `m` keys can touch under a node of `s` entries:
+/// at most one leaf (`2b` entries) per key and never more than the
+/// subtree, plus the batch itself — the `min(mB, n)` of Thm 6.3, and
+/// the work the fork cutoff ([`batch_grain`]) is measured in.
+fn batch_work(b: usize, s: usize, m: usize) -> usize {
+    s.min(m.saturating_mul(2 * b)) + m
+}
+
+/// Whether `m` keys are *dense* in a subtree of `s` entries: at least
+/// one key per full leaf, so rebuilding the subtree whole (the Section 8
+/// array base case) decodes no more than the keys would touch anyway.
+fn dense(b: usize, s: usize, m: usize) -> bool {
+    m.saturating_mul(2 * b) >= s
+}
+
 /// Batch insert (Fig. 8's `multi_insert`): `batch` must be sorted by key
 /// and duplicate-free; `f(old, new)` combines with an existing entry.
+///
+/// Work `O(m log(n/m) + min(mB, n))` (Thm 6.3): a slice that is dense in
+/// its subtree takes the κ array base case, a sparse one keeps
+/// descending until it reaches its one leaf — either way through
+/// [`merge_sorted`] — so a key costs about one leaf, not κ entries.
 pub(crate) fn multi_insert<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
@@ -376,7 +396,7 @@ where
     F: Fn(&E, &E) -> E + Sync,
 {
     debug_assert!(batch.windows(2).all(|w| w[0].key() < w[1].key()));
-    let grain = par_grain(b, size(&t) + batch.len());
+    let grain = batch_grain(batch_work(b, size(&t), batch.len()));
     multi_insert_rec(b, grain, t, batch, f)
 }
 
@@ -399,16 +419,9 @@ where
     let Some(node) = &t else {
         return from_sorted(b, batch);
     };
-    let s = node.size();
-    if s + batch.len() <= KAPPA_BLOCKS * b || node.is_flat() {
-        return with_scratch(s, |xs: &mut Vec<E>| {
-            push_all(&t, xs);
-            with_scratch(s + batch.len(), |out: &mut Vec<E>| {
-                // Reuse the union merge with roles: existing entries first.
-                merge_union(xs, batch, f, out);
-                rebuild_leaf(b, t, out)
-            })
-        });
+    let (s, m) = (node.size(), batch.len());
+    if node.is_flat() || (s + m <= KAPPA_BLOCKS * b && dense(b, s, m)) {
+        return merge_sorted(b, t, batch, f);
     }
     let (l, e, r, husk) = expose_owned(t);
     let pos = batch.partition_point(|x| x.key() < e.key());
@@ -422,7 +435,9 @@ where
         None => e,
     };
     let (left_batch, right_batch) = (&batch[..pos], &batch[rest_at..]);
-    let (tl, tr) = if s + batch.len() > grain {
+    // An empty side returns its subtree as it is: nothing to fork for.
+    let fork = batch_work(b, s, m) > grain && !left_batch.is_empty() && !right_batch.is_empty();
+    let (tl, tr) = if fork {
         parlay::join(
             || multi_insert_rec(b, grain, l, left_batch, f),
             || multi_insert_rec(b, grain, r, right_batch, f),
@@ -437,7 +452,8 @@ where
 }
 
 /// Batch delete: removes all entries whose keys appear in the sorted,
-/// duplicate-free `keys`.
+/// duplicate-free `keys`. Same dense/sparse rule and work bound as
+/// [`multi_insert`], through [`delete_sorted`].
 pub(crate) fn multi_delete<E, A, C>(b: usize, t: Tree<E, A, C>, keys: &[E::Key]) -> Tree<E, A, C>
 where
     E: Entry,
@@ -445,7 +461,7 @@ where
     C: Codec<E>,
 {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    let grain = par_grain(b, size(&t));
+    let grain = batch_grain(batch_work(b, size(&t), keys.len()));
     multi_delete_rec(b, grain, t, keys)
 }
 
@@ -463,16 +479,10 @@ where
     if keys.is_empty() {
         return t;
     }
-    let Some(node) = &t else {
-        return None;
-    };
-    let s = node.size();
-    if s <= KAPPA_BLOCKS * b || node.is_flat() {
-        return with_scratch(s, |xs: &mut Vec<E>| {
-            push_all(&t, xs);
-            xs.retain(|e| keys.binary_search_by(|k| k.cmp(e.key())).is_err());
-            rebuild_leaf(b, t, xs)
-        });
+    let node = t.as_ref()?;
+    let (s, m) = (node.size(), keys.len());
+    if node.is_flat() || (s <= KAPPA_BLOCKS * b && dense(b, s, m)) {
+        return delete_sorted(b, t, keys);
     }
     let (l, e, r, husk) = expose_owned(t);
     let pos = keys.partition_point(|k| k < e.key());
@@ -482,7 +492,8 @@ where
         (false, pos)
     };
     let (left_keys, right_keys) = (&keys[..pos], &keys[rest_at..]);
-    let (tl, tr) = if s > grain {
+    let fork = batch_work(b, s, m) > grain && !left_keys.is_empty() && !right_keys.is_empty();
+    let (tl, tr) = if fork {
         parlay::join(
             || multi_delete_rec(b, grain, l, left_keys),
             || multi_delete_rec(b, grain, r, right_keys),

@@ -8,6 +8,12 @@
 //! any divergence between the sequential and forked paths shows up as a
 //! cross-leg difference in CI.
 //!
+//! The batch updates have one more regime change, on the *shape of the
+//! input* rather than its size: a batch slice that is dense in its
+//! subtree (`m·2b ≥ s`) rebuilds the subtree whole, a sparse one
+//! descends to its leaves, and forks follow the batch's work. The last
+//! test pins that boundary against the oracle and the single-op loop.
+//!
 //! Replayable like the other differential suites: failures panic with
 //! the reproducing seed; `PROPTEST_SEED=<n>` replays one sequence.
 
@@ -184,5 +190,135 @@ fn bulk_ops_identical_at_kappa_boundary() {
                 );
             }
         }
+    }
+}
+
+/// One scenario at the dense/sparse boundary: a tree whose first `s`
+/// entries (all of it when `embed` = 1) receive rounds of `m`-key
+/// batches — fresh inserts, overwrites, then deletes; clustered into one
+/// leaf or spread over the range — each compared entry for entry with
+/// the `BTreeMap` oracle and with the same keys applied one at a time.
+fn run_density_one(seed: u64, b: usize, s: usize, m: usize, embed: usize) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = s * embed;
+    let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 64, i)).collect();
+    let mut oracle: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+    let mut batched: PacMap<u64, u64> = PacMap::from_sorted_pairs(b, &pairs);
+    let mut single = batched.clone();
+
+    let check = |what: &str, batched: &PacMap<u64, u64>, single: &PacMap<u64, u64>, oracle: &BTreeMap<u64, u64>| {
+        batched.check_invariants().map_err(|e| format!("{what}: batch invariants: {e}"))?;
+        single.check_invariants().map_err(|e| format!("{what}: loop invariants: {e}"))?;
+        let want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+        if batched.to_vec() != want {
+            return Err(format!("{what}: batch diverges from the oracle"));
+        }
+        if single.to_vec() != want {
+            return Err(format!("{what}: single-op loop diverges from the oracle"));
+        }
+        Ok(())
+    };
+
+    // Enough rounds to push a leaf of `b` past `2b` and back below `b`.
+    let rounds = (2 * b).div_ceil(m) + 2;
+    for round in 0..3 * rounds {
+        let clustered = rng.gen_bool(0.5);
+        let at = rng.gen_range(0..s as u64);
+        // `m` distinct slots of the first `s`: neighbours, or evenly spread.
+        let slots: BTreeSet<u64> = (0..m as u64)
+            .map(|i| if clustered { (at + i) % s as u64 } else { (at + i * (s / m) as u64) % s as u64 })
+            .collect();
+        let what = format!("round {round} ({} {m} keys)", if clustered { "clustered" } else { "spread" });
+        if round < 2 * rounds {
+            // Fresh keys (a new low digit per round) in the first
+            // rounds, then a mix with overwrites of preloaded keys.
+            let fresh = round < rounds || rng.gen_bool(0.5);
+            let batch: Vec<(u64, u64)> = slots
+                .iter()
+                .map(|&p| (p * 64 + if fresh { 1 + round as u64 % 63 } else { 0 }, 1_000 + round as u64))
+                .collect();
+            for &(k, v) in &batch {
+                oracle.insert(k, v);
+                single = single.insert(k, v);
+            }
+            batched = batched.multi_insert(batch);
+        } else {
+            // Deletes of whatever the range holds around the slots:
+            // misses included, leaves driven below `b`.
+            let keys: Vec<u64> = slots
+                .iter()
+                .flat_map(|&p| oracle.range(p * 64..).next().map(|(&k, _)| k))
+                .filter(|&k| k < s as u64 * 64)
+                .chain(slots.iter().map(|&p| p * 64 + 63))
+                .collect();
+            for k in &keys {
+                oracle.remove(k);
+                single = single.remove(k);
+            }
+            batched = batched.multi_delete(keys);
+        }
+        check(&what, &batched, &single, &oracle)?;
+    }
+    Ok(())
+}
+
+/// The dense/sparse rule of `multi_insert` / `multi_delete`: batch
+/// slices of one key fewer than, exactly, and one more than a key per
+/// full leaf (`⌈s/2b⌉`), against subtrees on either side of the node()
+/// and κ thresholds, alone and as the corner of a 16× larger tree.
+#[test]
+fn batch_updates_identical_at_density_boundary() {
+    let threads = parlay::num_threads();
+    for b in [8usize, 32] {
+        for s in [2 * b + 1, 4 * b, 4 * b + 1, 8 * b] {
+            let knee = s.div_ceil(2 * b);
+            for m in [knee - 1, knee, knee + 1] {
+                if m == 0 {
+                    continue;
+                }
+                for embed in [1usize, 16] {
+                    let seeds: Vec<u64> = match env_seed() {
+                        Some(seed) => vec![seed],
+                        None => (0..cases()).map(|i| 0xD15EA5E + i * 104_729).collect(),
+                    };
+                    for seed in seeds {
+                        if let Err(e) = run_density_one(seed, b, s, m, embed) {
+                            panic!(
+                                "batch updates diverge (b={b}, s={s}, m={m}, embed={embed}, \
+                                 threads={threads}): {e}\nreplay with PROPTEST_SEED={seed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fork floor of the batch updates is measured in batch work,
+/// `min(s, m·2b) + m` entries: at b = 32 a batch of 504 keys into a
+/// larger tree is the last that runs sequentially (32 760 ≤ 2¹⁵), 505
+/// the first that forks. Same answers on either side, at every pool
+/// size.
+#[test]
+fn batch_updates_identical_at_fork_floor() {
+    let threads = parlay::num_threads();
+    let (b, n) = (32usize, 60_000u64);
+    let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i * 4, i)).collect();
+    let base: PacMap<u64, u64> = PacMap::from_sorted_pairs(b, &pairs);
+    let seed = env_seed().unwrap_or(0xF100D);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for m in [503usize, 504, 505, 506, 1024] {
+        let ctx = format!("b={b}, m={m}, threads={threads}; replay with PROPTEST_SEED={seed}");
+        let keys: BTreeSet<u64> = (0..m).map(|_| rng.gen_range(0..4 * n)).collect();
+        let mut want: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        want.extend(keys.iter().map(|&k| (k, 7)));
+        let inserted = base.multi_insert(keys.iter().map(|&k| (k, 7)).collect());
+        inserted.check_invariants().unwrap_or_else(|e| panic!("multi_insert invariants ({ctx}): {e}"));
+        assert!(inserted.to_vec().into_iter().eq(want.iter().map(|(&k, &v)| (k, v))), "multi_insert diverges ({ctx})");
+        let deleted = inserted.multi_delete(keys.iter().copied().collect());
+        deleted.check_invariants().unwrap_or_else(|e| panic!("multi_delete invariants ({ctx}): {e}"));
+        let kept: Vec<(u64, u64)> = pairs.iter().copied().filter(|(k, _)| !keys.contains(k)).collect();
+        assert_eq!(deleted.to_vec(), kept, "multi_delete diverges ({ctx})");
     }
 }

@@ -8,6 +8,12 @@
 //!   place** (`nodes_reused`), while the same loop against a spine
 //!   pinned by snapshots must reuse **nothing** (`nodes_copied` only) —
 //!   the safety half of the refcount-1 rule, not just the speed half.
+//! * A small write touches one leaf, once (exact counts): an owned
+//!   point write encodes exactly one block — one more when the leaf
+//!   splits — and decodes none; a persistent one copies its path and
+//!   shares the sibling leaf; a sparse batch costs one leaf per key and
+//!   never enters the scheduler, a bulk batch still forks; dropping a
+//!   superseded version does not fork either.
 //! * Drop accounting: over a build-then-drop window allocs and drops
 //!   balance. (It lives here, not among the crate's unit tests: they
 //!   allocate concurrently in one process, and a gate only this test
@@ -20,6 +26,52 @@
 use std::sync::{Mutex, MutexGuard};
 
 use cpam::{stats, DiffMap, DiffSet, PacMap, PacSet};
+
+/// Block size of the exact-count tests (the paper's and the store's
+/// default).
+const B: usize = 128;
+
+/// Nodes on the root-to-leaf path to the leaf holding position `at` of
+/// a `from_sorted` tree over `n` entries (the builder splits at the
+/// midpoint down to `2b`); `None` if `at` is a regular node's pivot.
+fn path_len(mut n: usize, mut at: usize) -> Option<u64> {
+    let mut len = 1;
+    while n > 2 * B {
+        let mid = n / 2;
+        match at.cmp(&mid) {
+            std::cmp::Ordering::Less => n = mid,
+            std::cmp::Ordering::Equal => return None,
+            std::cmp::Ordering::Greater => {
+                at -= mid + 1;
+                n -= mid + 1;
+            }
+        }
+        len += 1;
+    }
+    Some(len)
+}
+
+/// Jobs the pool executed and jobs handed to it from outside, so far.
+fn pool_jobs() -> (u64, u64) {
+    let s = parlay::scheduler_stats();
+    (s.exec_local + s.exec_stolen, s.injected)
+}
+
+/// The fork assertions need a second worker; at one thread every fork
+/// site runs sequential code by construction, so they say so and pass.
+fn pool_can_fork(test: &str) -> bool {
+    use std::io::Write;
+    let threads = parlay::num_threads();
+    if threads < 2 {
+        // Written to the stream itself: libtest captures `eprintln!` of
+        // a passing test, and a skip nobody sees is a check nobody ran.
+        let _ = writeln!(
+            std::io::stderr(),
+            "SKIPPED fork assertions of `{test}`: the pool has {threads} thread, they need >= 2"
+        );
+    }
+    threads >= 2
+}
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -168,4 +220,158 @@ fn dropped_nodes_are_counted() {
     // else in this binary touches the counters meanwhile.
     assert!(d.nodes_dropped >= d.node_allocs);
     assert!(d.node_allocs > 0);
+}
+
+#[test]
+fn owned_point_writes_encode_one_leaf_each() {
+    let _serialize = counters_lock();
+    // 50 000 entries build into 256 leaves of 195–196: room for ~60
+    // more each, so 2 000 fresh keys spread over them split nothing and
+    // never become a pivot.
+    let pairs: Vec<(u64, u64)> = (0..50_000u64).map(|i| (i * 64, i)).collect();
+    let mut m: DiffMap<u64, u64> = DiffMap::from_sorted_pairs(B, &pairs);
+    let fresh: Vec<u64> = (0..2_000u64).map(|i| (i * 25 + 7) * 64 + 1).collect();
+
+    let before = stats::read();
+    for &k in &fresh {
+        m = m.insert_owned(k, k);
+    }
+    let d = stats::read().delta(before);
+    assert_eq!(d.block_encodes, 2_000, "one encode per insert: the touched leaf");
+    assert_eq!(d.block_decodes, 0, "the sibling leaf was flattened");
+    assert_eq!(d.node_allocs, 0, "an owned insert without a split allocates no node");
+    assert_eq!(m.len(), 52_000);
+    m.check_invariants().unwrap();
+
+    let before = stats::read();
+    for &k in &fresh {
+        m = m.remove_owned(&k);
+    }
+    let d = stats::read().delta(before);
+    assert_eq!(d.block_encodes, 2_000, "one encode per remove hit");
+    assert_eq!(d.block_decodes, 0);
+    assert_eq!(d.node_allocs, 0);
+    assert_eq!(m.to_vec(), pairs);
+    m.check_invariants().unwrap();
+
+    // Splits: 257·2^6 − 1 entries build into 64 leaves of exactly 2b, so
+    // the first insert into each overflows it. An overflow beside a full
+    // sibling is one more encode (the leaf becomes two) and two new
+    // nodes; nothing else is touched.
+    let n = 257 * 64 - 1;
+    let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 64, i)).collect();
+    let mut m: DiffMap<u64, u64> = DiffMap::from_sorted_pairs(B, &pairs);
+    let leaves = m.space_stats().flat_nodes;
+    assert_eq!(leaves, 64);
+    let before = stats::read();
+    for i in 0..2_000u64 {
+        let k = (i * 8 + 200) * 64 + 1;
+        m = m.insert_owned(k, k);
+    }
+    let d = stats::read().delta(before);
+    let splits = (m.space_stats().flat_nodes - leaves) as u64;
+    assert_eq!(splits, 64, "every full leaf split exactly once");
+    assert_eq!(d.block_encodes, 2_000 + splits, "each split adds one encode");
+    assert_eq!(d.block_decodes, 0);
+    assert_eq!(d.node_allocs, 2 * splits);
+    assert_eq!(m.len(), n + 2_000);
+    m.check_invariants().unwrap();
+}
+
+#[test]
+fn persistent_insert_copies_its_path_and_shares_the_sibling_leaf() {
+    let _serialize = counters_lock();
+    let n = 50_000usize;
+    let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 64, i)).collect();
+    let m: DiffMap<u64, u64> = DiffMap::from_sorted_pairs(B, &pairs);
+    let nodes = m.space_stats();
+    for at in [10usize, 12_345, 25_100, 49_990] {
+        // A fresh key just below entry `at`: it lands in that entry's leaf.
+        let len = path_len(n, at).expect("probe positions are not pivots");
+        let before = stats::read();
+        let m2 = m.insert(at as u64 * 64 - 1, 7);
+        let d = stats::read().delta(before);
+        assert_eq!(d.node_allocs, len, "v+1 copies the path to its leaf, nothing beside it");
+        assert_eq!(d.block_encodes, 1, "the sibling leaf is shared, not rewritten");
+        assert_eq!(d.block_decodes, 0);
+        assert_eq!(d.nodes_reused, 0, "a shared path is never rebuilt in place");
+        assert_eq!(m2.len(), n + 1);
+        m2.check_invariants().unwrap();
+        // v and v+1 differ in exactly that path: dropping v+1 frees it.
+        let before = stats::read();
+        drop(m2);
+        assert_eq!(stats::read().delta(before).nodes_dropped, len);
+    }
+    assert_eq!(m.space_stats(), nodes);
+    assert_eq!(m.to_vec(), pairs);
+    m.check_invariants().unwrap();
+}
+
+#[test]
+fn sparse_batches_cost_one_leaf_per_key_and_never_fork() {
+    let _serialize = counters_lock();
+    let n = 1_000_000u64;
+    let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i * 64, i)).collect();
+    let mut m: DiffMap<u64, u64> = DiffMap::from_sorted_pairs(B, &pairs);
+    let forks = pool_can_fork("sparse_batches_cost_one_leaf_per_key_and_never_fork");
+    parlay::run(|| {
+        // 16 keys, half fresh and half overwrites, far apart: each is
+        // alone in its leaf (and in its κ-subtree, which the parent
+        // rebuilt whole).
+        let small: Vec<(u64, u64)> = (0..16u64).map(|i| ((i * 61_111 + 5) * 64 + i % 2, 9)).collect();
+        let leaves = m.space_stats().flat_nodes;
+        let (jobs, _) = pool_jobs();
+        let before = stats::read();
+        m = std::mem::take(&mut m).multi_insert_owned(small.clone());
+        let d = stats::read().delta(before);
+        let splits = (m.space_stats().flat_nodes - leaves) as u64;
+        assert!(d.block_encodes <= 16 + splits, "{} encodes for 16 keys", d.block_encodes);
+        assert!(d.block_decodes <= 16, "{} decodes for 16 keys", d.block_decodes);
+        if forks {
+            assert_eq!(pool_jobs().0 - jobs, 0, "a 16-key batch forked");
+        }
+        assert_eq!(m.len() as u64, n + 8);
+
+        let (jobs, _) = pool_jobs();
+        let before = stats::read();
+        m = std::mem::take(&mut m).multi_delete_owned(small.iter().map(|(k, _)| *k).collect());
+        let d = stats::read().delta(before);
+        assert!(d.block_encodes <= 16, "{} encodes for 16 deleted keys", d.block_encodes);
+        assert!(d.block_decodes <= 16, "{} decodes for 16 deleted keys", d.block_decodes);
+        if forks {
+            assert_eq!(pool_jobs().0 - jobs, 0, "a 16-key delete forked");
+        }
+        assert_eq!(m.len() as u64, n - 8);
+
+        // A bulk batch is as parallel as it was.
+        let large: Vec<(u64, u64)> = (0..100_000u64).map(|i| (i * 640, 3)).collect();
+        let (jobs, _) = pool_jobs();
+        m = std::mem::take(&mut m).multi_insert_owned(large);
+        if forks {
+            assert!(pool_jobs().0 > jobs, "a 100k-key batch ran without a single fork");
+        }
+    });
+    assert_eq!(m.find(&(5 * 64)), None);
+    assert_eq!(m.find(&640), Some(3));
+    m.check_invariants().unwrap();
+}
+
+#[test]
+fn dropping_a_superseded_version_stays_off_the_pool() {
+    let _serialize = counters_lock();
+    // Large enough for the iterative drop walk (>= 2^14 entries at the
+    // upper levels), called from this thread — not a pool worker, the
+    // way a store commit drops the version it evicts.
+    let old: PacMap<u64, u64> = PacMap::from_pairs((0..200_000u64).map(|i| (i * 2, i)).collect());
+    let new = old.insert(100_001, 7);
+    let (jobs, injected) = pool_jobs();
+    let before = stats::read();
+    // `old` differs from `new` by one path: every node beside it is
+    // shared, so the drop is a walk down that path.
+    drop(old);
+    let freed = stats::read().delta(before).nodes_dropped;
+    assert!((2..40).contains(&freed), "freed {freed} nodes for one path");
+    assert_eq!(pool_jobs(), (jobs, injected), "dropping one path entered the scheduler");
+    assert_eq!(new.len(), 200_001);
+    new.check_invariants().unwrap();
 }

@@ -196,13 +196,20 @@ impl VersionRegistry {
 /// entries until at most `limit` remain or only pinned entries (plus
 /// the newest) are left. With pins held, history may exceed `limit` —
 /// that is the point of a pin.
+///
+/// The evicted entries are handed back rather than dropped here:
+/// freeing a superseded version walks every node only it owns (and runs
+/// the `Drop` of every value in them), which a caller holding a lock
+/// readers need must do after releasing it.
+#[must_use = "drop the evicted versions outside any lock readers take"]
 pub(crate) fn evict_history<T>(
     history: &mut VecDeque<T>,
     limit: usize,
     version_of: impl Fn(&T) -> u64,
     registry: &VersionRegistry,
-) {
+) -> Vec<T> {
     let limit = limit.max(1);
+    let mut evicted = Vec::new();
     while history.len() > limit {
         let pinned = registry.pinned();
         // Never evict the newest entry (the current version).
@@ -211,12 +218,11 @@ pub(crate) fn evict_history<T>(
             .take(history.len() - 1)
             .position(|e| !pinned.contains(&version_of(e)));
         match victim {
-            Some(i) => {
-                history.remove(i);
-            }
+            Some(i) => evicted.extend(history.remove(i)),
             None => break,
         }
     }
+    evicted
 }
 
 // ----- Pin persistence ----------------------------------------------
@@ -347,7 +353,7 @@ mod tests {
         let r = VersionRegistry::default();
         r.pin(2);
         let mut h: VecDeque<u64> = (1..=6).collect();
-        evict_history(&mut h, 2, |&v| v, &r);
+        assert_eq!(evict_history(&mut h, 2, |&v| v, &r), vec![1, 3, 4, 5]);
         assert_eq!(h, VecDeque::from(vec![2, 6]));
 
         // All pinned but the newest: nothing below the limit to evict.
@@ -356,7 +362,7 @@ mod tests {
             r.pin(v);
         }
         let mut h: VecDeque<u64> = (1..=4).collect();
-        evict_history(&mut h, 1, |&v| v, &r);
+        assert!(evict_history(&mut h, 1, |&v| v, &r).is_empty());
         assert_eq!(h, VecDeque::from(vec![1, 2, 3, 4]));
     }
 

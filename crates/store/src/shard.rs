@@ -1115,12 +1115,12 @@ where
                 // Same pin-aware eviction as the commit path: a pinned
                 // commit must survive the recovery walk exactly as it
                 // survives live commits.
-                lifecycle::evict_history(
+                drop(lifecycle::evict_history(
                     &mut history,
                     opts.history_limit,
                     |(g, _, _)| *g,
                     &registry,
-                );
+                ));
             }
         }
         // The back of the history must always be the current state
@@ -1129,7 +1129,12 @@ where
         // when a manifest was deleted out from under the store).
         if history.back().is_none_or(|(g, l, _)| *g != global || *l != locals) {
             history.push_back((global, locals.clone(), maps.clone()));
-            lifecycle::evict_history(&mut history, opts.history_limit, |(g, _, _)| *g, &registry);
+            drop(lifecycle::evict_history(
+                &mut history,
+                opts.history_limit,
+                |(g, _, _)| *g,
+                &registry,
+            ));
         }
 
         if (cut.is_some() || !healed.is_empty()) && opts.strict_log {
@@ -1455,7 +1460,7 @@ where
         }
         let snapshot = (g, s.locals.clone(), s.maps.clone());
         s.history.push_back(snapshot);
-        lifecycle::evict_history(
+        let evicted = lifecycle::evict_history(
             &mut s.history,
             inner.opts.history_limit,
             |(g, _, _)| *g,
@@ -1463,6 +1468,10 @@ where
         );
         drop(s);
         drop(log_guard);
+        // Drop outside both locks: freeing a superseded version walks
+        // every node only it owns and runs its values' `Drop`s, and
+        // `state` is the lock every `get` and `snapshot` takes.
+        drop(evicted);
         Ok(g)
     }
 

@@ -389,3 +389,71 @@ fn clobbered_pin_table_fails_open_typed() {
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+// ---------------------------------------------------------------------
+// Superseded versions are dropped outside the state lock
+// ---------------------------------------------------------------------
+
+/// A value whose `Drop` reads the store it lives in (while `ARMED`):
+/// legal wherever the store holds no lock a reader needs.
+#[derive(Clone)]
+struct ReadsOnDrop(u64);
+
+static DROP_STORE: std::sync::OnceLock<PacStore<u64, ReadsOnDrop>> = std::sync::OnceLock::new();
+static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static READS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+impl Drop for ReadsOnDrop {
+    fn drop(&mut self) {
+        use std::sync::atomic::Ordering::Relaxed;
+        if let (true, Some(store)) = (ARMED.load(Relaxed), DROP_STORE.get()) {
+            // Takes the state lock, like every `get` and `snapshot`.
+            std::hint::black_box(store.current_version());
+            READS.fetch_add(1, Relaxed);
+        }
+    }
+}
+
+impl codecs::ByteEncode for ReadsOnDrop {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.0.write(out);
+    }
+    fn read(buf: &[u8], pos: &mut usize) -> Self {
+        ReadsOnDrop(u64::read(buf, pos))
+    }
+    fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        u64::try_read(buf, pos).map(ReadsOnDrop)
+    }
+}
+
+#[test]
+fn evicted_versions_are_dropped_outside_the_state_lock() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let _g = stats_gate();
+    // Two retained versions: the third commit evicts the first, which
+    // nothing else holds any more (the committing thread's own working
+    // clone is of the second), so its unshared leaf is freed — values
+    // and all — by the eviction itself.
+    let opts = StoreOptions { history_limit: 2, ..StoreOptions::default() };
+    let store = DROP_STORE.get_or_init(|| PacStore::in_memory_with(opts));
+    store.commit((0..5_000u64).map(|k| Op::Put(k, ReadsOnDrop(k))).collect()).unwrap();
+    store.put(2_500, ReadsOnDrop(0)).unwrap();
+
+    // Under a watchdog: dropping the evicted version while holding the
+    // state lock is a self-deadlock of the committing thread.
+    let (done, watchdog) = std::sync::mpsc::channel();
+    let committer = std::thread::spawn(move || {
+        ARMED.store(true, Relaxed);
+        let v = store.put(4_000, ReadsOnDrop(1));
+        ARMED.store(false, Relaxed);
+        let _ = done.send(v);
+    });
+    let committed = watchdog
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("commit deadlocked: a superseded version was dropped under the state lock");
+    committer.join().expect("committing thread panicked");
+    assert_eq!(committed.unwrap(), 3);
+    assert!(READS.load(Relaxed) > 0, "no evicted value was dropped by the commit");
+    assert_eq!(store.versions(), vec![2, 3]);
+    assert_eq!(store.get(&4_000).map(|v| v.0), Some(1));
+}

@@ -234,3 +234,56 @@ fn unpooled_stores_report_no_pool() {
     assert!(mem.pool_stats().is_none());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A one-key commit rewrites one leaf: the incremental page after it
+/// carries exactly one leaf record beside the copied path, and on a
+/// lazily opened store the commit loaded that leaf and no other.
+fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
+    use cpam::structure::NodeRef;
+    let dir = scratch(name);
+    {
+        let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts.clone()).unwrap();
+        store.commit((0..N).map(|k| Op::Put(k * 2, k)).collect()).unwrap();
+        store.save().unwrap();
+    }
+    let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts.clone()).unwrap();
+    let checkpoint = store.latest_checkpoint().unwrap();
+    let base = store.snapshot();
+    let accesses = |s: Option<PoolStats>| s.map(|s| s.hits + s.misses);
+    let cold = accesses(store.pool_stats());
+
+    store.put(60_001, 7).unwrap();
+    assert_eq!(
+        accesses(store.pool_stats()),
+        cold.map(|n| n + 1),
+        "the commit loaded more than the leaf it wrote"
+    );
+
+    // The walk the page writer does, against the pinned checkpoint.
+    let (mut leaves, mut copied) = (0, 0);
+    store.snapshot().map().visit_nodes(Some(base.map()), &mut |node| match node {
+        NodeRef::Flat(_) => leaves += 1,
+        NodeRef::Regular(_) => copied += 1,
+        _ => {}
+    });
+    assert_eq!(leaves, 1, "a one-key commit dirtied {leaves} leaves");
+    assert!((1..40).contains(&copied), "{copied} regular nodes beside one path");
+
+    store.save_incremental(checkpoint).unwrap();
+    let page = store.lifecycle_stats().incremental_page_bytes;
+    // One u64-pair leaf record is at most 2b × 16 B plus framing.
+    assert!(page < 256 * 16 + 1024, "incremental page of {page} B holds more than one leaf");
+    drop((base, store));
+
+    let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts).unwrap();
+    assert_eq!(store.get(&60_001), Some(7));
+    assert_eq!(store.get(&60_000), Some(30_000));
+    assert_eq!(store.len(), N as usize + 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_one_key_commit_writes_exactly_one_leaf_record() {
+    one_key_commit_dirties_one_leaf("one-leaf-pooled", pooled(8));
+    one_key_commit_dirties_one_leaf("one-leaf-eager", unpooled());
+}
