@@ -215,7 +215,11 @@ mod tests {
     #[test]
     fn bits_roundtrip_every_width() {
         for width in 0..=64u32 {
-            let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+            let mask = if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
             let vals = [
                 0u64,
                 1,
@@ -252,7 +256,11 @@ mod tests {
         let mut w = BitWriter::new();
         let (mut ref_bytes, mut ref_len) = (Vec::new(), 0usize);
         for &(v, width) in &fields {
-            let masked = if width == 64 { v } else { v & ((1u64 << width) - 1) };
+            let masked = if width == 64 {
+                v
+            } else {
+                v & ((1u64 << width) - 1)
+            };
             w.write_bits(v, width);
             write_bits_reference(&mut ref_bytes, &mut ref_len, masked, width);
         }

@@ -195,6 +195,88 @@ pub trait Codec<E>: 'static {
             cur.advance();
         }
     }
+
+    /// Applies a sorted batch of edits to a block whose entries are
+    /// sorted under `cmp`, returning the edited block.
+    ///
+    /// The codec never learns keys: `cmp(e, t)` orders entry `e`
+    /// against edit `t` (`Less` means `e` comes before it, as in
+    /// [`Codec::search_by`]), and `edits` must be strictly ascending
+    /// under it. For each edit, `apply(old, t)` decides the outcome:
+    /// `old` is the entry `t` matches, if any, and the returned entry
+    /// (or `None`, for nothing) takes its place. One callback thus
+    /// covers an insert (`None` → `Some`), an overwrite that combines
+    /// old and new (`Some` → `Some`), a remove (`Some` → `None`) and a
+    /// remove that misses (`None` → `None`).
+    ///
+    /// **The result is byte-identical to [`Codec::encode`] of the
+    /// edited entries** — same bytes, count, samples, `heap_bytes` and
+    /// `Eq` — so a splice is unobservable in everything a block is
+    /// written to or compared by. The default is exactly that: decode,
+    /// merge, encode, `O(len + edits)` encoded entries. Two codecs
+    /// override it to skip what did not change:
+    ///
+    /// * [`RawCodec`] copies the slices between edits once, into the
+    ///   new block.
+    /// * [`DeltaCodec`] copies the bytes before the run of the first
+    ///   edit (and the samples below it) verbatim, writes the edited
+    ///   entries and the first old entry after each — its predecessor
+    ///   changed — and then copies each old entry's bytes unless its
+    ///   old or new index is a restart (see [`RESTART_INTERVAL`]).
+    ///   Restarts sit at fixed *indices*, so an edit that changes the
+    ///   entry count shifts every later entry against them: the rest of
+    ///   the block is still decoded (each entry's length is only known
+    ///   by reading it), and each later restart costs two re-encoded
+    ///   entries — the one that stops being absolute and the one that
+    ///   becomes so. Where the shift is back to zero (an overwrite, or
+    ///   after a batch whose inserts and removes cancel) the remainder
+    ///   is one `memcpy` with its samples rebased. An overwrite thus
+    ///   re-encodes two entries, an insert or remove at index `p` at
+    ///   most `2 + 2·⌈(len − p)/RESTART_INTERVAL⌉`.
+    ///
+    /// A block whose sample table is missing (one assembled by
+    /// [`EncodedBlock::from_parts`] with more than [`RESTART_INTERVAL`]
+    /// entries) takes the default path, so the result always carries
+    /// the complete table `encode` would build.
+    fn splice<T>(
+        block: &Self::Block,
+        edits: &[T],
+        cmp: impl FnMut(&E, &T) -> Ordering,
+        apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+    ) -> Self::Block
+    where
+        E: Clone,
+    {
+        splice_by_reencode::<E, Self, T>(block, edits, cmp, apply)
+    }
+}
+
+/// [`Codec::splice`]'s default: decode, merge the edits in, encode.
+fn splice_by_reencode<E: Clone, C: Codec<E> + ?Sized, T>(
+    block: &C::Block,
+    edits: &[T],
+    mut cmp: impl FnMut(&E, &T) -> Ordering,
+    mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+) -> C::Block {
+    let mut out = Vec::with_capacity(C::len(block) + edits.len());
+    let mut rest = edits;
+    C::for_each(block, &mut |x: &E| {
+        while let Some((t, tail)) = rest.split_first() {
+            match cmp(x, t) {
+                Ordering::Less => break,
+                Ordering::Equal => {
+                    out.extend(apply(Some(x), t));
+                    rest = tail;
+                    return;
+                }
+                Ordering::Greater => out.extend(apply(None, t)),
+            }
+            rest = tail;
+        }
+        out.push(x.clone());
+    });
+    out.extend(rest.iter().filter_map(|t| apply(None, t)));
+    C::encode(&out)
 }
 
 /// Blocking without compression: entries stored as a boxed slice.
@@ -264,15 +346,32 @@ impl<E: Clone + Send + Sync + 'static> Codec<E> for RawCodec {
     }
 
     fn search_by(block: &Self::Block, f: impl FnMut(&E) -> Ordering) -> Result<(usize, E), usize> {
-        block
-            .binary_search_by(f)
-            .map(|i| (i, block[i].clone()))
+        block.binary_search_by(f).map(|i| (i, block[i].clone()))
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
         for e in block.iter() {
             f(e);
         }
+    }
+
+    fn splice<T>(
+        block: &Self::Block,
+        edits: &[T],
+        mut cmp: impl FnMut(&E, &T) -> Ordering,
+        mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+    ) -> Self::Block {
+        let mut out = Vec::with_capacity(block.len() + edits.len());
+        let mut rest: &[E] = block;
+        for t in edits {
+            let at = rest.partition_point(|x| cmp(x, t) == Ordering::Less);
+            out.extend_from_slice(&rest[..at]);
+            let hit = rest.get(at).is_some_and(|x| cmp(x, t) == Ordering::Equal);
+            out.extend(apply(rest.get(at).filter(|_| hit), t));
+            rest = &rest[at + usize::from(hit)..];
+        }
+        out.extend_from_slice(rest);
+        out.into_boxed_slice()
     }
 }
 
@@ -340,6 +439,22 @@ pub trait Delta: Sized {
     fn write_delta(&self, prev: &Self, out: &mut Vec<u8>);
     /// Reads an entry written by [`Delta::write_delta`].
     fn read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Self;
+    /// Fallible [`Delta::read_first`]: `None` when the bytes at `*pos`
+    /// are not a valid encoding (truncated or out of range), leaving
+    /// `*pos` unspecified. [`BlockIo::read_block`] parses through it.
+    ///
+    /// The provided default trusts its input and calls `read_first`;
+    /// the impls in this crate override it to refuse malformed bytes
+    /// instead of panicking, as should any impl whose blocks are read
+    /// back from bytes a checksum does not vouch for.
+    fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(Self::read_first(buf, pos))
+    }
+    /// Fallible [`Delta::read_delta`], with the same contract and
+    /// default as [`Delta::try_read_first`].
+    fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
+        Some(Self::read_delta(buf, pos, prev))
+    }
 }
 
 /// Fixed or variable-width byte encoding for the value part of an entry.
@@ -503,6 +618,13 @@ macro_rules! impl_delta_uint {
                 let diff = bytecode::read_signed(buf, pos);
                 prev.wrapping_add(diff as $t)
             }
+            fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                <$t>::try_from(bytecode::try_read_varint(buf, pos)?).ok()
+            }
+            fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
+                let diff = bytecode::unzigzag(bytecode::try_read_varint(buf, pos)?);
+                Some(prev.wrapping_add(diff as $t))
+            }
         }
     )*};
 }
@@ -526,6 +648,16 @@ impl<K: Delta, V: ByteEncode> Delta for (K, V) {
         let k = K::read_delta(buf, pos, &prev.0);
         let v = V::read(buf, pos);
         (k, v)
+    }
+    fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let k = K::try_read_first(buf, pos)?;
+        let v = V::try_read(buf, pos)?;
+        Some((k, v))
+    }
+    fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
+        let k = K::try_read_delta(buf, pos, &prev.0)?;
+        let v = V::try_read(buf, pos)?;
+        Some((k, v))
     }
 }
 
@@ -559,6 +691,23 @@ fn search_restarts<E>(
         }
     }
     RestartProbe::Run(lo)
+}
+
+/// The first entry of the run of a [`DeltaCodec`] block where `f`'s
+/// target lies (or would be inserted): the last restart not after it.
+fn run_start<E: Delta>(block: &EncodedBlock, mut f: impl FnMut(&E) -> Ordering) -> usize {
+    let probe = search_restarts(
+        block.samples.len(),
+        |r| {
+            let mut pos = block.samples[r - 1] as usize;
+            E::read_first(&block.bytes, &mut pos)
+        },
+        &mut f,
+    );
+    match probe {
+        RestartProbe::Found(i, _) => i,
+        RestartProbe::Run(r) => r * RESTART_INTERVAL,
+    }
 }
 
 /// Streaming cursor over a [`DeltaCodec`] block: decodes one entry per
@@ -606,7 +755,9 @@ impl<E: Delta> BlockCursor<E> for DeltaCursor<'_, E> {
         // Decode over the current entry in place: the Option stays
         // `Some` for the whole pass, so the hot loop never moves `E`
         // through a discriminant rewrite.
-        let Some(prev) = self.cur.as_mut() else { return };
+        let Some(prev) = self.cur.as_mut() else {
+            return;
+        };
         self.idx += 1;
         if self.idx >= self.count {
             self.cur = None;
@@ -618,6 +769,232 @@ impl<E: Delta> BlockCursor<E> for DeltaCursor<'_, E> {
             E::read_delta(self.buf, &mut self.pos, prev)
         };
         *prev = next;
+    }
+}
+
+/// One [`DeltaCodec`] splice in progress: a reader over the old stream,
+/// sitting on entry `i` (`cur`, whose bytes are `start..pos`), and the
+/// new stream written so far, `j` entries long. An old entry is copied
+/// as bytes whenever they are what `encode` would write at its new
+/// index, and re-encoded otherwise. Copies of consecutive old entries
+/// are deferred and made in one piece: the new stream is `bytes`
+/// followed by the old bytes `pending..start`.
+struct DeltaSplice<'a, E> {
+    old: &'a EncodedBlock,
+    start: usize,
+    pos: usize,
+    i: usize,
+    cur: Option<E>,
+    bytes: Vec<u8>,
+    pending: usize,
+    samples: Vec<u32>,
+    j: usize,
+    /// The last entry written; `None` only right after a [`skip_to`]
+    /// lands on a restart, where no predecessor is needed.
+    ///
+    /// [`skip_to`]: DeltaSplice::skip_to
+    last: Option<E>,
+    /// Whether `last` is the old entry right before `cur`, i.e. `cur`'s
+    /// old delta is still relative to the right predecessor.
+    sync: bool,
+}
+
+impl<'a, E: Delta> DeltaSplice<'a, E> {
+    fn new(old: &'a EncodedBlock, edits: usize) -> Self {
+        let mut s = DeltaSplice {
+            old,
+            start: 0,
+            pos: 0,
+            i: 0,
+            cur: None,
+            bytes: Vec::with_capacity(old.bytes.len() + 16 * edits + 16),
+            pending: 0,
+            samples: Vec::with_capacity((old.count() + edits) / RESTART_INTERVAL),
+            j: 0,
+            last: None,
+            sync: false,
+        };
+        s.seek(0);
+        s
+    }
+
+    /// Positions the reader on old entry `i`, a restart (or the end).
+    fn seek(&mut self, i: usize) {
+        let old = self.old;
+        self.i = i;
+        self.pos = if i == old.count() {
+            old.bytes.len()
+        } else if i == 0 {
+            0
+        } else {
+            old.samples[i / RESTART_INTERVAL - 1] as usize
+        };
+        self.start = self.pos;
+        self.cur = (i < old.count()).then(|| E::read_first(&old.bytes, &mut self.pos));
+    }
+
+    /// Moves the reader past `cur`, returning it.
+    fn advance(&mut self) -> E {
+        let prev = self.cur.take().expect("splice reader exhausted");
+        self.i += 1;
+        self.start = self.pos;
+        if self.i < self.old.count() {
+            let buf = &self.old.bytes;
+            self.cur = Some(if self.i.is_multiple_of(RESTART_INTERVAL) {
+                E::read_first(buf, &mut self.pos)
+            } else {
+                E::read_delta(buf, &mut self.pos, &prev)
+            });
+        }
+        prev
+    }
+
+    /// True when every old entry from `cur` on would be copied as bytes
+    /// at an unchanged index: the old and new streams are aligned.
+    fn aligned(&self) -> bool {
+        self.i == self.j && (self.sync || self.i.is_multiple_of(RESTART_INTERVAL))
+    }
+
+    /// While [`aligned`](Self::aligned): copies old entries `i..to` (`to`
+    /// a restart or the end) in one piece, samples rebased by the byte
+    /// shift, and reads on from `to`.
+    fn skip_to(&mut self, to: usize) {
+        // The samples of the restarts in `i..to`, past the first entry,
+        // move by the distance between the two streams' write positions.
+        let (lo, hi) = (
+            self.i.div_ceil(RESTART_INTERVAL).max(1),
+            (to - 1) / RESTART_INTERVAL,
+        );
+        let shift = self.out_len() as i64 - self.start as i64;
+        let old = self.old;
+        self.samples.extend(
+            old.samples[lo - 1..hi]
+                .iter()
+                .map(|&off| (i64::from(off) + shift) as u32),
+        );
+        self.j = to;
+        self.last = None;
+        self.sync = false;
+        // The skipped bytes join the pending copy.
+        self.seek(to);
+    }
+
+    /// Length of the new stream so far.
+    fn out_len(&self) -> usize {
+        self.bytes.len() + (self.start - self.pending)
+    }
+
+    /// Makes the pending copy, so that `bytes` is the new stream.
+    fn flush(&mut self) {
+        self.bytes
+            .extend_from_slice(&self.old.bytes[self.pending..self.start]);
+        self.pending = self.start;
+    }
+
+    /// Writes `e` (not an old entry's bytes) as entry `j`.
+    fn put(&mut self, e: E) {
+        self.mark_restart();
+        self.flush();
+        if self.j.is_multiple_of(RESTART_INTERVAL) {
+            e.write_first(&mut self.bytes);
+        } else {
+            e.write_delta(
+                self.last.as_ref().expect("delta without predecessor"),
+                &mut self.bytes,
+            );
+        }
+        self.j += 1;
+        self.last = Some(e);
+        self.sync = false;
+    }
+
+    /// Writes `cur` as entry `j` — its old bytes when both indices are
+    /// restarts, or neither is and its predecessor is unchanged — and
+    /// moves past it.
+    fn keep(&mut self) {
+        self.mark_restart();
+        let restart = self.j.is_multiple_of(RESTART_INTERVAL);
+        let copy = restart == self.i.is_multiple_of(RESTART_INTERVAL) && (restart || self.sync);
+        if !copy {
+            self.flush();
+            let x = self.cur.as_ref().expect("splice reader exhausted");
+            if restart {
+                x.write_first(&mut self.bytes);
+            } else {
+                x.write_delta(
+                    self.last.as_ref().expect("delta without predecessor"),
+                    &mut self.bytes,
+                );
+            }
+        }
+        self.j += 1;
+        self.last = Some(self.advance());
+        if !copy {
+            self.pending = self.start;
+        }
+        self.sync = true;
+    }
+
+    /// After [`keep`](Self::keep), copies on through the old entries
+    /// whose bytes stand — none is a restart of either stream, each one's
+    /// predecessor is the old one — while `go` accepts them, decoding
+    /// each only to find where the next one starts. This is the bulk of
+    /// every splice, so it stays a plain decode loop.
+    fn copy_run(&mut self, mut go: impl FnMut(&E) -> bool) {
+        let r = RESTART_INTERVAL;
+        if self.i.is_multiple_of(r) || self.j.is_multiple_of(r) {
+            return;
+        }
+        let n = self.old.count();
+        let stop = ((self.i / r + 1) * r)
+            .min(self.i + (self.j / r + 1) * r - self.j)
+            .min(n);
+        let Some(cur) = self.cur.as_mut() else { return };
+        let buf = &self.old.bytes;
+        let (mut i, mut start, mut pos) = (self.i, self.start, self.pos);
+        while i < stop && go(cur) {
+            i += 1;
+            start = pos;
+            if i == n {
+                break;
+            }
+            let next = if i.is_multiple_of(r) {
+                E::read_first(buf, &mut pos)
+            } else {
+                E::read_delta(buf, &mut pos, cur)
+            };
+            *self.last.as_mut().expect("a kept entry precedes") = std::mem::replace(cur, next);
+        }
+        if i == n {
+            self.last = self.cur.take();
+        }
+        self.j += i - self.i;
+        (self.i, self.start, self.pos) = (i, start, pos);
+    }
+
+    /// Moves past `cur` without writing it (it was removed or replaced).
+    fn drop_cur(&mut self) {
+        self.flush();
+        self.advance();
+        self.pending = self.start;
+        self.sync = false;
+    }
+
+    /// Records entry `j`'s offset when it is a restart.
+    fn mark_restart(&mut self) {
+        if self.j > 0 && self.j.is_multiple_of(RESTART_INTERVAL) {
+            let at = self.out_len() as u32;
+            self.samples.push(at);
+        }
+    }
+
+    fn finish(mut self) -> EncodedBlock {
+        self.flush();
+        EncodedBlock {
+            bytes: self.bytes.into_boxed_slice(),
+            count: self.j as u32,
+            samples: self.samples.into_boxed_slice(),
+        }
     }
 }
 
@@ -687,7 +1064,10 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
         cur
     }
 
-    fn search_by(block: &Self::Block, mut f: impl FnMut(&E) -> Ordering) -> Result<(usize, E), usize> {
+    fn search_by(
+        block: &Self::Block,
+        mut f: impl FnMut(&E) -> Ordering,
+    ) -> Result<(usize, E), usize> {
         let probe = search_restarts(
             block.samples.len(),
             |j| {
@@ -700,7 +1080,11 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
             RestartProbe::Found(i, e) => return Ok((i, e)),
             RestartProbe::Run(j) => j,
         };
-        scan_sorted(DeltaCursor::at_restart(block, j), j * RESTART_INTERVAL, &mut f)
+        scan_sorted(
+            DeltaCursor::at_restart(block, j),
+            j * RESTART_INTERVAL,
+            &mut f,
+        )
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
@@ -720,6 +1104,74 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
             f(&e);
             prev = e;
         }
+    }
+
+    fn splice<T>(
+        block: &Self::Block,
+        edits: &[T],
+        mut cmp: impl FnMut(&E, &T) -> Ordering,
+        mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+    ) -> Self::Block {
+        if block.samples.len() != block.count().saturating_sub(1) / RESTART_INTERVAL {
+            return splice_by_reencode::<E, Self, T>(block, edits, cmp, apply);
+        }
+        let mut s = DeltaSplice::new(block, edits.len());
+        // `(k, i)`: edit `k` lies in the run that starts at entry `i`.
+        let mut run = (usize::MAX, 0);
+        let mut k = 0;
+        loop {
+            if s.aligned() {
+                let to = match edits.get(k) {
+                    None => block.count(),
+                    Some(t) => {
+                        if run.0 != k {
+                            run = (k, run_start::<E>(block, |e| cmp(e, t)));
+                        }
+                        run.1
+                    }
+                };
+                if to > s.i {
+                    s.skip_to(to);
+                    continue;
+                }
+            }
+            let Some(x) = s.cur.as_ref() else { break };
+            let Some(t) = edits.get(k) else {
+                s.keep();
+                // Past the last edit: shifted, copy up to the next restart;
+                // aligned, the top of the loop copies the rest whole.
+                if !s.aligned() {
+                    s.copy_run(|_| true);
+                }
+                continue;
+            };
+            match cmp(x, t) {
+                Ordering::Less => {
+                    s.keep();
+                    s.copy_run(|x| cmp(x, t) == Ordering::Less);
+                }
+                Ordering::Equal => {
+                    let new = apply(Some(x), t);
+                    s.drop_cur();
+                    if let Some(e) = new {
+                        s.put(e);
+                    }
+                    k += 1;
+                }
+                Ordering::Greater => {
+                    if let Some(e) = apply(None, t) {
+                        s.put(e);
+                    }
+                    k += 1;
+                }
+            }
+        }
+        for t in &edits[k..] {
+            if let Some(e) = apply(None, t) {
+                s.put(e);
+            }
+        }
+        s.finish()
     }
 }
 
@@ -777,7 +1229,9 @@ impl<K: Delta, V: Clone> BlockCursor<(K, V)> for KeyDeltaCursor<'_, K, V> {
 
     #[inline]
     fn advance(&mut self) {
-        let Some((prev, _)) = self.cur.take() else { return };
+        let Some((prev, _)) = self.cur.take() else {
+            return;
+        };
         self.idx += 1;
         if self.idx >= self.values.len() {
             return;
@@ -880,7 +1334,11 @@ where
             RestartProbe::Found(i, e) => return Ok((i, e)),
             RestartProbe::Run(j) => j,
         };
-        scan_sorted(KeyDeltaCursor::at_restart(block, j), j * RESTART_INTERVAL, &mut f)
+        scan_sorted(
+            KeyDeltaCursor::at_restart(block, j),
+            j * RESTART_INTERVAL,
+            &mut f,
+        )
     }
 
     fn for_each<F: FnMut(&(K, V))>(block: &Self::Block, f: &mut F) {
@@ -1070,10 +1528,12 @@ impl std::error::Error for BlockIoError {}
 ///
 /// Every frame is self-delimiting: `varint entry-count`, `varint
 /// payload-length`, then `payload-length` bytes. `read_block` validates
-/// the framing (truncation, impossible lengths) and returns a typed
-/// error; it does **not** defend against arbitrary payload corruption —
-/// callers are expected to verify an outer checksum first, which is what
-/// the `store` crate's page format does.
+/// the framing (truncation, impossible lengths) and, for the raw and
+/// delta codecs, that the payload parses to exactly `count` entries,
+/// returning a typed error otherwise; it does **not** defend against
+/// corruption that still parses — callers are expected to verify an
+/// outer checksum first, which is what the `store` crate's page format
+/// does.
 pub trait BlockIo<E>: Codec<E> {
     /// Identifies the codec in on-disk headers. Stable across versions:
     /// raw = 0, byte-code delta = 1, gamma = 2.
@@ -1095,8 +1555,7 @@ pub trait BlockIo<E>: Codec<E> {
 /// Reads the `(count, payload)` frame header shared by all `BlockIo`
 /// impls and bounds-checks the payload.
 fn read_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(usize, &'a [u8]), BlockIoError> {
-    let count =
-        bytecode::try_read_varint(buf, pos).ok_or(BlockIoError::Truncated)? as usize;
+    let count = bytecode::try_read_varint(buf, pos).ok_or(BlockIoError::Truncated)? as usize;
     let len = bytecode::try_read_varint(buf, pos).ok_or(BlockIoError::Truncated)? as usize;
     let end = pos
         .checked_add(len)
@@ -1129,15 +1588,16 @@ impl<E: ByteEncode + Clone + Send + Sync + 'static> BlockIo<E> for RawCodec {
         // zero-width), so a count beyond the payload length is malformed
         // — reject it up front rather than panicking inside `E::read`.
         if count > payload.len() {
-            return Err(BlockIoError::Malformed("raw block entry count exceeds payload"));
+            return Err(BlockIoError::Malformed(
+                "raw block entry count exceeds payload",
+            ));
         }
         let mut entries = Vec::with_capacity(count);
         let mut at = 0;
         for _ in 0..count {
-            if at > payload.len() {
-                return Err(BlockIoError::Malformed("raw block entries overrun payload"));
-            }
-            entries.push(E::read(payload, &mut at));
+            entries.push(E::try_read(payload, &mut at).ok_or(BlockIoError::Malformed(
+                "raw block entry truncated or malformed",
+            ))?);
         }
         if at != payload.len() {
             return Err(BlockIoError::Malformed("raw block payload length mismatch"));
@@ -1191,23 +1651,30 @@ impl<E: Delta + Clone + Send + Sync + 'static> BlockIo<E> for DeltaCodec {
 /// on the final byte — structural damage that slipped past the outer
 /// checksum becomes a typed error here instead of a mis-decode later.
 fn rebuild_delta_samples<E: Delta>(block: EncodedBlock) -> Result<EncodedBlock, BlockIoError> {
+    const BAD_ENTRY: BlockIoError =
+        BlockIoError::Malformed("delta block entry truncated or malformed");
     let count = block.count();
     let buf = &block.bytes;
-    let mut samples = Vec::with_capacity(count / RESTART_INTERVAL);
+    // Capped by the payload length: a hostile count must fail the parse
+    // below, not size an allocation first.
+    let mut samples = Vec::with_capacity(count.min(buf.len()) / RESTART_INTERVAL);
     let mut pos = 0;
     if count > 0 {
-        let mut prev = E::read_first(buf, &mut pos);
+        let mut prev = E::try_read_first(buf, &mut pos).ok_or(BAD_ENTRY)?;
         for i in 1..count {
             prev = if i % RESTART_INTERVAL == 0 {
                 samples.push(pos as u32);
-                E::read_first(buf, &mut pos)
+                E::try_read_first(buf, &mut pos)
             } else {
-                E::read_delta(buf, &mut pos, &prev)
-            };
+                E::try_read_delta(buf, &mut pos, &prev)
+            }
+            .ok_or(BAD_ENTRY)?;
         }
     }
     if pos != buf.len() {
-        return Err(BlockIoError::Malformed("delta block payload length mismatch"));
+        return Err(BlockIoError::Malformed(
+            "delta block payload length mismatch",
+        ));
     }
     Ok(EncodedBlock {
         samples: samples.into_boxed_slice(),
@@ -1441,6 +1908,101 @@ mod tests {
         ));
     }
 
+    /// `count`, then `payload`, framed as `BlockIo` writes it.
+    fn frame(count: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        bytecode::write_varint(count, &mut out);
+        bytecode::write_varint(payload.len() as u64, &mut out);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn refused<E, C: BlockIo<E>>(frame: &[u8]) -> bool {
+        let mut pos = 0;
+        matches!(
+            C::read_block(frame, &mut pos),
+            Err(BlockIoError::Malformed(_) | BlockIoError::Truncated)
+        )
+    }
+
+    #[test]
+    fn block_io_refuses_hostile_entry_bytes_without_panicking() {
+        // A count over the payload, a final varint cut short, and a
+        // fixed-width value cut short: each frame is well formed, the
+        // entries inside are not.
+        assert!(refused::<u64, DeltaCodec>(&frame(200, &[0x01])));
+        assert!(refused::<(u64, u64), DeltaCodec>(&frame(
+            2,
+            &[0x05, 0x07, 0x80]
+        )));
+        assert!(refused::<(u64, f64), DeltaCodec>(&frame(
+            1,
+            &[0x05, 1, 2, 3]
+        )));
+        assert!(refused::<(u64, u64), RawCodec>(&frame(
+            2,
+            &[0x05, 0x07, 0x80]
+        )));
+        assert!(refused::<(u64, f64), RawCodec>(&frame(1, &[0x05, 1, 2, 3])));
+
+        // Every strict truncation of a valid 200-entry block: of the
+        // frame (the header then promises bytes that are not there) and
+        // of the payload under the original count.
+        let entries: Vec<(u64, f64)> = (0..200).map(|i| (1_000 + 3 * i, i as f64 / 7.0)).collect();
+        let delta = <DeltaCodec as Codec<(u64, f64)>>::encode(&entries);
+        let raw = <RawCodec as Codec<(u64, f64)>>::encode(&entries);
+        let mut delta_frame = Vec::new();
+        <DeltaCodec as BlockIo<(u64, f64)>>::write_block(&delta, &mut delta_frame);
+        let mut raw_frame = Vec::new();
+        <RawCodec as BlockIo<(u64, f64)>>::write_block(&raw, &mut raw_frame);
+        for cut in 0..delta_frame.len() {
+            assert!(
+                refused::<(u64, f64), DeltaCodec>(&delta_frame[..cut]),
+                "frame cut {cut}"
+            );
+        }
+        for cut in 0..raw_frame.len() {
+            assert!(
+                refused::<(u64, f64), RawCodec>(&raw_frame[..cut]),
+                "frame cut {cut}"
+            );
+        }
+        for cut in 0..delta.bytes().len() {
+            let f = frame(200, &delta.bytes()[..cut]);
+            assert!(refused::<(u64, f64), DeltaCodec>(&f), "payload cut {cut}");
+        }
+        let mut raw_payload = Vec::new();
+        for e in raw.iter() {
+            e.write(&mut raw_payload);
+        }
+        for cut in 0..raw_payload.len() {
+            let f = frame(200, &raw_payload[..cut]);
+            assert!(refused::<(u64, f64), RawCodec>(&f), "payload cut {cut}");
+        }
+    }
+
+    #[test]
+    fn try_read_delta_matches_read_delta() {
+        let entries: Vec<(u32, u64)> = vec![(7, 1), (3, u64::MAX), (u32::MAX, 0), (0, 5)];
+        let mut buf = Vec::new();
+        entries[0].write_first(&mut buf);
+        for w in entries.windows(2) {
+            w[1].write_delta(&w[0], &mut buf);
+        }
+        let mut pos = 0;
+        let mut prev = <(u32, u64)>::try_read_first(&buf, &mut pos).unwrap();
+        assert_eq!(prev, entries[0]);
+        for e in &entries[1..] {
+            prev = <(u32, u64)>::try_read_delta(&buf, &mut pos, &prev).unwrap();
+            assert_eq!(prev, *e);
+        }
+        assert_eq!(pos, buf.len());
+        // An absolute key outside the narrow type is refused, not cut.
+        let mut wide = Vec::new();
+        bytecode::write_varint(u64::from(u32::MAX) + 1, &mut wide);
+        assert_eq!(u32::try_read_first(&wide, &mut 0), None);
+    }
+
     #[test]
     fn byte_encode_string_and_tuple_roundtrip() {
         let mut buf = Vec::new();
@@ -1458,7 +2020,8 @@ mod tests {
         // bound holds for blocks within one restart run ...
         let entries: Vec<u64> = (1_000_000..1_000_000 + RESTART_INTERVAL as u64).collect();
         let block = <DeltaCodec as Codec<u64>>::encode(&entries);
-        let per_entry = <DeltaCodec as Codec<u64>>::heap_bytes(&block) as f64 / entries.len() as f64;
+        let per_entry =
+            <DeltaCodec as Codec<u64>>::heap_bytes(&block) as f64 / entries.len() as f64;
         assert!(per_entry < 1.05, "per-entry bytes {per_entry}");
 
         // ... and larger blocks pay a bounded extra per restart (one
@@ -1466,7 +2029,8 @@ mod tests {
         // entries), keeping the amortized cost ~1 byte.
         let entries: Vec<u64> = (1_000_000..1_002_000).collect();
         let block = <DeltaCodec as Codec<u64>>::encode(&entries);
-        let per_entry = <DeltaCodec as Codec<u64>>::heap_bytes(&block) as f64 / entries.len() as f64;
+        let per_entry =
+            <DeltaCodec as Codec<u64>>::heap_bytes(&block) as f64 / entries.len() as f64;
         assert!(per_entry < 1.15, "per-entry bytes {per_entry}");
     }
 
@@ -1507,9 +2071,7 @@ mod tests {
         let raw = <RawCodec as Codec<u64>>::encode(&entries);
         let delta = <DeltaCodec as Codec<u64>>::encode(&entries);
         for probe in 0..1_550u64 {
-            let want = entries
-                .binary_search(&probe)
-                .map(|i| (i, entries[i]));
+            let want = entries.binary_search(&probe).map(|i| (i, entries[i]));
             assert_eq!(
                 <RawCodec as Codec<u64>>::search_by(&raw, |e| e.cmp(&probe)),
                 want,
@@ -1535,7 +2097,10 @@ mod tests {
         }
         assert_eq!(seen, entries);
         for i in [0usize, 1, 63, 64, 65, 150, 199] {
-            assert_eq!(<KeyDeltaCodec as Codec<(u64, u32)>>::get(&block, i), entries[i]);
+            assert_eq!(
+                <KeyDeltaCodec as Codec<(u64, u32)>>::get(&block, i),
+                entries[i]
+            );
         }
         for probe in 0..810u64 {
             let want = entries

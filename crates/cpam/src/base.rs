@@ -14,8 +14,10 @@ use parlay::SendPtr;
 use crate::aug::Augmentation;
 use crate::entry::{Element, Entry};
 use crate::grain::walk_grain;
-use crate::node::{make_flat, make_regular, reuse_flat, reuse_regular, size, Node, Tree};
-use crate::scratch::with_scratch;
+use crate::node::{
+    make_flat, make_regular, reuse_block, reuse_flat, reuse_regular, size, BlockRef, Node, Tree,
+};
+use crate::scratch::{with_scratch, Scratch};
 use crate::stats;
 
 /// Builds a PaC-tree from entries already in collection order.
@@ -243,13 +245,32 @@ where
     }
 }
 
-/// Merges the key-sorted, duplicate-free `batch` into `t` and rebuilds
-/// it as one packed piece ([`rebuild_leaf`]); `f(old, new)` combines on
-/// equal keys. `t` is a leaf — where `insert` (a one-entry batch) and a
-/// sparse `multi_insert` slice end up — or a subtree of at most κ
-/// entries that the batch hits densely (the Section 8 array base case).
-/// The tree's entries are streamed against the batch straight into one
-/// scratch buffer, each leaf loaded once; `O(|t| + |batch|)` work.
+/// The block of `t` when `t` is a single leaf, loaded once for the
+/// whole update (a lazy leaf asks its source here and nowhere else).
+fn leaf_of<E, A, C>(t: &Tree<E, A, C>) -> Option<BlockRef<'_, C::Block>>
+where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    let leaf = t.as_deref().filter(|n| n.is_flat())?;
+    stats::count_cursor_op();
+    Some(leaf.leaf_block())
+}
+
+/// Merges the key-sorted, duplicate-free `batch` into `t`; `f(old,
+/// new)` combines on equal keys. `t` is a leaf — where `insert` (a
+/// one-entry batch) and a sparse `multi_insert` slice end up — or a
+/// subtree of at most κ entries that the batch hits densely (the
+/// Section 8 array base case).
+///
+/// A leaf whose result still fits in `2b` entries is spliced
+/// ([`Codec::splice`]): the codec copies what the batch leaves alone and
+/// encodes what it changed, and the new block takes the leaf's place
+/// ([`reuse_block`]). Anything else — a κ-subtree, a leaf that
+/// overflows — is streamed against the batch into one scratch buffer,
+/// each leaf loaded once, and rebuilt as one packed piece
+/// ([`rebuild_leaf`]). `O(|t| + |batch|)` work either way.
 pub(crate) fn merge_sorted<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
@@ -262,44 +283,85 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E,
 {
-    with_scratch(size(&t) + batch.len(), |out: &mut Vec<E>| {
-        let mut rest = batch;
-        for_each_entry(&t, &mut |x: &E| {
-            while let Some((new, tail)) = rest.split_first() {
-                match new.key().cmp(x.key()) {
-                    std::cmp::Ordering::Less => out.push(new.clone()),
-                    std::cmp::Ordering::Equal => {
-                        out.push(f(x, new));
-                        rest = tail;
-                        return;
-                    }
-                    std::cmp::Ordering::Greater => break,
+    let leaf = leaf_of(&t);
+    if let Some(block) = &leaf {
+        // Fresh keys grow the leaf; counting them is a search per key,
+        // needed only when the batch could overflow it.
+        let len = C::len(block);
+        let fits = len + batch.len() <= 2 * b
+            || (batch.len() <= 2 * b && {
+                let hits = batch
+                    .iter()
+                    .filter(|e| C::search_by(block, |x| x.key().cmp(e.key())).is_ok())
+                    .count();
+                len + batch.len() - hits <= 2 * b
+            });
+        if fits {
+            let spliced = C::splice(
+                block,
+                batch,
+                |x, new| x.key().cmp(new.key()),
+                |old, new| Some(old.map_or_else(|| new.clone(), |old| f(old, new))),
+            );
+            drop(leaf);
+            return reuse_block(t, spliced);
+        }
+    }
+    let mut out = Scratch::take(size(&t) + batch.len());
+    let mut rest = batch;
+    let mut merge = |x: &E| {
+        while let Some((new, tail)) = rest.split_first() {
+            match new.key().cmp(x.key()) {
+                std::cmp::Ordering::Less => out.push(new.clone()),
+                std::cmp::Ordering::Equal => {
+                    out.push(f(x, new));
+                    rest = tail;
+                    return;
                 }
-                rest = tail;
+                std::cmp::Ordering::Greater => break,
             }
-            out.push(x.clone());
-        });
-        out.extend_from_slice(rest);
-        rebuild_leaf(b, t, out)
-    })
+            rest = tail;
+        }
+        out.push(x.clone());
+    };
+    match &leaf {
+        Some(block) => C::for_each(block, &mut merge),
+        None => for_each_entry(&t, &mut merge),
+    }
+    out.extend_from_slice(rest);
+    drop(leaf);
+    rebuild_leaf(b, t, &out)
 }
 
 /// Removes the entries of `t` whose keys appear in the sorted,
-/// duplicate-free `keys` and rebuilds what is left as one packed piece;
-/// the counterpart of [`merge_sorted`] for `remove` (one key) and
-/// `multi_delete`, over the same two shapes of `t`. A tree that none of
-/// the keys hits comes back as it went in — not re-encoded, and for a
-/// single leaf not even copied: the block is probed first, on the same
-/// load the copy then streams (a lazy leaf asks its source once).
+/// duplicate-free `keys`; the counterpart of [`merge_sorted`] for
+/// `remove` (one key) and `multi_delete`, over the same two shapes of
+/// `t`. A leaf is spliced (a remove never overflows it), a κ-subtree is
+/// streamed and rebuilt. A tree that none of the keys hits comes back as
+/// it went in — not re-encoded, and for a single leaf not even copied:
+/// the block is probed first, on the same load the splice then reads.
 pub(crate) fn delete_sorted<E, A, C>(b: usize, t: Tree<E, A, C>, keys: &[E::Key]) -> Tree<E, A, C>
 where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
 {
+    let leaf = leaf_of(&t);
+    if let Some(block) = &leaf {
+        if !keys
+            .iter()
+            .any(|k| C::search_by(block, |x| x.key().cmp(k)).is_ok())
+        {
+            drop(leaf);
+            return t;
+        }
+        let spliced = C::splice(block, keys, |x, k| x.key().cmp(k), |_, _| None);
+        drop(leaf);
+        return reuse_block(t, spliced);
+    }
     with_scratch(size(&t), |out: &mut Vec<E>| {
         let (mut rest, mut removed) = (keys, 0usize);
-        let mut keep = |x: &E| {
+        for_each_entry(&t, &mut |x: &E| {
             while rest.first().is_some_and(|k| k < x.key()) {
                 rest = &rest[1..];
             }
@@ -308,20 +370,7 @@ where
             } else {
                 out.push(x.clone());
             }
-        };
-        match t.as_deref() {
-            Some(leaf) if leaf.is_flat() => {
-                stats::count_cursor_op();
-                let block = leaf.leaf_block();
-                if keys
-                    .iter()
-                    .any(|k| C::search_by(&block, |x| x.key().cmp(k)).is_ok())
-                {
-                    C::for_each(&block, &mut keep);
-                }
-            }
-            _ => for_each_entry(&t, &mut keep),
-        }
+        });
         if removed == 0 {
             return t;
         }

@@ -188,7 +188,10 @@ where
         // (drop_heavy only hollows out children before dropping the
         // owning Arc, whose own drop still lands in this impl).
         stats::count_node_drop();
-        if let Node::Regular { left, right, size, .. } = self {
+        if let Node::Regular {
+            left, right, size, ..
+        } = self
+        {
             if *size >= PAR_DROP_MIN {
                 let (l, r) = (left.take(), right.take());
                 drop_heavy(l, r);
@@ -219,7 +222,9 @@ where
         let Some(mut arc) = t else { return };
         loop {
             match Arc::get_mut(&mut arc) {
-                Some(Node::Regular { left, right, size, .. }) => {
+                Some(Node::Regular {
+                    left, right, size, ..
+                }) => {
                     if *size < PAR_DROP_MIN {
                         // Small enough for the plain recursive drop.
                         return;
@@ -313,7 +318,11 @@ where
 }
 
 /// Builds a regular node, computing its size and aggregate.
-pub(crate) fn make_regular<E, A, C>(left: Tree<E, A, C>, entry: E, right: Tree<E, A, C>) -> Tree<E, A, C>
+pub(crate) fn make_regular<E, A, C>(
+    left: Tree<E, A, C>,
+    entry: E,
+    right: Tree<E, A, C>,
+) -> Tree<E, A, C>
 where
     E: Element,
     A: Augmentation<E>,
@@ -378,6 +387,48 @@ where
     make_flat(entries)
 }
 
+/// [`reuse_flat`] for a block the codec has already built (a
+/// [`Codec::splice`]): installs it in `src`'s allocation when uniquely
+/// owned, else in a new node. Counts one block encode either way.
+pub(crate) fn reuse_block<E, A, C>(src: Tree<E, A, C>, block: C::Block) -> Tree<E, A, C>
+where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    if C::is_empty(&block) {
+        return None;
+    }
+    stats::count_block_encode();
+    let aug = block_aug::<E, A, C>(&block);
+    if let Some(mut arc) = src {
+        if let Some(slot) = Arc::get_mut(&mut arc) {
+            *slot = Node::Flat { aug, block };
+            stats::count_node_reuse();
+            return Some(arc);
+        }
+    }
+    stats::count_node_copy();
+    stats::count_node_alloc();
+    Some(Arc::new(Node::Flat { aug, block }))
+}
+
+/// The aggregate of a block's entries, folded over its cursor — a
+/// decode, but no materialized entries. An unaugmented tree (a
+/// zero-sized aggregate) skips the walk.
+fn block_aug<E, A, C>(block: &C::Block) -> A::Value
+where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    let mut aug = A::identity();
+    if std::mem::size_of::<A::Value>() != 0 {
+        C::for_each(block, &mut |e| aug = A::combine(&aug, &A::from_entry(e)));
+    }
+    aug
+}
+
 /// Builds a flat node from entries in collection order.
 pub(crate) fn make_flat<E, A, C>(entries: &[E]) -> Tree<E, A, C>
 where
@@ -410,8 +461,7 @@ where
         return None;
     }
     stats::count_node_alloc();
-    let mut aug = A::identity();
-    C::for_each(&block, &mut |e| aug = A::combine(&aug, &A::from_entry(e)));
+    let aug = block_aug::<E, A, C>(&block);
     Some(Arc::new(Node::Flat { aug, block }))
 }
 

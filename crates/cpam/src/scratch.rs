@@ -17,6 +17,7 @@
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 thread_local! {
     /// Per-thread pool: for each entry type, a stack of cleared buffers.
@@ -30,6 +31,59 @@ thread_local! {
 /// instead of parking tens of megabytes on the thread forever.
 const MAX_POOLED_BYTES: usize = 1 << 20;
 
+/// A scratch buffer on loan from this thread's pool: derefs to the
+/// `Vec`, and is cleared and recycled when dropped. For callers that
+/// cannot put their use in a closure ([`with_scratch`]).
+pub(crate) struct Scratch<E: 'static> {
+    buf: Vec<E>,
+}
+
+impl<E: 'static> Scratch<E> {
+    /// A cleared buffer of capacity at least `min_capacity`.
+    pub(crate) fn take(min_capacity: usize) -> Self {
+        let mut buf: Vec<E> = POOL
+            .with(|pool| {
+                pool.borrow_mut()
+                    .get_mut(&TypeId::of::<E>())
+                    .and_then(|stack| stack.pop())
+            })
+            .map(|boxed| *boxed.downcast::<Vec<E>>().expect("pool keyed by TypeId"))
+            .unwrap_or_default();
+        buf.reserve(min_capacity);
+        Scratch { buf }
+    }
+}
+
+impl<E: 'static> Deref for Scratch<E> {
+    type Target = Vec<E>;
+
+    fn deref(&self) -> &Vec<E> {
+        &self.buf
+    }
+}
+
+impl<E: 'static> DerefMut for Scratch<E> {
+    fn deref_mut(&mut self) -> &mut Vec<E> {
+        &mut self.buf
+    }
+}
+
+impl<E: 'static> Drop for Scratch<E> {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        if buf.capacity().saturating_mul(std::mem::size_of::<E>()) <= MAX_POOLED_BYTES {
+            // A thread tearing down its locals just frees the buffer.
+            let _ = POOL.try_with(|pool| {
+                pool.borrow_mut()
+                    .entry(TypeId::of::<E>())
+                    .or_default()
+                    .push(Box::new(buf));
+            });
+        }
+    }
+}
+
 /// Runs `f` with a cleared scratch buffer of capacity at least
 /// `min_capacity`, recycling it afterwards. The result must not borrow
 /// the buffer (entries are cleared on return).
@@ -37,26 +91,7 @@ pub(crate) fn with_scratch<E: 'static, R>(
     min_capacity: usize,
     f: impl FnOnce(&mut Vec<E>) -> R,
 ) -> R {
-    let mut buf: Vec<E> = POOL
-        .with(|pool| {
-            pool.borrow_mut()
-                .get_mut(&TypeId::of::<E>())
-                .and_then(|stack| stack.pop())
-        })
-        .map(|boxed| *boxed.downcast::<Vec<E>>().expect("pool keyed by TypeId"))
-        .unwrap_or_default();
-    buf.reserve(min_capacity);
-    let r = f(&mut buf);
-    buf.clear();
-    if buf.capacity().saturating_mul(std::mem::size_of::<E>()) <= MAX_POOLED_BYTES {
-        POOL.with(|pool| {
-            pool.borrow_mut()
-                .entry(TypeId::of::<E>())
-                .or_default()
-                .push(Box::new(buf));
-        });
-    }
-    r
+    f(&mut Scratch::take(min_capacity))
 }
 
 #[cfg(test)]
