@@ -11,7 +11,7 @@
 use codecs::{BlockCursor, Codec};
 
 use crate::aug::Augmentation;
-use crate::base::{delete_sorted, from_sorted, merge_sorted, rebuild_leaf, to_vec};
+use crate::base::{rebuild_leaf, to_vec};
 use crate::entry::{Element, Entry};
 use crate::join::{expose_owned, join, join2, split};
 use crate::node::{size, Node, Tree};
@@ -47,55 +47,6 @@ where
                     .map(|(_, e)| e);
             }
         }
-    }
-}
-
-/// Inserts one entry; `f(old, new)` combines with an existing entry.
-/// `O(log n + B)` work: the one leaf on the path is rewritten once
-/// ([`merge_sorted`]), its sibling is linked back untouched. Consumes the
-/// tree: every uniquely-owned node on the root-to-leaf path is rebuilt
-/// in place; shared nodes (and everything below the first shared node
-/// reached through them) are path-copied as before.
-pub(crate) fn insert<E, A, C, F>(b: usize, t: Tree<E, A, C>, e: E, f: &F) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E,
-{
-    let Some(node) = t else {
-        return from_sorted(b, std::slice::from_ref(&e));
-    };
-    if node.is_flat() {
-        return merge_sorted(b, Some(node), std::slice::from_ref(&e), f);
-    }
-    let (left, entry, right, husk) = expose_owned(Some(node));
-    match e.key().cmp(entry.key()) {
-        std::cmp::Ordering::Equal => join(b, husk, left, f(&entry, &e), right),
-        std::cmp::Ordering::Less => join(b, husk, insert(b, left, e, f), entry, right),
-        std::cmp::Ordering::Greater => join(b, husk, left, entry, insert(b, right, e, f)),
-    }
-}
-
-/// Removes the entry with key `k`, if present. `O(log n + B)` work; a
-/// miss is allocation-free ([`delete_sorted`] probes the block with a
-/// cursor search and returns the leaf as it is). Consumes the tree like
-/// [`insert`].
-pub(crate) fn remove<E, A, C>(b: usize, t: Tree<E, A, C>, k: &E::Key) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let node = t?;
-    if node.is_flat() {
-        return delete_sorted(b, Some(node), std::slice::from_ref(k));
-    }
-    let (left, entry, right, husk) = expose_owned(Some(node));
-    match k.cmp(entry.key()) {
-        std::cmp::Ordering::Equal => join2(b, husk, left, right),
-        std::cmp::Ordering::Less => join(b, husk, remove(b, left, k), entry, right),
-        std::cmp::Ordering::Greater => join(b, husk, left, entry, remove(b, right, k)),
     }
 }
 

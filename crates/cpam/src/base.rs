@@ -4,20 +4,21 @@
 //! be flattened into an entry array and rebuilt from one, and a flat node
 //! can be expanded into a perfectly balanced all-regular subtree.
 //!
-//! It is also where an update finally meets a leaf: [`merge_sorted`] and
-//! [`delete_sorted`] are the one routine per direction through which
-//! `insert`/`multi_insert` and `remove`/`multi_delete` rewrite blocks.
+//! It is also where an update finally meets a leaf: [`merge_sorted`]
+//! applies a key-sorted batch of puts and removals to one leaf (or one
+//! small subtree), and is the one routine through which every update —
+//! point or batch, insert or remove — rewrites blocks.
 
 use codecs::Codec;
 use parlay::SendPtr;
 
 use crate::aug::Augmentation;
-use crate::entry::{Element, Entry};
+use crate::entry::{Edit, Element, Entry};
 use crate::grain::walk_grain;
 use crate::node::{
-    make_flat, make_regular, reuse_block, reuse_flat, reuse_regular, size, BlockRef, Node, Tree,
+    make_flat, make_regular, reuse_block, reuse_flat, reuse_regular, size, Node, Tree,
 };
-use crate::scratch::{with_scratch, Scratch};
+use crate::scratch::Scratch;
 use crate::stats;
 
 /// Builds a PaC-tree from entries already in collection order.
@@ -245,36 +246,26 @@ where
     }
 }
 
-/// The block of `t` when `t` is a single leaf, loaded once for the
-/// whole update (a lazy leaf asks its source here and nowhere else).
-fn leaf_of<E, A, C>(t: &Tree<E, A, C>) -> Option<BlockRef<'_, C::Block>>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let leaf = t.as_deref().filter(|n| n.is_flat())?;
-    stats::count_cursor_op();
-    Some(leaf.leaf_block())
-}
-
-/// Merges the key-sorted, duplicate-free `batch` into `t`; `f(old,
-/// new)` combines on equal keys. `t` is a leaf — where `insert` (a
-/// one-entry batch) and a sparse `multi_insert` slice end up — or a
-/// subtree of at most κ entries that the batch hits densely (the
-/// Section 8 array base case).
+/// Applies the key-sorted, duplicate-free `edits` to `t`; a put on an
+/// existing key stores `f(old, new)`. `t` is a leaf — where a point
+/// update and a sparse batch slice end up — or a subtree of at most κ
+/// entries that the batch hits densely (the Section 8 array base case).
 ///
 /// A leaf whose result still fits in `2b` entries is spliced
-/// ([`Codec::splice`]): the codec copies what the batch leaves alone and
-/// encodes what it changed, and the new block takes the leaf's place
-/// ([`reuse_block`]). Anything else — a κ-subtree, a leaf that
-/// overflows — is streamed against the batch into one scratch buffer,
-/// each leaf loaded once, and rebuilt as one packed piece
-/// ([`rebuild_leaf`]). `O(|t| + |batch|)` work either way.
+/// ([`Codec::splice`]) and the new block takes its place
+/// ([`reuse_block`]). Only puts can grow a leaf, so the per-key search
+/// that discounts hits runs only when the puts alone could overflow it.
+/// Anything else — a κ-subtree, a leaf that overflows — is streamed
+/// against the batch into one scratch buffer and rebuilt as one packed
+/// piece ([`rebuild_leaf`]). `O(|t| + |edits|)` work either way.
+///
+/// A batch that only removes keys `t` does not hold returns `t` as it
+/// went in — not re-encoded, and for a single leaf not even copied: the
+/// block is probed first, on the same load the splice then reads.
 pub(crate) fn merge_sorted<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
-    batch: &[E],
+    edits: &[Edit<E>],
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -283,38 +274,45 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E,
 {
-    let leaf = leaf_of(&t);
+    let grows = edits.iter().filter(|e| e.grows()).count();
+    // A leaf is loaded once for the whole update: a lazy leaf asks its
+    // source here and nowhere else.
+    let leaf = t.as_deref().filter(|n| n.is_flat()).map(|n| {
+        stats::count_cursor_op();
+        n.leaf_block()
+    });
     if let Some(block) = &leaf {
-        // Fresh keys grow the leaf; counting them is a search per key,
-        // needed only when the batch could overflow it.
+        let hit = |e: &Edit<E>| {
+            let k = e.key();
+            C::search_by(block, |x| x.key().cmp(k)).is_ok()
+        };
+        if grows == 0 && !edits.iter().any(hit) {
+            drop(leaf);
+            return t;
+        }
         let len = C::len(block);
-        let fits = len + batch.len() <= 2 * b
-            || (batch.len() <= 2 * b && {
-                let hits = batch
-                    .iter()
-                    .filter(|e| C::search_by(block, |x| x.key().cmp(e.key())).is_ok())
-                    .count();
-                len + batch.len() - hits <= 2 * b
-            });
+        let fits = len + grows <= 2 * b
+            || (edits.len() <= 2 * b
+                && len + grows - edits.iter().filter(|e| hit(e)).count() <= 2 * b);
         if fits {
             let spliced = C::splice(
                 block,
-                batch,
-                |x, new| x.key().cmp(new.key()),
-                |old, new| Some(old.map_or_else(|| new.clone(), |old| f(old, new))),
+                edits,
+                |x, e| x.key().cmp(e.key()),
+                |old, e| e.apply(old, f),
             );
             drop(leaf);
             return reuse_block(t, spliced);
         }
     }
-    let mut out = Scratch::take(size(&t) + batch.len());
-    let mut rest = batch;
+    let mut out = Scratch::take(size(&t) + grows);
+    let mut rest = edits;
     let mut merge = |x: &E| {
-        while let Some((new, tail)) = rest.split_first() {
-            match new.key().cmp(x.key()) {
-                std::cmp::Ordering::Less => out.push(new.clone()),
+        while let Some((e, tail)) = rest.split_first() {
+            match e.key().cmp(x.key()) {
+                std::cmp::Ordering::Less => out.extend(e.apply(None, f)),
                 std::cmp::Ordering::Equal => {
-                    out.push(f(x, new));
+                    out.extend(e.apply(Some(x), f));
                     rest = tail;
                     return;
                 }
@@ -328,52 +326,10 @@ where
         Some(block) => C::for_each(block, &mut merge),
         None => for_each_entry(&t, &mut merge),
     }
-    out.extend_from_slice(rest);
+    out.extend(rest.iter().filter_map(|e| e.apply(None, f)));
     drop(leaf);
-    rebuild_leaf(b, t, &out)
-}
-
-/// Removes the entries of `t` whose keys appear in the sorted,
-/// duplicate-free `keys`; the counterpart of [`merge_sorted`] for
-/// `remove` (one key) and `multi_delete`, over the same two shapes of
-/// `t`. A leaf is spliced (a remove never overflows it), a κ-subtree is
-/// streamed and rebuilt. A tree that none of the keys hits comes back as
-/// it went in — not re-encoded, and for a single leaf not even copied:
-/// the block is probed first, on the same load the splice then reads.
-pub(crate) fn delete_sorted<E, A, C>(b: usize, t: Tree<E, A, C>, keys: &[E::Key]) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let leaf = leaf_of(&t);
-    if let Some(block) = &leaf {
-        if !keys
-            .iter()
-            .any(|k| C::search_by(block, |x| x.key().cmp(k)).is_ok())
-        {
-            drop(leaf);
-            return t;
-        }
-        let spliced = C::splice(block, keys, |x, k| x.key().cmp(k), |_, _| None);
-        drop(leaf);
-        return reuse_block(t, spliced);
+    if grows == 0 && out.len() == size(&t) {
+        return t;
     }
-    with_scratch(size(&t), |out: &mut Vec<E>| {
-        let (mut rest, mut removed) = (keys, 0usize);
-        for_each_entry(&t, &mut |x: &E| {
-            while rest.first().is_some_and(|k| k < x.key()) {
-                rest = &rest[1..];
-            }
-            if rest.first() == Some(x.key()) {
-                removed += 1;
-            } else {
-                out.push(x.clone());
-            }
-        });
-        if removed == 0 {
-            return t;
-        }
-        rebuild_leaf(b, t, out)
-    })
+    rebuild_leaf(b, t, &out)
 }

@@ -58,6 +58,37 @@ impl<K: ScalarKey, V: Element> Entry for (K, V) {
     }
 }
 
+/// One change of a key-sorted update batch: every update — point or
+/// batch, insert or remove — is a batch of these.
+pub(crate) enum Edit<E: Entry> {
+    Put(E),
+    Remove(E::Key),
+}
+
+impl<E: Entry> Edit<E> {
+    pub(crate) fn key(&self) -> &E::Key {
+        match self {
+            Edit::Put(e) => e.key(),
+            Edit::Remove(k) => k,
+        }
+    }
+
+    /// Whether the edit can add an entry: only a put that misses does.
+    pub(crate) fn grows(&self) -> bool {
+        matches!(self, Edit::Put(_))
+    }
+
+    /// What the edit leaves under its key when `old` is stored there: a
+    /// put stores its entry, or `f(old, new)` over an existing one; a
+    /// removal leaves nothing.
+    pub(crate) fn apply(&self, old: Option<&E>, f: &impl Fn(&E, &E) -> E) -> Option<E> {
+        match self {
+            Edit::Put(new) => Some(old.map_or_else(|| new.clone(), |old| f(old, new))),
+            Edit::Remove(_) => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

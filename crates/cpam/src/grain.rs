@@ -59,7 +59,7 @@ pub(crate) fn par_grain(b: usize, n: usize) -> usize {
 const BATCH_FLOOR: usize = 1 << 15;
 const _: () = assert!(64 * 256 + 64 <= BATCH_FLOOR);
 
-/// Fork cutoff for the batch updates (`multi_insert`, `multi_delete`)
+/// Fork cutoff for the batch update (`setops::multi_update`)
 /// whose root problem is `work` entries of batch work — what the keys
 /// can touch, not the size of the tree they land in: a small batch into
 /// a large tree is a small problem. Same `8T` tasks scaling as

@@ -4,9 +4,9 @@
 use codecs::{Codec, RawCodec};
 
 use crate::aug::{Augmentation, NoAug};
-use crate::entry::{Element, ScalarKey};
-use crate::ordered::PacOrd;
-use crate::{algos, join as jn};
+use crate::entry::{Edit, Element, ScalarKey};
+use crate::ordered::{sort_dedup, PacOrd};
+use crate::{algos, join as jn, setops};
 
 /// One piece of a canonical range decomposition (see
 /// [`PacMap::range_decompose`]).
@@ -109,12 +109,12 @@ where
 
     /// A new map with `(k, v)` inserted; on an existing key the stored
     /// value becomes `f(old, new)`.
-    pub fn insert_with(&self, k: K, v: V, f: impl Fn(&V, &V) -> V) -> Self {
+    pub fn insert_with(&self, k: K, v: V, f: impl Fn(&V, &V) -> V + Sync) -> Self {
         self.clone().insert_with_owned(k, v, f)
     }
 
     /// Consuming [`PacMap::insert_with`].
-    pub fn insert_with_owned(self, k: K, v: V, f: impl Fn(&V, &V) -> V) -> Self {
+    pub fn insert_with_owned(self, k: K, v: V, f: impl Fn(&V, &V) -> V + Sync) -> Self {
         self.insert_by((k, v), &on_values(f))
     }
 
@@ -201,6 +201,22 @@ where
         f: impl Fn(&V, &V) -> V + Sync,
     ) -> Self {
         self.multi_insert_by(batch, &on_values(f))
+    }
+
+    /// Consuming batch update: `(k, Some(v))` puts `(k, v)`, replacing
+    /// any existing value, and `(k, None)` removes `k`; the last edit per
+    /// key wins. Puts and removals go down the tree together, in one
+    /// pass of `O(m log(n/m) + min(mB, n))` work.
+    pub fn multi_update_owned(self, mut batch: Vec<(K, Option<V>)>) -> Self {
+        sort_dedup(&mut batch, std::mem::swap);
+        let edits: Vec<_> = batch
+            .into_iter()
+            .map(|(k, v)| match v {
+                Some(v) => Edit::Put((k, v)),
+                None => Edit::Remove(k),
+            })
+            .collect();
+        self.apply(|b, root| setops::multi_update(b, root, &edits, &|_, new| new.clone()))
     }
 
     /// Keeps entries satisfying `pred`.

@@ -17,7 +17,7 @@
 use codecs::{Codec, RawCodec};
 
 use crate::aug::{Augmentation, NoAug};
-use crate::entry::Entry;
+use crate::entry::{Edit, Entry};
 use crate::iter::Iter;
 use crate::node::{aug_of, size, SpaceStats, Tree};
 use crate::{algos, base, join as jn, setops, structure, verify, DEFAULT_B};
@@ -137,7 +137,7 @@ where
 /// Sorts `batch` by key (stably, in parallel) and collapses each run of
 /// equal keys into its first slot: `merge(kept, later)` is called for
 /// every further entry of the run, in batch order.
-fn sort_dedup<E: Entry>(batch: &mut Vec<E>, merge: impl Fn(&mut E, &mut E)) {
+pub(crate) fn sort_dedup<E: Entry>(batch: &mut Vec<E>, merge: impl Fn(&mut E, &mut E)) {
     parlay::par_sort_by(batch, &|a, b| a.key().cmp(b.key()));
     batch.dedup_by(|later, kept| {
         let same = kept.key() == later.key();
@@ -232,8 +232,8 @@ where
 
     /// Consuming insert of `e`; on an existing key the stored entry
     /// becomes `f(old, new)`. `O(log n + B)` work.
-    pub(crate) fn insert_by(self, e: E, f: &impl Fn(&E, &E) -> E) -> Self {
-        self.apply(|b, root| algos::insert(b, root, e, f))
+    pub(crate) fn insert_by(self, e: E, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
+        self.apply(|b, root| setops::multi_update(b, root, &[Edit::Put(e)], f))
     }
 
     /// A new collection without key `k`. `O(log n + B)` work.
@@ -243,7 +243,8 @@ where
 
     /// Consuming [`PacOrd::remove`].
     pub fn remove_owned(self, k: &E::Key) -> Self {
-        self.apply(|b, root| algos::remove(b, root, k))
+        let edit = [Edit::Remove(k.clone())];
+        self.apply(|b, root| setops::multi_update(b, root, &edit, &|_, new| new.clone()))
     }
 
     /// Consuming union with `f(self_entry, other_entry)` combining
@@ -289,7 +290,8 @@ where
         f: &(impl Fn(&E, &E) -> E + Sync),
     ) -> Self {
         sort_dedup(&mut batch, |kept, later| *kept = f(kept, later));
-        self.apply(|b, root| setops::multi_insert(b, root, &batch, f))
+        let edits: Vec<_> = batch.into_iter().map(Edit::Put).collect();
+        self.apply(|b, root| setops::multi_update(b, root, &edits, f))
     }
 
     /// Batch delete: removes every key in `keys`. Bounds as for batch
@@ -302,7 +304,8 @@ where
     pub fn multi_delete_owned(self, mut keys: Vec<E::Key>) -> Self {
         parlay::par_sort(&mut keys);
         keys.dedup();
-        self.apply(|b, root| setops::multi_delete(b, root, &keys))
+        let edits: Vec<_> = keys.into_iter().map(Edit::Remove).collect();
+        self.apply(|b, root| setops::multi_update(b, root, &edits, &|_, new| new.clone()))
     }
 
     /// Consuming filter: keeps entries satisfying `pred`; surviving

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use codecs::Codec;
 
 use crate::aug::Augmentation;
-use crate::base::{delete_sorted, from_sorted, merge_sorted, push_all, rebuild_leaf, to_vec};
-use crate::entry::Entry;
+use crate::base::{from_sorted, merge_sorted, push_all, rebuild_leaf, to_vec};
+use crate::entry::{Edit, Entry};
 use crate::grain::{batch_grain, par_grain};
 use crate::join::{expose_owned, join, join2, split};
 use crate::node::{size, Tree};
@@ -376,17 +376,19 @@ fn dense(b: usize, s: usize, m: usize) -> bool {
     m.saturating_mul(2 * b) >= s
 }
 
-/// Batch insert (Fig. 8's `multi_insert`): `batch` must be sorted by key
-/// and duplicate-free; `f(old, new)` combines with an existing entry.
+/// Batch update (Fig. 8's `multi_insert`, with removals): applies the
+/// key-sorted, duplicate-free `edits` to `t`, a put on an existing key
+/// storing `f(old, new)`. Every update walks the tree through this one
+/// recursion; a point insert or remove is a one-edit batch.
 ///
 /// Work `O(m log(n/m) + min(mB, n))` (Thm 6.3): a slice that is dense in
 /// its subtree takes the κ array base case, a sparse one keeps
 /// descending until it reaches its one leaf — either way through
-/// [`merge_sorted`] — so a key costs about one leaf, not κ entries.
-pub(crate) fn multi_insert<E, A, C, F>(
+/// [`merge_sorted`] — so an edit costs about one leaf, not κ entries.
+pub(crate) fn multi_update<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
-    batch: &[E],
+    edits: &[Edit<E>],
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -395,16 +397,16 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E + Sync,
 {
-    debug_assert!(batch.windows(2).all(|w| w[0].key() < w[1].key()));
-    let grain = batch_grain(batch_work(b, size(&t), batch.len()));
-    multi_insert_rec(b, grain, t, batch, f)
+    debug_assert!(edits.windows(2).all(|w| w[0].key() < w[1].key()));
+    let grain = batch_grain(batch_work(b, size(&t), edits.len()));
+    multi_update_rec(b, grain, t, edits, f)
 }
 
-fn multi_insert_rec<E, A, C, F>(
+fn multi_update_rec<E, A, C, F>(
     b: usize,
     grain: usize,
     t: Tree<E, A, C>,
-    batch: &[E],
+    edits: &[Edit<E>],
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -413,100 +415,44 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E + Sync,
 {
-    if batch.is_empty() {
+    if edits.is_empty() {
         return t;
     }
     let Some(node) = &t else {
-        return from_sorted(b, batch);
+        let puts: Vec<E> = edits.iter().filter_map(|e| e.apply(None, f)).collect();
+        return from_sorted(b, &puts);
     };
-    let (s, m) = (node.size(), batch.len());
-    if node.is_flat() || (s + m <= KAPPA_BLOCKS * b && dense(b, s, m)) {
-        return merge_sorted(b, t, batch, f);
+    let (s, m) = (node.size(), edits.len());
+    // The κ base case: a subtree that the puts alone or the removes alone
+    // hit densely (so a mixed batch rebuilds nothing whole that two
+    // single-kind passes would not), and that stays within κ entries.
+    if node.is_flat()
+        || (s <= KAPPA_BLOCKS * b && dense(b, s, m) && {
+            let puts = edits.iter().filter(|e| e.grows()).count();
+            dense(b, s, puts.max(m - puts)) && s + puts <= KAPPA_BLOCKS * b
+        })
+    {
+        return merge_sorted(b, t, edits, f);
     }
     let (l, e, r, husk) = expose_owned(t);
-    let pos = batch.partition_point(|x| x.key() < e.key());
-    let (hit, rest_at) = if pos < batch.len() && batch[pos].key() == e.key() {
-        (Some(&batch[pos]), pos + 1)
-    } else {
-        (None, pos)
+    let pos = edits.partition_point(|x| x.key() < e.key());
+    let (entry, rest_at) = match edits.get(pos) {
+        Some(hit) if hit.key() == e.key() => (hit.apply(Some(&e), f), pos + 1),
+        _ => (Some(e), pos),
     };
-    let entry = match hit {
-        Some(new) => f(&e, new),
-        None => e,
+    let (left, right) = (&edits[..pos], &edits[rest_at..]);
+    // An empty side returns its subtree as it is: nothing to call or fork.
+    let go = |t, edits: &[Edit<E>]| match edits {
+        [] => t,
+        _ => multi_update_rec(b, grain, t, edits, f),
     };
-    let (left_batch, right_batch) = (&batch[..pos], &batch[rest_at..]);
-    // An empty side returns its subtree as it is: nothing to fork for.
-    let fork = batch_work(b, s, m) > grain && !left_batch.is_empty() && !right_batch.is_empty();
-    let (tl, tr) = if fork {
-        parlay::join(
-            || multi_insert_rec(b, grain, l, left_batch, f),
-            || multi_insert_rec(b, grain, r, right_batch, f),
-        )
+    let (tl, tr) = if !left.is_empty() && !right.is_empty() && batch_work(b, s, m) > grain {
+        parlay::join(|| go(l, left), || go(r, right))
     } else {
-        (
-            multi_insert_rec(b, grain, l, left_batch, f),
-            multi_insert_rec(b, grain, r, right_batch, f),
-        )
+        (go(l, left), go(r, right))
     };
-    join(b, husk, tl, entry, tr)
-}
-
-/// Batch delete: removes all entries whose keys appear in the sorted,
-/// duplicate-free `keys`. Same dense/sparse rule and work bound as
-/// [`multi_insert`], through [`delete_sorted`].
-pub(crate) fn multi_delete<E, A, C>(b: usize, t: Tree<E, A, C>, keys: &[E::Key]) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    let grain = batch_grain(batch_work(b, size(&t), keys.len()));
-    multi_delete_rec(b, grain, t, keys)
-}
-
-fn multi_delete_rec<E, A, C>(
-    b: usize,
-    grain: usize,
-    t: Tree<E, A, C>,
-    keys: &[E::Key],
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    if keys.is_empty() {
-        return t;
-    }
-    let node = t.as_ref()?;
-    let (s, m) = (node.size(), keys.len());
-    if node.is_flat() || (s <= KAPPA_BLOCKS * b && dense(b, s, m)) {
-        return delete_sorted(b, t, keys);
-    }
-    let (l, e, r, husk) = expose_owned(t);
-    let pos = keys.partition_point(|k| k < e.key());
-    let (hit, rest_at) = if pos < keys.len() && &keys[pos] == e.key() {
-        (true, pos + 1)
-    } else {
-        (false, pos)
-    };
-    let (left_keys, right_keys) = (&keys[..pos], &keys[rest_at..]);
-    let fork = batch_work(b, s, m) > grain && !left_keys.is_empty() && !right_keys.is_empty();
-    let (tl, tr) = if fork {
-        parlay::join(
-            || multi_delete_rec(b, grain, l, left_keys),
-            || multi_delete_rec(b, grain, r, right_keys),
-        )
-    } else {
-        (
-            multi_delete_rec(b, grain, l, left_keys),
-            multi_delete_rec(b, grain, r, right_keys),
-        )
-    };
-    if hit {
-        join2(b, husk, tl, tr)
-    } else {
-        join(b, husk, tl, e, tr)
+    match entry {
+        Some(entry) => join(b, husk, tl, entry, tr),
+        None => join2(b, husk, tl, tr),
     }
 }

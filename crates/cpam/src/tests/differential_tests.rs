@@ -1,7 +1,8 @@
 //! Differential tests for the batch-parallel map API: randomized op
-//! sequences drive `PacMap::{multi_insert_with, multi_delete, range,
-//! union_with, insert_with, remove, filter}` against a `BTreeMap`
-//! oracle, across the paper's block-size sweep B ∈ {1, 2, 8, 32, 128}.
+//! sequences drive `PacMap::{multi_insert_with, multi_delete,
+//! multi_update_owned, range, union_with, insert_with, remove, filter}`
+//! against a `BTreeMap` oracle, across the paper's block-size sweep
+//! B ∈ {1, 2, 8, 32, 128}.
 //!
 //! Every sequence runs through **both** API flavours in lockstep — the
 //! persistent `&self` methods and the consuming `*_owned` methods — so
@@ -21,7 +22,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{PacMap, PacSeq, PacSet};
+use crate::{DiffMap, PacMap, PacSeq, PacSet};
 
 const KEY_SPAN: u64 = 128;
 
@@ -84,7 +85,7 @@ fn run_one(seed: u64, b: usize) -> Result<(), String> {
         if rng.gen_range(0..2) == 0 {
             pins.push((mc.clone(), oracle_vec(&oracle), step));
         }
-        match rng.gen_range(0..7) {
+        match rng.gen_range(0..8) {
             // multi_insert_with: duplicate keys (both within the batch
             // and vs the map) combine with f — the group-by semantics.
             0 => {
@@ -156,6 +157,38 @@ fn run_one(seed: u64, b: usize) -> Result<(), String> {
                 m = m.filter(|k, _| k % modulus != keep);
                 mc = mc.filter_owned(|k, _| k % modulus != keep);
                 check(&format!("step {step}: filter"), &m, &mc, &oracle)?;
+            }
+            // multi_update_owned: puts and removes in one batch, with
+            // repeated keys (the last edit wins, whether it puts or
+            // removes) and removes of absent keys; through both raw
+            // replicas and a delta-coded map holding the same entries.
+            7 => {
+                let before = oracle_vec(&oracle);
+                let len = rng.gen_range(0..24usize);
+                let mut batch: Vec<(u64, Option<u64>)> = Vec::with_capacity(len);
+                for i in 0..len {
+                    let k = if i > 0 && rng.gen_bool(0.3) {
+                        batch[rng.gen_range(0..i)].0
+                    } else {
+                        rng.gen_range(0..KEY_SPAN + 32)
+                    };
+                    batch.push((k, rng.gen_bool(0.5).then(|| rng.gen_range(0..1_000))));
+                }
+                for &(k, v) in &batch {
+                    match v {
+                        Some(v) => oracle.insert(k, v),
+                        None => oracle.remove(&k),
+                    };
+                }
+                let step = format!("step {step}: multi_update_owned {batch:?}");
+                m = m.clone().multi_update_owned(batch.clone());
+                mc = mc.multi_update_owned(batch.clone());
+                check(&step, &m, &mc, &oracle)?;
+                let dm = DiffMap::<u64, u64>::from_sorted_pairs(b, &before).multi_update_owned(batch);
+                if dm.to_vec() != oracle_vec(&oracle) {
+                    return Err(format!("{step}: delta map diverges\n  pacmap: {:?}", dm.to_vec()));
+                }
+                dm.check_invariants().map_err(|e| format!("{step}: delta: {e}"))?;
             }
             // union_with: merge with an independently generated map,
             // combining values on key collisions.

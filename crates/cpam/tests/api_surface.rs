@@ -126,6 +126,7 @@ fn pac_map_surface() {
         M::multi_insert_with_owned;
     let _: fn(&M, Vec<u64>) -> M = M::multi_delete;
     let _: fn(M, Vec<u64>) -> M = M::multi_delete_owned;
+    let _: fn(M, Vec<(u64, Option<String>)>) -> M = M::multi_update_owned;
 
     // Bulk transforms.
     let _: fn(&M, fn(&u64, &String) -> bool) -> M = M::filter;

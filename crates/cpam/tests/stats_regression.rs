@@ -12,8 +12,9 @@
 //!   point write encodes exactly one block — one more when the leaf
 //!   splits — and decodes none; a persistent one copies its path and
 //!   shares the sibling leaf; a sparse batch costs one leaf per key and
-//!   never enters the scheduler, a bulk batch still forks; dropping a
-//!   superseded version does not fork either.
+//!   never enters the scheduler, a bulk batch still forks; a put and a
+//!   remove in one leaf rewrite it once; dropping a superseded version
+//!   does not fork either.
 //! * Drop accounting: over a build-then-drop window allocs and drops
 //!   balance. (It lives here, not among the crate's unit tests: they
 //!   allocate concurrently in one process, and a gate only this test
@@ -343,6 +344,27 @@ fn sparse_batches_cost_one_leaf_per_key_and_never_fork() {
         }
         assert_eq!(m.len() as u64, n - 8);
 
+        // A mixed batch, 8 fresh puts and 8 removes far apart, is one
+        // descent that costs one leaf per key all the same.
+        let mixed: Vec<(u64, Option<u64>)> = (0..16u64)
+            .map(|i| match i % 2 {
+                0 => ((i * 61_111 + 30_000) * 64 + 1, Some(4)),
+                _ => ((i * 61_111 + 60_000) * 64, None),
+            })
+            .collect();
+        let leaves = m.space_stats().flat_nodes;
+        let (jobs, _) = pool_jobs();
+        let before = stats::read();
+        m = std::mem::take(&mut m).multi_update_owned(mixed);
+        let d = stats::read().delta(before);
+        let splits = (m.space_stats().flat_nodes - leaves) as u64;
+        assert!(d.block_encodes <= 16 + splits, "{} encodes for 16 mixed edits", d.block_encodes);
+        assert!(d.block_decodes <= 16, "{} decodes for 16 mixed edits", d.block_decodes);
+        if forks {
+            assert_eq!(pool_jobs().0 - jobs, 0, "a 16-edit mixed batch forked");
+        }
+        assert_eq!(m.len() as u64, n - 8);
+
         // A bulk batch is as parallel as it was.
         let large: Vec<(u64, u64)> = (0..100_000u64).map(|i| (i * 640, 3)).collect();
         let (jobs, _) = pool_jobs();
@@ -354,6 +376,37 @@ fn sparse_batches_cost_one_leaf_per_key_and_never_fork() {
     assert_eq!(m.find(&(5 * 64)), None);
     assert_eq!(m.find(&640), Some(3));
     m.check_invariants().unwrap();
+}
+
+#[test]
+fn a_mixed_batch_in_one_leaf_encodes_it_once() {
+    let _serialize = counters_lock();
+    // A put of a fresh key and a removal of a present one in the same
+    // leaf: first one with room (50 000 entries build into leaves of
+    // 195–196), then a full one (64 leaves of exactly 2b).
+    let (fresh, gone) = (10 * 64 - 1, 11 * 64);
+    let edits = || vec![(fresh, Some(7)), (gone, None)];
+    for (n, two_pass) in [(50_000u64, 2), (257 * 64 - 1, 4)] {
+        let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i * 64, i)).collect();
+        let m = DiffMap::<u64, u64>::from_sorted_pairs(B, &pairs);
+        let before = stats::read();
+        let one = m.multi_update_owned(edits());
+        let d = stats::read().delta(before);
+        assert_eq!(d.block_encodes, 1, "n = {n}: one descent rewrites the leaf once");
+        assert_eq!(d.block_decodes, 0, "n = {n}");
+        assert_eq!(d.node_allocs, 0, "n = {n}");
+        one.check_invariants().unwrap();
+
+        // The same change as a batch insert and then a batch delete walks
+        // the tree twice: two encodes where the leaf has room; where it is
+        // full it splits into halves of b, and the removal then takes one
+        // below b, so the pair folds back into one leaf.
+        let m = DiffMap::<u64, u64>::from_sorted_pairs(B, &pairs);
+        let before = stats::read();
+        let two = m.multi_insert_owned(vec![(fresh, 7)]).multi_delete_owned(vec![gone]);
+        assert_eq!(stats::read().delta(before).block_encodes, two_pass, "n = {n}");
+        assert_eq!(one.to_vec(), two.to_vec());
+    }
 }
 
 #[test]

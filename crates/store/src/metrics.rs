@@ -73,8 +73,8 @@ pub(crate) struct StoreMetrics {
     /// the previous leader). Recorded once per commit, 0 for an
     /// uncontended leader.
     pub ticket_wait: Arc<Histogram>,
-    /// Leader batch apply: the `apply_ops` tree update (parallel
-    /// fan-out included, for the sharded store).
+    /// Leader batch apply: `apply_ops`, one tree pass per participating
+    /// shard (parallel fan-out included, for the sharded store).
     pub apply: Arc<Histogram>,
     /// WAL record write (`write_all` + `flush`), all shards merged.
     pub wal_append: Arc<Histogram>,
@@ -208,7 +208,7 @@ impl StoreMetrics {
     /// Record one WAL append's stage timings: per-shard and merged
     /// series for the write, fsync only when it ran.
     #[inline]
-    pub fn record_wal_append(&self, shard: usize, t: crate::wal::AppendTimings, fsync: bool) {
+    pub fn record_wal_append(&self, shard: usize, t: crate::wal::Appended, fsync: bool) {
         self.wal_append.record(t.write_ns);
         if let Some(h) = self.shard_wal_append.get(shard) {
             h.record(t.write_ns);

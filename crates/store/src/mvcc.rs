@@ -7,8 +7,9 @@
 //! [`ShardedStore`]; a `PacStore` is that engine with one shard:
 //!
 //! * **Writers** submit batches of [`Op`]s to [`PacStore::commit`];
-//!   batches queued concurrently ride one tree update and one log write
-//!   (see [`ShardedStore::commit`]).
+//!   batches queued concurrently ride one tree update — puts and
+//!   deletes down the tree together, in one pass ([`apply_ops`]) — and
+//!   one log write (see [`ShardedStore::commit`]).
 //! * **Readers** never block on writers: pinning a version is cloning a
 //!   `PacMap` root (`Arc` bump) under a briefly-held lock. A pinned
 //!   [`Snapshot`] stays alive and consistent no matter how many
@@ -18,7 +19,6 @@
 //!   consecutive versions makes this cheap (`O(log n)` fresh nodes per
 //!   version, the paper's path-copying bound).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use codecs::{BlockIo, ByteEncode, Codec, RawCodec};
@@ -85,7 +85,12 @@ pub struct StoreOptions {
 /// `PAC_POOL_PAGES` as a pool budget: a positive integer selects lazy
 /// reads through that many pages; unset/invalid/zero means `None`.
 fn pool_pages_from_env() -> Option<usize> {
-    std::env::var("PAC_POOL_PAGES").ok()?.trim().parse().ok().filter(|&n: &usize| n > 0)
+    std::env::var("PAC_POOL_PAGES")
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
+        .filter(|&n: &usize| n > 0)
 }
 
 impl Default for StoreOptions {
@@ -220,7 +225,9 @@ where
     C: BlockIo<(K, V)>,
 {
     fn clone(&self) -> Self {
-        PacStore { engine: self.engine.clone() }
+        PacStore {
+            engine: self.engine.clone(),
+        }
     }
 }
 
@@ -239,18 +246,17 @@ where
     }
 }
 
-/// Applies a batch to a map: collapses to last-op-wins per key (ops are
-/// in submission order), then one parallel batch insert plus one batch
-/// delete. Used identically by commit and by log replay, for every
-/// shard, so a replayed store converges to the same state.
+/// Applies a batch to a map as one [`PacMap::multi_update_owned`]: the
+/// last op per key wins (ops are in submission order), and puts and
+/// deletes go down each touched path together. Used identically by
+/// commit and by log replay, for every shard, so a replayed store
+/// converges to the same state.
 ///
 /// Consumes the working map: the group leader hands over its private
-/// clone, so the batch insert frees or reuses whatever spine nodes the
-/// leader exclusively owns, and the batch delete consumes the insert's
-/// freshly built output — whose nodes are uniquely owned by
-/// construction and are therefore rebuilt *in place* (cpam's refcount-1
-/// fast path). No snapshot can pin the working tree mid-commit: readers
-/// only ever pin published versions under the state lock.
+/// clone, so the update frees or reuses whatever spine nodes the leader
+/// exclusively owns (cpam's refcount-1 fast path). No snapshot can pin
+/// the working tree mid-commit: readers only ever pin published
+/// versions under the state lock.
 pub(crate) fn apply_ops<K, V, C>(
     map: PacMap<K, V, NoAug, C>,
     ops: impl IntoIterator<Item = Op<K, V>>,
@@ -260,33 +266,14 @@ where
     V: Element,
     C: Codec<(K, V)>,
 {
-    let mut effects: BTreeMap<K, Option<V>> = BTreeMap::new();
-    for op in ops {
-        match op {
-            Op::Put(k, v) => {
-                effects.insert(k, Some(v));
-            }
-            Op::Delete(k) => {
-                effects.insert(k, None);
-            }
-        }
-    }
-    let mut puts = Vec::new();
-    let mut dels = Vec::new();
-    for (k, v) in effects {
-        match v {
-            Some(v) => puts.push((k, v)),
-            None => dels.push(k),
-        }
-    }
-    let mut out = map;
-    if !puts.is_empty() {
-        out = out.multi_insert_owned(puts);
-    }
-    if !dels.is_empty() {
-        out = out.multi_delete_owned(dels);
-    }
-    out
+    map.multi_update_owned(
+        ops.into_iter()
+            .map(|op| match op {
+                Op::Put(k, v) => (k, Some(v)),
+                Op::Delete(k) => (k, None),
+            })
+            .collect(),
+    )
 }
 
 impl<K, V, C> PacStore<K, V, C>
@@ -297,7 +284,10 @@ where
 {
     /// The single-map view of a one-shard engine snapshot.
     fn pin(snap: ShardedSnapshot<K, V, C>) -> Snapshot<K, V, C> {
-        Snapshot { version: snap.version(), map: snap.shard_map(0).clone() }
+        Snapshot {
+            version: snap.version(),
+            map: snap.shard_map(0).clone(),
+        }
     }
 
     /// An empty, ephemeral store (no directory: `save` is an error).
@@ -307,7 +297,9 @@ where
 
     /// [`PacStore::in_memory`] with explicit options.
     pub fn in_memory_with(opts: StoreOptions) -> Self {
-        PacStore { engine: ShardedStore::ephemeral(Router::single(), opts) }
+        PacStore {
+            engine: ShardedStore::ephemeral(Router::single(), opts),
+        }
     }
 
     /// Opens (or creates) a durable store in `dir`; see
@@ -500,7 +492,12 @@ mod tests {
     fn last_op_wins_within_a_batch() {
         let store: PacStore<u64, u64> = PacStore::in_memory();
         store
-            .commit(vec![Op::Put(5, 1), Op::Put(5, 2), Op::Delete(5), Op::Put(5, 3)])
+            .commit(vec![
+                Op::Put(5, 1),
+                Op::Put(5, 2),
+                Op::Delete(5),
+                Op::Put(5, 3),
+            ])
             .unwrap();
         assert_eq!(store.get(&5), Some(3));
         store.commit(vec![Op::Put(6, 1), Op::Delete(6)]).unwrap();

@@ -1073,7 +1073,7 @@ where
             // Roll forward: apply each holder's record (skipping shards
             // whose snapshot page already covers it).
             for &i in &holders {
-                let rec = &shard_replays[i].records[cursor[i]];
+                let rec = &mut shard_replays[i].records[cursor[i]];
                 // Local versions advance by exactly one per commit a
                 // shard participates in; a farther jump means the
                 // record's predecessors are in neither the pages nor
@@ -1086,7 +1086,9 @@ where
                     });
                 }
                 if rec.version > locals[i] {
-                    maps[i] = apply_ops(std::mem::take(&mut maps[i]), rec.ops.clone());
+                    // The walk never reads a record's ops again.
+                    let ops = std::mem::take(&mut rec.ops);
+                    maps[i] = apply_ops(std::mem::take(&mut maps[i]), ops);
                     locals[i] = rec.version;
                 }
                 cursor[i] += 1;
@@ -1374,29 +1376,17 @@ where
             let mut appended: Vec<(usize, u64)> = Vec::new(); // (shard, prior len)
             let mut failure: Option<std::io::Error> = None;
             for r in &results {
-                let file = &mut shard_logs[r.shard];
-                let prior = match file.metadata() {
-                    Ok(m) => m.len(),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                };
                 match wal::append_bytes(
-                    file,
+                    &mut shard_logs[r.shard],
                     r.record.as_deref().expect("durable record"),
                     inner.opts.fsync_commits,
                 ) {
-                    Ok(timings) => {
-                        inner.metrics.record_wal_append(
-                            r.shard,
-                            timings,
-                            inner.opts.fsync_commits,
-                        );
-                        appended.push((r.shard, prior));
+                    Ok(done) => {
+                        inner.metrics.record_wal_append(r.shard, done, inner.opts.fsync_commits);
+                        appended.push((r.shard, done.prior_len));
                     }
                     Err(fail) => {
-                        if !fail.rolled_back {
+                        if let Some(prior) = fail.stranded {
                             appended.push((r.shard, prior));
                         }
                         failure = Some(fail.error);
@@ -1416,17 +1406,17 @@ where
                     locals,
                 });
                 match wal::append_bytes(manifest, &rec, inner.opts.fsync_commits) {
-                    Ok(timings) => {
-                        inner.metrics.manifest_append.record(timings.write_ns);
+                    Ok(done) => {
+                        inner.metrics.manifest_append.record(done.write_ns);
                         if inner.opts.fsync_commits {
-                            inner.metrics.wal_fsync.record(timings.sync_ns);
+                            inner.metrics.wal_fsync.record(done.sync_ns);
                         }
                     }
                     Err(fail) => {
                         // A partial manifest record that could not be
                         // truncated away would swallow every later
                         // record at replay: poison below.
-                        stranded = !fail.rolled_back;
+                        stranded = fail.stranded.is_some();
                         failure = Some(fail.error);
                     }
                 }

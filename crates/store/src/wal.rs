@@ -107,25 +107,27 @@ pub fn encode_record<K: ByteEncode, V: ByteEncode>(
     frame(&payload)
 }
 
-/// A failed [`append_bytes`]: the original I/O error plus whether the
-/// partial record was successfully rolled back. When it was *not*, the
-/// stranded bytes would make every later successful append unreachable
+/// A failed [`append_bytes`]: the original I/O error, and the log's
+/// pre-append length if the partial record could not be rolled back.
+/// Stranded bytes would make every later successful append unreachable
 /// at replay (torn-tail truncation stops at the first bad frame) — the
-/// caller must stop using the log until it is reset.
+/// caller must cut them away or stop using the log until it is reset.
 #[derive(Debug)]
 pub struct AppendError {
     /// The I/O error that failed the append.
     pub error: std::io::Error,
-    /// True if the file was truncated back to its pre-append length.
-    pub rolled_back: bool,
+    /// `Some(pre-append length)` when the rollback failed too.
+    pub stranded: Option<u64>,
 }
 
-/// Stage timings of a successful [`append_bytes`], in nanoseconds —
-/// the write-vs-fsync split the observability layer records into
-/// per-stage histograms (`pacstore_wal_append_ns` /
-/// `pacstore_wal_fsync_ns`).
+/// A successful [`append_bytes`]: the log's pre-append length, which
+/// undoing the record truncates back to, and the write-vs-fsync stage
+/// timings the observability layer records into per-stage histograms
+/// (`pacstore_wal_append_ns` / `pacstore_wal_fsync_ns`).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AppendTimings {
+pub struct Appended {
+    /// Byte length of the log before the append.
+    pub prior_len: u64,
     /// Time spent in `write_all` + `flush`.
     pub write_ns: u64,
     /// Time spent in `sync_data` (0 when `fsync` was not requested).
@@ -139,48 +141,55 @@ pub struct AppendTimings {
 /// log, its version would be reused by the next successful group, and
 /// replay would apply the failed group and skip the acknowledged one.
 ///
-/// On success, returns the write/fsync stage timings.
+/// On success, returns the pre-append length and the stage timings.
 ///
 /// # Errors
 ///
-/// [`AppendError`]; check its `rolled_back` flag before reusing the log.
-pub fn append_bytes(
-    file: &mut File,
-    record: &[u8],
-    fsync: bool,
-) -> Result<AppendTimings, AppendError> {
-    let prev_len = match file.metadata() {
+/// [`AppendError`]; check its `stranded` length before reusing the log.
+pub fn append_bytes(file: &mut File, record: &[u8], fsync: bool) -> Result<Appended, AppendError> {
+    let prior_len = match file.metadata() {
         Ok(m) => m.len(),
         // Nothing written yet: failing here leaves the log untouched.
-        Err(error) => return Err(AppendError { error, rolled_back: true }),
+        Err(error) => {
+            return Err(AppendError {
+                error,
+                stranded: None,
+            })
+        }
     };
-    let mut timings = AppendTimings::default();
+    let mut appended = Appended {
+        prior_len,
+        ..Appended::default()
+    };
     let write_start = std::time::Instant::now();
     let result = file
         .write_all(record)
         .and_then(|()| file.flush())
         .and_then(|()| {
-            timings.write_ns = write_start.elapsed().as_nanos() as u64;
+            appended.write_ns = write_start.elapsed().as_nanos() as u64;
             if fsync {
                 let sync_start = std::time::Instant::now();
                 let r = file.sync_data();
-                timings.sync_ns = sync_start.elapsed().as_nanos() as u64;
+                appended.sync_ns = sync_start.elapsed().as_nanos() as u64;
                 r
             } else {
                 Ok(())
             }
         });
     match result {
-        Ok(()) => Ok(timings),
-        Err(error) => Err(AppendError {
-            error,
+        Ok(()) => Ok(appended),
+        Err(error) => {
             // Under fsync, the rollback truncation must itself be
             // durable: a resurrected record from this *failed* append
             // would collide with (and at replay, displace) the next
             // acknowledged record that reuses its version.
-            rolled_back: file.set_len(prev_len).is_ok()
-                && (!fsync || file.sync_data().is_ok()),
-        }),
+            let rolled_back =
+                file.set_len(prior_len).is_ok() && (!fsync || file.sync_data().is_ok());
+            Err(AppendError {
+                error,
+                stranded: (!rolled_back).then_some(prior_len),
+            })
+        }
     }
 }
 
@@ -328,7 +337,10 @@ enum Parse<K, V> {
 /// is what its writer framed, not that the writer was honest, so a
 /// crafted record whose op bytes are truncated or mistyped must land in
 /// [`Parse::Bad`] — never a panic.
-fn parse_payload<K: ByteEncode, V: ByteEncode>(payload: &[u8], expected_schema: u32) -> Parse<K, V> {
+fn parse_payload<K: ByteEncode, V: ByteEncode>(
+    payload: &[u8],
+    expected_schema: u32,
+) -> Parse<K, V> {
     let parse = || -> Option<Parse<K, V>> {
         let mut at = 0;
         let format = *payload.get(at)?;
@@ -398,9 +410,27 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut log = Vec::new();
-        log.extend(encode_record::<u64, u64>(1, 1, &[], SCHEMA, &[Op::Put(1, 10), Op::Put(2, 20)]));
-        log.extend(encode_record::<u64, u64>(2, 2, &[], SCHEMA, &[Op::Delete(1)]));
-        log.extend(encode_record::<u64, u64>(3, 3, &[], SCHEMA, &[Op::Put(3, 30)]));
+        log.extend(encode_record::<u64, u64>(
+            1,
+            1,
+            &[],
+            SCHEMA,
+            &[Op::Put(1, 10), Op::Put(2, 20)],
+        ));
+        log.extend(encode_record::<u64, u64>(
+            2,
+            2,
+            &[],
+            SCHEMA,
+            &[Op::Delete(1)],
+        ));
+        log.extend(encode_record::<u64, u64>(
+            3,
+            3,
+            &[],
+            SCHEMA,
+            &[Op::Put(3, 30)],
+        ));
         log
     }
 
@@ -441,9 +471,21 @@ mod tests {
         // Two records with increasing local versions but a reused global
         // commit id: the second is a leftover and must not replay.
         let mut log = Vec::new();
-        log.extend(encode_record::<u64, u64>(1, 7, &[0, 1], SCHEMA, &[Op::Put(1, 1)]));
+        log.extend(encode_record::<u64, u64>(
+            1,
+            7,
+            &[0, 1],
+            SCHEMA,
+            &[Op::Put(1, 1)],
+        ));
         let clean = log.len();
-        log.extend(encode_record::<u64, u64>(2, 7, &[0, 1], SCHEMA, &[Op::Put(2, 2)]));
+        log.extend(encode_record::<u64, u64>(
+            2,
+            7,
+            &[0, 1],
+            SCHEMA,
+            &[Op::Put(2, 2)],
+        ));
         let r = replay::<u64, u64>(&log, SCHEMA);
         assert!(r.torn);
         assert_eq!(r.valid_len, clean);
@@ -611,10 +653,28 @@ mod tests {
         // successful group reusing the version: replay must not apply
         // both.
         let mut log = Vec::new();
-        log.extend(encode_record::<u64, u64>(1, 1, &[], SCHEMA, &[Op::Put(1, 1)]));
-        log.extend(encode_record::<u64, u64>(2, 2, &[], SCHEMA, &[Op::Put(2, 2)]));
+        log.extend(encode_record::<u64, u64>(
+            1,
+            1,
+            &[],
+            SCHEMA,
+            &[Op::Put(1, 1)],
+        ));
+        log.extend(encode_record::<u64, u64>(
+            2,
+            2,
+            &[],
+            SCHEMA,
+            &[Op::Put(2, 2)],
+        ));
         let clean = log.len();
-        log.extend(encode_record::<u64, u64>(2, 2, &[], SCHEMA, &[Op::Put(9, 9)]));
+        log.extend(encode_record::<u64, u64>(
+            2,
+            2,
+            &[],
+            SCHEMA,
+            &[Op::Put(9, 9)],
+        ));
         let r = replay::<u64, u64>(&log, SCHEMA);
         assert!(r.torn);
         assert_eq!(r.valid_len, clean);
