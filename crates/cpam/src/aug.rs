@@ -77,9 +77,7 @@ impl<K: Element> Augmentation<(K, u64)> for SumAug {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MaxAug;
 
-impl<K: Element, V: Ord + Clone + Send + Sync + Default + 'static> Augmentation<(K, V)>
-    for MaxAug
-{
+impl<K: Element, V: Ord + Clone + Send + Sync + Default + 'static> Augmentation<(K, V)> for MaxAug {
     type Value = V;
     fn identity() -> V {
         V::default()

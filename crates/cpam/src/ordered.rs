@@ -20,6 +20,7 @@ use crate::aug::{Augmentation, NoAug};
 use crate::entry::{Edit, Entry};
 use crate::iter::Iter;
 use crate::node::{aug_of, size, SpaceStats, Tree};
+use crate::setops::{SetOp, KAPPA_BLOCKS};
 use crate::{algos, base, join as jn, setops, structure, verify, DEFAULT_B};
 
 /// A purely-functional ordered collection of entries `E` with blocked,
@@ -252,13 +253,19 @@ where
     /// span (Theorem 6.3); whichever side's nodes are uniquely owned are
     /// reused in place.
     pub(crate) fn union_by(self, other: Self, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
-        self.apply2(other, |b, l, r| setops::union_with(b, l, r, f))
+        let op = SetOp::Union(f);
+        self.apply2(other, |b, l, r| {
+            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+        })
     }
 
     /// Consuming intersection; kept entries are `f(self_entry,
     /// other_entry)`. Bounds as for [`PacOrd::union_by`].
     pub(crate) fn intersect_by(self, other: Self, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
-        self.apply2(other, |b, l, r| setops::intersect_with(b, l, r, f))
+        let op = SetOp::Intersect(f);
+        self.apply2(other, |b, l, r| {
+            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+        })
     }
 
     /// Entries of `self` whose keys are not in `other`. Bounds as for
@@ -277,7 +284,10 @@ where
     ///
     /// See [`PacOrd::difference`].
     pub fn difference_owned(self, other: Self) -> Self {
-        self.apply2(other, setops::difference)
+        let op = SetOp::<fn(&E, &E) -> E>::Difference;
+        self.apply2(other, |b, l, r| {
+            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+        })
     }
 
     /// Consuming batch insert (paper's `multi_insert`): sorts the batch

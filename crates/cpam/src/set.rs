@@ -6,7 +6,7 @@ use codecs::{Codec, RawCodec};
 use crate::aug::{Augmentation, NoAug};
 use crate::entry::ScalarKey;
 use crate::ordered::PacOrd;
-use crate::setops;
+use crate::setops::{self, SetOp};
 
 /// A purely-functional ordered set with blocked, optionally compressed
 /// leaves: [`PacOrd`] whose entries are their own keys.
@@ -133,13 +133,13 @@ where
         self.intersect_by(other, &keep_stored)
     }
 
-    /// Expose-only union without the Section 8 array base case; exists
-    /// for the base-case ablation benchmark.
+    /// Expose-only union without the Section 8 array base case (κ = 0);
+    /// exists for the base-case ablation benchmark.
     #[doc(hidden)]
     pub fn union_naive(&self, other: &Self) -> Self {
-        self.clone().apply2(other.clone(), |b, l, r| {
-            setops::union_naive(b, l, r, &keep_stored)
-        })
+        let op = SetOp::Union(keep_stored);
+        self.clone()
+            .apply2(other.clone(), |b, l, r| setops::set_op(b, 0, l, r, &op))
     }
 
     /// Batch insert of arbitrary keys (parallel sort + dedup + merge).

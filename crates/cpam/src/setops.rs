@@ -1,11 +1,15 @@
-//! Join-based set algorithms: union, intersection, difference, and batch
-//! updates (Figs. 8 and 10 of the paper).
+//! Join-based set algorithms (Figs. 8 and 10 of the paper): union,
+//! intersection and difference as one split–join recursion, and batch
+//! updates as one sorted-edit recursion.
 //!
-//! Each algorithm comes in two flavours: the *optimized* version with the
-//! Section 8 base case (inputs of combined size below κ = 8B are
-//! flattened into arrays, merged, and rebuilt — 4–7x faster in the paper)
-//! and a *naive* expose-only version kept for the Section 8 ablation.
+//! The three two-tree operations differ only in which entries survive,
+//! a [`SetOp`]. Subproblems of combined size at most κ = 8B take the
+//! Section 8 array base case: both sides are flattened into arrays,
+//! merged under the same rule, and rebuilt (4–7x faster in the paper).
+//! The base-case ablation (`PacSet::union_naive`) runs the same
+//! recursion with κ = 0, so it exposes all the way down.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use codecs::Codec;
@@ -21,9 +25,74 @@ use crate::scratch::with_scratch;
 /// κ = `KAPPA_BLOCKS * b`: the base-case granularity (paper uses 8B).
 pub(crate) const KAPPA_BLOCKS: usize = 8;
 
+/// Which entries a two-tree operation on `t1` and `t2` keeps.
+pub(crate) enum SetOp<F> {
+    /// Every entry; `f(from_t1, from_t2)` on a key both trees hold.
+    Union(F),
+    /// Only keys both trees hold, as `f(from_t1, from_t2)`.
+    Intersect(F),
+    /// The entries of `t1` whose keys `t2` lacks.
+    Difference,
+}
+
+impl<F> SetOp<F> {
+    /// Whether an entry whose key only `t1` holds survives.
+    fn keeps_t1(&self) -> bool {
+        !matches!(self, SetOp::Intersect(_))
+    }
+
+    /// Whether an entry whose key only `t2` holds survives.
+    fn keeps_t2(&self) -> bool {
+        matches!(self, SetOp::Union(_))
+    }
+
+    /// What survives of a key both trees hold.
+    fn both<E>(&self, e1: &E, e2: &E) -> Option<E>
+    where
+        F: Fn(&E, &E) -> E,
+    {
+        match self {
+            SetOp::Union(f) | SetOp::Intersect(f) => Some(f(e1, e2)),
+            SetOp::Difference => None,
+        }
+    }
+
+    /// Merges the sorted `xs` (from `t1`) and `ys` (from `t2`) into
+    /// `out` under this rule.
+    fn merge<E: Entry>(&self, xs: &[E], ys: &[E], out: &mut Vec<E>)
+    where
+        F: Fn(&E, &E) -> E,
+    {
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() && j < ys.len() {
+            match xs[i].key().cmp(ys[j].key()) {
+                Ordering::Less => {
+                    out.extend(self.keeps_t1().then(|| xs[i].clone()));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.extend(self.keeps_t2().then(|| ys[j].clone()));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.extend(self.both(&xs[i], &ys[j]));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        if self.keeps_t1() {
+            out.extend_from_slice(&xs[i..]);
+        }
+        if self.keeps_t2() {
+            out.extend_from_slice(&ys[j..]);
+        }
+    }
+}
+
 /// Re-folds a small tree whose root is an (invariant-violating) regular
 /// node back into a flat leaf. [`expose`] unfolds flat nodes into their
-/// expanded all-regular form, and union's empty-side shortcut can
+/// expanded all-regular form, and [`set_op`]'s empty-side shortcut can
 /// return such a subtree verbatim; every other constructor folds via
 /// `node()`. Trees larger than `2b` are already valid and pass through.
 fn refold<E, A, C>(b: usize, t: Tree<E, A, C>) -> Tree<E, A, C>
@@ -57,100 +126,47 @@ where
 }
 
 /// Flattens both trees into scratch buffers (sized once from the root
-/// sizes), merges them with `merge` into a third, and rebuilds — the
+/// sizes), merges them under `op` into a third, and rebuilds — the
 /// Section 8 array base case, allocation-free in steady state. Both
 /// operands are consumed; whichever root is uniquely owned donates its
 /// allocation to the rebuilt result.
-fn merge_base_case<E, A, C>(
+fn merge_base_case<E, A, C, F>(
     b: usize,
     t1: Tree<E, A, C>,
     t2: Tree<E, A, C>,
-    merge: impl FnOnce(&[E], &[E], &mut Vec<E>),
+    op: &SetOp<F>,
 ) -> Tree<E, A, C>
 where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
+    F: Fn(&E, &E) -> E,
 {
     with_scratch(size(&t1), |xs: &mut Vec<E>| {
         push_all(&t1, xs);
         with_scratch(size(&t2), |ys: &mut Vec<E>| {
             push_all(&t2, ys);
             with_scratch(xs.len() + ys.len(), |out: &mut Vec<E>| {
-                merge(xs, ys, out);
+                op.merge(xs, ys, out);
                 rebuild_leaf(b, pick_husk(t1, t2), out)
             })
         })
     })
 }
 
-fn merge_union<E: Entry>(xs: &[E], ys: &[E], f: &impl Fn(&E, &E) -> E, out: &mut Vec<E>) {
-    let (mut i, mut j) = (0, 0);
-    while i < xs.len() && j < ys.len() {
-        match xs[i].key().cmp(ys[j].key()) {
-            std::cmp::Ordering::Less => {
-                out.push(xs[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(ys[j].clone());
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(f(&xs[i], &ys[j]));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&xs[i..]);
-    out.extend_from_slice(&ys[j..]);
-}
-
-fn merge_intersect<E: Entry>(xs: &[E], ys: &[E], f: &impl Fn(&E, &E) -> E, out: &mut Vec<E>) {
-    let (mut i, mut j) = (0, 0);
-    while i < xs.len() && j < ys.len() {
-        match xs[i].key().cmp(ys[j].key()) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(f(&xs[i], &ys[j]));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-fn merge_difference<E: Entry>(xs: &[E], ys: &[E], out: &mut Vec<E>) {
-    let (mut i, mut j) = (0, 0);
-    while i < xs.len() {
-        if j >= ys.len() {
-            out.extend_from_slice(&xs[i..]);
-            break;
-        }
-        match xs[i].key().cmp(ys[j].key()) {
-            std::cmp::Ordering::Less => {
-                out.push(xs[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Union with a combiner for duplicate keys (`f(from_t1, from_t2)`).
+/// Union, intersection or difference of `t1` and `t2`, as `op` says
+/// (Fig. 10): expose `t2`, split `t1` at its pivot, recurse on both
+/// halves, and `join` back the pivot `op` keeps (`join2` if none).
+/// Subproblems of at most `kappa` entries take the array base case:
+/// `KAPPA_BLOCKS * b`, or 0 for the expose-only ablation.
 ///
 /// Work `O(m log(n/m) + min(mB, n))`, span `O(log n log m)` (Thm 6.3).
-pub(crate) fn union_with<E, A, C, F>(
+pub(crate) fn set_op<E, A, C, F>(
     b: usize,
+    kappa: usize,
     t1: Tree<E, A, C>,
     t2: Tree<E, A, C>,
-    f: &F,
+    op: &SetOp<F>,
 ) -> Tree<E, A, C>
 where
     E: Entry,
@@ -159,15 +175,16 @@ where
     F: Fn(&E, &E) -> E + Sync,
 {
     let grain = par_grain(b, size(&t1) + size(&t2));
-    union_rec(b, grain, t1, t2, f)
+    set_op_rec(b, kappa, grain, t1, t2, op)
 }
 
-fn union_rec<E, A, C, F>(
+fn set_op_rec<E, A, C, F>(
     b: usize,
+    kappa: usize,
     grain: usize,
     t1: Tree<E, A, C>,
     t2: Tree<E, A, C>,
-    f: &F,
+    op: &SetOp<F>,
 ) -> Tree<E, A, C>
 where
     E: Entry,
@@ -176,189 +193,35 @@ where
     F: Fn(&E, &E) -> E + Sync,
 {
     let (Some(n1), Some(n2)) = (&t1, &t2) else {
-        // One side may be an expose-expanded subtree: re-fold it.
-        return refold(b, t1.or(t2));
+        // The other side survives if `op` keeps it. `t2`'s may be an
+        // expose-expanded subtree: re-fold it.
+        let kept = match (t1, t2) {
+            (t, None) if op.keeps_t1() => t,
+            (None, t) if op.keeps_t2() => t,
+            _ => None,
+        };
+        return refold(b, kept);
     };
     let (s1, s2) = (n1.size(), n2.size());
-    if s1 + s2 <= KAPPA_BLOCKS * b {
-        // Section 8 base case: flatten into scratch, merge, rebuild.
-        return merge_base_case(b, t1, t2, |xs, ys, out| merge_union(xs, ys, f, out));
+    if s1 + s2 <= kappa {
+        return merge_base_case(b, t1, t2, op);
     }
     let (l2, k2, r2, husk) = expose_owned(t2);
     let (l1, m, r1) = split(b, t1, k2.key());
-    let entry = match m {
-        Some(e1) => f(&e1, &k2),
-        None => k2,
+    let pivot = match m {
+        Some(e1) => op.both(&e1, &k2),
+        None => op.keeps_t2().then_some(k2),
     };
+    let rec = |t1, t2| set_op_rec(b, kappa, grain, t1, t2, op);
     let (tl, tr) = if s1 + s2 > grain {
-        parlay::join(
-            || union_rec(b, grain, l1, l2, f),
-            || union_rec(b, grain, r1, r2, f),
-        )
+        parlay::join(|| rec(l1, l2), || rec(r1, r2))
     } else {
-        (
-            union_rec(b, grain, l1, l2, f),
-            union_rec(b, grain, r1, r2, f),
-        )
+        (rec(l1, l2), rec(r1, r2))
     };
-    join(b, husk, tl, entry, tr)
-}
-
-/// Expose-only union (Fig. 5 style, no array base case) — kept for the
-/// Section 8 ablation benchmark.
-pub(crate) fn union_naive<E, A, C, F>(
-    b: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    f: &F,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E + Sync,
-{
-    let grain = par_grain(b, size(&t1) + size(&t2));
-    union_naive_rec(b, grain, t1, t2, f)
-}
-
-fn union_naive_rec<E, A, C, F>(
-    b: usize,
-    grain: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    f: &F,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E + Sync,
-{
-    let (Some(_), Some(n2)) = (&t1, &t2) else {
-        // One side may be an expose-expanded subtree: re-fold it.
-        return refold(b, t1.or(t2));
-    };
-    let total = size(&t1) + n2.size();
-    let (l2, k2, r2, husk) = expose_owned(t2);
-    let (l1, m, r1) = split(b, t1, k2.key());
-    let entry = match m {
-        Some(e1) => f(&e1, &k2),
-        None => k2,
-    };
-    let (tl, tr) = if total > grain {
-        parlay::join(
-            || union_naive_rec(b, grain, l1, l2, f),
-            || union_naive_rec(b, grain, r1, r2, f),
-        )
-    } else {
-        (
-            union_naive_rec(b, grain, l1, l2, f),
-            union_naive_rec(b, grain, r1, r2, f),
-        )
-    };
-    join(b, husk, tl, entry, tr)
-}
-
-/// Intersection with a combiner for the retained entries.
-pub(crate) fn intersect_with<E, A, C, F>(
-    b: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    f: &F,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E + Sync,
-{
-    let grain = par_grain(b, size(&t1) + size(&t2));
-    intersect_rec(b, grain, t1, t2, f)
-}
-
-fn intersect_rec<E, A, C, F>(
-    b: usize,
-    grain: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    f: &F,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E + Sync,
-{
-    let (Some(n1), Some(n2)) = (&t1, &t2) else {
-        return None;
-    };
-    let (s1, s2) = (n1.size(), n2.size());
-    if s1 + s2 <= KAPPA_BLOCKS * b {
-        return merge_base_case(b, t1, t2, |xs, ys, out| merge_intersect(xs, ys, f, out));
-    }
-    let (l2, k2, r2, husk) = expose_owned(t2);
-    let (l1, m, r1) = split(b, t1, k2.key());
-    let (tl, tr) = if s1 + s2 > grain {
-        parlay::join(
-            || intersect_rec(b, grain, l1, l2, f),
-            || intersect_rec(b, grain, r1, r2, f),
-        )
-    } else {
-        (
-            intersect_rec(b, grain, l1, l2, f),
-            intersect_rec(b, grain, r1, r2, f),
-        )
-    };
-    match m {
-        Some(e1) => join(b, husk, tl, f(&e1, &k2), tr),
+    match pivot {
+        Some(e) => join(b, husk, tl, e, tr),
         None => join2(b, husk, tl, tr),
     }
-}
-
-/// Difference `t1 \ t2`: entries of `t1` whose keys are not in `t2`.
-pub(crate) fn difference<E, A, C>(b: usize, t1: Tree<E, A, C>, t2: Tree<E, A, C>) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let grain = par_grain(b, size(&t1) + size(&t2));
-    difference_rec(b, grain, t1, t2)
-}
-
-fn difference_rec<E, A, C>(
-    b: usize,
-    grain: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let (Some(n1), Some(n2)) = (&t1, &t2) else {
-        return t1;
-    };
-    let (s1, s2) = (n1.size(), n2.size());
-    if s1 + s2 <= KAPPA_BLOCKS * b {
-        return merge_base_case(b, t1, t2, |xs, ys, out| merge_difference(xs, ys, out));
-    }
-    let (l2, k2, r2, husk) = expose_owned(t2);
-    let (l1, _m, r1) = split(b, t1, k2.key());
-    let (tl, tr) = if s1 + s2 > grain {
-        parlay::join(
-            || difference_rec(b, grain, l1, l2),
-            || difference_rec(b, grain, r1, r2),
-        )
-    } else {
-        (
-            difference_rec(b, grain, l1, l2),
-            difference_rec(b, grain, r1, r2),
-        )
-    };
-    join2(b, husk, tl, tr)
 }
 
 /// Entries a batch of `m` keys can touch under a node of `s` entries:

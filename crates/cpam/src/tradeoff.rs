@@ -271,7 +271,8 @@ mod tests {
                 assert_eq!(s.insert(k), oracle.insert(k), "step {step}");
             }
             if step % 100 == 0 {
-                s.check_invariants().unwrap_or_else(|e| panic!("step {step}: {e}"));
+                s.check_invariants()
+                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
             }
         }
         assert_eq!(s.to_sorted_vec(), oracle.into_iter().collect::<Vec<_>>());

@@ -135,10 +135,11 @@ where
     let m2: PacMap<u64, u64, NoAug, C> = PacMap::from_pairs_with(b, pairs2.clone());
     let oracle2: BTreeMap<u64, u64> = pairs2.iter().copied().collect();
 
-    let union = m.union_with(&m2, |a, c| a + c);
+    // Non-commutative combiners: swapped arguments would diverge.
+    let union = m.union_with(&m2, |a, c| 3 * a + c);
     let mut want_union = oracle2.clone();
     for (&k, &v) in &oracle {
-        *want_union.entry(k).or_insert(0) = oracle2.get(&k).map_or(v, |w| v + w);
+        *want_union.entry(k).or_insert(0) = oracle2.get(&k).map_or(v, |w| 3 * v + w);
     }
     if union.to_vec() != want_union.into_iter().collect::<Vec<_>>() {
         return Err("union_with diverges".into());
@@ -147,14 +148,17 @@ where
         .check_invariants()
         .map_err(|e| format!("union invariants: {e}"))?;
 
-    let inter = m.intersect_with(&m2, |a, c| a.min(c).to_owned());
+    let inter = m.intersect_with(&m2, |a, c| 3 * a + c);
     let want_inter: Vec<(u64, u64)> = oracle
         .iter()
-        .filter_map(|(&k, &v)| oracle2.get(&k).map(|&w| (k, v.min(w))))
+        .filter_map(|(&k, &v)| oracle2.get(&k).map(|&w| (k, 3 * v + w)))
         .collect();
     if inter.to_vec() != want_inter {
         return Err("intersect_with diverges".into());
     }
+    inter
+        .check_invariants()
+        .map_err(|e| format!("intersect invariants: {e}"))?;
 
     let diff = m.difference(&m2);
     let want_diff: Vec<(u64, u64)> = oracle
@@ -165,6 +169,8 @@ where
     if diff.to_vec() != want_diff {
         return Err("difference diverges".into());
     }
+    diff.check_invariants()
+        .map_err(|e| format!("difference invariants: {e}"))?;
 
     // Batch updates (scratch-based base cases).
     let batch: Vec<(u64, u64)> = (0..rng.gen_range(0..64usize))

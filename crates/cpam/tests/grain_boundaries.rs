@@ -103,7 +103,7 @@ fn run_set_one(seed: u64, b: usize, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Map flavour: union_with / multi_insert_with have a combiner whose
+/// Map flavour: union_with / intersect_with have a combiner whose
 /// application order must not depend on where the forks land.
 fn run_map_one(seed: u64, b: usize, n: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -120,18 +120,33 @@ fn run_map_one(seed: u64, b: usize, n: usize) -> Result<(), String> {
     let mb: PacMap<u64, u64> =
         PacMap::from_sorted_pairs(b, &pairs_b.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
 
-    let union = ma.union_with(&mb, |x, y| x.wrapping_add(*y));
-    union
-        .check_invariants()
-        .map_err(|e| format!("union_with invariants: {e}"))?;
-    let mut want = pairs_a.clone();
-    for (&k, &v) in &pairs_b {
-        want.entry(k).and_modify(|x| *x = x.wrapping_add(v)).or_insert(v);
+    let check = |name: &str, got: PacMap<u64, u64>, want: BTreeMap<u64, u64>| -> Result<(), String> {
+        got.check_invariants()
+            .map_err(|e| format!("{name} invariants: {e}"))?;
+        if !got.to_vec().into_iter().eq(want) {
+            return Err(format!("{name} diverges from oracle"));
+        }
+        Ok(())
+    };
+    // Non-commutative, so a swapped argument order diverges too.
+    let f = |x: &u64, y: &u64| x.wrapping_mul(3).wrapping_add(*y);
+
+    let mut want = pairs_b.clone();
+    for (&k, &v) in &pairs_a {
+        want.insert(k, pairs_b.get(&k).map_or(v, |w| f(&v, w)));
     }
-    let want_v: Vec<(u64, u64)> = want.iter().map(|(&k, &v)| (k, v)).collect();
-    if union.to_vec() != want_v {
-        return Err("union_with diverges from oracle".into());
-    }
+    check("union_with", ma.union_with(&mb, f), want)?;
+    let want = pairs_a
+        .iter()
+        .filter_map(|(&k, v)| pairs_b.get(&k).map(|w| (k, f(v, w))))
+        .collect();
+    check("intersect_with", ma.intersect_with(&mb, f), want)?;
+    let want = pairs_a
+        .iter()
+        .filter(|(k, _)| !pairs_b.contains_key(k))
+        .map(|(&k, &v)| (k, v))
+        .collect();
+    check("difference", ma.difference(&mb), want)?;
 
     let mapped = ma.map_values(|_, v| v * 2 + 1);
     let want_mapped: Vec<(u64, u64)> = pairs_a.iter().map(|(&k, &v)| (k, v * 2 + 1)).collect();

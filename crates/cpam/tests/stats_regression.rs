@@ -15,6 +15,10 @@
 //!   never enters the scheduler, a bulk batch still forks; a put and a
 //!   remove in one leaf rewrite it once; dropping a superseded version
 //!   does not fork either.
+//! * Set operations (exact counts): union, intersection, difference and
+//!   the expose-only union ablation on two fixed overlapping delta sets,
+//!   owned and persistent, each spend the encodes, decodes and node
+//!   allocations, reuses and copies pinned here.
 //! * Drop accounting: over a build-then-drop window allocs and drops
 //!   balance. (It lives here, not among the crate's unit tests: they
 //!   allocate concurrently in one process, and a gate only this test
@@ -407,6 +411,51 @@ fn a_mixed_batch_in_one_leaf_encodes_it_once() {
         assert_eq!(stats::read().delta(before).block_encodes, two_pass, "n = {n}");
         assert_eq!(one.to_vec(), two.to_vec());
     }
+}
+
+/// `[block_encodes, block_decodes, node_allocs, nodes_reused,
+/// nodes_copied]` spent by `op`, with what it returned.
+fn work_of<T>(op: impl FnOnce() -> T) -> (T, [u64; 5]) {
+    let before = stats::read();
+    let out = op();
+    let d = stats::read().delta(before);
+    (out, [d.block_encodes, d.block_decodes, d.node_allocs, d.nodes_reused, d.nodes_copied])
+}
+
+#[test]
+fn set_operations_do_the_pinned_work() {
+    let _serialize = counters_lock();
+    // Multiples of 3 below 60 000 and multiples of 5 in [30 000, 90 000):
+    // one half of each tree meets nothing of the other, the other half
+    // shares every fifteenth key.
+    let xs: Vec<u64> = (0..20_000u64).map(|i| i * 3).collect();
+    let ys: Vec<u64> = (6_000..18_000u64).map(|i| i * 5).collect();
+    let sets = || (DiffSet::<u64>::from_sorted_keys(B, &xs), DiffSet::<u64>::from_sorted_keys(B, &ys));
+    type Op = fn(DiffSet<u64>, DiffSet<u64>) -> DiffSet<u64>;
+    parlay::run(|| {
+        // The ablation borrows its operands, like the persistent union
+        // below, and never takes the array base case.
+        let consumed: [(&str, Op, usize, [u64; 5]); 4] = [
+            ("union_owned", |a, b| a.union_owned(b), 30_000, [134, 166, 1534, 197, 15]),
+            ("intersect_owned", |a, b| a.intersect_owned(b), 2_000, [92, 178, 769, 154, 0]),
+            ("difference_owned", |a, b| a.difference_owned(b), 18_000, [143, 207, 1854, 369, 0]),
+            ("union_naive", |a, b| a.union_naive(&b), 30_000, [19561, 19593, 30253, 7716, 139]),
+        ];
+        for (what, op, len, want) in consumed {
+            let (a, b) = sets();
+            let (out, got) = work_of(|| op(a, b));
+            assert_eq!(got, want, "{what}: [encodes, decodes, allocs, reused, copied]");
+            assert_eq!(out.len(), len, "{what}");
+            out.check_invariants().unwrap();
+        }
+        // Both operands stay alive: the nodes they hold are copied, and
+        // only nodes the walk built itself are rebuilt in place.
+        let (a, b) = sets();
+        let (out, got) = work_of(|| a.union(&b));
+        assert_eq!(got, [134, 166, 1568, 163, 49], "persistent union: [encodes, decodes, allocs, reused, copied]");
+        assert_eq!((a.len(), b.len(), out.len()), (20_000, 12_000, 30_000));
+        out.check_invariants().unwrap();
+    });
 }
 
 #[test]

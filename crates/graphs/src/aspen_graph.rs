@@ -2,9 +2,9 @@
 //! C-tree edge lists (Dhulipala et al., PLDI 2019), as compared against
 //! in Figs. 11, 14, 15 and Table 5 of the PaC-tree paper.
 
-use ctree::CTree;
 use pam::PamMap;
 
+use crate::ctree::CTree;
 use crate::snapshot::GraphSnapshot;
 
 /// Aspen's expected edge-block size.

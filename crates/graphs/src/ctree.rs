@@ -20,7 +20,7 @@
 //!   trees cost more memory than CPAM's (Fig. 11 discussion).
 //!
 //! ```
-//! use ctree::CTree;
+//! use graphs::ctree::CTree;
 //!
 //! let t = CTree::<u64>::from_keys(16, (0..10_000).collect());
 //! assert_eq!(t.len(), 10_000);

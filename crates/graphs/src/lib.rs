@@ -5,7 +5,7 @@
 //!   PaC-tree of vertices over difference-encoded PaC-tree edge sets,
 //!   with functional batch updates and flat snapshots;
 //! * [`AspenGraph`] — the Aspen baseline: uncompressed P-tree vertex
-//!   tree over randomized C-tree edge lists;
+//!   tree over randomized C-tree edge lists ([`ctree`]);
 //! * [`CompressedCsr`] — the GBBS static baseline: difference-encoded
 //!   CSR arrays (no updates);
 //! * [`snapshot`] — BFS, MIS, and betweenness centrality written once
@@ -30,6 +30,7 @@
 
 pub mod aspen_graph;
 pub mod csr;
+pub mod ctree;
 pub mod pac_graph;
 pub mod rmat;
 pub mod snapshot;

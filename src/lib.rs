@@ -7,7 +7,6 @@
 
 pub use codecs;
 pub use cpam;
-pub use ctree;
 pub use graphs;
 pub use invidx;
 pub use obs;
