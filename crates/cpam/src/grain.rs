@@ -21,9 +21,12 @@
 //!
 //! For the batch updates the problem is the *batch's work*, not the
 //! tree: 16 keys into a million entries touch 16 leaves, so
-//! [`batch_grain`] takes the entries the batch can reach and has a
-//! floor of its own, below which an operation never enters the
-//! scheduler at all.
+//! [`batch_grain`] takes the entries the batch can reach and never goes
+//! below [`parlay::FORK_FLOOR`], under which an operation never enters
+//! the scheduler at all. The floor is the scheduler's, not this
+//! module's: a store commit checks the same one before it fans out over
+//! its shards, so a batch that cpam would not fork does not enter the
+//! pool one layer up either.
 //!
 //! The worker count is read once and cached: the pool's size is fixed
 //! after startup, and the policy is consulted on every recursive step.
@@ -50,26 +53,21 @@ pub(crate) fn par_grain(b: usize, n: usize) -> usize {
     (4 * b).max(1024).max(n / (8 * threads))
 }
 
-/// Least batch work ([`batch_grain`]'s unit: entries a batch can touch)
-/// worth a fork. Set from the measured T = 1 / T = 2 crossover on the
-/// 2-core reference box (DESIGN.md §12): below it the wake-up of a
-/// parked worker costs more than the half of the batch it would take.
-/// A commit-sized batch — 64 keys at B = 128 touch at most 64·256 + 64
-/// entries — stays under it and never enters the scheduler.
-const BATCH_FLOOR: usize = 1 << 15;
-const _: () = assert!(64 * 256 + 64 <= BATCH_FLOOR);
+// A commit-sized batch — 64 keys at B = 128 touch at most 64·256 + 64
+// entries — stays under the fork floor and never enters the scheduler.
+const _: () = assert!(64 * 256 + 64 <= parlay::FORK_FLOOR);
 
 /// Fork cutoff for the batch update (`setops::multi_update`)
 /// whose root problem is `work` entries of batch work — what the keys
 /// can touch, not the size of the tree they land in: a small batch into
-/// a large tree is a small problem. Same `8T` tasks scaling as
-/// [`par_grain`] above the floor.
+/// a large tree is a small problem. Never below [`parlay::FORK_FLOOR`];
+/// same `8T` tasks scaling as [`par_grain`] above it.
 pub(crate) fn batch_grain(work: usize) -> usize {
     let threads = pool_threads();
     if threads <= 1 {
         return usize::MAX;
     }
-    BATCH_FLOOR.max(work / (8 * threads))
+    parlay::FORK_FLOOR.max(work / (8 * threads))
 }
 
 /// Fork cutoff for structure builds and linear walks (`from_sorted`,
@@ -120,7 +118,7 @@ mod tests {
         }
         // A commit-sized batch (64 keys at B = 128) is under the floor
         // whatever tree it lands in; bulk work scales as work / 8T.
-        assert_eq!(batch_grain(64 * 256 + 64), BATCH_FLOOR);
+        assert_eq!(batch_grain(64 * 256 + 64), parlay::FORK_FLOOR);
         let work = 80_000_000;
         assert_eq!(batch_grain(work), work / (8 * pool_threads()));
     }

@@ -202,11 +202,17 @@ where
 
 /// Drops two large subtrees without deep recursion: single-child chains
 /// are walked in a loop, two-child splits fork through [`parlay::join`]
-/// when both children are uniquely owned (halving weights keep the
-/// depth `O(log n)` with tiny frames, forked or not), and shared nodes
-/// are just a refcount decrement. Each `Arc` dropped
-/// here has had its heavy children taken out first, so its own `Drop`
-/// returns immediately.
+/// when both children are uniquely owned and the drop already runs on a
+/// pool worker (halving weights keep the depth `O(log n)` with tiny
+/// frames, forked or not), and shared nodes are just a refcount
+/// decrement. Each `Arc` dropped here has had its heavy children taken
+/// out first, so its own `Drop` returns immediately.
+///
+/// Off the pool the walk never forks: there a `join` is an injection and
+/// a blocking wait, and the usual drop off the pool is a store commit
+/// evicting a superseded version, which owns about one commit's worth of
+/// paths. A caller that wants a whole tree torn down in parallel drops it
+/// inside [`parlay::run`].
 fn drop_heavy<E, A, C>(l: Tree<E, A, C>, r: Tree<E, A, C>)
 where
     E: Element,
@@ -244,12 +250,13 @@ where
         }
     }
     match (l, r) {
-        // A fork pays only when both sides have nodes to free: a shared
-        // side — all but one path of a superseded version — is one
-        // refcount decrement, and off the pool a `join` is a hand-off to
-        // a worker and a wait.
+        // A fork pays only on a worker and only when both sides have
+        // nodes to free: a shared side — all but one path of a
+        // superseded version — is one refcount decrement, and off the
+        // pool a `join` is a hand-off to a worker and a wait.
         (Some(a), Some(b))
             if crate::grain::pool_is_parallel()
+                && parlay::in_worker()
                 && Arc::strong_count(&a) == 1
                 && Arc::strong_count(&b) == 1 =>
         {

@@ -14,7 +14,8 @@
 //!   shares the sibling leaf; a sparse batch costs one leaf per key and
 //!   never enters the scheduler, a bulk batch still forks; a put and a
 //!   remove in one leaf rewrite it once; dropping a superseded version
-//!   does not fork either.
+//!   off the pool does not fork either — one path or a 64-key batch's
+//!   worth — while a whole tree dropped inside `parlay::run` still does.
 //! * Set operations (exact counts): union, intersection, difference and
 //!   the expose-only union ablation on two fixed overlapping delta sets,
 //!   owned and persistent, each spend the encodes, decodes and node
@@ -476,4 +477,29 @@ fn dropping_a_superseded_version_stays_off_the_pool() {
     assert_eq!(pool_jobs(), (jobs, injected), "dropping one path entered the scheduler");
     assert_eq!(new.len(), 200_001);
     new.check_invariants().unwrap();
+
+    // The version a commit actually evicts: superseded by a 64-key batch
+    // spread across the tree, so both children of its root — and many
+    // nodes below — are its alone. Off the pool it is still one walk on
+    // this thread.
+    let old = new;
+    let batch: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 6_250 + 3, i)).collect();
+    let new = old.multi_insert(batch);
+    let (jobs, injected) = pool_jobs();
+    let before = stats::read();
+    drop(old);
+    let freed = stats::read().delta(before).nodes_dropped;
+    assert!((64..1_000).contains(&freed), "freed {freed} nodes for 64 paths");
+    assert_eq!(pool_jobs(), (jobs, injected), "dropping 64 paths entered the scheduler");
+    assert_eq!(new.len(), 200_065);
+    new.check_invariants().unwrap();
+
+    // A caller that wants a whole tree torn down in parallel drops it
+    // inside `run`: there the walk forks, besides the run's own job.
+    if pool_can_fork("dropping_a_superseded_version_stays_off_the_pool") {
+        let (jobs, _) = pool_jobs();
+        parlay::run(move || drop(new));
+        let spent = pool_jobs().0 - jobs;
+        assert!(spent > 1, "a 200k-entry drop inside the pool executed {spent} job(s)");
+    }
 }

@@ -129,9 +129,7 @@ where
 {
     unsafe fn execute(this: *const ()) {
         let this = &*(this as *const Self);
-        let func = (*this.func.get())
-            .take()
-            .expect("stack job executed twice");
+        let func = (*this.func.get()).take().expect("stack job executed twice");
         let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(value) => JobResult::Ok(value),
             Err(payload) => JobResult::Panicked(payload),

@@ -21,6 +21,18 @@
 //! [`run`] moves a closure onto the pool explicitly, which avoids that
 //! per-call routing overhead in hot loops.
 //!
+//! # What a fork costs off the pool
+//!
+//! On a worker a `join` is a deque push and pop, a few atomic operations.
+//! Off the pool, a [`run`] (and so a `join`) is two thread hand-offs: the
+//! closure is injected, a parked worker is woken to take it, and the
+//! caller blocks on a latch until that worker wakes it back — tens of
+//! microseconds on a busy box, whatever the closure does. On a one-worker
+//! pool both run inline, since the worker could do nothing the caller
+//! cannot. The scheduler cannot know what a closure will cost, so a caller
+//! off the pool that knows its work decides: below [`FORK_FLOOR`] it runs
+//! the work on its own thread instead of calling `run`.
+//!
 //! [ParlayLib]: https://github.com/cmuparlay/parlaylib
 
 mod job;
@@ -31,8 +43,7 @@ pub mod slice;
 pub mod sort;
 
 pub use ops::{
-    blocked, filter, for_each_index, map, map_indexed, reduce, scan_inplace, sum, tabulate,
-    SendPtr,
+    blocked, filter, for_each_index, map, map_indexed, reduce, scan_inplace, sum, tabulate, SendPtr,
 };
 pub use registry::{
     num_threads, register_stats_with, scheduler_stats, set_num_threads, SchedulerStats,
@@ -45,6 +56,18 @@ use registry::WorkerThread;
 /// Granularity below which recursive primitives run sequentially.
 pub const DEFAULT_GRAIN: usize = 2048;
 
+/// Least work worth a fork, in entries of tree work (what a batch update
+/// can touch: one leaf per key, plus the key). Below it the wake-up of a
+/// parked worker costs more than the half of the work it would take. Set
+/// from the measured T = 1 / T = 2 crossover of a batch update on the
+/// 2-core reference box (DESIGN.md §12).
+///
+/// Two kinds of caller check it: a fork site inside the pool (`cpam`'s
+/// batch-update grain never goes below it) and a caller off the pool that
+/// would otherwise enter it with [`run`] (a store commit's shard fan-out
+/// runs on the committing thread below it).
+pub const FORK_FLOOR: usize = 1 << 15;
+
 /// Runs `a` and `b`, potentially in parallel, and returns both results.
 ///
 /// This is the binary-forking primitive of the paper's cost model: `a`
@@ -53,7 +76,8 @@ pub const DEFAULT_GRAIN: usize = 2048;
 /// sequential overhead is a few atomic operations.
 ///
 /// If called from a thread outside the pool, the pair is first moved onto
-/// the pool (blocking the calling thread until both complete).
+/// the pool with [`run`] (blocking the calling thread until both
+/// complete); on a one-worker pool it runs inline instead.
 ///
 /// # Panics
 ///
@@ -124,7 +148,9 @@ where
 ///
 /// Use this to enter the pool once at the top of a parallel computation;
 /// nested [`join`] calls inside `f` then fork without any routing
-/// overhead. Calling `run` from inside the pool simply invokes `f`.
+/// overhead. Calling `run` from inside the pool simply invokes `f`, and so
+/// does calling it on a one-worker pool, where nested `join`s run inline
+/// anyway (as [`join`] off the pool already does there).
 ///
 /// # Panics
 ///
@@ -142,7 +168,7 @@ where
     F: FnOnce() -> R + Send,
     R: Send,
 {
-    if !WorkerThread::current().is_null() {
+    if !WorkerThread::current().is_null() || registry::num_threads() <= 1 {
         return f();
     }
     let registry = registry::global();

@@ -130,8 +130,7 @@ fn configured_threads() -> usize {
 pub(crate) fn global() -> &'static Arc<Registry> {
     REGISTRY.get_or_init(|| {
         let num_threads = configured_threads();
-        let workers: Vec<Worker<JobRef>> =
-            (0..num_threads).map(|_| Worker::new_lifo()).collect();
+        let workers: Vec<Worker<JobRef>> = (0..num_threads).map(|_| Worker::new_lifo()).collect();
         let stealers = workers.iter().map(Worker::stealer).collect();
         let registry = Arc::new(Registry {
             injector: Injector::new(),
@@ -143,7 +142,9 @@ pub(crate) fn global() -> &'static Arc<Registry> {
             num_threads,
             injected: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
-            counters: (0..num_threads).map(|_| WorkerCounters::default()).collect(),
+            counters: (0..num_threads)
+                .map(|_| WorkerCounters::default())
+                .collect(),
         });
         for (index, worker) in workers.into_iter().enumerate() {
             let registry = Arc::clone(&registry);

@@ -241,7 +241,9 @@ mod tests {
 
     #[test]
     fn sort_strings() {
-        let mut xs: Vec<String> = (0..20_000).map(|i| format!("k{}", (i * 37) % 9991)).collect();
+        let mut xs: Vec<String> = (0..20_000)
+            .map(|i| format!("k{}", (i * 37) % 9991))
+            .collect();
         let mut expected = xs.clone();
         expected.sort();
         crate::run(|| par_sort(&mut xs));

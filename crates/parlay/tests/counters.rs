@@ -4,8 +4,15 @@
 //!
 //! Own file (own process) so the pool here is started by these tests and
 //! its counters are not polluted by other suites' thread-count choices.
+//! Every test pins the pool to two workers before touching it: on a
+//! one-worker pool `run` executes inline and these counters rightly stay
+//! flat (`solo_run.rs` checks that side).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+fn forking_pool() {
+    parlay::set_num_threads(2);
+}
 
 fn busy_tree(depth: usize) -> u64 {
     if depth == 0 {
@@ -21,6 +28,7 @@ fn busy_tree(depth: usize) -> u64 {
 /// delta (the idiom `cpam::stats` established with `OpCounts::delta`).
 #[test]
 fn window_delta_attributes_scheduler_activity() {
+    forking_pool();
     let before = parlay::scheduler_stats();
     let total: u64 = (0..20).map(|_| parlay::run(|| busy_tree(10))).sum();
     assert_eq!(total, 20 * (1 << 10));
@@ -54,6 +62,7 @@ fn window_delta_attributes_scheduler_activity() {
 /// values move across a window of work.
 #[test]
 fn obs_scrape_shows_scheduler_counters() {
+    forking_pool();
     let registry = obs::Registry::new();
     parlay::register_stats_with(&registry);
 
@@ -84,6 +93,7 @@ fn obs_scrape_shows_scheduler_counters() {
 /// wins, matching `obs::Registry::register_callback`).
 #[test]
 fn obs_registration_is_idempotent() {
+    forking_pool();
     let registry = obs::Registry::new();
     parlay::register_stats_with(&registry);
     parlay::register_stats_with(&registry);
@@ -98,6 +108,7 @@ fn obs_registration_is_idempotent() {
 /// The stats snapshot itself is consistent: monotone under work.
 #[test]
 fn stats_are_monotone() {
+    forking_pool();
     let a = parlay::scheduler_stats();
     let done = AtomicU64::new(0);
     parlay::run(|| {

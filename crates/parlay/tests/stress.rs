@@ -68,9 +68,10 @@ fn steal_retry_storm_makes_progress() {
     });
     // Bounded retries are observable: the abandoned-retry counter may or
     // may not have fired (timing-dependent), but the stats snapshot must
-    // be coherent after the storm.
+    // be coherent after the storm. (A one-worker pool runs every `run`
+    // inline, so there no job ever reaches it.)
     let stats = parlay::scheduler_stats();
-    assert!(stats.exec_local + stats.exec_stolen > 0);
+    assert_eq!(stats.exec_local + stats.exec_stolen > 0, parlay::num_threads() > 1);
 }
 
 #[test]

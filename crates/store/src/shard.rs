@@ -8,8 +8,10 @@
 //! Each shard owns a PaC-tree state, a snapshot page chain and a
 //! write-ahead log in a `shard-NNN/` subdirectory, so independent key
 //! ranges commit with independent tree updates, applied **in parallel**
-//! with [`parlay::join`] (the same batch-parallel ethos as the paper's
-//! `multi_insert`, scaled out across trees). What makes the composite
+//! with [`parlay::join`] once the batch can pay for a fork (the same
+//! batch-parallel ethos as the paper's `multi_insert`, scaled out across
+//! trees; a commit-sized batch stays on the committing thread, see
+//! `par_for_shards`). What makes the composite
 //! a single store rather than N stores is the *global commit
 //! protocol*:
 //!
@@ -222,10 +224,17 @@ fn offset_of_first<R>(
 // Parallel helpers
 // ---------------------------------------------------------------------
 
-/// Applies `f(i)` to every index in `0..n` in parallel via binary
-/// forking ([`parlay::join`]), collecting results in index order. The
-/// shard fan-out primitive for commit/save/open.
-fn par_for_shards<R: Send>(n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
+/// Applies `f(i)` to every index in `0..n`, collecting results in index
+/// order. The shard fan-out primitive for commit/save/open.
+///
+/// `work` is what the whole fan-out costs, in [`parlay::FORK_FLOOR`]'s
+/// unit (entries of tree work). Below the floor every `f(i)` runs on the
+/// calling thread: off the pool, entering it is an injection, a wake-up
+/// and a blocking wait, more than a commit-sized apply costs. At or above
+/// it the indices run in parallel on the pool via binary forking
+/// ([`parlay::join`]). Callers whose work is not tree work (open,
+/// checkpoint) pass `usize::MAX`.
+fn par_for_shards<R: Send>(n: usize, work: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
     fn rec<R: Send>(lo: usize, hi: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
         if hi - lo <= 1 {
             return (lo..hi).map(f).collect();
@@ -235,8 +244,8 @@ fn par_for_shards<R: Send>(n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R>
         l.extend(r);
         l
     }
-    if n == 0 {
-        return Vec::new();
+    if n == 0 || work < parlay::FORK_FLOOR {
+        return (0..n).map(f).collect();
     }
     parlay::run(|| rec(0, n, f))
 }
@@ -855,7 +864,7 @@ where
             Vec<Result<(PacMap<K, V, NoAug, C>, u64, Option<usize>), StoreError>>;
         let loaded: Loaded<K, V, C> = {
             let pools = &pools;
-            par_for_shards(shards, &move |i| {
+            par_for_shards(shards, usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
                 match page::load_chain::<PacMap<K, V, NoAug, C>>(&sdir, pools[i].as_ref())? {
@@ -1330,8 +1339,11 @@ where
             .map(|(i, _)| i as u32)
             .collect();
 
-        // Parallel fan-out: per participating shard, encode the prepare
-        // record and apply the sub-batch to its tree.
+        // Fan-out: per participating shard, encode the prepare record
+        // and apply the sub-batch to its tree — in parallel on the pool
+        // only if the batch can touch more than a fork's worth of
+        // entries (one leaf of <= 2B per op, plus the op: the bound of
+        // cpam's own batch work), on this thread otherwise.
         let durable = log_guard.is_some();
         let schema = crate::checksum::schema_id::<(K, V)>();
         struct ShardResult<M> {
@@ -1345,13 +1357,15 @@ where
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .collect();
+        let ops: usize = work.iter().map(|(_, ops)| ops.len()).sum();
+        let tree_work = ops.saturating_mul(2 * inner.opts.block_size + 1);
         let apply_start = Instant::now();
         let results: Vec<ShardResult<PacMap<K, V, NoAug, C>>> = {
             let work = &work;
             let base_maps = &base_maps;
             let base_locals = &base_locals;
             let participants = &participants;
-            par_for_shards(work.len(), &move |w| {
+            par_for_shards(work.len(), tree_work, &move |w| {
                 let (shard, ops) = &work[w];
                 let new_local = base_locals[*shard] + 1;
                 let record = durable
@@ -1460,7 +1474,9 @@ where
         drop(log_guard);
         // Drop outside both locks: freeing a superseded version walks
         // every node only it owns and runs its values' `Drop`s, and
-        // `state` is the lock every `get` and `snapshot` takes.
+        // `state` is the lock every `get` and `snapshot` takes. Off the
+        // pool that walk never forks (cpam's `drop_heavy`), so it stays
+        // on this thread too.
         drop(evicted);
         Ok(g)
     }
@@ -1664,7 +1680,7 @@ where
             let maps = &maps;
             let locals = &locals;
             let pins = &ckpts.shards;
-            par_for_shards(shards, &move |i| {
+            par_for_shards(shards, usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
                 let base = match policy {
