@@ -217,17 +217,26 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
         wire[3] ^= 0x01;
-        assert!(matches!(read_frame(&mut &wire[..]), Err(FrameError::BadCrc { .. })));
+        assert!(matches!(
+            read_frame(&mut &wire[..]),
+            Err(FrameError::BadCrc { .. })
+        ));
 
         // Hostile length: 1 << 33, rejected before allocation.
         let mut wire = Vec::new();
         codecs::bytecode::write_varint(1 << 33, &mut wire);
         wire.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(read_frame(&mut &wire[..]), Err(FrameError::TooLarge(_))));
+        assert!(matches!(
+            read_frame(&mut &wire[..]),
+            Err(FrameError::TooLarge(_))
+        ));
 
         // Length varint that overflows 64 bits entirely.
         let wire = [0xFFu8; 16];
-        assert!(matches!(read_frame(&mut &wire[..]), Err(FrameError::TooLarge(_))));
+        assert!(matches!(
+            read_frame(&mut &wire[..]),
+            Err(FrameError::TooLarge(_))
+        ));
 
         // Truncated mid-payload: the peer died mid-send.
         let mut wire = Vec::new();
