@@ -144,7 +144,7 @@ fn main() {
         .collect();
     print_sweep(&memory);
 
-    println!("--- durable (per-shard WAL + two-phase manifest, no fsync) ---");
+    println!("--- durable (one log, one append per commit group, no fsync) ---");
     let dir = std::env::temp_dir().join(format!("shard-throughput-{}", std::process::id()));
     let durable_total = (total / 2).max(10_000);
     let durable_batch = (durable_total / 10).max(1_000);

@@ -3,8 +3,8 @@
 //! compaction, and the harness reports the three numbers the lifecycle
 //! subsystem exists to bound:
 //!
-//! * **steady-state WAL size** — bytes across the manifest and every
-//!   per-shard WAL right after each compaction (should stay flat), plus
+//! * **steady-state WAL size** — bytes in the store's one log right
+//!   after each compaction (should stay flat), plus
 //!   the peak reached between compactions (bounded by the cycle's
 //!   batch volume, not by total history);
 //! * **compaction pause** — p50/p99/max of the store's own
@@ -31,21 +31,15 @@
 use std::path::Path;
 
 use bench::{header, hist_now, hist_since, mib, ms, ns_window_ms, time, XorShift};
-use store::{shard_dir_name, Op, Router, ShardedStore, StoreOptions, LOG_FILE, MANIFEST_FILE};
+use store::{Op, Router, ShardedStore, StoreOptions, LOG_FILE};
 
 const SHARDS: usize = 4;
 const COMMITS_PER_CYCLE: usize = 8;
 const CYCLES: usize = 12;
 
-/// Total log bytes on disk: the cross-shard manifest plus every
-/// per-shard WAL.
+/// Log bytes on disk: the store's one log.
 fn wal_bytes(dir: &Path) -> u64 {
-    let len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-    let mut total = len(&dir.join(MANIFEST_FILE));
-    for i in 0..SHARDS {
-        total += len(&dir.join(shard_dir_name(i)).join(LOG_FILE));
-    }
-    total
+    std::fs::metadata(dir.join(LOG_FILE)).map(|m| m.len()).unwrap_or(0)
 }
 
 fn main() {

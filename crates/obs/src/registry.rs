@@ -10,7 +10,7 @@
 //! # Naming scheme
 //!
 //! Names are flat strings with optional Prometheus-style labels baked
-//! in: `pacstore_wal_append_ns{shard="003"}`. Use [`labeled`] to build
+//! in: `pacstore_incr_chain_depth{shard="003"}`. Use [`labeled`] to build
 //! them; the exposition formats split at the first `{` so quantile
 //! labels merge correctly in [`Registry::render_text`]. Conventions
 //! (enforced by review, not code): `_ns` suffix for nanosecond

@@ -53,9 +53,9 @@ pub enum StoreError {
     /// another live handle, possibly in another process).
     Locked,
     /// An earlier failed log append could not be rolled back, so the
-    /// logs cannot accept further records until a checkpoint
+    /// log cannot accept further groups until a checkpoint
     /// ([`crate::ShardedStore::save`] or
-    /// [`crate::ShardedStore::compact`]) rewrites them.
+    /// [`crate::ShardedStore::compact`]) rewrites it.
     LogPoisoned,
     /// The commit group this batch was part of failed; the message is
     /// the leader's error.
@@ -70,15 +70,16 @@ pub enum StoreError {
     /// The directory holds an earlier build's layout: the flat
     /// single-directory one `PacStore` wrote before it became the
     /// one-shard case of the sharded engine (snapshot pages or a log at
-    /// the root, no partition map), or a shard directory with a paged
-    /// snapshot from before there was one page format. It is refused
-    /// rather than shadowed by a fresh, empty store.
+    /// the root, no partition map), the one with a manifest at the root
+    /// and a log in every shard directory, or a shard directory with a
+    /// paged snapshot from before there was one page format. It is
+    /// refused rather than shadowed by a fresh, empty store.
     LegacyLayout(String),
-    /// The log (or manifest) references versions the checkpoint pages
-    /// do not reach: the first replayable record is more than one step
-    /// past the checkpointed version, so the intermediate history is
-    /// gone (a snapshot or incremental page was deleted after the WAL
-    /// was truncated past it). Replaying anyway would silently resurrect
+    /// The log references versions the checkpoint pages do not reach: a
+    /// checkpoint head the pages fall short of, or a record more than
+    /// one step past a shard's version, so the intermediate history is
+    /// gone (a snapshot or incremental page was deleted after the log
+    /// was rewritten past it). Replaying anyway would silently resurrect
     /// an old state with the missing commits lost.
     VersionGap {
         /// The version the checkpoint pages reach.

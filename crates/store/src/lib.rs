@@ -8,13 +8,13 @@
 //!
 //! * **One engine** — an MVCC key-value store over N key-range shards
 //!   (a [`Router`] partition map), each shard a PaC-tree with its own
-//!   page chain and write-ahead log. Writers submit batches to a
-//!   group-commit pipeline (one parallel tree update, one WAL record per
-//!   participating shard and one manifest record per *group*, not per
-//!   batch), committed *atomically* across shards by a two-phase
-//!   protocol; readers pin any retained version as an O(1) snapshot of
-//!   one consistent version vector and never block. Open/recovery,
-//!   commit, pin/GC and the checkpoint routine exist once.
+//!   page chain, all shards behind one write-ahead log. Writers submit
+//!   batches to a group-commit pipeline (one parallel tree update and
+//!   one log append per *group*, not per batch), committed *atomically*
+//!   across shards because the group's last byte is its commit point;
+//!   readers pin any retained version as an O(1) snapshot of one
+//!   consistent version vector and never block. Open/recovery, commit,
+//!   pin/GC and the checkpoint routine exist once.
 //! * **[`ShardedStore`]** is the engine's handle at any shard count,
 //!   with [`ShardedSnapshot`]s spanning the shards; **[`PacStore`]** is
 //!   the same engine at one shard ([`Router::single`]), whose
@@ -31,10 +31,11 @@
 //!   never a choice of what is written. CRC-32s over the metadata and
 //!   over every leaf record make truncation and bit flips surface as
 //!   typed [`StoreError`]s.
-//! * **Durability** ([`wal`]) — per-shard append-only batch logs plus
-//!   a manifest, replayed on open with standard torn-tail recovery;
-//!   `save`/`save_incremental`/`compact` checkpoint the committed
-//!   state into pages and trim the logs they cover.
+//! * **Durability** ([`wal`]) — one append-only batch log per store,
+//!   replayed on open in one forward pass with standard torn-tail
+//!   recovery; `save`/`save_incremental`/`compact` checkpoint the
+//!   committed state into pages and rewrite the log without the groups
+//!   they cover.
 //!
 //! ```
 //! use store::{Op, PacStore};
@@ -83,4 +84,4 @@ pub use page::{
 };
 pub use pool::{BufferPool, PageKey, PoolStats};
 pub use router::{Router, PARTITION_FILE, PARTITION_MAGIC};
-pub use shard::{shard_dir_name, ShardedSnapshot, ShardedStore, MANIFEST_FILE};
+pub use shard::{shard_dir_name, ShardedSnapshot, ShardedStore};

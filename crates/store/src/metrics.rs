@@ -13,9 +13,8 @@
 //! All store series are prefixed `pacstore_`; latency histograms end in
 //! `_ns` (nanoseconds), monotone counters in `_total`. Per-shard series
 //! bake the shard index into the name as a label —
-//! `pacstore_wal_append_ns{shard="003"}` — which
-//! [`obs::Registry::render_text`] merges with quantile labels and
-//! [`obs::Registry::histogram_snapshot_prefixed`] can aggregate.
+//! `pacstore_incr_chain_depth{shard="003"}` — which
+//! [`obs::Registry::render_text`] keeps in the series' label set.
 //! A [`crate::PacStore`] is a one-shard store, so its series carry
 //! shard `"000"` and dashboards see one schema for every shard count.
 //!
@@ -76,12 +75,12 @@ pub(crate) struct StoreMetrics {
     /// Leader batch apply: `apply_ops`, one tree pass per participating
     /// shard (parallel fan-out included, for the sharded store).
     pub apply: Arc<Histogram>,
-    /// WAL record write (`write_all` + `flush`), all shards merged.
+    /// The log append (`write_all` + `flush`): one sample per commit
+    /// group, whatever its shard count.
     pub wal_append: Arc<Histogram>,
-    /// WAL/manifest `sync_data`, recorded only when fsync ran.
+    /// The log append's `sync_data`, one sample per group, recorded
+    /// only when fsync ran.
     pub wal_fsync: Arc<Histogram>,
-    /// Manifest commit-record write (sharded store only).
-    pub manifest_append: Arc<Histogram>,
     /// `get()` point reads on the current version.
     pub point_read: Arc<Histogram>,
     /// Materializing range reads (`range_entries`).
@@ -95,8 +94,8 @@ pub(crate) struct StoreMetrics {
     /// Compaction phase 1: checkpoint pages written (off the commit
     /// lock in the sharded store).
     pub compact_pages: Arc<Histogram>,
-    /// Compaction phase 2: WAL/manifest truncation under the log lock —
-    /// the part concurrent commits actually wait behind.
+    /// Compaction phase 2: the log rewrite under the log lock — the
+    /// part concurrent commits actually wait behind.
     pub compact_truncate: Arc<Histogram>,
     /// Snapshots pinned (`snapshot` / `snapshot_at`).
     pub snapshots: Arc<Counter>,
@@ -106,8 +105,6 @@ pub(crate) struct StoreMetrics {
     /// Cumulative GC outcomes.
     pub gc_versions_dropped: Arc<Counter>,
     pub gc_nodes_reclaimed: Arc<Counter>,
-    /// Per-shard WAL record write, `pacstore_wal_append_ns{shard=...}`.
-    pub shard_wal_append: Vec<Arc<Histogram>>,
     /// Per-shard incremental-chain depth (links past the full page),
     /// `pacstore_incr_chain_depth{shard=...}`.
     pub incr_chain_depth: Vec<Arc<Gauge>>,
@@ -168,16 +165,13 @@ impl StoreMetrics {
     pub fn new(shards: usize) -> Arc<StoreMetrics> {
         install_cpam_bridge();
         let r = obs::global();
-        let shard_wal_append = (0..shards)
-            .map(|i| {
-                let label = format!("{i:03}");
-                r.histogram(&obs::labeled("pacstore_wal_append_ns", &[("shard", &label)]))
-            })
-            .collect();
         let incr_chain_depth = (0..shards)
             .map(|i| {
                 let label = format!("{i:03}");
-                r.gauge(&obs::labeled("pacstore_incr_chain_depth", &[("shard", &label)]))
+                r.gauge(&obs::labeled(
+                    "pacstore_incr_chain_depth",
+                    &[("shard", &label)],
+                ))
             })
             .collect();
         Arc::new(StoreMetrics {
@@ -186,7 +180,6 @@ impl StoreMetrics {
             apply: r.histogram("pacstore_commit_apply_ns"),
             wal_append: r.histogram("pacstore_wal_append_ns"),
             wal_fsync: r.histogram("pacstore_wal_fsync_ns"),
-            manifest_append: r.histogram("pacstore_manifest_append_ns"),
             point_read: r.histogram("pacstore_point_read_ns"),
             range_read: r.histogram("pacstore_range_read_ns"),
             save: r.histogram("pacstore_save_ns"),
@@ -199,20 +192,16 @@ impl StoreMetrics {
             unpins: r.counter("pacstore_version_unpins_total"),
             gc_versions_dropped: r.counter("pacstore_gc_versions_dropped_total"),
             gc_nodes_reclaimed: r.counter("pacstore_gc_nodes_reclaimed_total"),
-            shard_wal_append,
             incr_chain_depth,
             pool: PoolMetrics::new(),
         })
     }
 
-    /// Record one WAL append's stage timings: per-shard and merged
-    /// series for the write, fsync only when it ran.
+    /// Record one log append's stage timings: the write, and the fsync
+    /// only when it ran.
     #[inline]
-    pub fn record_wal_append(&self, shard: usize, t: crate::wal::Appended, fsync: bool) {
+    pub fn record_wal_append(&self, t: crate::wal::Appended, fsync: bool) {
         self.wal_append.record(t.write_ns);
-        if let Some(h) = self.shard_wal_append.get(shard) {
-            h.record(t.write_ns);
-        }
         if fsync {
             self.wal_fsync.record(t.sync_ns);
         }

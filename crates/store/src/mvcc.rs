@@ -56,8 +56,8 @@ pub struct StoreOptions {
     /// How many recent versions `snapshot_at` can reach. Pinned
     /// snapshots outlive eviction.
     pub history_limit: usize,
-    /// If true, a torn or corrupt log (or manifest) tail fails `open`
-    /// instead of being truncated away.
+    /// If true, a torn or corrupt log tail, or an incomplete last
+    /// commit group, fails `open` instead of being truncated away.
     pub strict_log: bool,
     /// If true, every commit group is `fsync`ed (`sync_data`) to disk
     /// before it is acknowledged — surviving power loss, at a large
@@ -112,7 +112,8 @@ pub const SNAPSHOT_FILE: &str = "snapshot.pac";
 /// and past this depth the cumulative incremental bytes approach a
 /// full page anyway.
 pub(crate) const MAX_INCR_CHAIN: usize = 16;
-/// File name of the append-only batch log inside a shard directory.
+/// File name of the store's one append-only batch log, at the root of
+/// its directory.
 pub const LOG_FILE: &str = "wal.pac";
 /// File name of the advisory lock inside a store directory: held for a
 /// handle's lifetime so two handles (or processes) can never interleave

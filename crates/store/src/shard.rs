@@ -5,24 +5,23 @@
 //! protocol, recovery walk and checkpoint routine as any other shard
 //! count.
 //!
-//! Each shard owns a PaC-tree state, a snapshot page chain and a
-//! write-ahead log in a `shard-NNN/` subdirectory, so independent key
-//! ranges commit with independent tree updates, applied **in parallel**
-//! with [`parlay::join`] once the batch can pay for a fork (the same
+//! Each shard owns a PaC-tree state and a snapshot page chain in a
+//! `shard-NNN/` subdirectory, so independent key ranges commit with
+//! independent tree updates, applied **in parallel** with
+//! [`parlay::join`] once the batch can pay for a fork (the same
 //! batch-parallel ethos as the paper's `multi_insert`, scaled out across
 //! trees; a commit-sized batch stays on the committing thread, see
-//! `par_for_shards`). What makes the composite
-//! a single store rather than N stores is the *global commit
-//! protocol*:
+//! `par_for_shards`). What makes the composite a single store rather
+//! than N stores is its one write-ahead log, [`LOG_FILE`] at the store
+//! root. A commit is:
 //!
-//! 1. **Prepare** — a global commit id `g` is assigned, the batch is
+//! 1. **Apply** — a global commit id `g` is assigned, the batch is
 //!    split by key range ([`crate::Router`]), and each participating
-//!    shard appends one WAL record tagged with `g` and the full
-//!    participant set.
-//! 2. **Commit** — one record `{g, participants, version vector}` is
-//!    appended to the `manifest.pac` log (`fsync`ed when
-//!    [`StoreOptions::fsync_commits`] is set). This is the
-//!    acknowledgment point.
+//!    shard encodes one log record tagged with `g` and the full
+//!    participant list, then applies its sub-batch.
+//! 2. **Append** — the group's records, in ascending shard order, go
+//!    out in one append (`fsync`ed when [`StoreOptions::fsync_commits`]
+//!    is set). The group's last byte is the commit point.
 //! 3. **Publish** — the new shard maps and the version vector become
 //!    visible to readers atomically, under one state lock.
 //!
@@ -30,25 +29,20 @@
 //! the *leader*, drains every batch queued so far and runs the three
 //! steps once for the whole group; followers wait for their ticket.
 //!
-//! Recovery (open) replays the manifest and every shard WAL, then
-//! rolls a global commit forward **iff it is fully prepared**: every
-//! participant either holds a checksum-valid WAL record for `g` or has
-//! `g`'s effect baked into its snapshot page. A partially prepared
-//! commit — a crash between shard appends — is dropped from *every*
-//! WAL (truncated at the record boundary), so a global commit is never
-//! partially visible. A fully prepared commit whose manifest record
-//! was lost rolls forward and the manifest is healed. With
-//! `fsync_commits`, shard WALs are synced before the manifest record
-//! is written, so every *acknowledged* commit is fully prepared on
-//! disk and survives; without it the same ordering holds for process
-//! crashes (completed `write`s survive) but not machine crashes.
+//! Recovery (open) loads the page chains and makes one forward pass
+//! over the log: a record whose shard's pages already reach it is
+//! skipped, a record one version past them is applied, anything else
+//! is a [`StoreError::VersionGap`]. A group whose records stop at the
+//! end of the log — a crash mid-append — is dropped whole, so a global
+//! commit is never partially visible.
 //!
 //! Checkpoints ([`ShardedStore::save`], [`ShardedStore::save_incremental`],
 //! [`ShardedStore::compact`]) are one routine under three page
 //! policies: capture the committed version vector, write per-shard
 //! pages (full, incremental, or nothing for an unchanged shard) with
-//! commits still flowing, then briefly exclude writers to trim the
-//! WALs and swap the manifest for a checkpoint record.
+//! commits still flowing, then briefly exclude writers to rewrite the
+//! log as a *head* — one op-less record per shard at the captured
+//! local versions — followed by the groups published since.
 //!
 //! Readers get cross-shard snapshot isolation: [`ShardedStore::snapshot`]
 //! pins one consistent version vector (one `Arc` bump per shard) and
@@ -56,11 +50,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use codecs::{bytecode, BlockIo, RawCodec};
+use codecs::{BlockIo, RawCodec};
 use cpam::{NoAug, PacMap};
 use parking_lot::{Condvar, Mutex};
 
@@ -75,249 +70,100 @@ use crate::page;
 use crate::router::{Router, PARTITION_FILE};
 use crate::wal;
 
-/// File name of the global-commit manifest inside a sharded store
-/// directory.
-pub const MANIFEST_FILE: &str = "manifest.pac";
-
-/// Name of shard `i`'s subdirectory inside a sharded store directory.
+/// Name of shard `i`'s subdirectory inside a store directory.
 pub fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:03}")
 }
 
-// ---------------------------------------------------------------------
-// Manifest records
-// ---------------------------------------------------------------------
-
-/// One manifest record: global commit `global` committed with the given
-/// participant set, leaving the store at `locals` (one local version
-/// per shard).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ManifestRecord {
-    pub global: u64,
-    pub participants: Vec<u32>,
-    pub locals: Vec<u64>,
-}
-
-/// Encodes one manifest record with the same framing as a WAL record
-/// (`wal::frame`): payload = `format byte (wal::LOG_FORMAT), global
-/// varint, pcount varint + ids, shard count varint + locals`.
-pub(crate) fn encode_manifest_record(rec: &ManifestRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(rec.locals.len() * 4 + 16);
-    payload.push(wal::LOG_FORMAT);
-    bytecode::write_varint(rec.global, &mut payload);
-    bytecode::write_varint(rec.participants.len() as u64, &mut payload);
-    for &p in &rec.participants {
-        bytecode::write_varint(u64::from(p), &mut payload);
-    }
-    bytecode::write_varint(rec.locals.len() as u64, &mut payload);
-    for &l in &rec.locals {
-        bytecode::write_varint(l, &mut payload);
-    }
-    wal::frame(&payload)
-}
-
-/// Result of replaying a manifest image: the longest valid prefix of
-/// records (strictly increasing globals), each with its starting byte
-/// offset, plus torn-tail information — mirroring [`wal::replay`].
-#[derive(Debug)]
-pub(crate) struct ManifestReplay {
-    pub records: Vec<ManifestRecord>,
-    pub offsets: Vec<usize>,
-    pub valid_len: usize,
-    pub torn: bool,
-    /// A checksum-valid record with a foreign format byte: the manifest
-    /// was written by a build with a different record layout.
-    pub format_mismatch: Option<u8>,
-}
-
-/// Parses one checksum-verified manifest payload; `None` when it is
-/// malformed, `Err(found)` on a foreign format byte.
-fn parse_manifest_payload(payload: &[u8], shard_count: usize) -> Result<Option<ManifestRecord>, u8> {
-    let mut at = 0;
-    let parse = |at: &mut usize| -> Option<ManifestRecord> {
-        let global = bytecode::try_read_varint(payload, at)?;
-        let pcount = bytecode::try_read_varint(payload, at)? as usize;
-        if pcount > shard_count {
-            return None;
-        }
-        let mut participants = Vec::with_capacity(pcount);
-        for _ in 0..pcount {
-            let p = u32::try_from(bytecode::try_read_varint(payload, at)?).ok()?;
-            if p as usize >= shard_count {
-                return None;
-            }
-            participants.push(p);
-        }
-        let lcount = bytecode::try_read_varint(payload, at)? as usize;
-        if lcount != shard_count {
-            return None;
-        }
-        let mut locals = Vec::with_capacity(lcount);
-        for _ in 0..lcount {
-            locals.push(bytecode::try_read_varint(payload, at)?);
-        }
-        if *at != payload.len() {
-            return None;
-        }
-        Some(ManifestRecord { global, participants, locals })
-    };
-    match payload.first() {
-        None => Ok(None),
-        Some(&f) if f != wal::LOG_FORMAT => Err(f),
-        Some(_) => {
-            at += 1;
-            Ok(parse(&mut at))
-        }
-    }
-}
-
-pub(crate) fn replay_manifest(bytes: &[u8], shard_count: usize) -> ManifestReplay {
-    let mut records: Vec<ManifestRecord> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    let mut frames = wal::Frames::new(bytes);
-    let mut format_mismatch = None;
-    loop {
-        let start = frames.pos;
-        let Some(payload) = frames.next() else { break };
-        match parse_manifest_payload(payload, shard_count) {
-            Ok(Some(rec)) => {
-                if records.last().is_some_and(|prev| prev.global >= rec.global) {
-                    frames.pos = start;
-                    break;
-                }
-                records.push(rec);
-                offsets.push(start);
-            }
-            Err(found) => {
-                format_mismatch = Some(found);
-                frames.pos = start;
-                break;
-            }
-            Ok(None) => {
-                frames.pos = start;
-                break;
-            }
-        }
-    }
-    ManifestReplay {
-        records,
-        offsets,
-        valid_len: frames.pos,
-        torn: format_mismatch.is_none() && frames.pos < bytes.len(),
-        format_mismatch,
-    }
-}
-
-/// Byte offset of the first replayed record satisfying `pred` — where
-/// to cut a log so that record and everything after it goes — or
-/// `valid_len` when none does. `offsets[i]` is where `records[i]` starts.
-fn offset_of_first<R>(
-    records: &[R],
-    offsets: &[usize],
-    valid_len: usize,
-    pred: impl Fn(&R) -> bool,
-) -> usize {
-    records.iter().position(pred).map_or(valid_len, |idx| offsets[idx])
-}
+/// The root file of the layout before a store kept one log: a manifest
+/// beside a log in every shard directory.
+const LEGACY_MANIFEST: &str = "manifest.pac";
 
 // ---------------------------------------------------------------------
 // Parallel helpers
 // ---------------------------------------------------------------------
 
-/// Applies `f(i)` to every index in `0..n`, collecting results in index
-/// order. The shard fan-out primitive for commit/save/open.
+/// Applies `f` to every item, collecting results in item order. The
+/// shard fan-out primitive for commit/save/open; items are moved into
+/// `f`, so a commit hands each shard its sub-batch without a copy.
 ///
 /// `work` is what the whole fan-out costs, in [`parlay::FORK_FLOOR`]'s
-/// unit (entries of tree work). Below the floor every `f(i)` runs on the
+/// unit (entries of tree work). Below the floor every `f` runs on the
 /// calling thread: off the pool, entering it is an injection, a wake-up
 /// and a blocking wait, more than a commit-sized apply costs. At or above
-/// it the indices run in parallel on the pool via binary forking
+/// it the items run in parallel on the pool via binary forking
 /// ([`parlay::join`]). Callers whose work is not tree work (open,
 /// checkpoint) pass `usize::MAX`.
-fn par_for_shards<R: Send>(n: usize, work: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-    fn rec<R: Send>(lo: usize, hi: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-        if hi - lo <= 1 {
-            return (lo..hi).map(f).collect();
+fn par_for_shards<T: Send, R: Send>(
+    items: Vec<T>,
+    work: usize,
+    f: &(impl Fn(T) -> R + Sync),
+) -> Vec<R> {
+    fn rec<T: Send, R: Send>(mut items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
+        if items.len() <= 1 {
+            return items.into_iter().map(f).collect();
         }
-        let mid = lo + (hi - lo) / 2;
-        let (mut l, r) = parlay::join(|| rec(lo, mid, f), || rec(mid, hi, f));
+        let right = items.split_off(items.len() / 2);
+        let (mut l, r) = parlay::join(|| rec(items, f), || rec(right, f));
         l.extend(r);
         l
     }
-    if n == 0 || work < parlay::FORK_FLOOR {
-        return (0..n).map(f).collect();
+    if items.is_empty() || work < parlay::FORK_FLOOR {
+        return items.into_iter().map(f).collect();
     }
-    parlay::run(|| rec(0, n, f))
+    parlay::run(|| rec(items, f))
 }
 
 // ---------------------------------------------------------------------
-// Log trimming (the tail of a checkpoint)
+// The log
 // ---------------------------------------------------------------------
 
-/// Opens the append handle on the WAL or manifest at `path`.
-fn open_append(path: &Path) -> std::io::Result<File> {
+/// Opens (creating it if needed) the log handle commits append through
+/// and a checkpoint reads the groups it keeps from.
+fn open_log(path: &Path) -> std::io::Result<File> {
     #[cfg(test)]
-    if tests::FAIL_OPEN_APPEND.with(|fail| fail.replace(false)) {
+    if tests::FAIL_OPEN_LOG.with(|fail| fail.replace(false)) {
         return Err(std::io::Error::other("injected open failure"));
     }
-    OpenOptions::new().append(true).open(path)
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)
 }
 
-/// Drops from the shard WAL at `path` every record the checkpoint pages
-/// cover (local version `<= covered`) and anything past `published`,
-/// keeping the records of the commits in between. `log` is the append
-/// handle on the file, replaced when the file is — and first of all
-/// when `stale_handle` says it may no longer be on the file at `path`.
-/// Returns the number of bytes dropped.
-fn trim_shard_log<K: StoreKey, V: StoreValue>(
-    path: &Path,
-    log: &mut File,
-    stale_handle: bool,
-    covered: u64,
-    published: u64,
-) -> Result<u64, StoreError> {
-    if stale_handle {
-        *log = open_append(path)?;
-    }
-    if published == covered {
-        // Nothing landed on this shard while the pages were written:
-        // the whole file is covered, no need to read it.
-        let len = log.metadata()?.len();
-        log.set_len(0)?;
-        return Ok(len);
-    }
-    let bytes = std::fs::read(path)?;
-    let replay = wal::replay::<K, V>(&bytes, crate::checksum::schema_id::<(K, V)>());
-    let offset_past = |version: u64| {
-        offset_of_first(&replay.records, &replay.offsets, replay.valid_len, |r| r.version > version)
-    };
-    let keep = &bytes[offset_past(covered)..offset_past(published)];
-    if keep.len() < bytes.len() {
-        page::write_file_atomic(path, keep)?;
-        *log = open_append(path)?;
-    }
-    Ok((bytes.len() - keep.len()) as u64)
+/// The durable half of a store: the log handle and the log's byte
+/// length. `len` is where the last published group ends — set at open,
+/// after each append and after each rewrite — so an append rolls back
+/// to it without asking the file. `poisoned` means an append failure
+/// could not be rolled back: the stranded partial group would hide
+/// every later group at replay, so commits are refused until a
+/// checkpoint rewrites the log and clears the flag.
+struct Log {
+    file: File,
+    len: u64,
+    poisoned: bool,
 }
 
-/// Replaces the manifest at `path` with `checkpoint` followed by the
-/// records of the commits after it up to global id `published`. Returns
-/// an append handle on the new file and the number of bytes dropped.
-fn swap_manifest(
-    path: &Path,
-    checkpoint: &ManifestRecord,
-    published: u64,
-) -> Result<(File, u64), StoreError> {
-    let old = if path.exists() { std::fs::read(path)? } else { Vec::new() };
-    let replay = replay_manifest(&old, checkpoint.locals.len());
-    let offset_past = |global: u64| {
-        offset_of_first(&replay.records, &replay.offsets, replay.valid_len, |r| r.global > global)
-    };
-    let keep = &old[offset_past(checkpoint.global)..offset_past(published)];
-    let mut new = encode_manifest_record(checkpoint);
-    new.extend_from_slice(keep);
-    page::write_file_atomic(path, &new)?;
-    let file = open_append(path)?;
-    Ok((file, (old.len() - keep.len()) as u64))
+impl Log {
+    /// Replaces the log at `path` with `head` followed by the groups
+    /// appended after byte `from`, up to `len` (stranded bytes of a
+    /// failed append past it are left out, which heals a poisoned log).
+    /// Returns the number of bytes dropped.
+    fn rewrite(&mut self, path: &Path, mut head: Vec<u8>, from: u64) -> Result<u64, StoreError> {
+        let at = head.len();
+        head.resize(at + (self.len - from) as usize, 0);
+        (&self.file).seek(SeekFrom::Start(from))?;
+        (&self.file).read_exact(&mut head[at..])?;
+        page::write_file_atomic(path, &head)?;
+        // Until the reopen succeeds the handle is on the unlinked old
+        // file and `len` is still its length, so the next rewrite reads
+        // the right bytes from it.
+        self.file = open_log(path)?;
+        let dropped = self.len - (head.len() - at) as u64;
+        self.len = head.len() as u64;
+        Ok(dropped)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -397,7 +243,10 @@ where
     pub fn to_vec(&self) -> Vec<(K, V)> {
         // The first shard's vector is the output; later shards append
         // to it (a one-shard store copies nothing).
-        let (first, rest) = self.maps.split_first().expect("a router has at least one shard");
+        let (first, rest) = self
+            .maps
+            .split_first()
+            .expect("a router has at least one shard");
         let mut out = first.to_vec();
         out.reserve(rest.iter().map(PacMap::len).sum());
         for m in rest {
@@ -413,7 +262,9 @@ where
     /// returned without a second copy.
     pub fn range_entries(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
         let mut shards = self.router.shards_overlapping(lo, hi);
-        let Some(first) = shards.next() else { return Vec::new() };
+        let Some(first) = shards.next() else {
+            return Vec::new();
+        };
         let mut out = self.maps[first].range_entries(lo, hi);
         for s in shards {
             out.extend(self.maps[s].range_entries(lo, hi));
@@ -463,17 +314,6 @@ where
     /// Recent `(global, locals, maps)` triples, oldest first; always
     /// contains the current version as its back element.
     history: VecDeque<HistoryEntry<K, V, C>>,
-}
-
-/// The durable half of a store: per-shard WAL handles plus the
-/// manifest. `poisoned` means an append failure could not be rolled
-/// back: the stranded partial record would swallow every later record
-/// at replay, so commits are refused until a checkpoint rewrites the
-/// logs and clears the flag.
-struct Logs {
-    shard_logs: Vec<File>,
-    manifest: File,
-    poisoned: bool,
 }
 
 /// Which pages one checkpoint writes (see [`ShardedStore::checkpoint`]).
@@ -553,13 +393,13 @@ where
     /// the advisory lock when the file closes, even on a crash.
     _dir_lock: Option<File>,
     /// Lock order: `checkpoints` before `log` before `state`. Leaders
-    /// hold `log` across prepare, manifest append, *and* publish, so
-    /// under it every logged record belongs to a published commit; a
+    /// hold `log` across apply, append *and* publish, so under it the
+    /// log's length is where the last published group ends; a
     /// checkpoint holds `checkpoints` for its whole cycle, so the pins
     /// and the pages on disk can never interleave.
     checkpoints: Mutex<Checkpoints<K, V, C>>,
     /// `None` for an in-memory store: nothing to log.
-    log: Mutex<Option<Logs>>,
+    log: Mutex<Option<Log>>,
     state: Mutex<ShardedState<K, V, C>>,
     commit: Mutex<CommitQueue<K, V>>,
     commit_cv: Condvar,
@@ -578,9 +418,9 @@ where
 
 /// A versioned, persistent key-value store partitioned into N
 /// independent MVCC shards by key range, with atomic cross-shard batch
-/// commits (prepare: per-shard WAL records tagged with a global commit
-/// id; commit: one manifest record; recovery: roll forward fully
-/// prepared commits, drop partial ones — see DESIGN.md §6).
+/// commits (one log append per commit group, whose last byte is the
+/// commit point; recovery drops an incomplete last group — see
+/// DESIGN.md §6).
 ///
 /// Handles are cheap to clone and share one store; all methods take
 /// `&self`.
@@ -620,7 +460,9 @@ where
     C: BlockIo<(K, V)>,
 {
     fn clone(&self) -> Self {
-        ShardedStore { inner: Arc::clone(&self.inner) }
+        ShardedStore {
+            inner: Arc::clone(&self.inner),
+        }
     }
 }
 
@@ -649,12 +491,12 @@ where
     C: BlockIo<(K, V)>,
 {
     /// Assembles a store from its opened parts; `durable` is the
-    /// directory, its held advisory lock and the log handles (`None`
-    /// for an in-memory store).
+    /// directory, its held advisory lock and the log (`None` for an
+    /// in-memory store).
     fn from_parts(
         opts: StoreOptions,
         router: Router<K>,
-        durable: Option<(PathBuf, File, Logs)>,
+        durable: Option<(PathBuf, File, Log)>,
         state: ShardedState<K, V, C>,
         checkpoints: Checkpoints<K, V, C>,
         registry: VersionRegistry,
@@ -690,12 +532,18 @@ where
     }
 
     fn fresh_state(opts: &StoreOptions, shards: usize) -> ShardedState<K, V, C> {
-        let maps: Vec<PacMap<K, V, NoAug, C>> =
-            (0..shards).map(|_| PacMap::with_block_size(opts.block_size)).collect();
+        let maps: Vec<PacMap<K, V, NoAug, C>> = (0..shards)
+            .map(|_| PacMap::with_block_size(opts.block_size))
+            .collect();
         let locals = vec![0u64; shards];
         let mut history = VecDeque::new();
         history.push_back((0, locals.clone(), maps.clone()));
-        ShardedState { global: 0, locals, maps, history }
+        ShardedState {
+            global: 0,
+            locals,
+            maps,
+            history,
+        }
     }
 
     /// An empty, ephemeral sharded store (no directory: `save` is an
@@ -771,14 +619,17 @@ where
     /// [`StoreError::Locked`] when another handle holds the directory;
     /// [`StoreError::PartitionMismatch`] when `router` disagrees with
     /// the persisted map; [`StoreError::LegacyLayout`] when `dir` holds
-    /// a pre-sharding flat store instead of a partition map, or a
-    /// shard directory an earlier build's paged snapshot; every
-    /// integrity error of [`crate::decode_snapshot`] for a shard's
-    /// pages;
-    /// [`StoreError::SchemaMismatch`] for WAL records of other key/value
-    /// types; [`StoreError::VersionGap`] when the logs reference
-    /// versions the pages no longer reach; [`StoreError::Corrupt`] for
-    /// torn manifests or WAL tails under [`StoreOptions::strict_log`].
+    /// a pre-sharding flat store instead of a partition map, a manifest
+    /// and per-shard logs instead of one log, or a shard directory an
+    /// earlier build's paged snapshot; every integrity error of
+    /// [`crate::decode_snapshot`] for a shard's pages;
+    /// [`StoreError::SchemaMismatch`] for log records of other
+    /// key/value types; [`StoreError::VersionGap`] when the log
+    /// references versions the pages no longer reach;
+    /// [`StoreError::Corrupt`] for a malformed group, an incomplete
+    /// group followed by a later one, and — under
+    /// [`StoreOptions::strict_log`] — a torn tail or an incomplete last
+    /// group.
     pub fn open_or_create(
         dir: impl AsRef<Path>,
         router: Router<K>,
@@ -793,6 +644,22 @@ where
         opts: StoreOptions,
     ) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir)?;
+
+        // The layout before one log per store: a manifest at the root
+        // and a log in every shard directory. Refused before anything
+        // is written, so the directory stays as it was.
+        let legacy_log = Path::new(&shard_dir_name(0)).join(LOG_FILE);
+        if let Some(found) = [Path::new(LEGACY_MANIFEST), legacy_log.as_path()]
+            .into_iter()
+            .find(|f| dir.join(f).exists())
+        {
+            return Err(StoreError::LegacyLayout(format!(
+                "{} holds {}: a store with a manifest and a log per shard, which this build does \
+                 not read (a store keeps one {LOG_FILE} at its root)",
+                dir.display(),
+                found.display(),
+            )));
+        }
 
         // One exclusive advisory lock for the whole directory: without
         // it, two live handles would each assign versions independently
@@ -840,12 +707,14 @@ where
                 .into_iter()
                 .find(|f| dir.join(f).exists())
                 .or(page::legacy_page_file(dir))
-                .or(page::list_incr_files(dir)?.first().map(|_| "incremental pages"));
+                .or(page::list_incr_files(dir)?
+                    .first()
+                    .map(|_| "incremental pages"));
             if let Some(found) = flat {
                 return Err(StoreError::LegacyLayout(format!(
                     "{} holds {found} at its root and no {PARTITION_FILE}: a flat \
-                     single-directory store, which this build does not read (stores live in \
-                     `shard-NNN/` subdirectories under a partition map and a manifest)",
+                     single-directory store, which this build does not read (pages live in \
+                     `shard-NNN/` subdirectories under a partition map)",
                     dir.display(),
                 )));
             }
@@ -858,13 +727,14 @@ where
         // parallel. `None` chain length = no pages yet. With a pool
         // budget configured, each shard gets its own page cache and
         // every file of its chain opens lazily through it.
-        let pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>> =
-            (0..shards).map(|_| opts.pool_pages.map(crate::pool::BufferPool::new)).collect();
+        let pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>> = (0..shards)
+            .map(|_| opts.pool_pages.map(crate::pool::BufferPool::new))
+            .collect();
         type Loaded<K, V, C> =
             Vec<Result<(PacMap<K, V, NoAug, C>, u64, Option<usize>), StoreError>>;
         let loaded: Loaded<K, V, C> = {
             let pools = &pools;
-            par_for_shards(shards, usize::MAX, &move |i| {
+            par_for_shards((0..shards).collect(), usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
                 match page::load_chain::<PacMap<K, V, NoAug, C>>(&sdir, pools[i].as_ref())? {
@@ -882,7 +752,7 @@ where
             snap_vers.push(v);
             chain_lens.push(cl);
         }
-        // Pin each shard's checkpoint *before* WAL replay mutates the
+        // Pin each shard's checkpoint *before* log replay mutates the
         // maps: the pinned clone is the diff base for the next
         // incremental page, and must be exactly what the pages decode
         // to.
@@ -891,7 +761,11 @@ where
             .zip(&snap_vers)
             .zip(&chain_lens)
             .map(|((m, &v), &cl)| {
-                cl.map(|chain_len| ShardCheckpoint { version: v, map: m.clone(), chain_len })
+                cl.map(|chain_len| ShardCheckpoint {
+                    version: v,
+                    map: m.clone(),
+                    chain_len,
+                })
             })
             .collect();
 
@@ -900,322 +774,131 @@ where
         // pinned global commit silently vanishes across a reopen.
         let registry = VersionRegistry::from_pins(lifecycle::load_pins(dir)?);
 
-        // Replay the manifest and every shard WAL.
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest_bytes =
-            if manifest_path.exists() { std::fs::read(&manifest_path)? } else { Vec::new() };
-        let manifest = replay_manifest(&manifest_bytes, shards);
-        if let Some(found) = manifest.format_mismatch {
+        // Replay the log: one forward pass over its groups.
+        let log_path = dir.join(LOG_FILE);
+        let bytes = if log_path.exists() {
+            std::fs::read(&log_path)?
+        } else {
+            Vec::new()
+        };
+        let expected = crate::checksum::schema_id::<(K, V)>();
+        let replay = wal::replay::<K, V>(&bytes, expected);
+        if let Some(found) = replay.schema_mismatch {
+            return Err(StoreError::SchemaMismatch { found, expected });
+        }
+        if let Some(found) = replay.format_mismatch {
             return Err(StoreError::Corrupt(format!(
-                "manifest record format {found:#04x}, this build reads {:#04x}",
+                "log record format {found:#04x}, this build reads {:#04x}",
                 wal::LOG_FORMAT
             )));
         }
-        if manifest.torn && opts.strict_log {
-            return Err(StoreError::Corrupt(format!(
-                "torn or corrupt manifest tail after byte {}",
-                manifest.valid_len
-            )));
-        }
-        let manifest_by_global: HashMap<u64, &ManifestRecord> =
-            manifest.records.iter().map(|r| (r.global, r)).collect();
 
-        let expected = crate::checksum::schema_id::<(K, V)>();
-        let mut shard_replays = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let log_path = dir.join(shard_dir_name(i)).join(LOG_FILE);
-            let bytes = if log_path.exists() { std::fs::read(&log_path)? } else { Vec::new() };
-            let replay = wal::replay::<K, V>(&bytes, expected);
-            if let Some(found) = replay.schema_mismatch {
-                return Err(StoreError::SchemaMismatch { found, expected });
-            }
-            if let Some(found) = replay.format_mismatch {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {i}: log record format {found:#04x}, this build reads {:#04x}",
-                    wal::LOG_FORMAT
-                )));
-            }
-            if replay.torn && opts.strict_log {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {i}: torn or corrupt log tail after byte {}",
-                    replay.valid_len
-                )));
-            }
-            shard_replays.push(replay);
-        }
-
-        // ----- Reconcile: roll forward fully-prepared global commits,
-        // drop partial ones. ------------------------------------------
-        //
-        // Gather the globally-ordered list of commit ids appearing in
-        // any WAL *or* the manifest (a manifest-only id is an empty
-        // commit or a checkpoint). At most the last in-flight commit
-        // can be incomplete, but the walk handles any prefix uniformly.
-        let mut all_globals: Vec<u64> = shard_replays
-            .iter()
-            .flat_map(|r| r.records.iter().map(|rec| rec.global))
-            .chain(manifest.records.iter().map(|r| r.global))
-            .collect();
-        all_globals.sort_unstable();
-        all_globals.dedup();
-
-        // Per shard, an index into its record list as we consume them
-        // in global order (records within a WAL are strictly increasing
-        // in both local version and global id).
-        let mut cursor = vec![0usize; shards];
         let mut locals = snap_vers.clone();
-        // The checkpoint baseline: the latest manifest record whose
-        // whole version vector is covered by the snapshot pages (the
-        // last checkpoint, in the common case). Every commit at or
-        // below it is provably baked into the pages — locals are
-        // monotone in the global id — so such commits are never
-        // re-judged (stale WAL records left by an interrupted save()
-        // must not be mistaken for partial prepares). Local versions
-        // never exceed the global commit counter, so the pages also
-        // give a floor when the manifest is gone entirely.
-        let checkpoint_global = manifest
-            .records
-            .iter()
-            .filter(|r| r.locals.iter().zip(&snap_vers).all(|(l, s)| l <= s))
-            .map(|r| r.global)
-            .max()
-            .unwrap_or(0);
-        let mut global =
-            checkpoint_global.max(snap_vers.iter().copied().max().unwrap_or(0));
-
+        // Local versions never exceed the global commit counter, so the
+        // pages give a floor even for a log that lost its head.
+        let mut global = snap_vers.iter().copied().max().unwrap_or(0);
+        // The global id of the log's last head: the checkpoint the
+        // pages were written for.
+        let mut checkpoint_global = 0;
         let mut history: VecDeque<HistoryEntry<K, V, C>> = VecDeque::new();
-        history.push_back((global, locals.clone(), maps.clone()));
-
-        // Truncation decision: byte length to keep per shard WAL and
-        // for the manifest (None = keep everything valid).
-        let mut cut: Option<(u64, Vec<usize>, usize)> = None;
-        let mut healed: Vec<ManifestRecord> = Vec::new();
-
-        'walk: for &g in &all_globals {
-            if g <= checkpoint_global {
-                // Covered by the checkpoint: consume any stale records
-                // without judging (their effects are in the pages).
-                for i in 0..shards {
-                    while shard_replays[i]
-                        .records
-                        .get(cursor[i])
-                        .is_some_and(|rec| rec.global <= g)
-                    {
-                        cursor[i] += 1;
-                    }
-                }
-                continue;
-            }
-            // Which shards hold a record for g? The WAL prepare records
-            // carry the authoritative participant list (a checkpoint
-            // record for the same id has an empty one), so prefer
-            // theirs; fall back to the manifest for record-less ids.
-            let mut holders: Vec<usize> = Vec::new();
-            let mut participants: Option<Vec<u32>> = None;
-            for i in 0..shards {
-                while shard_replays[i]
-                    .records
-                    .get(cursor[i])
-                    .is_some_and(|rec| rec.global < g)
-                {
-                    cursor[i] += 1;
-                }
-                if let Some(rec) = shard_replays[i].records.get(cursor[i]) {
-                    if rec.global == g {
-                        holders.push(i);
-                        if participants.is_none() {
-                            participants = Some(rec.participants.clone());
-                        }
-                    }
-                }
-            }
-            let manifest_rec = manifest_by_global.get(&g).copied();
-            let participants = participants
-                .or_else(|| manifest_rec.map(|r| r.participants.clone()))
-                .unwrap_or_default();
-
-            // Fully prepared? A manifest record whose whole version
-            // vector is covered by the snapshot pages is already
-            // applied (checkpoints; a save() interrupted before WAL
-            // truncation). Otherwise every participant must hold its
-            // record or have the commit baked into its page — and a
-            // participant-less id must at least be manifested (an
-            // empty commit), never inferred from nothing.
-            let covered = manifest_rec
-                .is_some_and(|r| r.locals.iter().zip(&snap_vers).all(|(l, s)| l <= s));
-            let prepared = covered
-                || ((!participants.is_empty() || manifest_rec.is_some())
-                    && participants.iter().all(|&p| {
-                        let p = p as usize;
-                        holders.contains(&p)
-                            || manifest_rec.is_some_and(|r| snap_vers[p] >= r.locals[p])
-                    }));
-
-            if !prepared {
-                // A cut is only legitimate for the *last* in-flight
-                // commit: the manifest record is appended after every
-                // prepare, so an acknowledged (manifested) commit
-                // *later* than g proves g was once fully prepared too —
-                // its records were truncated by a checkpoint whose
-                // pages no longer reach it. That is missing history,
-                // never a torn tail; cutting would silently resurrect
-                // an old state.
-                if manifest.records.iter().any(|r| r.global > g) {
-                    return Err(StoreError::VersionGap { checkpoint: global, first: g });
-                }
-                // Drop g and everything after it from every WAL and
-                // from the manifest: all-or-nothing.
-                let wal_cuts: Vec<usize> = shard_replays
-                    .iter()
-                    .map(|r| offset_of_first(&r.records, &r.offsets, r.valid_len, |rec| rec.global >= g))
-                    .collect();
-                let manifest_cut = offset_of_first(
-                    &manifest.records,
-                    &manifest.offsets,
-                    manifest.valid_len,
-                    |rec| rec.global >= g,
-                );
-                cut = Some((g, wal_cuts, manifest_cut));
-                break 'walk;
-            }
-
-            // Roll forward: apply each holder's record (skipping shards
-            // whose snapshot page already covers it).
-            for &i in &holders {
-                let rec = &mut shard_replays[i].records[cursor[i]];
-                // Local versions advance by exactly one per commit a
-                // shard participates in; a farther jump means the
-                // record's predecessors are in neither the pages nor
-                // the WAL (a shard page chain was deleted or rolled
-                // back after its WAL was truncated past it).
-                if rec.version > locals[i] + 1 {
-                    return Err(StoreError::VersionGap {
-                        checkpoint: locals[i],
-                        first: rec.version,
-                    });
-                }
-                if rec.version > locals[i] {
-                    // The walk never reads a record's ops again.
-                    let ops = std::mem::take(&mut rec.ops);
-                    maps[i] = apply_ops(std::mem::take(&mut maps[i]), ops);
-                    locals[i] = rec.version;
-                }
-                cursor[i] += 1;
-            }
-            // A manifest record asserts the whole version vector at g;
-            // after rolling g forward every shard must have reached it
-            // (participants via their records or pages, bystanders via
-            // earlier commits). A shard left behind lost history.
-            if let Some(mrec) = manifest_rec {
-                for (&have, &want) in locals.iter().zip(&mrec.locals) {
-                    if have < want {
-                        return Err(StoreError::VersionGap { checkpoint: have, first: want });
-                    }
-                }
-            }
-            if g > global {
-                global = g;
-                if !manifest_by_global.contains_key(&g) {
-                    healed.push(ManifestRecord {
-                        global: g,
-                        participants,
-                        locals: locals.clone(),
-                    });
-                }
-                history.push_back((global, locals.clone(), maps.clone()));
-                // Same pin-aware eviction as the commit path: a pinned
-                // commit must survive the recovery walk exactly as it
-                // survives live commits.
-                drop(lifecycle::evict_history(
-                    &mut history,
-                    opts.history_limit,
-                    |(g, _, _)| *g,
-                    &registry,
-                ));
-            }
-        }
-        // The back of the history must always be the current state
-        // (the walk skips history entries for commits at or below the
-        // baseline, which can drift `locals` without advancing `global`
-        // when a manifest was deleted out from under the store).
-        if history.back().is_none_or(|(g, l, _)| *g != global || *l != locals) {
-            history.push_back((global, locals.clone(), maps.clone()));
+        // Same pin-aware eviction as the commit path: a pinned commit
+        // must survive the recovery walk exactly as it survives live
+        // commits.
+        let push = |history: &mut VecDeque<HistoryEntry<K, V, C>>, entry: HistoryEntry<K, V, C>| {
+            history.push_back(entry);
             drop(lifecycle::evict_history(
-                &mut history,
+                history,
                 opts.history_limit,
                 |(g, _, _)| *g,
                 &registry,
             ));
-        }
-
-        if (cut.is_some() || !healed.is_empty()) && opts.strict_log {
-            return Err(StoreError::Corrupt(
-                "manifest and shard logs disagree (partially prepared or unmanifested \
-                 global commit)"
-                    .into(),
-            ));
-        }
-
-        // ----- Apply the recovery decisions to the files. -------------
-        for (i, replay) in shard_replays.iter().enumerate() {
-            let keep = cut.as_ref().map_or(replay.valid_len, |(_, wal_cuts, _)| wal_cuts[i]);
-            let log_path = dir.join(shard_dir_name(i)).join(LOG_FILE);
-            let file_len = if log_path.exists() { std::fs::metadata(&log_path)?.len() } else { 0 };
-            if u64::try_from(keep).unwrap_or(u64::MAX) < file_len {
-                let f = OpenOptions::new().write(true).open(&log_path)?;
-                f.set_len(keep as u64)?;
+        };
+        // Where the last complete group ends: a torn tail or an
+        // incomplete last group after it is dropped.
+        let mut keep = replay.valid_len;
+        let mut records = replay.records.into_iter().zip(replay.offsets).peekable();
+        while let Some((first, offset)) = records.next() {
+            let g = first.global;
+            let participants = first.participants.clone();
+            let mut group = vec![first];
+            while let Some((rec, _)) = records.next_if(|(rec, _)| rec.global == g) {
+                group.push(rec);
             }
-        }
-        {
-            let keep = cut.as_ref().map_or(manifest.valid_len, |(_, _, mcut)| *mcut);
-            if (keep as u64) < manifest_bytes.len() as u64 {
-                let f = OpenOptions::new().write(true).create(true).truncate(false).open(&manifest_path)?;
-                f.set_len(keep as u64)?;
+            let well_formed = group.iter().all(|rec| rec.participants == participants)
+                && participants.windows(2).all(|w| w[0] < w[1])
+                && participants.last().is_none_or(|&p| (p as usize) < shards)
+                && (!participants.is_empty() || group.iter().all(|rec| rec.ops.is_empty()));
+            let size = participants.len().max(1);
+            if well_formed && group.len() < size && records.peek().is_none() {
+                // A crash mid-append: the group never reached its
+                // commit point.
+                keep = offset;
+                break;
             }
-        }
-
-        // Open append handles, then heal the manifest (fully-prepared
-        // commits whose manifest record was lost by the crash).
-        let shard_logs: Vec<File> = (0..shards)
-            .map(|i| -> Result<File, StoreError> {
-                let sdir = dir.join(shard_dir_name(i));
-                let log_path = sdir.join(LOG_FILE);
-                let existed = log_path.exists();
-                let f = OpenOptions::new().create(true).append(true).open(&log_path)?;
-                if !existed {
-                    // Persist the directory entry; appended commits sync
-                    // only the file's data.
-                    page::fsync_dir(&sdir)?;
+            if !well_formed || group.len() != size {
+                return Err(StoreError::Corrupt(format!(
+                    "log group {g} at byte {offset}: {} records for participants \
+                     {participants:?}",
+                    group.len()
+                )));
+            }
+            let head = !participants.is_empty() && group.iter().all(|rec| rec.ops.is_empty());
+            let mut applied = false;
+            for (rec, &p) in group.into_iter().zip(&participants) {
+                let s = p as usize;
+                if rec.version <= locals[s] {
+                    continue;
                 }
-                Ok(f)
-            })
-            .collect::<Result<_, _>>()?;
-        let manifest_existed = manifest_path.exists();
-        let mut manifest_file =
-            OpenOptions::new().create(true).append(true).open(&manifest_path)?;
-        if !manifest_existed {
+                // Local versions advance by exactly one per group a
+                // shard is in, and a head record only restates where
+                // the pages must already be: anything else means the
+                // pages lost history the log no longer holds.
+                if rec.ops.is_empty() || rec.version != locals[s] + 1 {
+                    return Err(StoreError::VersionGap {
+                        checkpoint: locals[s],
+                        first: rec.version,
+                    });
+                }
+                if !applied && history.back().is_none_or(|(hg, _, _)| *hg != global) {
+                    push(&mut history, (global, locals.clone(), maps.clone()));
+                }
+                applied = true;
+                maps[s] = apply_ops(std::mem::take(&mut maps[s]), rec.ops);
+                locals[s] = rec.version;
+            }
+            if head {
+                checkpoint_global = g;
+            }
+            if g > global {
+                global = g;
+                if applied {
+                    push(&mut history, (global, locals.clone(), maps.clone()));
+                }
+            }
+        }
+        // The back of the history must always be the current state.
+        if history
+            .back()
+            .is_none_or(|(g, l, _)| *g != global || *l != locals)
+        {
+            push(&mut history, (global, locals.clone(), maps.clone()));
+        }
+
+        if keep < bytes.len() && opts.strict_log {
+            return Err(StoreError::Corrupt(format!(
+                "torn log tail or incomplete commit group after byte {keep} of {}",
+                bytes.len()
+            )));
+        }
+        let existed = log_path.exists();
+        let file = open_log(&log_path)?;
+        if !existed {
+            // Persist the directory entry; appended commits sync only
+            // the file's data.
             page::fsync_dir(dir)?;
         }
-        // Heal: at most one commit can have been in flight at the
-        // crash, so a healed record always extends the manifest's
-        // ascending global order; guard anyway so a hand-edited
-        // directory cannot make us write an out-of-order record.
-        let manifest_last = cut
-            .as_ref()
-            .map(|(cut_g, _, _)| {
-                manifest
-                    .records
-                    .iter()
-                    .filter(|r| r.global < *cut_g)
-                    .map(|r| r.global)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or_else(|| manifest.records.last().map_or(0, |r| r.global));
-        for rec in healed.iter().filter(|r| r.global > manifest_last) {
-            let bytes = encode_manifest_record(rec);
-            wal::append_bytes(&mut manifest_file, &bytes, opts.fsync_commits)
-                .map_err(|fail| StoreError::Io(fail.error))?;
+        if keep < bytes.len() {
+            file.set_len(keep as u64)?;
         }
 
         let checkpoints = Checkpoints {
@@ -1225,12 +908,21 @@ where
                 .then_some(checkpoint_global),
             shards: checkpoint_pins,
         };
-        let state = ShardedState { global, locals, maps, history };
-        let logs = Logs { shard_logs, manifest: manifest_file, poisoned: false };
+        let state = ShardedState {
+            global,
+            locals,
+            maps,
+            history,
+        };
+        let log = Log {
+            file,
+            len: keep as u64,
+            poisoned: false,
+        };
         Ok(Self::from_parts(
             opts,
             router,
-            Some((dir.to_path_buf(), dir_lock, logs)),
+            Some((dir.to_path_buf(), dir_lock, log)),
             state,
             checkpoints,
             registry,
@@ -1238,19 +930,18 @@ where
         ))
     }
 
-    /// Submits one batch and blocks until it is durably prepared on
-    /// every participating shard, recorded in the manifest, and visible
+    /// Submits one batch and blocks until it is in the log and visible
     /// in a published version vector; returns the global commit id.
     /// Batches queued concurrently are applied together by a group
-    /// leader — one parallel fan-out over shards and one manifest
-    /// append for the whole group.
+    /// leader — one parallel fan-out over shards and one log append for
+    /// the whole group.
     ///
     /// Within a batch and across a group, later ops win per key.
     ///
     /// # Errors
     ///
-    /// [`StoreError::CommitFailed`] when the group's prepare or
-    /// manifest append failed; no version is published in that case.
+    /// [`StoreError::CommitFailed`] when the group's log append failed;
+    /// no version is published in that case.
     pub fn commit(&self, ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let enqueued = Instant::now();
@@ -1316,12 +1007,11 @@ where
     }
 
     /// Applies one commit group: range-split, parallel per-shard tree
-    /// updates, the two-phase durable protocol, one published version
-    /// vector.
+    /// updates, one log append, one published version vector.
     fn apply_group(&self, all_ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let mut log_guard = inner.log.lock();
-        if log_guard.as_ref().is_some_and(|logs| logs.poisoned) {
+        if log_guard.as_ref().is_some_and(|log| log.poisoned) {
             return Err(StoreError::LogPoisoned);
         }
         let (base_maps, base_locals, base_global) = {
@@ -1331,136 +1021,75 @@ where
         let g = base_global + 1;
 
         // Range-split the group; participants are the shards with ops.
-        let buckets = inner.router.split_ops(all_ops);
-        let participants: Vec<u32> = buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(i, _)| i as u32)
-            .collect();
-
-        // Fan-out: per participating shard, encode the prepare record
-        // and apply the sub-batch to its tree — in parallel on the pool
-        // only if the batch can touch more than a fork's worth of
-        // entries (one leaf of <= 2B per op, plus the op: the bound of
-        // cpam's own batch work), on this thread otherwise.
-        let durable = log_guard.is_some();
-        let schema = crate::checksum::schema_id::<(K, V)>();
-        struct ShardResult<M> {
-            shard: usize,
-            new_map: M,
-            new_local: u64,
-            record: Option<Vec<u8>>,
-        }
-        let work: Vec<(usize, Vec<Op<K, V>>)> = buckets
+        let work: Vec<(usize, Vec<Op<K, V>>)> = inner
+            .router
+            .split_ops(all_ops)
             .into_iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .collect();
+        let participants: Vec<u32> = work.iter().map(|&(i, _)| i as u32).collect();
+
+        // Fan-out: per participating shard, encode its record from the
+        // sub-batch, then move the sub-batch into the tree update — in
+        // parallel on the pool only if the batch can touch more than a
+        // fork's worth of entries (one leaf of <= 2B per op, plus the op:
+        // the bound of cpam's own batch work), on this thread otherwise.
+        let durable = log_guard.is_some();
+        let schema = crate::checksum::schema_id::<(K, V)>();
         let ops: usize = work.iter().map(|(_, ops)| ops.len()).sum();
         let tree_work = ops.saturating_mul(2 * inner.opts.block_size + 1);
         let apply_start = Instant::now();
-        let results: Vec<ShardResult<PacMap<K, V, NoAug, C>>> = {
-            let work = &work;
-            let base_maps = &base_maps;
-            let base_locals = &base_locals;
+        let results = {
+            let (base_maps, base_locals) = (&base_maps, &base_locals);
             let participants = &participants;
-            par_for_shards(work.len(), tree_work, &move |w| {
-                let (shard, ops) = &work[w];
-                let new_local = base_locals[*shard] + 1;
-                let record = durable
-                    .then(|| wal::encode_record(new_local, g, participants, schema, ops));
-                ShardResult {
-                    shard: *shard,
-                    // Hand the leader's private clone of the shard map to
-                    // the consuming path (the published original stays in
-                    // `state`, untouched).
-                    new_map: apply_ops(base_maps[*shard].clone(), ops.iter().cloned()),
-                    new_local,
-                    record,
-                }
+            par_for_shards(work, tree_work, &move |(shard, ops)| {
+                let record = if durable {
+                    wal::encode_record(base_locals[shard] + 1, g, participants, schema, &ops)
+                } else {
+                    Vec::new()
+                };
+                // Hand the leader's private clone of the shard map to the
+                // consuming path (the published original stays in
+                // `state`, untouched).
+                (shard, apply_ops(base_maps[shard].clone(), ops), record)
             })
         };
         inner.metrics.apply.record_duration(apply_start.elapsed());
 
-        // Durability before visibility: prepare every shard, then write
-        // the manifest record (the commit point), rolling back every
-        // appended prepare on failure.
-        if let Some(Logs { shard_logs, manifest, poisoned }) = log_guard.as_mut() {
-            let mut appended: Vec<(usize, u64)> = Vec::new(); // (shard, prior len)
-            let mut failure: Option<std::io::Error> = None;
-            for r in &results {
-                match wal::append_bytes(
-                    &mut shard_logs[r.shard],
-                    r.record.as_deref().expect("durable record"),
-                    inner.opts.fsync_commits,
-                ) {
-                    Ok(done) => {
-                        inner.metrics.record_wal_append(r.shard, done, inner.opts.fsync_commits);
-                        appended.push((r.shard, done.prior_len));
-                    }
-                    Err(fail) => {
-                        if let Some(prior) = fail.stranded {
-                            appended.push((r.shard, prior));
-                        }
-                        failure = Some(fail.error);
-                        break;
-                    }
+        // Durability before visibility: the group's records go out in
+        // one append, so its last byte is the commit point. An empty
+        // group is one op-less record with no participants.
+        if let Some(log) = log_guard.as_mut() {
+            let group = if results.is_empty() {
+                wal::encode_record::<K, V>(0, g, &[], schema, &[])
+            } else {
+                results
+                    .iter()
+                    .map(|(_, _, record)| record.as_slice())
+                    .collect::<Vec<_>>()
+                    .concat()
+            };
+            match wal::append_bytes(&mut log.file, log.len, &group, inner.opts.fsync_commits) {
+                Ok(timings) => {
+                    log.len += group.len() as u64;
+                    inner
+                        .metrics
+                        .record_wal_append(timings, inner.opts.fsync_commits);
                 }
-            }
-            let mut stranded = false;
-            if failure.is_none() {
-                let mut locals = base_locals.clone();
-                for r in &results {
-                    locals[r.shard] = r.new_local;
+                Err(fail) => {
+                    log.poisoned = fail.stranded;
+                    return Err(fail.error.into());
                 }
-                let rec = encode_manifest_record(&ManifestRecord {
-                    global: g,
-                    participants: participants.clone(),
-                    locals,
-                });
-                match wal::append_bytes(manifest, &rec, inner.opts.fsync_commits) {
-                    Ok(done) => {
-                        inner.metrics.manifest_append.record(done.write_ns);
-                        if inner.opts.fsync_commits {
-                            inner.metrics.wal_fsync.record(done.sync_ns);
-                        }
-                    }
-                    Err(fail) => {
-                        // A partial manifest record that could not be
-                        // truncated away would swallow every later
-                        // record at replay: poison below.
-                        stranded = fail.stranded.is_some();
-                        failure = Some(fail.error);
-                    }
-                }
-            }
-            if let Some(error) = failure {
-                // Undo every prepare so the next commit starts from a
-                // clean record boundary; if any rollback fails, poison.
-                // Under fsync_commits the truncation itself must reach
-                // disk, or a power loss could resurrect the prepared
-                // records of this *failed* commit and recovery would
-                // roll it forward.
-                for (shard, prior) in appended {
-                    let f = &shard_logs[shard];
-                    let ok = f.set_len(prior).is_ok()
-                        && (!inner.opts.fsync_commits || f.sync_data().is_ok());
-                    if !ok {
-                        stranded = true;
-                    }
-                }
-                *poisoned = stranded;
-                return Err(error.into());
             }
         }
 
         // Publish atomically.
         let mut s = inner.state.lock();
         s.global = g;
-        for r in results {
-            s.locals[r.shard] = r.new_local;
-            s.maps[r.shard] = r.new_map;
+        for (shard, map, _) in results {
+            s.locals[shard] += 1;
+            s.maps[shard] = map;
         }
         let snapshot = (g, s.locals.clone(), s.maps.clone());
         s.history.push_back(snapshot);
@@ -1519,7 +1148,13 @@ where
     /// The global commit ids currently reachable via
     /// [`ShardedStore::snapshot_at`], oldest first.
     pub fn versions(&self) -> Vec<u64> {
-        self.inner.state.lock().history.iter().map(|(g, _, _)| *g).collect()
+        self.inner
+            .state
+            .lock()
+            .history
+            .iter()
+            .map(|(g, _, _)| *g)
+            .collect()
     }
 
     /// The current (latest committed) global commit id.
@@ -1579,8 +1214,7 @@ where
 
     /// A full checkpoint: writes every shard's snapshot page **in
     /// parallel** (superseding its incremental chain), then drops the
-    /// WAL and manifest records the pages cover. Returns the saved
-    /// global commit id.
+    /// log groups the pages cover. Returns the saved global commit id.
     ///
     /// # Errors
     ///
@@ -1617,14 +1251,13 @@ where
     /// the shard's pinned checkpoint when the chain is short, a full
     /// page otherwise (first checkpoint, or every `MAX_INCR_CHAIN`
     /// links to bound `open`'s chain walk), nothing at all for shards
-    /// unchanged since their checkpoint — then drops the WAL and
-    /// manifest records the pages now cover. Returns the checkpointed
-    /// global commit id.
+    /// unchanged since their checkpoint — then drops the log groups the
+    /// pages now cover. Returns the checkpointed global commit id.
     ///
     /// # Errors
     ///
     /// [`StoreError::Ephemeral`] for in-memory stores; I/O errors. A
-    /// failure during the truncation step poisons the log
+    /// failure during the log rewrite poisons the log
     /// (conservatively — the on-disk state stays recoverable); the next
     /// successful checkpoint heals it.
     pub fn compact(&self) -> Result<u64, StoreError> {
@@ -1636,12 +1269,12 @@ where
 
     /// The checkpoint routine behind `save`, `save_incremental` and
     /// `compact`: capture the committed version vector, write the pages
-    /// `policy` asks for, then trim the logs.
+    /// `policy` asks for, then rewrite the log.
     ///
     /// The page writes happen *outside* the log lock, so commits keep
-    /// flowing while pages are encoded; only the final WAL/manifest
-    /// trim briefly excludes writers. Records appended during the page
-    /// writes are past the captured version vector and survive it.
+    /// flowing while pages are encoded; only the final log rewrite
+    /// briefly excludes writers. Groups appended during the page writes
+    /// are past the captured version vector and survive it.
     fn checkpoint(&self, policy: PagePolicy) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let dir = inner.dir.as_ref().ok_or(StoreError::Ephemeral)?;
@@ -1655,11 +1288,15 @@ where
             }
         }
 
-        // Capture the committed state to checkpoint. Commits may land
-        // after this point; they stay in the logs.
-        let (maps, locals, global) = {
+        // Capture the committed state to checkpoint, and `from`, where
+        // its last group ends in the log: under the log lock no commit is
+        // between its append and its publish, so the two agree. Commits
+        // may land after this point; their groups follow `from`.
+        let (maps, locals, global, from) = {
+            let log = inner.log.lock();
+            let from = log.as_ref().ok_or(StoreError::Ephemeral)?.len;
             let s = inner.state.lock();
-            (s.maps.clone(), s.locals.clone(), s.global)
+            (s.maps.clone(), s.locals.clone(), s.global, from)
         };
         let shards = maps.len();
 
@@ -1680,7 +1317,7 @@ where
             let maps = &maps;
             let locals = &locals;
             let pins = &ckpts.shards;
-            par_for_shards(shards, usize::MAX, &move |i| {
+            par_for_shards((0..shards).collect(), usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
                 let base = match policy {
@@ -1713,13 +1350,16 @@ where
             let mut stats = inner.lifecycle.lock();
             for (i, w) in writes.into_iter().enumerate() {
                 let new_pin = |chain_len| {
-                    Some(ShardCheckpoint { version: locals[i], map: maps[i].clone(), chain_len })
+                    Some(ShardCheckpoint {
+                        version: locals[i],
+                        map: maps[i].clone(),
+                        chain_len,
+                    })
                 };
                 match w {
                     Ok(PageWrite::Skipped) => {}
                     Ok(PageWrite::Incremental(n)) => {
-                        let chain_len =
-                            ckpts.shards[i].as_ref().map_or(1, |ck| ck.chain_len + 1);
+                        let chain_len = ckpts.shards[i].as_ref().map_or(1, |ck| ck.chain_len + 1);
                         ckpts.shards[i] = new_pin(chain_len);
                         inner.metrics.incr_chain_depth[i].set(chain_len as i64);
                         stats.incremental_saves += 1;
@@ -1741,45 +1381,31 @@ where
         }
         ckpts.global = Some(global);
 
-        // ----- Phase 2: trim the logs, under the log lock. ------------
+        // ----- Phase 2: rewrite the log, under the log lock. ---------
         //
-        // Ordering is WAL trims first, manifest swap last, and every
-        // intermediate state recovers exactly: `open` judges coverage
-        // against the pages themselves, so a commit's WAL records can
-        // vanish the moment the pages reach its version vector, with
-        // or without the manifest checkpoint record.
-        //
-        // While the log lock is held no commit is between prepare and
-        // publish, so the records to keep are exactly those of commits
-        // published since the capture. Anything later is the stranded
-        // prepare of a *failed* commit in a poisoned log, which must
-        // not survive into the healed one (its ids will be reused).
+        // The new log is the head — one op-less record per shard at the
+        // captured local versions, tagged with the checkpoint's global
+        // id — followed verbatim by the groups published since the
+        // capture, which are exactly the bytes appended after `from`.
+        // `write_file_atomic` swaps it in whole, so a crash leaves the old
+        // log or the new one, and both recover against the pages just
+        // written.
         let _truncate_span = obs::span!(inner.metrics.compact_truncate);
+        let all: Vec<u32> = (0..shards as u32).collect();
+        let schema = crate::checksum::schema_id::<(K, V)>();
+        let head = locals
+            .iter()
+            .map(|&local| wal::encode_record::<K, V>(local, global, &all, schema, &[]))
+            .collect::<Vec<_>>()
+            .concat();
         let mut log_guard = inner.log.lock();
-        let logs = log_guard.as_mut().ok_or(StoreError::Ephemeral)?;
-        let (now_locals, now_global) = {
-            let s = inner.state.lock();
-            (s.locals.clone(), s.global)
-        };
-        let trimmed = (|| -> Result<u64, StoreError> {
-            let mut dropped = 0u64;
-            for (i, log) in logs.shard_logs.iter_mut().enumerate() {
-                let path = dir.join(shard_dir_name(i)).join(LOG_FILE);
-                dropped += trim_shard_log::<K, V>(
-                    &path, log, logs.poisoned, locals[i], now_locals[i],
-                )?;
-            }
-            let checkpoint = ManifestRecord { global, participants: Vec::new(), locals };
-            let (manifest, n) = swap_manifest(&dir.join(MANIFEST_FILE), &checkpoint, now_global)?;
-            logs.manifest = manifest;
-            Ok(dropped + n)
-        })();
-        // A log trimmed down to published commits is also a healed one;
-        // a half-trimmed one may hold a handle on a renamed-over file,
-        // so it refuses appends until a checkpoint goes through (which
-        // reopens every shard handle by path first).
-        logs.poisoned = trimmed.is_err();
-        let dropped = trimmed?;
+        let log = log_guard.as_mut().ok_or(StoreError::Ephemeral)?;
+        let rewritten = log.rewrite(&dir.join(LOG_FILE), head, from);
+        // A rewritten log is also a healed one; a failed rewrite poisons
+        // it (conservatively — the disk stays recoverable) until the next
+        // checkpoint goes through.
+        log.poisoned = rewritten.is_err();
+        let dropped = rewritten?;
         inner.lifecycle.lock().wal_bytes_truncated += dropped;
         Ok(global)
     }
@@ -1795,8 +1421,8 @@ where
     /// [`ShardedStore::gc`]: [`ShardedStore::snapshot_at`] keeps
     /// working for it until every pin is released. Pins are counted.
     /// For a durable store the pin table is rewritten atomically, so
-    /// the pin also survives a reopen (as long as the shard WALs still
-    /// reach the commit).
+    /// the pin also survives a reopen (as long as the log still
+    /// reaches the commit).
     ///
     /// # Errors
     ///
@@ -1883,13 +1509,20 @@ where
         let before = cpam::stats::read();
         drop(dropped);
         let nodes_reclaimed = cpam::stats::read().delta(before).nodes_dropped;
-        self.inner.metrics.gc_versions_dropped.add(versions_dropped as u64);
+        self.inner
+            .metrics
+            .gc_versions_dropped
+            .add(versions_dropped as u64);
         self.inner.metrics.gc_nodes_reclaimed.add(nodes_reclaimed);
         let mut stats = self.inner.lifecycle.lock();
         stats.gc_runs += 1;
         stats.versions_dropped += versions_dropped as u64;
         stats.nodes_reclaimed += nodes_reclaimed;
-        GcStats { versions_dropped, versions_retained, nodes_reclaimed }
+        GcStats {
+            versions_dropped,
+            versions_retained,
+            nodes_reclaimed,
+        }
     }
 
     /// Cumulative lifecycle counters for this store handle.
@@ -1905,8 +1538,13 @@ where
     /// Per-shard page-cache statistics; `None` unless
     /// [`StoreOptions::pool_pages`] is set on a durable store.
     pub fn shard_pool_stats(&self) -> Option<Vec<crate::pool::PoolStats>> {
-        let stats: Vec<_> =
-            self.inner.pools.iter().filter_map(|p| p.as_ref()).map(|p| p.stats()).collect();
+        let stats: Vec<_> = self
+            .inner
+            .pools
+            .iter()
+            .filter_map(|p| p.as_ref())
+            .map(|p| p.stats())
+            .collect();
         (!stats.is_empty()).then_some(stats)
     }
 
@@ -1939,12 +1577,11 @@ where
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use std::io::Write;
 
     thread_local! {
-        /// One-shot fail point: the next `open_append` on this thread
+        /// One-shot fail point: the next `open_log` on this thread
         /// fails.
-        pub(super) static FAIL_OPEN_APPEND: Cell<bool> = const { Cell::new(false) };
+        pub(super) static FAIL_OPEN_LOG: Cell<bool> = const { Cell::new(false) };
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -1963,7 +1600,12 @@ mod tests {
         let store = mem(4);
         assert_eq!(store.shard_count(), 4);
         let v = store
-            .commit(vec![Op::Put(10, 1), Op::Put(300, 2), Op::Put(600, 3), Op::Put(900, 4)])
+            .commit(vec![
+                Op::Put(10, 1),
+                Op::Put(300, 2),
+                Op::Put(600, 3),
+                Op::Put(900, 4),
+            ])
             .unwrap();
         assert_eq!(v, 1);
         assert_eq!(store.version_vector(), vec![1, 1, 1, 1]);
@@ -1983,7 +1625,12 @@ mod tests {
     fn last_op_wins_across_the_whole_batch() {
         let store = mem(3);
         store
-            .commit(vec![Op::Put(5, 1), Op::Put(500, 9), Op::Delete(5), Op::Put(5, 3)])
+            .commit(vec![
+                Op::Put(5, 1),
+                Op::Put(500, 9),
+                Op::Delete(5),
+                Op::Put(5, 3),
+            ])
             .unwrap();
         assert_eq!(store.get(&5), Some(3));
         assert_eq!(store.get(&500), Some(9));
@@ -2049,9 +1696,14 @@ mod tests {
     fn gc_respects_window_and_pins_across_shards() {
         let store = mem(3);
         let opts_limit = StoreOptions::default().history_limit;
-        assert!(opts_limit >= 6, "test assumes the default window holds v0..=v5");
+        assert!(
+            opts_limit >= 6,
+            "test assumes the default window holds v0..=v5"
+        );
         for i in 0..5u64 {
-            store.commit(vec![Op::Put(i, i), Op::Put(900 + i, i)]).unwrap();
+            store
+                .commit(vec![Op::Put(i, i), Op::Put(900 + i, i)])
+                .unwrap();
         }
         store.pin_version(2).unwrap();
         let stats = store.gc(RetentionPolicy::keep_last(1));
@@ -2080,7 +1732,10 @@ mod tests {
 
     #[test]
     fn pinned_versions_survive_commit_time_eviction() {
-        let opts = StoreOptions { history_limit: 2, ..StoreOptions::default() };
+        let opts = StoreOptions {
+            history_limit: 2,
+            ..StoreOptions::default()
+        };
         let store: ShardedStore<u64, u64> =
             ShardedStore::in_memory_with(Router::uniform_span(2, 1_000), opts).unwrap();
         store.commit(vec![Op::Put(1, 1)]).unwrap();
@@ -2106,72 +1761,10 @@ mod tests {
         assert_eq!(store.latest_checkpoint(), None);
     }
 
-    #[test]
-    fn manifest_record_roundtrip_and_tears() {
-        let rec = ManifestRecord {
-            global: 42,
-            participants: vec![0, 2],
-            locals: vec![7, 0, 9],
-        };
-        let mut bytes = encode_manifest_record(&rec);
-        let r = replay_manifest(&bytes, 3);
-        assert!(!r.torn);
-        assert_eq!(r.records, vec![rec.clone()]);
-        assert_eq!(r.offsets, vec![0]);
-
-        // Every strict prefix is torn with no records.
-        for cut in 0..bytes.len() {
-            let r = replay_manifest(&bytes[..cut], 3);
-            assert!(r.records.is_empty(), "cut {cut}");
-            assert_eq!(r.valid_len, 0);
-        }
-
-        // A second record with a non-increasing global is dropped.
-        let clean = bytes.len();
-        bytes.extend(encode_manifest_record(&ManifestRecord {
-            global: 42,
-            participants: vec![1],
-            locals: vec![7, 1, 9],
-        }));
-        let r = replay_manifest(&bytes, 3);
-        assert!(r.torn);
-        assert_eq!(r.valid_len, clean);
-        assert_eq!(r.records.len(), 1);
-
-        // Wrong shard count is a parse failure, not a misread.
-        let one = encode_manifest_record(&rec);
-        assert!(replay_manifest(&one, 2).records.is_empty());
-    }
-
-    /// A trim that renames the new WAL into place and then fails to
-    /// reopen it leaves the append handle on the unlinked old file. The
-    /// next trim must get back onto the file at the path before it
-    /// reports success, or later appends vanish.
-    #[test]
-    fn trim_after_a_failed_reopen_gets_back_onto_the_file() {
-        let dir = scratch("stale-handle");
-        let path = dir.join(LOG_FILE);
-        let schema = crate::checksum::schema_id::<(u64, u64)>();
-        let rec = |v: u64| wal::encode_record(v, v, &[0], schema, &[Op::Put(v, v)]);
-        std::fs::write(&path, [rec(1), rec(2), rec(3)].concat()).unwrap();
-        let mut log = open_append(&path).unwrap();
-
-        // Pages cover v1, v2..=v3 were published meanwhile: the file is
-        // rewritten, and the reopen after the rename fails.
-        FAIL_OPEN_APPEND.with(|fail| fail.set(true));
-        assert!(trim_shard_log::<u64, u64>(&path, &mut log, false, 1, 3).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), [rec(2), rec(3)].concat());
-
-        // The healing checkpoint covers everything: in-place fast path.
-        let dropped = trim_shard_log::<u64, u64>(&path, &mut log, true, 3, 3).unwrap();
-        assert_eq!(dropped, (rec(2).len() + rec(3).len()) as u64);
-        log.write_all(&rec(4)).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), rec(4));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A checkpoint that fails while trimming poisons the log; the next
-    /// one heals it, and nothing acknowledged before or after is lost.
+    /// A checkpoint whose log rewrite renames the new log into place and
+    /// then fails to reopen it poisons the log, with the handle left on
+    /// the unlinked old file; the next checkpoint heals it, and nothing
+    /// acknowledged before or after is lost.
     #[test]
     fn failed_trim_poisons_until_the_next_checkpoint_heals() {
         for shards in [1usize, 3] {
@@ -2186,15 +1779,21 @@ mod tests {
             };
             let store = open();
             store.commit(vec![Op::Put(1, 1), Op::Put(900, 1)]).unwrap();
-            FAIL_OPEN_APPEND.with(|fail| fail.set(true));
+            FAIL_OPEN_LOG.with(|fail| fail.set(true));
             assert!(matches!(store.compact(), Err(StoreError::Io(_))));
             let refused = store.put(2, 2).unwrap_err().to_string();
-            assert!(refused.contains(&StoreError::LogPoisoned.to_string()), "{refused}");
+            assert!(
+                refused.contains(&StoreError::LogPoisoned.to_string()),
+                "{refused}"
+            );
             store.compact().unwrap();
             store.commit(vec![Op::Put(3, 3), Op::Put(901, 3)]).unwrap();
             drop(store);
             let store = open();
-            assert_eq!(store.snapshot().to_vec(), vec![(1, 1), (3, 3), (900, 1), (901, 3)]);
+            assert_eq!(
+                store.snapshot().to_vec(),
+                vec![(1, 1), (3, 3), (900, 1), (901, 3)]
+            );
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         }

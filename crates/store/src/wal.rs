@@ -1,8 +1,11 @@
 //! The append-only batch log (write-ahead log).
 //!
-//! Every commit group appends one self-delimiting record; on open the
-//! store replays all records newer than the last saved snapshot. Record
-//! layout (see DESIGN.md §"pacstore on-disk formats"):
+//! A store has one log. Every commit group appends one *group*: one
+//! self-delimiting record per participating shard, in ascending shard
+//! order, written by one [`append_bytes`] call, so the group's last byte
+//! is its commit point. On open the store replays every record its
+//! checkpoint pages do not already reach. Record layout (see DESIGN.md
+//! §"pacstore on-disk formats"):
 //!
 //! ```text
 //! length   varint    byte length of the payload that follows
@@ -25,17 +28,22 @@
 //! replaying a log with mismatched key/value types is a typed error,
 //! not a misparse.
 //!
-//! The global commit id and participant list serve the engine's
-//! two-phase commit ([`crate::ShardedStore`]): a shard's record is the
-//! *prepare* half of a cross-shard commit, tagged with the global id it
-//! belongs to and the full set of shards that must also hold a prepare
-//! record for that id.
+//! The global commit id and participant list make a group
+//! self-describing: every record of a group carries the group's global
+//! id and the full participant list, and the k-th record belongs to the
+//! k-th participant, so a reader knows how many records complete the
+//! group. Two kinds of record carry no ops: an empty commit is one
+//! record with no participants, and a checkpoint's *head* is one record
+//! per shard at the checkpointed local versions (see
+//! [`crate::ShardedStore`]).
 //!
 //! Torn-write policy: replay stops at the first record whose framing or
-//! checksum fails, or whose version is not strictly greater than its
-//! predecessor's. If that happens anywhere before the end of the file
-//! the log is *torn*; the store either truncates the bad tail (default,
-//! the standard WAL recovery) or refuses to open (`strict_log`).
+//! checksum fails, or whose global id is smaller than its
+//! predecessor's (versions are per shard, so they are not ordered
+//! across the file). If that happens anywhere before the end of the
+//! file the log is *torn*; the store either truncates the bad tail
+//! (default, the standard WAL recovery) or refuses to open
+//! (`strict_log`).
 
 use std::fs::File;
 use std::io::Write;
@@ -52,28 +60,24 @@ const OP_DELETE: u8 = 1;
 /// (revision 2 of the WAL record layout: global id + participants).
 pub const LOG_FORMAT: u8 = 0xA2;
 
-/// One replayed log record: the version its commit group produced and
-/// the ops it applied, in submission order.
+/// One replayed log record: one shard's part of a commit group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord<K, V> {
-    /// Version the group commit produced (the *local* shard version in
-    /// a sharded store).
+    /// The shard's local version after the group (0 in an empty
+    /// commit's record, which belongs to no shard).
     pub version: u64,
-    /// Global commit id of the cross-shard commit this record prepares
-    /// (equal to `version` for a single-directory store).
+    /// Global commit id of the group this record belongs to.
     pub global: u64,
-    /// Shards participating in global commit `global` (empty for a
-    /// single-directory store).
+    /// The group's participant shards, ascending; this record belongs
+    /// to the k-th of them when it is the group's k-th record.
     pub participants: Vec<u32>,
-    /// The group's operations, in submission order.
+    /// The shard's operations, in submission order.
     pub ops: Vec<Op<K, V>>,
 }
 
 /// Encodes one record (framing + checksum included). `schema` is the
 /// entry-type fingerprint the replayer will demand; `global` and
-/// `participants` tag the record with the cross-shard commit it
-/// prepares (pass `global == version` and no participants for a
-/// single-directory store).
+/// `participants` tag the record with the group it belongs to.
 pub fn encode_record<K: ByteEncode, V: ByteEncode>(
     version: u64,
     global: u64,
@@ -107,63 +111,52 @@ pub fn encode_record<K: ByteEncode, V: ByteEncode>(
     frame(&payload)
 }
 
-/// A failed [`append_bytes`]: the original I/O error, and the log's
-/// pre-append length if the partial record could not be rolled back.
-/// Stranded bytes would make every later successful append unreachable
-/// at replay (torn-tail truncation stops at the first bad frame) — the
-/// caller must cut them away or stop using the log until it is reset.
+/// A failed [`append_bytes`]: the original I/O error, and whether the
+/// partial bytes could not be rolled back. Stranded bytes would make
+/// every later successful append unreachable at replay (torn-tail
+/// truncation stops at the first bad frame) — the caller must cut them
+/// away or stop using the log until it is reset.
 #[derive(Debug)]
 pub struct AppendError {
     /// The I/O error that failed the append.
     pub error: std::io::Error,
-    /// `Some(pre-append length)` when the rollback failed too.
-    pub stranded: Option<u64>,
+    /// True when the rollback failed too.
+    pub stranded: bool,
 }
 
-/// A successful [`append_bytes`]: the log's pre-append length, which
-/// undoing the record truncates back to, and the write-vs-fsync stage
-/// timings the observability layer records into per-stage histograms
+/// A successful [`append_bytes`]: the write-vs-fsync stage timings the
+/// observability layer records into per-stage histograms
 /// (`pacstore_wal_append_ns` / `pacstore_wal_fsync_ns`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Appended {
-    /// Byte length of the log before the append.
-    pub prior_len: u64,
     /// Time spent in `write_all` + `flush`.
     pub write_ns: u64,
     /// Time spent in `sync_data` (0 when `fsync` was not requested).
     pub sync_ns: u64,
 }
 
-/// Appends one already-encoded record, all-or-nothing: on a failed or
-/// partial write — or a failed `fsync` when requested — the file is
-/// truncated back to its previous length. Without the rollback, a
-/// record from a *failed* (unacknowledged) group would linger in the
-/// log, its version would be reused by the next successful group, and
-/// replay would apply the failed group and skip the acknowledged one.
-///
-/// On success, returns the pre-append length and the stage timings.
+/// Appends already-encoded bytes (one commit group) to a log whose
+/// length is `prior_len`, all-or-nothing: on a failed or partial write
+/// — or a failed `fsync` when requested — the file is truncated back to
+/// `prior_len`. Without the rollback, the records of a *failed*
+/// (unacknowledged) group would linger in the log ahead of the next
+/// successful group, and replay would apply the failed group or stop
+/// before the acknowledged one. The caller keeps the length, so an
+/// append costs no `stat`.
 ///
 /// # Errors
 ///
-/// [`AppendError`]; check its `stranded` length before reusing the log.
-pub fn append_bytes(file: &mut File, record: &[u8], fsync: bool) -> Result<Appended, AppendError> {
-    let prior_len = match file.metadata() {
-        Ok(m) => m.len(),
-        // Nothing written yet: failing here leaves the log untouched.
-        Err(error) => {
-            return Err(AppendError {
-                error,
-                stranded: None,
-            })
-        }
-    };
-    let mut appended = Appended {
-        prior_len,
-        ..Appended::default()
-    };
+/// [`AppendError`]; check its `stranded` flag before reusing the log.
+pub fn append_bytes(
+    file: &mut File,
+    prior_len: u64,
+    bytes: &[u8],
+    fsync: bool,
+) -> Result<Appended, AppendError> {
+    let mut appended = Appended::default();
     let write_start = std::time::Instant::now();
     let result = file
-        .write_all(record)
+        .write_all(bytes)
         .and_then(|()| file.flush())
         .and_then(|()| {
             appended.write_ns = write_start.elapsed().as_nanos() as u64;
@@ -180,21 +173,21 @@ pub fn append_bytes(file: &mut File, record: &[u8], fsync: bool) -> Result<Appen
         Ok(()) => Ok(appended),
         Err(error) => {
             // Under fsync, the rollback truncation must itself be
-            // durable: a resurrected record from this *failed* append
+            // durable: a resurrected group from this *failed* append
             // would collide with (and at replay, displace) the next
-            // acknowledged record that reuses its version.
+            // acknowledged group that reuses its global id.
             let rolled_back =
                 file.set_len(prior_len).is_ok() && (!fsync || file.sync_data().is_ok());
             Err(AppendError {
                 error,
-                stranded: (!rolled_back).then_some(prior_len),
+                stranded: !rolled_back,
             })
         }
     }
 }
 
 /// A reader over the length-prefixed, CRC-trailed frame stream shared
-/// by WAL, manifest, and pacserve wire records:
+/// by log and pacserve wire records:
 /// `varint len ++ payload ++ crc32 (LE)`.
 /// `pos` always sits on a frame boundary, so when [`Frames::next`]
 /// returns `None` it is the byte length of the valid prefix.
@@ -253,8 +246,7 @@ pub struct Replay<K, V> {
     /// All records of the longest valid prefix, in order.
     pub records: Vec<LogRecord<K, V>>,
     /// Starting byte offset of each record in `records` — so a caller
-    /// rolling back a record (the sharded store dropping a partially
-    /// prepared global commit) knows where to truncate.
+    /// dropping an incomplete last group knows where to truncate.
     pub offsets: Vec<usize>,
     /// Byte length of that valid prefix.
     pub valid_len: usize,
@@ -272,9 +264,10 @@ pub struct Replay<K, V> {
 }
 
 /// Replays a log image, stopping at the first invalid record (bad
-/// framing or checksum, non-increasing version or global id, or —
-/// reported separately — a mismatched format byte or entry-type
-/// fingerprint).
+/// framing or checksum, a global id going backwards, or — reported
+/// separately — a mismatched format byte or entry-type fingerprint).
+/// Records of one group share a global id; whether each group is
+/// complete is the caller's to judge.
 pub fn replay<K: ByteEncode, V: ByteEncode>(bytes: &[u8], expected_schema: u32) -> Replay<K, V> {
     let mut records: Vec<LogRecord<K, V>> = Vec::new();
     let mut offsets: Vec<usize> = Vec::new();
@@ -285,11 +278,7 @@ pub fn replay<K: ByteEncode, V: ByteEncode>(bytes: &[u8], expected_schema: u32) 
         let Some(payload) = frames.next() else { break };
         match parse_payload::<K, V>(payload, expected_schema) {
             Parse::Ok(rec) => {
-                if records
-                    .last()
-                    .is_some_and(|prev| prev.version >= rec.version || prev.global >= rec.global)
-                {
-                    // Version reuse: a leftover from a failed group.
+                if records.last().is_some_and(|prev| prev.global > rec.global) {
                     frames.pos = start;
                     break;
                 }
@@ -455,8 +444,8 @@ mod tests {
 
     #[test]
     fn global_and_participants_roundtrip() {
-        // A sharded-store prepare record: local version 5, global commit
-        // 9, prepared across shards {0, 2, 3}.
+        // One record of a group: local version 5, global commit 9,
+        // across shards {0, 2, 3}.
         let rec = encode_record::<u64, u64>(5, 9, &[0, 2, 3], SCHEMA, &[Op::Put(1, 1)]);
         let r = replay::<u64, u64>(&rec, SCHEMA);
         assert!(!r.torn);
@@ -467,29 +456,31 @@ mod tests {
     }
 
     #[test]
-    fn non_increasing_global_stops_replay() {
-        // Two records with increasing local versions but a reused global
-        // commit id: the second is a leftover and must not replay.
+    fn a_backwards_global_stops_replay() {
+        // A group's records share its global id and replay together;
+        // a record whose id is below its predecessor's stops replay.
         let mut log = Vec::new();
-        log.extend(encode_record::<u64, u64>(
-            1,
-            7,
-            &[0, 1],
-            SCHEMA,
-            &[Op::Put(1, 1)],
-        ));
+        for shard_op in [Op::Put(1, 1), Op::Put(900, 1)] {
+            log.extend(encode_record::<u64, u64>(
+                1,
+                7,
+                &[0, 1],
+                SCHEMA,
+                &[shard_op],
+            ));
+        }
         let clean = log.len();
         log.extend(encode_record::<u64, u64>(
             2,
-            7,
-            &[0, 1],
+            6,
+            &[0],
             SCHEMA,
             &[Op::Put(2, 2)],
         ));
         let r = replay::<u64, u64>(&log, SCHEMA);
         assert!(r.torn);
         assert_eq!(r.valid_len, clean);
-        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.records.len(), 2);
     }
 
     #[test]
@@ -648,36 +639,56 @@ mod tests {
     }
 
     #[test]
-    fn version_reuse_stops_replay() {
-        // A leftover record from a failed group followed by a
-        // successful group reusing the version: replay must not apply
-        // both.
+    fn versions_are_per_shard_and_do_not_stop_replay() {
+        // Shards 0 and 1 both reach version 1 in group 1, then shard 0
+        // alone reaches version 2 in group 2 while shard 1's record of
+        // group 3 is its version 2: versions repeat and go down across
+        // the file, global ids only go up.
         let mut log = Vec::new();
         log.extend(encode_record::<u64, u64>(
             1,
             1,
-            &[],
+            &[0, 1],
             SCHEMA,
             &[Op::Put(1, 1)],
         ));
         log.extend(encode_record::<u64, u64>(
-            2,
-            2,
-            &[],
+            1,
+            1,
+            &[0, 1],
             SCHEMA,
-            &[Op::Put(2, 2)],
+            &[Op::Put(900, 1)],
         ));
-        let clean = log.len();
         log.extend(encode_record::<u64, u64>(
             2,
             2,
-            &[],
+            &[0],
             SCHEMA,
-            &[Op::Put(9, 9)],
+            &[Op::Put(2, 2)],
+        ));
+        log.extend(encode_record::<u64, u64>(
+            3,
+            3,
+            &[0, 1],
+            SCHEMA,
+            &[Op::Put(3, 3)],
+        ));
+        log.extend(encode_record::<u64, u64>(
+            2,
+            3,
+            &[0, 1],
+            SCHEMA,
+            &[Op::Put(901, 3)],
         ));
         let r = replay::<u64, u64>(&log, SCHEMA);
-        assert!(r.torn);
-        assert_eq!(r.valid_len, clean);
-        assert_eq!(r.records.len(), 2);
+        assert!(!r.torn);
+        assert_eq!(r.valid_len, log.len());
+        assert_eq!(
+            r.records
+                .iter()
+                .map(|rec| (rec.version, rec.global))
+                .collect::<Vec<_>>(),
+            vec![(1, 1), (1, 1), (2, 2), (3, 3), (2, 3)]
+        );
     }
 }

@@ -7,17 +7,18 @@
 //! count is what a [`PacStore`] is — and the `PacStore` cases that poke
 //! files by name look inside `shard-000/`.
 //!
-//! The second half is the crash-injection suite for the two-phase
-//! commit: the manifest and each shard WAL are truncated at *every byte
-//! boundary* of a prepared global commit, and after reopening the
-//! commit must be all-or-nothing — visible in every shard or in none —
-//! with torn tails cleanly truncated.
+//! The second half is the crash-injection suite for the one log: it is
+//! cut at *every byte boundary* of a cross-shard commit group and of a
+//! compaction cycle, and after reopening the group must be
+//! all-or-nothing — visible in every shard or in none — with torn tails
+//! cleanly truncated.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use store::{
     incr_file_name, shard_dir_name, Op, PacStore, Router, ShardedStore, StoreError, StoreOptions,
-    LOG_FILE, MANIFEST_FILE, PARTITION_FILE, SNAPSHOT_FILE,
+    LOG_FILE, PARTITION_FILE, SNAPSHOT_FILE,
 };
 
 /// A fresh, empty scratch directory unique to this test.
@@ -61,7 +62,7 @@ fn save_and_reopen_serves_same_data() {
                 .unwrap();
             store.commit(vec![Op::Delete(17), Op::Put(9_999, 1)]).unwrap();
             assert_eq!(store.save().unwrap(), 2);
-            // Post-save commits live only in the shard WALs + manifest.
+            // Post-save commits live only in the log.
             store.commit(vec![Op::Put(5, 500), Op::Put(2_500, 1)]).unwrap();
         }
         // Every shard subdirectory holds its own snapshot page.
@@ -174,7 +175,7 @@ fn torn_log_tail_is_truncated_by_default_and_fatal_in_strict_mode() {
         store.commit(vec![Op::Put(2, 2)]).unwrap();
     }
     // Simulate a torn write: garbage appended after the last record.
-    let log_path = shard0(&dir).join(LOG_FILE);
+    let log_path = dir.join(LOG_FILE);
     let mut bytes = std::fs::read(&log_path).unwrap();
     let clean_len = bytes.len();
     bytes.extend_from_slice(&[0x55; 13]);
@@ -256,16 +257,20 @@ fn reopening_with_different_types_is_a_typed_error() {
 #[test]
 fn save_resets_log_and_later_commits_append_cleanly() {
     let dir = scratch("save-resets-log");
-    let log_path = shard0(&dir).join(LOG_FILE);
+    let log_path = dir.join(LOG_FILE);
+    // After a save the log is its head alone: one op-less record for
+    // the only shard, at the saved version.
+    let schema = store::checksum::schema_id::<(u64, u64)>();
+    let head = store::wal::encode_record::<u64, u64>(10, 10, &[0], schema, &[]);
     {
         let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
         for i in 0..10u64 {
             store.commit(vec![Op::Put(i, i)]).unwrap();
         }
         store.save().unwrap();
-        assert_eq!(std::fs::metadata(&log_path).unwrap().len(), 0);
+        assert_eq!(std::fs::read(&log_path).unwrap(), head);
         store.commit(vec![Op::Put(100, 100)]).unwrap();
-        assert!(std::fs::metadata(&log_path).unwrap().len() > 0);
+        assert!(std::fs::metadata(&log_path).unwrap().len() > head.len() as u64);
     }
     let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
     assert_eq!(store.current_version(), 11);
@@ -417,7 +422,8 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
     // it kept its pages and log at the directory root. Such a directory
     // has no partition map; opening it as a fresh store would serve an
     // empty map and the next save would strand the old data for good.
-    // Build one by flattening a real store's shard directory.
+    // Build one by flattening a real store's shard directory (its log
+    // is at the root already).
     let dir = scratch("legacy-flat");
     {
         let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
@@ -431,11 +437,9 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
         std::fs::rename(shard0(&dir).join(name), dir.join(name)).unwrap();
     };
     flat(SNAPSHOT_FILE);
-    flat(LOG_FILE);
     flat(&incr_file_name(2));
     std::fs::remove_dir_all(shard0(&dir)).unwrap();
     std::fs::remove_file(dir.join(PARTITION_FILE)).unwrap();
-    std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
 
     // Each kind of root file alone is enough to refuse a directory.
     for survivor in [SNAPSHOT_FILE.to_string(), LOG_FILE.to_string(), incr_file_name(2)] {
@@ -457,7 +461,6 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(err.to_string().contains(SNAPSHOT_FILE), "{err}");
     assert!(!dir.join(PARTITION_FILE).exists());
-    assert!(!dir.join(MANIFEST_FILE).exists());
     assert!(!shard0(&dir).exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -532,29 +535,116 @@ fn old_paged_snapshot_file_fails_open_typed_even_beside_new_pages() {
 }
 
 // ---------------------------------------------------------------------
-// Crash injection: the cross-shard commit protocol
+// The log's layout
 // ---------------------------------------------------------------------
 
-/// All durable files of a sharded store directory, as bytes.
-#[derive(Clone, PartialEq, Debug)]
-struct FileImage {
-    manifest: Vec<u8>,
-    wals: Vec<Vec<u8>>,
+/// The log's records as `(version, global, participants, op count)`.
+fn log_records(dir: &Path) -> Vec<(u64, u64, Vec<u32>, usize)> {
+    let bytes = log_bytes(dir);
+    let replay = store::wal::replay::<u64, u64>(&bytes, store::checksum::schema_id::<(u64, u64)>());
+    assert!(!replay.torn);
+    replay
+        .records
+        .into_iter()
+        .map(|r| (r.version, r.global, r.participants, r.ops.len()))
+        .collect()
 }
 
-fn capture(dir: &Path, shards: usize) -> FileImage {
-    FileImage {
-        manifest: std::fs::read(dir.join(MANIFEST_FILE)).unwrap_or_default(),
-        wals: (0..shards)
-            .map(|i| std::fs::read(dir.join(shard_dir_name(i)).join(LOG_FILE)).unwrap_or_default())
-            .collect(),
+#[test]
+fn the_log_is_one_group_per_commit_after_a_head_per_checkpoint() {
+    let dir = scratch("log-layout");
+    let store = sharded_open(&dir, 3);
+    store.commit(vec![Op::Put(2_500, 1), Op::Put(1, 1), Op::Put(2, 1)]).unwrap(); // shards 2, 0
+    store.commit(Vec::new()).unwrap();
+    assert_eq!(
+        log_records(&dir),
+        vec![
+            // One record per participant, in shard order, each with the
+            // group's id and participant list and its shard's version.
+            (1, 1, vec![0, 2], 2),
+            (1, 1, vec![0, 2], 1),
+            // An empty commit: one op-less record, no participants.
+            (0, 2, vec![], 0),
+        ]
+    );
+    store.save().unwrap();
+    store.commit(vec![Op::Put(1_500, 3)]).unwrap();
+    drop(store);
+    assert_eq!(
+        log_records(&dir),
+        vec![
+            // The head: one op-less record per shard at the checkpointed
+            // versions, tagged with the checkpoint's global id.
+            (1, 2, vec![0, 1, 2], 0),
+            (0, 2, vec![0, 1, 2], 0),
+            (1, 2, vec![0, 1, 2], 0),
+            (1, 3, vec![1], 1),
+        ]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Crash injection: the one log, cut at every byte
+// ---------------------------------------------------------------------
+
+/// Every file under `dir`, by relative path.
+fn dir_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), std::fs::read(&path).unwrap());
+            }
+        }
     }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
 }
 
-fn restore(dir: &Path, img: &FileImage) {
-    std::fs::write(dir.join(MANIFEST_FILE), &img.manifest).unwrap();
-    for (i, w) in img.wals.iter().enumerate() {
-        std::fs::write(dir.join(shard_dir_name(i)).join(LOG_FILE), w).unwrap();
+fn log_bytes(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join(LOG_FILE)).unwrap_or_default()
+}
+
+/// Cuts the log to `full[..cut]` for every `cut` from `from` to the end
+/// of `full` — where a crash `cut` bytes into the log leaves it — and
+/// reopens. `bounds` are the cuts on a group boundary. After each cut:
+/// `strict_log` refuses exactly the cuts between bounds; a default open
+/// keeps the log up to the last bound, passes `check` (which returns
+/// whether the last group is visible) and sees the last group iff the
+/// cut is the whole log; and a second reopen leaves the directory
+/// byte-identical.
+fn cut_matrix(
+    dir: &Path,
+    shards: usize,
+    full: &[u8],
+    from: usize,
+    bounds: &[usize],
+    check: impl Fn(&ShardedStore<u64, u64>, &str) -> bool,
+) {
+    let strict = StoreOptions { strict_log: true, ..StoreOptions::default() };
+    for cut in from..=full.len() {
+        let context = format!("{shards} shards, cut {cut} of {}", full.len());
+        std::fs::write(dir.join(LOG_FILE), &full[..cut]).unwrap();
+        let clean = bounds.contains(&cut);
+        match ShardedStore::<u64, u64>::open_with(dir, strict.clone()) {
+            Ok(_) => assert!(clean, "{context}: strict open accepted a torn log"),
+            Err(StoreError::Corrupt(_)) => assert!(!clean, "{context}: strict open refused a clean log"),
+            Err(e) => panic!("{context}: unexpected error {e}"),
+        }
+        let store = sharded_open(dir, shards);
+        assert_eq!(check(&store, &context), cut == full.len(), "{context}");
+        drop(store);
+        let kept = bounds.iter().copied().filter(|&b| b <= cut).max().unwrap();
+        assert_eq!(log_bytes(dir), full[..kept], "{context}: log not cut back to a group boundary");
+        let recovered = dir_tree(dir);
+        let store = sharded_open(dir, shards);
+        assert_eq!(check(&store, &context), cut == full.len(), "{context} (reopen)");
+        drop(store);
+        assert!(recovered == dir_tree(dir), "{context}: a second reopen changed the directory");
     }
 }
 
@@ -562,186 +652,64 @@ fn restore(dir: &Path, img: &FileImage) {
 /// the three-shard store (all in the only shard of the one-shard one).
 const G2_KEYS: [u64; 3] = [10, 1_010, 2_010];
 
-/// Builds a store with a baseline commit (g1) and a cross-shard commit
-/// under test (g2), returning the file images before and after g2.
-fn crash_fixture(dir: &Path, shards: usize) -> (FileImage, FileImage) {
-    let store = sharded_open(dir, shards);
-    store
-        .commit(vec![Op::Put(0, 0), Op::Put(1_000, 0), Op::Put(2_000, 0)])
-        .unwrap();
-    let before = capture(dir, shards);
-    store
-        .commit(G2_KEYS.iter().map(|&k| Op::Put(k, 42)).collect())
-        .unwrap();
-    drop(store);
-    let after = capture(dir, shards);
-    (before, after)
-}
-
-/// Opens the store and asserts g2 is all-or-nothing; returns whether it
-/// was visible. The baseline commit must always be intact.
-fn check_atomic(dir: &Path, shards: usize, context: &str) -> bool {
-    let store = sharded_open(dir, shards);
+/// Asserts the baseline commit is intact and `keys` were written
+/// all-or-nothing; returns whether they were.
+fn all_or_nothing(store: &ShardedStore<u64, u64>, keys: &[u64], context: &str) -> bool {
     for base in [0u64, 1_000, 2_000] {
         assert_eq!(store.get(&base), Some(0), "{context}: baseline key {base} lost");
     }
-    let seen: Vec<bool> = G2_KEYS.iter().map(|k| store.get(k) == Some(42)).collect();
+    let seen: Vec<bool> = keys.iter().map(|k| store.get(k) == Some(42)).collect();
     assert!(
         seen.iter().all(|&s| s) || seen.iter().all(|&s| !s),
-        "{context}: global commit partially visible: {seen:?}"
+        "{context}: commit group partially visible: {seen:?}"
     );
     seen[0]
 }
 
 #[test]
-fn torn_manifest_record_never_splits_a_prepared_commit() {
+fn a_torn_log_never_splits_a_cross_shard_group() {
     for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("crash-manifest-{shards}"));
-        let (before, after) = crash_fixture(&dir, shards);
-        assert!(after.manifest.len() > before.manifest.len());
-
-        // Truncate the manifest at every byte boundary of g2's record. The
-        // shard WALs hold the full prepare set, so recovery must roll g2
-        // forward in every shard (all) — never in some (torn manifest
-        // tails are truncated, then healed from the prepared WALs).
-        for cut in before.manifest.len()..=after.manifest.len() {
-            restore(&dir, &after);
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(dir.join(MANIFEST_FILE))
-                .unwrap()
-                .set_len(cut as u64)
-                .unwrap();
-            let visible = check_atomic(&dir, shards, &format!("manifest cut {cut}"));
-            assert!(visible, "manifest cut {cut}: fully prepared commit must roll forward");
-            // Recovery healed the manifest: a second reopen is clean and
-            // idempotent.
-            let healed = capture(&dir, shards);
-            let visible = check_atomic(&dir, shards, &format!("manifest cut {cut} (reopen)"));
-            assert!(visible);
-            assert_eq!(healed, capture(&dir, shards), "manifest cut {cut}: reopen not idempotent");
-        }
+        let dir = scratch(&format!("crash-group-{shards}"));
+        let store = sharded_open(&dir, shards);
+        store.commit(vec![Op::Put(0, 0), Op::Put(1_000, 0), Op::Put(2_000, 0)]).unwrap();
+        let baseline = log_bytes(&dir).len();
+        store.commit(G2_KEYS.iter().map(|&k| Op::Put(k, 42)).collect()).unwrap();
+        drop(store);
+        let full = log_bytes(&dir);
+        cut_matrix(&dir, shards, &full, baseline, &[baseline, full.len()], |store, context| {
+            all_or_nothing(store, &G2_KEYS, context)
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 #[test]
-fn torn_shard_wal_drops_the_commit_from_every_shard() {
-    for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("crash-wal-{shards}"));
-        let (before, after) = crash_fixture(&dir, shards);
-
-        // Crash during prepare: the manifest record was never written and
-        // shard `s`'s prepare record is torn at every byte boundary. The
-        // other shards hold complete prepare records — recovery must drop
-        // them too (all-or-nothing), truncating each WAL back to g1.
-        for s in 0..shards {
-            assert!(after.wals[s].len() > before.wals[s].len(), "shard {s} gained a record");
-            for cut in before.wals[s].len()..after.wals[s].len() {
-                restore(&dir, &after);
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(MANIFEST_FILE))
-                    .unwrap()
-                    .set_len(before.manifest.len() as u64)
-                    .unwrap();
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(shard_dir_name(s)).join(LOG_FILE))
-                    .unwrap()
-                    .set_len(cut as u64)
-                    .unwrap();
-                let visible = check_atomic(&dir, shards, &format!("shard {s} cut {cut}"));
-                assert!(!visible, "shard {s} cut {cut}: partial prepare must be dropped");
-                // Clean recovery: every WAL truncated back to the g1
-                // boundary, and a reopen is idempotent.
-                let recovered = capture(&dir, shards);
-                for (i, w) in recovered.wals.iter().enumerate() {
-                    assert_eq!(w.len(), before.wals[i].len(), "shard {s} cut {cut}: wal {i} tail");
-                }
-                assert!(!check_atomic(&dir, shards, &format!("shard {s} cut {cut} (reopen)")));
-                assert_eq!(recovered, capture(&dir, shards), "shard {s} cut {cut}: reopen not idempotent");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+fn an_incomplete_group_before_a_later_group_is_corrupt_and_never_truncated() {
+    // A crash can only leave an incomplete group at the end of the log:
+    // a group is one append, rolled back when it fails. With a later
+    // group behind it, the hole is damage, not a torn tail, and cutting
+    // it out would drop an acknowledged commit.
+    let dir = scratch("crash-hole");
+    let store = sharded_open(&dir, 3);
+    store.commit(vec![Op::Put(0, 0), Op::Put(1_000, 0), Op::Put(2_000, 0)]).unwrap();
+    let g2_start = log_bytes(&dir).len();
+    store.commit(G2_KEYS.iter().map(|&k| Op::Put(k, 42)).collect()).unwrap();
+    store.commit(vec![Op::Put(5, 5)]).unwrap();
+    drop(store);
+    let full = log_bytes(&dir);
+    let mut frames = store::wal::Frames::new(&full[g2_start..]);
+    frames.next().expect("g2's first record");
+    let second = g2_start + frames.pos;
+    frames.next().expect("g2's second record");
+    let holed = [&full[..second], &full[g2_start + frames.pos..]].concat();
+    std::fs::write(dir.join(LOG_FILE), &holed).unwrap();
+    for strict_log in [false, true] {
+        let opts = StoreOptions { strict_log, ..StoreOptions::default() };
+        let err = ShardedStore::<u64, u64>::open_with(&dir, opts).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "strict_log {strict_log}: {err}");
+        assert_eq!(log_bytes(&dir), holed, "strict_log {strict_log}: log truncated");
     }
-}
-
-#[test]
-fn torn_manifest_and_torn_wal_drop_the_commit_everywhere() {
-    for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("crash-both-{shards}"));
-        let (before, after) = crash_fixture(&dir, shards);
-
-        // Crash mid-prepare with a torn manifest as well: sample a few cuts
-        // of each (the full cross product is quadratic).
-        let torn = shards - 1; // the last shard's WAL is the torn one
-        let wal_cuts: Vec<usize> =
-            (before.wals[torn].len()..after.wals[torn].len()).step_by(3).collect();
-        let man_cuts: Vec<usize> = (before.manifest.len()..after.manifest.len()).step_by(3).collect();
-        for &wc in &wal_cuts {
-            for &mc in &man_cuts {
-                restore(&dir, &after);
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(MANIFEST_FILE))
-                    .unwrap()
-                    .set_len(mc as u64)
-                    .unwrap();
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(shard_dir_name(torn)).join(LOG_FILE))
-                    .unwrap()
-                    .set_len(wc as u64)
-                    .unwrap();
-                let visible = check_atomic(&dir, shards, &format!("wal cut {wc} manifest cut {mc}"));
-                assert!(!visible, "wal cut {wc} manifest cut {mc}: must drop");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
-fn strict_mode_refuses_torn_sharded_state() {
-    for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("crash-strict-{shards}"));
-        let (before, after) = crash_fixture(&dir, shards);
-
-        // Torn shard WAL tail (partial prepare): strict open refuses.
-        restore(&dir, &after);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join(MANIFEST_FILE))
-            .unwrap()
-            .set_len(before.manifest.len() as u64)
-            .unwrap();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join(shard_dir_name(0)).join(LOG_FILE))
-            .unwrap()
-            .set_len((after.wals[0].len() - 1) as u64)
-            .unwrap();
-        let strict = StoreOptions { strict_log: true, ..StoreOptions::default() };
-        assert!(matches!(
-            ShardedStore::<u64, u64>::open_with(&dir, strict.clone()),
-            Err(StoreError::Corrupt(_))
-        ));
-
-        // Torn manifest tail: strict open refuses too.
-        restore(&dir, &after);
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join(MANIFEST_FILE))
-            .unwrap()
-            .set_len((after.manifest.len() - 1) as u64)
-            .unwrap();
-        assert!(matches!(
-            ShardedStore::<u64, u64>::open_with(&dir, strict),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -753,11 +721,10 @@ fn strict_mode_refuses_torn_sharded_state() {
 const POST_COMPACT_KEYS: [u64; 3] = [20, 1_020, 2_020];
 
 /// Builds a store that has been through a full lifecycle — a saved full
-/// page, a commit, a `compact()` (incremental pages + checkpoint
-/// manifest + truncated WALs), and one more cross-shard commit.
-/// Returns the file images right after the compact and after the final
-/// commit.
-fn compact_fixture(dir: &Path, shards: usize) -> (FileImage, FileImage) {
+/// page, a commit, a `compact()` (incremental pages and a log rewritten
+/// to its head), and one more cross-shard commit. Returns the length of
+/// the head.
+fn compact_fixture(dir: &Path, shards: usize) -> usize {
     let store = sharded_open(dir, shards);
     store
         .commit(vec![Op::Put(0, 0), Op::Put(1_000, 0), Op::Put(2_000, 0)])
@@ -768,102 +735,40 @@ fn compact_fixture(dir: &Path, shards: usize) -> (FileImage, FileImage) {
         .unwrap();
     assert_eq!(store.compact().unwrap(), 2);
     // The compact went incremental (a checkpoint pin existed) and
-    // truncated every WAL.
+    // rewrote the log to its head alone.
     let stats = store.lifecycle_stats();
     assert_eq!(stats.compactions, 1);
     assert_eq!(stats.incremental_saves, shards as u64);
-    let at_compact = capture(dir, shards);
-    for (i, w) in at_compact.wals.iter().enumerate() {
-        assert!(w.is_empty(), "shard {i}: WAL not truncated by compact");
-    }
-    assert!(!at_compact.manifest.is_empty(), "checkpoint record missing");
+    let head = log_records(dir);
+    assert_eq!(head.len(), shards, "one head record per shard");
+    assert!(head.iter().all(|&(_, g, _, ops)| g == 2 && ops == 0), "{head:?}");
+    let head_len = log_bytes(dir).len();
     store
         .commit(POST_COMPACT_KEYS.iter().map(|&k| Op::Put(k, 42)).collect())
         .unwrap();
     drop(store);
-    (at_compact, capture(dir, shards))
+    head_len
 }
 
-/// Opens the store, asserts every pre-compaction key is intact and the
-/// post-compaction commit is all-or-nothing; returns its visibility.
-fn check_compact_atomic(dir: &Path, shards: usize, context: &str) -> bool {
-    let store = sharded_open(dir, shards);
-    for base in [0u64, 1_000, 2_000] {
-        assert_eq!(store.get(&base), Some(0), "{context}: checkpointed key {base} lost");
-    }
+/// Asserts every pre-compaction key is intact and the post-compaction
+/// commit is all-or-nothing; returns its visibility.
+fn check_compact_atomic(store: &ShardedStore<u64, u64>, context: &str) -> bool {
     for inc in [1u64, 1_001, 2_001] {
         assert_eq!(store.get(&inc), Some(7), "{context}: incremental key {inc} lost");
     }
-    let seen: Vec<bool> =
-        POST_COMPACT_KEYS.iter().map(|k| store.get(k) == Some(42)).collect();
-    assert!(
-        seen.iter().all(|&s| s) || seen.iter().all(|&s| !s),
-        "{context}: post-compaction commit partially visible: {seen:?}"
-    );
-    seen[0]
+    all_or_nothing(store, &POST_COMPACT_KEYS, context)
 }
 
 #[test]
-fn compaction_survives_manifest_truncation_at_every_byte() {
+fn compaction_survives_log_truncation_at_every_byte() {
     for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("compact-crash-manifest-{shards}"));
-        let (_, after) = compact_fixture(&dir, shards);
-
-        // Truncate the manifest at every byte boundary — through the
-        // post-compaction record, the checkpoint record, down to nothing.
-        // The pages cover the checkpoint and the WALs hold the full prepare
-        // set for the last commit, so recovery must always land on the
-        // latest version, healing the manifest as needed.
-        for cut in 0..=after.manifest.len() {
-            restore(&dir, &after);
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(dir.join(MANIFEST_FILE))
-                .unwrap()
-                .set_len(cut as u64)
-                .unwrap();
-            let visible = check_compact_atomic(&dir, shards, &format!("manifest cut {cut}"));
-            assert!(visible, "manifest cut {cut}: prepared commit must roll forward");
-            let healed = capture(&dir, shards);
-            assert!(check_compact_atomic(&dir, shards, &format!("manifest cut {cut} (reopen)")));
-            assert_eq!(healed, capture(&dir, shards), "manifest cut {cut}: reopen not idempotent");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
-fn compaction_survives_shard_wal_truncation_at_every_byte() {
-    for shards in SHARD_COUNTS {
-        let dir = scratch(&format!("compact-crash-wal-{shards}"));
-        let (at_compact, after) = compact_fixture(&dir, shards);
-
-        // Crash during the post-compaction prepare: the manifest never got
-        // the record and shard `s`'s WAL is torn at every byte boundary.
-        // Recovery must drop the commit from every shard and land exactly
-        // on the checkpointed version.
-        for s in 0..shards {
-            for cut in 0..after.wals[s].len() {
-                restore(&dir, &after);
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(MANIFEST_FILE))
-                    .unwrap()
-                    .set_len(at_compact.manifest.len() as u64)
-                    .unwrap();
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(dir.join(shard_dir_name(s)).join(LOG_FILE))
-                    .unwrap()
-                    .set_len(cut as u64)
-                    .unwrap();
-                let visible = check_compact_atomic(&dir, shards, &format!("shard {s} cut {cut}"));
-                assert!(!visible, "shard {s} cut {cut}: partial prepare must be dropped");
-                let recovered = capture(&dir, shards);
-                assert!(!check_compact_atomic(&dir, shards, &format!("shard {s} cut {cut} (reopen)")));
-                assert_eq!(recovered, capture(&dir, shards), "shard {s} cut {cut}: reopen not idempotent");
-            }
-        }
+        // Cut through the post-compaction group, the head, down to
+        // nothing: the pages cover the checkpoint, so every cut lands on
+        // it, plus the last group only when it is whole.
+        let dir = scratch(&format!("compact-crash-log-{shards}"));
+        let head_len = compact_fixture(&dir, shards);
+        let full = log_bytes(&dir);
+        cut_matrix(&dir, shards, &full, 0, &[0, head_len, full.len()], check_compact_atomic);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -928,7 +833,7 @@ fn truncated_checkpoint_pages_are_typed_errors() {
         std::fs::write(&snap_path, &snap_full).unwrap();
 
         // Restored intact, everything reads back.
-        assert!(check_compact_atomic(&dir, shards, "restored"));
+        assert!(check_compact_atomic(&sharded_open(&dir, shards), "restored"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -936,10 +841,10 @@ fn truncated_checkpoint_pages_are_typed_errors() {
 #[test]
 fn crash_between_page_writes_and_wal_truncation_during_compact_is_safe() {
     for shards in SHARD_COUNTS {
-        // compact() writes the incremental pages first, truncates the WALs
-        // second, and swaps the manifest last. Simulate a crash after the
-        // pages landed but before any truncation: covered WAL records and
-        // manifest records coexist with pages that already reach them.
+        // compact() writes the incremental pages first and rewrites the
+        // log second. Simulate a crash after the pages landed but before
+        // the rewrite: the old log's head and groups sit below pages that
+        // already reach them.
         let dir = scratch(&format!("compact-crash-window-{shards}"));
         {
             let store = sharded_open(&dir, shards);
@@ -950,12 +855,12 @@ fn crash_between_page_writes_and_wal_truncation_during_compact_is_safe() {
             store
                 .commit(vec![Op::Put(1, 7), Op::Put(1_001, 7), Op::Put(2_001, 7)])
                 .unwrap();
-            let pre_compact = capture(&dir, shards);
+            let pre_compact = log_bytes(&dir);
             store.compact().unwrap();
             drop(store);
-            // Put the logs back as if the truncation never happened; the
+            // Put the log back as if the rewrite never happened; the
             // incremental pages stay.
-            restore(&dir, &pre_compact);
+            std::fs::write(dir.join(LOG_FILE), pre_compact).unwrap();
         }
         for round in 0..2 {
             let store = sharded_open(&dir, shards);
@@ -979,11 +884,11 @@ fn crash_between_page_writes_and_wal_truncation_during_compact_is_safe() {
 #[test]
 fn checkpoints_racing_commits_keep_every_acknowledged_commit() {
     // A checkpoint writes its pages with commits still flowing, then
-    // trims the logs down to the records of the commits that landed
+    // rewrites the log with the groups of the commits that landed
     // meanwhile. A writer commits for as long as back-to-back
     // checkpoints of all three kinds run beside it: whatever
     // interleaving happens, a reopen must see every acknowledged
-    // commit — none trimmed away with the covered prefix, none replayed
+    // commit — none dropped with the covered prefix, none replayed
     // twice.
     use std::sync::atomic::{AtomicBool, Ordering};
     for shards in SHARD_COUNTS {
@@ -1030,10 +935,9 @@ fn checkpoints_racing_commits_keep_every_acknowledged_commit() {
 #[test]
 fn empty_commits_survive_restart_without_regressing_the_global_clock() {
     for shards in SHARD_COUNTS {
-        // An empty commit produces a manifest record with no participants
-        // and no WAL records; recovery must still roll the global clock
-        // forward, or the next commit would reuse an acknowledged id and a
-        // later reopen would discard it as a duplicate.
+        // An empty commit is one op-less record with no participants;
+        // recovery must still roll the global clock forward, or the next
+        // commit would reuse an acknowledged id.
         let dir = scratch(&format!("empty-commit-{shards}"));
         {
             let store = sharded_open(&dir, shards);
@@ -1055,66 +959,22 @@ fn empty_commits_survive_restart_without_regressing_the_global_clock() {
 }
 
 #[test]
-fn crash_between_checkpoint_and_wal_truncation_keeps_the_checkpoint() {
-    for shards in SHARD_COUNTS {
-        // A checkpoint writes the shard pages, truncates the WALs in
-        // place, then swaps the manifest (atomic and fsynced). The
-        // truncations are not synced, so a machine crash can persist the
-        // new manifest without them: covered WAL records sit alongside
-        // a participant-less checkpoint for the same global id —
-        // recovery must treat both as applied, not tear the checkpoint
-        // out of the manifest.
-        let dir = scratch(&format!("save-crash-window-{shards}"));
-        {
-            let store = sharded_open(&dir, shards);
-            store.commit(vec![Op::Put(1, 1)]).unwrap(); // shard 0 only
-            store.commit(vec![Op::Put(2_500, 2)]).unwrap(); // shard 2 only
-            let wals_before_save = capture(&dir, shards).wals;
-            assert_eq!(store.save().unwrap(), 2);
-            let manifest_after_save = capture(&dir, shards).manifest;
-            drop(store);
-            // Simulate the crash: WALs back to their pre-save contents,
-            // checkpoint already on disk.
-            restore(
-                &dir,
-                &FileImage { manifest: manifest_after_save, wals: wals_before_save },
-            );
-        }
-        for round in 0..2 {
-            let store = sharded_open(&dir, shards);
-            assert_eq!(store.current_version(), 2, "round {round}: global clock regressed");
-            assert_eq!(store.get(&1), Some(1), "round {round}");
-            assert_eq!(store.get(&2_500), Some(2), "round {round}");
-            drop(store);
-            assert!(
-                !capture(&dir, shards).manifest.is_empty(),
-                "round {round}: checkpoint torn out of the manifest"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[test]
-fn stale_wal_records_below_a_checkpoint_are_not_mistaken_for_partial_prepares() {
-    // g1 touches shards {0, 1}, g2 touches shard 2, then save(). A
-    // crash mid-save can leave one shard's WAL un-truncated while the
-    // others are already empty; the stale records sit *below* the
-    // checkpoint. Recovery must not judge g1 "partially prepared"
-    // (shard 0's record is gone) and cut the checkpoint out of the
-    // manifest — the snapshot pages already hold everything.
-    let dir = scratch("stale-below-checkpoint");
+fn groups_below_a_checkpoint_are_skipped_not_replayed() {
+    // g1 touches shards {0, 1}, g2 touches shard 2, then save(). Put the
+    // pre-save log back, as a crash before the rewrite leaves it: both
+    // groups sit below the pages, with no head. Recovery must skip them
+    // (not replay them twice, not call the pages a gap), land on g2 and
+    // keep numbering from there.
+    let dir = scratch("groups-below-checkpoint");
     let shards = 3; // the scenario needs commits with disjoint participant sets
     {
         let store = sharded_open(&dir, shards);
         store.commit(vec![Op::Put(1, 1), Op::Put(1_001, 1)]).unwrap(); // shards 0, 1
         store.commit(vec![Op::Put(2_001, 2)]).unwrap(); // shard 2
-        let wals_before_save = capture(&dir, shards).wals;
+        let pre_save = log_bytes(&dir);
         assert_eq!(store.save().unwrap(), 2);
         drop(store);
-        // Crash simulation: shard 1's WAL truncation never happened.
-        std::fs::write(dir.join(shard_dir_name(1)).join(LOG_FILE), &wals_before_save[1])
-            .unwrap();
+        std::fs::write(dir.join(LOG_FILE), pre_save).unwrap();
     }
     for round in 0..2 {
         let store = sharded_open(&dir, shards);
@@ -1122,11 +982,6 @@ fn stale_wal_records_below_a_checkpoint_are_not_mistaken_for_partial_prepares() 
         assert_eq!(store.get(&1), Some(1), "round {round}");
         assert_eq!(store.get(&1_001), Some(1), "round {round}");
         assert_eq!(store.get(&2_001), Some(2), "round {round}");
-        drop(store);
-        assert!(
-            !capture(&dir, shards).manifest.is_empty(),
-            "round {round}: checkpoint cut out of the manifest"
-        );
     }
     // The store keeps working and numbering correctly afterwards.
     let store = sharded_open(&dir, shards);

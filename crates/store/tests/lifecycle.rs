@@ -1,9 +1,10 @@
 //! Lifecycle tests: the leak/reclaim gate (GC must hand memory back),
 //! incremental checkpoint chains across reopen, and the missing-history
-//! regression — a store whose WAL references versions the checkpoint
+//! regression — a store whose log references versions the checkpoint
 //! pages no longer reach must fail typed, never silently replay from an
 //! older state.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -176,22 +177,25 @@ fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
             store.commit(vec![Op::Put(i, i)]).unwrap();
         }
         store.save().unwrap();
-        // These live only in the WAL, as versions 4 and 5.
+        // These live only in the log, as versions 4 and 5, after the
+        // checkpoint's head.
         store.commit(vec![Op::Put(10, 10)]).unwrap();
         store.commit(vec![Op::Put(11, 11)]).unwrap();
     }
     std::fs::remove_file(shard0(&dir).join(SNAPSHOT_FILE)).unwrap();
     // Replaying v4 onto an empty tree would silently resurrect a store
-    // missing v1..v3; the gap must be typed instead. (The manifest's
-    // checkpoint record at v3 is the first thing the pages fail to
-    // reach.)
+    // missing v1..v3; the gap must be typed instead. (The head record at
+    // v3 is the first thing the pages fail to reach.)
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(
         matches!(err, StoreError::VersionGap { checkpoint: 0, first: 3 }),
         "unexpected error: {err}"
     );
-    // With the manifest gone too, the WAL's first record is the gap.
-    std::fs::remove_file(dir.join(store::MANIFEST_FILE)).unwrap();
+    // With the head cut off too, the log's first record is the gap.
+    let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+    let mut frames = store::wal::Frames::new(&log);
+    frames.next().expect("the head record");
+    std::fs::write(dir.join(LOG_FILE), &log[frames.pos..]).unwrap();
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(
         matches!(err, StoreError::VersionGap { checkpoint: 0, first: 4 }),
@@ -238,7 +242,7 @@ fn sharded_missing_page_chain_is_a_version_gap() {
     let router = Router::uniform_span(3, 3_000);
     let all_shards =
         |v: u64| vec![Op::Put(1, v), Op::Put(1_001, v), Op::Put(2_001, v)];
-    {
+    let head_len = {
         let store: ShardedStore<u64, u64> =
             ShardedStore::open_or_create(&dir, router.clone(), StoreOptions::default())
                 .unwrap();
@@ -246,15 +250,17 @@ fn sharded_missing_page_chain_is_a_version_gap() {
         store.save().unwrap();
         store.commit(all_shards(1)).unwrap();
         store.compact().unwrap(); // incremental page per shard
-        store.commit(all_shards(2)).unwrap(); // lives only in the WALs
-    }
+        let head_len = std::fs::metadata(dir.join(LOG_FILE)).unwrap().len();
+        store.commit(all_shards(2)).unwrap(); // lives only in the log
+        head_len
+    };
     let sdir = dir.join(shard_dir_name(1));
     let incr_path = sdir.join(store::incr_file_name(2));
     assert!(incr_path.exists(), "compact should have written an incremental page");
     let incr_bytes = std::fs::read(&incr_path).unwrap();
 
-    // Case 1: shard 1's chain reaches only v1, but the manifest and
-    // the WAL both reference later local versions.
+    // Case 1: shard 1's chain reaches only v1, but the log's head and
+    // its last group both reference later local versions.
     std::fs::remove_file(&incr_path).unwrap();
     let err = ShardedStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(
@@ -262,25 +268,76 @@ fn sharded_missing_page_chain_is_a_version_gap() {
         "unexpected error: {err}"
     );
 
-    // Case 2: no trailing WAL records — the manifest checkpoint record
-    // itself proves shard 1 lost history.
-    std::fs::write(dir.join(shard_dir_name(1)).join(LOG_FILE), b"").unwrap();
-    std::fs::write(dir.join(shard_dir_name(0)).join(LOG_FILE), b"").unwrap();
-    std::fs::write(dir.join(shard_dir_name(2)).join(LOG_FILE), b"").unwrap();
+    // Case 2: no trailing records — the checkpoint head itself proves
+    // shard 1 lost history.
+    let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+    std::fs::write(dir.join(LOG_FILE), &log[..head_len as usize]).unwrap();
     let err = ShardedStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(
-        matches!(err, StoreError::VersionGap { .. }),
+        matches!(err, StoreError::VersionGap { checkpoint: 1, first: 2 }),
         "unexpected error: {err}"
     );
 
-    // Restoring the page heals case 2 (the WAL-only commit is gone, as
-    // those records were deleted above, but nothing is misread).
+    // Restoring the page heals case 2 (the log-only commit is gone, as
+    // its group was cut above, but nothing is misread).
     std::fs::write(&incr_path, &incr_bytes).unwrap();
     let store: ShardedStore<u64, u64> = ShardedStore::open(&dir).unwrap();
     assert_eq!(store.get(&1), Some(1));
     assert_eq!(store.get(&1_001), Some(1));
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every file under `dir`, by relative path.
+fn dir_tree(dir: &std::path::Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
+#[test]
+fn the_manifest_and_per_shard_log_layout_fails_open_untouched() {
+    // Before a store kept one log it had a manifest at the root and a
+    // log in every shard directory. This build reads neither, so opening
+    // such a directory as if its history were in the one log would
+    // serve the pages alone and drop every commit since the checkpoint.
+    // Plant the old layout's files in a real store and check that either
+    // handle refuses it without writing a byte.
+    // The whole old layout, and each of its two files alone.
+    let _g = stats_gate();
+    for planted in [&["manifest.pac", "shard-000/wal.pac"][..], &["manifest.pac"], &["shard-000/wal.pac"]]
+    {
+        let dir = scratch("gap-legacy-layout");
+        {
+            let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
+            store.commit(vec![Op::Put(1, 1)]).unwrap();
+            store.save().unwrap();
+            store.commit(vec![Op::Put(2, 2)]).unwrap();
+        }
+        let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        std::fs::remove_file(dir.join(LOG_FILE)).unwrap();
+        for file in planted {
+            std::fs::write(dir.join(file), &log).unwrap();
+        }
+        let before = dir_tree(&dir);
+        let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::LegacyLayout(_)), "{planted:?}: unexpected error {err}");
+        assert!(err.to_string().contains(planted[0]), "{planted:?}: {err}");
+        let err = ShardedStore::<u64, u64>::open(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::LegacyLayout(_)), "{planted:?}: unexpected error {err}");
+        assert!(before == dir_tree(&dir), "{planted:?}: the refused open wrote to the directory");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------

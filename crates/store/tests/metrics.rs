@@ -6,9 +6,21 @@
 //! both store kinds) record into the same series, so every assertion is
 //! window-based — take a snapshot before the exercised calls, subtract
 //! after — and uses `>=` where concurrent tests could also contribute.
+//! The exact per-group log counts hold every durable store in this
+//! binary off for their window ([`durable_gate`]).
+
+use std::sync::{Mutex, MutexGuard};
 
 use obs::HistogramSnapshot;
 use store::{Op, PacStore, RetentionPolicy, Router, ShardedStore, StoreOptions};
+
+/// Only durable stores append to a log. Every test here that opens one
+/// holds this gate, so a test counting log samples sees only its own.
+static DURABLE: Mutex<()> = Mutex::new(());
+
+fn durable_gate() -> MutexGuard<'static, ()> {
+    DURABLE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn window(name: &str, before: &HistogramSnapshot) -> HistogramSnapshot {
     obs::global()
@@ -27,6 +39,7 @@ fn counter(name: &str) -> u64 {
 
 #[test]
 fn pacstore_write_path_records_every_stage() {
+    let _g = durable_gate();
     let dir = std::env::temp_dir().join(format!("metrics-pacstore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = StoreOptions { fsync_commits: true, history_limit: 4, ..StoreOptions::default() };
@@ -118,12 +131,11 @@ fn snapshot_at_counts_into_snapshots_total_for_both_handles() {
 }
 
 #[test]
-fn sharded_store_labels_shards_and_times_compaction_phases() {
+fn sharded_store_times_compaction_phases() {
+    let _g = durable_gate();
     let dir = std::env::temp_dir().join(format!("metrics-sharded-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let shard1_before = hist_before("pacstore_wal_append_ns{shard=\"001\"}");
-    let manifest_before = hist_before("pacstore_manifest_append_ns");
     let pages_before = hist_before("pacstore_compact_pages_ns");
     let truncate_before = hist_before("pacstore_compact_truncate_ns");
     let pages_written_before = counter("pacstore_pages_written_total");
@@ -139,9 +151,6 @@ fn sharded_store_labels_shards_and_times_compaction_phases() {
     store.commit(vec![Op::Put(2, 2), Op::Put(901, 10)]).unwrap();
     store.compact().unwrap();
 
-    // The upper shard's WAL append surfaced under its own label.
-    assert!(window("pacstore_wal_append_ns{shard=\"001\"}", &shard1_before).count() >= 2);
-    assert!(window("pacstore_manifest_append_ns", &manifest_before).count() >= 2);
     // Both compaction phases were timed, and pages actually hit disk.
     assert!(window("pacstore_compact_pages_ns", &pages_before).count() >= 1);
     assert!(window("pacstore_compact_truncate_ns", &truncate_before).count() >= 1);
@@ -152,7 +161,36 @@ fn sharded_store_labels_shards_and_times_compaction_phases() {
 }
 
 #[test]
+fn one_log_append_and_one_fsync_per_commit_group() {
+    // Three shards, groups touching one, two and all three of them, and
+    // an empty one: each is one write to the one log, and under
+    // `fsync_commits` one `sync_data`.
+    let _g = durable_gate();
+    let dir = std::env::temp_dir().join(format!("metrics-one-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StoreOptions { fsync_commits: true, ..StoreOptions::default() };
+    let store: ShardedStore<u64, u64> =
+        ShardedStore::open_or_create(&dir, Router::uniform_span(3, 3_000), opts).unwrap();
+    let groups: [Vec<Op<u64, u64>>; 4] = [
+        vec![Op::Put(1, 1)],
+        vec![Op::Put(2, 2), Op::Put(2_002, 2)],
+        vec![Op::Put(3, 3), Op::Put(1_003, 3), Op::Put(2_003, 3)],
+        Vec::new(),
+    ];
+    let append_before = hist_before("pacstore_wal_append_ns");
+    let fsync_before = hist_before("pacstore_wal_fsync_ns");
+    for ops in groups.iter().cloned() {
+        store.commit(ops).unwrap();
+    }
+    assert_eq!(window("pacstore_wal_append_ns", &append_before).count(), groups.len() as u64);
+    assert_eq!(window("pacstore_wal_fsync_ns", &fsync_before).count(), groups.len() as u64);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn pool_stats_publish_gauges_and_counter_deltas() {
+    let _g = durable_gate();
     let dir = std::env::temp_dir().join(format!("metrics-pool-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = StoreOptions { pool_pages: Some(4), ..StoreOptions::default() };

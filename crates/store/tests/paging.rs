@@ -178,7 +178,7 @@ fn incrementals_and_wal_replay_chain_onto_lazy_base() {
         store.commit(vec![Op::Put(50_000, 1), Op::Delete(7)]).unwrap();
         store.compact().unwrap();
         store.commit(vec![Op::Put(50_001, 2)]).unwrap();
-        assert!(shard0(&dir).join(LOG_FILE).metadata().unwrap().len() > 0);
+        assert!(dir.join(LOG_FILE).metadata().unwrap().len() > 0);
     }
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
     assert_eq!(store.current_version(), 3);

@@ -20,7 +20,8 @@ fn main() {
 
     // --- One commit, many shards, one atomic version -----------------
     // The batch is split by range and applied to the shards in
-    // parallel; the two-phase manifest makes it all-or-nothing.
+    // parallel; its records go to the store's one log in one append,
+    // which makes it all-or-nothing.
     let v1 = db
         .commit((0..1_000_000u64).step_by(10).map(|k| Op::Put(k, 0)).collect())
         .expect("bulk load");
@@ -53,7 +54,7 @@ fn main() {
 
     let db: ShardedStore<u64, u64> = ShardedStore::open(&dir).expect("reopen");
     println!(
-        "reopened: global v{} (checkpoint v{saved} + per-shard WAL replay), {} keys",
+        "reopened: global v{} (checkpoint v{saved} + log replay), {} keys",
         db.current_version(),
         db.len()
     );
