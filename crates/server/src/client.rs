@@ -14,8 +14,7 @@
 use std::io::Write as _;
 use std::time::Duration;
 
-use codecs::BlockIo;
-use store::{Op, ShardedSnapshot, ShardedStore, StoreKey, StoreValue};
+use store::{Op, StoreKey, StoreValue};
 
 use crate::frame::{self, FrameError};
 use crate::proto::{ErrorCode, ProtoError, Request, Response};
@@ -353,17 +352,4 @@ impl<K: StoreKey, V: StoreValue> Client<K, V> {
         self.conn = None;
         ClientError::Unexpected(what)
     }
-}
-
-/// Convenience for tests and benches: a locally-held snapshot read
-/// from a server-side store handle. (Network clients use
-/// [`Client::snapshot`] + `get_at`; in-process embedders can borrow
-/// the store directly.)
-pub fn local_snapshot<K, V, C>(store: &ShardedStore<K, V, C>) -> ShardedSnapshot<K, V, C>
-where
-    K: StoreKey,
-    V: StoreValue,
-    C: BlockIo<(K, V)>,
-{
-    store.snapshot()
 }

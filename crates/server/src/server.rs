@@ -7,7 +7,7 @@
 //! connections land in one commit group, so the WAL sees one append
 //! per *group*, not per request. Readers never block writers: every
 //! read request pins a consistent version-vector snapshot
-//! ([`ShardedStore::snapshot`] is O(shards)) and serves from it.
+//! ([`ShardedStore::snapshot`] is one `Arc` clone) and serves from it.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] stops the
 //! accept loop, then every connection thread finishes the request it

@@ -57,7 +57,7 @@
 //! ```
 //!
 //! Durable stores work the same way, plus [`PacStore::open`] /
-//! [`PacStore::save`]; see `examples/versioned_store.rs` and
+//! [`ShardedStore::save`] (a `PacStore` derefs to its engine); see `examples/versioned_store.rs` and
 //! `examples/sharded_store.rs` for the tours, `DESIGN.md` §"The store
 //! engine" for the directory layout, commit protocol, recovery rule
 //! and checkpoint routine, and §"pacstore on-disk formats" for the

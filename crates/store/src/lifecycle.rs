@@ -148,14 +148,15 @@ impl VersionRegistry {
     /// A registry seeded with pins loaded from disk (see
     /// [`load_pins`]).
     pub(crate) fn from_pins(pins: HashMap<u64, usize>) -> Self {
-        VersionRegistry { pins: Mutex::new(pins) }
+        VersionRegistry {
+            pins: Mutex::new(pins),
+        }
     }
 
     /// The full pin table `(version, count)`, ascending by version —
     /// the payload [`persist_pins`] writes.
     pub(crate) fn dump(&self) -> Vec<(u64, usize)> {
-        let mut out: Vec<(u64, usize)> =
-            self.pins.lock().iter().map(|(&v, &n)| (v, n)).collect();
+        let mut out: Vec<(u64, usize)> = self.pins.lock().iter().map(|(&v, &n)| (v, n)).collect();
         out.sort_unstable();
         out
     }
@@ -197,6 +198,10 @@ impl VersionRegistry {
 /// the newest) are left. With pins held, history may exceed `limit` —
 /// that is the point of a pin.
 ///
+/// The pin set is read once per call: the caller holds the store's
+/// state lock, which `pin_version` and `unpin_version` also take, so
+/// pins cannot change under it.
+///
 /// The evicted entries are handed back rather than dropped here:
 /// freeing a superseded version walks every node only it owns (and runs
 /// the `Drop` of every value in them), which a caller holding a lock
@@ -209,9 +214,12 @@ pub(crate) fn evict_history<T>(
     registry: &VersionRegistry,
 ) -> Vec<T> {
     let limit = limit.max(1);
+    if history.len() <= limit {
+        return Vec::new();
+    }
+    let pinned = registry.pinned();
     let mut evicted = Vec::new();
     while history.len() > limit {
-        let pinned = registry.pinned();
         // Never evict the newest entry (the current version).
         let victim = history
             .iter()
@@ -293,7 +301,9 @@ fn decode_pins(bytes: &[u8]) -> Result<HashMap<u64, usize>, StoreError> {
             .filter(|&n| n > 0)
             .ok_or_else(|| StoreError::Corrupt(format!("pin count {n} for version {version}")))?;
         if pins.insert(version, n).is_some() {
-            return Err(StoreError::Corrupt(format!("duplicate pin entry for version {version}")));
+            return Err(StoreError::Corrupt(format!(
+                "duplicate pin entry for version {version}"
+            )));
         }
     }
     if pos != body.len() {
@@ -382,14 +392,20 @@ mod tests {
     fn clobbered_pin_tables_are_typed_errors() {
         let good = encode_pins(&[(5, 1), (7, 2)]);
 
-        assert!(matches!(decode_pins(b"NOTPINS!rest"), Err(StoreError::BadMagic)));
+        assert!(matches!(
+            decode_pins(b"NOTPINS!rest"),
+            Err(StoreError::BadMagic)
+        ));
         assert!(matches!(
             decode_pins(&good[..good.len() - 2]),
             Err(StoreError::ChecksumMismatch { .. })
         ));
         let mut flipped = good.clone();
         flipped[10] ^= 0x40;
-        assert!(matches!(decode_pins(&flipped), Err(StoreError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            decode_pins(&flipped),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
 
         // CRC-valid but hostile: entry count far past the byte budget.
         let mut hostile = Vec::from(*PINS_MAGIC);

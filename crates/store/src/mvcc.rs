@@ -10,22 +10,28 @@
 //!   batches queued concurrently ride one tree update — puts and
 //!   deletes down the tree together, in one pass ([`apply_ops`]) — and
 //!   one log write (see [`ShardedStore::commit`]).
-//! * **Readers** never block on writers: pinning a version is cloning a
-//!   `PacMap` root (`Arc` bump) under a briefly-held lock. A pinned
-//!   [`Snapshot`] stays alive and consistent no matter how many
+//! * **Readers** never block on writers: pinning a version is one `Arc`
+//!   clone of the store's version object under a briefly-held lock. A
+//!   pinned [`Snapshot`] stays alive and consistent no matter how many
 //!   versions are committed — or evicted from history — after it.
 //! * **Versions** are retained in a bounded history for time-travel
 //!   reads ([`PacStore::snapshot_at`]); structural sharing between
 //!   consecutive versions makes this cheap (`O(log n)` fresh nodes per
 //!   version, the paper's path-copying bound).
+//!
+//! `PacStore` is a [`Deref`] handle on its engine: the methods that
+//! return its own types (constructors, [`Snapshot`]s) and the point
+//! calls benchmarks name by path are its own, and everything else
+//! (`put`, `save`, `pin_version`, `gc`, ...) is [`ShardedStore`]'s,
+//! reached through `Deref`.
 
+use std::ops::Deref;
 use std::path::Path;
 
 use codecs::{BlockIo, ByteEncode, Codec, RawCodec};
 use cpam::{Element, NoAug, PacMap, ScalarKey, DEFAULT_B};
 
 use crate::error::StoreError;
-use crate::lifecycle::{GcStats, LifecycleStats, RetentionPolicy};
 use crate::router::Router;
 use crate::shard::{ShardedSnapshot, ShardedStore};
 
@@ -122,79 +128,61 @@ pub const LOCK_FILE: &str = "lock.pac";
 
 /// An immutable view of one store version, pinned for as long as it
 /// lives. Obtained from [`PacStore::snapshot`] / [`PacStore::snapshot_at`].
-pub struct Snapshot<K, V, C = RawCodec>
+///
+/// A one-shard [`ShardedSnapshot`] with the shard's map in view:
+/// [`Snapshot::map`] is the [`PacMap`], and `Deref` gives the rest
+/// (`version`, `get`, `len`, ...).
+pub struct Snapshot<K, V, C = RawCodec>(ShardedSnapshot<K, V, C>)
 where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
-{
-    version: u64,
-    map: PacMap<K, V, NoAug, C>,
-}
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>;
 
 impl<K, V, C> Clone for Snapshot<K, V, C>
 where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
 {
     fn clone(&self) -> Self {
-        Snapshot {
-            version: self.version,
-            map: self.map.clone(),
-        }
+        Snapshot(self.0.clone())
     }
 }
 
 impl<K, V, C> Snapshot<K, V, C>
 where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
 {
-    /// The version this snapshot pinned.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// The underlying map, for the full query interface (ranges,
     /// map-reduce, iteration, ...).
     pub fn map(&self) -> &PacMap<K, V, NoAug, C> {
-        &self.map
+        self.0.shard_map(0)
     }
+}
 
-    /// The value under `k` at this version.
-    pub fn get(&self, k: &K) -> Option<V> {
-        self.map.find(k)
-    }
+impl<K, V, C> Deref for Snapshot<K, V, C>
+where
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
+{
+    type Target = ShardedSnapshot<K, V, C>;
 
-    /// True if `k` exists at this version.
-    pub fn contains_key(&self, k: &K) -> bool {
-        self.map.contains_key(k)
-    }
-
-    /// Number of entries at this version.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if this version is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    fn deref(&self) -> &ShardedSnapshot<K, V, C> {
+        &self.0
     }
 }
 
 impl<K, V, C> std::fmt::Debug for Snapshot<K, V, C>
 where
-    K: ScalarKey,
-    V: Element,
-    C: Codec<(K, V)>,
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("version", &self.version)
-            .field("len", &self.len())
-            .finish()
+        f.debug_tuple("Snapshot").field(&self.0).finish()
     }
 }
 
@@ -202,11 +190,11 @@ where
 /// whose state is one [`PacMap`].
 ///
 /// A `PacStore` is a handle on a [`ShardedStore`] built with
-/// [`Router::single`] — it has no locks, files or queues of its own.
-/// Every method forwards to the engine, and a durable `PacStore`
-/// directory *is* a one-shard [`ShardedStore`] directory (either handle
-/// opens it). What the handle adds is the single-map view: a
-/// [`Snapshot`] exposes the shard's [`PacMap`] directly.
+/// [`Router::single`] — it has no locks, files or queues of its own. It
+/// derefs to the engine, and a durable `PacStore` directory *is* a
+/// one-shard [`ShardedStore`] directory (either handle opens it). What
+/// the handle adds is the single-map view: a [`Snapshot`] exposes the
+/// shard's [`PacMap`] directly.
 ///
 /// Handles are cheap to clone and share one store; all methods take
 /// `&self`. See the [crate docs](crate) for an end-to-end example.
@@ -239,11 +227,20 @@ where
     C: BlockIo<(K, V)>,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PacStore")
-            .field("version", &self.current_version())
-            .field("len", &self.len())
-            .field("dir", &self.dir())
-            .finish()
+        f.debug_tuple("PacStore").field(&self.engine).finish()
+    }
+}
+
+impl<K, V, C> Deref for PacStore<K, V, C>
+where
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
+{
+    type Target = ShardedStore<K, V, C>;
+
+    fn deref(&self) -> &ShardedStore<K, V, C> {
+        &self.engine
     }
 }
 
@@ -283,14 +280,6 @@ where
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
-    /// The single-map view of a one-shard engine snapshot.
-    fn pin(snap: ShardedSnapshot<K, V, C>) -> Snapshot<K, V, C> {
-        Snapshot {
-            version: snap.version(),
-            map: snap.shard_map(0).clone(),
-        }
-    }
-
     /// An empty, ephemeral store (no directory: `save` is an error).
     pub fn in_memory() -> Self {
         Self::in_memory_with(StoreOptions::default())
@@ -333,28 +322,10 @@ where
         self.engine.commit(ops)
     }
 
-    /// Shorthand for committing a single [`Op::Put`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::commit`].
-    pub fn put(&self, key: K, value: V) -> Result<u64, StoreError> {
-        self.engine.put(key, value)
-    }
-
-    /// Shorthand for committing a single [`Op::Delete`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::commit`].
-    pub fn delete(&self, key: K) -> Result<u64, StoreError> {
-        self.engine.delete(key)
-    }
-
-    /// Pins the current version: O(1), never blocked by writers beyond
-    /// a brief lock for the pointer copy.
+    /// Pins the current version: one `Arc` clone, never blocked by
+    /// writers beyond a brief lock for the pointer copy.
     pub fn snapshot(&self) -> Snapshot<K, V, C> {
-        Self::pin(self.engine.snapshot())
+        Snapshot(self.engine.snapshot())
     }
 
     /// Pins a historical version (time-travel read).
@@ -363,17 +334,7 @@ where
     ///
     /// See [`ShardedStore::snapshot_at`].
     pub fn snapshot_at(&self, version: u64) -> Result<Snapshot<K, V, C>, StoreError> {
-        self.engine.snapshot_at(version).map(Self::pin)
-    }
-
-    /// See [`ShardedStore::versions`].
-    pub fn versions(&self) -> Vec<u64> {
-        self.engine.versions()
-    }
-
-    /// See [`ShardedStore::current_version`].
-    pub fn current_version(&self) -> u64 {
-        self.engine.current_version()
+        self.engine.snapshot_at(version).map(Snapshot)
     }
 
     /// See [`ShardedStore::get`].
@@ -386,34 +347,6 @@ where
         self.engine.range_entries(lo, hi)
     }
 
-    /// See [`ShardedStore::len`].
-    pub fn len(&self) -> usize {
-        self.engine.len()
-    }
-
-    /// See [`ShardedStore::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.engine.is_empty()
-    }
-
-    /// See [`ShardedStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::save`].
-    pub fn save(&self) -> Result<u64, StoreError> {
-        self.engine.save()
-    }
-
-    /// See [`ShardedStore::save_incremental`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::save_incremental`].
-    pub fn save_incremental(&self, prev_version: u64) -> Result<u64, StoreError> {
-        self.engine.save_incremental(prev_version)
-    }
-
     /// See [`ShardedStore::compact`].
     ///
     /// # Errors
@@ -421,54 +354,6 @@ where
     /// See [`ShardedStore::compact`].
     pub fn compact(&self) -> Result<u64, StoreError> {
         self.engine.compact()
-    }
-
-    /// See [`ShardedStore::latest_checkpoint`].
-    pub fn latest_checkpoint(&self) -> Option<u64> {
-        self.engine.latest_checkpoint()
-    }
-
-    /// See [`ShardedStore::pin_version`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::pin_version`].
-    pub fn pin_version(&self, version: u64) -> Result<(), StoreError> {
-        self.engine.pin_version(version)
-    }
-
-    /// See [`ShardedStore::unpin_version`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::unpin_version`].
-    pub fn unpin_version(&self, version: u64) -> Result<(), StoreError> {
-        self.engine.unpin_version(version)
-    }
-
-    /// See [`ShardedStore::pinned_versions`].
-    pub fn pinned_versions(&self) -> Vec<u64> {
-        self.engine.pinned_versions()
-    }
-
-    /// See [`ShardedStore::gc`].
-    pub fn gc(&self, policy: RetentionPolicy) -> GcStats {
-        self.engine.gc(policy)
-    }
-
-    /// See [`ShardedStore::lifecycle_stats`].
-    pub fn lifecycle_stats(&self) -> LifecycleStats {
-        self.engine.lifecycle_stats()
-    }
-
-    /// See [`ShardedStore::dir`].
-    pub fn dir(&self) -> Option<&Path> {
-        self.engine.dir()
-    }
-
-    /// See [`ShardedStore::pool_stats`].
-    pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        self.engine.pool_stats()
     }
 }
 

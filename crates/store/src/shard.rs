@@ -22,8 +22,9 @@
 //! 2. **Append** — the group's records, in ascending shard order, go
 //!    out in one append (`fsync`ed when [`StoreOptions::fsync_commits`]
 //!    is set). The group's last byte is the commit point.
-//! 3. **Publish** — the new shard maps and the version vector become
-//!    visible to readers atomically, under one state lock.
+//! 3. **Publish** — one new [`Version`] (the participants' new maps,
+//!    every other shard's map shared with the base) is pushed onto the
+//!    history under one state lock, so readers see all of it or none.
 //!
 //! Writers meet in a group-commit queue: the first to arrive becomes
 //! the *leader*, drains every batch queued so far and runs the three
@@ -45,8 +46,8 @@
 //! local versions — followed by the groups published since.
 //!
 //! Readers get cross-shard snapshot isolation: [`ShardedStore::snapshot`]
-//! pins one consistent version vector (one `Arc` bump per shard) and
-//! never observes a half-published commit.
+//! pins one consistent version vector (one `Arc` clone of the version)
+//! and never observes a half-published commit.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -179,10 +180,8 @@ where
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
-    global: u64,
-    locals: Vec<u64>,
+    version: Arc<Version<K, V, C>>,
     router: Arc<Router<K>>,
-    maps: Vec<PacMap<K, V, NoAug, C>>,
 }
 
 impl<K, V, C> Clone for ShardedSnapshot<K, V, C>
@@ -193,10 +192,8 @@ where
 {
     fn clone(&self) -> Self {
         ShardedSnapshot {
-            global: self.global,
-            locals: self.locals.clone(),
+            version: Arc::clone(&self.version),
             router: Arc::clone(&self.router),
-            maps: self.maps.clone(),
         }
     }
 }
@@ -209,33 +206,33 @@ where
 {
     /// The global commit id this snapshot pinned.
     pub fn version(&self) -> u64 {
-        self.global
+        self.version.global
     }
 
     /// The per-shard local versions this snapshot pinned (one entry per
     /// shard, in shard order).
     pub fn version_vector(&self) -> &[u64] {
-        &self.locals
+        &self.version.locals
     }
 
     /// The value under `k` at this version vector.
     pub fn get(&self, k: &K) -> Option<V> {
-        self.maps[self.router.shard_of(k)].find(k)
+        self.version.maps[self.router.shard_of(k)].find(k)
     }
 
     /// True if `k` exists at this version vector.
     pub fn contains_key(&self, k: &K) -> bool {
-        self.maps[self.router.shard_of(k)].contains_key(k)
+        self.version.maps[self.router.shard_of(k)].contains_key(k)
     }
 
     /// Total number of entries across all shards.
     pub fn len(&self) -> usize {
-        self.maps.iter().map(PacMap::len).sum()
+        self.version.maps.iter().map(PacMap::len).sum()
     }
 
     /// True if every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.maps.iter().all(PacMap::is_empty)
+        self.version.maps.iter().all(PacMap::is_empty)
     }
 
     /// All entries in global key order (shards hold contiguous ranges,
@@ -244,6 +241,7 @@ where
         // The first shard's vector is the output; later shards append
         // to it (a one-shard store copies nothing).
         let (first, rest) = self
+            .version
             .maps
             .split_first()
             .expect("a router has at least one shard");
@@ -265,9 +263,9 @@ where
         let Some(first) = shards.next() else {
             return Vec::new();
         };
-        let mut out = self.maps[first].range_entries(lo, hi);
+        let mut out = self.version.maps[first].range_entries(lo, hi);
         for s in shards {
-            out.extend(self.maps[s].range_entries(lo, hi));
+            out.extend(self.version.maps[s].range_entries(lo, hi));
         }
         out
     }
@@ -275,12 +273,12 @@ where
     /// The map backing shard `i`, for the full per-range query
     /// interface.
     pub fn shard_map(&self, i: usize) -> &PacMap<K, V, NoAug, C> {
-        &self.maps[i]
+        &self.version.maps[i]
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.maps.len()
+        self.version.maps.len()
     }
 }
 
@@ -291,30 +289,58 @@ where
     C: BlockIo<(K, V)>,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSnapshot")
-            .field("version", &self.global)
-            .field("version_vector", &self.locals)
-            .field("len", &self.len())
-            .finish()
+        self.version.fmt(f)
     }
 }
 
-/// One retained version: `(global, locals, maps)`.
-type HistoryEntry<K, V, C> = (u64, Vec<u64>, Vec<PacMap<K, V, NoAug, C>>);
-
-struct ShardedState<K, V, C>
+/// One store version: the global commit id, the per-shard local
+/// versions and the per-shard maps at it. A commit publishes one, and
+/// a snapshot, the history, a checkpoint capture and a commit's base
+/// each hold it as one `Arc`.
+pub(crate) struct Version<K, V, C>
 where
     K: StoreKey,
     V: StoreValue,
     C: BlockIo<(K, V)>,
 {
     global: u64,
-    locals: Vec<u64>,
-    maps: Vec<PacMap<K, V, NoAug, C>>,
-    /// Recent `(global, locals, maps)` triples, oldest first; always
-    /// contains the current version as its back element.
-    history: VecDeque<HistoryEntry<K, V, C>>,
+    locals: Box<[u64]>,
+    maps: Box<[PacMap<K, V, NoAug, C>]>,
 }
+
+impl<K, V, C> Clone for Version<K, V, C>
+where
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
+{
+    fn clone(&self) -> Self {
+        Version {
+            global: self.global,
+            locals: self.locals.clone(),
+            maps: self.maps.clone(),
+        }
+    }
+}
+
+impl<K, V, C> std::fmt::Debug for Version<K, V, C>
+where
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Version")
+            .field("version", &self.global)
+            .field("version_vector", &self.locals)
+            .field("len", &self.maps.iter().map(PacMap::len).sum::<usize>())
+            .finish()
+    }
+}
+
+/// Retained versions, oldest first. The back is always the current
+/// version: the store keeps no other copy of it.
+type History<K, V, C> = VecDeque<Arc<Version<K, V, C>>>;
 
 /// Which pages one checkpoint writes (see [`ShardedStore::checkpoint`]).
 #[derive(Clone, Copy)]
@@ -400,7 +426,7 @@ where
     checkpoints: Mutex<Checkpoints<K, V, C>>,
     /// `None` for an in-memory store: nothing to log.
     log: Mutex<Option<Log>>,
-    state: Mutex<ShardedState<K, V, C>>,
+    state: Mutex<History<K, V, C>>,
     commit: Mutex<CommitQueue<K, V>>,
     commit_cv: Condvar,
     registry: VersionRegistry,
@@ -473,12 +499,9 @@ where
     C: BlockIo<(K, V)>,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.inner.state.lock();
         f.debug_struct("ShardedStore")
             .field("shards", &self.inner.router.shard_count())
-            .field("version", &s.global)
-            .field("version_vector", &s.locals)
-            .field("len", &s.maps.iter().map(PacMap::len).sum::<usize>())
+            .field("current", &self.current())
             .field("dir", &self.inner.dir)
             .finish()
     }
@@ -497,7 +520,7 @@ where
         opts: StoreOptions,
         router: Router<K>,
         durable: Option<(PathBuf, File, Log)>,
-        state: ShardedState<K, V, C>,
+        state: History<K, V, C>,
         checkpoints: Checkpoints<K, V, C>,
         registry: VersionRegistry,
         pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>>,
@@ -531,19 +554,11 @@ where
         }
     }
 
-    fn fresh_state(opts: &StoreOptions, shards: usize) -> ShardedState<K, V, C> {
-        let maps: Vec<PacMap<K, V, NoAug, C>> = (0..shards)
-            .map(|_| PacMap::with_block_size(opts.block_size))
-            .collect();
-        let locals = vec![0u64; shards];
-        let mut history = VecDeque::new();
-        history.push_back((0, locals.clone(), maps.clone()));
-        ShardedState {
-            global: 0,
-            locals,
-            maps,
-            history,
-        }
+    /// The current version: the history's back, one `Arc` clone under
+    /// the state lock.
+    fn current(&self) -> Arc<Version<K, V, C>> {
+        let history = self.inner.state.lock();
+        Arc::clone(history.back().expect("history is never empty"))
     }
 
     /// An empty, ephemeral sharded store (no directory: `save` is an
@@ -569,12 +584,18 @@ where
     /// The infallible body of [`ShardedStore::in_memory_with`].
     pub(crate) fn ephemeral(router: Router<K>, opts: StoreOptions) -> Self {
         let shards = router.shard_count();
-        let state = Self::fresh_state(&opts, shards);
+        let empty = Version {
+            global: 0,
+            locals: vec![0; shards].into(),
+            maps: (0..shards)
+                .map(|_| PacMap::with_block_size(opts.block_size))
+                .collect(),
+        };
         Self::from_parts(
             opts,
             router,
             None,
-            state,
+            VecDeque::from([Arc::new(empty)]),
             Checkpoints::empty(shards),
             VersionRegistry::default(),
             vec![None; shards],
@@ -743,26 +764,16 @@ where
                 }
             })
         };
-        let mut maps = Vec::with_capacity(shards);
-        let mut snap_vers = Vec::with_capacity(shards);
-        let mut chain_lens = Vec::with_capacity(shards);
-        for r in loaded {
-            let (m, v, cl) = r?;
-            maps.push(m);
-            snap_vers.push(v);
-            chain_lens.push(cl);
-        }
+        let loaded = loaded.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Pin each shard's checkpoint *before* log replay mutates the
         // maps: the pinned clone is the diff base for the next
         // incremental page, and must be exactly what the pages decode
         // to.
-        let checkpoint_pins: Vec<Option<ShardCheckpoint<K, V, C>>> = maps
+        let checkpoint_pins: Vec<Option<ShardCheckpoint<K, V, C>>> = loaded
             .iter()
-            .zip(&snap_vers)
-            .zip(&chain_lens)
-            .map(|((m, &v), &cl)| {
+            .map(|(m, v, cl)| {
                 cl.map(|chain_len| ShardCheckpoint {
-                    version: v,
+                    version: *v,
                     map: m.clone(),
                     chain_len,
                 })
@@ -793,23 +804,27 @@ where
             )));
         }
 
-        let mut locals = snap_vers.clone();
-        // Local versions never exceed the global commit counter, so the
-        // pages give a floor even for a log that lost its head.
-        let mut global = snap_vers.iter().copied().max().unwrap_or(0);
+        // The version the log replays onto. Local versions never exceed
+        // the global commit counter, so the pages give a floor even for
+        // a log that lost its head.
+        let mut cur = Version {
+            global: loaded.iter().map(|&(_, v, _)| v).max().unwrap_or(0),
+            locals: loaded.iter().map(|&(_, v, _)| v).collect(),
+            maps: loaded.into_iter().map(|(m, _, _)| m).collect(),
+        };
         // The global id of the log's last head: the checkpoint the
         // pages were written for.
         let mut checkpoint_global = 0;
-        let mut history: VecDeque<HistoryEntry<K, V, C>> = VecDeque::new();
+        let mut history: History<K, V, C> = VecDeque::new();
         // Same pin-aware eviction as the commit path: a pinned commit
         // must survive the recovery walk exactly as it survives live
         // commits.
-        let push = |history: &mut VecDeque<HistoryEntry<K, V, C>>, entry: HistoryEntry<K, V, C>| {
-            history.push_back(entry);
+        let push = |history: &mut History<K, V, C>, version: Version<K, V, C>| {
+            history.push_back(Arc::new(version));
             drop(lifecycle::evict_history(
                 history,
                 opts.history_limit,
-                |(g, _, _)| *g,
+                |v| v.global,
                 &registry,
             ));
         };
@@ -846,42 +861,42 @@ where
             let mut applied = false;
             for (rec, &p) in group.into_iter().zip(&participants) {
                 let s = p as usize;
-                if rec.version <= locals[s] {
+                if rec.version <= cur.locals[s] {
                     continue;
                 }
                 // Local versions advance by exactly one per group a
                 // shard is in, and a head record only restates where
                 // the pages must already be: anything else means the
                 // pages lost history the log no longer holds.
-                if rec.ops.is_empty() || rec.version != locals[s] + 1 {
+                if rec.ops.is_empty() || rec.version != cur.locals[s] + 1 {
                     return Err(StoreError::VersionGap {
-                        checkpoint: locals[s],
+                        checkpoint: cur.locals[s],
                         first: rec.version,
                     });
                 }
-                if !applied && history.back().is_none_or(|(hg, _, _)| *hg != global) {
-                    push(&mut history, (global, locals.clone(), maps.clone()));
+                if !applied && history.back().is_none_or(|v| v.global != cur.global) {
+                    push(&mut history, cur.clone());
                 }
                 applied = true;
-                maps[s] = apply_ops(std::mem::take(&mut maps[s]), rec.ops);
-                locals[s] = rec.version;
+                cur.maps[s] = apply_ops(std::mem::take(&mut cur.maps[s]), rec.ops);
+                cur.locals[s] = rec.version;
             }
             if head {
                 checkpoint_global = g;
             }
-            if g > global {
-                global = g;
+            if g > cur.global {
+                cur.global = g;
                 if applied {
-                    push(&mut history, (global, locals.clone(), maps.clone()));
+                    push(&mut history, cur.clone());
                 }
             }
         }
-        // The back of the history must always be the current state.
+        // The back of the history must always be the current version.
         if history
             .back()
-            .is_none_or(|(g, l, _)| *g != global || *l != locals)
+            .is_none_or(|v| v.global != cur.global || v.locals != cur.locals)
         {
-            push(&mut history, (global, locals.clone(), maps.clone()));
+            push(&mut history, cur);
         }
 
         if keep < bytes.len() && opts.strict_log {
@@ -908,12 +923,6 @@ where
                 .then_some(checkpoint_global),
             shards: checkpoint_pins,
         };
-        let state = ShardedState {
-            global,
-            locals,
-            maps,
-            history,
-        };
         let log = Log {
             file,
             len: keep as u64,
@@ -923,7 +932,7 @@ where
             opts,
             router,
             Some((dir.to_path_buf(), dir_lock, log)),
-            state,
+            history,
             checkpoints,
             registry,
             pools,
@@ -1014,11 +1023,10 @@ where
         if log_guard.as_ref().is_some_and(|log| log.poisoned) {
             return Err(StoreError::LogPoisoned);
         }
-        let (base_maps, base_locals, base_global) = {
-            let s = inner.state.lock();
-            (s.maps.clone(), s.locals.clone(), s.global)
-        };
-        let g = base_global + 1;
+        // The leader's base: the current version, which stays current
+        // until this group publishes, since publishing takes `log`.
+        let base = self.current();
+        let g = base.global + 1;
 
         // Range-split the group; participants are the shards with ops.
         let work: Vec<(usize, Vec<Op<K, V>>)> = inner
@@ -1041,18 +1049,17 @@ where
         let tree_work = ops.saturating_mul(2 * inner.opts.block_size + 1);
         let apply_start = Instant::now();
         let results = {
-            let (base_maps, base_locals) = (&base_maps, &base_locals);
-            let participants = &participants;
+            let (base, participants) = (&base, &participants);
             par_for_shards(work, tree_work, &move |(shard, ops)| {
                 let record = if durable {
-                    wal::encode_record(base_locals[shard] + 1, g, participants, schema, &ops)
+                    wal::encode_record(base.locals[shard] + 1, g, participants, schema, &ops)
                 } else {
                     Vec::new()
                 };
                 // Hand the leader's private clone of the shard map to the
-                // consuming path (the published original stays in
-                // `state`, untouched).
-                (shard, apply_ops(base_maps[shard].clone(), ops), record)
+                // consuming path (the published original stays in the
+                // base version, untouched).
+                (shard, apply_ops(base.maps[shard].clone(), ops), record)
             })
         };
         inner.metrics.apply.record_duration(apply_start.elapsed());
@@ -1084,22 +1091,24 @@ where
             }
         }
 
-        // Publish atomically.
-        let mut s = inner.state.lock();
-        s.global = g;
+        // Publish atomically: one new version, whose non-participating
+        // shards share the base's maps, pushed as one `Arc`.
+        let mut next = Version::clone(&base);
+        next.global = g;
         for (shard, map, _) in results {
-            s.locals[shard] += 1;
-            s.maps[shard] = map;
+            next.locals[shard] += 1;
+            next.maps[shard] = map;
         }
-        let snapshot = (g, s.locals.clone(), s.maps.clone());
-        s.history.push_back(snapshot);
+        let next = Arc::new(next);
+        let mut history = inner.state.lock();
+        history.push_back(next);
         let evicted = lifecycle::evict_history(
-            &mut s.history,
+            &mut history,
             inner.opts.history_limit,
-            |(g, _, _)| *g,
+            |v| v.global,
             &inner.registry,
         );
-        drop(s);
+        drop(history);
         drop(log_guard);
         // Drop outside both locks: freeing a superseded version walks
         // every node only it owns and runs its values' `Drop`s, and
@@ -1110,16 +1119,14 @@ where
         Ok(g)
     }
 
-    /// Pins the current version vector: one `Arc` bump per shard under
-    /// a briefly-held lock; never observes a half-published commit.
+    /// Pins the current version vector: one `Arc` clone of the version
+    /// under a briefly-held lock, with no allocation; never observes a
+    /// half-published commit.
     pub fn snapshot(&self) -> ShardedSnapshot<K, V, C> {
         self.inner.metrics.snapshots.inc();
-        let s = self.inner.state.lock();
         ShardedSnapshot {
-            global: s.global,
-            locals: s.locals.clone(),
+            version: self.current(),
             router: Arc::clone(&self.inner.router),
-            maps: s.maps.clone(),
         }
     }
 
@@ -1132,50 +1139,38 @@ where
     /// retained history (or never existed).
     pub fn snapshot_at(&self, global: u64) -> Result<ShardedSnapshot<K, V, C>, StoreError> {
         self.inner.metrics.snapshots.inc();
-        let s = self.inner.state.lock();
-        s.history
-            .iter()
-            .find(|(g, _, _)| *g == global)
-            .map(|(g, locals, maps)| ShardedSnapshot {
-                global: *g,
-                locals: locals.clone(),
-                router: Arc::clone(&self.inner.router),
-                maps: maps.clone(),
-            })
-            .ok_or(StoreError::VersionNotFound(global))
+        let history = self.inner.state.lock();
+        let found = history.iter().rev().find(|v| v.global == global);
+        let version = Arc::clone(found.ok_or(StoreError::VersionNotFound(global))?);
+        drop(history);
+        Ok(ShardedSnapshot {
+            version,
+            router: Arc::clone(&self.inner.router),
+        })
     }
 
     /// The global commit ids currently reachable via
     /// [`ShardedStore::snapshot_at`], oldest first.
     pub fn versions(&self) -> Vec<u64> {
-        self.inner
-            .state
-            .lock()
-            .history
-            .iter()
-            .map(|(g, _, _)| *g)
-            .collect()
+        self.inner.state.lock().iter().map(|v| v.global).collect()
     }
 
     /// The current (latest committed) global commit id.
     pub fn current_version(&self) -> u64 {
-        self.inner.state.lock().global
+        self.current().global
     }
 
     /// The current per-shard local versions, in shard order.
     pub fn version_vector(&self) -> Vec<u64> {
-        self.inner.state.lock().locals.clone()
+        self.current().locals.to_vec()
     }
 
-    /// The value under `k` in the current version. Unlike
-    /// [`ShardedStore::snapshot`], this pins only the owning shard's
-    /// map (one `Arc` bump under the state lock), so point reads don't
-    /// pay the full version-vector copy.
+    /// The value under `k` in the current version: pins the version
+    /// (one `Arc` clone under the state lock, as
+    /// [`ShardedStore::snapshot`] does) and searches the owning shard.
     pub fn get(&self, k: &K) -> Option<V> {
         let _span = obs::span!(self.inner.metrics.point_read);
-        let shard = self.inner.router.shard_of(k);
-        let map = self.inner.state.lock().maps[shard].clone();
-        map.find(k)
+        self.current().maps[self.inner.router.shard_of(k)].find(k)
     }
 
     /// The entries with keys in `[lo, hi]` in the current version, in
@@ -1189,7 +1184,7 @@ where
 
     /// Total number of entries in the current version.
     pub fn len(&self) -> usize {
-        self.inner.state.lock().maps.iter().map(PacMap::len).sum()
+        self.current().maps.iter().map(PacMap::len).sum()
     }
 
     /// True if the current version is empty.
@@ -1292,12 +1287,16 @@ where
         // its last group ends in the log: under the log lock no commit is
         // between its append and its publish, so the two agree. Commits
         // may land after this point; their groups follow `from`.
-        let (maps, locals, global, from) = {
+        let (version, from) = {
             let log = inner.log.lock();
             let from = log.as_ref().ok_or(StoreError::Ephemeral)?.len;
-            let s = inner.state.lock();
-            (s.maps.clone(), s.locals.clone(), s.global, from)
+            (self.current(), from)
         };
+        let Version {
+            global,
+            ref locals,
+            ref maps,
+        } = *version;
         let shards = maps.len();
 
         // ----- Phase 1: page writes, in parallel, no log lock. --------
@@ -1314,8 +1313,6 @@ where
         }
         let pages_span = obs::span!(inner.metrics.compact_pages);
         let writes: Vec<Result<PageWrite, StoreError>> = {
-            let maps = &maps;
-            let locals = &locals;
             let pins = &ckpts.shards;
             par_for_shards((0..shards).collect(), usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
@@ -1431,8 +1428,8 @@ where
     /// errors persisting the pin table (the in-memory pin is rolled
     /// back, so memory and disk never disagree).
     pub fn pin_version(&self, version: u64) -> Result<(), StoreError> {
-        let s = self.inner.state.lock();
-        if !s.history.iter().any(|(g, _, _)| *g == version) {
+        let history = self.inner.state.lock();
+        if !history.iter().any(|v| v.global == version) {
             return Err(StoreError::VersionNotFound(version));
         }
         self.inner.registry.pin(version);
@@ -1442,7 +1439,7 @@ where
                 return Err(e);
             }
         }
-        drop(s);
+        drop(history);
         self.inner.metrics.pins.inc();
         Ok(())
     }
@@ -1456,7 +1453,7 @@ where
     /// errors persisting the pin table (the in-memory release is
     /// rolled back).
     pub fn unpin_version(&self, version: u64) -> Result<(), StoreError> {
-        let s = self.inner.state.lock();
+        let history = self.inner.state.lock();
         if !self.inner.registry.unpin(version) {
             return Err(StoreError::NotPinned(version));
         }
@@ -1466,7 +1463,7 @@ where
                 return Err(e);
             }
         }
-        drop(s);
+        drop(history);
         self.inner.metrics.unpins.inc();
         Ok(())
     }
@@ -1490,18 +1487,17 @@ where
         let mut dropped = Vec::new();
         let versions_retained;
         {
-            let mut s = self.inner.state.lock();
+            let mut history = self.inner.state.lock();
             let pinned = self.inner.registry.pinned();
-            let cut = s.history.len().saturating_sub(keep);
-            let old = std::mem::take(&mut s.history);
-            for (i, entry) in old.into_iter().enumerate() {
-                if i >= cut || pinned.contains(&entry.0) {
-                    s.history.push_back(entry);
+            let cut = history.len().saturating_sub(keep);
+            for (i, version) in std::mem::take(&mut *history).into_iter().enumerate() {
+                if i >= cut || pinned.contains(&version.global) {
+                    history.push_back(version);
                 } else {
-                    dropped.push(entry);
+                    dropped.push(version);
                 }
             }
-            versions_retained = s.history.len();
+            versions_retained = history.len();
         }
         // Drop outside the state lock — freeing deep unshared versions
         // walks whole trees — and measure what came back.
@@ -1752,6 +1748,51 @@ mod tests {
             store.pin_version(3),
             Err(StoreError::VersionNotFound(3))
         ));
+    }
+
+    /// The history's back is the current version and the only copy of
+    /// it: `snapshot` and `snapshot_at` pin that one `Arc`. A version the
+    /// history evicts is gone from `snapshot_at`, but a snapshot taken
+    /// before the eviction keeps reading it.
+    #[test]
+    fn snapshots_share_the_published_version() {
+        for shards in [1usize, 3] {
+            let opts = StoreOptions {
+                history_limit: 3,
+                ..StoreOptions::default()
+            };
+            let store: ShardedStore<u64, u64> =
+                ShardedStore::in_memory_with(Router::uniform_span(shards, 1_000), opts).unwrap();
+            store.commit(vec![Op::Put(1, 1), Op::Put(900, 1)]).unwrap();
+            let old = store.snapshot();
+            for v in 2..=3u64 {
+                store.commit(vec![Op::Put(1, v), Op::Put(900, v)]).unwrap();
+            }
+            assert_eq!(store.versions(), vec![1, 2, 3], "{shards} shards");
+
+            let v = store.commit(vec![Op::Put(1, 4), Op::Put(500, 4)]).unwrap();
+            assert_eq!(store.versions(), vec![2, 3, 4], "{shards} shards");
+            let current = store.snapshot();
+            let at = store.snapshot_at(v).unwrap();
+            assert!(Arc::ptr_eq(&current.version, &at.version));
+            assert!(Arc::ptr_eq(&current.version, &store.current()));
+            assert!(matches!(
+                store.snapshot_at(1),
+                Err(StoreError::VersionNotFound(1))
+            ));
+
+            assert_eq!(old.version(), 1);
+            assert_eq!(old.to_vec(), vec![(1, 1), (900, 1)]);
+            let touched = |keys: &[u64]| {
+                let mut locals = vec![0u64; shards];
+                for k in keys {
+                    locals[store.shard_of(k)] = 1;
+                }
+                locals
+            };
+            assert_eq!(old.version_vector(), touched(&[1, 900]));
+            assert_eq!(current.to_vec(), vec![(1, 4), (500, 4), (900, 3)]);
+        }
     }
 
     #[test]
