@@ -7,7 +7,6 @@
 //! snapshot isolation). On 2 cores the contention is necessarily
 //! stronger, but updates must remain nearly unaffected.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -86,29 +85,4 @@ fn main() {
         "update throughput while querying: {:.0} directed edges/s",
         10.0 / conc_update
     );
-
-    // Merge our section into BENCH_graphs.json, preserving fig15's
-    // (the shard_throughput/BENCH_store.json idiom).
-    let previous = std::fs::read_to_string("BENCH_graphs.json").unwrap_or_default();
-    let fig15 = bench::extract_obj(&previous, "fig15_batch_throughput")
-        .map(|o| format!(",\n  \"fig15_batch_throughput\": {o}"))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  \"fig14_concurrent\": {{\n    \"graph_m\": {},\n    \
-         \"solo_update_ms\": {:.3}, \"concurrent_update_ms\": {:.3}, \"update_slowdown\": {:.2},\n    \
-         \"solo_bfs_ms\": {:.3}, \"concurrent_bfs_ms\": {:.3}, \"bfs_slowdown\": {:.2},\n    \
-         \"concurrent_queries\": {}\n  }}{}\n}}\n",
-        graph.num_edges(),
-        solo_update * 1e3,
-        conc_update * 1e3,
-        conc_update / solo_update,
-        solo_query * 1e3,
-        conc_query * 1e3,
-        conc_query / solo_query,
-        queries_done,
-        fig15,
-    );
-    let mut f = std::fs::File::create("BENCH_graphs.json").expect("create BENCH_graphs.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_graphs.json");
-    println!("\nwrote BENCH_graphs.json (fig14_concurrent section)");
 }

@@ -5,8 +5,6 @@
 //! Shape: throughput grows with batch size (batch sorting and tree
 //! traversal overheads amortize).
 
-use std::io::Write as _;
-
 use bench::{header, time};
 use graphs::{AspenGraph, PacGraph};
 
@@ -17,8 +15,7 @@ fn main() {
         graphs::rmat::symmetrize(&graphs::rmat::rmat_edges(16, 1_000_000 * scale, 3));
     let n = 1usize << 16;
 
-    let rows = parlay::run(|| {
-        let mut rows: Vec<String> = Vec::new();
+    parlay::run(|| {
         let pac = PacGraph::from_edges(n, &base_edges);
         let aspen = AspenGraph::from_edges(n, &base_edges);
         println!("base graph: n = {n}, m = {}", pac.num_edges());
@@ -55,26 +52,6 @@ fn main() {
                 asp,
                 ins / asp
             );
-            rows.push(format!(
-                "{{\"batch\": {batch_size}, \"cpam_insert_eps\": {ins:.0}, \
-                 \"cpam_delete_eps\": {del:.0}, \"aspen_insert_eps\": {asp:.0}, \
-                 \"cpam_over_aspen\": {:.2}}}",
-                ins / asp
-            ));
         }
-        rows
     });
-
-    // Merge our section into BENCH_graphs.json, preserving fig14's.
-    let previous = std::fs::read_to_string("BENCH_graphs.json").unwrap_or_default();
-    let fig14 = bench::extract_obj(&previous, "fig14_concurrent")
-        .map(|o| format!("\"fig14_concurrent\": {o},\n  "))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  {fig14}\"fig15_batch_throughput\": {{\n    \"rows\": [\n      {}\n    ]\n  }}\n}}\n",
-        rows.join(",\n      ")
-    );
-    let mut f = std::fs::File::create("BENCH_graphs.json").expect("create BENCH_graphs.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_graphs.json");
-    println!("\nwrote BENCH_graphs.json (fig15_batch_throughput section)");
 }

@@ -1,34 +1,27 @@
 //! Thread-scaling sweep: the repo's multicore trajectory (PaC-trees
-//! paper figs. 14–15 are *parallel* results; this harness is what makes
-//! scaling a committed, CI-gated number instead of an aspiration).
+//! paper figs. 14–15 are *parallel* results; this harness measures how
+//! the bulk operations and the store's commit path behave as the pool
+//! grows).
 //!
 //! The pool size is fixed at first use (`PARLAY_NUM_THREADS` is read
 //! once), so one process cannot sweep thread counts. The parent
 //! re-executes itself as a child per thread count (`scaling_sweep child`)
 //! with the environment set; each child runs every workload on its own
-//! freshly-sized pool and prints a single JSON line the parent collects.
+//! freshly-sized pool and prints its numbers as one whitespace-separated
+//! line, which the parent collects into the printed table.
 //!
 //! Workloads (all self-relative: speedup is vs this sweep's own 1-thread
-//! row, so the committed numbers stay honest on any host):
+//! row, so the numbers stay honest on any host):
 //! - `union`: PacSet union of n and n/2 random keys (tab02 bulk-op shape)
 //! - `multi_insert`: batch insert of n/10 keys into an n-key PacSet
-//! - `shard_commit`: `ShardedStore::commit` batches across 4 shards (the
-//!   `shard_throughput` commit path)
+//! - `shard_commit`: `ShardedStore::commit` batches across 4 shards
 //! - join-overhead microbench: ns per no-op `parlay::join` on a worker
-//!
-//! Writes `BENCH_scaling.json`, preserving the committed `baseline`
-//! object across runs (the `tab02_micro` idiom): `baseline.ns_per_join_t1`
-//! is the pre-overhaul scheduler measured on the original commit host and
-//! is what the join-overhead row's `speedup_vs_baseline` compares against.
 
-use std::io::Write as _;
-
-use bench::{field_f64, time};
+use bench::time;
 use cpam::PacSet;
 use store::{Op, Router, ShardedStore, StoreOptions};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const WORKLOADS: [&str; 3] = ["union", "multi_insert", "shard_commit"];
 
 fn bench_n() -> usize {
     bench::base_n()
@@ -119,19 +112,15 @@ fn shard_commit_ops_per_sec(n: usize) -> f64 {
 }
 
 /// Child mode: run every workload on this process's pool and print one
-/// JSON line for the parent.
+/// line for the parent: ns per join, then the union, multi_insert and
+/// shard_commit ops per second.
 fn child() {
     let n = bench_n();
-    let threads = parlay::num_threads();
     let ns_per_join = join_overhead_ns();
     let union = union_ops_per_sec(n);
     let multi_insert = multi_insert_ops_per_sec(n);
     let shard_commit = shard_commit_ops_per_sec(n);
-    println!(
-        "{{\"threads\": {threads}, \"ns_per_join\": {ns_per_join:.1}, \
-         \"union_ops_per_sec\": {union:.0}, \"multi_insert_ops_per_sec\": {multi_insert:.0}, \
-         \"shard_commit_ops_per_sec\": {shard_commit:.0}}}"
-    );
+    println!("{ns_per_join:.1} {union:.0} {multi_insert:.0} {shard_commit:.0}");
 }
 
 struct Row {
@@ -163,18 +152,15 @@ fn parent() {
             String::from_utf8_lossy(&out.stderr)
         );
         let line = String::from_utf8_lossy(&out.stdout);
-        let get = |key: &str| {
-            field_f64(&line, key)
-                .unwrap_or_else(|| panic!("child output missing {key}: {line}"))
-        };
+        let fields: Vec<f64> = line
+            .split_whitespace()
+            .map(|f| f.parse().unwrap_or_else(|_| panic!("bad child output: {line}")))
+            .collect();
+        assert_eq!(fields.len(), 4, "child output has four fields: {line}");
         rows.push(Row {
             threads,
-            ns_per_join: get("ns_per_join"),
-            ops: [
-                get("union_ops_per_sec"),
-                get("multi_insert_ops_per_sec"),
-                get("shard_commit_ops_per_sec"),
-            ],
+            ns_per_join: fields[0],
+            ops: [fields[1], fields[2], fields[3]],
         });
     }
 
@@ -196,66 +182,6 @@ fn parent() {
             r.ops[2] / base.ops[2],
         );
     }
-
-    // --- BENCH_scaling.json: rewrite `current`, preserve `baseline` ---
-    let previous = std::fs::read_to_string("BENCH_scaling.json").unwrap_or_default();
-    let baseline = bench::extract_obj(&previous, "baseline")
-        .filter(|o| o.contains("ns_per_join_t1"))
-        .map(str::to_string)
-        .unwrap_or_else(|| {
-            // First run on a fresh host: today's 1-thread join cost
-            // becomes the committed reference point.
-            format!("{{\"ns_per_join_t1\": {:.1}}}", rows[0].ns_per_join)
-        });
-    let baseline_ns = field_f64(&baseline, "ns_per_join_t1").expect("baseline ns_per_join_t1");
-
-    let workload_sections: Vec<String> = WORKLOADS
-        .iter()
-        .enumerate()
-        .map(|(w, name)| {
-            let cells: Vec<String> = rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"threads\": {}, \"ops_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-                        r.threads,
-                        r.ops[w],
-                        r.ops[w] / base.ops[w]
-                    )
-                })
-                .collect();
-            format!("\"{name}\": {{\"rows\": [{}]}}", cells.join(", "))
-        })
-        .collect();
-    let join_cells: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{{\"threads\": {}, \"ns_per_join\": {:.1}}}", r.threads, r.ns_per_join))
-        .collect();
-    let json = format!(
-        "{{\n  \"scaling_sweep\": {{\n    \"n\": {},\n    \"host_cores\": {},\n    \
-         \"baseline\": {},\n    \"join_overhead\": {{\n      \
-         \"current_ns_per_join_t1\": {:.1},\n      \
-         \"baseline_ns_per_join_t1\": {:.1},\n      \
-         \"speedup_vs_baseline\": {:.2},\n      \
-         \"rows\": [{}]\n    }},\n    \"workloads\": {{\n      {}\n    }}\n  }}\n}}\n",
-        bench_n(),
-        host_cores,
-        baseline,
-        rows[0].ns_per_join,
-        baseline_ns,
-        baseline_ns / rows[0].ns_per_join,
-        join_cells.join(", "),
-        workload_sections.join(",\n      "),
-    );
-    let mut f = std::fs::File::create("BENCH_scaling.json").expect("create BENCH_scaling.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_scaling.json");
-    println!(
-        "\nns/join at 1 thread: {:.1} (baseline {:.1}, {:.1}x)",
-        rows[0].ns_per_join,
-        baseline_ns,
-        baseline_ns / rows[0].ns_per_join
-    );
-    println!("wrote BENCH_scaling.json");
 }
 
 fn main() {

@@ -2,9 +2,9 @@
 //! asymptotics, using the library's node-allocation counters.
 //!
 //! Checks (at B = 128):
-//! * union work follows `m log(n/m) + min(mB, n)` — doubling `m` at
-//!   fixed `n` scales allocations sublinearly until the `mB` term
-//!   dominates, then linearly;
+//! * union work is `O(w(m))` with `w(m) = m·log2(n/m + 1) + min(mB, n)`
+//!   — the printed ratio `allocs / w(m)` should stay flat or fall as `m`
+//!   grows at fixed `n`;
 //! * insert allocates `O(log n + B)` nodes, independent of `n`'s
 //!   doubling beyond the log term;
 //! * `join`/`append` allocates `O(log n + B)` nodes, not `O(n)`.
@@ -27,7 +27,7 @@ fn main() {
         let base = PacSet::<u64>::from_sorted_keys(128, &big);
 
         println!("union(n = {n}, m) node allocations vs m:");
-        println!("{:>10} {:>14} {:>16} {:>14}", "m", "allocs", "allocs/m", "m*log(n/m)+mB");
+        println!("{:>10} {:>14} {:>16} {:>14}", "m", "allocs", "w(m)", "allocs/w(m)");
         let mut rng = XorShift(5);
         for exp in [2u32, 3, 4, 5, 6] {
             let m = 10usize.pow(exp).min(n);
@@ -35,14 +35,8 @@ fn main() {
             let a = allocs(|| {
                 std::hint::black_box(base.union(&other));
             });
-            let predicted = m as f64 * ((n as f64 / m as f64).log2().max(1.0)) + (m * 128) as f64;
-            println!(
-                "{:>10} {:>14} {:>16.2} {:>14.0}",
-                m,
-                a,
-                a as f64 / m as f64,
-                predicted / 128.0 // in node units (a block holds ~B entries)
-            );
+            let w = m as f64 * (n as f64 / m as f64 + 1.0).log2() + (m * 128).min(n) as f64;
+            println!("{:>10} {:>14} {:>16.0} {:>14.4}", m, a, w, a as f64 / w);
         }
 
         println!();
@@ -62,22 +56,16 @@ fn main() {
         println!();
         println!("append (join2): allocations vs size (expect ~log n, not O(n)):");
         for size in [n / 100, n / 10, n] {
-            let l = PacSet::<u64>::from_sorted_keys(128, &big[..size / 2]);
-            let r = PacSet::<u64>::from_sorted_keys(
-                128,
-                &big[size / 2 + 1..size],
-            );
             let seq_l = cpam::PacSeq::<u64>::from_slice_with(128, &big[..size / 2]);
             let seq_r = cpam::PacSeq::<u64>::from_slice_with(128, &big[size / 2 + 1..size]);
             let a = allocs(|| {
                 std::hint::black_box(seq_l.append(&seq_r));
             });
-            let _ = (l, r);
             println!("  n = {size:>9}: {a} allocs");
         }
 
         println!();
         println!("(See Table 1 in the paper; shapes above should be flat or");
-        println!(" logarithmic in n, and union allocs/m should stay bounded.)");
+        println!(" logarithmic in n, and union allocs/w(m) should not grow with m.)");
     });
 }

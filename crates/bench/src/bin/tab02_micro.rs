@@ -2,26 +2,18 @@
 //! P-tree (PAM) across build, set algebra, bulk ops, and point lookups,
 //! with and without augmentation.
 //!
-//! Besides the printed table, the binary emits `BENCH_cpam.json` with
-//! find/insert/iterate micro-op throughputs (raw and byte-coded leaves,
-//! B = 128) so the cpam perf trajectory is tracked in-repo, the same way
-//! `shard_throughput` maintains `BENCH_store.json`. A committed
-//! `baseline` object (the pre-cursor-PR numbers) is preserved across
-//! runs; the `current` object and the speedup ratios are rewritten from
-//! the run's measurements.
+//! Before the table it prints find/insert/iterate micro-op throughputs
+//! (raw and byte-coded leaves, B = 128), measured first on a quiet heap.
 //!
 //! The `insert_consume_*` rows measure the ownership-aware consuming
 //! update path (`insert_owned`: refcount-1 nodes rebuilt in place)
 //! against the persistent clone-per-op loop (`insert_*`, which pins the
 //! previous version and forces path copying on every op).
 //!
-//! The emitted `obs_overhead` object compares plain find/insert loops
-//! against the same loops with the observability layer live (registry
-//! populated, per-batch spans, scrapes between reps); the zero-overhead
-//! policy requires the regression to stay under 3%.
-//!
-//! Run with the argument `inplace` to measure and emit just the
-//! micro-op trajectory (the CI smoke mode), skipping the full table.
+//! The obs-overhead rows compare plain find/insert loops against the
+//! same loops with the observability layer live (registry populated,
+//! per-batch spans, scrapes between reps); the zero-overhead policy
+//! requires the regression to stay under 3%.
 
 use bench::{header, ms, row, time, time_avg, XorShift};
 use cpam::{DiffMap, PacMap, SumAug};
@@ -39,29 +31,13 @@ struct MicroOps {
     iter_delta_b128: f64,
 }
 
-impl MicroOps {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"find_raw_b128\": {:.0}, \"find_delta_b128\": {:.0}, \"insert_raw_b128\": {:.0}, \"insert_delta_b128\": {:.0}, \"insert_consume_raw_b128\": {:.0}, \"insert_consume_delta_b128\": {:.0}, \"iter_raw_b128\": {:.0}, \"iter_delta_b128\": {:.0}}}",
-            self.find_raw_b128,
-            self.find_delta_b128,
-            self.insert_raw_b128,
-            self.insert_delta_b128,
-            self.insert_consume_raw_b128,
-            self.insert_consume_delta_b128,
-            self.iter_raw_b128,
-            self.iter_delta_b128
-        )
-    }
-}
-
 /// Plain vs instrumentation-live find/insert throughput (ops/s),
 /// best-of-7 interleaved. The live variant runs with the observability
 /// layer fully active — the `cpam::stats` → `obs` bridge registered,
 /// latency histograms resolved, one span recorded per op batch (the
 /// store's per-commit recording granularity; hot paths never record
-/// per tree op), and a `render_text` scrape between reps. Gates the
-/// zero-overhead policy of DESIGN.md §10: live must stay within 3% of
+/// per tree op), and a `render_text` scrape between reps. The
+/// zero-overhead policy of DESIGN.md §10 asks live to stay within 3% of
 /// plain.
 struct ObsOverhead {
     find_plain: f64,
@@ -78,18 +54,6 @@ impl ObsOverhead {
         } else {
             0.0
         }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"find_plain_ops\": {:.0}, \"find_live_ops\": {:.0}, \"find_overhead_pct\": {:.2}, \"insert_plain_ops\": {:.0}, \"insert_live_ops\": {:.0}, \"insert_overhead_pct\": {:.2}}}",
-            self.find_plain,
-            self.find_live,
-            Self::pct(self.find_plain, self.find_live),
-            self.insert_plain,
-            self.insert_live,
-            Self::pct(self.insert_plain, self.insert_live),
-        )
     }
 }
 
@@ -163,40 +127,6 @@ fn measure_obs_overhead(n: usize, pairs: &[(u64, u64)]) -> ObsOverhead {
     o
 }
 
-/// Extracts the `"find_delta_b128": <number>` field of a flat JSON
-/// object (enough structure to read the committed baseline back without
-/// a JSON dependency; the file is only ever written by this binary).
-fn field(obj: &str, key: &str) -> Option<f64> {
-    let at = obj.find(&format!("\"{key}\""))?;
-    let rest = &obj[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Returns the braced object following `"key":` in `json`, if any.
-fn extract_obj<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let open = at + json[at..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[open..=open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Measures the micro-ops on maps of `n` presorted pairs at B = 128.
 fn measure_micro(n: usize, pairs: &[(u64, u64)]) -> MicroOps {
     let raw = PacMap::<u64, u64>::from_sorted_pairs(128, pairs);
@@ -262,84 +192,37 @@ fn measure_micro(n: usize, pairs: &[(u64, u64)]) -> MicroOps {
     }
 }
 
-/// Writes `BENCH_cpam.json`, preserving any committed `baseline` object
-/// so the pre-PR numbers stay the fixed reference point.
-fn write_bench_json(n: usize, current: &MicroOps, overhead: &ObsOverhead) {
-    let path = "BENCH_cpam.json";
-    let current_json = current.to_json();
-    let previous = std::fs::read_to_string(path).unwrap_or_default();
-    let baseline_json = extract_obj(&previous, "baseline")
-        .map(str::to_string)
-        .unwrap_or_else(|| current_json.clone());
-    let baseline_find = field(&baseline_json, "find_delta_b128").unwrap_or(current.find_delta_b128);
-    let speedup = if baseline_find > 0.0 {
-        current.find_delta_b128 / baseline_find
-    } else {
-        1.0
-    };
-    // The inplace-vs-persistent rows: consuming updates vs this run's
-    // clone-per-op loop, and vs the committed pre-change baseline's
-    // persistent insert (the only insert flavour that existed then).
-    let inplace_speedup = if current.insert_delta_b128 > 0.0 {
-        current.insert_consume_delta_b128 / current.insert_delta_b128
-    } else {
-        1.0
-    };
-    let inplace_speedup_raw = if current.insert_raw_b128 > 0.0 {
-        current.insert_consume_raw_b128 / current.insert_raw_b128
-    } else {
-        1.0
-    };
-    let baseline_ins = field(&baseline_json, "insert_delta_b128").unwrap_or(current.insert_delta_b128);
-    let inplace_vs_baseline = if baseline_ins > 0.0 {
-        current.insert_consume_delta_b128 / baseline_ins
-    } else {
-        1.0
-    };
-    let overhead_json = overhead.to_json();
-    let json = format!(
-        "{{\n  \"bench\": \"tab02_micro\",\n  \"threads\": {},\n  \"n\": {},\n  \"baseline\": {},\n  \"current\": {},\n  \"obs_overhead\": {},\n  \"find_delta_b128_speedup\": {:.3},\n  \"inplace_insert_raw_b128_speedup_vs_persistent\": {:.3},\n  \"inplace_insert_delta_b128_speedup_vs_persistent\": {:.3},\n  \"inplace_insert_delta_b128_speedup_vs_baseline\": {:.3}\n}}\n",
-        parlay::num_threads(),
-        n,
-        baseline_json,
-        current_json,
-        overhead_json,
-        speedup,
-        inplace_speedup_raw,
-        inplace_speedup,
-        inplace_vs_baseline
+/// Prints the micro-op rows and the obs-overhead rows.
+fn print_micro(m: &MicroOps, o: &ObsOverhead) {
+    let ops = |x: f64| format!("{x:.0}");
+    let ratio = |num: f64, den: f64| format!("{:.3}x", num / den);
+    println!("micro-ops (B = 128; find and insert in ops/s, iter in entries/s):");
+    row("", &["raw".into(), "delta".into()]);
+    row("find", &[ops(m.find_raw_b128), ops(m.find_delta_b128)]);
+    row("insert (persistent)", &[ops(m.insert_raw_b128), ops(m.insert_delta_b128)]);
+    row(
+        "insert (consuming)",
+        &[ops(m.insert_consume_raw_b128), ops(m.insert_consume_delta_b128)],
     );
-    std::fs::write(path, &json).expect("write BENCH_cpam.json");
+    row(
+        "consuming / persistent",
+        &[
+            ratio(m.insert_consume_raw_b128, m.insert_raw_b128),
+            ratio(m.insert_consume_delta_b128, m.insert_delta_b128),
+        ],
+    );
+    row("iter", &[ops(m.iter_raw_b128), ops(m.iter_delta_b128)]);
     println!();
-    println!("micro-ops (ops/s, B = 128): {current_json}");
-    println!("find (delta, B = 128) speedup vs committed baseline: {speedup:.3}x");
-    println!(
-        "insert (B = 128): consuming in-place vs persistent clone-per-op: raw {inplace_speedup_raw:.3}x, \
-         delta {inplace_speedup:.3}x (vs committed baseline delta insert: {inplace_vs_baseline:.3}x)"
-    );
-    println!(
-        "obs overhead (plain vs instrumentation-live, best-of-7): find {:+.2}%, insert {:+.2}%",
-        ObsOverhead::pct(overhead.find_plain, overhead.find_live),
-        ObsOverhead::pct(overhead.insert_plain, overhead.insert_live),
-    );
-    println!("wrote {path}");
+    println!("obs overhead (plain vs instrumentation-live, best-of-7, ops/s):");
+    row("", &["plain".into(), "live".into(), "overhead".into()]);
+    for (name, plain, live) in
+        [("find", o.find_plain, o.find_live), ("insert", o.insert_plain, o.insert_live)]
+    {
+        row(name, &[ops(plain), ops(live), format!("{:+.2}%", ObsOverhead::pct(plain, live))]);
+    }
 }
 
 fn main() {
-    // `inplace` mode: just the micro-op trajectory (consuming vs
-    // persistent inserts included) and the JSON — the CI smoke run.
-    if std::env::args().nth(1).as_deref() == Some("inplace") {
-        header("tab02_micro", "inplace mode: micro-op trajectory only");
-        let n = bench::base_n();
-        let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 3, i)).collect();
-        parlay::run(|| {
-            let micro = measure_micro(n, &pairs);
-            let overhead = measure_obs_overhead(n, &pairs);
-            write_bench_json(n, &micro, &overhead);
-        });
-        return;
-    }
-
     header("tab02_micro", "Table 2 microbenchmarks (keys/values u64)");
     let n = bench::base_n();
     let m_small = (n / 1000).max(1);
@@ -349,13 +232,13 @@ fn main() {
     let small: Vec<(u64, u64)> = (0..m_small as u64).map(|i| (i * 211 + 7, i)).collect();
 
     parlay::run(|| {
-        // Micro-op trajectory (BENCH_cpam.json) — measured first, on a
-        // quiet heap: point-lookup timings are dominated by cache/TLB
-        // behaviour, so running them after the table's maps are built
-        // would measure the resident-set size, not the access path.
+        // Micro-ops — measured first, on a quiet heap: point-lookup
+        // timings are dominated by cache/TLB behaviour, so running them
+        // after the table's maps are built would measure the
+        // resident-set size, not the access path.
         let micro = measure_micro(n, &pairs);
         let overhead = measure_obs_overhead(n, &pairs);
-        write_bench_json(n, &micro, &overhead);
+        print_micro(&micro, &overhead);
         println!();
 
         // Warm the allocator and page cache so the first timed build is

@@ -63,95 +63,6 @@ pub fn row(label: &str, cells: &[String]) {
     println!();
 }
 
-/// Returns the braced object following `"key":` in `json`, if any.
-///
-/// Just enough JSON structure for the harnesses that maintain merged
-/// result files (`BENCH_store.json` holds one section per binary, each
-/// rewriting its own section and preserving the others) without pulling
-/// in a JSON dependency — the files are only ever written by these
-/// binaries.
-pub fn extract_obj<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let open = at + json[at..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[open..=open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Rewrites `path` as a merged JSON object: `own_key` maps to `section`
-/// and every key in `preserve` keeps the object it had in the existing
-/// file (missing or stale sections are simply dropped). The store bench
-/// binaries share one results file (`BENCH_store.json`, one section per
-/// binary); each run rewrites only its own section via this helper, so
-/// the CI smoke steps can run the binaries in any order.
-pub fn write_merged_section(path: &str, own_key: &str, section: &str, preserve: &[&str]) {
-    let previous = std::fs::read_to_string(path).unwrap_or_default();
-    let mut parts: Vec<String> = preserve
-        .iter()
-        .filter_map(|key| extract_obj(&previous, key).map(|o| format!("  \"{key}\": {o}")))
-        .collect();
-    parts.push(format!("  \"{own_key}\": {section}"));
-    let json = format!("{{\n{}\n}}\n", parts.join(",\n"));
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path} ({own_key} section)");
-}
-
-/// Reads the numeric value following `"key":` in a JSON fragment (the
-/// counterpart of [`extract_obj`] for scalar fields). Same caveats: a
-/// substring scan, adequate only for the JSON these binaries themselves
-/// write and read back.
-pub fn field_f64(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// The window of a global-registry latency histogram since `before`:
-/// the current snapshot of `name` minus the earlier one. Empty if the
-/// series does not exist (nothing recorded yet).
-///
-/// Store harnesses use this to turn the cumulative `pacstore_*_ns`
-/// histograms into per-phase percentiles: snapshot before the timed
-/// region, subtract after.
-pub fn hist_since(name: &str, before: &obs::HistogramSnapshot) -> obs::HistogramSnapshot {
-    obs::global()
-        .histogram_snapshot(name)
-        .map(|now| now.delta(before))
-        .unwrap_or_default()
-}
-
-/// The current global snapshot of histogram `name` (empty if absent) —
-/// the `before` argument for a later [`hist_since`].
-pub fn hist_now(name: &str) -> obs::HistogramSnapshot {
-    obs::global().histogram_snapshot(name).unwrap_or_default()
-}
-
-/// Renders a nanosecond histogram window as `(p50, p99, max)` in
-/// milliseconds.
-pub fn ns_window_ms(window: &obs::HistogramSnapshot) -> (f64, f64, f64) {
-    (
-        window.p50() as f64 / 1e6,
-        window.p99() as f64 / 1e6,
-        window.max_value() as f64 / 1e6,
-    )
-}
-
 /// Deterministic xorshift for workload generation inside harnesses.
 pub struct XorShift(pub u64);
 

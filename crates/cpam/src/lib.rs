@@ -72,7 +72,6 @@ mod map;
 mod ordered;
 mod pseq;
 mod set;
-mod tradeoff;
 
 pub mod stats;
 pub mod structure;
@@ -85,7 +84,6 @@ pub use node::{BlockSource, SpaceStats};
 pub use ordered::PacOrd;
 pub use pseq::PacSeq;
 pub use set::PacSet;
-pub use tradeoff::UnsortedLeafSet;
 
 /// The paper's default block size.
 pub const DEFAULT_B: usize = 128;

@@ -21,7 +21,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server::{
-    serve_pipe, Client, ClientError, ClientOptions, ErrorCode, Request, Response, ServerOptions,
+    serve_pipe, serve_tcp, Client, ClientError, ClientOptions, Dialer, ErrorCode, Request,
+    Response, ServerHandle, ServerOptions,
 };
 use store::{Op, Router, ShardedStore, StoreOptions};
 
@@ -265,31 +266,60 @@ fn malformed_message_keeps_the_connection() {
 }
 
 /// A reader holding a pinned snapshot observes its version's exact
-/// contents while concurrent writers commit through the same server.
+/// contents while concurrent writers commit through the same server,
+/// over each transport: the in-process pipe and TCP on loopback.
 #[test]
 fn pinned_reader_is_isolated_from_concurrent_writers() {
+    for serve in [serve_over_pipe, serve_over_tcp] {
+        pinned_reader_isolation(serve);
+    }
+}
+
+/// Serves `store` over the in-process pipe transport.
+fn serve_over_pipe(store: ShardedStore<u64, u64>) -> (ServerHandle, Dialer) {
+    let (handle, connector) = serve_pipe(store, ServerOptions::default());
+    (handle, Dialer::Pipe(connector))
+}
+
+/// Serves `store` over TCP on an ephemeral loopback port. A failed bind
+/// fails the test.
+fn serve_over_tcp(store: ShardedStore<u64, u64>) -> (ServerHandle, Dialer) {
+    let handle = serve_tcp(store, "127.0.0.1:0", ServerOptions::default())
+        .expect("bind 127.0.0.1:0");
+    let addr = handle.addr().expect("a tcp server has an address");
+    (handle, Dialer::Tcp(addr))
+}
+
+/// A client on `dialer`, through the transport's own constructor.
+fn connect(dialer: &Dialer) -> Client<u64, u64> {
+    match dialer {
+        Dialer::Tcp(addr) => Client::connect_tcp(*addr, client_opts()),
+        Dialer::Pipe(connector) => Client::connect_pipe(connector.clone(), client_opts()),
+    }
+}
+
+fn pinned_reader_isolation(serve: fn(ShardedStore<u64, u64>) -> (ServerHandle, Dialer)) {
     let store: ShardedStore<u64, u64> = ShardedStore::in_memory_with(
         Router::uniform_span(4, KEY_SPAN),
         StoreOptions { history_limit: 8, ..StoreOptions::default() },
     )
     .unwrap();
-    let (mut handle, connector) = serve_pipe(store, ServerOptions::default());
+    let (mut handle, dialer) = serve(store);
 
     // Seed a known state and pin it.
-    let mut writer: Client<u64, u64> = Client::connect_pipe(connector.clone(), client_opts());
+    let mut writer = connect(&dialer);
     let base = writer
         .put_batch((0..KEY_SPAN).map(|k| Op::Put(k, k * 10)).collect())
         .unwrap();
-    let mut reader: Client<u64, u64> = Client::connect_pipe(connector.clone(), client_opts());
+    let mut reader = connect(&dialer);
     reader.pin(base).unwrap();
 
     // Writers hammer the same keys from four connections.
     let writers: Vec<_> = (0..4)
         .map(|w| {
-            let connector = connector.clone();
+            let dialer = dialer.clone();
             std::thread::spawn(move || {
-                let mut client: Client<u64, u64> =
-                    Client::connect_pipe(connector, client_opts());
+                let mut client = connect(&dialer);
                 for i in 0..50u64 {
                     client
                         .put_batch(vec![Op::Put((w * 13 + i) % KEY_SPAN, w * 1_000 + i)])

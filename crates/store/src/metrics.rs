@@ -5,8 +5,8 @@
 //! histograms are resolved **once at construction**, so hot paths pay
 //! only an `Instant::now()` pair and a relaxed `fetch_add` — the
 //! registry lock is never touched after setup (the zero-overhead policy
-//! of DESIGN.md §10, gated by the `obs_overhead` row in
-//! `BENCH_cpam.json`).
+//! of DESIGN.md §10, measured by `tab02_micro`'s printed obs-overhead
+//! rows and pacbench's `obs.*` rows).
 //!
 //! # Metric naming
 //!
