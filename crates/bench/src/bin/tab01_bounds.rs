@@ -3,8 +3,8 @@
 //!
 //! Checks (at B = 128):
 //! * union work is `O(w(m))` with `w(m) = m·log2(n/m + 1) + min(mB, n)`
-//!   — the printed ratio `allocs / w(m)` should stay flat or fall as `m`
-//!   grows at fixed `n`;
+//!   — the printed ratio `allocs / w(m)` must stay at most 1 on every
+//!   row, or the binary exits non-zero;
 //! * insert allocates `O(log n + B)` nodes, independent of `n`'s
 //!   doubling beyond the log term;
 //! * `join`/`append` allocates `O(log n + B)` nodes, not `O(n)`.
@@ -23,12 +23,13 @@ fn main() {
     let n = bench::base_n();
     let big: Vec<u64> = (0..n as u64).map(|i| i * 4).collect();
 
-    parlay::run(|| {
+    let over = parlay::run(|| {
         let base = PacSet::<u64>::from_sorted_keys(128, &big);
 
         println!("union(n = {n}, m) node allocations vs m:");
         println!("{:>10} {:>14} {:>16} {:>14}", "m", "allocs", "w(m)", "allocs/w(m)");
         let mut rng = XorShift(5);
+        let mut over = Vec::new();
         for exp in [2u32, 3, 4, 5, 6] {
             let m = 10usize.pow(exp).min(n);
             let other = PacSet::<u64>::from_keys_with(128, rng.vec(m, 4 * n as u64));
@@ -37,6 +38,9 @@ fn main() {
             });
             let w = m as f64 * (n as f64 / m as f64 + 1.0).log2() + (m * 128).min(n) as f64;
             println!("{:>10} {:>14} {:>16.0} {:>14.4}", m, a, w, a as f64 / w);
+            if a as f64 > w {
+                over.push(m);
+            }
         }
 
         println!();
@@ -67,5 +71,10 @@ fn main() {
         println!();
         println!("(See Table 1 in the paper; shapes above should be flat or");
         println!(" logarithmic in n, and union allocs/w(m) should not grow with m.)");
+        over
     });
+    if !over.is_empty() {
+        eprintln!("tab01_bounds: union allocs exceed w(m) at m = {over:?}");
+        std::process::exit(1);
+    }
 }

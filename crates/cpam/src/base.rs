@@ -128,17 +128,39 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    let n = size(t);
-    let mut out: Vec<E> = Vec::with_capacity(n);
-    let ptr = SendPtr(out.as_mut_ptr());
-    write_tree(t, ptr, 0, walk_grain(n));
-    // SAFETY: write_tree initializes exactly `size(t)` consecutive slots.
-    unsafe { out.set_len(n) };
+    let mut out = Vec::new();
+    extend_with(t, &E::clone, &mut out);
     out
 }
 
-fn write_tree<E, A, C>(t: &Tree<E, A, C>, out: SendPtr<E>, offset: usize, grain: usize)
-where
+/// Appends `f` of every entry of `t` to `out`, in collection order: a
+/// tree flattened straight into whatever the caller keeps per entry.
+/// Parallel, as [`to_vec`].
+pub(crate) fn extend_with<E, A, C, T: Send>(
+    t: &Tree<E, A, C>,
+    f: &(impl Fn(&E) -> T + Sync),
+    out: &mut Vec<T>,
+) where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    let (len, n) = (out.len(), size(t));
+    out.reserve(n);
+    let ptr = SendPtr(out.as_mut_ptr());
+    write_tree(t, f, ptr, len, walk_grain(n));
+    // SAFETY: write_tree initializes exactly the `size(t)` slots after
+    // `len`, within the capacity reserved above.
+    unsafe { out.set_len(len + n) };
+}
+
+fn write_tree<E, A, C, T: Send>(
+    t: &Tree<E, A, C>,
+    f: &(impl Fn(&E) -> T + Sync),
+    out: SendPtr<T>,
+    offset: usize,
+    grain: usize,
+) where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
@@ -154,16 +176,16 @@ where
         } => {
             let lsize = size(left);
             // SAFETY: disjoint slots, within the capacity reserved by the
-            // caller (to_vec).
-            unsafe { out.0.add(offset + lsize).write(entry.clone()) };
+            // caller (extend_with).
+            unsafe { out.0.add(offset + lsize).write(f(entry)) };
             if *sz > grain {
                 parlay::join(
-                    || write_tree(left, out, offset, grain),
-                    || write_tree(right, out, offset + lsize + 1, grain),
+                    || write_tree(left, f, out, offset, grain),
+                    || write_tree(right, f, out, offset + lsize + 1, grain),
                 );
             } else {
-                write_tree(left, out, offset, grain);
-                write_tree(right, out, offset + lsize + 1, grain);
+                write_tree(left, f, out, offset, grain);
+                write_tree(right, f, out, offset + lsize + 1, grain);
             }
         }
         leaf => {
@@ -172,7 +194,7 @@ where
             let mut at = offset;
             C::for_each(&block, &mut |e| {
                 // SAFETY: as above; blocks own a disjoint range.
-                unsafe { out.0.add(at).write(e.clone()) };
+                unsafe { out.0.add(at).write(f(e)) };
                 at += 1;
             });
         }
@@ -247,25 +269,27 @@ where
 }
 
 /// Applies the key-sorted, duplicate-free `edits` to `t`; a put on an
-/// existing key stores `f(old, new)`. `t` is a leaf — where a point
-/// update and a sparse batch slice end up — or a subtree of at most κ
-/// entries that the batch hits densely (the Section 8 array base case).
+/// existing key stores `f(old, new)`, and an entry no edit names
+/// survives only if `keep`. `t` is a leaf — where a point update and a
+/// sparse batch slice end up — or a subtree of at most κ entries that
+/// the batch hits densely (the Section 8 array base case).
 ///
-/// A leaf whose result still fits in `2b` entries is spliced
-/// ([`Codec::splice`]) and the new block takes its place
-/// ([`reuse_block`]). Only puts can grow a leaf, so the per-key search
-/// that discounts hits runs only when the puts alone could overflow it.
-/// Anything else — a κ-subtree, a leaf that overflows — is streamed
-/// against the batch into one scratch buffer and rebuilt as one packed
-/// piece ([`rebuild_leaf`]). `O(|t| + |edits|)` work either way.
+/// Under `keep`, a leaf with under one edit per 16 entries whose result
+/// fits in `2b` entries is spliced ([`Codec::splice`]) and the new block
+/// takes its place ([`reuse_block`]). Only puts can grow a leaf, so the
+/// per-key search that discounts hits runs only when the puts alone
+/// could overflow it. Anything else is streamed against the batch into
+/// one scratch buffer and rebuilt as one packed piece ([`rebuild_leaf`]).
+/// `O(|t| + |edits|)` work either way.
 ///
 /// A batch that only removes keys `t` does not hold returns `t` as it
-/// went in — not re-encoded, and for a single leaf not even copied: the
-/// block is probed first, on the same load the splice then reads.
+/// went in — not re-encoded, and for a single leaf not even copied: a
+/// sparse batch is probed first, on the same load the splice then reads.
 pub(crate) fn merge_sorted<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
     edits: &[Edit<E>],
+    keep: bool,
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -281,7 +305,10 @@ where
         stats::count_cursor_op();
         n.leaf_block()
     });
-    if let Some(block) = &leaf {
+    if let Some(block) = leaf
+        .as_ref()
+        .filter(|l| keep && C::len(l) >= 16 * edits.len())
+    {
         let hit = |e: &Edit<E>| {
             let k = e.key();
             C::search_by(block, |x| x.key().cmp(k)).is_ok()
@@ -291,10 +318,7 @@ where
             return t;
         }
         let len = C::len(block);
-        let fits = len + grows <= 2 * b
-            || (edits.len() <= 2 * b
-                && len + grows - edits.iter().filter(|e| hit(e)).count() <= 2 * b);
-        if fits {
+        if len + grows <= 2 * b || len + grows - edits.iter().filter(|e| hit(e)).count() <= 2 * b {
             let spliced = C::splice(
                 block,
                 edits,
@@ -320,7 +344,9 @@ where
             }
             rest = tail;
         }
-        out.push(x.clone());
+        if keep {
+            out.push(x.clone());
+        }
     };
     match &leaf {
         Some(block) => C::for_each(block, &mut merge),
@@ -328,7 +354,7 @@ where
     }
     out.extend(rest.iter().filter_map(|e| e.apply(None, f)));
     drop(leaf);
-    if grows == 0 && out.len() == size(&t) {
+    if keep && grows == 0 && out.len() == size(&t) {
         return t;
     }
     rebuild_leaf(b, t, &out)

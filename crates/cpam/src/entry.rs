@@ -59,32 +59,39 @@ impl<K: ScalarKey, V: Element> Entry for (K, V) {
 }
 
 /// One change of a key-sorted update batch: every update — point or
-/// batch, insert or remove — is a batch of these.
+/// batch, insert or remove, or a set operation's smaller operand — is a
+/// batch of these.
 pub(crate) enum Edit<E: Entry> {
     Put(E),
     Remove(E::Key),
+    /// Kept only where the key is stored, as `f(old, new)`: intersection.
+    Meet(E),
+    /// Kept only where the key is not stored: `small − large`.
+    Unless(E),
 }
 
 impl<E: Entry> Edit<E> {
     pub(crate) fn key(&self) -> &E::Key {
         match self {
-            Edit::Put(e) => e.key(),
+            Edit::Put(e) | Edit::Meet(e) | Edit::Unless(e) => e.key(),
             Edit::Remove(k) => k,
         }
     }
 
-    /// Whether the edit can add an entry: only a put that misses does.
+    /// Whether the edit can add an entry: a put or `Unless` that misses.
     pub(crate) fn grows(&self) -> bool {
-        matches!(self, Edit::Put(_))
+        matches!(self, Edit::Put(_) | Edit::Unless(_))
     }
 
     /// What the edit leaves under its key when `old` is stored there: a
     /// put stores its entry, or `f(old, new)` over an existing one; a
-    /// removal leaves nothing.
+    /// removal leaves nothing; a meet leaves `f(old, new)` on a hit and
+    /// nothing on a miss; an `Unless` the reverse, its entry on a miss.
     pub(crate) fn apply(&self, old: Option<&E>, f: &impl Fn(&E, &E) -> E) -> Option<E> {
-        match self {
-            Edit::Put(new) => Some(old.map_or_else(|| new.clone(), |old| f(old, new))),
-            Edit::Remove(_) => None,
+        match (self, old) {
+            (Edit::Put(new) | Edit::Unless(new), None) => Some(new.clone()),
+            (Edit::Put(new) | Edit::Meet(new), Some(old)) => Some(f(old, new)),
+            _ => None,
         }
     }
 }

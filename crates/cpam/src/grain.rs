@@ -38,8 +38,8 @@ fn pool_threads() -> usize {
     *THREADS.get_or_init(parlay::num_threads)
 }
 
-/// Fork cutoff for the divide-and-conquer set operations (union,
-/// intersect, difference, filter) on trees with
+/// Fork cutoff for the divide-and-conquer walks over two trees or one
+/// (the expose-only union, filter) on trees with
 /// block-size parameter `b`, for a root problem of `n` entries.
 ///
 /// Subproblems of at most `max(4b, 1024)` entries — a handful of leaf

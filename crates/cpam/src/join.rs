@@ -289,7 +289,8 @@ where
 }
 
 /// Concatenates two trees with no middle entry (`join2`, Fig. 10),
-/// reusing the husk `spare` when owned.
+/// reusing the husk `spare` when owned. An empty side returns the other
+/// side untouched: nothing is split off, rejoined or rebuilt.
 pub(crate) fn join2<E, A, C>(
     b: usize,
     spare: Tree<E, A, C>,
@@ -301,9 +302,9 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    match l {
-        None => r,
-        Some(_) => {
+    match (l, r) {
+        (None, t) | (t, None) => t,
+        (l, r) => {
             let (l2, last) = split_last(b, l);
             join(b, spare, l2, last, r)
         }

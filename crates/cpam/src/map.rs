@@ -123,8 +123,9 @@ where
     /// # Panics
     ///
     /// Panics if the two maps have different block sizes (the result
-    /// shares subtrees with both inputs, so mismatched `B` would
-    /// silently violate the leaf-size invariant).
+    /// shares subtrees with the larger input, and with the smaller one
+    /// too when their key ranges do not interleave, so mismatched `B`
+    /// would silently violate the leaf-size invariant).
     pub fn union(&self, other: &Self) -> Self {
         self.clone().union_owned(other.clone())
     }
@@ -138,8 +139,9 @@ where
         self.clone().union_with_owned(other.clone(), f)
     }
 
-    /// Consuming [`PacMap::union_with`]: both operands are consumed and
-    /// whichever side's nodes are uniquely owned are reused in place.
+    /// Consuming [`PacMap::union_with`]: both operands are consumed, the
+    /// smaller is applied to the larger as a batch, and the larger's
+    /// uniquely owned nodes are reused in place.
     ///
     /// # Panics
     ///
@@ -216,7 +218,7 @@ where
                 None => Edit::Remove(k),
             })
             .collect();
-        self.apply(|b, root| setops::multi_update(b, root, &edits, &|_, new| new.clone()))
+        self.apply(|b, root| setops::multi_update(b, root, &edits, true, &|_, new| new.clone()))
     }
 
     /// Keeps entries satisfying `pred`.

@@ -20,7 +20,6 @@ use crate::aug::{Augmentation, NoAug};
 use crate::entry::{Edit, Entry};
 use crate::iter::Iter;
 use crate::node::{aug_of, size, SpaceStats, Tree};
-use crate::setops::{SetOp, KAPPA_BLOCKS};
 use crate::{algos, base, join as jn, setops, structure, verify, DEFAULT_B};
 
 /// A purely-functional ordered collection of entries `E` with blocked,
@@ -234,7 +233,7 @@ where
     /// Consuming insert of `e`; on an existing key the stored entry
     /// becomes `f(old, new)`. `O(log n + B)` work.
     pub(crate) fn insert_by(self, e: E, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
-        self.apply(|b, root| setops::multi_update(b, root, &[Edit::Put(e)], f))
+        self.apply(|b, root| setops::multi_update(b, root, &[Edit::Put(e)], true, f))
     }
 
     /// A new collection without key `k`. `O(log n + B)` work.
@@ -245,31 +244,33 @@ where
     /// Consuming [`PacOrd::remove`].
     pub fn remove_owned(self, k: &E::Key) -> Self {
         let edit = [Edit::Remove(k.clone())];
-        self.apply(|b, root| setops::multi_update(b, root, &edit, &|_, new| new.clone()))
+        self.apply(|b, root| setops::multi_update(b, root, &edit, true, &|_, new| new.clone()))
     }
 
     /// Consuming union with `f(self_entry, other_entry)` combining
-    /// duplicates. `O(m log(n/m) + min(mB, n))` work, `O(log n log m)`
-    /// span (Theorem 6.3); whichever side's nodes are uniquely owned are
-    /// reused in place.
+    /// duplicates: the smaller operand applied to the larger as a batch
+    /// of puts. `O(m log(n/m + 1) + min(mB, n))` work (Theorem 6.3);
+    /// the larger side's uniquely owned nodes are reused in place.
     pub(crate) fn union_by(self, other: Self, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
-        let op = SetOp::Union(f);
+        let put = |e: &E, _| Edit::Put(e.clone());
         self.apply2(other, |b, l, r| {
-            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+            setops::by_batch(b, (l, r), f, put, |_| true)
         })
     }
 
     /// Consuming intersection; kept entries are `f(self_entry,
-    /// other_entry)`. Bounds as for [`PacOrd::union_by`].
+    /// other_entry)`. The smaller operand is met against the larger;
+    /// bounds as for [`PacOrd::union_by`].
     pub(crate) fn intersect_by(self, other: Self, f: &(impl Fn(&E, &E) -> E + Sync)) -> Self {
-        let op = SetOp::Intersect(f);
+        let meet = |e: &E, _| Edit::Meet(e.clone());
         self.apply2(other, |b, l, r| {
-            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+            setops::by_batch(b, (l, r), f, meet, |_| false)
         })
     }
 
-    /// Entries of `self` whose keys are not in `other`. Bounds as for
-    /// union.
+    /// Entries of `self` whose keys are not in `other`: `other`'s keys
+    /// removed from a larger `self`, or `self`'s entries kept where a
+    /// larger `other` misses them. Bounds as for union.
     ///
     /// # Panics
     ///
@@ -284,9 +285,13 @@ where
     ///
     /// See [`PacOrd::difference`].
     pub fn difference_owned(self, other: Self) -> Self {
-        let op = SetOp::<fn(&E, &E) -> E>::Difference;
+        let edit = |e: &E, swapped| match swapped {
+            true => Edit::Unless(e.clone()),
+            false => Edit::Remove(e.key().clone()),
+        };
+        let f = |_: &E, new: &E| new.clone();
         self.apply2(other, |b, l, r| {
-            setops::set_op(b, KAPPA_BLOCKS * b, l, r, &op)
+            setops::by_batch(b, (l, r), &f, edit, |swapped| !swapped)
         })
     }
 
@@ -301,7 +306,7 @@ where
     ) -> Self {
         sort_dedup(&mut batch, |kept, later| *kept = f(kept, later));
         let edits: Vec<_> = batch.into_iter().map(Edit::Put).collect();
-        self.apply(|b, root| setops::multi_update(b, root, &edits, f))
+        self.apply(|b, root| setops::multi_update(b, root, &edits, true, f))
     }
 
     /// Batch delete: removes every key in `keys`. Bounds as for batch
@@ -315,7 +320,7 @@ where
         parlay::par_sort(&mut keys);
         keys.dedup();
         let edits: Vec<_> = keys.into_iter().map(Edit::Remove).collect();
-        self.apply(|b, root| setops::multi_update(b, root, &edits, &|_, new| new.clone()))
+        self.apply(|b, root| setops::multi_update(b, root, &edits, true, &|_, new| new.clone()))
     }
 
     /// Consuming filter: keeps entries satisfying `pred`; surviving

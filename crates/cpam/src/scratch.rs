@@ -1,6 +1,6 @@
 //! Reusable per-thread decode buffers for the base cases that genuinely
-//! need a materialized entry slice (setops merges, `join`'s `node()`
-//! fold, `split`, `expose`).
+//! need a materialized entry slice (leaf merges, set operations'
+//! batches, `join`'s `node()` fold, `split`, `expose`).
 //!
 //! These paths decode whole (small) subtrees before re-encoding them; a
 //! fresh `Vec` per node made every flat-node touch a heap allocation.
@@ -9,10 +9,11 @@
 //! grown capacity, so steady-state base cases are allocation-free.
 //!
 //! Buffers are pooled per entry type (the pool is keyed by `TypeId`) and
-//! per thread; nested uses of the same type — e.g. a setops base case
-//! flattening both inputs — pop distinct buffers off a small stack, so
-//! reentrancy is safe. Buffers are cleared before reuse and before being
-//! returned, so no entry outlives its `with_scratch` call.
+//! per thread; nested uses of the same type — e.g. a job a worker runs
+//! while it waits on a fork with a buffer on loan — pop distinct
+//! buffers off a small stack, so reentrancy is safe. Buffers are cleared
+//! before reuse and before being returned, so no entry outlives its
+//! `with_scratch` call.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;

@@ -4,9 +4,12 @@
 use codecs::{Codec, RawCodec};
 
 use crate::aug::{Augmentation, NoAug};
+use crate::base::{from_sorted, to_vec};
 use crate::entry::ScalarKey;
+use crate::grain::par_grain;
+use crate::join::{expose_owned, join, split};
+use crate::node::{size, Tree};
 use crate::ordered::PacOrd;
-use crate::setops::{self, SetOp};
 
 /// A purely-functional ordered set with blocked, optionally compressed
 /// leaves: [`PacOrd`] whose entries are their own keys.
@@ -99,14 +102,16 @@ where
     /// # Panics
     ///
     /// Panics if the two sets have different block sizes (the result
-    /// shares subtrees with both inputs, so mismatched `B` would
-    /// silently violate the leaf-size invariant).
+    /// shares subtrees with the larger input, and with the smaller one
+    /// too when their key ranges do not interleave, so mismatched `B`
+    /// would silently violate the leaf-size invariant).
     pub fn union(&self, other: &Self) -> Self {
         self.clone().union_owned(other.clone())
     }
 
-    /// Consuming [`PacSet::union`]: both operands are consumed and
-    /// whichever side's nodes are uniquely owned are reused in place.
+    /// Consuming [`PacSet::union`]: both operands are consumed, the
+    /// smaller is applied to the larger as a batch, and the larger's
+    /// uniquely owned nodes are reused in place.
     ///
     /// # Panics
     ///
@@ -133,13 +138,14 @@ where
         self.intersect_by(other, &keep_stored)
     }
 
-    /// Expose-only union without the Section 8 array base case (κ = 0);
-    /// exists for the base-case ablation benchmark.
+    /// Expose-only union (Fig. 10, no base case): the base-case ablation
+    /// benchmark's baseline and the property tests' reference union.
     #[doc(hidden)]
     pub fn union_naive(&self, other: &Self) -> Self {
-        let op = SetOp::Union(keep_stored);
-        self.clone()
-            .apply2(other.clone(), |b, l, r| setops::set_op(b, 0, l, r, &op))
+        self.clone().apply2(other.clone(), |b, l, r| {
+            let grain = par_grain(b, size(&l) + size(&r));
+            naive_union(b, grain, l, r)
+        })
     }
 
     /// Batch insert of arbitrary keys (parallel sort + dedup + merge).
@@ -182,4 +188,38 @@ where
         let (l, m, r) = self.split_entry(k);
         (l, m.is_some(), r)
     }
+}
+
+/// Fig. 10's union: expose `t2`, split `t1` at its pivot, recurse on
+/// both halves and `join` them back around the pivot (`t1`'s copy of a
+/// shared key).
+fn naive_union<K, A, C>(
+    b: usize,
+    grain: usize,
+    t1: Tree<K, A, C>,
+    t2: Tree<K, A, C>,
+) -> Tree<K, A, C>
+where
+    K: ScalarKey,
+    A: Augmentation<K>,
+    C: Codec<K>,
+{
+    let (Some(n1), Some(n2)) = (&t1, &t2) else {
+        // What is left of `t2` may be a flat node `expose` unfolded into
+        // regular ones, against the invariant: fold it back.
+        return match t1.or(t2) {
+            Some(n) if !n.is_flat() && n.size() <= 2 * b => from_sorted(b, &to_vec(&Some(n))),
+            t => t,
+        };
+    };
+    let s = n1.size() + n2.size();
+    let (l2, k2, r2, husk) = expose_owned(t2);
+    let (l1, m, r1) = split(b, t1, &k2);
+    let rec = |t1, t2| naive_union(b, grain, t1, t2);
+    let (tl, tr) = if s > grain {
+        parlay::join(|| rec(l1, l2), || rec(r1, r2))
+    } else {
+        (rec(l1, l2), rec(r1, r2))
+    };
+    join(b, husk, tl, m.unwrap_or(k2), tr)
 }

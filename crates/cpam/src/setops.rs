@@ -1,172 +1,47 @@
-//! Join-based set algorithms (Figs. 8 and 10 of the paper): union,
-//! intersection and difference as one split–join recursion, and batch
-//! updates as one sorted-edit recursion.
+//! Join-based batch updates (Fig. 8 of the paper) and the set
+//! algorithms built on them, as one sorted-edit recursion.
 //!
-//! The three two-tree operations differ only in which entries survive,
-//! a [`SetOp`]. Subproblems of combined size at most κ = 8B take the
-//! Section 8 array base case: both sides are flattened into arrays,
-//! merged under the same rule, and rebuilt (4–7x faster in the paper).
-//! The base-case ablation (`PacSet::union_naive`) runs the same
-//! recursion with κ = 0, so it exposes all the way down.
-
-use std::cmp::Ordering;
-use std::sync::Arc;
+//! Every update — a point insert or remove, a batch, a store commit — is
+//! a key-sorted batch of [`Edit`]s applied by [`multi_update`], and so
+//! are union, intersection and difference: as in PAM, the smaller
+//! operand is flattened into a batch and applied to the larger one. Only
+//! the larger operand's nodes are reused; the smaller is read once and
+//! dropped, unless the two do not interleave, in which case one `join2`
+//! (or nothing) settles the operation. Every path reaches a leaf through
+//! [`merge_sorted`].
 
 use codecs::Codec;
 
+use crate::algos::{first, last};
 use crate::aug::Augmentation;
-use crate::base::{from_sorted, merge_sorted, push_all, rebuild_leaf, to_vec};
+use crate::base::{extend_with, from_sorted, merge_sorted};
 use crate::entry::{Edit, Entry};
-use crate::grain::{batch_grain, par_grain};
-use crate::join::{expose_owned, join, join2, split};
+use crate::grain::batch_grain;
+use crate::join::{expose_owned, join, join2};
 use crate::node::{size, Tree};
-use crate::scratch::with_scratch;
+use crate::scratch::Scratch;
 
 /// κ = `KAPPA_BLOCKS * b`: the base-case granularity (paper uses 8B).
-pub(crate) const KAPPA_BLOCKS: usize = 8;
+const KAPPA_BLOCKS: usize = 8;
 
-/// Which entries a two-tree operation on `t1` and `t2` keeps.
-pub(crate) enum SetOp<F> {
-    /// Every entry; `f(from_t1, from_t2)` on a key both trees hold.
-    Union(F),
-    /// Only keys both trees hold, as `f(from_t1, from_t2)`.
-    Intersect(F),
-    /// The entries of `t1` whose keys `t2` lacks.
-    Difference,
-}
-
-impl<F> SetOp<F> {
-    /// Whether an entry whose key only `t1` holds survives.
-    fn keeps_t1(&self) -> bool {
-        !matches!(self, SetOp::Intersect(_))
-    }
-
-    /// Whether an entry whose key only `t2` holds survives.
-    fn keeps_t2(&self) -> bool {
-        matches!(self, SetOp::Union(_))
-    }
-
-    /// What survives of a key both trees hold.
-    fn both<E>(&self, e1: &E, e2: &E) -> Option<E>
-    where
-        F: Fn(&E, &E) -> E,
-    {
-        match self {
-            SetOp::Union(f) | SetOp::Intersect(f) => Some(f(e1, e2)),
-            SetOp::Difference => None,
-        }
-    }
-
-    /// Merges the sorted `xs` (from `t1`) and `ys` (from `t2`) into
-    /// `out` under this rule.
-    fn merge<E: Entry>(&self, xs: &[E], ys: &[E], out: &mut Vec<E>)
-    where
-        F: Fn(&E, &E) -> E,
-    {
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() && j < ys.len() {
-            match xs[i].key().cmp(ys[j].key()) {
-                Ordering::Less => {
-                    out.extend(self.keeps_t1().then(|| xs[i].clone()));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.extend(self.keeps_t2().then(|| ys[j].clone()));
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    out.extend(self.both(&xs[i], &ys[j]));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        if self.keeps_t1() {
-            out.extend_from_slice(&xs[i..]);
-        }
-        if self.keeps_t2() {
-            out.extend_from_slice(&ys[j..]);
-        }
-    }
-}
-
-/// Re-folds a small tree whose root is an (invariant-violating) regular
-/// node back into a flat leaf. [`expose`] unfolds flat nodes into their
-/// expanded all-regular form, and [`set_op`]'s empty-side shortcut can
-/// return such a subtree verbatim; every other constructor folds via
-/// `node()`. Trees larger than `2b` are already valid and pass through.
-fn refold<E, A, C>(b: usize, t: Tree<E, A, C>) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    match &t {
-        Some(node) if !node.is_flat() && node.size() <= 2 * b => from_sorted(b, &to_vec(&t)),
-        _ => t,
-    }
-}
-
-/// Picks the better reuse husk out of two consumed operands: a uniquely
-/// owned root wins (its allocation can be overwritten), the other is
-/// dropped.
-fn pick_husk<E, A, C>(a: Tree<E, A, C>, b: Tree<E, A, C>) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    match (a, b) {
-        (Some(x), y) if Arc::strong_count(&x) == 1 => {
-            drop(y);
-            Some(x)
-        }
-        (x, y) => y.or(x),
-    }
-}
-
-/// Flattens both trees into scratch buffers (sized once from the root
-/// sizes), merges them under `op` into a third, and rebuilds — the
-/// Section 8 array base case, allocation-free in steady state. Both
-/// operands are consumed; whichever root is uniquely owned donates its
-/// allocation to the rebuilt result.
-fn merge_base_case<E, A, C, F>(
-    b: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    op: &SetOp<F>,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E,
-{
-    with_scratch(size(&t1), |xs: &mut Vec<E>| {
-        push_all(&t1, xs);
-        with_scratch(size(&t2), |ys: &mut Vec<E>| {
-            push_all(&t2, ys);
-            with_scratch(xs.len() + ys.len(), |out: &mut Vec<E>| {
-                op.merge(xs, ys, out);
-                rebuild_leaf(b, pick_husk(t1, t2), out)
-            })
-        })
-    })
-}
-
-/// Union, intersection or difference of `t1` and `t2`, as `op` says
-/// (Fig. 10): expose `t2`, split `t1` at its pivot, recurse on both
-/// halves, and `join` back the pivot `op` keeps (`join2` if none).
-/// Subproblems of at most `kappa` entries take the array base case:
-/// `KAPPA_BLOCKS * b`, or 0 for the expose-only ablation.
+/// Union, intersection or difference of `t1` and `t2`, with `f(from_t1,
+/// from_t2)` on a shared key: the smaller operand becomes a batch of
+/// `edit(entry, swapped)`s for the larger, whose entries the batch does
+/// not name survive if `keep(swapped)`. `swapped` means the larger is
+/// `t2`, so `f` is applied the other way round.
 ///
-/// Work `O(m log(n/m) + min(mB, n))`, span `O(log n log m)` (Thm 6.3).
-pub(crate) fn set_op<E, A, C, F>(
+/// If the smaller operand spans more than one leaf and the two do not
+/// interleave, nothing is flattened: the larger survives whole if
+/// `keep`, the smaller if its edits add entries on a miss, and one
+/// `join2` puts them together.
+///
+/// Work `O(m log(n/m + 1) + min(mB, n))` (Thm 6.3), as [`multi_update`].
+pub(crate) fn by_batch<E, A, C, F>(
     b: usize,
-    kappa: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    op: &SetOp<F>,
+    (t1, t2): (Tree<E, A, C>, Tree<E, A, C>),
+    f: &F,
+    edit: impl Fn(&E, bool) -> Edit<E> + Sync,
+    keep: impl FnOnce(bool) -> bool,
 ) -> Tree<E, A, C>
 where
     E: Entry,
@@ -174,53 +49,27 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E + Sync,
 {
-    let grain = par_grain(b, size(&t1) + size(&t2));
-    set_op_rec(b, kappa, grain, t1, t2, op)
-}
-
-fn set_op_rec<E, A, C, F>(
-    b: usize,
-    kappa: usize,
-    grain: usize,
-    t1: Tree<E, A, C>,
-    t2: Tree<E, A, C>,
-    op: &SetOp<F>,
-) -> Tree<E, A, C>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-    F: Fn(&E, &E) -> E + Sync,
-{
-    let (Some(n1), Some(n2)) = (&t1, &t2) else {
-        // The other side survives if `op` keeps it. `t2`'s may be an
-        // expose-expanded subtree: re-fold it.
-        let kept = match (t1, t2) {
-            (t, None) if op.keeps_t1() => t,
-            (None, t) if op.keeps_t2() => t,
-            _ => None,
-        };
-        return refold(b, kept);
-    };
-    let (s1, s2) = (n1.size(), n2.size());
-    if s1 + s2 <= kappa {
-        return merge_base_case(b, t1, t2, op);
+    let swapped = size(&t1) < size(&t2);
+    let (large, small) = if swapped { (t2, t1) } else { (t1, t2) };
+    if small.as_ref().is_some_and(|n| !n.is_flat()) {
+        let key = |e: Option<E>| e.map(|e| e.key().clone());
+        let below = key(last(&small)) < key(first(&large));
+        if below || key(first(&small)) > key(last(&large)) {
+            let grows = first(&small).is_some_and(|e| edit(&e, swapped).grows());
+            let (large, small) = (large.filter(|_| keep(swapped)), small.filter(|_| grows));
+            return match below {
+                true => join2(b, None, small, large),
+                false => join2(b, None, large, small),
+            };
+        }
     }
-    let (l2, k2, r2, husk) = expose_owned(t2);
-    let (l1, m, r1) = split(b, t1, k2.key());
-    let pivot = match m {
-        Some(e1) => op.both(&e1, &k2),
-        None => op.keeps_t2().then_some(k2),
-    };
-    let rec = |t1, t2| set_op_rec(b, kappa, grain, t1, t2, op);
-    let (tl, tr) = if s1 + s2 > grain {
-        parlay::join(|| rec(l1, l2), || rec(r1, r2))
-    } else {
-        (rec(l1, l2), rec(r1, r2))
-    };
-    match pivot {
-        Some(e) => join(b, husk, tl, e, tr),
-        None => join2(b, husk, tl, tr),
+    let mut edits = Scratch::take(size(&small));
+    extend_with(&small, &|e| edit(e, swapped), &mut edits);
+    // Nodes `small` shares with `large` are `large`'s alone from here.
+    drop(small);
+    match swapped {
+        true => multi_update(b, large, &edits, keep(true), &|x: &E, y: &E| f(y, x)),
+        false => multi_update(b, large, &edits, keep(false), f),
     }
 }
 
@@ -241,8 +90,10 @@ fn dense(b: usize, s: usize, m: usize) -> bool {
 
 /// Batch update (Fig. 8's `multi_insert`, with removals): applies the
 /// key-sorted, duplicate-free `edits` to `t`, a put on an existing key
-/// storing `f(old, new)`. Every update walks the tree through this one
-/// recursion; a point insert or remove is a one-edit batch.
+/// storing `f(old, new)`. An entry of `t` that no edit names survives
+/// only if `keep` (see [`merge_sorted`]). Every update walks the tree
+/// through this one recursion; a point insert or remove is a one-edit
+/// batch, and a set operation is its smaller operand as a batch.
 ///
 /// Work `O(m log(n/m) + min(mB, n))` (Thm 6.3): a slice that is dense in
 /// its subtree takes the κ array base case, a sparse one keeps
@@ -252,6 +103,7 @@ pub(crate) fn multi_update<E, A, C, F>(
     b: usize,
     t: Tree<E, A, C>,
     edits: &[Edit<E>],
+    keep: bool,
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -262,7 +114,7 @@ where
 {
     debug_assert!(edits.windows(2).all(|w| w[0].key() < w[1].key()));
     let grain = batch_grain(batch_work(b, size(&t), edits.len()));
-    multi_update_rec(b, grain, t, edits, f)
+    multi_update_rec(b, grain, t, edits, keep, f)
 }
 
 fn multi_update_rec<E, A, C, F>(
@@ -270,6 +122,7 @@ fn multi_update_rec<E, A, C, F>(
     grain: usize,
     t: Tree<E, A, C>,
     edits: &[Edit<E>],
+    keep: bool,
     f: &F,
 ) -> Tree<E, A, C>
 where
@@ -278,8 +131,10 @@ where
     C: Codec<E>,
     F: Fn(&E, &E) -> E + Sync,
 {
+    // A subtree no edit reaches is returned as it is, or dropped whole:
+    // nothing to call or fork.
     if edits.is_empty() {
-        return t;
+        return t.filter(|_| keep);
     }
     let Some(node) = &t else {
         let puts: Vec<E> = edits.iter().filter_map(|e| e.apply(None, f)).collect();
@@ -295,20 +150,16 @@ where
             dense(b, s, puts.max(m - puts)) && s + puts <= KAPPA_BLOCKS * b
         })
     {
-        return merge_sorted(b, t, edits, f);
+        return merge_sorted(b, t, edits, keep, f);
     }
     let (l, e, r, husk) = expose_owned(t);
     let pos = edits.partition_point(|x| x.key() < e.key());
     let (entry, rest_at) = match edits.get(pos) {
         Some(hit) if hit.key() == e.key() => (hit.apply(Some(&e), f), pos + 1),
-        _ => (Some(e), pos),
+        _ => (keep.then_some(e), pos),
     };
     let (left, right) = (&edits[..pos], &edits[rest_at..]);
-    // An empty side returns its subtree as it is: nothing to call or fork.
-    let go = |t, edits: &[Edit<E>]| match edits {
-        [] => t,
-        _ => multi_update_rec(b, grain, t, edits, f),
-    };
+    let go = |t, edits| multi_update_rec(b, grain, t, edits, keep, f);
     let (tl, tr) = if !left.is_empty() && !right.is_empty() && batch_work(b, s, m) > grain {
         parlay::join(|| go(l, left), || go(r, right))
     } else {

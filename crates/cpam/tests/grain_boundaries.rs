@@ -141,6 +141,17 @@ fn run_map_one(seed: u64, b: usize, n: usize) -> Result<(), String> {
         .filter_map(|(&k, v)| pairs_b.get(&k).map(|w| (k, f(v, w))))
         .collect();
     check("intersect_with", ma.intersect_with(&mb, f), want)?;
+    // The smaller map as the receiver: `f` still takes its own entry first.
+    let mut want = pairs_a.clone();
+    for (&k, &v) in &pairs_b {
+        want.insert(k, pairs_a.get(&k).map_or(v, |w| f(&v, w)));
+    }
+    check("union_with (smaller receiver)", mb.union_with(&ma, f), want)?;
+    let want = pairs_b
+        .iter()
+        .filter_map(|(&k, v)| pairs_a.get(&k).map(|w| (k, f(v, w))))
+        .collect();
+    check("intersect_with (smaller receiver)", mb.intersect_with(&ma, f), want)?;
     let want = pairs_a
         .iter()
         .filter(|(k, _)| !pairs_b.contains_key(k))

@@ -74,26 +74,44 @@ proptest! {
         b in prop::sample::select(vec![2usize, 16, 128]),
         xs in prop::collection::vec(any::<u16>(), 0..400),
         ys in prop::collection::vec(any::<u16>(), 0..400),
+        zs in prop::collection::vec(any::<u8>(), 0..8),
+        place in 0u8..3,
     ) {
         let sx = PacSet::<u16>::from_keys_with(b, xs.clone());
         let sy = PacSet::<u16>::from_keys_with(b, ys.clone());
         let ox: BTreeSet<u16> = xs.into_iter().collect();
         let oy: BTreeSet<u16> = ys.into_iter().collect();
+        // A small third operand wholly below `xs`, wholly above it, or
+        // inside its range (where `xs` leaves room).
+        let (lo, hi) = (ox.first().copied().unwrap_or(0), ox.last().copied().unwrap_or(u16::MAX));
+        let oz: BTreeSet<u16> = zs
+            .into_iter()
+            .map(|k| match place {
+                0 => lo.saturating_sub(1 + u16::from(k)),
+                1 => hi.saturating_add(1 + u16::from(k)),
+                _ => lo + u16::from(k) % (hi - lo).max(1),
+            })
+            .collect();
+        let sz = PacSet::<u16>::from_keys_with(b, oz.iter().copied().collect());
 
-        let u = sx.union(&sy);
-        u.check_invariants().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(u.to_vec(), ox.union(&oy).copied().collect::<Vec<_>>());
+        // Either side the smaller one, through the disjoint shortcut and
+        // the paths that keep only what the smaller operand names.
+        for (sa, oa, sb, ob) in [(&sx, &ox, &sy, &oy), (&sx, &ox, &sz, &oz), (&sz, &oz, &sx, &ox)] {
+            let u = sa.union(sb);
+            u.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(u.to_vec(), oa.union(ob).copied().collect::<Vec<_>>());
 
-        let i = sx.intersect(&sy);
-        i.check_invariants().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(i.to_vec(), ox.intersection(&oy).copied().collect::<Vec<_>>());
+            let i = sa.intersect(sb);
+            i.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(i.to_vec(), oa.intersection(ob).copied().collect::<Vec<_>>());
 
-        let d = sx.difference(&sy);
-        d.check_invariants().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(d.to_vec(), ox.difference(&oy).copied().collect::<Vec<_>>());
+            let d = sa.difference(sb);
+            d.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(d.to_vec(), oa.difference(ob).copied().collect::<Vec<_>>());
 
-        // The naive (expose-only) union must agree with the optimized one.
-        prop_assert_eq!(sx.union_naive(&sy).to_vec(), u.to_vec());
+            // The naive (expose-only) union must agree with the optimized one.
+            prop_assert_eq!(sa.union_naive(sb).to_vec(), u.to_vec());
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use cpam::{stats, DiffMap, DiffSet, PacMap, PacSet};
+use cpam::{stats, DiffMap, DiffSet, PacMap, PacSeq, PacSet};
 
 /// Block size of the exact-count tests (the paper's and the store's
 /// default).
@@ -311,6 +311,19 @@ fn persistent_insert_copies_its_path_and_shares_the_sibling_leaf() {
     assert_eq!(m.space_stats(), nodes);
     assert_eq!(m.to_vec(), pairs);
     m.check_invariants().unwrap();
+
+    // Appending nothing shares everything: no node, no block is rebuilt.
+    let keys: Vec<u64> = (0..1_000_000u64).collect();
+    let (set, none) = (PacSet::<u64>::from_sorted_keys(B, &keys), PacSet::<u64>::from_sorted_keys(B, &[]));
+    let (seq, nothing) = (PacSeq::<u64>::from_slice_with(B, &keys), PacSeq::<u64>::from_slice_with(B, &[]));
+    for (what, d) in [
+        ("PacSet::append(&empty)", work_of(|| set.append(&none)).1),
+        ("PacSet empty.append", work_of(|| none.append(&set)).1),
+        ("PacSeq::append(&empty)", work_of(|| seq.append(&nothing)).1),
+        ("PacSeq empty.append", work_of(|| nothing.append(&seq)).1),
+    ] {
+        assert_eq!([d[0], d[2]], [0, 0], "{what}: [encodes, allocs]");
+    }
 }
 
 #[test]
@@ -434,12 +447,13 @@ fn set_operations_do_the_pinned_work() {
     let sets = || (DiffSet::<u64>::from_sorted_keys(B, &xs), DiffSet::<u64>::from_sorted_keys(B, &ys));
     type Op = fn(DiffSet<u64>, DiffSet<u64>) -> DiffSet<u64>;
     parlay::run(|| {
-        // The ablation borrows its operands, like the persistent union
-        // below, and never takes the array base case.
+        // Each operation applies the smaller operand to the larger as
+        // one batch. The ablation borrows its operands, like the
+        // persistent union below, and exposes all the way down.
         let consumed: [(&str, Op, usize, [u64; 5]); 4] = [
-            ("union_owned", |a, b| a.union_owned(b), 30_000, [134, 166, 1534, 197, 15]),
-            ("intersect_owned", |a, b| a.intersect_owned(b), 2_000, [92, 178, 769, 154, 0]),
-            ("difference_owned", |a, b| a.difference_owned(b), 18_000, [143, 207, 1854, 369, 0]),
+            ("union_owned", |a, b| a.union_owned(b), 30_000, [95, 64, 170, 39, 16]),
+            ("intersect_owned", |a, b| a.intersect_owned(b), 2_000, [32, 88, 248, 42, 0]),
+            ("difference_owned", |a, b| a.difference_owned(b), 18_000, [48, 80, 32, 80, 0]),
             ("union_naive", |a, b| a.union_naive(&b), 30_000, [19561, 19593, 30253, 7716, 139]),
         ];
         for (what, op, len, want) in consumed {
@@ -453,10 +467,58 @@ fn set_operations_do_the_pinned_work() {
         // only nodes the walk built itself are rebuilt in place.
         let (a, b) = sets();
         let (out, got) = work_of(|| a.union(&b));
-        assert_eq!(got, [134, 166, 1568, 163, 49], "persistent union: [encodes, decodes, allocs, reused, copied]");
+        assert_eq!(got, [95, 64, 190, 19, 36], "persistent union: [encodes, decodes, allocs, reused, copied]");
         assert_eq!((a.len(), b.len(), out.len()), (20_000, 12_000, 30_000));
         out.check_invariants().unwrap();
     });
+}
+
+#[test]
+fn a_set_operation_costs_what_its_batch_costs() {
+    let _serialize = counters_lock();
+    // Table 1's union bound at n = 10^6: the smaller operand's `m` keys
+    // (every other one stored in `base`) cost what the same keys cost
+    // as a batch, whichever operation takes them.
+    let n = 1_000_000u64;
+    let base = PacSet::<u64>::from_sorted_keys(B, &(0..n).map(|i| i * 4).collect::<Vec<_>>());
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for m in [100usize, 1_000, 10_000, 100_000] {
+        let keys: Vec<u64> = (0..m)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n * 4 + i as u64 % 2
+            })
+            .collect();
+        let small = PacSet::<u64>::from_keys_with(B, keys.clone());
+        let (ins, insert) = work_of(|| base.multi_insert(keys.clone()));
+        let (del, delete) = work_of(|| base.multi_delete(keys.clone()));
+        let (u, union) = work_of(|| base.union(&small));
+        let (i, inter) = work_of(|| base.intersect(&small));
+        let (d, diff) = work_of(|| base.difference(&small));
+        // [encodes, allocs] against the batch's, and the factor allowed.
+        for (what, got, batch, enc) in [
+            ("union", union, insert, 1.5),
+            ("intersect", inter, insert, 3.0),
+            ("difference", diff, delete, 1.5),
+        ] {
+            let within = |k: usize, factor: f64| got[k] as f64 <= factor * batch[k] as f64;
+            assert!(within(0, enc) && within(2, 1.5), "m = {m}: {what} {got:?} against its batch {batch:?}");
+        }
+        assert_eq!(u.to_vec(), ins.to_vec(), "m = {m}");
+        assert_eq!(d.to_vec(), del.to_vec(), "m = {m}");
+        assert_eq!(i.len(), small.len() - (ins.len() - base.len()), "m = {m}");
+        i.check_invariants().unwrap();
+    }
+    // Operands that do not interleave are joined, not flattened.
+    let low = PacSet::<u64>::from_sorted_keys(B, &(0..n).collect::<Vec<_>>());
+    let high = PacSet::<u64>::from_sorted_keys(B, &(n..2 * n).collect::<Vec<_>>());
+    for (what, (u, got)) in [("low ∪ high", work_of(|| low.union(&high))), ("high ∪ low", work_of(|| high.union(&low)))] {
+        assert!(got[2] <= 64, "{what}: {got:?}");
+        assert_eq!(u.len() as u64, 2 * n);
+        u.check_invariants().unwrap();
+    }
 }
 
 #[test]
