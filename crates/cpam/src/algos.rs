@@ -8,11 +8,14 @@
 //! and the structural base cases that do need every entry decode into a
 //! reused [`crate::scratch`] buffer instead of a fresh `Vec` per node.
 
+use std::ops::ControlFlow;
+
 use codecs::{BlockCursor, Codec};
 
 use crate::aug::Augmentation;
 use crate::base::{rebuild_leaf, to_vec};
 use crate::entry::{Element, Entry};
+use crate::iter::fold_tree;
 use crate::join::{expose_owned, join, join2, split};
 use crate::node::{size, Node, Tree};
 use crate::scratch::with_scratch;
@@ -123,42 +126,24 @@ where
     }
 }
 
-/// Smallest entry with key `>= k` (the paper's Next, inclusive flavour).
+/// Smallest entry with key `>= k` (the paper's Next, inclusive flavour):
+/// the first piece of the walk from `k`, which is always an entry (a
+/// subtree is whole only once an entry before it was emitted).
 pub(crate) fn succ<E, A, C>(t: &Tree<E, A, C>, k: &E::Key) -> Option<E>
 where
     E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    let mut best: Option<E> = None;
-    let mut cur = t;
-    loop {
-        let Some(node) = cur else { return best };
-        match &**node {
-            Node::Regular {
-                left, entry, right, ..
-            } => {
-                if entry.key() >= k {
-                    best = Some(entry.clone());
-                    cur = left;
-                } else {
-                    cur = right;
-                }
-            }
-            leaf => {
-                stats::count_cursor_op();
-                let block = leaf.leaf_block();
-                return match C::search_by(&block, |e| e.key().cmp(k)) {
-                    Ok((_, e)) => Some(e),
-                    Err(i) if i < C::len(&block) => {
-                        stats::count_cursor_op();
-                        Some(C::get(&block, i))
-                    }
-                    Err(_) => best,
-                };
-            }
+    let mut out = None;
+    let _ = walk(t, Some(k), None, &mut |piece| {
+        match piece {
+            Piece::Entry(e) => out = Some(e.clone()),
+            Piece::Whole(_) => unreachable!("a lower-bounded walk starts with an entry"),
         }
-    }
+        ControlFlow::Break(())
+    });
+    out
 }
 
 /// Largest entry with key `<= k` (the paper's Previous, inclusive).
@@ -224,169 +209,106 @@ where
     out
 }
 
-/// One piece of a canonical range decomposition: either the aggregate of
-/// a maximal subtree fully inside the range, or a boundary entry.
-pub(crate) enum Part<'a, E, AV> {
-    /// Aggregate of a subtree entirely contained in the range.
-    Aug(&'a AV),
-    /// A single boundary entry inside the range.
-    Entry(&'a E),
-}
-
-/// The callback a range decomposition feeds its [`Part`]s to.
-pub(crate) type PartSink<'f, E, AV> = dyn for<'a> FnMut(Part<'a, E, AV>) + 'f;
-
-/// Canonical range decomposition of `[lo, hi]` (inclusive): calls `f`
-/// with the aggregate of each maximal subtree entirely inside the range
-/// and with each of the `O(log n + B)` boundary entries.
-///
-/// This powers `aug_range` and the 2D range tree's count query without
-/// materializing the range or combining heavyweight augmented values.
-pub(crate) fn range_decompose<E, A, C>(
-    t: &Tree<E, A, C>,
-    lo: &E::Key,
-    hi: &E::Key,
-    f: &mut PartSink<'_, E, A::Value>,
-) where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    // Invariant: only called on subtrees that may intersect [lo, hi].
-    let Some(node) = t else { return };
-    match &**node {
-        Node::Regular {
-            left, entry, right, ..
-        } => {
-            let k = entry.key();
-            if k < lo {
-                range_decompose(right, lo, hi, f);
-            } else if k > hi {
-                range_decompose(left, lo, hi, f);
-            } else {
-                descend_ge(left, lo, f);
-                f(Part::Entry(entry));
-                descend_le(right, hi, f);
-            }
-        }
-        leaf => {
-            // Whole-block containment check via the first/last entries
-            // (both O(RESTART_INTERVAL) point gets, no decode).
-            stats::count_cursor_op();
-            let block = leaf.leaf_block();
-            let first = C::get(&block, 0);
-            let last = C::get(&block, C::len(&block) - 1);
-            if first.key() >= lo && last.key() <= hi {
-                f(Part::Aug(leaf.aug()));
-            } else {
-                // Seek to the first in-range entry, stream until past hi.
-                let start = match C::search_by(&block, |e| e.key().cmp(lo)) {
-                    Ok((i, _)) | Err(i) => i,
-                };
-                let mut cur = C::cursor_at(&block, start);
-                while let Some(e) = cur.peek() {
-                    if e.key() > hi {
-                        break;
-                    }
-                    f(Part::Entry(e));
-                    cur.advance();
-                }
-            }
-        }
-    }
-}
-
-/// Contributes everything with key >= `lo` from `t`.
-fn descend_ge<E, A, C>(t: &Tree<E, A, C>, lo: &E::Key, f: &mut PartSink<'_, E, A::Value>)
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let Some(node) = t else { return };
-    match &**node {
-        Node::Regular {
-            left, entry, right, ..
-        } => {
-            if entry.key() >= lo {
-                f(Part::Entry(entry));
-                on_aug_whole(right, f);
-                descend_ge(left, lo, f);
-            } else {
-                descend_ge(right, lo, f);
-            }
-        }
-        leaf => {
-            stats::count_cursor_op();
-            let block = leaf.leaf_block();
-            if C::get(&block, 0).key() >= lo {
-                f(Part::Aug(leaf.aug()));
-            } else {
-                let start = match C::search_by(&block, |e| e.key().cmp(lo)) {
-                    Ok((i, _)) | Err(i) => i,
-                };
-                let mut cur = C::cursor_at(&block, start);
-                while let Some(e) = cur.peek() {
-                    f(Part::Entry(e));
-                    cur.advance();
-                }
-            }
-        }
-    }
-}
-
-/// Contributes everything with key <= `hi` from `t`.
-fn descend_le<E, A, C>(t: &Tree<E, A, C>, hi: &E::Key, f: &mut PartSink<'_, E, A::Value>)
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let Some(node) = t else { return };
-    match &**node {
-        Node::Regular {
-            left, entry, right, ..
-        } => {
-            if entry.key() <= hi {
-                on_aug_whole(left, f);
-                f(Part::Entry(entry));
-                descend_le(right, hi, f);
-            } else {
-                descend_le(left, hi, f);
-            }
-        }
-        leaf => {
-            stats::count_cursor_op();
-            let block = leaf.leaf_block();
-            if C::get(&block, C::len(&block) - 1).key() <= hi {
-                f(Part::Aug(leaf.aug()));
-            } else {
-                let mut cur = C::cursor(&block);
-                while let Some(e) = cur.peek() {
-                    if e.key() > hi {
-                        break;
-                    }
-                    f(Part::Entry(e));
-                    cur.advance();
-                }
-            }
-        }
-    }
-}
-
-fn on_aug_whole<E, A, C>(t: &Tree<E, A, C>, f: &mut PartSink<'_, E, A::Value>)
+/// One piece of a bounded in-order walk (see [`walk`]).
+pub(crate) enum Piece<'a, E, A, C>
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    if let Some(node) = t {
-        f(Part::Aug(node.aug()));
+    /// A subtree lying wholly inside the bounds: every entry under it.
+    Whole(&'a Node<E, A, C>),
+    /// One entry inside the bounds.
+    Entry(&'a E),
+}
+
+/// The one bounded descent every range read is built on: feeds `f`, in
+/// key order, the entries of `t` with keys in `[lo, hi]` (`None` is an
+/// open bound), and stops as soon as `f` breaks.
+///
+/// A subtree reached with both bounds open is one [`Piece::Whole`]; every
+/// other entry is a [`Piece::Entry`] of its own — the pivots on the two
+/// boundary paths and the in-range entries of the (at most two) leaves
+/// where the paths end, which are positioned with `C::search_by` and read
+/// with a cursor. So a range is `O(log n)` pieces plus `O(B)` entries,
+/// and a walk that breaks after `k` entries has touched `O(log n + B + k)`
+/// of them. Returns `Break` iff `f` did.
+pub(crate) fn walk<E, A, C, F>(
+    t: &Tree<E, A, C>,
+    lo: Option<&E::Key>,
+    hi: Option<&E::Key>,
+    f: &mut F,
+) -> ControlFlow<()>
+where
+    E: Entry,
+    A: Augmentation<E>,
+    C: Codec<E>,
+    F: FnMut(Piece<'_, E, A, C>) -> ControlFlow<()>,
+{
+    let Some(node) = t else {
+        return ControlFlow::Continue(());
+    };
+    if lo.is_none() && hi.is_none() {
+        return f(Piece::Whole(node));
+    }
+    match &**node {
+        Node::Regular {
+            left, entry, right, ..
+        } => {
+            let k = entry.key();
+            if lo.is_some_and(|lo| k < lo) {
+                return walk(right, lo, hi, f);
+            }
+            if hi.is_some_and(|hi| k > hi) {
+                return walk(left, lo, hi, f);
+            }
+            // `k` is inside: everything left of it is below `hi`, and
+            // everything right of it above `lo`.
+            walk(left, lo, None, f)?;
+            f(Piece::Entry(entry))?;
+            walk(right, None, hi, f)
+        }
+        leaf => {
+            stats::count_cursor_op();
+            let block = leaf.leaf_block();
+            let from = lo.map_or(0, |lo| match C::search_by(&block, |e| e.key().cmp(lo)) {
+                Ok((i, _)) | Err(i) => i,
+            });
+            let mut cur = C::cursor_at(&block, from);
+            while let Some(e) = cur.peek() {
+                if hi.is_some_and(|hi| e.key() > hi) {
+                    break;
+                }
+                f(Piece::Entry(e))?;
+                cur.advance();
+            }
+            ControlFlow::Continue(())
+        }
     }
 }
 
+/// Feeds the entries with keys in `[lo, hi]` to `f` in key order until
+/// it breaks: the [`walk`] with its whole subtrees expanded by
+/// [`fold_tree`]. `O(log n + B + k)` work for `k` entries fed.
+pub(crate) fn range_for_each<E, A, C>(
+    t: &Tree<E, A, C>,
+    lo: &E::Key,
+    hi: &E::Key,
+    f: &mut impl FnMut(&E) -> ControlFlow<()>,
+) -> ControlFlow<()>
+where
+    E: Entry,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
+    walk(t, Some(lo), Some(hi), &mut |piece| match piece {
+        Piece::Whole(node) => fold_tree(node, f),
+        Piece::Entry(e) => f(e),
+    })
+}
+
 /// Aggregate of all entries with keys in `[lo, hi]` (the paper's
-/// `aug_range`). `O(log n + B)` work.
+/// `aug_range`), combined in key order. `O(log n + B)` work.
 pub(crate) fn aug_range<E, A, C>(t: &Tree<E, A, C>, lo: &E::Key, hi: &E::Key) -> A::Value
 where
     E: Entry,
@@ -394,11 +316,12 @@ where
     C: Codec<E>,
 {
     let mut acc = A::identity();
-    range_decompose(t, lo, hi, &mut |part| {
-        acc = match part {
-            Part::Aug(v) => A::combine(&acc, v),
-            Part::Entry(e) => A::combine(&acc, &A::from_entry(e)),
+    let _ = walk(t, Some(lo), Some(hi), &mut |piece| {
+        acc = match piece {
+            Piece::Whole(node) => A::combine(&acc, node.aug()),
+            Piece::Entry(e) => A::combine(&acc, &A::from_entry(e)),
         };
+        ControlFlow::Continue(())
     });
     acc
 }
@@ -627,58 +550,6 @@ where
                 acc = op(acc.clone(), m(e));
             });
             acc
-        }
-    }
-}
-
-/// Extracts the entries in `[lo, hi]` as a vector (report query).
-pub(crate) fn range_entries<E, A, C>(t: &Tree<E, A, C>, lo: &E::Key, hi: &E::Key) -> Vec<E>
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let mut out = Vec::new();
-    collect_range(t, lo, hi, &mut out);
-    out
-}
-
-fn collect_range<E, A, C>(t: &Tree<E, A, C>, lo: &E::Key, hi: &E::Key, out: &mut Vec<E>)
-where
-    E: Entry,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let Some(node) = t else { return };
-    match &**node {
-        Node::Regular {
-            left, entry, right, ..
-        } => {
-            let k = entry.key();
-            if k >= lo {
-                collect_range(left, lo, hi, out);
-            }
-            if k >= lo && k <= hi {
-                out.push(entry.clone());
-            }
-            if k <= hi {
-                collect_range(right, lo, hi, out);
-            }
-        }
-        leaf => {
-            stats::count_cursor_op();
-            let block = leaf.leaf_block();
-            let from = match C::search_by(&block, |e| e.key().cmp(lo)) {
-                Ok((i, _)) | Err(i) => i,
-            };
-            let mut cur = C::cursor_at(&block, from);
-            while let Some(e) = cur.peek() {
-                if e.key() > hi {
-                    break;
-                }
-                out.push(e.clone());
-                cur.advance();
-            }
         }
     }
 }

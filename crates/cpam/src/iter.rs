@@ -1,5 +1,6 @@
 //! Streaming in-order iteration over a tree.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use codecs::{BlockCursor, Codec};
@@ -99,32 +100,43 @@ where
     }
 }
 
-/// Folds an entire subtree in-order without cursor state: flat nodes
-/// stream through the codec's `for_each` (the tightest decode loop),
-/// regular nodes recurse.
-fn fold_tree<E, A, C, B>(t: &Tree<E, A, C>, mut acc: B, f: &mut impl FnMut(B, E) -> B) -> B
+/// Feeds every entry of a whole subtree to `f` in order, without
+/// cursor state, and stops once `f` breaks: flat nodes stream through
+/// the codec's `for_each` (the tightest decode loop), regular nodes
+/// recurse. After a break inside a leaf the rest of that one leaf is
+/// still decoded, but `f` is not called again.
+pub(crate) fn fold_tree<E, A, C>(
+    node: &Node<E, A, C>,
+    f: &mut impl FnMut(&E) -> ControlFlow<()>,
+) -> ControlFlow<()>
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    let Some(node) = t else { return acc };
-    match &**node {
+    match node {
         Node::Regular {
             left, entry, right, ..
         } => {
-            acc = fold_tree(left, acc, f);
-            acc = f(acc, entry.clone());
-            fold_tree(right, acc, f)
+            if let Some(left) = left {
+                fold_tree(left, f)?;
+            }
+            f(entry)?;
+            match right {
+                Some(right) => fold_tree(right, f),
+                None => ControlFlow::Continue(()),
+            }
         }
         leaf => {
             stats::count_cursor_op();
             let block = leaf.leaf_block();
-            let mut acc = Some(acc);
+            let mut flow = ControlFlow::Continue(());
             C::for_each(&block, &mut |e| {
-                acc = Some(f(acc.take().expect("acc threaded"), e.clone()));
+                if flow.is_continue() {
+                    flow = f(e);
+                }
             });
-            acc.expect("acc threaded")
+            flow
         }
     }
 }
@@ -159,14 +171,21 @@ where
         }
         // The stack holds ancestors root-first; each pending node
         // contributes its entry then its whole right subtree.
+        let mut acc = Some(acc);
+        let mut push = |e: &E| {
+            acc = Some(f(acc.take().expect("acc threaded"), e.clone()));
+            ControlFlow::Continue(())
+        };
         while let Some(node) = self.stack.pop() {
             let Node::Regular { entry, right, .. } = &*node else {
                 unreachable!("flat nodes never sit on the iterator stack");
             };
-            acc = f(acc, entry.clone());
-            acc = fold_tree(right, acc, &mut f);
+            let _ = push(entry);
+            if let Some(right) = right {
+                let _ = fold_tree(right, &mut push);
+            }
         }
-        acc
+        acc.expect("acc threaded")
     }
 
     #[inline]

@@ -1,6 +1,8 @@
 //! [`PacMap`]: a purely-functional ordered map on PaC-trees — the
 //! `(K, V)`-entry alias of [`PacOrd`] plus the pair-shaped methods.
 
+use std::ops::ControlFlow;
+
 use codecs::{Codec, RawCodec};
 
 use crate::aug::{Augmentation, NoAug};
@@ -252,18 +254,21 @@ where
         self.map_reduce_by(&|e: &(K, V)| m(&e.0, &e.1), &op, id)
     }
 
-    /// Canonical range decomposition: `f` receives the aggregate of each
-    /// maximal subtree fully inside `[lo, hi]` and each boundary entry.
-    /// The building block for range-tree count queries.
+    /// Canonical range decomposition, in key order: `f` receives the
+    /// aggregate of each maximal subtree fully inside `[lo, hi]` and each
+    /// boundary entry. The building block for range-tree count queries.
     pub fn range_decompose(
         &self,
         lo: &K,
         hi: &K,
         mut f: impl FnMut(RangePart<'_, K, V, A::Value>),
     ) {
-        algos::range_decompose(&self.root, lo, hi, &mut |part| match part {
-            algos::Part::Aug(v) => f(RangePart::Subtree(v)),
-            algos::Part::Entry(e) => f(RangePart::Entry(&e.0, &e.1)),
+        let _ = algos::walk(&self.root, Some(lo), Some(hi), &mut |piece| {
+            f(match piece {
+                algos::Piece::Whole(node) => RangePart::Subtree(node.aug()),
+                algos::Piece::Entry(e) => RangePart::Entry(&e.0, &e.1),
+            });
+            ControlFlow::Continue(())
         });
     }
 

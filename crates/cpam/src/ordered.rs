@@ -14,6 +14,8 @@
 //! `n` is the collection's size, `m ≤ n` the smaller operand or the
 //! batch, `B` the block size.
 
+use std::ops::ControlFlow;
+
 use codecs::{Codec, RawCodec};
 
 use crate::aug::{Augmentation, NoAug};
@@ -378,9 +380,28 @@ where
     }
 
     /// The entries with keys in `[lo, hi]`, as a vector, without
-    /// building a subtree. `O(log n + B + k)` work for `k` results.
+    /// building a subtree: [`PacOrd::range_for_each`] collected.
+    /// `O(log n + B + k)` work for `k` results.
     pub fn range_entries(&self, lo: &E::Key, hi: &E::Key) -> Vec<E> {
-        algos::range_entries(&self.root, lo, hi)
+        let mut out = Vec::new();
+        let _ = self.range_for_each(lo, hi, |e| {
+            out.push(e.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Feeds the entries with keys in `[lo, hi]` to `f` in key order,
+    /// stopping as soon as `f` breaks; returns `Break` iff it did.
+    /// `O(log n + B + k)` work for the `k` entries fed, however large
+    /// the range.
+    pub fn range_for_each(
+        &self,
+        lo: &E::Key,
+        hi: &E::Key,
+        mut f: impl FnMut(&E) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        algos::range_for_each(&self.root, lo, hi, &mut f)
     }
 
     /// Number of entries with keys in `[lo, hi]` — the length of

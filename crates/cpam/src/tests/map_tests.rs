@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{MaxAug, PacMap, SumAug};
+use crate::{Augmentation, MaxAug, PacMap, SumAug};
 
 fn pairs(range: std::ops::Range<u64>, f: impl Fn(u64) -> u64) -> Vec<(u64, u64)> {
     range.map(|i| (i, f(i))).collect()
@@ -162,6 +162,48 @@ fn range_decompose_counts_match_range_entries() {
             crate::RangePart::Entry(_, v) => count += *v,
         });
         assert_eq!(count, m.range_entries(&lo, &hi).len() as u64, "[{lo},{hi}]");
+    }
+}
+
+/// The first and last key of a run: a non-commutative monoid, so a
+/// piece combined out of key order changes the value.
+struct FirstLast;
+
+impl Augmentation<(u64, u64)> for FirstLast {
+    type Value = Option<(u64, u64)>;
+    fn identity() -> Self::Value {
+        None
+    }
+    fn from_entry(e: &(u64, u64)) -> Self::Value {
+        Some((e.0, e.0))
+    }
+    fn combine(a: &Self::Value, b: &Self::Value) -> Self::Value {
+        match (a, b) {
+            (Some((first, _)), Some((_, last))) => Some((*first, *last)),
+            _ => a.or(*b),
+        }
+    }
+}
+
+/// `aug_range` and `range_decompose` combine their pieces in key order,
+/// as `Augmentation` promises: on keys `0..1000` at B = 4 the first/last
+/// key of `[lo, hi]` is `(lo, hi)`.
+#[test]
+fn range_aggregates_follow_key_order() {
+    let m = PacMap::<u64, u64, FirstLast>::from_pairs_with(4, pairs(0..1000, |i| i));
+    let probes = [(3u64, 997u64), (0, 999), (1, 998), (250, 750), (499, 500)];
+    let sweep = (0..1000).step_by(37).flat_map(|lo| (lo..1000).step_by(53).map(move |hi| (lo, hi)));
+    for (lo, hi) in probes.into_iter().chain(sweep) {
+        assert_eq!(m.aug_range(&lo, &hi), Some((lo, hi)), "aug_range [{lo},{hi}]");
+        let mut acc = FirstLast::identity();
+        m.range_decompose(&lo, &hi, |part| {
+            let v = match part {
+                crate::RangePart::Subtree(v) => *v,
+                crate::RangePart::Entry(k, v) => FirstLast::from_entry(&(*k, *v)),
+            };
+            acc = FirstLast::combine(&acc, &v);
+        });
+        assert_eq!(acc, Some((lo, hi)), "range_decompose [{lo},{hi}]");
     }
 }
 

@@ -14,6 +14,7 @@
 #![allow(clippy::type_complexity)]
 
 use std::fmt::Debug;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use codecs::{DeltaCodec, EncodedBlock, RawCodec};
@@ -146,6 +147,8 @@ fn pac_map_surface() {
     // Ranges and augmentation.
     let _: fn(&M, &u64, &u64) -> M = M::range;
     let _: fn(&M, &u64, &u64) -> Vec<(u64, String)> = M::range_entries;
+    let _: fn(&M, &u64, &u64, fn(&(u64, String)) -> ControlFlow<()>) -> ControlFlow<()> =
+        M::range_for_each;
     let _: fn(&M) = M::aug_value;
     let _: fn(&M, &u64, &u64) = M::aug_range;
     let _: fn(&M, &u64, &u64, fn(RangePart<'_, u64, String, ()>)) = M::range_decompose;
@@ -229,6 +232,8 @@ fn diff_map_surface() {
 
     let _: fn(&DM, &u64, &u64) -> DM = DM::range;
     let _: fn(&DM, &u64, &u64) -> Vec<(u64, u64)> = DM::range_entries;
+    let _: fn(&DM, &u64, &u64, fn(&(u64, u64)) -> ControlFlow<()>) -> ControlFlow<()> =
+        DM::range_for_each;
     let _: fn(&DM) -> u64 = DM::aug_value;
     let _: fn(&DM, &u64, &u64) -> u64 = DM::aug_range;
     let _: fn(&DM, &u64, &u64, fn(RangePart<'_, u64, u64, u64>)) = DM::range_decompose;
@@ -307,6 +312,7 @@ fn pac_set_surface() {
     // Ranges and augmentation.
     let _: fn(&S, &u64, &u64) -> S = S::range;
     let _: fn(&S, &u64, &u64) -> Vec<u64> = S::range_keys;
+    let _: fn(&S, &u64, &u64, fn(&u64) -> ControlFlow<()>) -> ControlFlow<()> = S::range_for_each;
     let _: fn(&S, &u64, &u64) -> usize = S::count_range;
     let _: fn(&S) = S::aug_value;
 
@@ -372,6 +378,7 @@ fn diff_set_surface() {
 
     let _: fn(&DS, &u64, &u64) -> DS = DS::range;
     let _: fn(&DS, &u64, &u64) -> Vec<u64> = DS::range_keys;
+    let _: fn(&DS, &u64, &u64, fn(&u64) -> ControlFlow<()>) -> ControlFlow<()> = DS::range_for_each;
     let _: fn(&DS, &u64, &u64) -> usize = DS::count_range;
     let _: fn(&DS) = DS::aug_value;
 

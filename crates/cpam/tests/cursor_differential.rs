@@ -4,14 +4,22 @@
 //! `to_vec` materializations), across all four codecs and the paper's
 //! block-size sweep B ∈ {1, 2, 8, 32, 128}.
 //!
+//! The bounded range reads (`range_entries`, `range_for_each`, `succ`,
+//! `aug_range`, `range_decompose`) are also probed at every leaf
+//! boundary — each leaf's first and last key and one key either side —
+//! on raw maps, delta maps and lazy leaves read through a `BlockSource`.
+//!
 //! Like the existing differential suites: every failure panics with the
 //! exact reproducing seed, and setting `PROPTEST_SEED=<n>` replays just
 //! that sequence on every codec × block size.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use codecs::{Codec, DeltaCodec, GammaCodec, KeyDeltaCodec, RawCodec};
-use cpam::{Augmentation, NoAug, PacMap, PacSet};
+use cpam::structure::{NodeOwned, NodeRef};
+use cpam::{Augmentation, BlockSource, NoAug, PacMap, PacSet, RangePart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -267,6 +275,160 @@ where
     Ok(())
 }
 
+/// An order-sensitive fingerprint of a run of entries: `(P^len, hash)`
+/// under the composition of affine maps, so a piece combined out of key
+/// order, twice or not at all changes the value.
+struct Fingerprint;
+
+const P: u64 = 0x100_0000_01B3;
+
+impl Augmentation<(u64, u64)> for Fingerprint {
+    type Value = (u64, u64);
+    fn identity() -> (u64, u64) {
+        (1, 0)
+    }
+    fn from_entry(e: &(u64, u64)) -> (u64, u64) {
+        (P, e.0.wrapping_mul(31).wrapping_add(e.1) ^ 0x9E37)
+    }
+    fn combine(a: &(u64, u64), b: &(u64, u64)) -> (u64, u64) {
+        (a.0.wrapping_mul(b.0), a.1.wrapping_mul(b.0).wrapping_add(b.1))
+    }
+}
+
+/// Pages every leaf of `map` out to an in-memory `BlockSource` and
+/// rebuilds it with lazy leaves.
+fn lazy_copy<C: Codec<(u64, u64)>>(map: &PacMap<u64, u64, NoAug, C>) -> PacMap<u64, u64, NoAug, C> {
+    struct Pages<B>(Vec<Arc<B>>);
+    impl<B: Send + Sync + 'static> BlockSource<B> for Pages<B> {
+        fn load(&self, page: u32) -> Arc<B> {
+            Arc::clone(&self.0[page as usize])
+        }
+    }
+    let mut stream = Vec::new();
+    let mut pages = Vec::new();
+    map.visit_nodes(None, &mut |node| match node {
+        NodeRef::Empty => stream.push(NodeOwned::Empty),
+        NodeRef::Regular(e) => stream.push(NodeOwned::Regular(*e)),
+        NodeRef::Flat(block) => {
+            stream.push(NodeOwned::Lazy {
+                page: pages.len() as u32,
+                len: C::len(block) as u32,
+            });
+            pages.push(Arc::new(block.clone()));
+        }
+        NodeRef::Shared(_) => unreachable!("no base to share with"),
+    });
+    let mut it = stream.into_iter();
+    PacMap::from_node_stream::<()>(
+        map.block_size(),
+        None,
+        Some(Arc::new(Pages(pages)) as Arc<dyn BlockSource<C::Block>>),
+        &mut || Ok(it.next().expect("stream exhausted")),
+    )
+    .expect("valid stream")
+}
+
+/// Every leaf's first and last key and one key either side, sorted and
+/// deduplicated.
+fn leaf_boundary_keys<A, C>(map: &PacMap<u64, u64, A, C>) -> Vec<u64>
+where
+    A: Augmentation<(u64, u64)>,
+    C: Codec<(u64, u64)>,
+{
+    let mut keys = Vec::new();
+    map.visit_nodes(None, &mut |node| {
+        if let NodeRef::Flat(block) = node {
+            let (first, last) = (C::get(block, 0).0, C::get(block, C::len(block) - 1).0);
+            keys.extend([first.saturating_sub(1), first, last, last.saturating_add(1)]);
+        }
+    });
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The bounded range reads of `map` against `oracle` for `lo` and `hi`
+/// drawn from `keys`: each `lo` against every eighth `hi` at or above it
+/// and the key just below it (an inverted range).
+fn check_boundaries<A, C>(
+    map: &PacMap<u64, u64, A, C>,
+    oracle: &BTreeMap<u64, u64>,
+    keys: &[u64],
+) -> Result<(), String>
+where
+    A: Augmentation<(u64, u64)>,
+    A::Value: PartialEq + std::fmt::Debug,
+    C: Codec<(u64, u64)>,
+{
+    let stride = (keys.len() / 8).max(1);
+    for (i, &lo) in keys.iter().enumerate() {
+        let succ = oracle.range(lo..).next().map(|(&k, &v)| (k, v));
+        if map.succ(&lo) != succ {
+            return Err(format!("succ({lo}) diverges"));
+        }
+        let his = keys[i..].iter().step_by(stride).chain(i.checked_sub(1).map(|j| &keys[j]));
+        for &hi in his {
+            let want: Vec<(u64, u64)> = match lo <= hi {
+                true => oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect(),
+                false => Vec::new(),
+            };
+            if map.range_entries(&lo, &hi) != want {
+                return Err(format!("range_entries [{lo}, {hi}] diverges"));
+            }
+            let aug = want.iter().fold(A::identity(), |acc, e| A::combine(&acc, &A::from_entry(e)));
+            if map.aug_range(&lo, &hi) != aug {
+                return Err(format!("aug_range [{lo}, {hi}] diverges"));
+            }
+            let mut parts = A::identity();
+            map.range_decompose(&lo, &hi, |part| {
+                let v = match part {
+                    RangePart::Subtree(v) => v.clone(),
+                    RangePart::Entry(k, v) => A::from_entry(&(*k, *v)),
+                };
+                parts = A::combine(&parts, &v);
+            });
+            if parts != aug {
+                return Err(format!("range_decompose [{lo}, {hi}] diverges"));
+            }
+            for k in [1, 2, 7, want.len()] {
+                let mut got = Vec::new();
+                let flow = map.range_for_each(&lo, &hi, |e| {
+                    got.push(*e);
+                    match got.len() == k {
+                        true => ControlFlow::Break(()),
+                        false => ControlFlow::Continue(()),
+                    }
+                });
+                let stopped = k >= 1 && want.len() >= k;
+                if got[..] != want[..want.len().min(k)] || flow.is_break() != stopped {
+                    return Err(format!("range_for_each [{lo}, {hi}] breaking after {k} diverges"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One leaf-boundary scenario: a random map over codec `C` at block size
+/// `b`, probed with a non-commutative augmentation and, unaugmented,
+/// through lazy leaves.
+fn run_boundaries_one<C>(seed: u64, b: usize) -> Result<(), String>
+where
+    C: Codec<(u64, u64)>,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(0..300usize);
+    let pairs: Vec<(u64, u64)> = (0..n)
+        .map(|_| (rng.gen_range(0..KEY_SPAN), rng.gen_range(0..1_000)))
+        .collect();
+    let oracle: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+    let augmented: PacMap<u64, u64, Fingerprint, C> = PacMap::from_pairs_with(b, pairs.clone());
+    let plain: PacMap<u64, u64, NoAug, C> = PacMap::from_pairs_with(b, pairs);
+    let keys = leaf_boundary_keys(&plain);
+    check_boundaries(&augmented, &oracle, &keys).map_err(|e| format!("resident: {e}"))?;
+    check_boundaries(&lazy_copy(&plain), &oracle, &keys).map_err(|e| format!("lazy: {e}"))
+}
+
 const BLOCK_SIZES: [usize; 5] = [1, 2, 8, 32, 128];
 
 fn drive(label: &str, run: impl Fn(u64, usize) -> Result<(), String> + Sync) {
@@ -316,4 +478,14 @@ fn set_gamma_codec_matches_oracle() {
 #[test]
 fn set_delta_codec_matches_oracle() {
     drive("delta set", run_set_one::<DeltaCodec>);
+}
+
+#[test]
+fn raw_leaf_boundaries_match_oracle() {
+    drive("raw leaf boundaries", run_boundaries_one::<RawCodec>);
+}
+
+#[test]
+fn delta_leaf_boundaries_match_oracle() {
+    drive("delta leaf boundaries", run_boundaries_one::<DeltaCodec>);
 }

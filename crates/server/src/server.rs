@@ -15,6 +15,7 @@
 //! frames) and exits; the handle waits for that drain up to
 //! [`ServerOptions::drain_timeout`].
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -398,10 +399,16 @@ where
         },
         Request::Range { lo, hi, limit, at } => match read_snapshot(store, at) {
             Ok(snap) => {
-                let mut entries = snap.range_entries(&lo, &hi);
-                if limit != 0 && (entries.len() as u64) > limit {
-                    entries.truncate(limit as usize);
-                }
+                // `limit == 0` is unlimited: a count after a push is never 0.
+                let mut entries = Vec::new();
+                let _ = snap.range_for_each(&lo, &hi, |e| {
+                    entries.push(e.clone());
+                    if entries.len() as u64 == limit {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
                 Response::Entries(entries)
             }
             Err(e) => store_err(&e),

@@ -83,7 +83,10 @@ pub(crate) struct StoreMetrics {
     pub wal_fsync: Arc<Histogram>,
     /// `get()` point reads on the current version.
     pub point_read: Arc<Histogram>,
-    /// Materializing range reads (`range_entries`).
+    /// `ShardedStore::range_entries` reads: one pin plus one in-order walk
+    /// of the overlapping shards, collected into one vector. Reads
+    /// through a pinned snapshot (`ShardedSnapshot::range_for_each`,
+    /// pacserve's `Range`) are not sampled here.
     pub range_read: Arc<Histogram>,
     /// Full or incremental checkpoint page writes (`save*`).
     pub save: Arc<Histogram>,

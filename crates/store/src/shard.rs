@@ -52,6 +52,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -253,21 +254,32 @@ where
         out
     }
 
-    /// The entries with keys in `[lo, hi]`, in key order, composed from
-    /// the per-shard [`PacMap::range_entries`] of the overlapping
-    /// shards only. The first overlapping shard's vector is the output
-    /// and later shards append to it, so a range inside one shard is
-    /// returned without a second copy.
+    /// The entries with keys in `[lo, hi]`, in key order, in one vector:
+    /// [`ShardedSnapshot::range_for_each`] collected.
     pub fn range_entries(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
-        let mut shards = self.router.shards_overlapping(lo, hi);
-        let Some(first) = shards.next() else {
-            return Vec::new();
-        };
-        let mut out = self.version.maps[first].range_entries(lo, hi);
-        for s in shards {
-            out.extend(self.version.maps[s].range_entries(lo, hi));
-        }
+        let mut out = Vec::new();
+        let _ = self.range_for_each(lo, hi, |e| {
+            out.push(e.clone());
+            ControlFlow::Continue(())
+        });
         out
+    }
+
+    /// Feeds the entries with keys in `[lo, hi]` to `f` in global key
+    /// order — the overlapping shards only, in shard order, each through
+    /// [`PacMap::range_for_each`] — and stops as soon as `f` breaks;
+    /// returns `Break` iff it did. A read that stops after `k` entries
+    /// touches the leaves holding them, not the rest of the range.
+    pub fn range_for_each(
+        &self,
+        lo: &K,
+        hi: &K,
+        mut f: impl FnMut(&(K, V)) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for s in self.router.shards_overlapping(lo, hi) {
+            self.version.maps[s].range_for_each(lo, hi, &mut f)?;
+        }
+        ControlFlow::Continue(())
     }
 
     /// The map backing shard `i`, for the full per-range query
