@@ -13,15 +13,13 @@ use std::ops::ControlFlow;
 use codecs::{BlockCursor, Codec};
 
 use crate::aug::Augmentation;
-use crate::base::{rebuild_leaf, to_vec};
+use crate::base::{rebuild_leaf, WALK_FLOOR};
 use crate::entry::{Element, Entry};
 use crate::iter::fold_tree;
 use crate::join::{expose_owned, join, join2, split};
 use crate::node::{size, Node, Tree};
 use crate::scratch::with_scratch;
 use crate::stats;
-
-use crate::grain::{par_grain, walk_grain};
 
 /// Looks up the entry with key `k`. `O(log n + B)` work, allocation-free
 /// (the flat base case is a sampled in-block search, not a decode).
@@ -385,7 +383,8 @@ where
     C: Codec<E>,
     F: Fn(&E) -> bool + Sync,
 {
-    let grain = par_grain(b, crate::node::size(&t));
+    // A few leaf blocks (`max(4b, 1024)` entries) are never worth a fork.
+    let grain = parlay::cutoff(size(&t), (4 * b).max(1024));
     filter_rec(b, grain, t, pred)
 }
 
@@ -413,17 +412,11 @@ where
     }
     let sz = node.size();
     let (left, entry, right, husk) = expose_owned(Some(node));
-    let (tl, tr) = if sz > grain {
-        parlay::join(
-            || filter_rec(b, grain, left, pred),
-            || filter_rec(b, grain, right, pred),
-        )
-    } else {
-        (
-            filter_rec(b, grain, left, pred),
-            filter_rec(b, grain, right, pred),
-        )
-    };
+    let (tl, tr) = parlay::join_if(
+        sz > grain,
+        || filter_rec(b, grain, left, pred),
+        || filter_rec(b, grain, right, pred),
+    );
     if pred(&entry) {
         join(b, husk, tl, entry, tr)
     } else {
@@ -446,8 +439,7 @@ where
     C2: Codec<E2>,
     F: Fn(&E) -> E2 + Sync,
 {
-    let grain = walk_grain(crate::node::size(t));
-    map_entries_rec(grain, t, f)
+    map_entries_rec(parlay::cutoff(size(t), WALK_FLOOR), t, f)
 }
 
 fn map_entries_rec<E, A, C, E2, A2, C2, F>(
@@ -473,17 +465,11 @@ where
             size: sz,
             ..
         } => {
-            let (tl, tr) = if *sz > grain {
-                parlay::join(
-                    || map_entries_rec(grain, left, f),
-                    || map_entries_rec(grain, right, f),
-                )
-            } else {
-                (
-                    map_entries_rec(grain, left, f),
-                    map_entries_rec(grain, right, f),
-                )
-            };
+            let (tl, tr) = parlay::join_if(
+                *sz > grain,
+                || map_entries_rec(grain, left, f),
+                || map_entries_rec(grain, right, f),
+            );
             crate::node::make_regular(tl, f(entry), tr)
         }
         leaf => {
@@ -508,8 +494,7 @@ where
     M: Fn(&E) -> R + Sync,
     Op: Fn(R, R) -> R + Sync,
 {
-    let grain = walk_grain(crate::node::size(t));
-    map_reduce_rec(grain, t, m, op, id)
+    map_reduce_rec(parlay::cutoff(size(t), WALK_FLOOR), t, m, op, id)
 }
 
 fn map_reduce_rec<E, A, C, R, M, Op>(grain: usize, t: &Tree<E, A, C>, m: &M, op: &Op, id: R) -> R
@@ -530,17 +515,11 @@ where
             size: sz,
             ..
         } => {
-            let (a, c) = if *sz > grain {
-                parlay::join(
-                    || map_reduce_rec(grain, left, m, op, id.clone()),
-                    || map_reduce_rec(grain, right, m, op, id.clone()),
-                )
-            } else {
-                (
-                    map_reduce_rec(grain, left, m, op, id.clone()),
-                    map_reduce_rec(grain, right, m, op, id.clone()),
-                )
-            };
+            let (a, c) = parlay::join_if(
+                *sz > grain,
+                || map_reduce_rec(grain, left, m, op, id.clone()),
+                || map_reduce_rec(grain, right, m, op, id.clone()),
+            );
             op(op(a, m(entry)), c)
         }
         leaf => {
@@ -602,14 +581,4 @@ where
     } else {
         select(t, n - 1)
     }
-}
-
-/// All entries as a vector (delegates to the parallel flattener).
-pub(crate) fn entries_vec<E, A, C>(t: &Tree<E, A, C>) -> Vec<E>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    to_vec(t)
 }

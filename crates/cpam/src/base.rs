@@ -9,32 +9,41 @@
 //! small subtree), and is the one routine through which every update —
 //! point or batch, insert or remove — rewrites blocks.
 
+use std::ops::ControlFlow;
+
 use codecs::Codec;
 use parlay::SendPtr;
 
 use crate::aug::Augmentation;
 use crate::entry::{Edit, Element, Entry};
-use crate::grain::walk_grain;
+use crate::iter::fold_tree;
 use crate::node::{
     make_flat, make_regular, reuse_block, reuse_flat, reuse_regular, size, Node, Tree,
 };
 use crate::scratch::Scratch;
 use crate::stats;
 
+/// Fork floor of the builds and whole-tree walks (`from_sorted`,
+/// `to_vec`, map, reduce, reverse), whose per-entry work does not depend
+/// on the block size: a subtree of at most this many entries is never
+/// worth a fork. Each entry point passes it to [`parlay::cutoff`] once,
+/// with the size of the whole tree.
+pub(crate) const WALK_FLOOR: usize = 4096;
+
 /// Builds a PaC-tree from entries already in collection order.
 ///
 /// Maintains Definition 4.1 deterministically: midpoint splitting keeps
 /// every leaf block within `[b, 2b]` once the tree has at least `b`
 /// entries (smaller trees are one undersized block). `O(n)` work,
-/// `O(log n)` span; the fork cutoff adapts to the pool size
-/// ([`walk_grain`]).
+/// `O(log n)` span; forks stop at [`parlay::cutoff`] over
+/// [`WALK_FLOOR`].
 pub(crate) fn from_sorted<E, A, C>(b: usize, entries: &[E]) -> Tree<E, A, C>
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    from_sorted_rec(b, walk_grain(entries.len()), entries)
+    from_sorted_rec(b, parlay::cutoff(entries.len(), WALK_FLOOR), entries)
 }
 
 fn from_sorted_rec<E, A, C>(b: usize, grain: usize, entries: &[E]) -> Tree<E, A, C>
@@ -56,17 +65,11 @@ where
         return make_flat(entries);
     }
     let mid = n / 2;
-    let (l, r) = if n > grain {
-        parlay::join(
-            || from_sorted_rec(b, grain, &entries[..mid]),
-            || from_sorted_rec(b, grain, &entries[mid + 1..]),
-        )
-    } else {
-        (
-            from_sorted_rec(b, grain, &entries[..mid]),
-            from_sorted_rec(b, grain, &entries[mid + 1..]),
-        )
-    };
+    let (l, r) = parlay::join_if(
+        n > grain,
+        || from_sorted_rec(b, grain, &entries[..mid]),
+        || from_sorted_rec(b, grain, &entries[mid + 1..]),
+    );
     make_regular(l, entries[mid].clone(), r)
 }
 
@@ -148,7 +151,7 @@ pub(crate) fn extend_with<E, A, C, T: Send>(
     let (len, n) = (out.len(), size(t));
     out.reserve(n);
     let ptr = SendPtr(out.as_mut_ptr());
-    write_tree(t, f, ptr, len, walk_grain(n));
+    write_tree(t, f, ptr, len, parlay::cutoff(n, WALK_FLOOR));
     // SAFETY: write_tree initializes exactly the `size(t)` slots after
     // `len`, within the capacity reserved above.
     unsafe { out.set_len(len + n) };
@@ -178,15 +181,11 @@ fn write_tree<E, A, C, T: Send>(
             // SAFETY: disjoint slots, within the capacity reserved by the
             // caller (extend_with).
             unsafe { out.0.add(offset + lsize).write(f(entry)) };
-            if *sz > grain {
-                parlay::join(
-                    || write_tree(left, f, out, offset, grain),
-                    || write_tree(right, f, out, offset + lsize + 1, grain),
-                );
-            } else {
-                write_tree(left, f, out, offset, grain);
-                write_tree(right, f, out, offset + lsize + 1, grain);
-            }
+            parlay::join_if(
+                *sz > grain,
+                || write_tree(left, f, out, offset, grain),
+                || write_tree(right, f, out, offset + lsize + 1, grain),
+            );
         }
         leaf => {
             crate::stats::count_block_decode();
@@ -239,31 +238,6 @@ where
             crate::stats::count_block_decode();
             let block = leaf.leaf_block();
             C::decode(&block, out);
-        }
-    }
-}
-
-/// Streams every entry of `t` through `f` in order, without
-/// materializing anything: each leaf block is loaded once and walked
-/// with the codec's allocation-free `for_each` (one cursor op per leaf).
-fn for_each_entry<E, A, C>(t: &Tree<E, A, C>, f: &mut impl FnMut(&E))
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let Some(node) = t else { return };
-    match &**node {
-        Node::Regular {
-            left, entry, right, ..
-        } => {
-            for_each_entry(left, f);
-            f(entry);
-            for_each_entry(right, f);
-        }
-        leaf => {
-            stats::count_cursor_op();
-            C::for_each(&leaf.leaf_block(), f);
         }
     }
 }
@@ -350,7 +324,14 @@ where
     };
     match &leaf {
         Some(block) => C::for_each(block, &mut merge),
-        None => for_each_entry(&t, &mut merge),
+        None => {
+            if let Some(node) = &t {
+                let _ = fold_tree(node, &mut |x| {
+                    merge(x);
+                    ControlFlow::Continue(())
+                });
+            }
+        }
     }
     out.extend(rest.iter().filter_map(|e| e.apply(None, f)));
     drop(leaf);

@@ -52,13 +52,14 @@
 //! # Parallelism
 //!
 //! Bulk operations (build, union, filter, map, reduce, batch updates)
-//! fork through [`parlay::join`]; wrap a batch of work in
+//! fork through [`parlay::join_if`], at one cutoff per operation that
+//! [`parlay::cutoff`] computes from the root problem's size (`usize::MAX`
+//! on a one-worker pool, so nothing forks there); wrap a batch of work in
 //! [`parlay::run`] to enter the pool once. Everything is deterministic.
 
 mod algos;
 mod base;
 mod entry;
-mod grain;
 mod iter;
 mod join;
 mod node;

@@ -255,10 +255,7 @@ where
         // superseded version — is one refcount decrement, and off the
         // pool a `join` is a hand-off to a worker and a wait.
         (Some(a), Some(b))
-            if crate::grain::pool_is_parallel()
-                && parlay::in_worker()
-                && Arc::strong_count(&a) == 1
-                && Arc::strong_count(&b) == 1 =>
+            if parlay::in_worker() && Arc::strong_count(&a) == 1 && Arc::strong_count(&b) == 1 =>
         {
             parlay::join(|| one(Some(a)), || one(Some(b)));
         }

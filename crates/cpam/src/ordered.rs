@@ -459,7 +459,7 @@ where
 
     /// All entries in key order. `O(n)` work, `O(log n)` span.
     pub fn to_vec(&self) -> Vec<E> {
-        algos::entries_vec(&self.root)
+        base::to_vec(&self.root)
     }
 
     /// Streaming in-order iterator (a snapshot: later updates to the

@@ -6,7 +6,7 @@ use crate::aug::{Augmentation, NoAug};
 use crate::entry::Element;
 use crate::iter::Iter;
 use crate::node::{size, SpaceStats, Tree};
-use crate::{algos, seq, verify, DEFAULT_B};
+use crate::{algos, base, seq, verify, DEFAULT_B};
 
 /// A purely-functional sequence with blocked leaves.
 ///
@@ -241,7 +241,7 @@ where
 
     /// All elements in order.
     pub fn to_vec(&self) -> Vec<V> {
-        algos::entries_vec(&self.root)
+        base::to_vec(&self.root)
     }
 
     /// Streaming iterator (snapshot semantics).

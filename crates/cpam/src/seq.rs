@@ -5,7 +5,7 @@
 use codecs::{BlockCursor, Codec};
 
 use crate::aug::Augmentation;
-use crate::base::from_sorted;
+use crate::base::{from_sorted, WALK_FLOOR};
 use crate::entry::Element;
 use crate::join::{join2, split_at};
 use crate::node::{decode_flat_into, make_flat, make_regular, size, Node, Tree};
@@ -63,6 +63,15 @@ where
     A: Augmentation<E>,
     C: Codec<E>,
 {
+    reverse_rec(parlay::cutoff(size(t), WALK_FLOOR), t)
+}
+
+fn reverse_rec<E, A, C>(grain: usize, t: &Tree<E, A, C>) -> Tree<E, A, C>
+where
+    E: Element,
+    A: Augmentation<E>,
+    C: Codec<E>,
+{
     let Some(node) = t else { return None };
     match &**node {
         Node::Regular {
@@ -72,11 +81,11 @@ where
             size: sz,
             ..
         } => {
-            let (rl, rr) = if *sz > 2048 {
-                parlay::join(|| reverse(right), || reverse(left))
-            } else {
-                (reverse(right), reverse(left))
-            };
+            let (rl, rr) = parlay::join_if(
+                *sz > grain,
+                || reverse_rec(grain, right),
+                || reverse_rec(grain, left),
+            );
             make_regular(rl, entry.clone(), rr)
         }
         _ => with_scratch(node.size(), |entries: &mut Vec<E>| {

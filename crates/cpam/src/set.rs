@@ -6,7 +6,6 @@ use codecs::{Codec, RawCodec};
 use crate::aug::{Augmentation, NoAug};
 use crate::base::{from_sorted, to_vec};
 use crate::entry::ScalarKey;
-use crate::grain::par_grain;
 use crate::join::{expose_owned, join, split};
 use crate::node::{size, Tree};
 use crate::ordered::PacOrd;
@@ -143,7 +142,7 @@ where
     #[doc(hidden)]
     pub fn union_naive(&self, other: &Self) -> Self {
         self.clone().apply2(other.clone(), |b, l, r| {
-            let grain = par_grain(b, size(&l) + size(&r));
+            let grain = parlay::cutoff(size(&l) + size(&r), (4 * b).max(1024));
             naive_union(b, grain, l, r)
         })
     }
@@ -216,10 +215,6 @@ where
     let (l2, k2, r2, husk) = expose_owned(t2);
     let (l1, m, r1) = split(b, t1, &k2);
     let rec = |t1, t2| naive_union(b, grain, t1, t2);
-    let (tl, tr) = if s > grain {
-        parlay::join(|| rec(l1, l2), || rec(r1, r2))
-    } else {
-        (rec(l1, l2), rec(r1, r2))
-    };
+    let (tl, tr) = parlay::join_if(s > grain, || rec(l1, l2), || rec(r1, r2));
     join(b, husk, tl, m.unwrap_or(k2), tr)
 }

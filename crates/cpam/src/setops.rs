@@ -16,7 +16,6 @@ use crate::algos::{first, last};
 use crate::aug::Augmentation;
 use crate::base::{extend_with, from_sorted, merge_sorted};
 use crate::entry::{Edit, Entry};
-use crate::grain::batch_grain;
 use crate::join::{expose_owned, join, join2};
 use crate::node::{size, Tree};
 use crate::scratch::Scratch;
@@ -76,10 +75,16 @@ where
 /// Entries a batch of `m` keys can touch under a node of `s` entries:
 /// at most one leaf (`2b` entries) per key and never more than the
 /// subtree, plus the batch itself — the `min(mB, n)` of Thm 6.3, and
-/// the work the fork cutoff ([`batch_grain`]) is measured in.
+/// the work the fork cutoff is measured in: a small batch into a large
+/// tree is a small problem, and under [`parlay::FORK_FLOOR`] entries of
+/// it nothing forks.
 fn batch_work(b: usize, s: usize, m: usize) -> usize {
     s.min(m.saturating_mul(2 * b)) + m
 }
+
+// A commit-sized batch — 64 keys at B = 128 touch at most 64·256 + 64
+// entries — stays under the fork floor and never enters the scheduler.
+const _: () = assert!(64 * 256 + 64 <= parlay::FORK_FLOOR);
 
 /// Whether `m` keys are *dense* in a subtree of `s` entries: at least
 /// one key per full leaf, so rebuilding the subtree whole (the Section 8
@@ -113,7 +118,7 @@ where
     F: Fn(&E, &E) -> E + Sync,
 {
     debug_assert!(edits.windows(2).all(|w| w[0].key() < w[1].key()));
-    let grain = batch_grain(batch_work(b, size(&t), edits.len()));
+    let grain = parlay::cutoff(batch_work(b, size(&t), edits.len()), parlay::FORK_FLOOR);
     multi_update_rec(b, grain, t, edits, keep, f)
 }
 
@@ -160,11 +165,8 @@ where
     };
     let (left, right) = (&edits[..pos], &edits[rest_at..]);
     let go = |t, edits| multi_update_rec(b, grain, t, edits, keep, f);
-    let (tl, tr) = if !left.is_empty() && !right.is_empty() && batch_work(b, s, m) > grain {
-        parlay::join(|| go(l, left), || go(r, right))
-    } else {
-        (go(l, left), go(r, right))
-    };
+    let fork = !left.is_empty() && !right.is_empty() && batch_work(b, s, m) > grain;
+    let (tl, tr) = parlay::join_if(fork, || go(l, left), || go(r, right));
     match entry {
         Some(entry) => join(b, husk, tl, entry, tr),
         None => join2(b, husk, tl, tr),

@@ -1,7 +1,7 @@
-//! Differential tests for the adaptive fork-granularity policy
-//! (`cpam::grain`): every bulk operation must produce bit-identical
-//! results at problem sizes just below, at, and just above each fork
-//! cutoff, whatever the pool size. The CI thread matrix runs this same
+//! Differential tests for the fork cutoff (`parlay::cutoff`, which
+//! every cpam fork site decides by): every bulk operation must produce
+//! bit-identical results at problem sizes just below, at, and just above
+//! each fork cutoff, whatever the pool size. The CI thread matrix runs this same
 //! binary under `PARLAY_NUM_THREADS ∈ {1, 2, 4, 8}`, which is what turns
 //! "same result at every cutoff" into "same result at every thread
 //! count" — at 1 thread the policy degrades to pure-sequential code, so
@@ -23,8 +23,8 @@ use cpam::{PacMap, PacSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The static cutoff floors of `cpam::grain`: `max(4b, 1024)` for the
-/// set operations and `4096` for builds/walks. Testing one element
+/// The cutoff floors cpam passes to `parlay::cutoff`: `max(4b, 1024)`
+/// for the set operations and `4096` for builds/walks. Testing one element
 /// below, at, and above each boundary pins the sequential/forked
 /// hand-off exactly where the code switches.
 const BOUNDARIES: [usize; 6] = [1023, 1024, 1025, 4095, 4096, 4097];

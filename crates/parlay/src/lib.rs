@@ -63,10 +63,57 @@ pub const DEFAULT_GRAIN: usize = 2048;
 /// 2-core reference box (DESIGN.md §12).
 ///
 /// Two kinds of caller check it: a fork site inside the pool (`cpam`'s
-/// batch-update grain never goes below it) and a caller off the pool that
-/// would otherwise enter it with [`run`] (a store commit's shard fan-out
-/// runs on the committing thread below it).
+/// batch update passes it to [`cutoff`] as its floor) and a caller off
+/// the pool that would otherwise enter it with [`run`] (a store commit's
+/// shard fan-out runs on the committing thread below it).
 pub const FORK_FLOOR: usize = 1 << 15;
+
+/// The fork cutoff of a divide-and-conquer operation whose root problem
+/// is `n` units of work: a subproblem forks only while it is larger than
+/// this. Never below `floor`, under which a fork costs more than the half
+/// of the work it would hand off; above it, `n / (8 · threads)`, about
+/// `8T` leaf tasks per operation — enough slack for stealing to balance
+/// load without flooding the deques with tiny jobs. On a one-worker pool
+/// it is `usize::MAX`: nothing ever forks.
+///
+/// Compute it once, at the entry point, and pass it down the recursion
+/// to [`join_if`], so the cutoff is a property of the whole operation
+/// rather than of each subtree.
+///
+/// ```
+/// let cut = parlay::cutoff(1_000, 4096);
+/// assert!(cut >= 4096);
+/// ```
+pub fn cutoff(n: usize, floor: usize) -> usize {
+    let threads = num_threads();
+    if threads <= 1 {
+        return usize::MAX;
+    }
+    floor.max(n / (8 * threads))
+}
+
+/// [`join`] if `fork`, else `(a(), b())` on this thread: PAM's
+/// `par_do_if`, the one fork-or-inline branch every recursion shares.
+///
+/// ```
+/// let n = 100;
+/// let (a, b) = parlay::join_if(n > parlay::cutoff(n, 4096), || 1, || 2);
+/// assert_eq!((a, b), (1, 2));
+/// ```
+#[inline]
+pub fn join_if<A, B, RA, RB>(fork: bool, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if fork {
+        join(a, b)
+    } else {
+        (a(), b())
+    }
+}
 
 /// Runs `a` and `b`, potentially in parallel, and returns both results.
 ///
@@ -255,6 +302,48 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 400);
+    }
+
+    #[test]
+    fn cutoff_scales_with_problem_size() {
+        let t = num_threads();
+        if t <= 1 {
+            assert_eq!(cutoff(1_000_000, 1024), usize::MAX);
+            assert_eq!(cutoff(1_000_000, 4096), usize::MAX);
+        } else {
+            // Small problems keep the floor.
+            assert_eq!(cutoff(1000, 1024), 1024);
+            assert_eq!(cutoff(1000, 4096), 4096);
+            // Large problems scale as n / 8T.
+            let n = 80_000_000;
+            assert_eq!(cutoff(n, 1024), n / (8 * t));
+            assert_eq!(cutoff(n, 4096), n / (8 * t));
+        }
+    }
+
+    #[test]
+    fn batch_cutoff_follows_the_batch_not_the_tree() {
+        let t = num_threads();
+        if t <= 1 {
+            assert_eq!(cutoff(1 << 30, FORK_FLOOR), usize::MAX);
+            return;
+        }
+        // A commit-sized batch (64 keys at B = 128) is under the floor
+        // whatever tree it lands in; bulk work scales as work / 8T.
+        assert_eq!(cutoff(64 * 256 + 64, FORK_FLOOR), FORK_FLOOR);
+        let work = 80_000_000;
+        assert_eq!(cutoff(work, FORK_FLOOR), work / (8 * t));
+    }
+
+    #[test]
+    fn block_size_floor_dominates_for_big_blocks() {
+        // The set operations' floor is max(4b, 1024): 1024 at b = 32,
+        // 4b at b = 512.
+        let floor = |b: usize| (4 * b).max(1024);
+        if num_threads() > 1 {
+            assert_eq!(cutoff(1000, floor(32)), 1024);
+            assert_eq!(cutoff(1000, floor(512)), 2048);
+        }
     }
 
     #[test]

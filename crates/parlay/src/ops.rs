@@ -4,7 +4,7 @@
 //! sequential base case of [`crate::DEFAULT_GRAIN`] elements, matching the
 //! binary-forking cost model of the paper (work `O(n)`, span `O(log n)`).
 
-use crate::{join, DEFAULT_GRAIN};
+use crate::{cutoff, join, DEFAULT_GRAIN};
 
 /// A raw pointer that may be sent across threads.
 ///
@@ -37,25 +37,13 @@ impl<T> SendPtr<T> {
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Fork cutoff adapted to the pool: forks stop once a range is below
-/// `max(grain, n / (8 * num_threads))`. With `8T` leaves per thread the
-/// scheduler has slack to balance load, without flooding the deques when
-/// `n` is huge; on a single-threaded pool no range is ever worth forking.
-fn effective_grain(n: usize, grain: usize) -> usize {
-    let threads = crate::num_threads();
-    if threads <= 1 {
-        return usize::MAX;
-    }
-    grain.max(n / (8 * threads))
-}
-
 /// Applies `body(lo, hi)` over disjoint subranges of `[lo, hi)` in
 /// parallel, splitting until ranges have at most `grain` elements.
 ///
 /// Forking stops early when the pool cannot use more parallel slack
-/// (the fork cutoff scales as `n / (8 · threads)` and becomes infinite
-/// on a 1-thread pool); below the cutoff, `body` is still invoked on
-/// chunks of at most `grain` elements, sequentially.
+/// (at [`cutoff`]`(n, grain)`, infinite on a 1-thread pool); below the
+/// cutoff, `body` is still invoked on chunks of at most `grain`
+/// elements, sequentially.
 ///
 /// # Examples
 ///
@@ -75,7 +63,7 @@ where
     if hi <= lo {
         return;
     }
-    blocked_rec(lo, hi, grain, effective_grain(hi - lo, grain), body);
+    blocked_rec(lo, hi, grain, cutoff(hi - lo, grain), body);
 }
 
 fn blocked_rec<F>(lo: usize, hi: usize, grain: usize, fork_below: usize, body: &F)
@@ -201,7 +189,7 @@ where
     }
     // The reduction tree's shape depends on the worker count, so `op`
     // must be associative for the result to be deterministic.
-    go(xs, &id, &m, &op, effective_grain(xs.len(), DEFAULT_GRAIN))
+    go(xs, &id, &m, &op, cutoff(xs.len(), DEFAULT_GRAIN))
 }
 
 /// Parallel sum of a slice of unsigned integers.

@@ -39,7 +39,8 @@ use crate::page;
 pub struct RetentionPolicy {
     /// Keep this many most-recent history entries (the current version
     /// is always kept regardless). Pinned versions are kept on top of
-    /// this window.
+    /// this window — unlike `StoreOptions::history_limit`, whose window
+    /// counts the pinned versions it keeps.
     pub keep_last: usize,
 }
 

@@ -59,8 +59,17 @@ pub struct StoreOptions {
     /// Leaf block size of the state tree (paper default 128). Ignored
     /// when opening an existing snapshot, which records its own.
     pub block_size: usize,
-    /// How many recent versions `snapshot_at` can reach. Pinned
-    /// snapshots outlive eviction.
+    /// How many versions the history keeps for `snapshot_at`, pinned
+    /// ones included: a commit evicts the oldest unpinned versions
+    /// until at most this many remain, so each pinned version takes one
+    /// of the slots (at 2, with version 1 pinned, only version 1 and the
+    /// current one survive). Pinned versions are never evicted, so pins
+    /// alone can hold the history above the limit. [`gc`]'s
+    /// [`RetentionPolicy::keep_last`] counts differently: it keeps pins
+    /// on top of its window.
+    ///
+    /// [`gc`]: crate::ShardedStore::gc
+    /// [`RetentionPolicy::keep_last`]: crate::RetentionPolicy::keep_last
     pub history_limit: usize,
     /// If true, a torn or corrupt log tail, or an incomplete last
     /// commit group, fails `open` instead of being truncated away.
