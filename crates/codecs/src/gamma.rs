@@ -129,30 +129,43 @@ impl<'a> BitReader<'a> {
         v
     }
 
-    /// Reads an Elias gamma code written by [`BitWriter::write_gamma`]:
-    /// counts the zero run a word at a time (`trailing_zeros` on a
-    /// 64-bit window), then reads the value bits in one call.
+    /// Reads an Elias gamma code written by [`BitWriter::write_gamma`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bits at the read position are not a whole code.
     pub fn read_gamma(&mut self) -> u64 {
-        let mut zeros = 0u32;
-        loop {
-            let avail = self.bytes.len() * 8 - self.pos;
-            assert!(avail > 0, "bit buffer exhausted inside a gamma code");
-            let take = (avail.min(64)) as u32;
-            let window = self.peek_bits(take);
-            if window == 0 {
-                zeros += take;
-                self.pos += take as usize;
-                continue;
-            }
-            let run = window.trailing_zeros();
-            zeros += run;
-            self.pos += run as usize;
-            break;
+        self.try_read_gamma()
+            .expect("bit buffer exhausted inside a gamma code")
+    }
+
+    /// Reads a gamma code, or `None` (leaving the position unspecified)
+    /// if the bits at the read position are not a whole one: no `1`
+    /// within the 64 bits a code's zero run can span, or fewer value bits
+    /// left than the run announces. Finds the run with one
+    /// `trailing_zeros` on a 64-bit window, then reads the value bits in
+    /// one call.
+    pub(crate) fn try_read_gamma(&mut self) -> Option<u64> {
+        let avail = self.bytes.len() * 8 - self.pos;
+        let window = self.peek_bits(avail.min(64) as u32);
+        if window == 0 {
+            return None;
         }
+        let zeros = window.trailing_zeros();
         let width = zeros + 1;
-        debug_assert!(width <= 64, "gamma code wider than the u64 domain");
+        if (zeros + width) as usize > avail {
+            return None;
+        }
+        self.pos += zeros as usize;
         // Value bits are stored MSB-first: reverse the LSB-first read.
-        self.read_bits(width).reverse_bits() >> (64 - width)
+        let v = self.peek_bits(width).reverse_bits() >> (64 - width);
+        self.pos += width as usize;
+        Some(v)
+    }
+
+    /// Bytes the codes read so far occupy, the last one partly.
+    pub(crate) fn bytes_read(&self) -> usize {
+        self.pos.div_ceil(8)
     }
 }
 

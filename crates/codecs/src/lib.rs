@@ -2,13 +2,16 @@
 //!
 //! A PaC-tree stores its leaf entries in blocks of `B..2B` entries; this
 //! crate defines the [`Codec`] trait a tree is parameterized over, plus
-//! the three schemes used in the paper's evaluation:
+//! four codecs:
 //!
 //! * [`RawCodec`] — blocking only, entries stored as a plain array
 //!   (the paper's "empty" encoding scheme `C = ∅`);
 //! * [`DeltaCodec`] — byte-code difference encoding: the first entry of a
 //!   block is stored whole, each following entry relative to its
 //!   predecessor (the paper's default compression, `C_DE`);
+//! * [`KeyDeltaCodec`] — the same difference encoding for the keys of
+//!   `(key, value)` entries, with the values kept as a plain array (the
+//!   graph vertex trees' encoding, for values that cannot be byte-coded);
 //! * [`GammaCodec`] — difference encoding with Elias gamma codes, the
 //!   bit-level alternative the paper mentions as a user-definable scheme.
 //!
@@ -30,28 +33,14 @@
 //! ```
 
 pub mod bytecode;
+mod chain;
 pub mod gamma;
 
 use std::cmp::Ordering;
 
-use gamma::{BitReader, BitWriter};
+pub use chain::{DeltaCursor, EncodedBlock, RESTART_INTERVAL};
 
-/// Restart/sample interval for seekable compressed blocks.
-///
-/// [`DeltaCodec`] and [`KeyDeltaCodec`] write every
-/// `RESTART_INTERVAL`-th entry *absolute* (with [`Delta::write_first`])
-/// instead of relative to its predecessor, and record the byte offset of
-/// each such restart in [`EncodedBlock`]'s sample table. Point accesses
-/// ([`Codec::get`], [`Codec::search_by`], [`Codec::cursor_at`]) binary
-/// search the samples and then delta-decode at most one run, so seeking
-/// skips most of the block instead of decoding it from the front.
-///
-/// The interval trades seek work (`O(RESTART_INTERVAL)` after the sample
-/// search) against space: each restart costs a few extra stream bytes
-/// (an absolute key instead of a one-byte delta) plus 4 bytes of sample
-/// offset. At 64, blocks of at most 64 entries — everything up to
-/// `B = 32` — are byte-identical to the pure delta chain and pay nothing.
-pub const RESTART_INTERVAL: usize = 64;
+use gamma::{BitReader, BitWriter};
 
 /// A zero-allocation streaming cursor over one encoded block.
 ///
@@ -106,8 +95,8 @@ fn scan_sorted<E: Clone, Cur: BlockCursor<E>>(
 /// ([`Codec::get`]) and sorted search ([`Codec::search_by`]). The
 /// provided defaults are sequential over the cursor; codecs with random
 /// access ([`RawCodec`]) or seek structure (the byte codecs' restart
-/// samples, see [`RESTART_INTERVAL`]) override them with sublinear
-/// paths.
+/// samples, see [`EncodedBlock::sample_offsets`]) override them with
+/// sublinear paths.
 pub trait Codec<E>: 'static {
     /// The owned, encoded representation of one block.
     type Block: Clone + Send + Sync + 'static;
@@ -121,7 +110,16 @@ pub trait Codec<E>: 'static {
     fn encode(entries: &[E]) -> Self::Block;
 
     /// Appends all entries of `block` to `out`, in order.
-    fn decode(block: &Self::Block, out: &mut Vec<E>);
+    ///
+    /// The default reserves room for them and pushes each one
+    /// [`Codec::for_each`] visits.
+    fn decode(block: &Self::Block, out: &mut Vec<E>)
+    where
+        E: Clone,
+    {
+        out.reserve(Self::len(block));
+        Self::for_each(block, &mut |e: &E| out.push(e.clone()));
+    }
 
     /// Number of entries in the block.
     fn len(block: &Self::Block) -> usize;
@@ -213,70 +211,37 @@ pub trait Codec<E>: 'static {
     /// edited entries** — same bytes, count, samples, `heap_bytes` and
     /// `Eq` — so a splice is unobservable in everything a block is
     /// written to or compared by. The default is exactly that: decode,
-    /// merge, encode, `O(len + edits)` encoded entries. Two codecs
-    /// override it to skip what did not change:
-    ///
-    /// * [`RawCodec`] copies the slices between edits once, into the
-    ///   new block.
-    /// * [`DeltaCodec`] copies the bytes before the run of the first
-    ///   edit (and the samples below it) verbatim, writes the edited
-    ///   entries and the first old entry after each — its predecessor
-    ///   changed — and then copies each old entry's bytes unless its
-    ///   old or new index is a restart (see [`RESTART_INTERVAL`]).
-    ///   Restarts sit at fixed *indices*, so an edit that changes the
-    ///   entry count shifts every later entry against them: the rest of
-    ///   the block is still decoded (each entry's length is only known
-    ///   by reading it), and each later restart costs two re-encoded
-    ///   entries — the one that stops being absolute and the one that
-    ///   becomes so. Where the shift is back to zero (an overwrite, or
-    ///   after a batch whose inserts and removes cancel) the remainder
-    ///   is one `memcpy` with its samples rebased. An overwrite thus
-    ///   re-encodes two entries, an insert or remove at index `p` at
-    ///   most `2 + 2·⌈(len − p)/RESTART_INTERVAL⌉`.
-    ///
-    /// A block whose sample table is missing (one assembled by
-    /// [`EncodedBlock::from_parts`] with more than [`RESTART_INTERVAL`]
-    /// entries) takes the default path, so the result always carries
-    /// the complete table `encode` would build.
+    /// merge, encode, `O(len + edits)` encoded entries. [`RawCodec`] and
+    /// [`DeltaCodec`] override it to skip what did not change.
     fn splice<T>(
         block: &Self::Block,
         edits: &[T],
-        cmp: impl FnMut(&E, &T) -> Ordering,
-        apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+        mut cmp: impl FnMut(&E, &T) -> Ordering,
+        mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
     ) -> Self::Block
     where
         E: Clone,
     {
-        splice_by_reencode::<E, Self, T>(block, edits, cmp, apply)
-    }
-}
-
-/// [`Codec::splice`]'s default: decode, merge the edits in, encode.
-fn splice_by_reencode<E: Clone, C: Codec<E> + ?Sized, T>(
-    block: &C::Block,
-    edits: &[T],
-    mut cmp: impl FnMut(&E, &T) -> Ordering,
-    mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
-) -> C::Block {
-    let mut out = Vec::with_capacity(C::len(block) + edits.len());
-    let mut rest = edits;
-    C::for_each(block, &mut |x: &E| {
-        while let Some((t, tail)) = rest.split_first() {
-            match cmp(x, t) {
-                Ordering::Less => break,
-                Ordering::Equal => {
-                    out.extend(apply(Some(x), t));
-                    rest = tail;
-                    return;
+        let mut out = Vec::with_capacity(Self::len(block) + edits.len());
+        let mut rest = edits;
+        Self::for_each(block, &mut |x: &E| {
+            while let Some((t, tail)) = rest.split_first() {
+                match cmp(x, t) {
+                    Ordering::Less => break,
+                    Ordering::Equal => {
+                        out.extend(apply(Some(x), t));
+                        rest = tail;
+                        return;
+                    }
+                    Ordering::Greater => out.extend(apply(None, t)),
                 }
-                Ordering::Greater => out.extend(apply(None, t)),
+                rest = tail;
             }
-            rest = tail;
-        }
-        out.push(x.clone());
-    });
-    out.extend(rest.iter().filter_map(|t| apply(None, t)));
-    C::encode(&out)
+            out.push(x.clone());
+        });
+        out.extend(rest.iter().filter_map(|t| apply(None, t)));
+        Self::encode(&out)
+    }
 }
 
 /// Blocking without compression: entries stored as a boxed slice.
@@ -372,55 +337,6 @@ impl<E: Clone + Send + Sync + 'static> Codec<E> for RawCodec {
         }
         out.extend_from_slice(rest);
         out.into_boxed_slice()
-    }
-}
-
-/// A compressed block: packed bytes plus the entry count, and (for the
-/// restart-coded byte codecs) the sample table of restart offsets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EncodedBlock {
-    bytes: Box<[u8]>,
-    count: u32,
-    /// `samples[j]` is the byte offset of entry `(j + 1) *
-    /// RESTART_INTERVAL`, which the codec wrote *absolute* so decoding
-    /// can resume there without the preceding chain. Empty for blocks of
-    /// at most [`RESTART_INTERVAL`] entries and for codecs without
-    /// restarts ([`GammaCodec`]).
-    samples: Box<[u32]>,
-}
-
-impl EncodedBlock {
-    /// The packed encoded bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Number of entries encoded.
-    pub fn count(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Byte offsets of the restart entries (see [`RESTART_INTERVAL`]).
-    pub fn sample_offsets(&self) -> &[u32] {
-        &self.samples
-    }
-
-    /// Reassembles a block from its parts, byte-for-byte identical to the
-    /// block they were taken from. This is how deserialization copies an
-    /// already-compressed block off disk *without* re-encoding it.
-    ///
-    /// The sample table is *not* part of the serialized form (it is a
-    /// deterministic function of the payload); blocks built here start
-    /// with an empty one, which is always correct but unaccelerated.
-    /// [`BlockIo::read_block`] re-derives the samples for the byte
-    /// codecs, so a block read through `BlockIo` is indistinguishable —
-    /// including [`Codec::heap_bytes`] accounting — from the one written.
-    pub fn from_parts(bytes: Box<[u8]>, count: u32) -> Self {
-        EncodedBlock {
-            bytes,
-            count,
-            samples: Box::default(),
-        }
     }
 }
 
@@ -661,349 +577,13 @@ impl<K: Delta, V: ByteEncode> Delta for (K, V) {
     }
 }
 
-/// Outcome of the restart-sample binary search in
-/// [`search_restarts`]: either a restart entry matched outright, or the
-/// run to scan sequentially was identified.
-enum RestartProbe<E> {
-    /// Restart entry at this *entry index* compared `Equal`.
-    Found(usize, E),
-    /// Scan the run starting at this *restart index* (entry index
-    /// `j * RESTART_INTERVAL`); the target, if present, lies in it.
-    Run(usize),
-}
-
-/// Binary searches the restart entries `1..=nsamples` (decoded on
-/// demand by `entry_at`) for the last one comparing `Less` under `f`,
-/// i.e. the run that would contain the target.
-fn search_restarts<E>(
-    nsamples: usize,
-    mut entry_at: impl FnMut(usize) -> E,
-    f: &mut impl FnMut(&E) -> Ordering,
-) -> RestartProbe<E> {
-    let (mut lo, mut hi) = (0usize, nsamples);
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        let e = entry_at(mid);
-        match f(&e) {
-            Ordering::Less => lo = mid,
-            Ordering::Equal => return RestartProbe::Found(mid * RESTART_INTERVAL, e),
-            Ordering::Greater => hi = mid - 1,
-        }
-    }
-    RestartProbe::Run(lo)
-}
-
-/// The first entry of the run of a [`DeltaCodec`] block where `f`'s
-/// target lies (or would be inserted): the last restart not after it.
-fn run_start<E: Delta>(block: &EncodedBlock, mut f: impl FnMut(&E) -> Ordering) -> usize {
-    let probe = search_restarts(
-        block.samples.len(),
-        |r| {
-            let mut pos = block.samples[r - 1] as usize;
-            E::read_first(&block.bytes, &mut pos)
-        },
-        &mut f,
-    );
-    match probe {
-        RestartProbe::Found(i, _) => i,
-        RestartProbe::Run(r) => r * RESTART_INTERVAL,
-    }
-}
-
-/// Streaming cursor over a [`DeltaCodec`] block: decodes one entry per
-/// [`advance`](BlockCursor::advance), holding only the current entry.
-#[derive(Debug)]
-pub struct DeltaCursor<'a, E> {
-    buf: &'a [u8],
-    pos: usize,
-    idx: usize,
-    count: usize,
-    cur: Option<E>,
-}
-
-impl<'a, E: Delta> DeltaCursor<'a, E> {
-    /// Cursor on restart `j` (entry index `j * RESTART_INTERVAL`); `j`
-    /// must be within the sample table (`j <= samples.len()`).
-    fn at_restart(block: &'a EncodedBlock, j: usize) -> Self {
-        let (idx, pos) = if j == 0 {
-            (0, 0)
-        } else {
-            (j * RESTART_INTERVAL, block.samples[j - 1] as usize)
-        };
-        let mut c = DeltaCursor {
-            buf: &block.bytes,
-            pos,
-            idx,
-            count: block.count(),
-            cur: None,
-        };
-        if c.idx < c.count {
-            c.cur = Some(E::read_first(c.buf, &mut c.pos));
-        }
-        c
-    }
-}
-
-impl<E: Delta> BlockCursor<E> for DeltaCursor<'_, E> {
-    #[inline]
-    fn peek(&self) -> Option<&E> {
-        self.cur.as_ref()
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        // Decode over the current entry in place: the Option stays
-        // `Some` for the whole pass, so the hot loop never moves `E`
-        // through a discriminant rewrite.
-        let Some(prev) = self.cur.as_mut() else {
-            return;
-        };
-        self.idx += 1;
-        if self.idx >= self.count {
-            self.cur = None;
-            return;
-        }
-        let next = if self.idx.is_multiple_of(RESTART_INTERVAL) {
-            E::read_first(self.buf, &mut self.pos)
-        } else {
-            E::read_delta(self.buf, &mut self.pos, prev)
-        };
-        *prev = next;
-    }
-}
-
-/// One [`DeltaCodec`] splice in progress: a reader over the old stream,
-/// sitting on entry `i` (`cur`, whose bytes are `start..pos`), and the
-/// new stream written so far, `j` entries long. An old entry is copied
-/// as bytes whenever they are what `encode` would write at its new
-/// index, and re-encoded otherwise. Copies of consecutive old entries
-/// are deferred and made in one piece: the new stream is `bytes`
-/// followed by the old bytes `pending..start`.
-struct DeltaSplice<'a, E> {
-    old: &'a EncodedBlock,
-    start: usize,
-    pos: usize,
-    i: usize,
-    cur: Option<E>,
-    bytes: Vec<u8>,
-    pending: usize,
-    samples: Vec<u32>,
-    j: usize,
-    /// The last entry written; `None` only right after a [`skip_to`]
-    /// lands on a restart, where no predecessor is needed.
-    ///
-    /// [`skip_to`]: DeltaSplice::skip_to
-    last: Option<E>,
-    /// Whether `last` is the old entry right before `cur`, i.e. `cur`'s
-    /// old delta is still relative to the right predecessor.
-    sync: bool,
-}
-
-impl<'a, E: Delta> DeltaSplice<'a, E> {
-    fn new(old: &'a EncodedBlock, edits: usize) -> Self {
-        let mut s = DeltaSplice {
-            old,
-            start: 0,
-            pos: 0,
-            i: 0,
-            cur: None,
-            bytes: Vec::with_capacity(old.bytes.len() + 16 * edits + 16),
-            pending: 0,
-            samples: Vec::with_capacity((old.count() + edits) / RESTART_INTERVAL),
-            j: 0,
-            last: None,
-            sync: false,
-        };
-        s.seek(0);
-        s
-    }
-
-    /// Positions the reader on old entry `i`, a restart (or the end).
-    fn seek(&mut self, i: usize) {
-        let old = self.old;
-        self.i = i;
-        self.pos = if i == old.count() {
-            old.bytes.len()
-        } else if i == 0 {
-            0
-        } else {
-            old.samples[i / RESTART_INTERVAL - 1] as usize
-        };
-        self.start = self.pos;
-        self.cur = (i < old.count()).then(|| E::read_first(&old.bytes, &mut self.pos));
-    }
-
-    /// Moves the reader past `cur`, returning it.
-    fn advance(&mut self) -> E {
-        let prev = self.cur.take().expect("splice reader exhausted");
-        self.i += 1;
-        self.start = self.pos;
-        if self.i < self.old.count() {
-            let buf = &self.old.bytes;
-            self.cur = Some(if self.i.is_multiple_of(RESTART_INTERVAL) {
-                E::read_first(buf, &mut self.pos)
-            } else {
-                E::read_delta(buf, &mut self.pos, &prev)
-            });
-        }
-        prev
-    }
-
-    /// True when every old entry from `cur` on would be copied as bytes
-    /// at an unchanged index: the old and new streams are aligned.
-    fn aligned(&self) -> bool {
-        self.i == self.j && (self.sync || self.i.is_multiple_of(RESTART_INTERVAL))
-    }
-
-    /// While [`aligned`](Self::aligned): copies old entries `i..to` (`to`
-    /// a restart or the end) in one piece, samples rebased by the byte
-    /// shift, and reads on from `to`.
-    fn skip_to(&mut self, to: usize) {
-        // The samples of the restarts in `i..to`, past the first entry,
-        // move by the distance between the two streams' write positions.
-        let (lo, hi) = (
-            self.i.div_ceil(RESTART_INTERVAL).max(1),
-            (to - 1) / RESTART_INTERVAL,
-        );
-        let shift = self.out_len() as i64 - self.start as i64;
-        let old = self.old;
-        self.samples.extend(
-            old.samples[lo - 1..hi]
-                .iter()
-                .map(|&off| (i64::from(off) + shift) as u32),
-        );
-        self.j = to;
-        self.last = None;
-        self.sync = false;
-        // The skipped bytes join the pending copy.
-        self.seek(to);
-    }
-
-    /// Length of the new stream so far.
-    fn out_len(&self) -> usize {
-        self.bytes.len() + (self.start - self.pending)
-    }
-
-    /// Makes the pending copy, so that `bytes` is the new stream.
-    fn flush(&mut self) {
-        self.bytes
-            .extend_from_slice(&self.old.bytes[self.pending..self.start]);
-        self.pending = self.start;
-    }
-
-    /// Writes `e` (not an old entry's bytes) as entry `j`.
-    fn put(&mut self, e: E) {
-        self.mark_restart();
-        self.flush();
-        if self.j.is_multiple_of(RESTART_INTERVAL) {
-            e.write_first(&mut self.bytes);
-        } else {
-            e.write_delta(
-                self.last.as_ref().expect("delta without predecessor"),
-                &mut self.bytes,
-            );
-        }
-        self.j += 1;
-        self.last = Some(e);
-        self.sync = false;
-    }
-
-    /// Writes `cur` as entry `j` — its old bytes when both indices are
-    /// restarts, or neither is and its predecessor is unchanged — and
-    /// moves past it.
-    fn keep(&mut self) {
-        self.mark_restart();
-        let restart = self.j.is_multiple_of(RESTART_INTERVAL);
-        let copy = restart == self.i.is_multiple_of(RESTART_INTERVAL) && (restart || self.sync);
-        if !copy {
-            self.flush();
-            let x = self.cur.as_ref().expect("splice reader exhausted");
-            if restart {
-                x.write_first(&mut self.bytes);
-            } else {
-                x.write_delta(
-                    self.last.as_ref().expect("delta without predecessor"),
-                    &mut self.bytes,
-                );
-            }
-        }
-        self.j += 1;
-        self.last = Some(self.advance());
-        if !copy {
-            self.pending = self.start;
-        }
-        self.sync = true;
-    }
-
-    /// After [`keep`](Self::keep), copies on through the old entries
-    /// whose bytes stand — none is a restart of either stream, each one's
-    /// predecessor is the old one — while `go` accepts them, decoding
-    /// each only to find where the next one starts. This is the bulk of
-    /// every splice, so it stays a plain decode loop.
-    fn copy_run(&mut self, mut go: impl FnMut(&E) -> bool) {
-        let r = RESTART_INTERVAL;
-        if self.i.is_multiple_of(r) || self.j.is_multiple_of(r) {
-            return;
-        }
-        let n = self.old.count();
-        let stop = ((self.i / r + 1) * r)
-            .min(self.i + (self.j / r + 1) * r - self.j)
-            .min(n);
-        let Some(cur) = self.cur.as_mut() else { return };
-        let buf = &self.old.bytes;
-        let (mut i, mut start, mut pos) = (self.i, self.start, self.pos);
-        while i < stop && go(cur) {
-            i += 1;
-            start = pos;
-            if i == n {
-                break;
-            }
-            let next = if i.is_multiple_of(r) {
-                E::read_first(buf, &mut pos)
-            } else {
-                E::read_delta(buf, &mut pos, cur)
-            };
-            *self.last.as_mut().expect("a kept entry precedes") = std::mem::replace(cur, next);
-        }
-        if i == n {
-            self.last = self.cur.take();
-        }
-        self.j += i - self.i;
-        (self.i, self.start, self.pos) = (i, start, pos);
-    }
-
-    /// Moves past `cur` without writing it (it was removed or replaced).
-    fn drop_cur(&mut self) {
-        self.flush();
-        self.advance();
-        self.pending = self.start;
-        self.sync = false;
-    }
-
-    /// Records entry `j`'s offset when it is a restart.
-    fn mark_restart(&mut self) {
-        if self.j > 0 && self.j.is_multiple_of(RESTART_INTERVAL) {
-            let at = self.out_len() as u32;
-            self.samples.push(at);
-        }
-    }
-
-    fn finish(mut self) -> EncodedBlock {
-        self.flush();
-        EncodedBlock {
-            bytes: self.bytes.into_boxed_slice(),
-            count: self.j as u32,
-            samples: self.samples.into_boxed_slice(),
-        }
-    }
-}
-
 /// Byte-code difference encoding (the paper's default `C_DE`).
 ///
 /// The first entry of a block is stored whole; every other entry is
 /// stored as the byte-coded difference from its predecessor — except
-/// that every [`RESTART_INTERVAL`]-th entry is again stored whole (a
-/// *restart*), with its byte offset kept in the block's sample table.
+/// that the block's *restart* entries are again stored whole, with their
+/// byte offsets kept in its sample table
+/// ([`EncodedBlock::sample_offsets`]).
 /// Full decoding is sequential within one block, matching the span
 /// analysis of Section 6.2 of the paper; point accesses binary search
 /// the samples and decode at most one run.
@@ -1019,159 +599,43 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
         E: 'a;
 
     fn encode(entries: &[E]) -> Self::Block {
-        let mut bytes = Vec::with_capacity(entries.len() * 2 + 8);
-        let mut samples = Vec::with_capacity(entries.len() / RESTART_INTERVAL);
-        for (i, e) in entries.iter().enumerate() {
-            if i % RESTART_INTERVAL == 0 {
-                if i > 0 {
-                    samples.push(bytes.len() as u32);
-                }
-                e.write_first(&mut bytes);
-            } else {
-                e.write_delta(&entries[i - 1], &mut bytes);
-            }
-        }
-        EncodedBlock {
-            bytes: bytes.into_boxed_slice(),
-            count: entries.len() as u32,
-            samples: samples.into_boxed_slice(),
-        }
-    }
-
-    fn decode(block: &Self::Block, out: &mut Vec<E>) {
-        out.reserve(block.count());
-        Self::for_each(block, &mut |e: &E| out.push(e.clone()));
+        chain::encode(entries.iter())
     }
 
     fn len(block: &Self::Block) -> usize {
-        block.count as usize
+        block.count()
     }
 
     fn heap_bytes(block: &Self::Block) -> usize {
-        block.bytes.len() + std::mem::size_of_val::<[u32]>(&block.samples)
+        block.heap_bytes()
     }
 
     fn cursor(block: &Self::Block) -> Self::Cursor<'_> {
-        DeltaCursor::at_restart(block, 0)
+        DeltaCursor::at(block, 0)
     }
 
     fn cursor_at(block: &Self::Block, i: usize) -> Self::Cursor<'_> {
-        let j = (i / RESTART_INTERVAL).min(block.samples.len());
-        let mut cur = DeltaCursor::at_restart(block, j);
-        for _ in j * RESTART_INTERVAL..i {
-            cur.advance();
-        }
-        cur
+        DeltaCursor::at(block, i)
     }
 
     fn search_by(
         block: &Self::Block,
         mut f: impl FnMut(&E) -> Ordering,
     ) -> Result<(usize, E), usize> {
-        let probe = search_restarts(
-            block.samples.len(),
-            |j| {
-                let mut pos = block.samples[j - 1] as usize;
-                E::read_first(&block.bytes, &mut pos)
-            },
-            &mut f,
-        );
-        let j = match probe {
-            RestartProbe::Found(i, e) => return Ok((i, e)),
-            RestartProbe::Run(j) => j,
-        };
-        scan_sorted(
-            DeltaCursor::at_restart(block, j),
-            j * RESTART_INTERVAL,
-            &mut f,
-        )
+        chain::search(block, |_, e| e, |i| DeltaCursor::at(block, i), &mut f)
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
-        if block.count == 0 {
-            return;
-        }
-        let buf = &block.bytes;
-        let mut pos = 0;
-        let mut prev = E::read_first(buf, &mut pos);
-        f(&prev);
-        for i in 1..block.count() {
-            let e = if i % RESTART_INTERVAL == 0 {
-                E::read_first(buf, &mut pos)
-            } else {
-                E::read_delta(buf, &mut pos, &prev)
-            };
-            f(&e);
-            prev = e;
-        }
+        chain::for_each(block, f);
     }
 
     fn splice<T>(
         block: &Self::Block,
         edits: &[T],
-        mut cmp: impl FnMut(&E, &T) -> Ordering,
-        mut apply: impl FnMut(Option<&E>, &T) -> Option<E>,
+        cmp: impl FnMut(&E, &T) -> Ordering,
+        apply: impl FnMut(Option<&E>, &T) -> Option<E>,
     ) -> Self::Block {
-        if block.samples.len() != block.count().saturating_sub(1) / RESTART_INTERVAL {
-            return splice_by_reencode::<E, Self, T>(block, edits, cmp, apply);
-        }
-        let mut s = DeltaSplice::new(block, edits.len());
-        // `(k, i)`: edit `k` lies in the run that starts at entry `i`.
-        let mut run = (usize::MAX, 0);
-        let mut k = 0;
-        loop {
-            if s.aligned() {
-                let to = match edits.get(k) {
-                    None => block.count(),
-                    Some(t) => {
-                        if run.0 != k {
-                            run = (k, run_start::<E>(block, |e| cmp(e, t)));
-                        }
-                        run.1
-                    }
-                };
-                if to > s.i {
-                    s.skip_to(to);
-                    continue;
-                }
-            }
-            let Some(x) = s.cur.as_ref() else { break };
-            let Some(t) = edits.get(k) else {
-                s.keep();
-                // Past the last edit: shifted, copy up to the next restart;
-                // aligned, the top of the loop copies the rest whole.
-                if !s.aligned() {
-                    s.copy_run(|_| true);
-                }
-                continue;
-            };
-            match cmp(x, t) {
-                Ordering::Less => {
-                    s.keep();
-                    s.copy_run(|x| cmp(x, t) == Ordering::Less);
-                }
-                Ordering::Equal => {
-                    let new = apply(Some(x), t);
-                    s.drop_cur();
-                    if let Some(e) = new {
-                        s.put(e);
-                    }
-                    k += 1;
-                }
-                Ordering::Greater => {
-                    if let Some(e) = apply(None, t) {
-                        s.put(e);
-                    }
-                    k += 1;
-                }
-            }
-        }
-        for t in &edits[k..] {
-            if let Some(e) = apply(None, t) {
-                s.put(e);
-            }
-        }
-        s.finish()
+        chain::splice(block, edits, cmp, apply)
     }
 }
 
@@ -1182,46 +646,30 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
 /// ids compress to ~1 byte each while the values — handles to edge
 /// trees — cannot be byte-coded and stay as-is. It demonstrates the
 /// paper's user-defined-compression hook (Section 8) for values that are
-/// not `ByteEncode`.
+/// not `ByteEncode`. The keys are exactly [`DeltaCodec`]'s block of the
+/// keys alone: the same bytes, restarts and samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct KeyDeltaCodec;
 
-/// Streaming cursor over a [`KeyDeltaCodec`] block: the key chain is
-/// delta-decoded incrementally, the value cloned out of the plain array.
+/// Streaming cursor over a [`KeyDeltaCodec`] block: a [`DeltaCursor`]
+/// over the keys, each paired with its value from the plain array.
 #[derive(Debug)]
 pub struct KeyDeltaCursor<'a, K, V> {
-    buf: &'a [u8],
+    keys: DeltaCursor<'a, K>,
     values: &'a [V],
-    pos: usize,
-    idx: usize,
     cur: Option<(K, V)>,
 }
 
-impl<'a, K: Delta, V: Clone> KeyDeltaCursor<'a, K, V> {
-    /// Cursor on restart `j` (entry index `j * RESTART_INTERVAL`).
-    fn at_restart(block: &'a (EncodedBlock, Box<[V]>), j: usize) -> Self {
-        let (keys, values) = block;
-        let (idx, pos) = if j == 0 {
-            (0, 0)
-        } else {
-            (j * RESTART_INTERVAL, keys.samples[j - 1] as usize)
-        };
-        let mut c = KeyDeltaCursor {
-            buf: &keys.bytes,
-            values,
-            pos,
-            idx,
-            cur: None,
-        };
-        if c.idx < c.values.len() {
-            let k = K::read_first(c.buf, &mut c.pos);
-            c.cur = Some((k, c.values[c.idx].clone()));
-        }
-        c
+impl<'a, K: Delta + Clone, V: Clone> KeyDeltaCursor<'a, K, V> {
+    fn new(keys: DeltaCursor<'a, K>, values: &'a [V]) -> Self {
+        let cur = keys
+            .peek()
+            .map(|k| (k.clone(), values[keys.index()].clone()));
+        KeyDeltaCursor { keys, values, cur }
     }
 }
 
-impl<K: Delta, V: Clone> BlockCursor<(K, V)> for KeyDeltaCursor<'_, K, V> {
+impl<K: Delta + Clone, V: Clone> BlockCursor<(K, V)> for KeyDeltaCursor<'_, K, V> {
     #[inline]
     fn peek(&self) -> Option<&(K, V)> {
         self.cur.as_ref()
@@ -1229,19 +677,15 @@ impl<K: Delta, V: Clone> BlockCursor<(K, V)> for KeyDeltaCursor<'_, K, V> {
 
     #[inline]
     fn advance(&mut self) {
-        let Some((prev, _)) = self.cur.take() else {
-            return;
-        };
-        self.idx += 1;
-        if self.idx >= self.values.len() {
-            return;
+        self.keys.advance();
+        // Overwrite the pair in place, as the key cursor decodes its key.
+        match (self.keys.peek(), &mut self.cur) {
+            (Some(k), Some((key, value))) => {
+                key.clone_from(k);
+                value.clone_from(&self.values[self.keys.index()]);
+            }
+            _ => self.cur = None,
         }
-        let k = if self.idx.is_multiple_of(RESTART_INTERVAL) {
-            K::read_first(self.buf, &mut self.pos)
-        } else {
-            K::read_delta(self.buf, &mut self.pos, &prev)
-        };
-        self.cur = Some((k, self.values[self.idx].clone()));
     }
 }
 
@@ -1259,32 +703,10 @@ where
         V: 'a;
 
     fn encode(entries: &[(K, V)]) -> Self::Block {
-        let mut bytes = Vec::with_capacity(entries.len() * 2 + 8);
-        let mut samples = Vec::with_capacity(entries.len() / RESTART_INTERVAL);
-        for (i, (k, _)) in entries.iter().enumerate() {
-            if i % RESTART_INTERVAL == 0 {
-                if i > 0 {
-                    samples.push(bytes.len() as u32);
-                }
-                k.write_first(&mut bytes);
-            } else {
-                k.write_delta(&entries[i - 1].0, &mut bytes);
-            }
-        }
-        let values: Box<[V]> = entries.iter().map(|(_, v)| v.clone()).collect();
         (
-            EncodedBlock {
-                bytes: bytes.into_boxed_slice(),
-                count: entries.len() as u32,
-                samples: samples.into_boxed_slice(),
-            },
-            values,
+            chain::encode(entries.iter().map(|(k, _)| k)),
+            entries.iter().map(|(_, v)| v.clone()).collect(),
         )
-    }
-
-    fn decode(block: &Self::Block, out: &mut Vec<(K, V)>) {
-        out.reserve(block.1.len());
-        Self::for_each(block, &mut |e: &(K, V)| out.push(e.clone()));
     }
 
     fn len(block: &Self::Block) -> usize {
@@ -1292,73 +714,41 @@ where
     }
 
     fn heap_bytes(block: &Self::Block) -> usize {
-        block.0.bytes.len()
-            + std::mem::size_of_val::<[u32]>(&block.0.samples)
-            + std::mem::size_of_val::<[V]>(&block.1)
+        block.0.heap_bytes() + std::mem::size_of_val::<[V]>(&block.1)
     }
 
     fn cursor(block: &Self::Block) -> Self::Cursor<'_> {
-        KeyDeltaCursor::at_restart(block, 0)
+        Self::cursor_at(block, 0)
     }
 
     fn cursor_at(block: &Self::Block, i: usize) -> Self::Cursor<'_> {
-        let j = (i / RESTART_INTERVAL).min(block.0.samples.len());
-        let mut cur = KeyDeltaCursor::at_restart(block, j);
-        for _ in j * RESTART_INTERVAL..i {
-            cur.advance();
-        }
-        cur
+        KeyDeltaCursor::new(DeltaCursor::at(&block.0, i), &block.1)
     }
 
     fn search_by(
         block: &Self::Block,
         mut f: impl FnMut(&(K, V)) -> Ordering,
     ) -> Result<(usize, (K, V)), usize> {
-        let (keys, values) = block;
-        let probe = search_restarts(
-            keys.samples.len(),
-            |j| {
-                let mut pos = keys.samples[j - 1] as usize;
-                let k = K::read_first(&keys.bytes, &mut pos);
-                // `f`'s contract takes whole entries, so each probe
-                // clones its value. That is O(log(len / RESTART_INTERVAL))
-                // clones per search — at most a couple for in-tree blocks
-                // — and the one in-repo KeyDelta user stores `Arc`-like
-                // values (graph edge-tree handles), so the clone is a
-                // refcount bump, not a deep copy.
-                (k, values[j * RESTART_INTERVAL].clone())
-            },
-            &mut f,
-        );
-        let j = match probe {
-            RestartProbe::Found(i, e) => return Ok((i, e)),
-            RestartProbe::Run(j) => j,
-        };
-        scan_sorted(
-            KeyDeltaCursor::at_restart(block, j),
-            j * RESTART_INTERVAL,
+        // `f`'s contract takes whole entries, so each restart probe
+        // clones its value. That is one clone per probed restart — at
+        // most a couple for in-tree blocks — and
+        // the one in-repo KeyDelta user stores `Arc`-like values (graph
+        // edge-tree handles), so the clone is a refcount bump, not a deep
+        // copy.
+        chain::search(
+            &block.0,
+            |i, k| (k, block.1[i].clone()),
+            |i| Self::cursor_at(block, i),
             &mut f,
         )
     }
 
     fn for_each<F: FnMut(&(K, V))>(block: &Self::Block, f: &mut F) {
-        let (keys, values) = block;
-        if values.is_empty() {
-            return;
-        }
-        let buf = &keys.bytes;
-        let mut pos = 0;
-        let mut prev = K::read_first(buf, &mut pos);
-        f(&(prev.clone(), values[0].clone()));
-        for (i, v) in values.iter().enumerate().skip(1) {
-            let k = if i % RESTART_INTERVAL == 0 {
-                K::read_first(buf, &mut pos)
-            } else {
-                K::read_delta(buf, &mut pos, &prev)
-            };
+        let mut values = block.1.iter();
+        chain::for_each(&block.0, &mut |k: &K| {
+            let v = values.next().expect("one value per key");
             f(&(k.clone(), v.clone()));
-            prev = k;
-        }
+        });
     }
 }
 
@@ -1446,30 +836,21 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
                 prev = v;
             }
         }
-        EncodedBlock {
-            bytes: w.into_bytes(),
-            count: entries.len() as u32,
-            // Gamma streams are bit-granular; no byte-offset restarts.
-            samples: Box::default(),
-        }
-    }
-
-    fn decode(block: &Self::Block, out: &mut Vec<E>) {
-        out.reserve(block.count());
-        Self::for_each(block, &mut |e: &E| out.push(*e));
+        // Gamma streams are bit-granular: no byte-offset restarts.
+        EncodedBlock::from_parts(w.into_bytes(), entries.len() as u32)
     }
 
     fn len(block: &Self::Block) -> usize {
-        block.count as usize
+        block.count()
     }
 
     fn heap_bytes(block: &Self::Block) -> usize {
-        block.bytes.len()
+        block.heap_bytes()
     }
 
     fn cursor(block: &Self::Block) -> Self::Cursor<'_> {
         let mut c = GammaCursor {
-            reader: BitReader::new(&block.bytes),
+            reader: BitReader::new(block.bytes()),
             idx: 0,
             count: block.count(),
             prev: 0,
@@ -1483,13 +864,13 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
-        if block.count == 0 {
+        if block.count() == 0 {
             return;
         }
-        let mut r = BitReader::new(&block.bytes);
+        let mut r = BitReader::new(block.bytes());
         let mut prev = r.read_gamma() - 1;
         f(&E::from_u64(prev));
-        for _ in 1..block.count {
+        for _ in 1..block.count() {
             let diff = bytecode::unzigzag(r.read_gamma() - 1);
             prev = prev.wrapping_add(diff as u64);
             f(&E::from_u64(prev));
@@ -1528,9 +909,9 @@ impl std::error::Error for BlockIoError {}
 ///
 /// Every frame is self-delimiting: `varint entry-count`, `varint
 /// payload-length`, then `payload-length` bytes. `read_block` validates
-/// the framing (truncation, impossible lengths) and, for the raw and
-/// delta codecs, that the payload parses to exactly `count` entries,
-/// returning a typed error otherwise; it does **not** defend against
+/// the framing (truncation, impossible lengths) and, for every codec,
+/// that the payload parses to exactly `count` entries and ends with the
+/// last one, returning a typed error otherwise; it does **not** defend against
 /// corruption that still parses — callers are expected to verify an
 /// outer checksum first, which is what the `store` crate's page format
 /// does.
@@ -1609,23 +990,18 @@ impl<E: ByteEncode + Clone + Send + Sync + 'static> BlockIo<E> for RawCodec {
 /// Shared `BlockIo` body for codecs whose block is an [`EncodedBlock`]:
 /// the compressed bytes are copied verbatim, never re-encoded.
 fn write_encoded_block(block: &EncodedBlock, out: &mut Vec<u8>) {
-    bytecode::write_varint(u64::from(block.count), out);
-    bytecode::write_varint(block.bytes.len() as u64, out);
-    out.extend_from_slice(&block.bytes);
+    bytecode::write_varint(block.count() as u64, out);
+    bytecode::write_varint(block.bytes().len() as u64, out);
+    out.extend_from_slice(block.bytes());
 }
 
-fn read_encoded_block(buf: &[u8], pos: &mut usize) -> Result<EncodedBlock, BlockIoError> {
+/// Reads the frame of an [`EncodedBlock`]: its entry count, which must
+/// fit the block's `u32`, and its payload.
+fn read_encoded_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(u32, &'a [u8]), BlockIoError> {
     let (count, payload) = read_frame(buf, pos)?;
-    if count > u32::MAX as usize {
-        return Err(BlockIoError::Malformed("entry count exceeds u32"));
-    }
-    if count == 0 && !payload.is_empty() {
-        return Err(BlockIoError::Malformed("empty block with payload bytes"));
-    }
-    Ok(EncodedBlock::from_parts(
-        payload.to_vec().into_boxed_slice(),
-        count as u32,
-    ))
+    let count =
+        u32::try_from(count).map_err(|_| BlockIoError::Malformed("entry count exceeds u32"))?;
+    Ok((count, payload))
 }
 
 impl<E: Delta + Clone + Send + Sync + 'static> BlockIo<E> for DeltaCodec {
@@ -1637,49 +1013,9 @@ impl<E: Delta + Clone + Send + Sync + 'static> BlockIo<E> for DeltaCodec {
     }
 
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
-        let block = read_encoded_block(buf, pos)?;
-        rebuild_delta_samples::<E>(block)
+        let (count, payload) = read_encoded_frame(buf, pos)?;
+        chain::parse::<E>(payload, count)
     }
-}
-
-/// Re-derives a delta block's restart sample table from its payload.
-///
-/// The samples are not serialized (they are a deterministic function of
-/// the restart-coded stream), so the `BlockIo` read path parses the
-/// chain once to recover the byte offset of each restart. This also
-/// validates that the payload parses to exactly `count` entries ending
-/// on the final byte — structural damage that slipped past the outer
-/// checksum becomes a typed error here instead of a mis-decode later.
-fn rebuild_delta_samples<E: Delta>(block: EncodedBlock) -> Result<EncodedBlock, BlockIoError> {
-    const BAD_ENTRY: BlockIoError =
-        BlockIoError::Malformed("delta block entry truncated or malformed");
-    let count = block.count();
-    let buf = &block.bytes;
-    // Capped by the payload length: a hostile count must fail the parse
-    // below, not size an allocation first.
-    let mut samples = Vec::with_capacity(count.min(buf.len()) / RESTART_INTERVAL);
-    let mut pos = 0;
-    if count > 0 {
-        let mut prev = E::try_read_first(buf, &mut pos).ok_or(BAD_ENTRY)?;
-        for i in 1..count {
-            prev = if i % RESTART_INTERVAL == 0 {
-                samples.push(pos as u32);
-                E::try_read_first(buf, &mut pos)
-            } else {
-                E::try_read_delta(buf, &mut pos, &prev)
-            }
-            .ok_or(BAD_ENTRY)?;
-        }
-    }
-    if pos != buf.len() {
-        return Err(BlockIoError::Malformed(
-            "delta block payload length mismatch",
-        ));
-    }
-    Ok(EncodedBlock {
-        samples: samples.into_boxed_slice(),
-        ..block
-    })
 }
 
 impl<E: GammaKey + Clone + Send + Sync + 'static> BlockIo<E> for GammaCodec {
@@ -1691,7 +1027,19 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> BlockIo<E> for GammaCodec {
     }
 
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
-        read_encoded_block(buf, pos)
+        let (count, payload) = read_encoded_frame(buf, pos)?;
+        let mut r = BitReader::new(payload);
+        for _ in 0..count {
+            r.try_read_gamma().ok_or(BlockIoError::Malformed(
+                "gamma block code truncated or malformed",
+            ))?;
+        }
+        if r.bytes_read() != payload.len() {
+            return Err(BlockIoError::Malformed(
+                "gamma block payload length mismatch",
+            ));
+        }
+        Ok(EncodedBlock::from_parts(payload.into(), count))
     }
 }
 
@@ -1944,6 +1292,11 @@ mod tests {
             &[0x05, 0x07, 0x80]
         )));
         assert!(refused::<(u64, f64), RawCodec>(&frame(1, &[0x05, 1, 2, 3])));
+        // Gamma counts over the codes in the payload, and a code whose
+        // zero run is longer than any u64 code's.
+        assert!(refused::<u64, GammaCodec>(&frame(5, &[])));
+        assert!(refused::<u64, GammaCodec>(&frame(9, &[0xFF])));
+        assert!(refused::<u64, GammaCodec>(&frame(1, &[0; 9])));
 
         // Every strict truncation of a valid 200-entry block: of the
         // frame (the header then promises bytes that are not there) and
@@ -1979,6 +1332,24 @@ mod tests {
             let f = frame(200, &raw_payload[..cut]);
             assert!(refused::<(u64, f64), RawCodec>(&f), "payload cut {cut}");
         }
+        let keys: Vec<u64> = entries.iter().map(|e| e.0).collect();
+        let gamma = <GammaCodec as Codec<u64>>::encode(&keys);
+        let mut gamma_frame = Vec::new();
+        <GammaCodec as BlockIo<u64>>::write_block(&gamma, &mut gamma_frame);
+        assert!(!refused::<u64, GammaCodec>(&gamma_frame));
+        for cut in 0..gamma_frame.len() {
+            assert!(
+                refused::<u64, GammaCodec>(&gamma_frame[..cut]),
+                "frame cut {cut}"
+            );
+        }
+        for cut in 0..gamma.bytes().len() {
+            let f = frame(200, &gamma.bytes()[..cut]);
+            assert!(refused::<u64, GammaCodec>(&f), "payload cut {cut}");
+        }
+        let mut padded = gamma.bytes().to_vec();
+        padded.push(0);
+        assert!(refused::<u64, GammaCodec>(&frame(200, &padded)));
     }
 
     #[test]

@@ -139,6 +139,12 @@ proptest! {
         pairs.sort_unstable_by_key(|p| p.0);
         pairs.dedup_by_key(|p| p.0);
         let block = <KeyDeltaCodec as Codec<(u64, u32)>>::encode(&pairs);
+        // The keys are DeltaCodec's block of the keys alone: the same
+        // bytes and the same sample table.
+        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+        let alone = <DeltaCodec as Codec<u64>>::encode(&keys);
+        prop_assert_eq!(block.0.bytes(), alone.bytes());
+        prop_assert_eq!(block.0.sample_offsets(), alone.sample_offsets());
         prop_assert_eq!(drain(<KeyDeltaCodec as Codec<(u64, u32)>>::cursor(&block)), pairs.clone());
         for probe in probes.iter().copied().chain(pairs.iter().map(|p| p.0)) {
             let want = pairs.binary_search_by(|e| e.0.cmp(&probe)).map(|i| (i, pairs[i]));

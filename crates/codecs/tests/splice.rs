@@ -238,6 +238,32 @@ fn key_delta_default_splice_is_encode() {
     }
 }
 
+#[test]
+fn delta_splice_shifts_by_whole_runs() {
+    // A run's worth of inserts or removes and more: an old restart is
+    // copied to a restart at another index, and the first old entry can
+    // land on a later restart.
+    for n in [1usize, 64, 65, 128, 129, MAX_LEN] {
+        let entries: Vec<(u64, u64)> = (1..=n as u64)
+            .map(|i| TestEntry::make(1_000 * i, i))
+            .collect();
+        for p in [0, 1, 64, n / 2, n] {
+            for m in [63u64, 64, 65, 128] {
+                // Fresh keys between entries p - 1 and p.
+                let base = 1_000 * p as u64 + 1;
+                let inserts: Vec<Edit<(u64, u64)>> = (base..base + m)
+                    .map(|k| (k, Some(TestEntry::make(k, k))))
+                    .collect();
+                check_io::<_, DeltaCodec>(&entries, &inserts, "run inserts");
+                let removes: Vec<Edit<(u64, u64)>> = (p + 1..=(p + m as usize).min(n))
+                    .map(|i| (1_000 * i as u64, None))
+                    .collect();
+                check_io::<_, DeltaCodec>(&entries, &removes, "run removes");
+            }
+        }
+    }
+}
+
 /// Every point access of a delta block agrees with its entries.
 fn assert_accessible(block: &EncodedBlock, want: &[(u64, u64)]) {
     type D = DeltaCodec;
@@ -257,29 +283,6 @@ fn assert_accessible(block: &EncodedBlock, want: &[(u64, u64)]) {
     assert!(<D as Codec<(u64, u64)>>::cursor_at(block, want.len())
         .peek()
         .is_none());
-}
-
-#[test]
-fn a_block_without_its_sample_table_comes_out_with_all_of_it() {
-    // `from_parts` leaves the table empty; a splice must not append the
-    // samples after its edit to that and return a partial table.
-    for n in [65usize, 100, 128, 129, 190, MAX_LEN] {
-        let entries = block_entries::<(u64, u64)>(n);
-        let full = <DeltaCodec as Codec<(u64, u64)>>::encode(&entries);
-        let bare = EncodedBlock::from_parts(full.bytes().into(), n as u32);
-        assert!(bare.sample_offsets().is_empty());
-        for edits in all_batches::<(u64, u64)>(n) {
-            let want = edited(&entries, &edits);
-            let got = splice::<_, DeltaCodec>(&bare, &edits);
-            let encoded = <DeltaCodec as Codec<(u64, u64)>>::encode(&want);
-            assert_eq!(got, encoded, "n = {n}, edits {edits:?}");
-            assert_eq!(
-                got.sample_offsets().len(),
-                want.len().saturating_sub(1) / RESTART_INTERVAL
-            );
-            assert_accessible(&got, &want);
-        }
-    }
 }
 
 #[test]

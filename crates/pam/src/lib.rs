@@ -29,6 +29,11 @@ mod tree;
 use cpam::{Augmentation, Element, NoAug, ScalarKey};
 use tree::Tree;
 
+/// Least problem size, in entries, worth a fork: each operation passes
+/// `parlay::cutoff(root size, FORK_FLOOR)` down its recursion and forks
+/// through `parlay::join_if` above it, the same rule as `cpam`'s.
+const FORK_FLOOR: usize = 1024;
+
 /// A purely-functional ordered map on P-trees (one entry per node).
 pub struct PamMap<K, V, A = NoAug>
 where
@@ -179,6 +184,7 @@ where
             t1: Tree<(K, V), A>,
             t2: Tree<(K, V), A>,
             f: &F,
+            cut: usize,
         ) -> Tree<(K, V), A> {
             let (Some(_), Some(n2)) = (&t1, &t2) else {
                 return t1.or(t2);
@@ -190,15 +196,17 @@ where
                 Some(e1) => (e2.0.clone(), f(&e1.1, &e2.1)),
                 None => e2,
             };
-            let (tl, tr) = if total > 1024 {
-                parlay::join(|| go(l1, l2, f), || go(r1, r2, f))
-            } else {
-                (go(l1, l2, f), go(r1, r2, f))
-            };
+            let (tl, tr) =
+                parlay::join_if(total > cut, || go(l1, l2, f, cut), || go(r1, r2, f, cut));
             tree::join(tl, entry, tr)
         }
         PamMap {
-            root: go(self.root.clone(), other.root.clone(), &f),
+            root: go(
+                self.root.clone(),
+                other.root.clone(),
+                &f,
+                parlay::cutoff(self.len() + other.len(), FORK_FLOOR),
+            ),
         }
     }
 
@@ -208,6 +216,7 @@ where
             t1: Tree<(K, V), A>,
             t2: Tree<(K, V), A>,
             f: &F,
+            cut: usize,
         ) -> Tree<(K, V), A> {
             let (Some(_), Some(n2)) = (&t1, &t2) else {
                 return None;
@@ -215,18 +224,20 @@ where
             let total = tree::size(&t1) + n2.size;
             let (l2, e2, r2) = tree::expose(n2);
             let (l1, m, r1) = tree::split(&t1, &e2.0);
-            let (tl, tr) = if total > 1024 {
-                parlay::join(|| go(l1, l2, f), || go(r1, r2, f))
-            } else {
-                (go(l1, l2, f), go(r1, r2, f))
-            };
+            let (tl, tr) =
+                parlay::join_if(total > cut, || go(l1, l2, f, cut), || go(r1, r2, f, cut));
             match m {
                 Some(e1) => tree::join(tl, (e2.0.clone(), f(&e1.1, &e2.1)), tr),
                 None => tree::join2(tl, tr),
             }
         }
         PamMap {
-            root: go(self.root.clone(), other.root.clone(), &f),
+            root: go(
+                self.root.clone(),
+                other.root.clone(),
+                &f,
+                parlay::cutoff(self.len() + other.len(), FORK_FLOOR),
+            ),
         }
     }
 
@@ -235,6 +246,7 @@ where
         fn go<K: ScalarKey, V: Element, A: Augmentation<(K, V)>>(
             t1: Tree<(K, V), A>,
             t2: Tree<(K, V), A>,
+            cut: usize,
         ) -> Tree<(K, V), A> {
             let (Some(_), Some(n2)) = (&t1, &t2) else {
                 return t1;
@@ -242,15 +254,15 @@ where
             let total = tree::size(&t1) + n2.size;
             let (l2, e2, r2) = tree::expose(n2);
             let (l1, _m, r1) = tree::split(&t1, &e2.0);
-            let (tl, tr) = if total > 1024 {
-                parlay::join(|| go(l1, l2), || go(r1, r2))
-            } else {
-                (go(l1, l2), go(r1, r2))
-            };
+            let (tl, tr) = parlay::join_if(total > cut, || go(l1, l2, cut), || go(r1, r2, cut));
             tree::join2(tl, tr)
         }
         PamMap {
-            root: go(self.root.clone(), other.root.clone()),
+            root: go(
+                self.root.clone(),
+                other.root.clone(),
+                parlay::cutoff(self.len() + other.len(), FORK_FLOOR),
+            ),
         }
     }
 
@@ -274,6 +286,7 @@ where
             t: Tree<(K, V), A>,
             batch: &[(K, V)],
             f: &F,
+            cut: usize,
         ) -> Tree<(K, V), A> {
             if batch.is_empty() {
                 return t;
@@ -288,15 +301,16 @@ where
             } else {
                 (e, pos)
             };
-            let (tl, tr) = if tree::size(&t) + batch.len() > 1024 {
-                parlay::join(|| go(l, &batch[..pos], f), || go(r, &batch[rest..], f))
-            } else {
-                (go(l, &batch[..pos], f), go(r, &batch[rest..], f))
-            };
+            let (tl, tr) = parlay::join_if(
+                tree::size(&t) + batch.len() > cut,
+                || go(l, &batch[..pos], f, cut),
+                || go(r, &batch[rest..], f, cut),
+            );
             tree::join(tl, entry, tr)
         }
+        let cut = parlay::cutoff(self.len() + dedup.len(), FORK_FLOOR);
         PamMap {
-            root: go(self.root.clone(), &dedup, &f),
+            root: go(self.root.clone(), &dedup, &f, cut),
         }
     }
 
@@ -305,13 +319,14 @@ where
         fn go<K: ScalarKey, V: Element, A: Augmentation<(K, V)>, F: Fn(&K, &V) -> bool + Sync>(
             t: &Tree<(K, V), A>,
             pred: &F,
+            cut: usize,
         ) -> Tree<(K, V), A> {
             let Some(n) = t else { return None };
-            let (tl, tr) = if n.size > 1024 {
-                parlay::join(|| go(&n.left, pred), || go(&n.right, pred))
-            } else {
-                (go(&n.left, pred), go(&n.right, pred))
-            };
+            let (tl, tr) = parlay::join_if(
+                n.size > cut,
+                || go(&n.left, pred, cut),
+                || go(&n.right, pred, cut),
+            );
             if pred(&n.entry.0, &n.entry.1) {
                 tree::join(tl, n.entry.clone(), tr)
             } else {
@@ -319,7 +334,7 @@ where
             }
         }
         PamMap {
-            root: go(&self.root, &pred),
+            root: go(&self.root, &pred, parlay::cutoff(self.len(), FORK_FLOOR)),
         }
     }
 
@@ -328,20 +343,21 @@ where
         fn go<K: ScalarKey, V: Element, A: Augmentation<(K, V)>, V2: Element, F>(
             t: &Tree<(K, V), A>,
             f: &F,
+            cut: usize,
         ) -> Tree<(K, V2), NoAug>
         where
             F: Fn(&K, &V) -> V2 + Sync,
         {
             let Some(n) = t else { return None };
-            let (tl, tr) = if n.size > 1024 {
-                parlay::join(|| go(&n.left, f), || go(&n.right, f))
-            } else {
-                (go(&n.left, f), go(&n.right, f))
-            };
+            let (tl, tr) = parlay::join_if(
+                n.size > cut,
+                || go(&n.left, f, cut),
+                || go(&n.right, f, cut),
+            );
             tree::node(tl, (n.entry.0.clone(), f(&n.entry.0, &n.entry.1)), tr)
         }
         PamMap {
-            root: go(&self.root, &f),
+            root: go(&self.root, &f, parlay::cutoff(self.len(), FORK_FLOOR)),
         }
     }
 
@@ -357,6 +373,7 @@ where
             m: &M,
             op: &Op,
             id: R,
+            cut: usize,
         ) -> R
         where
             R: Send + Sync + Clone,
@@ -364,20 +381,20 @@ where
             Op: Fn(R, R) -> R + Sync,
         {
             let Some(n) = t else { return id };
-            let (a, c) = if n.size > 1024 {
-                parlay::join(
-                    || go(&n.left, m, op, id.clone()),
-                    || go(&n.right, m, op, id.clone()),
-                )
-            } else {
-                (
-                    go(&n.left, m, op, id.clone()),
-                    go(&n.right, m, op, id.clone()),
-                )
-            };
+            let (a, c) = parlay::join_if(
+                n.size > cut,
+                || go(&n.left, m, op, id.clone(), cut),
+                || go(&n.right, m, op, id.clone(), cut),
+            );
             op(op(a, m(&n.entry.0, &n.entry.1)), c)
         }
-        go(&self.root, &m, &op, id)
+        go(
+            &self.root,
+            &m,
+            &op,
+            id,
+            parlay::cutoff(self.len(), FORK_FLOOR),
+        )
     }
 
     /// Number of keys strictly below `k`.
@@ -765,19 +782,30 @@ mod tests {
 
     #[test]
     fn set_algebra_matches_oracle() {
-        let a = PamSet::from_keys((0..300u64).map(|i| i * 2).collect());
-        let b = PamSet::from_keys((0..300u64).map(|i| i * 3).collect());
-        let u = a.union(&b);
-        u.check_invariants().expect("invariants");
-        let expected: std::collections::BTreeSet<u64> = (0..300u64)
-            .map(|i| i * 2)
-            .chain((0..300).map(|i| i * 3))
-            .collect();
-        assert_eq!(u.to_vec(), expected.into_iter().collect::<Vec<_>>());
-        assert_eq!(
-            a.intersect(&b).to_vec(),
-            (0..100u64).map(|i| i * 6).collect::<Vec<_>>()
-        );
+        // 5 000 keys a side is above both fork floors, so a pool of two
+        // or more workers forks the set operations and the builds.
+        for n in [300u64, 5_000] {
+            let a = PamSet::from_keys((0..n).map(|i| i * 2).collect());
+            let b = PamSet::from_keys((0..n).map(|i| i * 3).collect());
+            let u = a.union(&b);
+            u.check_invariants().expect("invariants");
+            let expected: std::collections::BTreeSet<u64> =
+                (0..n).map(|i| i * 2).chain((0..n).map(|i| i * 3)).collect();
+            assert_eq!(u.to_vec(), expected.into_iter().collect::<Vec<_>>());
+            assert_eq!(
+                a.intersect(&b).to_vec(),
+                (0..2 * n).step_by(6).collect::<Vec<_>>()
+            );
+            let d = a.difference(&b);
+            d.check_invariants().expect("invariants");
+            assert_eq!(
+                d.to_vec(),
+                (0..n)
+                    .map(|i| i * 2)
+                    .filter(|k| k % 3 != 0)
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

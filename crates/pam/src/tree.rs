@@ -162,21 +162,25 @@ pub(crate) fn split<E: Entry, A: Augmentation<E>>(
     }
 }
 
+/// A balanced tree of the sorted entries `s`, its halves built in
+/// parallel above `parlay::cutoff(s.len(), 4096)` entries.
 pub(crate) fn from_sorted<E: Clone + Send + Sync, A: Augmentation<E>>(s: &[E]) -> Tree<E, A>
 where
     A::Value: Send,
 {
-    let n = s.len();
-    if n == 0 {
-        return None;
+    fn go<E: Clone + Send + Sync, A: Augmentation<E>>(s: &[E], cut: usize) -> Tree<E, A>
+    where
+        A::Value: Send,
+    {
+        let n = s.len();
+        if n == 0 {
+            return None;
+        }
+        let mid = n / 2;
+        let (l, r) = parlay::join_if(n > cut, || go(&s[..mid], cut), || go(&s[mid + 1..], cut));
+        node(l, s[mid].clone(), r)
     }
-    let mid = n / 2;
-    let (l, r) = if n > 4096 {
-        parlay::join(|| from_sorted(&s[..mid]), || from_sorted(&s[mid + 1..]))
-    } else {
-        (from_sorted(&s[..mid]), from_sorted(&s[mid + 1..]))
-    };
-    node(l, s[mid].clone(), r)
+    go(s, parlay::cutoff(s.len(), 4096))
 }
 
 pub(crate) fn push_all<E: Clone, A: Augmentation<E>>(t: &Tree<E, A>, out: &mut Vec<E>) {

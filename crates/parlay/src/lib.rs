@@ -42,13 +42,11 @@ pub mod ops;
 pub mod slice;
 pub mod sort;
 
-pub use ops::{
-    blocked, filter, for_each_index, map, map_indexed, reduce, scan_inplace, sum, tabulate, SendPtr,
-};
+pub use ops::{blocked, filter, for_each_index, map, reduce, scan_inplace, sum, tabulate, SendPtr};
 pub use registry::{
     num_threads, register_stats_with, scheduler_stats, set_num_threads, SchedulerStats,
 };
-pub use sort::{merge_by, par_sort, par_sort_by, par_sort_by_key};
+pub use sort::{merge_by, par_sort, par_sort_by};
 
 use job::{ExternalJob, StackJob};
 use registry::WorkerThread;

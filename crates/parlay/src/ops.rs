@@ -144,16 +144,6 @@ where
     tabulate(xs.len(), |i| f(&xs[i]))
 }
 
-/// Like [`map`], but the function also receives the element index.
-pub fn map_indexed<T, U, F>(xs: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    tabulate(xs.len(), |i| f(i, &xs[i]))
-}
-
 /// Parallel reduction: maps each element with `m`, combines with the
 /// associative operator `op` starting from identity `id`.
 ///

@@ -7,24 +7,8 @@
 //! `nth` is `O(1)` (vs `O(log n + B)` for trees) while `append` is
 //! `O(n)` (copies both inputs, vs `O(log n + B)` for trees).
 
-use std::cmp::Ordering;
-
 use crate::ops::SendPtr;
 use crate::{blocked, reduce, tabulate, DEFAULT_GRAIN};
-
-/// Parallel reduction with an associative operator.
-///
-/// ```
-/// let xs = vec![1u64, 2, 3];
-/// assert_eq!(parlay::slice::reduce_with(&xs, 0, |a, b| a + b), 6);
-/// ```
-pub fn reduce_with<T, Op>(xs: &[T], id: T, op: Op) -> T
-where
-    T: Clone + Send + Sync,
-    Op: Fn(T, T) -> T + Sync,
-{
-    reduce(xs, id, |x| x.clone(), op)
-}
 
 /// True if the slice is sorted with respect to `Ord`.
 ///
@@ -134,28 +118,6 @@ pub fn append<T: Clone + Send + Sync>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-/// The k-th smallest element (0-indexed) by sorting a copy.
-///
-/// The paper's `select` benchmark; arrays pay `O(n log n)` here while the
-/// tree version answers rank queries in `O(log n + B)`.
-pub fn select<T: Clone + Send + Sync + Ord>(xs: &[T], k: usize) -> Option<T> {
-    if k >= xs.len() {
-        return None;
-    }
-    let mut copy = xs.to_vec();
-    crate::par_sort(&mut copy);
-    Some(copy[k].clone())
-}
-
-/// Binary search in a sorted slice with an explicit comparator; returns
-/// the index of the first element not less than `target`.
-pub fn lower_bound_by<T, C>(xs: &[T], target: &T, cmp: &C) -> usize
-where
-    C: Fn(&T, &T) -> Ordering,
-{
-    xs.partition_point(|x| cmp(x, target) == Ordering::Less)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,13 +164,5 @@ mod tests {
         let left = subseq(&xs, 0, 5000);
         let right = subseq(&xs, 5000, 10_000);
         assert_eq!(append(&left, &right), xs);
-    }
-
-    #[test]
-    fn select_matches_sorted_index() {
-        let xs: Vec<u32> = (0..10_000).rev().collect();
-        assert_eq!(select(&xs, 0), Some(0));
-        assert_eq!(select(&xs, 9_999), Some(9_999));
-        assert_eq!(select(&xs, 10_000), None);
     }
 }

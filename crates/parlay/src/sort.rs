@@ -115,22 +115,6 @@ where
     par_sort_by(xs, &T::cmp);
 }
 
-/// Sorts a slice in parallel by a key extraction function.
-///
-/// ```
-/// let mut xs = vec![(3, 'c'), (1, 'a'), (2, 'b')];
-/// parlay::par_sort_by_key(&mut xs, &|p: &(i32, char)| p.0);
-/// assert_eq!(xs[0].1, 'a');
-/// ```
-pub fn par_sort_by_key<T, K, F>(xs: &mut [T], key: &F)
-where
-    T: Clone + Send + Sync,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    par_sort_by(xs, &|a, b| key(a).cmp(&key(b)));
-}
-
 /// Sorts `data` in place, using `buf` (same length, initialized) as scratch.
 fn sort_in_place<T, C>(data: &mut [T], buf: &mut [T], cmp: &C)
 where
