@@ -53,6 +53,20 @@ impl BitWriter {
         self.write_bits(v.reverse_bits() >> (64 - width), width);
     }
 
+    /// Appends `v + 1` in gamma code, for every `u64` `v`: the shift
+    /// makes 0 representable, and `u64::MAX` is written as gamma(2⁶⁴) —
+    /// 64 zero bits, a one, then 64 zero bits.
+    pub fn write_gamma0(&mut self, v: u64) {
+        match v.checked_add(1) {
+            Some(code) => self.write_gamma(code),
+            None => {
+                self.write_bits(0, 64);
+                self.write_bits(1, 1);
+                self.write_bits(0, 64);
+            }
+        }
+    }
+
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
         self.bit_len
@@ -133,23 +147,36 @@ impl<'a> BitReader<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the bits at the read position are not a whole code.
+    /// Panics if the bits at the read position are not a whole code of
+    /// a `u64`.
     pub fn read_gamma(&mut self) -> u64 {
-        self.try_read_gamma()
+        self.try_read_gamma0()
+            .and_then(|v| v.checked_add(1))
             .expect("bit buffer exhausted inside a gamma code")
     }
 
-    /// Reads a gamma code, or `None` (leaving the position unspecified)
-    /// if the bits at the read position are not a whole one: no `1`
-    /// within the 64 bits a code's zero run can span, or fewer value bits
-    /// left than the run announces. Finds the run with one
-    /// `trailing_zeros` on a 64-bit window, then reads the value bits in
-    /// one call.
-    pub(crate) fn try_read_gamma(&mut self) -> Option<u64> {
+    /// Reads a code written by [`BitWriter::write_gamma0`], returning
+    /// `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bits at the read position are not a whole code.
+    pub fn read_gamma0(&mut self) -> u64 {
+        self.try_read_gamma0()
+            .expect("bit buffer exhausted inside a gamma code")
+    }
+
+    /// Reads a code written by [`BitWriter::write_gamma0`], or `None`
+    /// (leaving the position unspecified) if the bits at the read
+    /// position are not a whole one: no `1` within the 64 bits a code's
+    /// zero run can span (bar gamma(2⁶⁴)), or fewer value bits left
+    /// than the run announces. Finds the run with one `trailing_zeros`
+    /// on a 64-bit window, then reads the value bits in one call.
+    pub(crate) fn try_read_gamma0(&mut self) -> Option<u64> {
         let avail = self.bytes.len() * 8 - self.pos;
         let window = self.peek_bits(avail.min(64) as u32);
         if window == 0 {
-            return None;
+            return self.try_read_top_code(avail);
         }
         let zeros = window.trailing_zeros();
         let width = zeros + 1;
@@ -160,7 +187,21 @@ impl<'a> BitReader<'a> {
         // Value bits are stored MSB-first: reverse the LSB-first read.
         let v = self.peek_bits(width).reverse_bits() >> (64 - width);
         self.pos += width as usize;
-        Some(v)
+        Some(v - 1)
+    }
+
+    /// gamma(2⁶⁴), the code of `u64::MAX` and the one code whose zero
+    /// run fills a 64-bit window: 64 zeros, a one, 64 zeros.
+    fn try_read_top_code(&mut self, avail: usize) -> Option<u64> {
+        if avail < 129 {
+            return None;
+        }
+        self.pos += 64;
+        let one = self.peek_bits(1);
+        self.pos += 1;
+        let zeros = self.peek_bits(64);
+        self.pos += 64;
+        (one == 1 && zeros == 0).then_some(u64::MAX)
     }
 
     /// Bytes the codes read so far occupy, the last one partly.

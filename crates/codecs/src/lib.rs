@@ -387,11 +387,78 @@ pub trait ByteEncode: Sized {
     /// Appends the encoded value.
     fn write(&self, out: &mut Vec<u8>);
     /// Reads a value written by [`ByteEncode::write`].
-    fn read(buf: &[u8], pos: &mut usize) -> Self;
+    ///
+    /// The provided default is [`ByteEncode::try_read`], panicking on
+    /// malformed input.
+    fn read(buf: &[u8], pos: &mut usize) -> Self {
+        Self::try_read(buf, pos).expect("malformed encoding (corrupt or mistyped input)")
+    }
     /// Fallible [`ByteEncode::read`]: `None` when the bytes at `*pos`
     /// are not a valid encoding (truncated, overlong, or otherwise
     /// malformed), leaving `*pos` unspecified. Never panics.
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self>;
+}
+
+/// Writes `items` as a `Vec<T>` is written: a varint count, then the
+/// items.
+pub fn write_list<T: ByteEncode>(items: &[T], out: &mut Vec<u8>) {
+    bytecode::write_varint(items.len() as u64, out);
+    for item in items {
+        item.write(out);
+    }
+}
+
+/// Reads `count` items written back to back, the body of every list
+/// this crate's grammar reads (a `Vec<T>` after its count, a raw
+/// block's payload).
+///
+/// Every listed item takes at least one byte, so a count larger than
+/// the bytes left is malformed: it is refused before anything is
+/// allocated, and the allocation is never larger than the input.
+fn try_read_items<T: ByteEncode>(count: u64, buf: &[u8], pos: &mut usize) -> Option<Vec<T>> {
+    if count > buf.len().saturating_sub(*pos) as u64 {
+        return None;
+    }
+    let mut items = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        items.push(T::try_read(buf, pos)?);
+    }
+    Some(items)
+}
+
+/// A varint count, then the items. A count larger than the bytes left
+/// is malformed, so nothing is allocated beyond the input.
+impl<T: ByteEncode> ByteEncode for Vec<T> {
+    fn write(&self, out: &mut Vec<u8>) {
+        write_list(self, out);
+    }
+    fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let count = bytecode::try_read_varint(buf, pos)?;
+        try_read_items(count, buf, pos)
+    }
+}
+
+/// A flag byte, `0` for `None` or `1` followed by the value; any other
+/// flag is malformed.
+impl<T: ByteEncode> ByteEncode for Option<T> {
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.write(out);
+            }
+        }
+    }
+    fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let flag = *buf.get(*pos)?;
+        *pos += 1;
+        match flag {
+            0 => Some(None),
+            1 => T::try_read(buf, pos).map(Some),
+            _ => None,
+        }
+    }
 }
 
 macro_rules! impl_byte_encode_uint {
@@ -808,7 +875,7 @@ impl<E: GammaKey> BlockCursor<E> for GammaCursor<'_, E> {
         if self.idx >= self.count {
             return;
         }
-        let diff = bytecode::unzigzag(self.reader.read_gamma() - 1);
+        let diff = bytecode::unzigzag(self.reader.read_gamma0());
         self.prev = self.prev.wrapping_add(diff as u64);
         self.cur = Some(E::from_u64(self.prev));
     }
@@ -825,14 +892,14 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
     fn encode(entries: &[E]) -> Self::Block {
         let mut w = BitWriter::new();
         if let Some((first, rest)) = entries.split_first() {
-            // First value stored as gamma(v + 1) so zero is representable.
-            w.write_gamma(first.to_u64() + 1);
+            // Every value is stored as gamma(v + 1), so zero is
+            // representable.
+            w.write_gamma0(first.to_u64());
             let mut prev = first.to_u64();
             for e in rest {
                 let v = e.to_u64();
-                // Zigzag the wrapping diff, +1 for the gamma domain.
-                let diff = bytecode::zigzag(v.wrapping_sub(prev) as i64);
-                w.write_gamma(diff + 1);
+                // Zigzag the wrapping diff.
+                w.write_gamma0(bytecode::zigzag(v.wrapping_sub(prev) as i64));
                 prev = v;
             }
         }
@@ -857,7 +924,7 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
             cur: None,
         };
         if c.count > 0 {
-            c.prev = c.reader.read_gamma() - 1;
+            c.prev = c.reader.read_gamma0();
             c.cur = Some(E::from_u64(c.prev));
         }
         c
@@ -868,10 +935,10 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
             return;
         }
         let mut r = BitReader::new(block.bytes());
-        let mut prev = r.read_gamma() - 1;
+        let mut prev = r.read_gamma0();
         f(&E::from_u64(prev));
         for _ in 1..block.count() {
-            let diff = bytecode::unzigzag(r.read_gamma() - 1);
+            let diff = bytecode::unzigzag(r.read_gamma0());
             prev = prev.wrapping_add(diff as u64);
             f(&E::from_u64(prev));
         }
@@ -965,21 +1032,10 @@ impl<E: ByteEncode + Clone + Send + Sync + 'static> BlockIo<E> for RawCodec {
 
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
         let (count, payload) = read_frame(buf, pos)?;
-        // Every tree entry encodes to at least one byte (keys are never
-        // zero-width), so a count beyond the payload length is malformed
-        // — reject it up front rather than panicking inside `E::read`.
-        if count > payload.len() {
-            return Err(BlockIoError::Malformed(
-                "raw block entry count exceeds payload",
-            ));
-        }
-        let mut entries = Vec::with_capacity(count);
         let mut at = 0;
-        for _ in 0..count {
-            entries.push(E::try_read(payload, &mut at).ok_or(BlockIoError::Malformed(
-                "raw block entry truncated or malformed",
-            ))?);
-        }
+        let entries = try_read_items(count as u64, payload, &mut at).ok_or(
+            BlockIoError::Malformed("raw block entries exceed or misparse the payload"),
+        )?;
         if at != payload.len() {
             return Err(BlockIoError::Malformed("raw block payload length mismatch"));
         }
@@ -1030,7 +1086,7 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> BlockIo<E> for GammaCodec {
         let (count, payload) = read_encoded_frame(buf, pos)?;
         let mut r = BitReader::new(payload);
         for _ in 0..count {
-            r.try_read_gamma().ok_or(BlockIoError::Malformed(
+            r.try_read_gamma0().ok_or(BlockIoError::Malformed(
                 "gamma block code truncated or malformed",
             ))?;
         }
@@ -1070,6 +1126,10 @@ mod tests {
         roundtrip(String::from("påç-trees"));
         roundtrip(1.5f32);
         roundtrip(-2.25f64);
+        roundtrip(vec![(1u64, String::from("a")), (300, String::new())]);
+        roundtrip(Vec::<u32>::new());
+        roundtrip(Some(u64::MAX));
+        roundtrip(None::<u64>);
     }
 
     #[test]
@@ -1108,6 +1168,17 @@ mod tests {
         7u64.write(&mut buf);
         let mut pos = 0;
         assert_eq!(<(u64, f64)>::try_read(&buf, &mut pos), None);
+        // A list count equal to the bytes left whose items then run out,
+        // and a count one past them.
+        for (count, items) in [(2u64, [1u8, 0x80]), (3, [1, 2])] {
+            let mut buf = Vec::new();
+            bytecode::write_varint(count, &mut buf);
+            buf.extend_from_slice(&items);
+            let mut pos = 0;
+            assert_eq!(Vec::<u64>::try_read(&buf, &mut pos), None, "count {count}");
+        }
+        // An option flag other than 0 or 1.
+        assert_eq!(Option::<u64>::try_read(&[2, 7], &mut 0), None);
     }
 
     #[test]
@@ -1163,10 +1234,29 @@ mod tests {
     #[test]
     fn gamma_codec_roundtrip() {
         let entries: Vec<u64> = (0..400).map(|i| 5_000 + i * 2).collect();
-        let block = <GammaCodec as Codec<u64>>::encode(&entries);
-        let mut out = Vec::new();
-        <GammaCodec as Codec<u64>>::decode(&block, &mut out);
-        assert_eq!(out, entries);
+        // A first key of `u64::MAX` and a gap of 2⁶³ are both stored as
+        // gamma(2⁶⁴), the top of the code's domain.
+        for entries in [entries, vec![u64::MAX], vec![0, 1 << 63]] {
+            let block = <GammaCodec as Codec<u64>>::encode(&entries);
+            let mut out = Vec::new();
+            <GammaCodec as Codec<u64>>::decode(&block, &mut out);
+            assert_eq!(out, entries);
+            let mut cur = <GammaCodec as Codec<u64>>::cursor(&block);
+            let mut seen = Vec::new();
+            while let Some(e) = cur.peek() {
+                seen.push(*e);
+                cur.advance();
+            }
+            assert_eq!(seen, entries);
+            let mut visited = Vec::new();
+            <GammaCodec as Codec<u64>>::for_each(&block, &mut |e| visited.push(*e));
+            assert_eq!(visited, entries);
+            let mut frame = Vec::new();
+            <GammaCodec as BlockIo<u64>>::write_block(&block, &mut frame);
+            let mut pos = 0;
+            let back = <GammaCodec as BlockIo<u64>>::read_block(&frame, &mut pos).unwrap();
+            assert_eq!((back, pos), (block, frame.len()));
+        }
     }
 
     #[test]

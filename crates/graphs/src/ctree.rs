@@ -291,11 +291,6 @@ impl<K: CKey> CTree<K> {
         }
         block_bytes + self.heads.space_bytes()
     }
-
-    /// Expected block size parameter.
-    pub fn expected_block_size(&self) -> usize {
-        self.b
-    }
 }
 
 #[cfg(test)]

@@ -267,19 +267,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Iterate the non-empty buckets as `(lo, hi, count)` with
-    /// inclusive value bounds.
-    pub fn nonempty_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
-
     /// Upper-bound estimate of the `q`-quantile (`0.0 <= q <= 1.0`).
     ///
     /// Uses rank `ceil(q * count)` (clamped to `[1, count]`) and

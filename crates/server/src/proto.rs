@@ -3,13 +3,14 @@
 //! Every payload leads with [`WIRE_FORMAT`] (so a peer speaking a
 //! different protocol revision is a typed error, mirroring
 //! [`store::wal::LOG_FORMAT`]) and an opcode byte; fields follow in
-//! [`codecs::ByteEncode`] encoding. Decoding goes exclusively through
-//! the fallible `try_read` path — the frame CRC only proves the bytes
-//! are what the peer sent, not that the peer is honest, so every
-//! length is validated in the u64 domain before it becomes an
-//! allocation or a slice.
+//! [`codecs::ByteEncode`] encoding: a list is a `Vec` (a put batch is
+//! the log's op list, byte for byte), an optional field an `Option`.
+//! Decoding goes exclusively through the fallible `try_read` path — the
+//! frame CRC only proves the bytes are what the peer sent, not that the
+//! peer is honest, so every count is checked against the bytes left
+//! before it becomes an allocation.
 
-use codecs::{bytecode, ByteEncode};
+use codecs::ByteEncode;
 use store::{Op, StoreError, StoreKey, StoreValue};
 
 /// Format byte of every message this build writes and reads (revision
@@ -35,9 +36,6 @@ const RESP_UNPINNED: u8 = 0x86;
 const RESP_STATS: u8 = 0x87;
 const RESP_ERROR: u8 = 0xFF;
 
-const OP_PUT: u8 = 0;
-const OP_DELETE: u8 = 1;
-
 /// Why a message failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
@@ -46,7 +44,8 @@ pub enum ProtoError {
     /// Unknown opcode for this message direction.
     Opcode(u8),
     /// The payload ended inside the named field, or a count/length
-    /// described more elements than the payload could hold.
+    /// described more elements than the payload could hold. A list is
+    /// named by its count.
     Malformed(&'static str),
 }
 
@@ -54,7 +53,10 @@ impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtoError::Format(b) => {
-                write!(f, "wire format {b:#04x}, this build speaks {WIRE_FORMAT:#04x}")
+                write!(
+                    f,
+                    "wire format {b:#04x}, this build speaks {WIRE_FORMAT:#04x}"
+                )
             }
             ProtoError::Opcode(b) => write!(f, "unknown opcode {b:#04x}"),
             ProtoError::Malformed(what) => write!(f, "malformed message: {what}"),
@@ -161,41 +163,28 @@ impl<K: StoreKey, V: StoreValue> Request<K, V> {
         match self {
             Request::PutBatch(ops) => {
                 out.push(REQ_PUT_BATCH);
-                bytecode::write_varint(ops.len() as u64, &mut out);
-                for op in ops {
-                    match op {
-                        Op::Put(k, v) => {
-                            out.push(OP_PUT);
-                            k.write(&mut out);
-                            v.write(&mut out);
-                        }
-                        Op::Delete(k) => {
-                            out.push(OP_DELETE);
-                            k.write(&mut out);
-                        }
-                    }
-                }
+                ops.write(&mut out);
             }
             Request::Get { key, at } => {
                 out.push(REQ_GET);
                 key.write(&mut out);
-                write_opt_u64(&mut out, *at);
+                at.write(&mut out);
             }
             Request::Range { lo, hi, limit, at } => {
                 out.push(REQ_RANGE);
                 lo.write(&mut out);
                 hi.write(&mut out);
-                bytecode::write_varint(*limit, &mut out);
-                write_opt_u64(&mut out, *at);
+                limit.write(&mut out);
+                at.write(&mut out);
             }
             Request::Snapshot => out.push(REQ_SNAPSHOT),
             Request::Pin(v) => {
                 out.push(REQ_PIN);
-                bytecode::write_varint(*v, &mut out);
+                v.write(&mut out);
             }
             Request::Unpin(v) => {
                 out.push(REQ_UNPIN);
-                bytecode::write_varint(*v, &mut out);
+                v.write(&mut out);
             }
             Request::Stats => out.push(REQ_STATS),
         }
@@ -212,52 +201,22 @@ impl<K: StoreKey, V: StoreValue> Request<K, V> {
         let (opcode, body) = split_header(buf)?;
         let mut pos = 0usize;
         let req = match opcode {
-            REQ_PUT_BATCH => {
-                let count = read_count(body, &mut pos, "op count")?;
-                let mut ops = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let tag = *body.get(pos).ok_or(ProtoError::Malformed("op tag"))?;
-                    pos += 1;
-                    match tag {
-                        OP_PUT => {
-                            let k = K::try_read(body, &mut pos)
-                                .ok_or(ProtoError::Malformed("put key"))?;
-                            let v = V::try_read(body, &mut pos)
-                                .ok_or(ProtoError::Malformed("put value"))?;
-                            ops.push(Op::Put(k, v));
-                        }
-                        OP_DELETE => {
-                            let k = K::try_read(body, &mut pos)
-                                .ok_or(ProtoError::Malformed("delete key"))?;
-                            ops.push(Op::Delete(k));
-                        }
-                        _ => return Err(ProtoError::Malformed("op tag")),
-                    }
-                }
-                Request::PutBatch(ops)
-            }
+            REQ_PUT_BATCH => Request::PutBatch(field(body, &mut pos, "op count")?),
             REQ_GET => {
-                let key = K::try_read(body, &mut pos).ok_or(ProtoError::Malformed("get key"))?;
-                let at = read_opt_u64(body, &mut pos)?;
+                let key = field(body, &mut pos, "get key")?;
+                let at = field(body, &mut pos, "get at")?;
                 Request::Get { key, at }
             }
             REQ_RANGE => {
-                let lo = K::try_read(body, &mut pos).ok_or(ProtoError::Malformed("range lo"))?;
-                let hi = K::try_read(body, &mut pos).ok_or(ProtoError::Malformed("range hi"))?;
-                let limit = bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("range limit"))?;
-                let at = read_opt_u64(body, &mut pos)?;
+                let lo = field(body, &mut pos, "range lo")?;
+                let hi = field(body, &mut pos, "range hi")?;
+                let limit = field(body, &mut pos, "range limit")?;
+                let at = field(body, &mut pos, "range at")?;
                 Request::Range { lo, hi, limit, at }
             }
             REQ_SNAPSHOT => Request::Snapshot,
-            REQ_PIN => Request::Pin(
-                bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("pin version"))?,
-            ),
-            REQ_UNPIN => Request::Unpin(
-                bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("unpin version"))?,
-            ),
+            REQ_PIN => Request::Pin(field(body, &mut pos, "pin version")?),
+            REQ_UNPIN => Request::Unpin(field(body, &mut pos, "unpin version")?),
             REQ_STATS => Request::Stats,
             other => return Err(ProtoError::Opcode(other)),
         };
@@ -305,41 +264,28 @@ impl<K: StoreKey, V: StoreValue> Response<K, V> {
         match self {
             Response::Committed(v) => {
                 out.push(RESP_COMMITTED);
-                bytecode::write_varint(*v, &mut out);
+                v.write(&mut out);
             }
             Response::Value(v) => {
                 out.push(RESP_VALUE);
-                match v {
-                    Some(v) => {
-                        out.push(1);
-                        v.write(&mut out);
-                    }
-                    None => out.push(0),
-                }
+                v.write(&mut out);
             }
             Response::Entries(entries) => {
                 out.push(RESP_ENTRIES);
-                bytecode::write_varint(entries.len() as u64, &mut out);
-                for (k, v) in entries {
-                    k.write(&mut out);
-                    v.write(&mut out);
-                }
+                entries.write(&mut out);
             }
             Response::Snapshot { global, locals } => {
                 out.push(RESP_SNAPSHOT);
-                bytecode::write_varint(*global, &mut out);
-                bytecode::write_varint(locals.len() as u64, &mut out);
-                for l in locals {
-                    bytecode::write_varint(*l, &mut out);
-                }
+                global.write(&mut out);
+                locals.write(&mut out);
             }
             Response::Pinned(v) => {
                 out.push(RESP_PINNED);
-                bytecode::write_varint(*v, &mut out);
+                v.write(&mut out);
             }
             Response::Unpinned(v) => {
                 out.push(RESP_UNPINNED);
-                bytecode::write_varint(*v, &mut out);
+                v.write(&mut out);
             }
             Response::Stats(text) => {
                 out.push(RESP_STATS);
@@ -363,63 +309,22 @@ impl<K: StoreKey, V: StoreValue> Response<K, V> {
         let (opcode, body) = split_header(buf)?;
         let mut pos = 0usize;
         let resp = match opcode {
-            RESP_COMMITTED => Response::Committed(
-                bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("committed version"))?,
-            ),
-            RESP_VALUE => {
-                let flag = *body.get(pos).ok_or(ProtoError::Malformed("value flag"))?;
-                pos += 1;
-                match flag {
-                    0 => Response::Value(None),
-                    1 => Response::Value(Some(
-                        V::try_read(body, &mut pos).ok_or(ProtoError::Malformed("value"))?,
-                    )),
-                    _ => return Err(ProtoError::Malformed("value flag")),
-                }
-            }
-            RESP_ENTRIES => {
-                let count = read_count(body, &mut pos, "entry count")?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let k =
-                        K::try_read(body, &mut pos).ok_or(ProtoError::Malformed("entry key"))?;
-                    let v =
-                        V::try_read(body, &mut pos).ok_or(ProtoError::Malformed("entry value"))?;
-                    entries.push((k, v));
-                }
-                Response::Entries(entries)
-            }
+            RESP_COMMITTED => Response::Committed(field(body, &mut pos, "committed version")?),
+            RESP_VALUE => Response::Value(field(body, &mut pos, "value")?),
+            RESP_ENTRIES => Response::Entries(field(body, &mut pos, "entry count")?),
             RESP_SNAPSHOT => {
-                let global = bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("snapshot global"))?;
-                let count = read_count(body, &mut pos, "shard count")?;
-                let mut locals = Vec::with_capacity(count);
-                for _ in 0..count {
-                    locals.push(
-                        bytecode::try_read_varint(body, &mut pos)
-                            .ok_or(ProtoError::Malformed("shard version"))?,
-                    );
-                }
+                let global = field(body, &mut pos, "snapshot global")?;
+                let locals = field(body, &mut pos, "shard count")?;
                 Response::Snapshot { global, locals }
             }
-            RESP_PINNED => Response::Pinned(
-                bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("pinned version"))?,
-            ),
-            RESP_UNPINNED => Response::Unpinned(
-                bytecode::try_read_varint(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("unpinned version"))?,
-            ),
-            RESP_STATS => Response::Stats(
-                String::try_read(body, &mut pos).ok_or(ProtoError::Malformed("stats text"))?,
-            ),
+            RESP_PINNED => Response::Pinned(field(body, &mut pos, "pinned version")?),
+            RESP_UNPINNED => Response::Unpinned(field(body, &mut pos, "unpinned version")?),
+            RESP_STATS => Response::Stats(field(body, &mut pos, "stats text")?),
             RESP_ERROR => {
                 let code = *body.get(pos).ok_or(ProtoError::Malformed("error code"))?;
                 pos += 1;
                 let code = ErrorCode::from_u8(code).ok_or(ProtoError::Malformed("error code"))?;
-                let message = String::try_read(body, &mut pos)
-                    .ok_or(ProtoError::Malformed("error message"))?;
+                let message = field(body, &mut pos, "error message")?;
                 Response::Error { code, message }
             }
             other => return Err(ProtoError::Opcode(other)),
@@ -438,14 +343,9 @@ fn split_header(buf: &[u8]) -> Result<(u8, &[u8]), ProtoError> {
     }
 }
 
-/// Reads an element count, validated in the u64 domain against the
-/// payload's byte budget before it sizes an allocation.
-fn read_count(body: &[u8], pos: &mut usize, what: &'static str) -> Result<usize, ProtoError> {
-    let count = bytecode::try_read_varint(body, pos).ok_or(ProtoError::Malformed(what))?;
-    if count > body.len() as u64 {
-        return Err(ProtoError::Malformed(what));
-    }
-    Ok(count as usize)
+/// Reads one field, or names it in the error.
+fn field<T: ByteEncode>(body: &[u8], pos: &mut usize, what: &'static str) -> Result<T, ProtoError> {
+    T::try_read(body, pos).ok_or(ProtoError::Malformed(what))
 }
 
 fn ensure_consumed(body: &[u8], pos: usize) -> Result<(), ProtoError> {
@@ -456,31 +356,10 @@ fn ensure_consumed(body: &[u8], pos: usize) -> Result<(), ProtoError> {
     }
 }
 
-fn write_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            bytecode::write_varint(v, out);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_opt_u64(body: &[u8], pos: &mut usize) -> Result<Option<u64>, ProtoError> {
-    let flag = *body.get(*pos).ok_or(ProtoError::Malformed("option flag"))?;
-    *pos += 1;
-    match flag {
-        0 => Ok(None),
-        1 => Ok(Some(
-            bytecode::try_read_varint(body, pos).ok_or(ProtoError::Malformed("option value"))?,
-        )),
-        _ => Err(ProtoError::Malformed("option flag")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codecs::bytecode;
 
     fn roundtrip_req(req: Request<u64, String>) {
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
@@ -498,9 +377,22 @@ mod tests {
             Op::Put(u64::MAX, String::new()),
         ]));
         roundtrip_req(Request::Get { key: 7, at: None });
-        roundtrip_req(Request::Get { key: 7, at: Some(3) });
-        roundtrip_req(Request::Range { lo: 1, hi: 100, limit: 0, at: None });
-        roundtrip_req(Request::Range { lo: 0, hi: u64::MAX, limit: 10, at: Some(9) });
+        roundtrip_req(Request::Get {
+            key: 7,
+            at: Some(3),
+        });
+        roundtrip_req(Request::Range {
+            lo: 1,
+            hi: 100,
+            limit: 0,
+            at: None,
+        });
+        roundtrip_req(Request::Range {
+            lo: 0,
+            hi: u64::MAX,
+            limit: 10,
+            at: Some(9),
+        });
         roundtrip_req(Request::Snapshot);
         roundtrip_req(Request::Pin(42));
         roundtrip_req(Request::Unpin(42));
@@ -510,7 +402,10 @@ mod tests {
         roundtrip_resp(Response::Value(None));
         roundtrip_resp(Response::Value(Some("v".into())));
         roundtrip_resp(Response::Entries(vec![(1, "a".into()), (2, "b".into())]));
-        roundtrip_resp(Response::Snapshot { global: 5, locals: vec![3, 1, 5] });
+        roundtrip_resp(Response::Snapshot {
+            global: 5,
+            locals: vec![3, 1, 5],
+        });
         roundtrip_resp(Response::Pinned(5));
         roundtrip_resp(Response::Unpinned(5));
         roundtrip_resp(Response::Stats("pacserve_requests_total 9\n".into()));
@@ -555,5 +450,106 @@ mod tests {
             Request::<u64, u64>::decode(&padded),
             Err(ProtoError::Malformed("trailing bytes"))
         );
+        // List counts equal to the bytes left whose items then run out,
+        // and counts one past the bytes left.
+        for (count, items) in [(2u8, [1u8, 5]), (3, [1, 5])] {
+            let batch = [WIRE_FORMAT, REQ_PUT_BATCH, count, items[0], items[1]];
+            assert_eq!(
+                Request::<u64, u64>::decode(&batch),
+                Err(ProtoError::Malformed("op count"))
+            );
+        }
+        for (count, items) in [(2u8, [1u8, 2]), (3, [1, 2])] {
+            let entries = [WIRE_FORMAT, RESP_ENTRIES, count, items[0], items[1]];
+            assert_eq!(
+                Response::<u64, u64>::decode(&entries),
+                Err(ProtoError::Malformed("entry count"))
+            );
+        }
+        for (count, items) in [(2u8, [1u8, 0x80]), (3, [1, 2])] {
+            let snapshot = [WIRE_FORMAT, RESP_SNAPSHOT, 5, count, items[0], items[1]];
+            assert_eq!(
+                Response::<u64, u64>::decode(&snapshot),
+                Err(ProtoError::Malformed("shard count"))
+            );
+        }
+    }
+
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn every_message_keeps_its_bytes() {
+        // Pinned byte for byte: a change to any of these literals is a
+        // wire format change, and needs a new `WIRE_FORMAT`.
+        let requests: [(Request<u64, String>, &str); 7] = [
+            (
+                Request::PutBatch(vec![
+                    Op::Put(1, "one".into()),
+                    Op::Delete(300),
+                    Op::Put(u64::MAX, String::new()),
+                ]),
+                "b301030001036f6e6501ac0200ffffffffffffffffff0100",
+            ),
+            (
+                Request::Get {
+                    key: 7,
+                    at: Some(3),
+                },
+                "b302070103",
+            ),
+            (
+                Request::Range {
+                    lo: 1,
+                    hi: 100_000,
+                    limit: 10,
+                    at: None,
+                },
+                "b30301a08d060a00",
+            ),
+            (Request::Snapshot, "b304"),
+            (Request::Pin(42), "b3052a"),
+            (Request::Unpin(300), "b306ac02"),
+            (Request::Stats, "b307"),
+        ];
+        for (req, golden) in requests {
+            assert_eq!(hex(&req.encode()), golden, "{req:?}");
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
+        let responses: [(Response<u64, String>, &str); 9] = [
+            (Response::Committed(17), "b38111"),
+            (Response::Value(None), "b38200"),
+            (Response::Value(Some("v".into())), "b382010176"),
+            (
+                Response::Entries(vec![(1, "a".into()), (300, "bc".into())]),
+                "b38302010161ac02026263",
+            ),
+            (
+                Response::Snapshot {
+                    global: 5,
+                    locals: vec![3, 1, 500],
+                },
+                "b38405030301f403",
+            ),
+            (Response::Pinned(5), "b38505"),
+            (Response::Unpinned(5), "b38605"),
+            (
+                Response::Stats("pacserve_requests_total 9\n".into()),
+                "b3871a70616373657276655f72657175657374735f746f74616c20390a",
+            ),
+            (
+                Response::Error {
+                    code: ErrorCode::VersionNotFound,
+                    message: "version 3".into(),
+                },
+                "b3ff010976657273696f6e2033",
+            ),
+        ];
+        for (resp, golden) in responses {
+            assert_eq!(hex(&resp.encode()), golden, "{resp:?}");
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
     }
 }

@@ -1,7 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected) for corruption detection in snapshot
 //! pages, log records, the pin table, the partition map and wire frames
-//! — every checksum the store and the server compute is [`crc32`] — and
-//! the type fingerprint stored beside it ([`schema_id`]).
+//! — every checksum the store and the server compute is [`crc32`] — the
+//! envelope of every sealed file ([`seal`], [`unseal`]), and the type
+//! fingerprint stored beside it ([`schema_id`]).
+
+use crate::error::StoreError;
 
 /// The reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -86,6 +89,42 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Seals `body` in the envelope of a file read whole (the partition
+/// map, the pin table, a page's metadata section): `magic`, `body`,
+/// then the CRC-32 of both, little-endian.
+pub fn seal(magic: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(magic.len() + body.len() + 4);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(body);
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// The body of an envelope written by [`seal`]: the length, then the
+/// magic, then the CRC are checked, and only then is the body returned.
+///
+/// # Errors
+///
+/// [`StoreError::Truncated`] when `bytes` cannot hold the magic and the
+/// CRC, [`StoreError::BadMagic`] for a foreign file, and
+/// [`StoreError::ChecksumMismatch`] for truncation or bit flips.
+pub fn unseal<'a>(magic: &[u8], bytes: &'a [u8]) -> Result<&'a [u8], StoreError> {
+    if bytes.len() < magic.len() + 4 {
+        return Err(StoreError::Truncated("sealed file envelope"));
+    }
+    let (sealed, trailer) = bytes.split_at(bytes.len() - 4);
+    let Some(body) = sealed.strip_prefix(magic) else {
+        return Err(StoreError::BadMagic);
+    };
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+    let computed = crc32(sealed);
+    if stored != computed {
+        return Err(StoreError::ChecksumMismatch { stored, computed });
+    }
+    Ok(body)
+}
+
 /// A 32-bit fingerprint of a type, stored in on-disk headers so that a
 /// store directory written as, say, `PacStore<u64, u64>` is rejected
 /// with a typed error — instead of misparsed — when reopened with
@@ -163,6 +202,31 @@ mod tests {
         }
         let big = seeded_bytes(1 << 20, 29);
         assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn unseal_checks_length_then_magic_then_crc() {
+        let sealed = seal(b"MAGIC", b"body");
+        assert_eq!(sealed.len(), 5 + 4 + 4);
+        assert_eq!(unseal(b"MAGIC", &sealed).unwrap(), b"body");
+        assert_eq!(unseal(b"MAGIC", &seal(b"MAGIC", b"")).unwrap(), b"");
+        assert!(matches!(
+            unseal(b"MAGIC", &sealed[..8]),
+            Err(StoreError::Truncated(_))
+        ));
+        assert!(matches!(
+            unseal(b"MAGIK", &sealed),
+            Err(StoreError::BadMagic)
+        ));
+        for i in 0..sealed.len() {
+            let mut flipped = sealed.clone();
+            flipped[i] ^= 0x10;
+            assert!(unseal(b"MAGIC", &flipped).is_err(), "flip at {i}");
+        }
+        assert!(matches!(
+            unseal(b"MAGIC", &sealed[..sealed.len() - 1]),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

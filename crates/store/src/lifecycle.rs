@@ -27,10 +27,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 
-use codecs::bytecode;
+use codecs::{write_list, ByteEncode};
 use parking_lot::Mutex;
 
-use crate::checksum::crc32;
+use crate::checksum::{seal, unseal};
 use crate::error::StoreError;
 use crate::page;
 
@@ -248,70 +248,41 @@ pub(crate) fn evict_history<T>(
 /// sharded store) directory.
 pub(crate) const PINS_FILE: &str = "pins.pac";
 
-/// `pins.pac` layout: this magic, varint entry count, then per entry
-/// `varint version ++ varint pin-count`, then CRC-32 (LE) of all
-/// preceding bytes.
+/// `pins.pac` layout: a sealed envelope ([`crate::checksum::seal`])
+/// around this magic and a `Vec<(u64, usize)>` of `(version, pin
+/// count)` entries in the [`ByteEncode`] grammar: varint entry count,
+/// then per entry `varint version ++ varint pin-count`.
 const PINS_MAGIC: &[u8; 8] = b"PACPINS1";
 
 fn encode_pins(pins: &[(u64, usize)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PINS_MAGIC.len() + 4 + pins.len() * 10);
-    out.extend_from_slice(PINS_MAGIC);
-    bytecode::write_varint(pins.len() as u64, &mut out);
-    for &(version, count) in pins {
-        bytecode::write_varint(version, &mut out);
-        bytecode::write_varint(count as u64, &mut out);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut body = Vec::with_capacity(4 + pins.len() * 10);
+    write_list(pins, &mut body);
+    seal(PINS_MAGIC, &body)
 }
 
 fn decode_pins(bytes: &[u8]) -> Result<HashMap<u64, usize>, StoreError> {
-    let Some(rest) = bytes.strip_prefix(PINS_MAGIC) else {
-        return Err(StoreError::BadMagic);
-    };
-    if rest.len() < 4 {
-        return Err(StoreError::Truncated("pin table checksum"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    let body = &body[PINS_MAGIC.len()..];
-    let mut pos = 0usize;
-    let count = bytecode::try_read_varint(body, &mut pos)
-        .ok_or(StoreError::Truncated("pin table entry count"))?;
-    // An entry is at least two bytes; a count past that is hostile
-    // (same in-u64-domain check as the WAL op counts).
-    if count > body.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "pin table claims {count} entries in {} bytes",
-            body.len()
-        )));
-    }
-    let mut pins = HashMap::with_capacity(count as usize);
-    for _ in 0..count {
-        let version = bytecode::try_read_varint(body, &mut pos)
-            .ok_or(StoreError::Truncated("pin table version"))?;
-        let n = bytecode::try_read_varint(body, &mut pos)
-            .ok_or(StoreError::Truncated("pin table count"))?;
-        let n = usize::try_from(n)
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| StoreError::Corrupt(format!("pin count {n} for version {version}")))?;
-        if pins.insert(version, n).is_some() {
-            return Err(StoreError::Corrupt(format!(
-                "duplicate pin entry for version {version}"
-            )));
-        }
-    }
+    let body = unseal(PINS_MAGIC, bytes)?;
+    let mut pos = 0;
+    let entries = Vec::<(u64, usize)>::try_read(body, &mut pos)
+        .ok_or_else(|| StoreError::Corrupt("malformed pin table".into()))?;
     if pos != body.len() {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after pin table",
             body.len() - pos
         )));
+    }
+    let mut pins = HashMap::with_capacity(entries.len());
+    for (version, n) in entries {
+        if n == 0 {
+            return Err(StoreError::Corrupt(format!(
+                "pin count 0 for version {version}"
+            )));
+        }
+        if pins.insert(version, n).is_some() {
+            return Err(StoreError::Corrupt(format!(
+                "duplicate pin entry for version {version}"
+            )));
+        }
     }
     Ok(pins)
 }
@@ -345,6 +316,8 @@ pub(crate) fn persist_pins(dir: &Path, registry: &VersionRegistry) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::crc32;
+    use codecs::bytecode;
 
     #[test]
     fn pins_are_counted() {
@@ -423,5 +396,53 @@ mod tests {
         let crc = crc32(&zero);
         zero.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode_pins(&zero), Err(StoreError::Corrupt(_))));
+
+        // An entry count equal to the bytes left whose entries then run
+        // out, and a count one past the bytes left.
+        for list in [[2u8, 5, 1], [3, 5, 1]] {
+            let mut short = Vec::from(*PINS_MAGIC);
+            short.extend_from_slice(&list);
+            let crc = crc32(&short);
+            short.extend_from_slice(&crc.to_le_bytes());
+            assert!(matches!(decode_pins(&short), Err(StoreError::Corrupt(_))));
+        }
+    }
+
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn sealed_files_and_log_records_keep_their_bytes() {
+        // Pinned byte for byte: a change to any of these literals is a
+        // format change, and needs a new magic or format byte.
+        use crate::mvcc::Op;
+        let ops = [Op::Put(1u64, 10u64), Op::Delete(300), Op::Put(u64::MAX, 0)];
+        let record = crate::wal::encode_record(7, 42, &[0, 2, 5], 0xD00D_F00D, &ops);
+        assert_eq!(
+            hex(&record),
+            "1ea2070df00dd02a030002050300010a01ac0200ffffffffffffffffff01008700a828"
+        );
+        let replay = crate::wal::replay::<u64, u64>(&record, 0xD00D_F00D);
+        assert_eq!(replay.records[0].ops, ops);
+        assert_eq!(replay.records[0].participants, vec![0, 2, 5]);
+
+        let router = crate::Router::new(vec![100u64, 2000, 30_000]).unwrap();
+        assert_eq!(
+            hex(&router.encode()),
+            "504143504152543112e7fa790364d00fb0ea0172e37212"
+        );
+        assert_eq!(
+            crate::Router::<u64>::decode(&router.encode()).unwrap(),
+            router
+        );
+
+        let pins = encode_pins(&[(5, 1), (300, 2)]);
+        assert_eq!(hex(&pins), "50414350494e5331020501ac0202d8026439");
+        assert_eq!(
+            decode_pins(&pins).unwrap(),
+            HashMap::from([(5, 1), (300, 2)])
+        );
     }
 }

@@ -53,6 +53,39 @@ pub enum Op<K, V> {
     Delete(K),
 }
 
+/// Tag byte of an encoded [`Op::Put`].
+pub(crate) const OP_PUT: u8 = 0;
+/// Tag byte of an encoded [`Op::Delete`].
+pub(crate) const OP_DELETE: u8 = 1;
+
+/// The op grammar of the log and the wire: a tag byte (`0` put, `1`
+/// delete), the key, then the value of a put; any other tag is
+/// malformed.
+impl<K: ByteEncode, V: ByteEncode> ByteEncode for Op<K, V> {
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Op::Put(k, v) => {
+                out.push(OP_PUT);
+                k.write(out);
+                v.write(out);
+            }
+            Op::Delete(k) => {
+                out.push(OP_DELETE);
+                k.write(out);
+            }
+        }
+    }
+    fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let tag = *buf.get(*pos)?;
+        *pos += 1;
+        match tag {
+            OP_PUT => Some(Op::Put(K::try_read(buf, pos)?, V::try_read(buf, pos)?)),
+            OP_DELETE => K::try_read(buf, pos).map(Op::Delete),
+            _ => None,
+        }
+    }
+}
+
 /// Tunables for a [`PacStore`] or [`ShardedStore`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {

@@ -58,7 +58,7 @@ use codecs::{bytecode, BlockIo, ByteEncode, Codec};
 use cpam::structure::{BuildError, NodeOwned, NodeRef};
 use cpam::{Augmentation, BlockSource, Element, Entry, PacOrd};
 
-use crate::checksum::{crc32, schema_id};
+use crate::checksum::{crc32, schema_id, seal, unseal};
 use crate::error::StoreError;
 use crate::mvcc::SNAPSHOT_FILE;
 use crate::pool::BufferPool;
@@ -165,7 +165,10 @@ where
 /// `tree` evolved from (see [`cpam::PacMap::visit_nodes`] for why the
 /// pin makes pointer identity a valid sharing witness).
 pub(crate) fn encode_page<T: DiskTree>(tree: &T, base: Option<(&T, u64)>, version: u64) -> Vec<u8> {
-    let mut meta = vec![<T::Codec as BlockIo<T::Entry>>::CODEC_ID];
+    // The sealed body is the metadata length (patched in below), then
+    // the metadata.
+    let mut meta = vec![0; 8];
+    meta.push(<T::Codec as BlockIo<T::Entry>>::CODEC_ID);
     meta.extend_from_slice(&schema_id::<T::Entry>().to_le_bytes());
     bytecode::write_varint(tree.disk_block_size() as u64, &mut meta);
     bytecode::write_varint(base.map_or(0, |(_, v)| v + 1), &mut meta);
@@ -192,12 +195,9 @@ pub(crate) fn encode_page<T: DiskTree>(tree: &T, base: Option<(&T, u64)>, versio
         }
     });
 
-    let mut page = Vec::with_capacity(HEAD_LEN + meta.len() + 4 + records.len());
-    page.extend_from_slice(&PAGE_MAGIC);
-    page.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    page.extend_from_slice(&meta);
-    let crc = crc32(&page);
-    page.extend_from_slice(&crc.to_le_bytes());
+    let meta_len = (meta.len() - 8) as u64;
+    meta[..8].copy_from_slice(&meta_len.to_le_bytes());
+    let mut page = seal(&PAGE_MAGIC, &meta);
     page.extend_from_slice(&records);
     let pc = crate::metrics::page_counters();
     pc.pages_written.inc();
@@ -281,14 +281,9 @@ fn parse_meta<T: DiskTree>(bytes: &[u8]) -> Result<Meta<'_>, StoreError> {
     let section = bytes
         .get(..end)
         .ok_or(StoreError::Truncated("page metadata"))?;
-    let (body, crc) = section.split_at(end - 4);
-    let stored = u32::from_le_bytes(crc.try_into().expect("split off 4 bytes"));
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
+    let body = unseal(&PAGE_MAGIC, section)?;
 
-    let mut pos = HEAD_LEN;
+    let mut pos = HEAD_LEN - PAGE_MAGIC.len();
     let found = take(body, &mut pos, 1, "codec id")?[0];
     let expected = <T::Codec as BlockIo<T::Entry>>::CODEC_ID;
     if found != expected {

@@ -25,13 +25,17 @@
 //! keys     ...       ByteEncode'd boundary keys, ascending
 //! crc32    4 bytes   little-endian, over everything above
 //! ```
+//!
+//! The magic and the trailer are the sealed-file envelope
+//! ([`crate::checksum::seal`]); count and keys are a `Vec<K>` in the
+//! [`codecs::ByteEncode`] grammar.
 
 use std::path::Path;
 
-use codecs::{bytecode, ByteEncode};
+use codecs::ByteEncode;
 use cpam::ScalarKey;
 
-use crate::checksum::{crc32, schema_id};
+use crate::checksum::{schema_id, seal, unseal};
 use crate::error::StoreError;
 use crate::mvcc::Op;
 
@@ -68,7 +72,9 @@ impl<K: ScalarKey> Router<K> {
     /// The single-shard router (no boundaries): every key routes to
     /// shard 0. Useful as the degenerate point of a shard-count sweep.
     pub fn single() -> Self {
-        Router { boundaries: Vec::new() }
+        Router {
+            boundaries: Vec::new(),
+        }
     }
 
     /// Number of shards (`boundaries + 1`).
@@ -123,16 +129,9 @@ impl<K: ScalarKey> Router<K> {
 impl<K: ScalarKey + ByteEncode> Router<K> {
     /// Encodes the partition map (header + boundaries + CRC trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.boundaries.len() * 8 + 32);
-        out.extend_from_slice(&PARTITION_MAGIC);
-        out.extend_from_slice(&schema_id::<K>().to_le_bytes());
-        bytecode::write_varint(self.boundaries.len() as u64, &mut out);
-        for b in &self.boundaries {
-            b.write(&mut out);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut body = schema_id::<K>().to_le_bytes().to_vec();
+        self.boundaries.write(&mut body);
+        seal(&PARTITION_MAGIC, &body)
     }
 
     /// Decodes a partition map written by [`Router::encode`].
@@ -146,43 +145,25 @@ impl<K: ScalarKey + ByteEncode> Router<K> {
     /// [`StoreError::Corrupt`] / [`StoreError::InvalidBoundaries`] for
     /// framing or ordering violations.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < PARTITION_MAGIC.len() + 4 + 4 {
-            return Err(StoreError::Truncated("partition map header"));
-        }
-        if bytes[..PARTITION_MAGIC.len()] != PARTITION_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        let mut pos = PARTITION_MAGIC.len();
-        let found = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
+        let body = unseal(&PARTITION_MAGIC, bytes)?;
+        let (found, list) = body
+            .split_first_chunk::<4>()
+            .ok_or(StoreError::Truncated("partition map schema"))?;
+        let found = u32::from_le_bytes(*found);
         let expected = schema_id::<K>();
         if found != expected {
             return Err(StoreError::SchemaMismatch { found, expected });
         }
-        let count = bytecode::try_read_varint(body, &mut pos)
-            .ok_or(StoreError::Truncated("boundary count"))?;
-        // Checked in the u64 domain (a boundary takes at least one
-        // byte) so a hostile count cannot truncate on a 32-bit usize.
-        if count > body.len() as u64 {
-            return Err(StoreError::Corrupt("boundary count exceeds file size".into()));
-        }
-        let mut boundaries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            // Fallible read: a CRC-valid but mistyped or truncated
-            // boundary is a typed error, not a panic — this file may
-            // come from a foreign or hostile writer.
-            boundaries.push(
-                K::try_read(body, &mut pos).ok_or(StoreError::Truncated("boundary key"))?,
-            );
-        }
-        if pos != body.len() {
-            return Err(StoreError::Corrupt("trailing bytes after boundaries".into()));
+        // Fallible read: a CRC-valid but mistyped or truncated boundary
+        // list is a typed error, not a panic — this file may come from a
+        // foreign or hostile writer.
+        let mut pos = 0;
+        let boundaries = Vec::<K>::try_read(list, &mut pos)
+            .ok_or_else(|| StoreError::Corrupt("malformed boundary list".into()))?;
+        if pos != list.len() {
+            return Err(StoreError::Corrupt(
+                "trailing bytes after boundaries".into(),
+            ));
         }
         Router::new(boundaries)
     }
@@ -241,6 +222,8 @@ impl Router<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::crc32;
+    use codecs::bytecode;
 
     #[test]
     fn shard_of_respects_half_open_ranges() {
@@ -319,7 +302,10 @@ mod tests {
         assert_eq!(r.shards_overlapping(&15, &12).count(), 0);
         // Reversed across shards, and on a single-shard router.
         assert_eq!(r.shards_overlapping(&15, &5).count(), 0);
-        assert_eq!(Router::<u64>::single().shards_overlapping(&9, &3).count(), 0);
+        assert_eq!(
+            Router::<u64>::single().shards_overlapping(&9, &3).count(),
+            0
+        );
         // Degenerate-but-forward single-point query stays non-empty.
         assert_eq!(r.shards_overlapping(&12, &12).count(), 1);
     }
@@ -352,6 +338,21 @@ mod tests {
             Router::<u64>::decode(&bytes).unwrap_err(),
             StoreError::Corrupt(_)
         ));
+
+        // A boundary count equal to the bytes left whose keys then run
+        // out, and a count one past the bytes left.
+        for list in [[2u8, 1, 0x80], [3, 1, 2]] {
+            let mut body = Vec::new();
+            body.extend_from_slice(&PARTITION_MAGIC);
+            body.extend_from_slice(&schema_id::<u64>().to_le_bytes());
+            body.extend_from_slice(&list);
+            let mut bytes = body.clone();
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            assert!(matches!(
+                Router::<u64>::decode(&bytes).unwrap_err(),
+                StoreError::Corrupt(_)
+            ));
+        }
     }
 
     #[test]

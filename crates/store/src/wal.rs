@@ -22,8 +22,11 @@
 //! silently truncated "torn tail" — the hazard any future payload
 //! change would otherwise reintroduce.
 //!
-//! An op is a tag byte (`0` put, `1` delete) followed by the
-//! [`codecs::ByteEncode`]d key (and value, for puts). The schema field
+//! The participants and the ops are `Vec`s in the
+//! [`codecs::ByteEncode`] grammar (a varint count, then the items): a
+//! participant is a varint `u32`, an op is [`Op`]'s encoding — a tag
+//! byte (`0` put, `1` delete), the key, then the value of a put — the
+//! same bytes the wire carries in a put batch. The schema field
 //! is the entry-type fingerprint ([`crate::checksum::schema_id`]):
 //! replaying a log with mismatched key/value types is a typed error,
 //! not a misparse.
@@ -48,13 +51,12 @@
 use std::fs::File;
 use std::io::Write;
 
-use codecs::{bytecode, ByteEncode};
+use codecs::{bytecode, write_list, ByteEncode};
 
 use crate::checksum::crc32;
 use crate::mvcc::Op;
-
-const OP_PUT: u8 = 0;
-const OP_DELETE: u8 = 1;
+#[cfg(test)]
+use crate::mvcc::OP_PUT;
 
 /// Format byte of every record payload this build writes and reads
 /// (revision 2 of the WAL record layout: global id + participants).
@@ -90,24 +92,8 @@ pub fn encode_record<K: ByteEncode, V: ByteEncode>(
     bytecode::write_varint(version, &mut payload);
     payload.extend_from_slice(&schema.to_le_bytes());
     bytecode::write_varint(global, &mut payload);
-    bytecode::write_varint(participants.len() as u64, &mut payload);
-    for &p in participants {
-        bytecode::write_varint(u64::from(p), &mut payload);
-    }
-    bytecode::write_varint(ops.len() as u64, &mut payload);
-    for op in ops {
-        match op {
-            Op::Put(k, v) => {
-                payload.push(OP_PUT);
-                k.write(&mut payload);
-                v.write(&mut payload);
-            }
-            Op::Delete(k) => {
-                payload.push(OP_DELETE);
-                k.write(&mut payload);
-            }
-        }
-    }
+    write_list(participants, &mut payload);
+    write_list(ops, &mut payload);
     frame(&payload)
 }
 
@@ -324,8 +310,8 @@ enum Parse<K, V> {
 /// Every field read is fallible ([`bytecode::try_read_varint`] /
 /// [`ByteEncode::try_read`]): a CRC-valid frame only proves the payload
 /// is what its writer framed, not that the writer was honest, so a
-/// crafted record whose op bytes are truncated or mistyped must land in
-/// [`Parse::Bad`] — never a panic.
+/// crafted record whose counts or op bytes lie must land in
+/// [`Parse::Bad`] — never a panic or an allocation past the payload.
 fn parse_payload<K: ByteEncode, V: ByteEncode>(
     payload: &[u8],
     expected_schema: u32,
@@ -338,45 +324,14 @@ fn parse_payload<K: ByteEncode, V: ByteEncode>(
             return Some(Parse::FormatMismatch { found: format });
         }
         let version = bytecode::try_read_varint(payload, &mut at)?;
-        let schema_end = at.checked_add(4)?;
-        if schema_end > payload.len() {
-            return None;
-        }
-        let found = u32::from_le_bytes(payload[at..schema_end].try_into().expect("4 bytes"));
-        at = schema_end;
+        let found = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?);
+        at += 4;
         if found != expected_schema {
             return Some(Parse::SchemaMismatch { found });
         }
         let global = bytecode::try_read_varint(payload, &mut at)?;
-        // Counts are checked in the u64 domain (each item takes at
-        // least one byte) so a hostile count can neither truncate on
-        // narrowing nor pre-allocate an absurd Vec.
-        let pcount = bytecode::try_read_varint(payload, &mut at)?;
-        if pcount > payload.len() as u64 {
-            return None;
-        }
-        let mut participants = Vec::with_capacity(pcount as usize);
-        for _ in 0..pcount {
-            participants.push(u32::try_from(bytecode::try_read_varint(payload, &mut at)?).ok()?);
-        }
-        let count = bytecode::try_read_varint(payload, &mut at)?;
-        if count > payload.len() as u64 {
-            return None;
-        }
-        let mut ops = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let tag = *payload.get(at)?;
-            at += 1;
-            match tag {
-                OP_PUT => {
-                    let k = K::try_read(payload, &mut at)?;
-                    let v = V::try_read(payload, &mut at)?;
-                    ops.push(Op::Put(k, v));
-                }
-                OP_DELETE => ops.push(Op::Delete(K::try_read(payload, &mut at)?)),
-                _ => return None,
-            }
-        }
+        let participants = Vec::<u32>::try_read(payload, &mut at)?;
+        let ops = Vec::<Op<K, V>>::try_read(payload, &mut at)?;
         if at != payload.len() {
             return None;
         }
@@ -580,6 +535,24 @@ mod tests {
             let r = replay::<u64, u64>(&hostile_frame(&payload), SCHEMA);
             assert!(r.torn, "count {count}");
             assert_eq!(r.records.len(), 0, "count {count}");
+        }
+        // Participant and op counts equal to the bytes left whose items
+        // then run out, and counts one past the bytes left.
+        let lists: [&[u8]; 4] = [
+            &[2, 1, 0x80],
+            &[3, 1, 2],
+            &[0, 2, super::OP_PUT, 5],
+            &[0, 3, super::OP_PUT, 5],
+        ];
+        for lists in lists {
+            let mut payload = vec![LOG_FORMAT];
+            bytecode::write_varint(1, &mut payload);
+            payload.extend_from_slice(&SCHEMA.to_le_bytes());
+            bytecode::write_varint(1, &mut payload);
+            payload.extend_from_slice(lists);
+            let r = replay::<u64, u64>(&hostile_frame(&payload), SCHEMA);
+            assert!(r.torn, "lists {lists:?}");
+            assert_eq!(r.records.len(), 0, "lists {lists:?}");
         }
     }
 
