@@ -84,12 +84,24 @@ impl EncodedBlock {
     /// A block with no restarts: `count` entries packed in `bytes` and
     /// an empty sample table. Only [`GammaCodec`](crate::GammaCodec)'s
     /// bit-granular blocks are built this way; a delta stream always
-    /// comes out of this module's writer or parse, with its table.
+    /// comes out of this module's writer or parse, with its table, or
+    /// is rebuilt with the table that parse kept
+    /// ([`with_samples`](Self::with_samples)).
     pub(crate) fn from_parts(bytes: Box<[u8]>, count: u32) -> Self {
         EncodedBlock {
             bytes,
             count,
             samples: Box::default(),
+        }
+    }
+
+    /// `bytes` with the restart table `samples` an earlier parse of the
+    /// same bytes derived ([`BlockIndex`](crate::BlockIndex)).
+    pub(crate) fn with_samples(bytes: Box<[u8]>, count: u32, samples: Box<[u32]>) -> Self {
+        EncodedBlock {
+            bytes,
+            count,
+            samples,
         }
     }
 

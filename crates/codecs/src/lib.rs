@@ -37,6 +37,7 @@ mod chain;
 pub mod gamma;
 
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 pub use chain::{DeltaCursor, EncodedBlock, RESTART_INTERVAL};
 
@@ -966,6 +967,32 @@ impl std::fmt::Display for BlockIoError {
 
 impl std::error::Error for BlockIoError {}
 
+/// What a successful parse of one block frame learned: its entry count,
+/// its payload length and, for a [`DeltaCodec`] block, its restart
+/// table. [`BlockIo::read_block_indexed`] builds one on the first read
+/// of a frame and, given it again, rebuilds the same block from the same
+/// bytes without walking its entries. Only a parse builds one, so a
+/// block rebuilt from an index carries the table its own bytes gave.
+#[derive(Debug)]
+pub struct BlockIndex {
+    count: usize,
+    len: usize,
+    samples: Box<[u32]>,
+}
+
+impl BlockIndex {
+    /// Checks that a frame of `count` entries in `len` payload bytes is
+    /// the one this index was parsed from, as far as its shape tells.
+    fn check(&self, count: usize, len: usize) -> Result<(), BlockIoError> {
+        if (count, len) != (self.count, self.len) {
+            return Err(BlockIoError::Malformed(
+                "block frame disagrees with its index",
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Byte-stream serialization of encoded blocks, for storage.
 ///
 /// A codec implementing `BlockIo` can write its blocks into a flat byte
@@ -998,6 +1025,42 @@ pub trait BlockIo<E>: Codec<E> {
     ///
     /// [`BlockIoError`] on truncated or structurally impossible framing.
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError>;
+
+    /// Reads one framed block as [`read_block`](Self::read_block) does,
+    /// parsing its entries only the first time. With `index` empty, the
+    /// frame is parsed and what the parse learned is kept in `index`.
+    /// With `index` set, the frame is trusted to hold the bytes that
+    /// parse saw: only its entry count and payload length are checked
+    /// against the index before the payload is copied into the block.
+    /// The caller must hand the same bytes to every call with one index
+    /// (the `store` crate checks a record's CRC before its first read).
+    ///
+    /// The default parses on every call; [`DeltaCodec`] and
+    /// [`GammaCodec`] override it. [`RawCodec`]'s parse is its decode,
+    /// so there is nothing to skip.
+    ///
+    /// # Errors
+    ///
+    /// Every [`read_block`](Self::read_block) error, and
+    /// [`BlockIoError::Malformed`] when the frame's count or payload
+    /// length differs from a set `index`'s.
+    fn read_block_indexed(
+        buf: &[u8],
+        pos: &mut usize,
+        index: &OnceLock<BlockIndex>,
+    ) -> Result<Self::Block, BlockIoError> {
+        let (count, payload) = read_frame(buf, &mut pos.clone())?;
+        if let Some(kept) = index.get() {
+            kept.check(count, payload.len())?;
+        }
+        let block = Self::read_block(buf, pos)?;
+        let _ = index.set(BlockIndex {
+            count,
+            len: payload.len(),
+            samples: Box::default(),
+        });
+        Ok(block)
+    }
 }
 
 /// Reads the `(count, payload)` frame header shared by all `BlockIo`
@@ -1060,6 +1123,33 @@ fn read_encoded_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(u32, &'a [u
     Ok((count, payload))
 }
 
+/// Shared [`BlockIo::read_block_indexed`] body for codecs whose block is
+/// an [`EncodedBlock`]: `parse` runs on the first read only, and a later
+/// read copies the payload and attaches the kept restart table.
+fn read_encoded_indexed(
+    buf: &[u8],
+    pos: &mut usize,
+    index: &OnceLock<BlockIndex>,
+    parse: impl FnOnce(&[u8], u32) -> Result<EncodedBlock, BlockIoError>,
+) -> Result<EncodedBlock, BlockIoError> {
+    let (count, payload) = read_encoded_frame(buf, pos)?;
+    if let Some(kept) = index.get() {
+        kept.check(count as usize, payload.len())?;
+        return Ok(EncodedBlock::with_samples(
+            payload.into(),
+            count,
+            kept.samples.clone(),
+        ));
+    }
+    let block = parse(payload, count)?;
+    let _ = index.set(BlockIndex {
+        count: count as usize,
+        len: payload.len(),
+        samples: block.sample_offsets().into(),
+    });
+    Ok(block)
+}
+
 impl<E: Delta + Clone + Send + Sync + 'static> BlockIo<E> for DeltaCodec {
     const CODEC_ID: u8 = 1;
     const CODEC_NAME: &'static str = "delta";
@@ -1071,6 +1161,14 @@ impl<E: Delta + Clone + Send + Sync + 'static> BlockIo<E> for DeltaCodec {
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
         let (count, payload) = read_encoded_frame(buf, pos)?;
         chain::parse::<E>(payload, count)
+    }
+
+    fn read_block_indexed(
+        buf: &[u8],
+        pos: &mut usize,
+        index: &OnceLock<BlockIndex>,
+    ) -> Result<Self::Block, BlockIoError> {
+        read_encoded_indexed(buf, pos, index, chain::parse::<E>)
     }
 }
 
@@ -1084,19 +1182,33 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> BlockIo<E> for GammaCodec {
 
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
         let (count, payload) = read_encoded_frame(buf, pos)?;
-        let mut r = BitReader::new(payload);
-        for _ in 0..count {
-            r.try_read_gamma0().ok_or(BlockIoError::Malformed(
-                "gamma block code truncated or malformed",
-            ))?;
-        }
-        if r.bytes_read() != payload.len() {
-            return Err(BlockIoError::Malformed(
-                "gamma block payload length mismatch",
-            ));
-        }
-        Ok(EncodedBlock::from_parts(payload.into(), count))
+        parse_gamma(payload, count)
     }
+
+    fn read_block_indexed(
+        buf: &[u8],
+        pos: &mut usize,
+        index: &OnceLock<BlockIndex>,
+    ) -> Result<Self::Block, BlockIoError> {
+        read_encoded_indexed(buf, pos, index, parse_gamma)
+    }
+}
+
+/// Checks that `payload` holds exactly `count` gamma codes and keeps it
+/// as a block.
+fn parse_gamma(payload: &[u8], count: u32) -> Result<EncodedBlock, BlockIoError> {
+    let mut r = BitReader::new(payload);
+    for _ in 0..count {
+        r.try_read_gamma0().ok_or(BlockIoError::Malformed(
+            "gamma block code truncated or malformed",
+        ))?;
+    }
+    if r.bytes_read() != payload.len() {
+        return Err(BlockIoError::Malformed(
+            "gamma block payload length mismatch",
+        ));
+    }
+    Ok(EncodedBlock::from_parts(payload.into(), count))
 }
 
 #[cfg(test)]
@@ -1344,6 +1456,96 @@ mod tests {
             <RawCodec as BlockIo<u64>>::read_block(&frame, &mut pos),
             Err(BlockIoError::Malformed(_))
         ));
+    }
+
+    /// Block sizes around the restart grid: empty, one entry, a table
+    /// that is empty, that ends exactly at a restart, and that ends one
+    /// entry after one.
+    const INDEX_SIZES: [u64; 10] = [0, 1, 63, 64, 65, 128, 129, 192, 193, 256];
+
+    /// The frame `BlockIo` writes for `entries`.
+    fn framed<E, C: BlockIo<E>>(entries: &[E]) -> Vec<u8> {
+        let mut out = Vec::new();
+        C::write_block(&C::encode(entries), &mut out);
+        out
+    }
+
+    /// Reads `frame` through an empty index (the parse) and twice more
+    /// through the index that read filled: every read equals
+    /// `read_block` of the same bytes and consumes the whole frame.
+    fn rereads_match<E, C>(frame: &[u8])
+    where
+        C: BlockIo<E>,
+        C::Block: PartialEq + std::fmt::Debug,
+    {
+        let parsed = C::read_block(frame, &mut 0).unwrap();
+        let index = OnceLock::new();
+        for read in 0..3 {
+            let mut pos = 0;
+            let back = C::read_block_indexed(frame, &mut pos, &index).unwrap();
+            assert_eq!(back, parsed, "read {read}");
+            assert_eq!(pos, frame.len(), "read {read}");
+            assert!(index.get().is_some());
+        }
+    }
+
+    #[test]
+    fn block_io_indexed_rereads_equal_a_parse() {
+        for n in INDEX_SIZES {
+            let pairs: Vec<(u64, u64)> = (0..n).map(|i| (5 + 9 * i, i * i)).collect();
+            let keys: Vec<u64> = pairs.iter().map(|e| e.0).collect();
+            rereads_match::<(u64, u64), RawCodec>(&framed::<_, RawCodec>(&pairs));
+            rereads_match::<(u64, u64), DeltaCodec>(&framed::<_, DeltaCodec>(&pairs));
+            rereads_match::<u64, DeltaCodec>(&framed::<_, DeltaCodec>(&keys));
+            rereads_match::<u64, GammaCodec>(&framed::<_, GammaCodec>(&keys));
+        }
+    }
+
+    /// Every frame of `frames` read with an index parsed from another
+    /// one, and every strict cut of the frame the index came from, is a
+    /// typed error.
+    fn mismatched_indexes_are_refused<E, C: BlockIo<E>>(frames: &[Vec<u8>]) {
+        for (i, own) in frames.iter().enumerate() {
+            let index = OnceLock::new();
+            C::read_block_indexed(own, &mut 0, &index).unwrap();
+            for (j, other) in frames.iter().enumerate().filter(|&(j, _)| j != i) {
+                assert!(
+                    matches!(
+                        C::read_block_indexed(other, &mut 0, &index),
+                        Err(BlockIoError::Malformed(_))
+                    ),
+                    "frame {j} read with frame {i}'s index"
+                );
+            }
+            for cut in 0..own.len() {
+                assert!(
+                    matches!(
+                        C::read_block_indexed(&own[..cut], &mut 0, &index),
+                        Err(BlockIoError::Malformed(_) | BlockIoError::Truncated)
+                    ),
+                    "frame {i} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_io_mismatched_index_is_a_typed_error() {
+        // Sizes whose frames differ in count or payload length, plus a
+        // frame of the same count but wider gaps (another payload length).
+        let blocks: Vec<Vec<(u64, u64)>> = [(65, 1), (129, 1), (129, 1_000), (193, 1)]
+            .iter()
+            .map(|&(n, gap)| (0..n).map(|i| (gap * i, i)).collect())
+            .collect();
+        let frames =
+            |f: fn(&[(u64, u64)]) -> Vec<u8>| blocks.iter().map(|b| f(b)).collect::<Vec<_>>();
+        mismatched_indexes_are_refused::<(u64, u64), RawCodec>(&frames(framed::<_, RawCodec>));
+        mismatched_indexes_are_refused::<(u64, u64), DeltaCodec>(&frames(framed::<_, DeltaCodec>));
+        let keys: Vec<Vec<u8>> = blocks
+            .iter()
+            .map(|b| framed::<_, GammaCodec>(&b.iter().map(|e| e.0).collect::<Vec<u64>>()))
+            .collect();
+        mismatched_indexes_are_refused::<u64, GammaCodec>(&keys);
     }
 
     /// `count`, then `payload`, framed as `BlockIo` writes it.

@@ -46,6 +46,9 @@ pub(crate) struct PageCounters {
     pub page_bytes_written: Arc<Counter>,
     pub pages_read: Arc<Counter>,
     pub page_bytes_read: Arc<Counter>,
+    /// Leaf records CRC-checked and parsed: once per record of an
+    /// opened page file, however often the pool re-loads it.
+    pub records_parsed: Arc<Counter>,
 }
 
 pub(crate) fn page_counters() -> &'static PageCounters {
@@ -57,6 +60,7 @@ pub(crate) fn page_counters() -> &'static PageCounters {
             page_bytes_written: r.counter("pacstore_page_bytes_written_total"),
             pages_read: r.counter("pacstore_pages_read_total"),
             page_bytes_read: r.counter("pacstore_page_bytes_read_total"),
+            records_parsed: r.counter("pacstore_records_parsed_total"),
         }
     })
 }

@@ -45,16 +45,21 @@
 //! Integrity: the metadata CRC is verified before any field is parsed,
 //! every offset, length and index taken from the file goes through
 //! checked arithmetic and a bound against the file length, and a
-//! record's CRC is verified when the record is read (lazily: on its
-//! first load) — so truncations, bit flips and hostile lengths surface
-//! as typed [`StoreError`]s, never as panics or silently wrong data.
+//! record's CRC is verified when the record is read — so truncations,
+//! bit flips and hostile lengths surface as typed [`StoreError`]s, never
+//! as silently wrong data. Lazily, a record is verified and parsed on
+//! its first load only; later loads reuse what that parse learned. A
+//! lazy record that fails at a load (a bad CRC, or a read error) can
+//! only panic with its typed error's message, because
+//! [`BlockSource::load`] has no error channel (DESIGN.md §5); ROADMAP
+//! item 9 (b) gives `load` a `Result`. Every other failure, and every
+//! failure of an eager read, is a returned error.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use codecs::{bytecode, BlockIo, ByteEncode, Codec};
+use codecs::{bytecode, BlockIndex, BlockIo, ByteEncode, Codec};
 use cpam::structure::{BuildError, NodeOwned, NodeRef};
 use cpam::{Augmentation, BlockSource, Element, Entry, PacOrd};
 
@@ -323,33 +328,45 @@ struct Record {
     len: usize,
     crc: u32,
     entries: u64,
-    /// "CRC verified" latch for lazy loads: a record is checked on its
-    /// first load only; re-loads after eviction trust the kernel page
-    /// cache / disk to return what was already verified.
-    verified: AtomicBool,
+    /// Set by the record's first successful load, which checked its CRC
+    /// and parsed it: its presence means "verified and indexed". A
+    /// re-load after an eviction trusts the kernel page cache / disk to
+    /// return those same bytes, so it skips the CRC and the parse and
+    /// rebuilds the block from this index
+    /// ([`BlockIo::read_block_indexed`]).
+    index: OnceLock<BlockIndex>,
 }
 
-/// Decodes the leaf record `bytes` against its tag.
-fn decode_record<T: DiskTree>(
-    bytes: &[u8],
-    rec: &Record,
-    verify_crc: bool,
-) -> Result<BlockOf<T>, StoreError> {
-    if verify_crc {
-        let computed = crc32(bytes);
-        if computed != rec.crc {
-            return Err(StoreError::ChecksumMismatch {
-                stored: rec.crc,
-                computed,
-            });
+/// Decodes the leaf record `bytes` against its tag: on its first load,
+/// a CRC check and a parse that fills `rec.index`; on a later one, a
+/// copy checked against that index.
+fn decode_record<T: DiskTree>(bytes: &[u8], rec: &Record) -> Result<BlockOf<T>, StoreError> {
+    // A first load parses into `fresh`, which is kept only once every
+    // check below has passed.
+    let fresh = OnceLock::new();
+    let index = match rec.index.get() {
+        Some(_) => &rec.index,
+        None => {
+            let computed = crc32(bytes);
+            if computed != rec.crc {
+                return Err(StoreError::ChecksumMismatch {
+                    stored: rec.crc,
+                    computed,
+                });
+            }
+            &fresh
         }
-    }
+    };
     let mut pos = 0;
-    let block = T::Codec::read_block(bytes, &mut pos)?;
+    let block = T::Codec::read_block_indexed(bytes, &mut pos, index)?;
     if pos != bytes.len() || T::Codec::len(&block) as u64 != rec.entries {
         return Err(StoreError::Corrupt(
             "leaf record disagrees with its structure tag".into(),
         ));
+    }
+    if let Some(parsed) = fresh.into_inner() {
+        let _ = rec.index.set(parsed);
+        crate::metrics::page_counters().records_parsed.inc();
     }
     Ok(block)
 }
@@ -389,13 +406,13 @@ fn parse_structure<T: DiskTree>(
                     len,
                     crc,
                     entries,
-                    verified: false.into(),
+                    index: OnceLock::new(),
                 };
                 off = end;
                 match image {
                     Some(image) => {
                         let bytes = &image[rec.off as usize..end as usize];
-                        NodeOwned::Flat(decode_record::<T>(bytes, &rec, true)?)
+                        NodeOwned::Flat(decode_record::<T>(bytes, &rec)?)
                     }
                     None => {
                         let too_big = |_| StoreError::Corrupt("leaf reference out of range".into());
@@ -518,13 +535,13 @@ struct PageSource<T: DiskTree> {
 }
 
 impl<T: DiskTree> PageSource<T> {
-    /// Reads, verifies (first load only) and decodes record `page`.
+    /// Reads record `page`, verifying and parsing it on its first load
+    /// only.
     fn fetch(&self, page: u32) -> Result<(Arc<BlockOf<T>>, usize), StoreError> {
         let rec = &self.records[page as usize];
         let mut bytes = vec![0u8; rec.len];
         pread(&self.file, &mut bytes, rec.off)?;
-        let block = decode_record::<T>(&bytes, rec, !rec.verified.load(Ordering::Acquire))?;
-        rec.verified.store(true, Ordering::Release);
+        let block = decode_record::<T>(&bytes, rec)?;
         crate::metrics::page_counters()
             .page_bytes_read
             .add(rec.len as u64);
@@ -782,7 +799,7 @@ mod tests {
     use super::*;
     use codecs::{DeltaCodec, RawCodec};
     use cpam::{NoAug, PacMap, PacSet};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     type DeltaMap = PacMap<u64, u64, NoAug, DeltaCodec>;
     type RawMap = PacMap<u64, u64, NoAug, RawCodec>;

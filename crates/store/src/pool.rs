@@ -161,7 +161,8 @@ impl<B> BufferPool<B> {
             let slot = Self::clock_victim(&mut state);
             let evicted = std::mem::replace(&mut state.frames[slot], frame);
             state.table.remove(&evicted.page);
-            self.resident_bytes.fetch_sub(evicted.bytes, Ordering::Relaxed);
+            self.resident_bytes
+                .fetch_sub(evicted.bytes, Ordering::Relaxed);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             slot
         };
@@ -205,7 +206,9 @@ impl<B> BufferPool<B> {
 
 impl<B> std::fmt::Debug for BufferPool<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufferPool").field("stats", &self.stats()).finish()
+        f.debug_struct("BufferPool")
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -221,7 +224,9 @@ mod tests {
     fn hit_after_miss_and_stats() {
         let pool = BufferPool::new(4);
         assert_eq!(*pool.get((0, 7), fetch(7)).unwrap(), vec![7; 4]);
-        let again = pool.get((0, 7), || panic!("resident page refetched")).unwrap();
+        let again = pool
+            .get((0, 7), || panic!("resident page refetched"))
+            .unwrap();
         assert_eq!(*again, vec![7; 4]);
         let s = pool.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
@@ -234,7 +239,9 @@ mod tests {
         let pool = BufferPool::new(3);
         // Holding every returned handle pins the blocks, not the frames:
         // the pool itself never goes over budget.
-        let held: Vec<_> = (0..10).map(|p| pool.get((0, p), fetch(p)).unwrap()).collect();
+        let held: Vec<_> = (0..10)
+            .map(|p| pool.get((0, p), fetch(p)).unwrap())
+            .collect();
         let s = pool.stats();
         assert_eq!(s.resident_pages, 3);
         assert_eq!(s.resident_bytes, 48);
@@ -262,7 +269,9 @@ mod tests {
     #[test]
     fn fetch_error_leaves_pool_unchanged() {
         let pool = BufferPool::<Vec<u32>>::new(2);
-        let err = pool.get((0, 9), || Err(StoreError::Truncated("page"))).unwrap_err();
+        let err = pool
+            .get((0, 9), || Err(StoreError::Truncated("page")))
+            .unwrap_err();
         assert!(matches!(err, StoreError::Truncated("page")));
         let s = pool.stats();
         assert_eq!(s.resident_pages, 0);
@@ -278,7 +287,12 @@ mod tests {
         pool.get((a, 0), fetch(1)).unwrap();
         // Same record index, other file: a miss, not file a's block.
         assert_eq!(*pool.get((b, 0), fetch(2)).unwrap(), vec![2; 4]);
-        assert_eq!(*pool.get((a, 0), || panic!("resident page refetched")).unwrap(), vec![1; 4]);
+        assert_eq!(
+            *pool
+                .get((a, 0), || panic!("resident page refetched"))
+                .unwrap(),
+            vec![1; 4]
+        );
     }
 
     #[test]

@@ -9,7 +9,24 @@ use store::{
     SNAPSHOT_FILE,
 };
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
+
+use codecs::DeltaCodec;
+
+/// Every test here reads page files, and every record a read parses
+/// counts in the process-wide `pacstore_records_parsed_total`. Each test
+/// holds this gate, so a test counting parses sees only its own.
+static PAGES: Mutex<()> = Mutex::new(());
+
+fn page_gate() -> MutexGuard<'static, ()> {
+    PAGES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn records_parsed() -> u64 {
+    obs::global().counter_value("pacstore_records_parsed_total").unwrap_or(0)
+}
 
 /// A fresh, empty scratch directory unique to this test.
 fn scratch(name: &str) -> PathBuf {
@@ -38,6 +55,7 @@ const N: u64 = 50_000;
 
 #[test]
 fn lazy_open_reads_no_leaf_and_residency_is_bounded() {
+    let _g = page_gate();
     let dir = scratch("lazy-open");
     {
         let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
@@ -154,16 +172,19 @@ fn on_both_handles(name: &str, check: fn(Get, Stats)) {
 
 #[test]
 fn k_rereads_of_one_key_are_k_pool_hits_and_no_miss() {
+    let _g = page_gate();
     on_both_handles("reread-hits", rereads_are_hits);
 }
 
 #[test]
 fn a_reread_leaf_survives_the_sweep_that_evicts_an_untouched_one() {
+    let _g = page_gate();
     on_both_handles("second-chance", reread_leaf_survives_a_sweep);
 }
 
 #[test]
 fn incrementals_and_wal_replay_chain_onto_lazy_base() {
+    let _g = page_gate();
     let dir = scratch("lazy-chain");
     {
         let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
@@ -192,6 +213,7 @@ fn incrementals_and_wal_replay_chain_onto_lazy_base() {
 
 #[test]
 fn sharded_lazy_store_keeps_per_shard_pools() {
+    let _g = page_gate();
     let dir = scratch("sharded-lazy");
     let router = Router::uniform_span(4, N);
     {
@@ -225,6 +247,7 @@ fn sharded_lazy_store_keeps_per_shard_pools() {
 
 #[test]
 fn unpooled_stores_report_no_pool() {
+    let _g = page_gate();
     let dir = scratch("unpooled");
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
     assert!(store.pool_stats().is_none());
@@ -284,6 +307,52 @@ fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
 
 #[test]
 fn a_one_key_commit_writes_exactly_one_leaf_record() {
+    let _g = page_gate();
     one_key_commit_dirties_one_leaf("one-leaf-pooled", pooled(8));
     one_key_commit_dirties_one_leaf("one-leaf-eager", unpooled());
+}
+
+/// Two full sweeps of a lazily opened delta store through a 2-page pool:
+/// a scan, then a point read of every key and of every gap between. Each
+/// sweep re-loads every record, and only the first load of a record
+/// checks its CRC and parses it; an eager open of the same file parses
+/// each record once too.
+#[test]
+fn a_lazy_record_is_parsed_once_however_often_it_is_reloaded() {
+    let _g = page_gate();
+    let dir = scratch("parse-once");
+    let oracle: BTreeMap<u64, u64> = (0..N).map(|k| (k * 2, k ^ 0x5555)).collect();
+    {
+        let store: PacStore<u64, u64, DeltaCodec> = PacStore::open_with(&dir, unpooled()).unwrap();
+        store.commit(oracle.iter().map(|(&k, &v)| Op::Put(k, v)).collect()).unwrap();
+        store.save().unwrap();
+    }
+
+    let before = records_parsed();
+    let store: PacStore<u64, u64, DeltaCodec> = PacStore::open_with(&dir, pooled(2)).unwrap();
+    let records = store.snapshot().map().space_stats().lazy_nodes as u64;
+    assert!(records > 100, "{records} leaf records");
+    assert_eq!(records_parsed(), before, "a lazy open parsed a record");
+
+    let snap = store.snapshot();
+    assert!(snap.map().iter().eq(oracle.iter().map(|(&k, &v)| (k, v))));
+    drop(snap);
+    let scanned = store.pool_stats().unwrap();
+    assert_eq!(scanned.misses, records, "the scan loaded each record once");
+    assert_eq!(records_parsed() - before, records);
+
+    for k in 0..2 * N {
+        assert_eq!(store.get(&k), oracle.get(&k).copied(), "get({k})");
+    }
+    let read = store.pool_stats().unwrap();
+    assert_eq!(read.misses - scanned.misses, records, "the reads re-loaded each record once");
+    assert_eq!(records_parsed() - before, records, "a re-load parsed its record again");
+    drop(store);
+
+    let before = records_parsed();
+    let store: PacStore<u64, u64, DeltaCodec> = PacStore::open_with(&dir, unpooled()).unwrap();
+    assert_eq!(records_parsed() - before, records, "an eager open parses each record once");
+    assert!(store.snapshot().map().iter().eq(oracle.iter().map(|(&k, &v)| (k, v))));
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
