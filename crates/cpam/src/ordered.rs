@@ -22,6 +22,7 @@ use crate::aug::{Augmentation, NoAug};
 use crate::entry::{Edit, Entry};
 use crate::iter::Iter;
 use crate::node::{aug_of, size, SpaceStats, Tree};
+use crate::structure::{BuildError, NodeOwned, NodeRef};
 use crate::{algos, base, join as jn, setops, structure, verify, DEFAULT_B};
 
 /// A purely-functional ordered collection of entries `E` with blocked,
@@ -480,20 +481,19 @@ where
     ///
     /// With `base`, subtrees physically shared with it (same `Arc`
     /// allocation, i.e. untouched since `base` was pinned) are reported
-    /// as a single [`structure::NodeRef::Shared`] carrying the subtree's
-    /// pre-order index in `base`, and are not descended into: a page
-    /// diffed against the previous checkpoint's pinned root serializes
-    /// only the new nodes. Sound only while the caller keeps `base`
-    /// alive for the duration of the walk — a pinned base keeps its
-    /// refcounts ≥ 2, which the in-place-reuse machinery treats as
-    /// immutable.
-    pub fn visit_nodes(
-        &self,
-        base: Option<&Self>,
-        f: &mut impl FnMut(structure::NodeRef<'_, E, C::Block>),
-    ) {
-        let index = base.map(|base| structure::index_preorder(&base.root));
-        structure::visit_preorder(&self.root, index.as_ref(), f);
+    /// as a single [`structure::NodeRef::Shared`] and are not descended
+    /// into: a page diffed against the previous checkpoint's pinned root
+    /// serializes only the new nodes. A shared subtree is named by the
+    /// base rank of its first entry and its entry count. Each node the
+    /// walk reaches is looked up by one `O(log n)` descent of `base`,
+    /// so the walk costs `O(log n)` per new node and never enumerates
+    /// `base` or reads one of its leaves; a lazy leaf of `self` is read
+    /// only to place it beside a key deleted since `base`. Sound only
+    /// while the caller keeps `base` alive for the duration of the
+    /// walk — a pinned base keeps its refcounts ≥ 2, which the
+    /// in-place-reuse machinery treats as immutable.
+    pub fn visit_nodes(&self, base: Option<&Self>, f: &mut impl FnMut(NodeRef<'_, E, C::Block>)) {
+        structure::visit_preorder(&self.root, base.map(|b| &b.root), (None, None), f);
     }
 
     /// Bulk constructor from a pre-order node stream — the inverse of
@@ -503,19 +503,22 @@ where
     ///
     /// `base` must be behaviourally equal to the tree the encoder
     /// walked against (same shape and blocks; typically the decoded
-    /// previous checkpoint): shared references resolve to its subtrees,
-    /// so the result shares structure with it. `src` is where
-    /// [`structure::NodeOwned::Lazy`] leaves materialize from, on first
-    /// access (`find`/`range`/iteration touch only the pages their path
-    /// crosses) — building them is `O(structure)` work, independent of
-    /// the data size, and only valid for unaugmented collections.
+    /// previous checkpoint): a shared reference `(rank, len)` resolves
+    /// to the subtree of `base` whose first entry has rank `rank` and
+    /// which holds `len` entries, found by one `O(log n)` descent over
+    /// cached sizes that reads no leaf, so the result shares structure
+    /// with it. `src` is where [`structure::NodeOwned::Lazy`] leaves
+    /// materialize from, on first access (`find`/`range`/iteration touch
+    /// only the pages their path crosses) — building them is
+    /// `O(structure)` work, independent of the data size, and only valid
+    /// for unaugmented collections.
     ///
     /// # Errors
     ///
     /// [`structure::BuildError`] when the stream's source fails or the
     /// stream is structurally invalid (oversized leaves, runaway depth,
-    /// shared indices past the base tree, lazy leaves without a source
-    /// or in an augmented collection).
+    /// shared references that match no subtree of the base, lazy leaves
+    /// without a source or in an augmented collection).
     ///
     /// # Panics
     ///
@@ -524,12 +527,11 @@ where
         b: usize,
         base: Option<&Self>,
         src: Option<std::sync::Arc<dyn crate::BlockSource<C::Block>>>,
-        next: &mut impl FnMut() -> Result<structure::NodeOwned<E, C::Block>, S>,
-    ) -> Result<Self, structure::BuildError<S>> {
-        let mut built = Self::with_block_size(b);
-        let subtrees = base.map(|base| structure::collect_preorder(&base.root));
-        built.root = structure::build_preorder(b, subtrees.as_deref(), src.as_ref(), next, 0)?;
-        Ok(built)
+        next: &mut impl FnMut() -> Result<NodeOwned<E, C::Block>, S>,
+    ) -> Result<Self, BuildError<S>> {
+        let built = Self::with_block_size(b);
+        let root = structure::build_preorder(b, base.map(|b| &b.root), src.as_ref(), next, 0)?;
+        Ok(PacOrd { root, ..built })
     }
 
     /// Verifies every structural invariant; returns the first violation.

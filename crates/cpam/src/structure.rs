@@ -25,6 +25,17 @@
 //!   resolve against the optional base tree; leaves may arrive as
 //!   references into an optional [`BlockSource`] instead of as blocks.
 //!
+//! A shared subtree is named by its *coordinate*: the base rank of its
+//! first entry and its entry count. The pair is unique per non-empty
+//! node, because a parent strictly contains its children's entries.
+//! Neither side enumerates the base. The walk finds each node it
+//! reaches in the base by one descent from the base root, steered by the
+//! node's key bounds in the walked tree; the builder finds the subtree
+//! by one descent over cached sizes. Each costs `O(log n)` base nodes
+//! per walked node, and neither reads a base leaf; the walk reads a leaf
+//! of the walked tree only to place it beside a key deleted since the
+//! base.
+//!
 //! The builder trusts the stream's *entry data* (a tree read back from
 //! bytes whose integrity was verified upstream, e.g. by the `store`
 //! page checksums) but still validates structure: impossible block
@@ -32,14 +43,14 @@
 //! streams all produce a typed [`BuildError`] instead of a panic or an
 //! invalid tree.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use codecs::Codec;
 
 use crate::aug::Augmentation;
-use crate::entry::Element;
-use crate::node::{make_flat_from_block, make_lazy, make_regular, BlockSource, Node, Tree};
+use crate::entry::{Element, Entry};
+use crate::node::{make_flat_from_block, make_lazy, make_regular, size, BlockSource, Node, Tree};
 
 /// One node of a pre-order tree walk, by reference.
 #[derive(Debug)]
@@ -54,12 +65,18 @@ pub enum NodeRef<'a, E, B> {
     Flat(&'a B),
     /// Only in a walk against a base tree: the whole subtree is
     /// physically shared with the base (same `Arc` allocation) and is
-    /// not descended into. The value is the subtree root's position in
-    /// the base tree's pre-order enumeration of *non-empty* nodes — a
-    /// purely structural coordinate, so an encoder and a decoder that
-    /// hold behaviourally equal copies of the base (e.g. the in-memory
+    /// not descended into. It is named by its coordinate in the base —
+    /// a purely structural one, so an encoder and a decoder that hold
+    /// behaviourally equal copies of the base (e.g. the in-memory
     /// pinned root and its read-back-from-disk counterpart) agree on it.
-    Shared(u64),
+    /// Finding it cost one descent of the base, which reads no base
+    /// leaf.
+    Shared {
+        /// Base rank of the subtree's first entry.
+        rank: u64,
+        /// The subtree's entry count.
+        len: u64,
+    },
 }
 
 /// One node of a pre-order tree stream, by value (the decode-side
@@ -82,9 +99,16 @@ pub enum NodeOwned<E, B> {
         /// Number of entries on the page.
         len: u32,
     },
-    /// A subtree taken wholesale from the base tree, by its
-    /// base-pre-order index (see [`NodeRef::Shared`]).
-    Shared(u64),
+    /// A subtree taken wholesale from the base tree: the one whose
+    /// first entry has base rank `rank` and which holds `len` entries
+    /// (see [`NodeRef::Shared`]), found by one descent over the base's
+    /// cached sizes.
+    Shared {
+        /// Base rank of the subtree's first entry.
+        rank: u64,
+        /// The subtree's entry count.
+        len: u64,
+    },
 }
 
 /// Why [`from_node_stream`](crate::PacOrd::from_node_stream) rejected a
@@ -113,80 +137,71 @@ impl<S: std::fmt::Debug + std::fmt::Display> std::error::Error for BuildError<S>
 /// so deeper streams can only come from corrupt or adversarial input.
 const MAX_DEPTH: usize = 512;
 
-/// Calls `f` on every non-empty node of `t` in pre-order: the one
-/// enumeration both sides of a [`NodeRef::Shared`] index count by. A
-/// DAG-shared node is visited (and counted) once per path.
-fn each_preorder<E, A, C>(t: &Tree<E, A, C>, f: &mut impl FnMut(&Arc<Node<E, A, C>>))
+/// One descent of `base` from its root — the one way both sides of a
+/// [`NodeRef::Shared`] coordinate find a subtree. Returns the first
+/// subtree `stop` accepts, with the rank of its first entry; below a
+/// regular node it goes where `side` says for the pivot entry and its
+/// rank, and `Equal` (or a leaf or an empty subtree reached first)
+/// ends it empty-handed. It reads no leaf.
+fn descend<E, A, C>(
+    base: &Tree<E, A, C>,
+    stop: impl Fn(&Arc<Node<E, A, C>>, u64) -> bool,
+    side: impl Fn(&E, u64) -> Ordering,
+) -> Option<(&Tree<E, A, C>, u64)>
 where
     E: Element,
     A: Augmentation<E>,
     C: Codec<E>,
 {
-    let Some(arc) = t else { return };
-    f(arc);
-    if let Node::Regular { left, right, .. } = &**arc {
-        each_preorder(left, f);
-        each_preorder(right, f);
+    let (mut cur, mut first) = (base, 0u64);
+    loop {
+        let here = cur.as_ref()?;
+        if stop(here, first) {
+            return Some((cur, first));
+        }
+        let Node::Regular {
+            left, entry, right, ..
+        } = &**here
+        else {
+            return None;
+        };
+        let pivot = first + size(left) as u64;
+        match side(entry, pivot) {
+            Ordering::Less => cur = left,
+            Ordering::Greater => (cur, first) = (right, pivot + 1),
+            Ordering::Equal => return None,
+        }
     }
 }
 
-fn address<T>(arc: &Arc<T>) -> usize {
-    Arc::as_ptr(arc) as *const () as usize
-}
-
-/// Indexes every non-empty node of `t` by allocation address, mapping
-/// it to its pre-order position (the latest one for a node reachable by
-/// several paths — any of them resolves to the same subtree on the
-/// decode side). Shared-with-base detection in [`visit_preorder`] is a
-/// lookup in this map.
-///
-/// Address identity is sound as a "same content" witness only while the
-/// base tree is *pinned* (its `Arc`s held alive by the caller): a live
-/// second reference keeps every refcount ≥ 2, which is exactly the
-/// condition under which the ownership-aware update path refuses to
-/// mutate a node in place. A node inside the base can therefore never
-/// be overwritten while the pin lasts, so pointer equality implies
-/// structural equality.
-pub(crate) fn index_preorder<E, A, C>(t: &Tree<E, A, C>) -> HashMap<usize, u64>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let mut map = HashMap::new();
-    let mut next = 0;
-    each_preorder(t, &mut |arc| {
-        map.insert(address(arc), next);
-        next += 1;
-    });
-    map
-}
-
-/// Collects every non-empty subtree of `t` in pre-order — the decode
-/// side's resolution table for [`NodeOwned::Shared`] indices. Each
-/// entry is an `Arc` clone, so the vector is cheap (`O(n)` pointer
-/// copies) and shares all structure with `t`.
-pub(crate) fn collect_preorder<E, A, C>(t: &Tree<E, A, C>) -> Vec<Tree<E, A, C>>
-where
-    E: Element,
-    A: Augmentation<E>,
-    C: Codec<E>,
-{
-    let mut out = Vec::new();
-    each_preorder(t, &mut |arc| out.push(Some(Arc::clone(arc))));
-    out
-}
-
 /// Pre-order walk of `t`, invoking `f` on every node (including empty
-/// subtrees, which delimit the shape). With `base` — the address index
-/// of a pinned base tree, see [`index_preorder`] — subtrees found in it
-/// are reported as [`NodeRef::Shared`] and pruned.
+/// subtrees, which delimit the shape). `lo`/`hi` are `t`'s key bounds:
+/// the pivots of its nearest ancestors left and right (`None` at the
+/// root), so every key under `t` lies strictly between them.
+///
+/// With `base`, a pinned tree, each node is looked up in it by one
+/// [`descend`]. If the node is in `base`, each base pivot on the way
+/// down has all of the node on one side: a pivot `≥ hi` steers left
+/// and one `≤ lo` right. A pivot strictly between the bounds is not in
+/// `t` (it would lie under the node), so it is a key deleted since
+/// `base`; then the node's own key decides, read from its pivot or its
+/// leaf's first entry (the one case that loads a lazy leaf). An equal
+/// key, or a base leaf that is not the node, means the node is not in
+/// `base`. A node found by `Arc` identity is reported as
+/// [`NodeRef::Shared`] and pruned.
+///
+/// `Arc` identity witnesses "same content" only while `base` is
+/// *pinned* (its `Arc`s held alive by the caller): a live second
+/// reference keeps every refcount ≥ 2, which is exactly the condition
+/// under which the ownership-aware update path refuses to mutate a node
+/// in place.
 pub(crate) fn visit_preorder<E, A, C, F>(
     t: &Tree<E, A, C>,
-    base: Option<&HashMap<usize, u64>>,
+    base: Option<&Tree<E, A, C>>,
+    (lo, hi): (Option<&E::Key>, Option<&E::Key>),
     f: &mut F,
 ) where
-    E: Element,
+    E: Entry,
     A: Augmentation<E>,
     C: Codec<E>,
     F: FnMut(NodeRef<'_, E, C::Block>),
@@ -194,16 +209,26 @@ pub(crate) fn visit_preorder<E, A, C, F>(
     let Some(node) = t else {
         return f(NodeRef::Empty);
     };
-    if let Some(&idx) = base.and_then(|index| index.get(&address(node))) {
-        return f(NodeRef::Shared(idx));
+    let side = |pivot: &E, _| match pivot.key() {
+        p if hi.is_some_and(|hi| p >= hi) => Ordering::Less,
+        p if lo.is_some_and(|lo| p <= lo) => Ordering::Greater,
+        p => match &**node {
+            Node::Regular { entry, .. } => entry.key().cmp(p),
+            leaf => C::get(&leaf.leaf_block(), 0).key().cmp(p),
+        },
+    };
+    let shared = base.and_then(|b| descend(b, |here, _| Arc::ptr_eq(here, node), side));
+    if let Some((_, rank)) = shared {
+        let len = node.size() as u64;
+        return f(NodeRef::Shared { rank, len });
     }
     match &**node {
         Node::Regular {
             left, entry, right, ..
         } => {
             f(NodeRef::Regular(entry));
-            visit_preorder(left, base, f);
-            visit_preorder(right, base, f);
+            visit_preorder(left, base, (lo, Some(entry.key())), f);
+            visit_preorder(right, base, (Some(entry.key()), hi), f);
         }
         // A lazy leaf that reaches here is either part of a full walk
         // or genuinely changed identity since the base: its bytes must
@@ -216,15 +241,15 @@ pub(crate) fn visit_preorder<E, A, C, F>(
 
 /// Rebuilds a tree from a pre-order node stream; inverse of
 /// [`visit_preorder`]. Cached sizes and augmented values are recomputed
-/// bottom-up; blocks are adopted as-is. `base` is the pre-order subtree
-/// table of the tree the encoder walked against (see
-/// [`collect_preorder`]): shared references resolve to `Arc` clones out
-/// of it, so the rebuilt tree shares those subtrees with the base.
-/// `src` is where [`NodeOwned::Lazy`] leaves materialize from; `depth`
-/// is the nesting so far (0 at the root).
+/// bottom-up; blocks are adopted as-is. `base` is the tree the encoder
+/// walked against: a shared reference resolves, by one [`descend`] over
+/// cached sizes, to an `Arc` clone of its subtree, so the rebuilt tree
+/// shares those subtrees with the base. `src` is where
+/// [`NodeOwned::Lazy`] leaves materialize from; `depth` is the nesting
+/// so far (0 at the root).
 pub(crate) fn build_preorder<E, A, C, S, N>(
     b: usize,
-    base: Option<&[Tree<E, A, C>]>,
+    base: Option<&Tree<E, A, C>>,
     src: Option<&Arc<dyn BlockSource<C::Block>>>,
     next: &mut N,
     depth: usize,
@@ -236,9 +261,7 @@ where
     N: FnMut() -> Result<NodeOwned<E, C::Block>, S>,
 {
     if depth > MAX_DEPTH {
-        return Err(BuildError::Invalid(
-            "node stream deeper than any balanced tree",
-        ));
+        return Err(BuildError::Invalid("deeper than any balanced tree"));
     }
     let leaf_len = |len: usize| match len {
         0 => Err(BuildError::Invalid("empty leaf")),
@@ -247,12 +270,12 @@ where
     };
     match next().map_err(BuildError::Source)? {
         NodeOwned::Empty => Ok(None),
-        NodeOwned::Shared(idx) => usize::try_from(idx)
-            .ok()
-            .and_then(|i| base?.get(i).cloned())
-            .ok_or(BuildError::Invalid(
-                "shared subtree index past the base tree",
-            )),
+        NodeOwned::Shared { rank, len } => {
+            let stop = |t: &Arc<Node<E, A, C>>, first| first == rank && t.size() as u64 == len;
+            let found = base.and_then(|b| descend(b, stop, |_, pivot| rank.cmp(&pivot)));
+            let (found, _) = found.ok_or(BuildError::Invalid("shared subtree not in the base"))?;
+            Ok(found.clone())
+        }
         NodeOwned::Flat(block) => {
             leaf_len(C::len(&block))?;
             Ok(make_flat_from_block(block))
@@ -278,7 +301,10 @@ where
 mod tests {
     use super::*;
     use crate::{NoAug, PacMap, PacSet};
-    use codecs::DeltaCodec;
+    use codecs::{DeltaCodec, RawCodec};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn drain<E, B>(
         nodes: Vec<NodeOwned<E, B>>,
@@ -292,7 +318,7 @@ mod tests {
             NodeRef::Empty => NodeOwned::Empty,
             NodeRef::Regular(e) => NodeOwned::Regular(e.clone()),
             NodeRef::Flat(b) => NodeOwned::Flat(b.clone()),
-            NodeRef::Shared(i) => NodeOwned::Shared(i),
+            NodeRef::Shared { rank, len } => NodeOwned::Shared { rank, len },
         }
     }
 
@@ -373,7 +399,7 @@ mod tests {
         let full_len = collect_map(&m, None).len();
         let shared = diff
             .iter()
-            .filter(|n| matches!(n, NodeOwned::Shared(_)))
+            .filter(|n| matches!(n, NodeOwned::Shared { .. }))
             .count();
         assert!(
             shared > 0,
@@ -397,7 +423,7 @@ mod tests {
         let m: PacMap<u64, u32> =
             PacMap::from_pairs_with(8, (0..500).map(|i| (i, i as u32)).collect());
         let diff = collect_map(&m, Some(&base));
-        assert!(diff.iter().all(|n| !matches!(n, NodeOwned::Shared(_))));
+        assert!(diff.iter().all(|n| !matches!(n, NodeOwned::Shared { .. })));
         let rebuilt: PacMap<u64, u32> =
             PacMap::from_node_stream(8, Some(&base), None, &mut drain(diff)).expect("rebuild");
         assert_eq!(rebuilt.to_vec(), m.to_vec());
@@ -406,12 +432,34 @@ mod tests {
     #[test]
     fn dangling_references_are_rejected() {
         let base: PacMap<u64, u32> = PacMap::from_pairs_with(8, vec![(1, 1)]);
-        // A shared index past the base, a shared index with no base at
-        // all, and a lazy leaf with no source to load it from.
+        // A base with regular nodes: its root's pivot has rank `pivot`,
+        // and every subtree starting at rank 0 is shorter than 199.
+        let big: PacMap<u64, u32> =
+            PacMap::from_pairs_with(8, (0..200).map(|i| (i, i as u32)).collect());
+        let mut root_key = None;
+        big.visit_nodes(None, &mut |n| {
+            if let (None, NodeRef::Regular(e)) = (root_key, n) {
+                root_key = Some(e.0);
+            }
+        });
+        let pivot = big.rank(&root_key.expect("a regular root")) as u64;
+        let shared = |rank, len| NodeOwned::Shared { rank, len };
+        // A shared reference past the base, one with no base at all, and
+        // a lazy leaf with no source to load it from; then coordinates
+        // that name no subtree of `big`: an empty one, one whose end
+        // overflows `u64`, one past the end, one across the root's
+        // pivot, and a right rank with a length no subtree has.
         for (base, node) in [
-            (Some(&base), NodeOwned::Shared(999)),
-            (None, NodeOwned::Shared(0)),
+            (Some(&base), shared(999, 1)),
+            (None, shared(0, 1)),
             (None, NodeOwned::Lazy { page: 0, len: 4 }),
+            (Some(&big), shared(0, 0)),
+            (Some(&big), shared(u64::MAX, u64::MAX)),
+            (Some(&big), shared(1, u64::MAX)),
+            (Some(&big), shared(199, 2)),
+            (Some(&big), shared(pivot - 1, 2)),
+            (Some(&big), shared(0, pivot + 1)),
+            (Some(&big), shared(0, 199)),
         ] {
             let err = PacMap::<u64, u32>::from_node_stream(8, base, None, &mut drain(vec![node]))
                 .unwrap_err();
@@ -426,5 +474,163 @@ mod tests {
         let err = PacSet::<u64>::from_node_stream(4, None, None, &mut drain(collect_set(&s)))
             .unwrap_err();
         assert!(matches!(err, BuildError::Invalid(_)));
+    }
+
+    /// What a walk reports, comparable across the walk and its oracle.
+    #[derive(Debug, PartialEq)]
+    enum Token {
+        Empty,
+        Regular(u64),
+        Flat { len: usize, first: u64 },
+        Shared { rank: u64, len: u64 },
+    }
+
+    fn token<C: Codec<(u64, u64)>>(n: &NodeRef<'_, (u64, u64), C::Block>) -> Token {
+        match *n {
+            NodeRef::Empty => Token::Empty,
+            NodeRef::Regular(e) => Token::Regular(e.0),
+            NodeRef::Flat(b) => Token::Flat {
+                len: C::len(b),
+                first: C::get(b, 0).0,
+            },
+            NodeRef::Shared { rank, len } => Token::Shared { rank, len },
+        }
+    }
+
+    type Tree64<C> = Tree<(u64, u64), NoAug, C>;
+    type Stream<C> = Vec<NodeOwned<(u64, u64), <C as Codec<(u64, u64)>>::Block>>;
+
+    /// The rule the descent replaced, kept as the oracle: the addresses
+    /// of every node of the pinned base.
+    fn addresses<C: Codec<(u64, u64)>>(t: &Tree64<C>, out: &mut HashSet<usize>) {
+        if let Some(node) = t {
+            out.insert(Arc::as_ptr(node) as *const () as usize);
+            if let Node::Regular { left, right, .. } = &**node {
+                addresses(left, out);
+                addresses(right, out);
+            }
+        }
+    }
+
+    /// The oracle walk: pre-order over `t`, reporting every maximal
+    /// subtree whose address is in `base` as shared, its rank found by
+    /// key in the base (an independent descent).
+    fn oracle_walk<C: Codec<(u64, u64)>>(
+        t: &Tree64<C>,
+        base: (&HashSet<usize>, &PacMap<u64, u64, NoAug, C>),
+        out: &mut Vec<Token>,
+    ) {
+        let Some(node) = t else {
+            return out.push(Token::Empty);
+        };
+        if base.0.contains(&(Arc::as_ptr(node) as *const () as usize)) {
+            let first = crate::algos::first(t).expect("non-empty").0;
+            let (rank, len) = (base.1.rank(&first) as u64, node.size() as u64);
+            return out.push(Token::Shared { rank, len });
+        }
+        match &**node {
+            Node::Regular {
+                left, entry, right, ..
+            } => {
+                out.push(Token::Regular(entry.0));
+                oracle_walk(left, base, out);
+                oracle_walk(right, base, out);
+            }
+            leaf => out.push(token::<C>(&NodeRef::Flat(&leaf.leaf_block()))),
+        }
+    }
+
+    fn walk<C: Codec<(u64, u64)>>(
+        t: &PacMap<u64, u64, NoAug, C>,
+        base: &PacMap<u64, u64, NoAug, C>,
+    ) -> (Vec<Token>, Stream<C>) {
+        let (mut tokens, mut nodes) = (Vec::new(), Vec::new());
+        t.visit_nodes(Some(base), &mut |n| {
+            tokens.push(token::<C>(&n));
+            nodes.push(owned(n));
+        });
+        (tokens, nodes)
+    }
+
+    /// One seeded edit script: a base map, then point and range inserts
+    /// and deletes, including deletes of keys the base holds as pivots.
+    fn exact_script<C: Codec<(u64, u64)>>(seed: u64, b: usize) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = rng.gen_range(1..6_000u64);
+        let pairs: Vec<(u64, u64)> = (0..rng.gen_range(0..3_000))
+            .map(|_| (rng.gen_range(0..span), rng.gen()))
+            .collect();
+        let base: PacMap<u64, u64, NoAug, C> = PacMap::from_pairs_with(b, pairs);
+        let mut pivots = Vec::new();
+        base.visit_nodes(None, &mut |n| {
+            if let NodeRef::Regular(e) = n {
+                pivots.push(e.0);
+            }
+        });
+        let mut next = base.clone();
+        for _ in 0..rng.gen_range(0..8) {
+            let (lo, run) = (rng.gen_range(0..span), rng.gen_range(1..200));
+            next = match rng.gen_range(0..5) {
+                0 => next.insert(lo, rng.gen()),
+                1 => next.remove(&lo),
+                2 => next.multi_insert((lo..lo + run).map(|k| (k, k)).collect()),
+                3 => next.multi_delete((lo..lo + run).collect()),
+                _ if pivots.is_empty() => next,
+                _ => next.remove(&pivots[rng.gen_range(0..pivots.len())]),
+            };
+        }
+
+        let mut in_base = HashSet::new();
+        addresses(&base.root, &mut in_base);
+        let mut want = Vec::new();
+        oracle_walk(&next.root, (&in_base, &base), &mut want);
+        let (got, nodes) = walk(&next, &base);
+        if got != want {
+            return Err(format!("walk {got:?}\n  oracle {want:?}"));
+        }
+        let rebuilt = PacMap::from_node_stream(b, Some(&base), None, &mut drain(nodes))
+            .map_err(|e| format!("rebuild: {e}"))?;
+        rebuilt.check_invariants()?;
+        if rebuilt.to_vec() != next.to_vec() || rebuilt.space_stats() != next.space_stats() {
+            return Err("the stream rebuilt a different tree".into());
+        }
+        // The rebuilt tree shares exactly what the walked one did.
+        if walk(&rebuilt, &base).0 != got {
+            return Err("the rebuilt tree shares other subtrees".into());
+        }
+        Ok(())
+    }
+
+    /// The descent against the address-set oracle, on raw and delta maps
+    /// at B ∈ {1, 2, 4, 8, 32, 128}: the walk reports exactly the maximal
+    /// subtrees the oracle finds in the base, each rank is the base rank
+    /// of the subtree's first key, and the stream rebuilds the walked
+    /// tree. `PROPTEST_SEED=<n>` replays one script everywhere;
+    /// `DIFF_CASES=<n>` sets the number of scripts.
+    #[test]
+    fn the_descent_finds_exactly_the_shared_subtrees() {
+        let seeds: Vec<u64> = match std::env::var("PROPTEST_SEED").ok() {
+            Some(seed) => vec![seed.parse().expect("PROPTEST_SEED is a u64")],
+            None => {
+                let cases = std::env::var("DIFF_CASES")
+                    .ok()
+                    .and_then(|v| v.parse().ok());
+                (0..cases.unwrap_or(40u64))
+                    .map(|c| c ^ 0x5EED_0042)
+                    .collect()
+            }
+        };
+        for seed in seeds {
+            for b in [1, 2, 4, 8, 32, 128] {
+                let raw = exact_script::<RawCodec>(seed, b).map_err(|e| ("raw", e));
+                let delta = exact_script::<DeltaCodec>(seed, b).map_err(|e| ("delta", e));
+                if let Err((codec, e)) = raw.and(delta) {
+                    panic!(
+                        "{codec} map, B = {b}: {e}\n  replay: PROPTEST_SEED={seed} cargo test \
+                         -p cpam --lib the_descent_finds_exactly_the_shared_subtrees"
+                    );
+                }
+            }
+        }
     }
 }

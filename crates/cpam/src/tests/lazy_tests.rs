@@ -38,7 +38,7 @@ fn page_out(map: &PacMap<u64, u64>) -> (Vec<LazyNode>, VecSource) {
             });
             pages.push(Arc::new(block.clone()));
         }
-        NodeRef::Shared(_) => unreachable!("no base to share with"),
+        NodeRef::Shared { .. } => unreachable!("no base to share with"),
     });
     (
         stream,

@@ -316,7 +316,7 @@ fn lazy_copy<C: Codec<(u64, u64)>>(map: &PacMap<u64, u64, NoAug, C>) -> PacMap<u
             });
             pages.push(Arc::new(block.clone()));
         }
-        NodeRef::Shared(_) => unreachable!("no base to share with"),
+        NodeRef::Shared { .. } => unreachable!("no base to share with"),
     });
     let mut it = stream.into_iter();
     PacMap::from_node_stream::<()>(

@@ -104,7 +104,7 @@ where
             NodeRef::Empty => NodeOwned::Empty,
             NodeRef::Regular(e) => NodeOwned::Regular(e.clone()),
             NodeRef::Flat(block) => NodeOwned::Flat(block.clone()),
-            NodeRef::Shared(index) => NodeOwned::Shared(index),
+            NodeRef::Shared { rank, len } => NodeOwned::Shared { rank, len },
         });
     });
     let mut nodes = nodes.into_iter();

@@ -25,13 +25,17 @@
 //! Structure tags: `0` = empty subtree; `1` = regular node + its pivot
 //! entry ([`codecs::ByteEncode`]); `2` = leaf: entry count (varint), the
 //! byte length of its record (varint) and the record's CRC-32 (4 bytes
-//! LE); `3` = a subtree shared with the base: its pre-order index among
-//! the base tree's non-empty nodes (varint). Pre-order with explicit
-//! empties is self-delimiting; record `i` starts where the lengths of
-//! the records before it sum to, so there is no offset table and no
-//! padding, and the last record must end exactly at the end of the file.
+//! LE); `4` = a subtree shared with the base: the base rank of its first
+//! entry (varint) and its entry count (varint), resolved by one descent
+//! over the base's cached sizes. Tag `3`, an earlier build's pre-order
+//! index into the base, is refused as an unknown tag, so an old
+//! incremental page fails as [`StoreError::Corrupt`] instead of naming
+//! a wrong subtree. Pre-order with explicit empties is self-delimiting;
+//! record `i` starts where the lengths of the records before it sum to,
+//! so there is no offset table and no padding, and the last record must
+//! end exactly at the end of the file.
 //!
-//! A *full snapshot* is the file with no base and no tag `3`; an
+//! A *full snapshot* is the file with no base and no tag `4`; an
 //! *incremental* page is the same writer driven by the walk against the
 //! previous checkpoint's pinned root (see
 //! [`cpam::PacMap::visit_nodes`]), and both are read by the same
@@ -77,7 +81,7 @@ const HEAD_LEN: usize = 16;
 const TAG_EMPTY: u8 = 0;
 const TAG_REGULAR: u8 = 1;
 const TAG_LEAF: u8 = 2;
-const TAG_SHARED: u8 = 3;
+const TAG_SHARED: u8 = 4;
 
 /// Earlier builds wrote three formats, none of which this build reads:
 /// `PACSNP02` full and `PACINC01` incremental pages under the names
@@ -194,9 +198,10 @@ pub(crate) fn encode_page<T: DiskTree>(tree: &T, base: Option<(&T, u64)>, versio
             bytecode::write_varint((records.len() - start) as u64, &mut meta);
             meta.extend_from_slice(&crc32(&records[start..]).to_le_bytes());
         }
-        NodeRef::Shared(index) => {
+        NodeRef::Shared { rank, len } => {
             meta.push(TAG_SHARED);
-            bytecode::write_varint(index, &mut meta);
+            bytecode::write_varint(rank, &mut meta);
+            bytecode::write_varint(len, &mut meta);
         }
     });
 
@@ -392,7 +397,10 @@ fn parse_structure<T: DiskTree>(
             TAG_REGULAR => NodeOwned::Regular(
                 T::Entry::try_read(stream, &mut pos).ok_or(StoreError::Truncated("pivot entry"))?,
             ),
-            TAG_SHARED => NodeOwned::Shared(take_varint(stream, &mut pos, "shared subtree index")?),
+            TAG_SHARED => NodeOwned::Shared {
+                rank: take_varint(stream, &mut pos, "shared subtree rank")?,
+                len: take_varint(stream, &mut pos, "shared subtree length")?,
+            },
             TAG_LEAF => {
                 let entries = take_varint(stream, &mut pos, "leaf entry count")?;
                 let len = take_varint(stream, &mut pos, "leaf record length")?;
@@ -434,14 +442,16 @@ fn parse_structure<T: DiskTree>(
     Ok((nodes, records))
 }
 
-/// Builds the tree a parsed page describes and checks it against the
-/// metadata. `base` must be given exactly when the page names one.
+/// Builds the tree a parsed page describes, checks it against the
+/// metadata and counts the page as read (`read` bytes of it). `base`
+/// must be given exactly when the page names one.
 fn build_tree<T: DiskTree>(
     meta: &Meta<'_>,
     nodes: Vec<NodeOf<T>>,
     base: Option<&T>,
     src: Option<Arc<dyn BlockSource<BlockOf<T>>>>,
-) -> Result<T, StoreError> {
+    read: usize,
+) -> Result<(T, PageHead), StoreError> {
     if meta.head.base.is_some() != base.is_some() {
         return Err(StoreError::Corrupt(
             "an incremental page needs its base, a full snapshot takes none".into(),
@@ -474,18 +484,17 @@ fn build_tree<T: DiskTree>(
             tree.disk_len()
         )));
     }
-    Ok(tree)
+    let pc = crate::metrics::page_counters();
+    pc.pages_read.inc();
+    pc.page_bytes_read.add(read as u64);
+    Ok((tree, meta.head))
 }
 
 /// Decodes a whole page image eagerly, against `base` if it is a diff.
 fn decode_page<T: DiskTree>(bytes: &[u8], base: Option<&T>) -> Result<(T, PageHead), StoreError> {
     let meta = parse_meta::<T>(bytes)?;
     let (nodes, _) = parse_structure::<T>(&meta, bytes.len() as u64, Some(bytes))?;
-    let tree = build_tree(&meta, nodes, base, None)?;
-    let pc = crate::metrics::page_counters();
-    pc.pages_read.inc();
-    pc.page_bytes_read.add(bytes.len() as u64);
-    Ok((tree, meta.head))
+    build_tree(&meta, nodes, base, None, bytes.len())
 }
 
 /// Decodes a full-snapshot page image produced by [`encode_snapshot`],
@@ -606,11 +615,7 @@ pub(crate) fn read_page_file<T: DiskTree>(
         pool: Arc::clone(pool),
         records,
     };
-    let tree = build_tree(&meta, nodes, base, Some(Arc::new(source)))?;
-    let pc = crate::metrics::page_counters();
-    pc.pages_read.inc();
-    pc.page_bytes_read.add(section.len() as u64);
-    Ok((tree, meta.head))
+    build_tree(&meta, nodes, base, Some(Arc::new(source)), section.len())
 }
 
 // ---------------------------------------------------------------------
@@ -1069,12 +1074,27 @@ mod tests {
             encode_snapshot(&one_leaf, 9)
         );
 
-        let shared = |index: u64| {
+        let shared = |rank: u64, len: u64| {
             let mut tag = vec![TAG_SHARED];
-            bytecode::write_varint(index, &mut tag);
+            bytecode::write_varint(rank, &mut tag);
+            bytecode::write_varint(len, &mut tag);
             tag
         };
         let two_leaves = [leaf_tag(3, len, crc), leaf_tag(3, len, crc)].concat();
+        // A base with regular nodes; its root is the subtree (0, 40).
+        let wide: RawMap = sample(4, 40);
+        let mut wide_pivot = None;
+        wide.visit_nodes(None, &mut |n| {
+            if let (None, NodeRef::Regular(e)) = (wide_pivot, n) {
+                wide_pivot = Some(wide.rank(&e.0) as u64);
+            }
+        });
+        let wide_pivot = wide_pivot.expect("a regular root");
+        let whole = assemble([4, 9, 10, 40], &shared(0, 40), &[]);
+        for policy in [Policy::Eager, Policy::Lazy] {
+            let (back, _) = read(&whole, Some(&wide), policy).expect("the whole base");
+            assert!(back.iter().eq(wide.iter()));
+        }
         let mut long_meta = assemble([4, 0, 9, 3], &honest, &record);
         long_meta[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut meta_past_eof = long_meta.clone();
@@ -1125,7 +1145,7 @@ mod tests {
             ),
             (
                 "shared index with no base",
-                assemble([4, 0, 9, 3], &shared(u64::MAX), &[]),
+                assemble([4, 0, 9, 3], &shared(u64::MAX, 3), &[]),
             ),
             ("no structure at all", assemble([4, 0, 9, 0], &[], &[])),
             (
@@ -1144,11 +1164,30 @@ mod tests {
             }
             // Against a base: an index past it, and one past `usize`.
             for index in [3, u64::MAX] {
-                let page = assemble([4, 9, 10, 3], &shared(index), &[]);
+                let page = assemble([4, 9, 10, 3], &shared(index, 3), &[]);
                 let err = read(&page, Some(&one_leaf), policy).err();
                 assert!(
                     matches!(err, Some(StoreError::Corrupt(_))),
                     "{policy:?}: {err:?}"
+                );
+            }
+            // Coordinates that name no subtree of a 40-entry base whose
+            // root pivot has rank `pivot`, and an earlier build's tag `3`
+            // (a pre-order index) that would name one.
+            let (wide, pivot) = (&wide, wide_pivot);
+            for (what, structure) in [
+                ("an empty subtree", shared(0, 0)),
+                ("an end past u64", shared(u64::MAX, u64::MAX)),
+                ("a range past the base", shared(39, 2)),
+                ("a range across a pivot", shared(pivot - 1, 2)),
+                ("a rank with no subtree that long", shared(0, 39)),
+                ("the old tag 3", vec![3, 0]),
+            ] {
+                let page = assemble([4, 9, 10, 40], &structure, &[]);
+                let err = read(&page, Some(wide), policy).err();
+                assert!(
+                    matches!(err, Some(StoreError::Corrupt(_))),
+                    "{policy:?}, {what}: {err:?}"
                 );
             }
         }

@@ -260,7 +260,11 @@ fn unpooled_stores_report_no_pool() {
 
 /// A one-key commit rewrites one leaf: the incremental page after it
 /// carries exactly one leaf record beside the copied path, and on a
-/// lazily opened store the commit loaded that leaf and no other.
+/// lazily opened store the commit loaded that leaf and no other. The
+/// checkpoint's walk reads no base leaf: after the put it adds no pool
+/// access, and after deleting a key the base holds as a pivot it adds
+/// at most one (the node beside the deleted key is placed by its own
+/// key, and a lazy leaf's first key is a read).
 fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
     use cpam::structure::NodeRef;
     let dir = scratch(name);
@@ -292,16 +296,46 @@ fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
     assert_eq!(leaves, 1, "a one-key commit dirtied {leaves} leaves");
     assert!((1..40).contains(&copied), "{copied} regular nodes beside one path");
 
+    let before = accesses(store.pool_stats());
     store.save_incremental(checkpoint).unwrap();
+    assert_eq!(accesses(store.pool_stats()), before, "the checkpoint after a put read a leaf");
     let page = store.lifecycle_stats().incremental_page_bytes;
     // One u64-pair leaf record is at most 2b × 16 B plus framing.
     assert!(page < 256 * 16 + 1024, "incremental page of {page} B holds more than one leaf");
+    drop(base);
+
+    // A pivot of the new checkpoint whose children are both leaves: its
+    // deletion joins them, and the right one keeps its place beside the
+    // deleted key.
+    let (checkpoint, base) = (store.latest_checkpoint().unwrap(), store.snapshot());
+    let mut walk = Vec::new();
+    base.map().visit_nodes(None, &mut |node| {
+        walk.push(match node {
+            NodeRef::Regular(&(k, _)) => Some(k),
+            _ => None,
+        })
+    });
+    let pivot = (0..walk.len() - 2)
+        .find_map(|i| walk[i].filter(|_| walk[i + 1].is_none() && walk[i + 2].is_none()))
+        .expect("a pivot above two leaves");
+    store.delete(pivot).unwrap();
+    let before = accesses(store.pool_stats());
+    store.save_incremental(checkpoint).unwrap();
+    let after = accesses(store.pool_stats());
+    assert!(
+        after <= before.map(|n| n + 1),
+        "deleting pivot {pivot}: the checkpoint made {before:?} → {after:?} pool accesses"
+    );
     drop((base, store));
 
+    let mut oracle: BTreeMap<u64, u64> = (0..N).map(|k| (k * 2, k)).collect();
+    oracle.insert(60_001, 7);
+    oracle.remove(&pivot);
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, opts).unwrap();
     assert_eq!(store.get(&60_001), Some(7));
     assert_eq!(store.get(&60_000), Some(30_000));
-    assert_eq!(store.len(), N as usize + 1);
+    assert_eq!(store.len(), N as usize);
+    assert!(store.snapshot().to_vec().into_iter().eq(oracle), "the reopened chain differs");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
