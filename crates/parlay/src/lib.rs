@@ -35,6 +35,7 @@
 //!
 //! [ParlayLib]: https://github.com/cmuparlay/parlaylib
 
+mod deque;
 mod job;
 mod registry;
 

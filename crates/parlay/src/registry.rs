@@ -1,9 +1,10 @@
 //! The global work-stealing thread pool.
 //!
-//! A fixed set of worker threads each own a LIFO [`Worker`] deque. `join`
-//! pushes the second closure onto the local deque and runs the first; idle
-//! workers steal batches from the FIFO end of other deques or from a
-//! global [`Injector`] that receives jobs from threads outside the pool.
+//! A fixed set of worker threads each own a [`Deque`], popped LIFO by its
+//! owner. `join` pushes the second closure onto the local deque and runs
+//! the first; idle workers steal batches from the FIFO end of other
+//! deques or of the global injector, one more `Deque` that receives jobs
+//! from threads outside the pool.
 //!
 //! # Wake protocol
 //!
@@ -44,9 +45,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
+use crate::deque::{Deque, Steal};
 use crate::job::JobRef;
 
 /// Bounded `Steal::Retry` attempts against the global injector per scan.
@@ -77,8 +78,9 @@ struct WorkerCounters {
 
 /// Shared state of the pool.
 pub(crate) struct Registry {
-    injector: Injector<JobRef>,
-    stealers: Vec<Stealer<JobRef>>,
+    injector: Deque<JobRef>,
+    /// One deque per worker; a worker finds its own by its index.
+    deques: Box<[Deque<JobRef>]>,
     /// Number of workers currently advertising themselves as parked (or
     /// about to park). Pushers read this relaxed as the wake fast path.
     sleepers: AtomicUsize,
@@ -88,7 +90,6 @@ pub(crate) struct Registry {
     wake_epoch: AtomicU64,
     sleep_mutex: Mutex<()>,
     sleep_cond: Condvar,
-    num_threads: usize,
     injected: AtomicU64,
     wakeups: AtomicU64,
     counters: Vec<WorkerCounters>,
@@ -107,7 +108,7 @@ pub fn set_num_threads(n: usize) {
 
 /// The number of worker threads in the global pool.
 pub fn num_threads() -> usize {
-    global().num_threads
+    global().deques.len()
 }
 
 fn configured_threads() -> usize {
@@ -130,27 +131,24 @@ fn configured_threads() -> usize {
 pub(crate) fn global() -> &'static Arc<Registry> {
     REGISTRY.get_or_init(|| {
         let num_threads = configured_threads();
-        let workers: Vec<Worker<JobRef>> = (0..num_threads).map(|_| Worker::new_lifo()).collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
         let registry = Arc::new(Registry {
-            injector: Injector::new(),
-            stealers,
+            injector: Deque::new(),
+            deques: (0..num_threads).map(|_| Deque::new()).collect(),
             sleepers: AtomicUsize::new(0),
             wake_epoch: AtomicU64::new(0),
             sleep_mutex: Mutex::new(()),
             sleep_cond: Condvar::new(),
-            num_threads,
             injected: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             counters: (0..num_threads)
                 .map(|_| WorkerCounters::default())
                 .collect(),
         });
-        for (index, worker) in workers.into_iter().enumerate() {
+        for index in 0..num_threads {
             let registry = Arc::clone(&registry);
             std::thread::Builder::new()
                 .name(format!("parlay-{index}"))
-                .spawn(move || worker_main(registry, worker, index))
+                .spawn(move || worker_main(registry, index))
                 .expect("failed to spawn parlay worker thread");
         }
         registry
@@ -180,17 +178,11 @@ impl Registry {
         self.sleep_cond.notify_one();
     }
 
-    /// Whether any queue currently holds a job this worker could take.
-    /// Used as the last look before parking; a false positive costs one
-    /// extra scan, a false negative costs at most one park timeout.
-    fn has_pending_work(&self, self_index: usize) -> bool {
-        if !self.injector.is_empty() {
-            return true;
-        }
-        self.stealers
-            .iter()
-            .enumerate()
-            .any(|(i, s)| i != self_index && !s.is_empty())
+    /// Whether any queue currently holds a job. Used as the last look
+    /// before parking; a false positive costs one extra scan, a false
+    /// negative costs at most one park timeout.
+    fn has_pending_work(&self) -> bool {
+        !self.injector.is_empty() || self.deques.iter().any(|d| !d.is_empty())
     }
 }
 
@@ -206,7 +198,6 @@ fn next_rand(state: &Cell<u64>) -> u64 {
 
 /// Per-worker state, reachable from thread-local storage while on a worker.
 pub(crate) struct WorkerThread {
-    worker: Worker<JobRef>,
     registry: Arc<Registry>,
     index: usize,
     rng: Cell<u64>,
@@ -224,78 +215,54 @@ impl WorkerThread {
 
     /// Whether this worker is alone in the pool (no thieves exist).
     pub(crate) fn is_solo(&self) -> bool {
-        self.registry.num_threads <= 1
+        self.registry.deques.len() <= 1
     }
 
     fn counters(&self) -> &WorkerCounters {
         &self.registry.counters[self.index]
     }
 
+    fn deque(&self) -> &Deque<JobRef> {
+        &self.registry.deques[self.index]
+    }
+
     pub(crate) fn push(&self, job: JobRef) {
-        self.worker.push(job);
+        self.deque().push(job);
         self.registry.notify_one();
     }
 
-    pub(crate) fn pop(&self) -> Option<JobRef> {
-        self.worker.pop()
-    }
-
     /// One full attempt at finding work: the global injector first, then
-    /// the other workers starting from a random victim. Batch-steals into
-    /// this worker's own deque; all `Steal::Retry` loops are bounded.
+    /// the other workers starting from a random victim.
     fn steal_work(&self) -> Option<JobRef> {
         let registry = &*self.registry;
-        let mut retries = 0;
-        loop {
-            match registry.injector.steal_batch_and_pop(&self.worker) {
+        if let Some(job) = self.steal_from(&registry.injector, INJECTOR_RETRIES) {
+            return Some(job);
+        }
+        let n = registry.deques.len();
+        let start = (next_rand(&self.rng) as usize) % n;
+        (0..n)
+            .map(|offset| (start + offset) % n)
+            .filter(|&victim| victim != self.index)
+            .find_map(|victim| self.steal_from(&registry.deques[victim], VICTIM_RETRIES))
+    }
+
+    /// Batch-steals from `src` into this worker's own deque, making at
+    /// most `budget` attempts: after that many lost races the next source
+    /// is more promising than another try at this one.
+    fn steal_from(&self, src: &Deque<JobRef>, budget: usize) -> Option<JobRef> {
+        for _ in 0..budget {
+            match src.steal_into(self.deque()) {
                 Steal::Success(job) => {
                     self.counters().steals.fetch_add(1, Ordering::Relaxed);
                     return Some(job);
                 }
-                Steal::Empty => break,
-                Steal::Retry => {
-                    retries += 1;
-                    if retries >= INJECTOR_RETRIES {
-                        self.counters()
-                            .retries_abandoned
-                            .fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
+                Steal::Empty => return None,
+                Steal::Retry => {}
             }
         }
-        let n = registry.stealers.len();
-        if n <= 1 {
-            return None;
-        }
-        let start = (next_rand(&self.rng) as usize) % n;
-        for offset in 0..n {
-            let victim = (start + offset) % n;
-            if victim == self.index {
-                continue;
-            }
-            let mut retries = 0;
-            loop {
-                match registry.stealers[victim].steal_batch_and_pop(&self.worker) {
-                    Steal::Success(job) => {
-                        self.counters().steals.fetch_add(1, Ordering::Relaxed);
-                        return Some(job);
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {
-                        retries += 1;
-                        if retries >= VICTIM_RETRIES {
-                            // Lost the race repeatedly; the next victim is
-                            // more promising than another spin here.
-                            self.counters()
-                                .retries_abandoned
-                                .fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        self.counters()
+            .retries_abandoned
+            .fetch_add(1, Ordering::Relaxed);
         None
     }
 
@@ -327,7 +294,7 @@ impl WorkerThread {
         // `sleepers` before our increment will not wake us, but its job
         // is already visible in some queue by now (or will be caught by
         // the timeout in the worst-case interleaving).
-        if abort() || !self.worker.is_empty() || registry.has_pending_work(self.index) {
+        if abort() || registry.has_pending_work() {
             registry.sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -341,76 +308,59 @@ impl WorkerThread {
         self.counters().parks.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// One step of the idle ladder: run a local job, else a stolen one,
+    /// else back off by one stage — spin bursts, then yields, then parks
+    /// of at most `timeout` — instead of burning a core in a bare
+    /// `yield_now` loop. `idle` counts the back-off rounds since the last
+    /// job ran.
+    fn run_one_or_back_off(&self, idle: &mut u32, timeout: Duration, abort: &dyn Fn() -> bool) {
+        if let Some(job) = self.deque().pop() {
+            self.counters().exec_local.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: every JobRef in a deque points at live storage and is
+            // executed exactly once.
+            unsafe { job.execute() };
+            *idle = 0;
+        } else if let Some(job) = self.steal_work() {
+            // SAFETY: as above.
+            unsafe { self.execute_stolen(job) };
+            *idle = 0;
+        } else if *idle < SPIN_ROUNDS {
+            for _ in 0..(1u32 << *idle) {
+                std::hint::spin_loop();
+            }
+            *idle += 1;
+        } else if *idle < SPIN_ROUNDS + YIELD_ROUNDS {
+            std::thread::yield_now();
+            *idle += 1;
+        } else {
+            self.park(timeout, abort);
+        }
+    }
+
     /// Executes local, stolen, or injected jobs until `done()` is true.
     ///
     /// This is the heart of `join`: while the second closure may have been
     /// stolen, the waiting worker keeps itself busy with other work rather
-    /// than blocking. When no work is available it backs off in stages —
-    /// spin bursts, then yields, then short parks — instead of burning a
-    /// core in a bare `yield_now` loop.
+    /// than blocking. If the second closure was not stolen, the first local
+    /// pop runs it inline and `done()` turns true.
     pub(crate) fn wait_until<F: Fn() -> bool>(&self, done: F) {
-        let mut idle_rounds = 0u32;
+        let mut idle = 0;
         while !done() {
-            if let Some(job) = self.pop() {
-                self.counters().exec_local.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: every JobRef in a deque points at live storage and
-                // is executed exactly once. If this was our own pushed job it
-                // runs inline here and `done()` turns true.
-                unsafe { job.execute() };
-                idle_rounds = 0;
-            } else if let Some(job) = self.steal_work() {
-                // SAFETY: as above.
-                unsafe { self.execute_stolen(job) };
-                idle_rounds = 0;
-            } else if idle_rounds < SPIN_ROUNDS {
-                for _ in 0..(1u32 << idle_rounds) {
-                    std::hint::spin_loop();
-                }
-                idle_rounds += 1;
-            } else if idle_rounds < SPIN_ROUNDS + YIELD_ROUNDS {
-                std::thread::yield_now();
-                idle_rounds += 1;
-            } else {
-                self.park(JOIN_PARK_TIMEOUT, &|| done());
-            }
+            self.run_one_or_back_off(&mut idle, JOIN_PARK_TIMEOUT, &done);
         }
     }
 }
 
-fn worker_main(registry: Arc<Registry>, worker: Worker<JobRef>, index: usize) {
+fn worker_main(registry: Arc<Registry>, index: usize) {
     let me = WorkerThread {
-        worker,
-        registry: Arc::clone(&registry),
+        registry,
         index,
         rng: Cell::new(0x9E3779B97F4A7C15u64.wrapping_mul(index as u64 + 1) | 1),
     };
     WORKER_THREAD.with(|cell| cell.set(&me as *const WorkerThread));
-
-    let mut idle_rounds = 0u32;
+    let mut idle = 0;
     loop {
-        if let Some(job) = me.pop() {
-            idle_rounds = 0;
-            me.counters().exec_local.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: jobs in deques are live and executed exactly once.
-            unsafe { job.execute() };
-            continue;
-        }
-        if let Some(job) = me.steal_work() {
-            idle_rounds = 0;
-            // SAFETY: as above.
-            unsafe { me.execute_stolen(job) };
-            continue;
-        }
-        idle_rounds += 1;
-        if idle_rounds < SPIN_ROUNDS {
-            for _ in 0..(1u32 << idle_rounds) {
-                std::hint::spin_loop();
-            }
-        } else if idle_rounds < SPIN_ROUNDS + YIELD_ROUNDS {
-            std::thread::yield_now();
-        } else {
-            me.park(IDLE_PARK_TIMEOUT, &|| false);
-        }
+        me.run_one_or_back_off(&mut idle, IDLE_PARK_TIMEOUT, &|| false);
     }
 }
 

@@ -310,7 +310,7 @@ pub(crate) fn load_pins(dir: &Path) -> Result<HashMap<u64, usize>, StoreError> {
 ///
 /// Any underlying I/O error.
 pub(crate) fn persist_pins(dir: &Path, registry: &VersionRegistry) -> Result<(), StoreError> {
-    page::write_file_atomic(&dir.join(PINS_FILE), &encode_pins(&registry.dump()))
+    page::write_file_atomic(&dir.join(PINS_FILE), &encode_pins(&registry.dump())).map(drop)
 }
 
 #[cfg(test)]

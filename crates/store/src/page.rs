@@ -59,7 +59,7 @@
 //! item 9 (b) gives `load` a `Result`. Every other failure, and every
 //! failure of an eager read, is a returned error.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -628,22 +628,29 @@ pub(crate) fn read_page_file<T: DiskTree>(
 /// never a torn or vanished file. Used for page files, the partition
 /// map, rewritten logs and the pin table.
 ///
+/// Returns the handle the bytes were written through, open for reading
+/// and appending at `path` (a rewritten log keeps it for its commits).
+///
 /// # Errors
 ///
 /// Any underlying I/O error.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<File, StoreError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        std::io::Write::write_all(&mut file, bytes)?;
-        file.sync_all()?;
-    }
+    // std refuses `append` with `truncate`, so truncate by `set_len`.
+    let mut file = OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(&tmp)?;
+    file.set_len(0)?;
+    std::io::Write::write_all(&mut file, bytes)?;
+    file.sync_all()?;
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
         // Persist the rename itself (directory entry update).
         fsync_dir(dir)?;
     }
-    Ok(())
+    Ok(file)
 }
 
 /// `fsync`s a directory, persisting entry creations, renames, and

@@ -174,7 +174,7 @@ impl<K: ScalarKey + ByteEncode> Router<K> {
     ///
     /// Any underlying I/O error.
     pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        crate::page::write_file_atomic(path, &self.encode())
+        crate::page::write_file_atomic(path, &self.encode()).map(drop)
     }
 
     /// Reads a partition map from `path`.

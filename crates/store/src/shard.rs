@@ -120,21 +120,8 @@ fn par_for_shards<T: Send, R: Send>(
 // The log
 // ---------------------------------------------------------------------
 
-/// Opens (creating it if needed) the log handle commits append through
-/// and a checkpoint reads the groups it keeps from.
-fn open_log(path: &Path) -> std::io::Result<File> {
-    #[cfg(test)]
-    if tests::FAIL_OPEN_LOG.with(|fail| fail.replace(false)) {
-        return Err(std::io::Error::other("injected open failure"));
-    }
-    OpenOptions::new()
-        .create(true)
-        .read(true)
-        .append(true)
-        .open(path)
-}
-
-/// The durable half of a store: the log handle and the log's byte
+/// The durable half of a store: the log handle commits append through
+/// and a checkpoint reads the groups it keeps from, and the log's byte
 /// length. `len` is where the last published group ends — set at open,
 /// after each append and after each rewrite — so an append rolls back
 /// to it without asking the file. `poisoned` means an append failure
@@ -157,11 +144,10 @@ impl Log {
         head.resize(at + (self.len - from) as usize, 0);
         (&self.file).seek(SeekFrom::Start(from))?;
         (&self.file).read_exact(&mut head[at..])?;
-        page::write_file_atomic(path, &head)?;
-        // Until the reopen succeeds the handle is on the unlinked old
-        // file and `len` is still its length, so the next rewrite reads
-        // the right bytes from it.
-        self.file = open_log(path)?;
+        // Until the write succeeds the handle stays on the old file
+        // (unlinked once the rename went through) and `len` is still its
+        // length, so the next rewrite reads the right bytes from it.
+        self.file = page::write_file_atomic(path, &head)?;
         let dropped = self.len - (head.len() - at) as u64;
         self.len = head.len() as u64;
         Ok(dropped)
@@ -918,7 +904,11 @@ where
             )));
         }
         let existed = log_path.exists();
-        let file = open_log(&log_path)?;
+        let file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&log_path)?;
         if !existed {
             // Persist the directory entry; appended commits sync only
             // the file's data.
@@ -1584,13 +1574,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// One-shot fail point: the next `open_log` on this thread
-        /// fails.
-        pub(super) static FAIL_OPEN_LOG: Cell<bool> = const { Cell::new(false) };
-    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pacshard-unit-{}-{name}", std::process::id()));
@@ -1814,10 +1797,10 @@ mod tests {
         assert_eq!(store.latest_checkpoint(), None);
     }
 
-    /// A checkpoint whose log rewrite renames the new log into place and
-    /// then fails to reopen it poisons the log, with the handle left on
-    /// the unlinked old file; the next checkpoint heals it, and nothing
-    /// acknowledged before or after is lost.
+    /// A checkpoint whose log rewrite fails (a directory squats on the
+    /// temp log's path, so creating it fails) poisons the log, with the
+    /// handle left on the old file; the next checkpoint heals it, and
+    /// nothing acknowledged before or after is lost.
     #[test]
     fn failed_trim_poisons_until_the_next_checkpoint_heals() {
         for shards in [1usize, 3] {
@@ -1832,13 +1815,15 @@ mod tests {
             };
             let store = open();
             store.commit(vec![Op::Put(1, 1), Op::Put(900, 1)]).unwrap();
-            FAIL_OPEN_LOG.with(|fail| fail.set(true));
+            let squatter = dir.join(LOG_FILE).with_extension("tmp");
+            std::fs::create_dir(&squatter).unwrap();
             assert!(matches!(store.compact(), Err(StoreError::Io(_))));
             let refused = store.put(2, 2).unwrap_err().to_string();
             assert!(
                 refused.contains(&StoreError::LogPoisoned.to_string()),
                 "{refused}"
             );
+            std::fs::remove_dir(&squatter).unwrap();
             store.compact().unwrap();
             store.commit(vec![Op::Put(3, 3), Op::Put(901, 3)]).unwrap();
             drop(store);

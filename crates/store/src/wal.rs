@@ -55,8 +55,6 @@ use codecs::{bytecode, write_list, ByteEncode};
 
 use crate::checksum::crc32;
 use crate::mvcc::Op;
-#[cfg(test)]
-use crate::mvcc::OP_PUT;
 
 /// Format byte of every record payload this build writes and reads
 /// (revision 2 of the WAL record layout: global id + participants).
@@ -349,6 +347,7 @@ fn parse_payload<K: ByteEncode, V: ByteEncode>(
 mod tests {
     use super::*;
     use crate::checksum::schema_id;
+    use crate::mvcc::OP_PUT;
 
     const SCHEMA: u32 = 0xD00D_F00D;
 
@@ -511,7 +510,7 @@ mod tests {
         bytecode::write_varint(1, &mut payload); // global
         bytecode::write_varint(0, &mut payload); // participants
         bytecode::write_varint(1, &mut payload); // one op...
-        payload.push(super::OP_PUT);
+        payload.push(OP_PUT);
         payload.push(0x80); // ...whose key varint never terminates
         let log = hostile_frame(&payload);
         let r = replay::<u64, u64>(&log, SCHEMA);
@@ -541,8 +540,8 @@ mod tests {
         let lists: [&[u8]; 4] = [
             &[2, 1, 0x80],
             &[3, 1, 2],
-            &[0, 2, super::OP_PUT, 5],
-            &[0, 3, super::OP_PUT, 5],
+            &[0, 2, OP_PUT, 5],
+            &[0, 3, OP_PUT, 5],
         ];
         for lists in lists {
             let mut payload = vec![LOG_FORMAT];
