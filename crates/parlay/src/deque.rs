@@ -92,6 +92,7 @@ impl<T> Deque<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+    use std::sync::Barrier;
 
     /// Pops `deque` dry, newest first.
     fn drain(deque: &Deque<u64>) -> Vec<u64> {
@@ -166,10 +167,12 @@ mod tests {
         assert!(matches!(injector.steal_into(&thief), Steal::Success(4)));
     }
 
-    /// Runs a thief until `victim` is empty for good: pops its own deque,
-    /// else steals into it, and stops at the first `Empty` seen after
-    /// `closed` was set. Adds every job it runs to `ran`.
-    fn thief_loop(victim: &Deque<u64>, closed: &AtomicBool, ran: impl Fn(u64)) {
+    /// Runs a thief, once every thread is at `start`, until `victim` is
+    /// empty for good: pops its own deque, else steals into it, and stops
+    /// at the first `Empty` seen after `closed` was set. Passes every job
+    /// it runs to `ran`.
+    fn thief_loop(victim: &Deque<u64>, start: &Barrier, closed: &AtomicBool, ran: impl Fn(u64)) {
+        start.wait();
         let own = Deque::new();
         loop {
             if let Some(job) = own.pop() {
@@ -188,18 +191,21 @@ mod tests {
     #[test]
     fn concurrent_pushes_and_steals_on_the_injector_see_each_job_once() {
         let injector = Deque::new();
-        let closed = AtomicBool::new(false);
+        let (start, closed) = (Barrier::new(4), AtomicBool::new(false));
         let (total, count) = (AtomicU64::new(0), AtomicU64::new(0));
         std::thread::scope(|scope| {
             let pushers: Vec<_> = (0..2u64)
                 .map(|p| {
-                    let injector = &injector;
-                    scope.spawn(move || (p * 5_000..(p + 1) * 5_000).for_each(|i| injector.push(i)))
+                    let (injector, start) = (&injector, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (p * 5_000..(p + 1) * 5_000).for_each(|i| injector.push(i))
+                    })
                 })
                 .collect();
             for _ in 0..2 {
                 scope.spawn(|| {
-                    thief_loop(&injector, &closed, |v| {
+                    thief_loop(&injector, &start, &closed, |v| {
                         total.fetch_add(v, Ordering::Relaxed);
                         count.fetch_add(1, Ordering::Relaxed);
                     })
@@ -218,12 +224,12 @@ mod tests {
         for i in 0..10_000u64 {
             victim.push(i);
         }
-        let closed = AtomicBool::new(true);
+        let (start, closed) = (Barrier::new(4), AtomicBool::new(true));
         let (total, count) = (AtomicU64::new(0), AtomicU64::new(0));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    thief_loop(&victim, &closed, |v| {
+                    thief_loop(&victim, &start, &closed, |v| {
                         total.fetch_add(v, Ordering::Relaxed);
                         count.fetch_add(1, Ordering::Relaxed);
                     })
@@ -245,11 +251,12 @@ mod tests {
         let run = |job: u64| {
             runs[job as usize].fetch_add(1, Ordering::Relaxed);
         };
-        let closed = AtomicBool::new(false);
+        let (start, closed) = (Barrier::new(4), AtomicBool::new(false));
         std::thread::scope(|scope| {
             for _ in 0..3 {
-                scope.spawn(|| thief_loop(&victim, &closed, run));
+                scope.spawn(|| thief_loop(&victim, &start, &closed, run));
             }
+            start.wait();
             // Two pushes per pop, then the owner drains what is left.
             for job in 0..JOBS {
                 victim.push(job);

@@ -637,11 +637,7 @@ pub(crate) fn read_page_file<T: DiskTree>(
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<File, StoreError> {
     let tmp = path.with_extension("tmp");
     // std refuses `append` with `truncate`, so truncate by `set_len`.
-    let mut file = OpenOptions::new()
-        .create(true)
-        .read(true)
-        .append(true)
-        .open(&tmp)?;
+    let mut file = open_append(&tmp)?;
     file.set_len(0)?;
     std::io::Write::write_all(&mut file, bytes)?;
     file.sync_all()?;
@@ -651,6 +647,17 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<File, StoreError> 
         fsync_dir(dir)?;
     }
     Ok(file)
+}
+
+/// Opens `path` for reading and appending, creating it if needed: the
+/// log's handle, whether a store opened the log or a checkpoint rewrote
+/// it through [`write_file_atomic`].
+pub(crate) fn open_append(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)
 }
 
 /// `fsync`s a directory, persisting entry creations, renames, and

@@ -904,11 +904,7 @@ where
             )));
         }
         let existed = log_path.exists();
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&log_path)?;
+        let file = page::open_append(&log_path)?;
         if !existed {
             // Persist the directory entry; appended commits sync only
             // the file's data.
