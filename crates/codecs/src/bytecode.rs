@@ -24,30 +24,9 @@ pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads a varint from `buf` at `*pos`, advancing `*pos`.
-///
-/// # Panics
-///
-/// Panics if the buffer ends mid-varint (corrupt input).
-#[inline]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut shift = 0u32;
-    let mut value = 0u64;
-    loop {
-        let byte = buf[*pos];
-        *pos += 1;
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return value;
-        }
-        shift += 7;
-        debug_assert!(shift < 64 + 7, "varint too long");
-    }
-}
-
-/// Fallible [`read_varint`]: returns `None` instead of panicking when
-/// the buffer ends mid-varint or the varint overflows 64 bits, leaving
-/// `*pos` unspecified. Used by storage code reading untrusted bytes.
+/// Reads a varint from `buf` at `*pos`, advancing `*pos`: the one
+/// varint decoder. Returns `None`, leaving `*pos` unspecified, when the
+/// buffer ends mid-varint or the varint overflows 64 bits; never panics.
 #[inline]
 pub fn try_read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut shift = 0u32;
@@ -97,12 +76,6 @@ pub fn write_signed(v: i64, out: &mut Vec<u8>) {
     write_varint(zigzag(v), out);
 }
 
-/// Reads a signed zigzag varint.
-#[inline]
-pub fn read_signed(buf: &[u8], pos: &mut usize) -> i64 {
-    unzigzag(read_varint(buf, pos))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +99,7 @@ mod tests {
             write_varint(v, &mut buf);
             assert_eq!(buf.len(), varint_len(v), "length mismatch for {v}");
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), v);
+            assert_eq!(try_read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
     }
@@ -139,7 +112,7 @@ mod tests {
         }
         let mut pos = 0;
         for v in 0..10_000u64 {
-            assert_eq!(read_varint(&buf, &mut pos), v * v);
+            assert_eq!(try_read_varint(&buf, &mut pos).unwrap(), v * v);
         }
         assert_eq!(pos, buf.len());
     }
@@ -202,7 +175,7 @@ mod tests {
             buf.clear();
             write_signed(v, &mut buf);
             let mut pos = 0;
-            assert_eq!(read_signed(&buf, &mut pos), v);
+            assert_eq!(unzigzag(try_read_varint(&buf, &mut pos).unwrap()), v);
         }
     }
 }

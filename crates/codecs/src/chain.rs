@@ -231,15 +231,24 @@ pub(crate) fn encode<'e, E: Delta + 'e>(
     w.finish()
 }
 
-/// Reads entry `i` at `*pos`; `prev` is entry `i - 1` (unread at a
-/// restart).
+/// Reads entry `i` at `*pos`, or `None` if its bytes are not one;
+/// `prev` is entry `i - 1`, which a restart does not need. The one place
+/// a stream is decoded: the parse calls it, every other reader through
+/// [`read`].
 #[inline]
-fn read<E: Delta>(buf: &[u8], pos: &mut usize, i: usize, prev: &E) -> E {
+fn try_read<E: Delta>(buf: &[u8], pos: &mut usize, i: usize, prev: Option<&E>) -> Option<E> {
     if is_restart(i) {
-        E::read_first(buf, pos)
+        E::try_read_first(buf, pos)
     } else {
-        E::read_delta(buf, pos, prev)
+        E::try_read_delta(buf, pos, prev.expect("delta without predecessor"))
     }
+}
+
+/// [`try_read`] of a stream already known to parse.
+#[inline]
+fn read<E: Delta>(buf: &[u8], pos: &mut usize, i: usize, prev: Option<&E>) -> E {
+    try_read(buf, pos, i, prev)
+        .expect("every EncodedBlock comes from encode, splice or a checked parse")
 }
 
 /// The reader of a stream, and [`DeltaCodec`](crate::DeltaCodec)'s
@@ -266,7 +275,7 @@ impl<'a, E: Delta> DeltaCursor<'a, E> {
             count
         };
         let mut pos = block.offset(run);
-        let cur = (run < count).then(|| E::read_first(&block.bytes, &mut pos));
+        let cur = (run < count).then(|| read(&block.bytes, &mut pos, run, None));
         let mut c = DeltaCursor {
             buf: &block.bytes,
             pos,
@@ -290,7 +299,7 @@ impl<'a, E: Delta> DeltaCursor<'a, E> {
         let prev = self.cur.take()?;
         self.idx += 1;
         if self.idx < self.count {
-            self.cur = Some(read(self.buf, &mut self.pos, self.idx, &prev));
+            self.cur = Some(read(self.buf, &mut self.pos, self.idx, Some(&prev)));
         }
         Some(prev)
     }
@@ -315,7 +324,7 @@ impl<E: Delta> BlockCursor<E> for DeltaCursor<'_, E> {
             self.cur = None;
             return;
         }
-        *prev = read(self.buf, &mut self.pos, self.idx, prev);
+        *prev = read(self.buf, &mut self.pos, self.idx, Some(prev));
     }
 }
 
@@ -326,10 +335,10 @@ pub(crate) fn for_each<E: Delta, F: FnMut(&E)>(block: &EncodedBlock, f: &mut F) 
     }
     let buf = &block.bytes;
     let mut pos = 0;
-    let mut prev = E::read_first(buf, &mut pos);
+    let mut prev = read(buf, &mut pos, 0, None);
     f(&prev);
     for i in 1..block.count() {
-        let e = read(buf, &mut pos, i, &prev);
+        let e = read(buf, &mut pos, i, Some(&prev));
         f(&e);
         prev = e;
     }
@@ -350,7 +359,7 @@ fn probe<E: Delta, T>(
         let mid = (lo + hi).div_ceil(2);
         let i = mid * RESTART_INTERVAL;
         let mut pos = block.samples[mid - 1] as usize;
-        let e = entry(i, E::read_first(&block.bytes, &mut pos));
+        let e = entry(i, read(&block.bytes, &mut pos, i, None));
         match f(&e) {
             Ordering::Less => lo = mid,
             Ordering::Equal => return Ok((i, e)),
@@ -394,17 +403,12 @@ pub(crate) fn parse<E: Delta>(payload: &[u8], count: u32) -> Result<EncodedBlock
     // below, not size an allocation first.
     let mut samples = Vec::with_capacity(n.min(payload.len()) / RESTART_INTERVAL);
     let mut pos = 0;
-    if n > 0 {
-        let mut prev = E::try_read_first(payload, &mut pos).ok_or(BAD_ENTRY)?;
-        for i in 1..n {
-            prev = if is_restart(i) {
-                samples.push(pos as u32);
-                E::try_read_first(payload, &mut pos)
-            } else {
-                E::try_read_delta(payload, &mut pos, &prev)
-            }
-            .ok_or(BAD_ENTRY)?;
+    let mut prev: Option<E> = None;
+    for i in 0..n {
+        if i > 0 && is_restart(i) {
+            samples.push(pos as u32);
         }
+        prev = Some(try_read(payload, &mut pos, i, prev.as_ref()).ok_or(BAD_ENTRY)?);
     }
     if pos != payload.len() {
         return Err(BlockIoError::Malformed(

@@ -41,30 +41,23 @@ impl BitWriter {
         self.bit_len += width as usize;
     }
 
-    /// Appends `v` in Elias gamma code (`v` must be >= 1):
-    /// `floor(log2 v)` zero bits, then the binary representation of `v`
-    /// MSB-first (so the leading 1 terminates the zeros).
-    pub fn write_gamma(&mut self, v: u64) {
-        debug_assert!(v >= 1, "gamma codes encode positive integers");
-        let width = 64 - v.leading_zeros();
+    /// Appends `v + 1` in Elias gamma code, for every `u64` `v` (the
+    /// shift makes 0 representable): `floor(log2 (v + 1))` zero bits,
+    /// then the binary representation of `v + 1` MSB-first, so the
+    /// leading 1 terminates the zeros. `u64::MAX` is written as
+    /// gamma(2⁶⁴) — 64 zero bits, a one, then 64 zero bits.
+    pub fn write_gamma0(&mut self, v: u64) {
+        let Some(code) = v.checked_add(1) else {
+            self.write_bits(0, 64);
+            self.write_bits(1, 1);
+            self.write_bits(0, 64);
+            return;
+        };
+        let width = 64 - code.leading_zeros();
         self.write_bits(0, width - 1);
         // MSB-first emission = one LSB-first append of the bit-reversed
         // value.
-        self.write_bits(v.reverse_bits() >> (64 - width), width);
-    }
-
-    /// Appends `v + 1` in gamma code, for every `u64` `v`: the shift
-    /// makes 0 representable, and `u64::MAX` is written as gamma(2⁶⁴) —
-    /// 64 zero bits, a one, then 64 zero bits.
-    pub fn write_gamma0(&mut self, v: u64) {
-        match v.checked_add(1) {
-            Some(code) => self.write_gamma(code),
-            None => {
-                self.write_bits(0, 64);
-                self.write_bits(1, 1);
-                self.write_bits(0, 64);
-            }
-        }
+        self.write_bits(code.reverse_bits() >> (64 - width), width);
     }
 
     /// Number of bits written so far.
@@ -143,36 +136,14 @@ impl<'a> BitReader<'a> {
         v
     }
 
-    /// Reads an Elias gamma code written by [`BitWriter::write_gamma`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bits at the read position are not a whole code of
-    /// a `u64`.
-    pub fn read_gamma(&mut self) -> u64 {
-        self.try_read_gamma0()
-            .and_then(|v| v.checked_add(1))
-            .expect("bit buffer exhausted inside a gamma code")
-    }
-
     /// Reads a code written by [`BitWriter::write_gamma0`], returning
-    /// `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bits at the read position are not a whole code.
-    pub fn read_gamma0(&mut self) -> u64 {
-        self.try_read_gamma0()
-            .expect("bit buffer exhausted inside a gamma code")
-    }
-
-    /// Reads a code written by [`BitWriter::write_gamma0`], or `None`
-    /// (leaving the position unspecified) if the bits at the read
-    /// position are not a whole one: no `1` within the 64 bits a code's
-    /// zero run can span (bar gamma(2⁶⁴)), or fewer value bits left
-    /// than the run announces. Finds the run with one `trailing_zeros`
-    /// on a 64-bit window, then reads the value bits in one call.
-    pub(crate) fn try_read_gamma0(&mut self) -> Option<u64> {
+    /// `v`: the one gamma decoder. `None` (leaving the position
+    /// unspecified) if the bits at the read position are not a whole
+    /// code: no `1` within the 64 bits a code's zero run can span (bar
+    /// gamma(2⁶⁴)), or fewer value bits left than the run announces.
+    /// Never panics. Finds the run with one `trailing_zeros` on a 64-bit
+    /// window, then reads the value bits in one call.
+    pub fn try_read_gamma0(&mut self) -> Option<u64> {
         let avail = self.bytes.len() * 8 - self.pos;
         let window = self.peek_bits(avail.min(64) as u32);
         if window == 0 {
@@ -218,12 +189,12 @@ mod tests {
     fn gamma_roundtrip_small_values() {
         let mut w = BitWriter::new();
         for v in 1..=300u64 {
-            w.write_gamma(v);
+            w.write_gamma0(v - 1);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for v in 1..=300u64 {
-            assert_eq!(r.read_gamma(), v);
+            assert_eq!(r.try_read_gamma0(), Some(v - 1));
         }
     }
 
@@ -232,21 +203,21 @@ mod tests {
         let cases = [1u64, 2, 3, 1 << 20, (1 << 40) + 12345, u64::MAX >> 1];
         let mut w = BitWriter::new();
         for &v in &cases {
-            w.write_gamma(v);
+            w.write_gamma0(v - 1);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         for &v in &cases {
-            assert_eq!(r.read_gamma(), v);
+            assert_eq!(r.try_read_gamma0(), Some(v - 1));
         }
     }
 
     #[test]
     fn gamma_one_costs_one_bit() {
         let mut w = BitWriter::new();
-        w.write_gamma(1);
+        w.write_gamma0(0);
         assert_eq!(w.bit_len(), 1);
-        w.write_gamma(2);
+        w.write_gamma0(1);
         // gamma(2) = 0 10 -> 3 bits.
         assert_eq!(w.bit_len(), 4);
     }
@@ -325,9 +296,9 @@ mod tests {
     #[test]
     fn read_bits_agrees_with_read_bit() {
         let mut w = BitWriter::new();
-        w.write_gamma(123_456_789);
+        w.write_gamma0(123_456_789 - 1);
         w.write_bits(0xABCD, 16);
-        w.write_gamma(1);
+        w.write_gamma0(0);
         let bytes = w.into_bytes();
         let mut bitwise = BitReader::new(&bytes);
         let mut total = 0usize;
@@ -338,9 +309,9 @@ mod tests {
         }
         assert_eq!(total, bytes.len() * 8 - (8 - (total % 8)) % 8);
         let mut wordwise = BitReader::new(&bytes);
-        assert_eq!(wordwise.read_gamma(), 123_456_789);
+        assert_eq!(wordwise.try_read_gamma0(), Some(123_456_789 - 1));
         assert_eq!(wordwise.read_bits(16), 0xABCD);
-        assert_eq!(wordwise.read_gamma(), 1);
+        assert_eq!(wordwise.try_read_gamma0(), Some(0));
     }
 
     #[test]
@@ -351,13 +322,13 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bits(0b11, 2); // misalign everything that follows
         for &v in &cases {
-            w.write_gamma(v);
+            w.write_gamma0(v - 1);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2), 0b11);
         for &v in &cases {
-            assert_eq!(r.read_gamma(), v);
+            assert_eq!(r.try_read_gamma0(), Some(v - 1));
         }
     }
 

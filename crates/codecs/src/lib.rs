@@ -18,6 +18,16 @@
 //! Users can add their own scheme by implementing [`Codec`]; the tree
 //! code never looks inside a block except through this trait.
 //!
+//! Every encoding has one decoder, and it never panics:
+//! [`bytecode::try_read_varint`], [`ByteEncode::try_read`],
+//! [`Delta::try_read_first`]/[`Delta::try_read_delta`] and
+//! [`gamma::BitReader::try_read_gamma0`] return `None` on bytes that are
+//! not a valid encoding. Untrusted bytes become a block only through
+//! [`BlockIo::read_block`], which parses every entry with those readers,
+//! so a block's cursors and loops call the same readers and `expect`
+//! them to succeed: every compressed block comes from `encode`, `splice`
+//! or that checked parse.
+//!
 //! ```
 //! use codecs::{Codec, DeltaCodec, RawCodec};
 //!
@@ -347,56 +357,38 @@ impl<E: Clone + Send + Sync + 'static> Codec<E> for RawCodec {
 /// for *any* ordering via wrapping arithmetic, and 1 byte per entry for
 /// small gaps) and for `(key, value)` pairs where the value is
 /// byte-encoded with [`ByteEncode`].
+///
+/// Each of the two encodings has one reader, and it never panics: on
+/// bytes that are not a valid encoding (truncated or out of range) it
+/// returns `None`, leaving `*pos` unspecified. [`BlockIo::read_block`]
+/// parses every entry of a block through these readers before it keeps
+/// the block, so the cursors' hot path can `expect` on them.
 pub trait Delta: Sized {
     /// Writes the first entry of a block (stored whole).
     fn write_first(&self, out: &mut Vec<u8>);
-    /// Reads an entry written by [`Delta::write_first`].
-    fn read_first(buf: &[u8], pos: &mut usize) -> Self;
     /// Writes this entry relative to its predecessor `prev`.
     fn write_delta(&self, prev: &Self, out: &mut Vec<u8>);
-    /// Reads an entry written by [`Delta::write_delta`].
-    fn read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Self;
-    /// Fallible [`Delta::read_first`]: `None` when the bytes at `*pos`
-    /// are not a valid encoding (truncated or out of range), leaving
-    /// `*pos` unspecified. [`BlockIo::read_block`] parses through it.
-    ///
-    /// The provided default trusts its input and calls `read_first`;
-    /// the impls in this crate override it to refuse malformed bytes
-    /// instead of panicking, as should any impl whose blocks are read
-    /// back from bytes a checksum does not vouch for.
-    fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(Self::read_first(buf, pos))
-    }
-    /// Fallible [`Delta::read_delta`], with the same contract and
-    /// default as [`Delta::try_read_first`].
-    fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
-        Some(Self::read_delta(buf, pos, prev))
-    }
+    /// Reads an entry written by [`Delta::write_first`].
+    fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self>;
+    /// Reads an entry written by [`Delta::write_delta`] after `prev`.
+    fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self>;
 }
 
-/// Fixed or variable-width byte encoding for the value part of an entry.
+/// Fixed or variable-width byte encoding for the value part of an entry,
+/// and the grammar of every record around the leaves.
 ///
-/// `read` assumes its input was produced by `write` and has passed an
-/// integrity check (the storage layers guard every payload with a
-/// CRC-32 and a type fingerprint before decoding); feeding it arbitrary
-/// bytes may panic, but never causes undefined behavior. Paths that
-/// parse bytes a checksum cannot vouch for (a CRC only proves the
-/// payload is what the *writer* wrote, not that the writer was honest —
-/// network peers, foreign files) must use [`ByteEncode::try_read`],
-/// which refuses malformed input instead of panicking.
+/// [`ByteEncode::try_read`] is the one reader, for trusted and untrusted
+/// bytes alike: a CRC only proves the payload is what the *writer*
+/// wrote, not that the writer was honest (network peers, foreign files),
+/// so it refuses malformed input instead of panicking. A value inside a
+/// delta block is read by it too, and an already parsed block's cursors
+/// `expect` on it (see [`Delta`]).
 pub trait ByteEncode: Sized {
     /// Appends the encoded value.
     fn write(&self, out: &mut Vec<u8>);
-    /// Reads a value written by [`ByteEncode::write`].
-    ///
-    /// The provided default is [`ByteEncode::try_read`], panicking on
-    /// malformed input.
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        Self::try_read(buf, pos).expect("malformed encoding (corrupt or mistyped input)")
-    }
-    /// Fallible [`ByteEncode::read`]: `None` when the bytes at `*pos`
-    /// are not a valid encoding (truncated, overlong, or otherwise
-    /// malformed), leaving `*pos` unspecified. Never panics.
+    /// Reads a value written by [`ByteEncode::write`], or `None` when the
+    /// bytes at `*pos` are not a valid encoding (truncated, overlong, or
+    /// otherwise malformed), leaving `*pos` unspecified. Never panics.
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self>;
 }
 
@@ -415,12 +407,16 @@ pub fn write_list<T: ByteEncode>(items: &[T], out: &mut Vec<u8>) {
 ///
 /// Every listed item takes at least one byte, so a count larger than
 /// the bytes left is malformed: it is refused before anything is
-/// allocated, and the allocation is never larger than the input.
+/// allocated. The up-front reservation is at most as many `T`s as fit
+/// in the bytes left, so it is never larger than the input; a list of
+/// items wider in memory than on the wire grows as they parse.
 fn try_read_items<T: ByteEncode>(count: u64, buf: &[u8], pos: &mut usize) -> Option<Vec<T>> {
-    if count > buf.len().saturating_sub(*pos) as u64 {
+    let left = buf.len().saturating_sub(*pos);
+    if count > left as u64 {
         return None;
     }
-    let mut items = Vec::with_capacity(count as usize);
+    let mut items =
+        Vec::with_capacity((count as usize).min(left / std::mem::size_of::<T>().max(1)));
     for _ in 0..count {
         items.push(T::try_read(buf, pos)?);
     }
@@ -468,9 +464,6 @@ macro_rules! impl_byte_encode_uint {
             fn write(&self, out: &mut Vec<u8>) {
                 bytecode::write_varint(*self as u64, out);
             }
-            fn read(buf: &[u8], pos: &mut usize) -> Self {
-                bytecode::read_varint(buf, pos) as $t
-            }
             fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 let v = bytecode::try_read_varint(buf, pos)?;
                 <$t>::try_from(v).ok()
@@ -486,9 +479,6 @@ macro_rules! impl_byte_encode_int {
             fn write(&self, out: &mut Vec<u8>) {
                 bytecode::write_signed(*self as i64, out);
             }
-            fn read(buf: &[u8], pos: &mut usize) -> Self {
-                bytecode::read_signed(buf, pos) as $t
-            }
             fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 let v = bytecode::unzigzag(bytecode::try_read_varint(buf, pos)?);
                 <$t>::try_from(v).ok()
@@ -503,11 +493,6 @@ impl<A: ByteEncode, B: ByteEncode> ByteEncode for (A, B) {
         self.0.write(out);
         self.1.write(out);
     }
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        let a = A::read(buf, pos);
-        let b = B::read(buf, pos);
-        (a, b)
-    }
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let a = A::try_read(buf, pos)?;
         let b = B::try_read(buf, pos)?;
@@ -517,7 +502,6 @@ impl<A: ByteEncode, B: ByteEncode> ByteEncode for (A, B) {
 
 impl ByteEncode for () {
     fn write(&self, _out: &mut Vec<u8>) {}
-    fn read(_buf: &[u8], _pos: &mut usize) -> Self {}
     fn try_read(_buf: &[u8], _pos: &mut usize) -> Option<Self> {
         Some(())
     }
@@ -527,17 +511,6 @@ impl ByteEncode for String {
     fn write(&self, out: &mut Vec<u8>) {
         bytecode::write_varint(self.len() as u64, out);
         out.extend_from_slice(self.as_bytes());
-    }
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        let len = bytecode::read_varint(buf, pos) as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&end| end <= buf.len())
-            .expect("string length runs past buffer (corrupt or mistyped input)");
-        let s = String::from_utf8(buf[*pos..end].to_vec())
-            .expect("invalid UTF-8 (corrupt or mistyped input)");
-        *pos = end;
-        s
     }
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         // The length is validated in the u64 domain before narrowing:
@@ -555,11 +528,6 @@ impl ByteEncode for f32 {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        let v = f32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        v
-    }
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let bytes = buf.get(*pos..pos.checked_add(4)?)?;
         *pos += 4;
@@ -570,11 +538,6 @@ impl ByteEncode for f32 {
 impl ByteEncode for f64 {
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        let v = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        v
     }
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let bytes = buf.get(*pos..pos.checked_add(8)?)?;
@@ -589,18 +552,11 @@ macro_rules! impl_delta_uint {
             fn write_first(&self, out: &mut Vec<u8>) {
                 bytecode::write_varint(*self as u64, out);
             }
-            fn read_first(buf: &[u8], pos: &mut usize) -> Self {
-                bytecode::read_varint(buf, pos) as $t
-            }
             fn write_delta(&self, prev: &Self, out: &mut Vec<u8>) {
                 // Wrapping difference + zigzag: exact for any pair, and a
                 // small non-negative gap (sorted data) costs one byte.
                 let diff = self.wrapping_sub(*prev) as i64;
                 bytecode::write_signed(diff, out);
-            }
-            fn read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Self {
-                let diff = bytecode::read_signed(buf, pos);
-                prev.wrapping_add(diff as $t)
             }
             fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
                 <$t>::try_from(bytecode::try_read_varint(buf, pos)?).ok()
@@ -619,19 +575,9 @@ impl<K: Delta, V: ByteEncode> Delta for (K, V) {
         self.0.write_first(out);
         self.1.write(out);
     }
-    fn read_first(buf: &[u8], pos: &mut usize) -> Self {
-        let k = K::read_first(buf, pos);
-        let v = V::read(buf, pos);
-        (k, v)
-    }
     fn write_delta(&self, prev: &Self, out: &mut Vec<u8>) {
         self.0.write_delta(&prev.0, out);
         self.1.write(out);
-    }
-    fn read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Self {
-        let k = K::read_delta(buf, pos, &prev.0);
-        let v = V::read(buf, pos);
-        (k, v)
     }
     fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let k = K::try_read_first(buf, pos)?;
@@ -850,6 +796,14 @@ impl GammaKey for u64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct GammaCodec;
 
+/// The next code of a [`GammaCodec`] block, which holds `count` whole
+/// codes: it comes from `encode` or a checked parse ([`parse_gamma`]).
+#[inline]
+fn next_gamma(r: &mut BitReader<'_>) -> u64 {
+    r.try_read_gamma0()
+        .expect("every gamma block comes from encode or a checked parse")
+}
+
 /// Streaming cursor over a [`GammaCodec`] block: bit-granular gamma
 /// decoding, one entry per [`advance`](BlockCursor::advance).
 #[derive(Debug)]
@@ -876,7 +830,7 @@ impl<E: GammaKey> BlockCursor<E> for GammaCursor<'_, E> {
         if self.idx >= self.count {
             return;
         }
-        let diff = bytecode::unzigzag(self.reader.read_gamma0());
+        let diff = bytecode::unzigzag(next_gamma(&mut self.reader));
         self.prev = self.prev.wrapping_add(diff as u64);
         self.cur = Some(E::from_u64(self.prev));
     }
@@ -925,7 +879,7 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
             cur: None,
         };
         if c.count > 0 {
-            c.prev = c.reader.read_gamma0();
+            c.prev = next_gamma(&mut c.reader);
             c.cur = Some(E::from_u64(c.prev));
         }
         c
@@ -936,10 +890,10 @@ impl<E: GammaKey + Clone + Send + Sync + 'static> Codec<E> for GammaCodec {
             return;
         }
         let mut r = BitReader::new(block.bytes());
-        let mut prev = r.read_gamma0();
+        let mut prev = next_gamma(&mut r);
         f(&E::from_u64(prev));
         for _ in 1..block.count() {
-            let diff = bytecode::unzigzag(r.read_gamma0());
+            let diff = bytecode::unzigzag(next_gamma(&mut r));
             prev = prev.wrapping_add(diff as u64);
             f(&E::from_u64(prev));
         }
@@ -1671,7 +1625,7 @@ mod tests {
         let mut buf = Vec::new();
         ("hello".to_string(), 42u64).write(&mut buf);
         let mut pos = 0;
-        let back = <(String, u64) as ByteEncode>::read(&buf, &mut pos);
+        let back = <(String, u64) as ByteEncode>::try_read(&buf, &mut pos).unwrap();
         assert_eq!(back, ("hello".to_string(), 42));
         assert_eq!(pos, buf.len());
     }

@@ -2,7 +2,10 @@
 //! data, and the zero-allocation access layer (cursor / `get` /
 //! `search_by` / `cursor_at`) agrees with the decode-everything oracle.
 
-use codecs::{BlockCursor, Codec, DeltaCodec, GammaCodec, KeyDeltaCodec, RawCodec, RESTART_INTERVAL};
+use codecs::{
+    BlockCursor, BlockIo, ByteEncode, Codec, Delta, DeltaCodec, GammaCodec, KeyDeltaCodec, RawCodec,
+    RESTART_INTERVAL,
+};
 use proptest::prelude::*;
 
 /// Drains a cursor into a vector (the streaming side of the oracle).
@@ -152,6 +155,155 @@ proptest! {
                 <KeyDeltaCodec as Codec<(u64, u32)>>::search_by(&block, |e| e.0.cmp(&probe)),
                 want
             );
+        }
+    }
+}
+
+/// `v` as [`ByteEncode::write`] writes it.
+fn written<T: ByteEncode>(v: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    v.write(&mut out);
+    out
+}
+
+/// `entries` as one block frame of codec `C`.
+fn framed<E, C: BlockIo<E>>(entries: &[E]) -> Vec<u8> {
+    let mut out = Vec::new();
+    C::write_block(&C::encode(entries), &mut out);
+    out
+}
+
+/// Valid bytes of `entries` in every shape the decoders read: lists,
+/// options, a float, block frames of each codec and a bare delta stream.
+fn valid_encodings(entries: &[(u64, u64)]) -> Vec<Vec<u8>> {
+    let keys: Vec<u64> = entries.iter().map(|e| e.0).collect();
+    let named: Vec<(u64, String)> = entries.iter().map(|&(k, v)| (k, v.to_string())).collect();
+    let names: Vec<String> = named.iter().map(|e| e.1.clone()).collect();
+    vec![
+        written(&keys),
+        written(&names),
+        written(&named.first().cloned()),
+        written(&keys.first().copied()),
+        written(&(entries.len() as f64 / 3.0)),
+        framed::<_, RawCodec>(entries),
+        framed::<_, RawCodec>(&named),
+        framed::<_, DeltaCodec>(entries),
+        framed::<_, DeltaCodec>(&named),
+        framed::<_, DeltaCodec>(&keys),
+        framed::<_, GammaCodec>(&keys),
+        <DeltaCodec as Codec<(u64, u64)>>::encode(entries).bytes().to_vec(),
+    ]
+}
+
+/// Where [`ByteEncode::try_read`] of a `T` at `at` ends, if it reads one.
+fn byte<T: ByteEncode>(buf: &[u8], at: usize) -> Option<usize> {
+    let mut pos = at;
+    T::try_read(buf, &mut pos).map(|_| pos)
+}
+
+/// Where [`Delta::try_read_first`] of a `T` at `at` ends, if it reads one.
+fn first<T: Delta>(buf: &[u8], at: usize) -> Option<usize> {
+    let mut pos = at;
+    T::try_read_first(buf, &mut pos).map(|_| pos)
+}
+
+/// Where [`Delta::try_read_delta`] of a `T` after `T::default()` at `at`
+/// ends, if it reads one.
+fn delta<T: Delta + Default>(buf: &[u8], at: usize) -> Option<usize> {
+    let mut pos = at;
+    T::try_read_delta(buf, &mut pos, &T::default()).map(|_| pos)
+}
+
+/// Where [`BlockIo::read_block`] of codec `C` at `at` ends, if it reads a
+/// block. A block it reads is then decoded, searched and streamed from
+/// several entries: the access layer trusts every block the parse let
+/// through, so none of that may panic either.
+fn block<E: Ord + Clone, C: BlockIo<E>>(buf: &[u8], at: usize) -> Option<usize> {
+    let mut pos = at;
+    let block = C::read_block(buf, &mut pos).ok()?;
+    let n = C::len(&block);
+    let mut all = Vec::new();
+    C::decode(&block, &mut all);
+    assert_eq!(all.len(), n, "a parsed block decodes to its count");
+    if let Some(mid) = all.get(n / 2) {
+        let _ = C::search_by(&block, |e| e.cmp(mid));
+    }
+    for i in [0, 1, n / 2, n.saturating_sub(1), n] {
+        assert_eq!(drain(C::cursor_at(&block, i)).len(), n - i.min(n));
+    }
+    Some(pos)
+}
+
+/// Runs every decoder over `buf` from `at`; none may panic, and each
+/// that reads a value must leave its position inside `buf`.
+fn read_everything(buf: &[u8], at: usize) -> Result<(), TestCaseError> {
+    let ends = [
+        byte::<u8>(buf, at),
+        byte::<u16>(buf, at),
+        byte::<u32>(buf, at),
+        byte::<u64>(buf, at),
+        byte::<usize>(buf, at),
+        byte::<i8>(buf, at),
+        byte::<i16>(buf, at),
+        byte::<i32>(buf, at),
+        byte::<i64>(buf, at),
+        byte::<isize>(buf, at),
+        byte::<String>(buf, at),
+        byte::<f32>(buf, at),
+        byte::<f64>(buf, at),
+        byte::<(u64, String)>(buf, at),
+        byte::<Vec<u64>>(buf, at),
+        byte::<Vec<String>>(buf, at),
+        byte::<Option<u64>>(buf, at),
+        first::<u32>(buf, at),
+        first::<u64>(buf, at),
+        first::<(u64, u64)>(buf, at),
+        delta::<u32>(buf, at),
+        delta::<u64>(buf, at),
+        delta::<(u64, u64)>(buf, at),
+        block::<(u64, u64), RawCodec>(buf, at),
+        block::<(u64, String), RawCodec>(buf, at),
+        block::<(u64, u64), DeltaCodec>(buf, at),
+        block::<(u64, String), DeltaCodec>(buf, at),
+        block::<u64, DeltaCodec>(buf, at),
+        block::<u64, GammaCodec>(buf, at),
+    ];
+    for (reader, end) in ends.into_iter().enumerate() {
+        if let Some(end) = end {
+            prop_assert!(end <= buf.len(), "reader {} ended at {} of {} bytes", reader, end, buf.len());
+        }
+    }
+    Ok(())
+}
+
+// Random bytes, and valid encodings cut short or with bits flipped,
+// through every decoder, read from the start and from a random byte.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn no_decoder_panics_on_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        entries in prop::collection::vec(any::<(u64, u64)>(), 0..200),
+        cut in any::<u64>(),
+        flips in prop::collection::vec(any::<u64>(), 1..4),
+        at in any::<u64>(),
+    ) {
+        let mut inputs = vec![noise];
+        for valid in valid_encodings(&entries) {
+            inputs.push(valid[..cut as usize % (valid.len() + 1)].to_vec());
+            let mut flipped = valid;
+            if !flipped.is_empty() {
+                for &bit in &flips {
+                    let bit = bit as usize % (flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            inputs.push(flipped);
+        }
+        for buf in &inputs {
+            read_everything(buf, 0)?;
+            read_everything(buf, at as usize % (buf.len() + 1))?;
         }
     }
 }

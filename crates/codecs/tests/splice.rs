@@ -310,15 +310,15 @@ impl Delta for Counted {
         ENCODED.with(|c| c.set(c.get() + 1));
         self.0.write_first(out);
     }
-    fn read_first(buf: &[u8], pos: &mut usize) -> Self {
-        Counted(u64::read_first(buf, pos))
-    }
     fn write_delta(&self, prev: &Self, out: &mut Vec<u8>) {
         ENCODED.with(|c| c.set(c.get() + 1));
         self.0.write_delta(&prev.0, out);
     }
-    fn read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Self {
-        Counted(u64::read_delta(buf, pos, &prev.0))
+    fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        u64::try_read_first(buf, pos).map(Counted)
+    }
+    fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
+        u64::try_read_delta(buf, pos, &prev.0).map(Counted)
     }
 }
 

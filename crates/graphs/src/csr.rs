@@ -82,11 +82,14 @@ impl GraphSnapshot for CompressedCsr {
             return;
         }
         let mut pos = self.offsets[v as usize] as usize;
-        let first = i64::from(v) + bytecode::read_signed(&self.bytes, &mut pos);
-        let mut prev = first as u32;
+        let mut next = || {
+            bytecode::try_read_varint(&self.bytes, &mut pos)
+                .expect("from_edges writes one varint per neighbour")
+        };
+        let mut prev = (i64::from(v) + bytecode::unzigzag(next())) as u32;
         f(prev);
         for _ in 1..deg {
-            prev += bytecode::read_varint(&self.bytes, &mut pos) as u32;
+            prev += next() as u32;
             f(prev);
         }
     }

@@ -17,6 +17,7 @@
 
 use std::io::{Read, Write};
 
+use codecs::bytecode;
 use store::checksum::crc32;
 
 /// Largest payload a peer may send, well above any real request
@@ -105,26 +106,24 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<u64> 
 /// boundary and may be read again; after any other error the stream
 /// state is unknown and the connection should be dropped.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    // Varint length prefix, one byte at a time (same overflow rules as
-    // `codecs::bytecode::try_read_varint`: at most ten groups, and the
-    // tenth may only contribute one bit).
-    let mut len = 0u64;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) if first => return Err(FrameError::Closed),
+    // The varint length prefix, one byte at a time, until the bytes so
+    // far decode. A `u64` varint is at most ten bytes, so a prefix that
+    // has not decoded by the tenth is an overflow.
+    let mut prefix = [0u8; 10];
+    let mut n = 0;
+    let len = loop {
+        match r.read(&mut prefix[n..=n]) {
+            Ok(0) if n == 0 => return Err(FrameError::Closed),
             Ok(0) => {
                 return Err(FrameError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "eof inside a frame length",
                 )))
             }
-            Ok(_) => {}
+            Ok(_) => n += 1,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
-                if first
+                if n == 0
                     && matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -134,17 +133,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
             }
             Err(e) => return Err(FrameError::Io(e)),
         }
-        let b = byte[0];
-        if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
+        if let Some(len) = bytecode::try_read_varint(&prefix[..n], &mut 0) {
+            break len;
+        }
+        if n == prefix.len() {
             return Err(FrameError::TooLarge(u64::MAX));
         }
-        len |= u64::from(b & 0x7f) << shift;
-        first = false;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
+    };
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
@@ -243,5 +238,54 @@ mod tests {
         write_frame(&mut wire, b"truncated-later").unwrap();
         wire.truncate(wire.len() - 6);
         assert!(matches!(read_frame(&mut &wire[..]), Err(FrameError::Io(_))));
+    }
+
+    /// Yields `.0`, then fails every read with `.1` (`None`: EOF).
+    struct Then<'a>(&'a [u8], Option<std::io::ErrorKind>);
+
+    impl Read for Then<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.is_empty(), self.1) {
+                (false, _) => self.0.read(buf),
+                (true, None) => Ok(0),
+                (true, Some(kind)) => Err(kind.into()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_fails_by_where_it_stops() {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        let read = |bytes: &[u8], end| read_frame(&mut Then(bytes, end));
+        // Before the first byte: a clean close or an idle timeout.
+        assert!(matches!(read(&[], None), Err(FrameError::Closed)));
+        assert!(matches!(
+            read(&[], Some(WouldBlock)),
+            Err(FrameError::TimedOut)
+        ));
+        assert!(matches!(
+            read(&[], Some(TimedOut)),
+            Err(FrameError::TimedOut)
+        ));
+        // Inside the length: EOF or a stall is a dead peer.
+        for end in [None, Some(WouldBlock)] {
+            assert!(matches!(read(&[0x80], end), Err(FrameError::Io(_))));
+            assert!(matches!(read(&[0x80; 9], end), Err(FrameError::Io(_))));
+        }
+        // A tenth byte whose bits fall off the `u64`, or that continues.
+        let mut tenth = [0x80u8; 10];
+        tenth[9] = 0x02;
+        assert!(matches!(
+            read(&tenth, None),
+            Err(FrameError::TooLarge(u64::MAX))
+        ));
+        assert!(matches!(
+            read(&[0x80; 10], None),
+            Err(FrameError::TooLarge(u64::MAX))
+        ));
+        // A ten-byte length that fits still decodes, to a length over the cap.
+        let mut top = Vec::new();
+        bytecode::write_varint(1 << 63, &mut top);
+        assert!(matches!(read(&top, None), Err(FrameError::TooLarge(n)) if n == 1 << 63));
     }
 }

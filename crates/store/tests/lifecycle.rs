@@ -475,9 +475,6 @@ impl codecs::ByteEncode for ReadsOnDrop {
     fn write(&self, out: &mut Vec<u8>) {
         self.0.write(out);
     }
-    fn read(buf: &[u8], pos: &mut usize) -> Self {
-        ReadsOnDrop(u64::read(buf, pos))
-    }
     fn try_read(buf: &[u8], pos: &mut usize) -> Option<Self> {
         u64::try_read(buf, pos).map(ReadsOnDrop)
     }
