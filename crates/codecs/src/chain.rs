@@ -6,7 +6,7 @@
 //! `i - 1` ([`Delta::write_delta`]) otherwise. [`EncodedBlock`]'s sample
 //! table holds the byte offset of every restart after the first. This
 //! module is the only code that knows that rule: the writer, the reader
-//! (which is the cursor), the sorted search, the `for_each` loop, the
+//! (which is the cursor), the sorted seek, the `for_each` loop, the
 //! fallible parse behind `BlockIo`, and the splice are all here.
 //!
 //! [`DeltaCodec`]: crate::DeltaCodec
@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use crate::{scan_sorted, BlockCursor, BlockIoError, Delta};
+use crate::{skip_less, BlockCursor, BlockIoError, Delta};
 
 /// Restart/sample interval for seekable compressed blocks.
 ///
@@ -24,7 +24,7 @@ use crate::{scan_sorted, BlockCursor, BlockIoError, Delta};
 /// `RESTART_INTERVAL`-th entry *absolute* (with [`Delta::write_first`])
 /// instead of relative to its predecessor, and record the byte offset of
 /// each such restart in [`EncodedBlock`]'s sample table. Point accesses
-/// ([`Codec::get`], [`Codec::search_by`], [`Codec::cursor_at`]) binary
+/// ([`Codec::get`], [`Codec::seek_by`], [`Codec::cursor_at`]) binary
 /// search the samples and then delta-decode at most one run, so seeking
 /// skips most of the block instead of decoding it from the front.
 ///
@@ -35,7 +35,7 @@ use crate::{scan_sorted, BlockCursor, BlockIoError, Delta};
 /// `B = 32` — are byte-identical to the pure delta chain and pay nothing.
 ///
 /// [`Codec::get`]: crate::Codec::get
-/// [`Codec::search_by`]: crate::Codec::search_by
+/// [`Codec::seek_by`]: crate::Codec::seek_by
 /// [`Codec::cursor_at`]: crate::Codec::cursor_at
 pub const RESTART_INTERVAL: usize = 64;
 
@@ -347,49 +347,39 @@ pub(crate) fn for_each<E: Delta, F: FnMut(&E)>(block: &EncodedBlock, f: &mut F) 
 /// The restart probe of a sorted search: binary searches the restarts
 /// after the first for the last one before `f`'s target. `entry(i, e)`
 /// turns stream entry `e` at index `i` into what `f` compares. Returns
-/// `Ok` when a restart is the target, else `Err` with the first entry
-/// of the run that holds it (or would).
+/// the restart that is the target, else the first entry of the run that
+/// holds it (or would).
 fn probe<E: Delta, T>(
     block: &EncodedBlock,
     entry: &mut impl FnMut(usize, E) -> T,
     f: &mut impl FnMut(&T) -> Ordering,
-) -> Result<(usize, T), usize> {
+) -> usize {
     let (mut lo, mut hi) = (0usize, block.samples.len());
     while lo < hi {
         let mid = (lo + hi).div_ceil(2);
         let i = mid * RESTART_INTERVAL;
         let mut pos = block.samples[mid - 1] as usize;
-        let e = entry(i, read(&block.bytes, &mut pos, i, None));
-        match f(&e) {
+        match f(&entry(i, read(&block.bytes, &mut pos, i, None))) {
             Ordering::Less => lo = mid,
-            Ordering::Equal => return Ok((i, e)),
+            Ordering::Equal => return i,
             Ordering::Greater => hi = mid - 1,
         }
     }
-    Err(lo * RESTART_INTERVAL)
+    lo * RESTART_INTERVAL
 }
 
-/// [`Codec::search_by`](crate::Codec::search_by) over a stream sorted
-/// under `f`: the restart probe, then a scan of one run with the cursor
-/// `cursor(i)` opens on entry `i`. `entry` is as in the probe.
-pub(crate) fn search<E: Delta, T: Clone, C: BlockCursor<T>>(
+/// [`Codec::seek_by`](crate::Codec::seek_by) over a stream sorted under
+/// `f`: the restart probe, then the cursor `cursor(i)` opens on entry
+/// `i` scans the run, each entry decoded once. `entry` is as in the
+/// probe.
+pub(crate) fn seek<E: Delta, T, C: BlockCursor<T>>(
     block: &EncodedBlock,
     mut entry: impl FnMut(usize, E) -> T,
     cursor: impl FnOnce(usize) -> C,
     f: &mut impl FnMut(&T) -> Ordering,
-) -> Result<(usize, T), usize> {
-    match probe(block, &mut entry, f) {
-        Ok(hit) => Ok(hit),
-        Err(i) => scan_sorted(cursor(i), i, f),
-    }
-}
-
-/// The first entry of the run where `f`'s target lies or would be
-/// inserted: the search's probe alone.
-fn run_start<E: Delta>(block: &EncodedBlock, mut f: impl FnMut(&E) -> Ordering) -> usize {
-    match probe(block, &mut |_, e: E| e, &mut f) {
-        Ok((i, _)) | Err(i) => i,
-    }
+) -> (usize, C) {
+    let i = probe(block, &mut entry, f);
+    skip_less(cursor(i), i, f)
 }
 
 /// Parses `count` entries from `payload` into a block, re-deriving the
@@ -565,7 +555,7 @@ pub(crate) fn splice<E: Delta, T>(
                 None => block.count(),
                 Some(t) => {
                     if run.0 != k {
-                        run = (k, run_start::<E>(block, |e| cmp(e, t)));
+                        run = (k, probe(block, &mut |_, e: E| e, &mut |e| cmp(e, t)));
                     }
                     run.1
                 }

@@ -108,32 +108,24 @@ impl<'a> BitReader<'a> {
         ((u128::from_le_bytes(window) >> bit_off) as u64) & width_mask(width)
     }
 
-    /// Reads one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is exhausted.
-    pub fn read_bit(&mut self) -> u64 {
-        let byte = self.bytes[self.pos / 8];
+    /// Reads one bit, or `None` past the end of the buffer.
+    fn try_read_bit(&mut self) -> Option<u64> {
+        let byte = *self.bytes.get(self.pos / 8)?;
         let bit = (byte >> (self.pos % 8)) & 1;
         self.pos += 1;
-        u64::from(bit)
+        Some(u64::from(bit))
     }
 
-    /// Reads the next `width` bits (LSB-first), whole words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `width` bits remain.
-    pub fn read_bits(&mut self, width: u32) -> u64 {
+    /// Reads the next `width` bits (LSB-first), whole words at a time,
+    /// or `None` if fewer than `width` bits remain.
+    fn try_read_bits(&mut self, width: u32) -> Option<u64> {
         debug_assert!(width <= 64);
-        assert!(
-            self.pos + width as usize <= self.bytes.len() * 8,
-            "bit buffer exhausted"
-        );
+        if self.pos + width as usize > self.bytes.len() * 8 {
+            return None;
+        }
         let v = self.peek_bits(width);
         self.pos += width as usize;
-        v
+        Some(v)
     }
 
     /// Reads a code written by [`BitWriter::write_gamma0`], returning
@@ -149,15 +141,12 @@ impl<'a> BitReader<'a> {
         if window == 0 {
             return self.try_read_top_code(avail);
         }
+        // The run ends inside the window, so within the buffer.
         let zeros = window.trailing_zeros();
-        let width = zeros + 1;
-        if (zeros + width) as usize > avail {
-            return None;
-        }
         self.pos += zeros as usize;
         // Value bits are stored MSB-first: reverse the LSB-first read.
-        let v = self.peek_bits(width).reverse_bits() >> (64 - width);
-        self.pos += width as usize;
+        let width = zeros + 1;
+        let v = self.try_read_bits(width)?.reverse_bits() >> (64 - width);
         Some(v - 1)
     }
 
@@ -168,10 +157,8 @@ impl<'a> BitReader<'a> {
             return None;
         }
         self.pos += 64;
-        let one = self.peek_bits(1);
-        self.pos += 1;
-        let zeros = self.peek_bits(64);
-        self.pos += 64;
+        let one = self.try_read_bit()?;
+        let zeros = self.try_read_bits(64)?;
         (one == 1 && zeros == 0).then_some(u64::MAX)
     }
 
@@ -264,8 +251,12 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
             for &v in &vals {
-                assert_eq!(r.read_bits(width), v & mask, "width {width}");
-                assert_eq!(r.read_bits(3), 0b101, "marker after width {width}");
+                assert_eq!(r.try_read_bits(width).unwrap(), v & mask, "width {width}");
+                assert_eq!(
+                    r.try_read_bits(3).unwrap(),
+                    0b101,
+                    "marker after width {width}"
+                );
             }
         }
     }
@@ -304,13 +295,13 @@ mod tests {
         let mut total = 0usize;
         // Total bits: gamma(123456789) = 2*27 - 1, 16, gamma(1) = 1.
         for _ in 0..(2 * 27 - 1) + 16 + 1 {
-            bitwise.read_bit();
+            bitwise.try_read_bit().unwrap();
             total += 1;
         }
         assert_eq!(total, bytes.len() * 8 - (8 - (total % 8)) % 8);
         let mut wordwise = BitReader::new(&bytes);
         assert_eq!(wordwise.try_read_gamma0(), Some(123_456_789 - 1));
-        assert_eq!(wordwise.read_bits(16), 0xABCD);
+        assert_eq!(wordwise.try_read_bits(16).unwrap(), 0xABCD);
         assert_eq!(wordwise.try_read_gamma0(), Some(0));
     }
 
@@ -326,7 +317,7 @@ mod tests {
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(2), 0b11);
+        assert_eq!(r.try_read_bits(2).unwrap(), 0b11);
         for &v in &cases {
             assert_eq!(r.try_read_gamma0(), Some(v - 1));
         }
@@ -340,11 +331,15 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 1);
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bit(), 1);
-        assert_eq!(r.read_bit(), 1);
-        assert_eq!(r.read_bit(), 0);
-        assert_eq!(r.read_bit(), 1);
-        assert_eq!(r.read_bit(), 1);
-        assert_eq!(r.read_bit(), 0);
+        assert_eq!(r.try_read_bit().unwrap(), 1);
+        assert_eq!(r.try_read_bit().unwrap(), 1);
+        assert_eq!(r.try_read_bit().unwrap(), 0);
+        assert_eq!(r.try_read_bit().unwrap(), 1);
+        assert_eq!(r.try_read_bit().unwrap(), 1);
+        assert_eq!(r.try_read_bit().unwrap(), 0);
+        // Two padding bits are left in the byte, and nothing after it.
+        assert_eq!(r.try_read_bits(3), None);
+        assert_eq!(r.try_read_bits(2), Some(0));
+        assert_eq!(r.try_read_bit(), None);
     }
 }

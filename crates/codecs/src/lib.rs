@@ -72,27 +72,20 @@ pub trait BlockCursor<E> {
     fn advance(&mut self);
 }
 
-/// Scans a sorted cursor positioned at entry index `i` until `f` stops
-/// returning `Less`, yielding [`Codec::search_by`]'s result. The shared
-/// tail of every `search_by` implementation (the trait default starts at
-/// 0; the byte codecs start at the restart the sample search picked).
-fn scan_sorted<E: Clone, Cur: BlockCursor<E>>(
+/// Advances `cur`, sitting on entry `i`, past every entry `f` ranks
+/// `Less`, returning the index it stops at: the scan of every
+/// [`Codec::seek_by`] (the trait default starts at 0; the byte codecs
+/// start at the restart their sample search picked).
+fn skip_less<E, Cur: BlockCursor<E>>(
     mut cur: Cur,
     mut i: usize,
     f: &mut impl FnMut(&E) -> Ordering,
-) -> Result<(usize, E), usize> {
-    loop {
-        let Some(e) = cur.peek() else {
-            return Err(i);
-        };
-        match f(e) {
-            Ordering::Less => {}
-            Ordering::Equal => return Ok((i, e.clone())),
-            Ordering::Greater => return Err(i),
-        }
-        i += 1;
+) -> (usize, Cur) {
+    while cur.peek().is_some_and(|e| f(e) == Ordering::Less) {
         cur.advance();
+        i += 1;
     }
+    (i, cur)
 }
 
 /// An encoding scheme for a block of entries.
@@ -103,7 +96,8 @@ fn scan_sorted<E: Clone, Cur: BlockCursor<E>>(
 ///
 /// Besides bulk encode/decode, every codec exposes a zero-allocation
 /// access layer: a streaming [`Codec::cursor`], point access
-/// ([`Codec::get`]) and sorted search ([`Codec::search_by`]). The
+/// ([`Codec::get`]) and sorted search ([`Codec::seek_by`], and
+/// [`Codec::search_by`] on top of it). The
 /// provided defaults are sequential over the cursor; codecs with random
 /// access ([`RawCodec`]) or seek structure (the byte codecs' restart
 /// samples, see [`EncodedBlock::sample_offsets`]) override them with
@@ -174,14 +168,30 @@ pub trait Codec<E>: 'static {
             .clone()
     }
 
-    /// Searches a block whose entries are sorted ascending with respect
-    /// to `f` (`f(e)` is the ordering of `e` relative to the target:
-    /// `Less` means `e` is before it).
+    /// Opens a cursor on the first entry that `f` does not rank `Less`
+    /// (exhausted when there is none), returning that entry's index with
+    /// it: where a search lands, ready to read on from. The entries must
+    /// be sorted ascending with respect to `f` (`f(e)` is the ordering of
+    /// `e` relative to the target: `Less` means `e` is before it), with
+    /// at most one ranked `Equal`.
+    ///
+    /// The default scans a fresh cursor. [`RawCodec`] binary searches;
+    /// the byte codecs binary search their restart samples and then
+    /// decode one run, once: the cursor that scanned it is the one
+    /// returned.
+    fn seek_by(
+        block: &Self::Block,
+        mut f: impl FnMut(&E) -> Ordering,
+    ) -> (usize, Self::Cursor<'_>) {
+        skip_less(Self::cursor(block), 0, &mut f)
+    }
+
+    /// Searches a block sorted with respect to `f`, as
+    /// [`Codec::seek_by`] does.
     ///
     /// Returns `Ok((i, entry))` for a match at index `i`, or `Err(i)`
-    /// with the insertion index. The default scans the cursor with early
-    /// exit; [`RawCodec`] binary searches, the byte codecs binary search
-    /// their restart samples and scan at most one run.
+    /// with the insertion index: the seek, and one look at the entry it
+    /// lands on.
     fn search_by(
         block: &Self::Block,
         mut f: impl FnMut(&E) -> Ordering,
@@ -189,7 +199,11 @@ pub trait Codec<E>: 'static {
     where
         E: Clone,
     {
-        scan_sorted(Self::cursor(block), 0, &mut f)
+        let (i, cur) = Self::seek_by(block, &mut f);
+        match cur.peek() {
+            Some(e) if f(e) == Ordering::Equal => Ok((i, e.clone())),
+            _ => Err(i),
+        }
     }
 
     /// Visits each entry in order without materializing a vector.
@@ -210,7 +224,7 @@ pub trait Codec<E>: 'static {
     ///
     /// The codec never learns keys: `cmp(e, t)` orders entry `e`
     /// against edit `t` (`Less` means `e` comes before it, as in
-    /// [`Codec::search_by`]), and `edits` must be strictly ascending
+    /// [`Codec::seek_by`]), and `edits` must be strictly ascending
     /// under it. For each edit, `apply(old, t)` decides the outcome:
     /// `old` is the entry `t` matches, if any, and the returned entry
     /// (or `None`, for nothing) takes its place. One callback thus
@@ -321,8 +335,12 @@ impl<E: Clone + Send + Sync + 'static> Codec<E> for RawCodec {
         block[i].clone()
     }
 
-    fn search_by(block: &Self::Block, f: impl FnMut(&E) -> Ordering) -> Result<(usize, E), usize> {
-        block.binary_search_by(f).map(|i| (i, block[i].clone()))
+    fn seek_by(
+        block: &Self::Block,
+        mut f: impl FnMut(&E) -> Ordering,
+    ) -> (usize, Self::Cursor<'_>) {
+        let i = block.partition_point(|e| f(e) == Ordering::Less);
+        (i, RawCursor { rest: &block[i..] })
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
@@ -401,9 +419,8 @@ pub fn write_list<T: ByteEncode>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads `count` items written back to back, the body of every list
-/// this crate's grammar reads (a `Vec<T>` after its count, a raw
-/// block's payload).
+/// Reads the `count` items of a `Vec<T>`, written back to back after
+/// its count.
 ///
 /// Every listed item takes at least one byte, so a count larger than
 /// the bytes left is malformed: it is refused before anything is
@@ -632,11 +649,11 @@ impl<E: Delta + Clone + Send + Sync + 'static> Codec<E> for DeltaCodec {
         DeltaCursor::at(block, i)
     }
 
-    fn search_by(
+    fn seek_by(
         block: &Self::Block,
         mut f: impl FnMut(&E) -> Ordering,
-    ) -> Result<(usize, E), usize> {
-        chain::search(block, |_, e| e, |i| DeltaCursor::at(block, i), &mut f)
+    ) -> (usize, Self::Cursor<'_>) {
+        chain::seek(block, |_, e| e, |i| DeltaCursor::at(block, i), &mut f)
     }
 
     fn for_each<F: FnMut(&E)>(block: &Self::Block, f: &mut F) {
@@ -739,17 +756,17 @@ where
         KeyDeltaCursor::new(DeltaCursor::at(&block.0, i), &block.1)
     }
 
-    fn search_by(
+    fn seek_by(
         block: &Self::Block,
         mut f: impl FnMut(&(K, V)) -> Ordering,
-    ) -> Result<(usize, (K, V)), usize> {
+    ) -> (usize, Self::Cursor<'_>) {
         // `f`'s contract takes whole entries, so each restart probe
         // clones its value. That is one clone per probed restart — at
         // most a couple for in-tree blocks — and
         // the one in-repo KeyDelta user stores `Arc`-like values (graph
         // edge-tree handles), so the clone is a refcount bump, not a deep
         // copy.
-        chain::search(
+        chain::seek(
             &block.0,
             |i, k| (k, block.1[i].clone()),
             |i| Self::cursor_at(block, i),
@@ -1047,12 +1064,21 @@ impl<E: ByteEncode + Clone + Send + Sync + 'static> BlockIo<E> for RawCodec {
         out.extend_from_slice(&payload);
     }
 
+    /// The frame's count sizes the block's one allocation once it is
+    /// known to fit the payload (every entry takes at least one byte),
+    /// so a hostile frame reserves at most `size_of::<E>()` bytes per
+    /// payload byte.
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Self::Block, BlockIoError> {
         let (count, payload) = read_frame(buf, pos)?;
+        let misparse = BlockIoError::Malformed("raw block entries exceed or misparse the payload");
+        if count > payload.len() {
+            return Err(misparse);
+        }
+        let mut entries = Vec::with_capacity(count);
         let mut at = 0;
-        let entries = try_read_items(count as u64, payload, &mut at).ok_or(
-            BlockIoError::Malformed("raw block entries exceed or misparse the payload"),
-        )?;
+        for _ in 0..count {
+            entries.push(E::try_read(payload, &mut at).ok_or(misparse)?);
+        }
         if at != payload.len() {
             return Err(BlockIoError::Malformed("raw block payload length mismatch"));
         }
@@ -1698,6 +1724,73 @@ mod tests {
                 <DeltaCodec as Codec<u64>>::search_by(&delta, |e| e.cmp(&probe)),
                 want,
                 "delta probe {probe}"
+            );
+        }
+    }
+
+    thread_local! {
+        /// Entries decoded by [`Tally`] on this thread.
+        static DECODED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A `u64` that counts its decodes.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tally(u64);
+
+    impl Delta for Tally {
+        fn write_first(&self, out: &mut Vec<u8>) {
+            self.0.write_first(out);
+        }
+        fn write_delta(&self, prev: &Self, out: &mut Vec<u8>) {
+            self.0.write_delta(&prev.0, out);
+        }
+        fn try_read_first(buf: &[u8], pos: &mut usize) -> Option<Self> {
+            DECODED.with(|d| d.set(d.get() + 1));
+            u64::try_read_first(buf, pos).map(Tally)
+        }
+        fn try_read_delta(buf: &[u8], pos: &mut usize, prev: &Self) -> Option<Self> {
+            DECODED.with(|d| d.set(d.get() + 1));
+            u64::try_read_delta(buf, pos, &prev.0).map(Tally)
+        }
+    }
+
+    #[test]
+    fn a_seek_decodes_its_run_once() {
+        // Restarts at 64, 128 and 192: the probe decodes at most two.
+        let entries: Vec<Tally> = (0..256).map(|i| Tally(3 * i)).collect();
+        let block = <DeltaCodec as Codec<Tally>>::encode(&entries);
+        for target in [
+            0u64,
+            1,
+            3 * 63,
+            3 * 64 - 1,
+            3 * 64,
+            3 * 100,
+            3 * 100 + 1,
+            3 * 255,
+            1_000,
+        ] {
+            DECODED.with(|d| d.set(0));
+            let (i, cur) = <DeltaCodec as Codec<Tally>>::seek_by(&block, |e| e.0.cmp(&target));
+            let decoded = DECODED.with(|d| d.get());
+            assert_eq!(
+                i,
+                entries.partition_point(|e| e.0 < target),
+                "target {target}"
+            );
+            assert_eq!(cur.peek(), entries.get(i), "target {target}");
+            // The probe, then the run that holds the target, from its
+            // restart (the target itself on a hit) up to entry `i`.
+            let hit = cur.peek().is_some_and(|e| e.0 == target);
+            let start = match i {
+                0 => 0,
+                _ if hit && i % RESTART_INTERVAL == 0 => i,
+                _ => (i - 1) / RESTART_INTERVAL * RESTART_INTERVAL,
+            };
+            let run = i - start + usize::from(i < entries.len());
+            assert!(
+                decoded <= run + 2,
+                "target {target}: {decoded} decodes for a run of {run}"
             );
         }
     }

@@ -62,3 +62,22 @@ fn a_list_count_never_reserves_more_than_the_input() {
         assert!(largest <= n, "n = {n}: one allocation of {largest} bytes");
     }
 }
+
+#[test]
+fn a_parsed_item_does_not_let_the_count_reserve_more_than_the_input() {
+    // A valid first item (an empty string, one byte), then bytes no
+    // string parses from: the count is still a claim, not a size.
+    for n in [24usize, 25, 1_000, 1 << 20] {
+        let mut buf = Vec::new();
+        bytecode::write_varint(n as u64, &mut buf);
+        buf.push(0);
+        buf.resize(buf.len() + n - 1, 0xFF);
+        LARGEST.store(0, Ordering::Relaxed);
+        MEASURED.with(|m| m.set(true));
+        let got = Vec::<String>::try_read(&buf, &mut 0);
+        MEASURED.with(|m| m.set(false));
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert_eq!(got, None, "n = {n}");
+        assert!(largest <= n, "n = {n}: one allocation of {largest} bytes");
+    }
+}

@@ -1,6 +1,8 @@
 //! Property tests: every codec is an exact inverse pair on arbitrary
-//! data, and the zero-allocation access layer (cursor / `get` /
-//! `search_by` / `cursor_at`) agrees with the decode-everything oracle.
+//! data, the zero-allocation access layer (cursor / `get` / `seek_by` /
+//! `search_by` / `cursor_at`) agrees with the decode-everything oracle,
+//! no decoder panics on hostile bytes, and the varint reader agrees with
+//! a byte-at-a-time oracle.
 
 use codecs::{
     BlockCursor, BlockIo, ByteEncode, Codec, Delta, DeltaCodec, GammaCodec, KeyDeltaCodec, RawCodec,
@@ -131,6 +133,32 @@ proptest! {
             prop_assert_eq!(<RawCodec as Codec<u64>>::search_by(&raw, |e| e.cmp(&probe)), want);
             prop_assert_eq!(<DeltaCodec as Codec<u64>>::search_by(&delta, |e| e.cmp(&probe)), want);
             prop_assert_eq!(<GammaCodec as Codec<u64>>::search_by(&gamma, |e| e.cmp(&probe)), want);
+        }
+    }
+
+    #[test]
+    fn seek_by_lands_on_the_partition_point(
+        mut keys in prop::collection::vec(any::<u64>(), 0..300),
+        probes in prop::collection::vec(any::<u64>(), 1..32),
+    ) {
+        keys.sort_unstable();
+        keys.dedup();
+        let raw = <RawCodec as Codec<u64>>::encode(&keys);
+        let delta = <DeltaCodec as Codec<u64>>::encode(&keys);
+        let gamma = <GammaCodec as Codec<u64>>::encode(&keys);
+        let pairs: Vec<(u64, u32)> = keys.iter().map(|&k| (k, k as u32)).collect();
+        let key_delta = <KeyDeltaCodec as Codec<(u64, u32)>>::encode(&pairs);
+        for probe in probes.iter().copied().chain(keys.iter().copied()) {
+            let i = keys.partition_point(|&k| k < probe);
+            let (at, cur) = <RawCodec as Codec<u64>>::seek_by(&raw, |e| e.cmp(&probe));
+            prop_assert_eq!((at, drain(cur)), (i, keys[i..].to_vec()));
+            let (at, cur) = <DeltaCodec as Codec<u64>>::seek_by(&delta, |e| e.cmp(&probe));
+            prop_assert_eq!((at, drain(cur)), (i, keys[i..].to_vec()));
+            let (at, cur) = <GammaCodec as Codec<u64>>::seek_by(&gamma, |e| e.cmp(&probe));
+            prop_assert_eq!((at, drain(cur)), (i, keys[i..].to_vec()));
+            let (at, cur) =
+                <KeyDeltaCodec as Codec<(u64, u32)>>::seek_by(&key_delta, |e| e.0.cmp(&probe));
+            prop_assert_eq!((at, drain(cur)), (i, pairs[i..].to_vec()));
         }
     }
 
@@ -304,6 +332,56 @@ proptest! {
         for buf in &inputs {
             read_everything(buf, 0)?;
             read_everything(buf, at as usize % (buf.len() + 1))?;
+        }
+    }
+}
+
+/// The varint reader as one byte per step: the oracle for
+/// `bytecode::try_read_varint`, whose word load must agree with it on
+/// every input.
+fn read_varint_bytewise(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut value = 0u64;
+    for shift in (0..70).step_by(7) {
+        let byte = *buf.get(*pos)?;
+        *pos += 1;
+        let group = u64::from(byte & 0x7f);
+        if shift == 63 && byte > 1 {
+            return None;
+        }
+        value |= group << shift;
+        if byte & 0x80 == 0 {
+            return Some(value);
+        }
+    }
+    None
+}
+
+/// Bytes that mostly continue a varint, with the stop and overflow
+/// bytes of a 10th position mixed in.
+fn varint_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        any::<u8>(),
+        any::<u8>().prop_map(|b| b | 0x80),
+        any::<u8>().prop_map(|b| b | 0x80),
+        prop::sample::select(vec![0x00u8, 0x01, 0x02, 0x7F, 0x80, 0x81, 0xFF]),
+    ]
+}
+
+// The varint reader against the byte-at-a-time oracle, from every start
+// offset of buffers that end before, inside and past its 16-byte window.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn varint_reader_matches_the_byte_loop(buf in prop::collection::vec(varint_byte(), 0..41)) {
+        for at in 0..=buf.len() + 1 {
+            let (mut fast, mut slow) = (at, at);
+            let got = codecs::bytecode::try_read_varint(&buf, &mut fast);
+            let want = read_varint_bytewise(&buf, &mut slow);
+            prop_assert_eq!((at, got), (at, want));
+            if want.is_some() {
+                prop_assert_eq!((at, fast), (at, slow));
+            }
         }
     }
 }

@@ -3,8 +3,8 @@
 //! applications in Section 9 are built on).
 //!
 //! Flat-node base cases go through the codec's zero-allocation access
-//! layer ([`codecs::Codec::search_by`] / [`codecs::Codec::get`] /
-//! cursors): point queries and range walks never materialize a block,
+//! layer ([`codecs::Codec::search_by`] / [`codecs::Codec::seek_by`] /
+//! [`codecs::Codec::get`] / cursors): point queries and range walks never materialize a block,
 //! and the structural base cases that do need every entry decode into a
 //! reused [`crate::scratch`] buffer instead of a fresh `Vec` per node.
 
@@ -227,8 +227,8 @@ where
 /// A subtree reached with both bounds open is one [`Piece::Whole`]; every
 /// other entry is a [`Piece::Entry`] of its own — the pivots on the two
 /// boundary paths and the in-range entries of the (at most two) leaves
-/// where the paths end, which are positioned with `C::search_by` and read
-/// with a cursor. So a range is `O(log n)` pieces plus `O(B)` entries,
+/// where the paths end, each read by the cursor `C::seek_by` opens on
+/// its first entry at or after `lo`. So a range is `O(log n)` pieces plus `O(B)` entries,
 /// and a walk that breaks after `k` entries has touched `O(log n + B + k)`
 /// of them. Returns `Break` iff `f` did.
 pub(crate) fn walk<E, A, C, F>(
@@ -269,10 +269,10 @@ where
         leaf => {
             stats::count_cursor_op();
             let block = leaf.leaf_block();
-            let from = lo.map_or(0, |lo| match C::search_by(&block, |e| e.key().cmp(lo)) {
-                Ok((i, _)) | Err(i) => i,
-            });
-            let mut cur = C::cursor_at(&block, from);
+            let mut cur = match lo {
+                Some(lo) => C::seek_by(&block, |e| e.key().cmp(lo)).1,
+                None => C::cursor(&block),
+            };
             while let Some(e) = cur.peek() {
                 if hi.is_some_and(|hi| e.key() > hi) {
                     break;
