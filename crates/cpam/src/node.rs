@@ -57,6 +57,15 @@ pub(crate) type Tree<E, A, C> = Option<Arc<Node<E, A, C>>>;
 pub trait BlockSource<B>: Send + Sync + 'static {
     /// Loads (or retrieves from cache) the block stored on `page`.
     fn load(&self, page: u32) -> Arc<B>;
+
+    /// Loads the block on `page` for a walk that reads each leaf once
+    /// and moves on (a page write of the whole tree): a cached copy is
+    /// served, but a fetched one is not cached, so such a walk leaves the
+    /// source's resident set as it found it. Same contract as
+    /// [`BlockSource::load`] otherwise; by default it *is* `load`.
+    fn load_once(&self, page: u32) -> Arc<B> {
+        self.load(page)
+    }
 }
 
 /// A borrow of a leaf's encoded block: either a plain borrow out of a
@@ -168,6 +177,19 @@ where
             Node::Flat { block, .. } => BlockRef::Borrowed(block),
             Node::Lazy { page, src, .. } => BlockRef::Loaded(src.load(*page)),
             Node::Regular { .. } => unreachable!("leaf_block on regular node"),
+        }
+    }
+
+    /// [`Node::leaf_block`] for a one-pass walk: a lazy leaf is read
+    /// through [`BlockSource::load_once`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on regular nodes.
+    pub(crate) fn leaf_block_once(&self) -> BlockRef<'_, C::Block> {
+        match self {
+            Node::Lazy { page, src, .. } => BlockRef::Loaded(src.load_once(*page)),
+            _ => self.leaf_block(),
         }
     }
 }

@@ -488,7 +488,9 @@ where
     /// walk reaches is looked up by one `O(log n)` descent of `base`,
     /// so the walk costs `O(log n)` per new node and never enumerates
     /// `base` or reads one of its leaves; a lazy leaf of `self` is read
-    /// only to place it beside a key deleted since `base`. Sound only
+    /// only to place it beside a key deleted since `base`. Lazy leaves
+    /// are read through [`crate::BlockSource::load_once`], so a walk of a
+    /// lazily opened tree leaves its source's cache as it found it. Sound only
     /// while the caller keeps `base` alive for the duration of the
     /// walk — a pinned base keeps its refcounts ≥ 2, which the
     /// in-place-reuse machinery treats as immutable.

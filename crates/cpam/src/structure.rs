@@ -214,7 +214,7 @@ pub(crate) fn visit_preorder<E, A, C, F>(
         p if lo.is_some_and(|lo| p <= lo) => Ordering::Greater,
         p => match &**node {
             Node::Regular { entry, .. } => entry.key().cmp(p),
-            leaf => C::get(&leaf.leaf_block(), 0).key().cmp(p),
+            leaf => C::get(&leaf.leaf_block_once(), 0).key().cmp(p),
         },
     };
     let shared = base.and_then(|b| descend(b, |here, _| Arc::ptr_eq(here, node), side));
@@ -232,10 +232,10 @@ pub(crate) fn visit_preorder<E, A, C, F>(
         }
         // A lazy leaf that reaches here is either part of a full walk
         // or genuinely changed identity since the base: its bytes must
-        // travel, so `leaf_block` materializes it for the callback's
-        // duration (the source's cache keeps its own copy under its
-        // budget).
-        _ => f(NodeRef::Flat(&node.leaf_block())),
+        // travel, so it is materialized for the callback's duration,
+        // through `load_once` — the walk visits each leaf once, and
+        // caching what it reads would only evict what queries re-use.
+        _ => f(NodeRef::Flat(&node.leaf_block_once())),
     }
 }
 

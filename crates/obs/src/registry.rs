@@ -183,23 +183,6 @@ impl Registry {
         h.map(|h| h.snapshot())
     }
 
-    /// Merged snapshot of every histogram whose name starts with
-    /// `prefix` (e.g. all per-shard series of one stage).
-    pub fn histogram_snapshot_prefixed(&self, prefix: &str) -> HistogramSnapshot {
-        let hists: Vec<Arc<Histogram>> = {
-            let inner = self.inner.lock().unwrap();
-            inner
-                .histograms
-                .range(prefix.to_string()..)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .map(|(_, v)| v.clone())
-                .collect()
-        };
-        hists
-            .iter()
-            .fold(HistogramSnapshot::empty(), |acc, h| acc.merge(&h.snapshot()))
-    }
-
     /// Current value of the counter or callback named `name`.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         let inner = self.inner.lock().unwrap();
@@ -468,16 +451,15 @@ mod tests {
     }
 
     #[test]
-    fn labeled_names_and_prefix_merge() {
+    fn labeled_names_are_separate_series() {
         let r = Registry::new();
         let n0 = labeled("w_ns", &[("shard", "000")]);
         let n1 = labeled("w_ns", &[("shard", "001")]);
         assert_eq!(n0, "w_ns{shard=\"000\"}");
         r.histogram(&n0).record(100);
         r.histogram(&n1).record(200);
-        let merged = r.histogram_snapshot_prefixed("w_ns");
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.sum, 300);
+        assert_eq!(r.histogram_snapshot(&n0).map(|h| h.sum), Some(100));
+        assert_eq!(r.histogram_snapshot(&n1).map(|h| h.sum), Some(200));
     }
 
     #[test]

@@ -106,47 +106,42 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<u64> 
 /// boundary and may be read again; after any other error the stream
 /// state is unknown and the connection should be dropped.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    // The varint length prefix, one byte at a time, until the bytes so
-    // far decode. A `u64` varint is at most ten bytes, so a prefix that
-    // has not decoded by the tenth is an overflow.
+    // The first byte tells an idle stream from a frame: a close or a
+    // poll timeout before it leaves the stream on a frame boundary.
     let mut prefix = [0u8; 10];
-    let mut n = 0;
-    let len = loop {
-        match r.read(&mut prefix[n..=n]) {
-            Ok(0) if n == 0 => return Err(FrameError::Closed),
-            Ok(0) => {
-                return Err(FrameError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside a frame length",
-                )))
-            }
-            Ok(_) => n += 1,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if n == 0
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Err(FrameError::TimedOut)
-            }
+    loop {
+        match r.read(&mut prefix[..1]) {
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_stall(&e) => return Err(FrameError::TimedOut),
             Err(e) => return Err(FrameError::Io(e)),
         }
+    }
+    // From here on the frame has started: the rest of the length
+    // prefix, the payload and the trailer share one stall budget. The
+    // prefix is read one byte at a time until the bytes so far decode;
+    // a `u64` varint is at most ten bytes, so a prefix that has not
+    // decoded by the tenth is an overflow.
+    let mut stalls = 0;
+    let mut n = 1;
+    let len = loop {
         if let Some(len) = bytecode::try_read_varint(&prefix[..n], &mut 0) {
             break len;
         }
         if n == prefix.len() {
             return Err(FrameError::TooLarge(u64::MAX));
         }
+        read_mid_frame(r, &mut prefix[n..=n], &mut stalls)?;
+        n += 1;
     };
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
-    read_exact_uninterrupted(r, &mut payload)?;
+    read_mid_frame(r, &mut payload, &mut stalls)?;
     let mut trailer = [0u8; 4];
-    read_exact_uninterrupted(r, &mut trailer)?;
+    read_mid_frame(r, &mut trailer, &mut stalls)?;
     let stored = u32::from_le_bytes(trailer);
     let computed = crc32(&payload);
     if stored != computed {
@@ -155,16 +150,28 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     Ok(payload)
 }
 
-/// `read_exact` that keeps going across `Interrupted` and across a
-/// bounded number of poll-timeout wakeups — once a frame has started
-/// arriving, a between-bytes timeout usually means "peer is slow", not
-/// "no request yet". A peer stalled past the stall budget is
+/// A poll timeout: the read found no byte in time.
+fn is_stall(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// `read_exact` for the inside of a frame: it keeps going across
+/// `Interrupted` and across poll-timeout wakeups while `stalls`, the
+/// frame's count of them so far, is under budget — once a frame has
+/// started arriving, a between-bytes timeout usually means "peer is
+/// slow", not "no request yet". A peer stalled past the budget is
 /// indistinguishable from a dead one and becomes an I/O error.
-fn read_exact_uninterrupted<R: Read>(r: &mut R, mut buf: &mut [u8]) -> Result<(), FrameError> {
+fn read_mid_frame<R: Read>(
+    r: &mut R,
+    mut buf: &mut [u8],
+    stalls: &mut u32,
+) -> Result<(), FrameError> {
     // With the server's default 25 ms poll timeout this tolerates
     // ~10 s of mid-frame stall before giving up on the peer.
     const MAX_STALLS: u32 = 400;
-    let mut stalls = 0u32;
     while !buf.is_empty() {
         match r.read(buf) {
             Ok(0) => {
@@ -175,14 +182,7 @@ fn read_exact_uninterrupted<R: Read>(r: &mut R, mut buf: &mut [u8]) -> Result<()
             }
             Ok(n) => buf = &mut buf[n..],
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && stalls < MAX_STALLS =>
-            {
-                stalls += 1;
-            }
+            Err(e) if is_stall(&e) && *stalls < MAX_STALLS => *stalls += 1,
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -253,6 +253,23 @@ mod tests {
         }
     }
 
+    /// Yields its chunks in order with a `WouldBlock` before each one
+    /// after the first, then EOF.
+    struct Stalls<'a>(Vec<&'a [u8]>);
+
+    impl Read for Stalls<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.first_mut() {
+                None => Ok(0),
+                Some([]) => {
+                    self.0.remove(0);
+                    Err(std::io::ErrorKind::WouldBlock.into())
+                }
+                Some(chunk) => chunk.read(buf),
+            }
+        }
+    }
+
     #[test]
     fn a_length_prefix_fails_by_where_it_stops() {
         use std::io::ErrorKind::{TimedOut, WouldBlock};
@@ -267,7 +284,7 @@ mod tests {
             read(&[], Some(TimedOut)),
             Err(FrameError::TimedOut)
         ));
-        // Inside the length: EOF or a stall is a dead peer.
+        // Inside the length: EOF, or stalling past the budget, is a dead peer.
         for end in [None, Some(WouldBlock)] {
             assert!(matches!(read(&[0x80], end), Err(FrameError::Io(_))));
             assert!(matches!(read(&[0x80; 9], end), Err(FrameError::Io(_))));
@@ -283,6 +300,13 @@ mod tests {
             read(&[0x80; 10], None),
             Err(FrameError::TooLarge(u64::MAX))
         ));
+        // A stall after the first length byte is a slow peer, not a dead
+        // one: the read goes on to the frame.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[0x5Au8; 128]).unwrap();
+        assert_eq!(wire[..2], [0x80, 0x01], "a two-byte length");
+        let mut slow = Stalls(vec![&wire[..1], &wire[1..]]);
+        assert_eq!(read_frame(&mut slow).unwrap(), vec![0x5Au8; 128]);
         // A ten-byte length that fits still decodes, to a length over the cap.
         let mut top = Vec::new();
         bytecode::write_varint(1 << 63, &mut top);

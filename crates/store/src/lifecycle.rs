@@ -183,11 +183,6 @@ impl VersionRegistry {
         }
     }
 
-    /// Whether `version` currently holds any pin.
-    pub fn is_pinned(&self, version: u64) -> bool {
-        self.pins.lock().contains_key(&version)
-    }
-
     /// The set of pinned versions, for a retention decision.
     pub fn pinned(&self) -> HashSet<u64> {
         self.pins.lock().keys().copied().collect()
@@ -324,11 +319,11 @@ mod tests {
         let r = VersionRegistry::default();
         r.pin(7);
         r.pin(7);
-        assert!(r.is_pinned(7));
+        assert!(r.pinned().contains(&7));
         assert!(r.unpin(7));
-        assert!(r.is_pinned(7));
+        assert!(r.pinned().contains(&7));
         assert!(r.unpin(7));
-        assert!(!r.is_pinned(7));
+        assert!(!r.pinned().contains(&7));
         assert!(!r.unpin(7));
     }
 

@@ -33,7 +33,7 @@ use crate::pool::PoolStats;
 /// Install the `cpam::stats` → registry bridge exactly once per
 /// process. Pull-based: the cpam counters keep their single relaxed
 /// `fetch_add` and are only read when something scrapes the registry.
-pub fn install_cpam_bridge() {
+pub(crate) fn install_cpam_bridge() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| cpam::stats::register_with(obs::global()));
 }
@@ -115,6 +115,10 @@ pub(crate) struct StoreMetrics {
     /// Per-shard incremental-chain depth (links past the full page),
     /// `pacstore_incr_chain_depth{shard=...}`.
     pub incr_chain_depth: Vec<Arc<Gauge>>,
+    /// Per-shard total bytes of those links,
+    /// `pacstore_incr_chain_bytes{shard=...}`: what
+    /// [`crate::ShardedStore::compact`] weighs against the full page.
+    pub incr_chain_bytes: Vec<Arc<Gauge>>,
     /// Buffer-pool residency publisher; see [`PoolMetrics`].
     pub pool: PoolMetrics,
 }
@@ -172,15 +176,13 @@ impl StoreMetrics {
     pub fn new(shards: usize) -> Arc<StoreMetrics> {
         install_cpam_bridge();
         let r = obs::global();
-        let incr_chain_depth = (0..shards)
-            .map(|i| {
-                let label = format!("{i:03}");
-                r.gauge(&obs::labeled(
-                    "pacstore_incr_chain_depth",
-                    &[("shard", &label)],
-                ))
-            })
-            .collect();
+        let per_shard = |name: &str| -> Vec<Arc<Gauge>> {
+            (0..shards)
+                .map(|i| r.gauge(&obs::labeled(name, &[("shard", &format!("{i:03}"))])))
+                .collect()
+        };
+        let incr_chain_depth = per_shard("pacstore_incr_chain_depth");
+        let incr_chain_bytes = per_shard("pacstore_incr_chain_bytes");
         Arc::new(StoreMetrics {
             commit: r.histogram("pacstore_commit_ns"),
             ticket_wait: r.histogram("pacstore_commit_ticket_wait_ns"),
@@ -200,8 +202,16 @@ impl StoreMetrics {
             gc_versions_dropped: r.counter("pacstore_gc_versions_dropped_total"),
             gc_nodes_reclaimed: r.counter("pacstore_gc_nodes_reclaimed_total"),
             incr_chain_depth,
+            incr_chain_bytes,
             pool: PoolMetrics::new(),
         })
+    }
+
+    /// Publish shard `shard`'s incremental chain: `links` past its full
+    /// page, weighing `bytes` in all.
+    pub fn set_chain(&self, shard: usize, links: usize, bytes: u64) {
+        self.incr_chain_depth[shard].set(links as i64);
+        self.incr_chain_bytes[shard].set(bytes as i64);
     }
 
     /// Record one log append's stage timings: the write, and the fsync

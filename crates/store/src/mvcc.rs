@@ -155,10 +155,10 @@ impl Default for StoreOptions {
 
 /// File name of the full snapshot page inside a shard directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.pac";
-/// Incremental chains longer than this are collapsed into a full page
-/// by [`ShardedStore::compact`]: each link costs a read pass at `open`,
-/// and past this depth the cumulative incremental bytes approach a
-/// full page anyway.
+/// Incremental chains this long are collapsed into a full page by
+/// [`ShardedStore::compact`] even when their links are tiny: each link
+/// costs a read pass at `open`. (Heavy links end a chain sooner: once
+/// they weigh as much as the full page.)
 pub(crate) const MAX_INCR_CHAIN: usize = 16;
 /// File name of the store's one append-only batch log, at the root of
 /// its directory.

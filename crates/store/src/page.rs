@@ -369,9 +369,12 @@ fn decode_record<T: DiskTree>(bytes: &[u8], rec: &Record) -> Result<BlockOf<T>, 
             "leaf record disagrees with its structure tag".into(),
         ));
     }
+    // Two first loads may race (a pool miss and a `load_once` fetch
+    // run on different locks); the one that sets the index counts it.
     if let Some(parsed) = fresh.into_inner() {
-        let _ = rec.index.set(parsed);
-        crate::metrics::page_counters().records_parsed.inc();
+        if rec.index.set(parsed).is_ok() {
+            crate::metrics::page_counters().records_parsed.inc();
+        }
     }
     Ok(block)
 }
@@ -559,19 +562,36 @@ impl<T: DiskTree> PageSource<T> {
     }
 }
 
-impl<T: DiskTree> BlockSource<BlockOf<T>> for PageSource<T> {
-    fn load(&self, page: u32) -> Arc<BlockOf<T>> {
-        match self.pool.get((self.file_id, page), || self.fetch(page)) {
-            Ok(block) => block,
-            // `BlockSource::load` is infallible by contract: queries
-            // have no error channel. A record that was in bounds at
-            // open and fails now is an environment failure, not a
-            // caller error — surface the typed error's message.
-            Err(e) => panic!(
+impl<T: DiskTree> PageSource<T> {
+    /// `BlockSource` loads are infallible by contract: queries have no
+    /// error channel. A record that was in bounds at open and fails now
+    /// is an environment failure, not a caller error — surface the typed
+    /// error's message.
+    fn expect_record(
+        &self,
+        page: u32,
+        block: Result<Arc<BlockOf<T>>, StoreError>,
+    ) -> Arc<BlockOf<T>> {
+        block.unwrap_or_else(|e| {
+            panic!(
                 "page file {}: leaf record {page} unreadable: {e}",
                 self.path.display()
-            ),
-        }
+            )
+        })
+    }
+}
+
+impl<T: DiskTree> BlockSource<BlockOf<T>> for PageSource<T> {
+    fn load(&self, page: u32) -> Arc<BlockOf<T>> {
+        let block = self.pool.get((self.file_id, page), || self.fetch(page));
+        self.expect_record(page, block)
+    }
+
+    fn load_once(&self, page: u32) -> Arc<BlockOf<T>> {
+        let block = self
+            .pool
+            .get_once((self.file_id, page), || self.fetch(page));
+        self.expect_record(page, block)
     }
 }
 
@@ -582,7 +602,8 @@ impl<T: DiskTree> BlockSource<BlockOf<T>> for PageSource<T> {
 /// every record verified and adopted as a resident leaf. With a pool it
 /// is *lazy*: `O(structure)` I/O now (the metadata section only), leaf
 /// records streamed through the pool on first access, resident cache
-/// bytes bounded by the pool budget.
+/// bytes bounded by the pool budget. Returns the tree, the page's head
+/// and the file's length in bytes.
 ///
 /// # Errors
 ///
@@ -592,9 +613,11 @@ pub(crate) fn read_page_file<T: DiskTree>(
     path: &Path,
     base: Option<&T>,
     pool: Option<&Arc<BufferPool<BlockOf<T>>>>,
-) -> Result<(T, PageHead), StoreError> {
+) -> Result<(T, PageHead, u64), StoreError> {
     let Some(pool) = pool else {
-        return decode_page(&std::fs::read(path)?, base);
+        let bytes = std::fs::read(path)?;
+        let (tree, head) = decode_page(&bytes, base)?;
+        return Ok((tree, head, bytes.len() as u64));
     };
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -615,7 +638,8 @@ pub(crate) fn read_page_file<T: DiskTree>(
         pool: Arc::clone(pool),
         records,
     };
-    build_tree(&meta, nodes, base, Some(Arc::new(source)), section.len())
+    let (tree, head) = build_tree(&meta, nodes, base, Some(Arc::new(source)), section.len())?;
+    Ok((tree, head, file_len))
 }
 
 // ---------------------------------------------------------------------
@@ -741,21 +765,35 @@ pub(crate) fn legacy_page_file(dir: &Path) -> Option<&'static str> {
         .then_some(LEGACY_PAGED_FILE)
 }
 
+/// A shard directory's page chain as [`load_chain`] read it.
+pub(crate) struct Chain<T> {
+    /// The full page with every link applied.
+    pub tree: T,
+    /// The version the chain reaches.
+    pub version: u64,
+    /// Incremental links applied.
+    pub links: usize,
+    /// Bytes of the full page's file.
+    pub full_bytes: u64,
+    /// Total bytes of the applied links' files.
+    pub link_bytes: u64,
+}
+
 /// Loads a shard directory's page chain: the full snapshot, then every
 /// newer incremental page chained onto it in version order, every file
 /// read under the policy `pool` selects (lazy links page through the
 /// same pool as their base). Returns `None` when `dir` has no full
 /// snapshot (and, as a consistency check, no incrementals either);
 /// otherwise the chained tree, the version it reaches, and the number
-/// of incrementals applied.
+/// and bytes of the files applied.
 ///
 /// Incrementals at or below the full snapshot's version are *stale* —
 /// superseded by a later full save whose cleanup did not complete — and
-/// are skipped. An incremental whose recorded base version is not the
-/// version the chain has reached means a link was deleted, one whose
-/// recorded version is not the one in its file name that it was renamed
-/// or misplaced: typed [`StoreError::Corrupt`], never a silently
-/// shortened or re-labelled history.
+/// are skipped (and not counted). An incremental whose recorded base
+/// version is not the version the chain has reached means a link was
+/// deleted, one whose recorded version is not the one in its file name
+/// that it was renamed or misplaced: typed [`StoreError::Corrupt`],
+/// never a silently shortened or re-labelled history.
 ///
 /// # Errors
 ///
@@ -765,7 +803,7 @@ pub(crate) fn legacy_page_file(dir: &Path) -> Option<&'static str> {
 pub(crate) fn load_chain<T: DiskTree>(
     dir: &Path,
     pool: Option<&Arc<BufferPool<BlockOf<T>>>>,
-) -> Result<Option<(T, u64, usize)>, StoreError> {
+) -> Result<Option<Chain<T>>, StoreError> {
     if let Some(found) = legacy_page_file(dir) {
         return Err(StoreError::LegacyLayout(format!(
             "{} holds {found}, the paged snapshot of an earlier build, which this build does \
@@ -783,20 +821,26 @@ pub(crate) fn load_chain<T: DiskTree>(
         }
         return Ok(None);
     }
-    let (mut tree, head) = read_page_file::<T>(&full, None, pool)?;
-    let mut version = head.version;
-    let mut applied = 0;
+    let (tree, head, full_bytes) = read_page_file::<T>(&full, None, pool)?;
+    let mut chain = Chain {
+        tree,
+        version: head.version,
+        links: 0,
+        full_bytes,
+        link_bytes: 0,
+    };
     for (named, path) in links {
-        if named <= version {
+        if named <= chain.version {
             continue;
         }
-        let (next, head) = read_page_file(&path, Some(&tree), pool)?;
-        if head.base != Some(version) {
+        let (next, head, bytes) = read_page_file(&path, Some(&chain.tree), pool)?;
+        if head.base != Some(chain.version) {
             return Err(StoreError::Corrupt(format!(
                 "incremental page {} diffs against version {:?}, but the chain reaches \
-                 {version}: a link is missing",
+                 {}: a link is missing",
                 path.display(),
-                head.base
+                head.base,
+                chain.version
             )));
         }
         if head.version != named {
@@ -806,11 +850,12 @@ pub(crate) fn load_chain<T: DiskTree>(
                 head.version
             )));
         }
-        tree = next;
-        version = named;
-        applied += 1;
+        chain.tree = next;
+        chain.version = named;
+        chain.links += 1;
+        chain.link_bytes += bytes;
     }
-    Ok(Some((tree, version, applied)))
+    Ok(Some(chain))
 }
 
 #[cfg(test)]
@@ -848,7 +893,8 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, bytes).unwrap();
-        let result = read_page_file(&path, base, Some(&BufferPool::new(2)));
+        let result = read_page_file(&path, base, Some(&BufferPool::new(2)))
+            .map(|(tree, head, _)| (tree, head));
         std::fs::remove_file(&path).unwrap();
         result
     }
@@ -905,7 +951,7 @@ mod tests {
         write_file_atomic(&path, &encode_snapshot(&m, 7)).unwrap();
 
         let pool = BufferPool::new(8);
-        let (lazy, _) = read_page_file::<RawMap>(&path, None, Some(&pool)).unwrap();
+        let (lazy, _, _) = read_page_file::<RawMap>(&path, None, Some(&pool)).unwrap();
         assert_eq!(lazy.len(), m.len());
         assert_eq!(pool.stats().misses, 0, "open touched leaf records");
         // A point query pages in exactly one leaf.

@@ -7,7 +7,10 @@
 //! A lazy leaf keeps no handle of its own: *every* access to it is a
 //! [`BufferPool::get`], so `hits`, `misses` and the reference bits
 //! describe what the queries actually did, and `capacity` is a hard
-//! bound on what the pool holds.
+//! bound on what the pool holds. A walk that reads every leaf once (a
+//! checkpoint writing a lazily opened tree in full) goes through
+//! [`BufferPool::get_once`] instead: it counts its hits and misses but
+//! admits nothing, so it cannot flush the pages queries re-use.
 //!
 //! Eviction is **clock** (second chance): every hit sets a referenced
 //! bit (admission does not, so one-touch scans are evicted before
@@ -171,6 +174,36 @@ impl<B> BufferPool<B> {
         Ok(block)
     }
 
+    /// Returns `page`'s block for a caller that reads it once: from its
+    /// frame if it is resident (a hit), else fetched for the caller alone
+    /// (a miss). Nothing is admitted, evicted or marked referenced, so a
+    /// walk over every page — a checkpoint writing a lazily opened tree
+    /// in full — leaves residency and the clock as it found them.
+    /// `fetch` runs outside the pool lock.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fetch`'s error; the pool is unchanged on failure.
+    pub fn get_once(
+        &self,
+        page: PageKey,
+        fetch: impl FnOnce() -> Result<(Arc<B>, usize), StoreError>,
+    ) -> Result<Arc<B>, StoreError> {
+        let resident = {
+            let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            state
+                .table
+                .get(&page)
+                .map(|&slot| Arc::clone(&state.frames[slot].block))
+        };
+        if let Some(block) = resident {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(block);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        fetch().map(|(block, _)| block)
+    }
+
     /// Runs the clock hand to the first unreferenced frame, clearing the
     /// bits it crosses — so it stops within two revolutions.
     fn clock_victim(state: &mut PoolState<B>) -> usize {
@@ -293,6 +326,37 @@ mod tests {
                 .unwrap(),
             vec![1; 4]
         );
+    }
+
+    #[test]
+    fn get_once_serves_resident_frames_and_admits_nothing() {
+        let pool = BufferPool::new(2);
+        pool.get((0, 0), fetch(0)).unwrap();
+        pool.get((0, 1), fetch(1)).unwrap();
+        let before = pool.stats();
+        assert_eq!(
+            *pool
+                .get_once((0, 1), || panic!("resident page refetched"))
+                .unwrap(),
+            vec![1; 4]
+        );
+        for p in 2..10 {
+            assert_eq!(*pool.get_once((0, p), fetch(p)).unwrap(), vec![p; 4]);
+        }
+        let s = pool.stats();
+        assert_eq!((s.hits - before.hits, s.misses - before.misses), (1, 8));
+        assert_eq!(
+            (s.evictions, s.resident_pages, s.resident_bytes),
+            (0, 2, 32)
+        );
+        assert!(pool.contains((0, 0)) && pool.contains((0, 1)) && !pool.contains((0, 2)));
+        // The hit set no reference bit: the clock still takes page 0 first.
+        pool.get((0, 10), fetch(10)).unwrap();
+        assert!(!pool.contains((0, 0)) && pool.contains((0, 1)));
+        assert!(matches!(
+            pool.get_once((0, 11), || Err(StoreError::Truncated("page"))),
+            Err(StoreError::Truncated("page"))
+        ));
     }
 
     #[test]

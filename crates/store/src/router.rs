@@ -188,20 +188,6 @@ impl<K: ScalarKey + ByteEncode> Router<K> {
 }
 
 impl Router<u64> {
-    /// `shards` ranges of equal width over the `u64` keyspace — the
-    /// convenient default for hash-free integer keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn uniform_u64(shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        let width = u64::MAX / shards as u64;
-        Router {
-            boundaries: (1..shards as u64).map(|i| i * width).collect(),
-        }
-    }
-
     /// `shards` ranges of equal width over `[0, span)`; keys `>= span`
     /// all land in the last shard. Useful when keys are dense in a
     /// known domain.
@@ -242,11 +228,6 @@ mod tests {
         let s = Router::<u64>::single();
         assert_eq!(s.shard_count(), 1);
         assert_eq!(s.shard_of(&u64::MAX), 0);
-
-        let u = Router::uniform_u64(4);
-        assert_eq!(u.shard_count(), 4);
-        assert_eq!(u.shard_of(&0), 0);
-        assert_eq!(u.shard_of(&u64::MAX), 3);
 
         let d = Router::uniform_span(4, 1000);
         assert_eq!(d.shard_of(&0), 0);

@@ -349,16 +349,17 @@ enum PagePolicy {
     /// chain, diffed against the checkpoint at this global commit id —
     /// which must be the latest ([`ShardedStore::save_incremental`]).
     Incremental(u64),
-    /// Incremental while a shard's chain is short, full once it
-    /// reaches [`MAX_INCR_CHAIN`] ([`ShardedStore::compact`]).
+    /// Incremental while a shard's chain is light, full once its links
+    /// weigh as much as its full page or number [`MAX_INCR_CHAIN`]
+    /// ([`ShardedStore::compact`]; see [`ShardCheckpoint::extends`]).
     Chain,
 }
 
 /// One shard's latest persisted checkpoint: the version its on-disk
 /// page chain reaches, the pinned tree at that version (the base the
 /// next incremental page diffs against — pinning it keeps its nodes
-/// shared, so pointer identity against it is sound), and the chain
-/// length (bounding `open`'s chain walk via [`MAX_INCR_CHAIN`]).
+/// shared, so pointer identity against it is sound), and the chain's
+/// length and bytes (what [`PagePolicy::Chain`] weighs).
 struct ShardCheckpoint<K, V, C>
 where
     K: StoreKey,
@@ -367,7 +368,28 @@ where
 {
     version: u64,
     map: PacMap<K, V, NoAug, C>,
+    /// Incremental links past the full page.
     chain_len: usize,
+    /// Bytes of the full page's file.
+    full_bytes: u64,
+    /// Total bytes of the links' files.
+    chain_bytes: u64,
+}
+
+impl<K, V, C> ShardCheckpoint<K, V, C>
+where
+    K: StoreKey,
+    V: StoreValue,
+    C: BlockIo<(K, V)>,
+{
+    /// Whether [`PagePolicy::Chain`] writes this shard's next page as a
+    /// link of its chain: only while the links weigh less than the full
+    /// page, so the shard's pages stay under two full pages plus one link
+    /// on disk, and while they number fewer than [`MAX_INCR_CHAIN`], so
+    /// `open`'s chain walk stays short when links are tiny.
+    fn extends(&self) -> bool {
+        self.chain_bytes < self.full_bytes && self.chain_len < MAX_INCR_CHAIN
+    }
 }
 
 /// The sharded store's checkpoint state: the global commit id the last
@@ -524,6 +546,14 @@ where
         pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>>,
     ) -> Self {
         let metrics = StoreMetrics::new(router.shard_count());
+        if durable.is_some() {
+            for (i, pin) in checkpoints.shards.iter().enumerate() {
+                let (links, bytes) = pin
+                    .as_ref()
+                    .map_or((0, 0), |ck| (ck.chain_len, ck.chain_bytes));
+                metrics.set_chain(i, links, bytes);
+            }
+        }
         let (dir, dir_lock, log) = match durable {
             Some((dir, lock, log)) => (Some(dir), Some(lock), Some(log)),
             None => (None, None, None),
@@ -749,32 +779,38 @@ where
         let pools: Vec<Option<Arc<crate::pool::BufferPool<C::Block>>>> = (0..shards)
             .map(|_| opts.pool_pages.map(crate::pool::BufferPool::new))
             .collect();
-        type Loaded<K, V, C> =
-            Vec<Result<(PacMap<K, V, NoAug, C>, u64, Option<usize>), StoreError>>;
+        type Loaded<K, V, C> = Vec<Result<Option<page::Chain<PacMap<K, V, NoAug, C>>>, StoreError>>;
         let loaded: Loaded<K, V, C> = {
             let pools = &pools;
             par_for_shards((0..shards).collect(), usize::MAX, &move |i| {
                 let sdir = dir.join(shard_dir_name(i));
                 std::fs::create_dir_all(&sdir)?;
-                match page::load_chain::<PacMap<K, V, NoAug, C>>(&sdir, pools[i].as_ref())? {
-                    Some((m, v, applied)) => Ok((m, v, Some(applied))),
-                    None => Ok((PacMap::with_block_size(opts.block_size), 0, None)),
-                }
+                page::load_chain(&sdir, pools[i].as_ref())
             })
         };
         let loaded = loaded.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Pin each shard's checkpoint *before* log replay mutates the
         // maps: the pinned clone is the diff base for the next
         // incremental page, and must be exactly what the pages decode
-        // to.
+        // to. The chain's length and bytes are those of the files the
+        // load applied.
         let checkpoint_pins: Vec<Option<ShardCheckpoint<K, V, C>>> = loaded
             .iter()
-            .map(|(m, v, cl)| {
-                cl.map(|chain_len| ShardCheckpoint {
-                    version: *v,
-                    map: m.clone(),
-                    chain_len,
+            .map(|chain| {
+                chain.as_ref().map(|c| ShardCheckpoint {
+                    version: c.version,
+                    map: c.tree.clone(),
+                    chain_len: c.links,
+                    full_bytes: c.full_bytes,
+                    chain_bytes: c.link_bytes,
                 })
+            })
+            .collect();
+        let loaded: Vec<(PacMap<K, V, NoAug, C>, u64)> = loaded
+            .into_iter()
+            .map(|chain| match chain {
+                Some(c) => (c.tree, c.version),
+                None => (PacMap::with_block_size(opts.block_size), 0),
             })
             .collect();
 
@@ -806,9 +842,9 @@ where
         // the global commit counter, so the pages give a floor even for
         // a log that lost its head.
         let mut cur = Version {
-            global: loaded.iter().map(|&(_, v, _)| v).max().unwrap_or(0),
-            locals: loaded.iter().map(|&(_, v, _)| v).collect(),
-            maps: loaded.into_iter().map(|(m, _, _)| m).collect(),
+            global: loaded.iter().map(|&(_, v)| v).max().unwrap_or(0),
+            locals: loaded.iter().map(|&(_, v)| v).collect(),
+            maps: loaded.into_iter().map(|(m, _)| m).collect(),
         };
         // The global id of the log's last head: the checkpoint the
         // pages were written for.
@@ -1241,11 +1277,12 @@ where
 
     /// One checkpoint-then-truncate cycle: persists the committed
     /// version vector — per shard, an incremental page diffed against
-    /// the shard's pinned checkpoint when the chain is short, a full
-    /// page otherwise (first checkpoint, or every `MAX_INCR_CHAIN`
-    /// links to bound `open`'s chain walk), nothing at all for shards
+    /// the shard's pinned checkpoint while its links weigh less than its
+    /// full page and number fewer than `MAX_INCR_CHAIN`, a full page
+    /// otherwise (first checkpoint included), nothing at all for shards
     /// unchanged since their checkpoint — then drops the log groups the
-    /// pages now cover. Returns the checkpointed global commit id.
+    /// pages now cover. A shard's pages thus stay under two full pages
+    /// plus one link on disk. Returns the checkpointed global commit id.
     ///
     /// # Errors
     ///
@@ -1318,9 +1355,7 @@ where
                 let base = match policy {
                     PagePolicy::Full => None,
                     PagePolicy::Incremental(_) => pins[i].as_ref(),
-                    PagePolicy::Chain => {
-                        pins[i].as_ref().filter(|ck| ck.chain_len < MAX_INCR_CHAIN)
-                    }
+                    PagePolicy::Chain => pins[i].as_ref().filter(|ck| ck.extends()),
                 };
                 if base.is_some_and(|ck| ck.version == locals[i]) {
                     return Ok(PageWrite::Skipped);
@@ -1344,25 +1379,29 @@ where
         {
             let mut stats = inner.lifecycle.lock();
             for (i, w) in writes.into_iter().enumerate() {
-                let new_pin = |chain_len| {
-                    Some(ShardCheckpoint {
-                        version: locals[i],
-                        map: maps[i].clone(),
-                        chain_len,
-                    })
-                };
                 match w {
                     Ok(PageWrite::Skipped) => {}
                     Ok(PageWrite::Incremental(n)) => {
-                        let chain_len = ckpts.shards[i].as_ref().map_or(1, |ck| ck.chain_len + 1);
-                        ckpts.shards[i] = new_pin(chain_len);
-                        inner.metrics.incr_chain_depth[i].set(chain_len as i64);
+                        let ck = ckpts.shards[i]
+                            .as_mut()
+                            .expect("a link extends a pinned page");
+                        ck.version = locals[i];
+                        ck.map = maps[i].clone();
+                        ck.chain_len += 1;
+                        ck.chain_bytes += n as u64;
+                        inner.metrics.set_chain(i, ck.chain_len, ck.chain_bytes);
                         stats.incremental_saves += 1;
                         stats.incremental_page_bytes += n as u64;
                     }
                     Ok(PageWrite::Full(n)) => {
-                        ckpts.shards[i] = new_pin(0);
-                        inner.metrics.incr_chain_depth[i].set(0);
+                        ckpts.shards[i] = Some(ShardCheckpoint {
+                            version: locals[i],
+                            map: maps[i].clone(),
+                            chain_len: 0,
+                            full_bytes: n as u64,
+                            chain_bytes: 0,
+                        });
+                        inner.metrics.set_chain(i, 0, 0);
                         stats.full_saves += 1;
                         stats.full_page_bytes += n as u64;
                     }

@@ -100,6 +100,54 @@ fn gc_returns_node_footprint_to_a_fresh_store_within_tolerance() {
 // Incremental checkpoint chains
 // ---------------------------------------------------------------------
 
+/// The page files of one shard directory: the full page's bytes and
+/// its links' bytes in version order.
+fn chain_files(sdir: &std::path::Path) -> (u64, Vec<u64>) {
+    let len = |path: PathBuf| std::fs::metadata(path).unwrap().len();
+    let mut links: Vec<(String, u64)> = std::fs::read_dir(sdir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("incr-"))
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), len(e.path())))
+        .collect();
+    // Link names carry a zero-padded version: name order is version order.
+    links.sort();
+    (len(sdir.join(SNAPSHOT_FILE)), links.into_iter().map(|(_, n)| n).collect())
+}
+
+/// Whether `compact` extends the chain `chain_files` found: while its
+/// links weigh less than its full page and number fewer than 16.
+fn extends((full, links): &(u64, Vec<u64>)) -> bool {
+    links.iter().sum::<u64>() < *full && links.len() < 16
+}
+
+/// What a [`store::metrics`] gauge of shard `shard` reads.
+fn shard_gauge(name: &str, shard: usize) -> i64 {
+    let label = format!("{shard:03}");
+    obs::global()
+        .gauge_value(&obs::labeled(name, &[("shard", &label)]))
+        .unwrap_or(i64::MIN)
+}
+
+/// Checks that `compact` took the step the byte rule asks for on one
+/// shard (`before` and `after` are its [`chain_files`]), and that its
+/// gauges publish the chain on disk.
+fn check_step(shard: usize, before: &(u64, Vec<u64>), after: &(u64, Vec<u64>)) {
+    if extends(before) {
+        assert_eq!(after.0, before.0, "shard {shard}: the full page was rewritten early");
+        assert_eq!(after.1[..before.1.len()], before.1[..], "shard {shard}");
+        assert_eq!(after.1.len(), before.1.len() + 1, "shard {shard}: no link was added");
+    } else {
+        assert!(after.1.is_empty(), "shard {shard}: {before:?} was extended to {after:?}");
+    }
+    check_gauges(shard, after);
+}
+
+fn check_gauges(shard: usize, (_, links): &(u64, Vec<u64>)) {
+    assert_eq!(shard_gauge("pacstore_incr_chain_depth", shard), links.len() as i64);
+    assert_eq!(shard_gauge("pacstore_incr_chain_bytes", shard), links.iter().sum::<u64>() as i64);
+}
+
 #[test]
 fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
     let _g = stats_gate();
@@ -109,17 +157,21 @@ fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
         store.commit((0..2_000u64).map(|k| Op::Put(k, 0)).collect()).unwrap();
         assert_eq!(store.save().unwrap(), 1);
         assert_eq!(store.latest_checkpoint(), Some(1));
-        // 17 compact cycles: 16 extend the incremental chain, the 17th
-        // hits the chain cap and rolls over to a full page.
+        // 17 compact cycles over a 2 000-key page of about 6 KB. Each
+        // writes two leaves and their paths, a link of 1.1–2.3 KB, so
+        // every four to five links outweigh the full page and the next
+        // cycle writes a full one.
         for i in 0..17u64 {
             store.commit(vec![Op::Put(i, i + 100), Op::Put(5_000 + i, i)]).unwrap();
+            let before = chain_files(&shard0(&dir));
             assert_eq!(store.compact().unwrap(), i + 2);
             assert_eq!(store.latest_checkpoint(), Some(i + 2));
+            check_step(0, &before, &chain_files(&shard0(&dir)));
         }
         let stats = store.lifecycle_stats();
         assert_eq!(stats.compactions, 17);
-        assert_eq!(stats.incremental_saves, 16);
-        assert_eq!(stats.full_saves, 2, "initial save + chain-cap rollover");
+        assert_eq!(stats.incremental_saves, 14);
+        assert_eq!(stats.full_saves, 4, "initial save + three byte-rule rollovers");
         assert!(stats.wal_bytes_truncated > 0);
     }
     let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
@@ -129,12 +181,109 @@ fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
         assert_eq!(store.get(&i), Some(i + 100));
         assert_eq!(store.get(&(5_000 + i)), Some(i));
     }
-    // The reopened store continues the chain where it left off.
+    // The reopened store counts the link it found and continues the
+    // chain where it left off.
+    let before = chain_files(&shard0(&dir));
+    assert_eq!(before.1.len(), 1);
+    check_gauges(0, &before);
     store.commit(vec![Op::Put(1, 1)]).unwrap();
     store.compact().unwrap();
     assert_eq!(store.latest_checkpoint(), Some(19));
+    check_step(0, &before, &chain_files(&shard0(&dir)));
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn tiny_links_roll_over_at_the_chain_cap() {
+    let _g = stats_gate();
+    let dir = scratch("chain-cap");
+    let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
+    store.commit((0..50_000u64).map(|k| Op::Put(k, k)).collect()).unwrap();
+    store.save().unwrap();
+    // One-key links against a 50 000-key page: 16 of them weigh far less
+    // than it, so the count cap ends the chain.
+    for i in 0..18u64 {
+        store.commit(vec![Op::Put(i * 1_000, 0)]).unwrap();
+        store.compact().unwrap();
+        let (full, links) = chain_files(&shard0(&dir));
+        assert_eq!(links.len() as u64, if i < 16 { i + 1 } else { i - 16 }, "cycle {i}");
+        assert!(links.iter().sum::<u64>() * 4 < full, "cycle {i}: links are not tiny");
+    }
+    let stats = store.lifecycle_stats();
+    assert_eq!((stats.incremental_saves, stats.full_saves), (17, 2));
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn uniform_churn_keeps_each_shard_under_two_full_pages_and_a_link() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let _g = stats_gate();
+    const KEYS: u64 = 20_000;
+    for shards in SHARD_COUNTS {
+        for pool_pages in [None, Some(8)] {
+            let dir = scratch(&format!("churn-{shards}-{pool_pages:?}"));
+            let opts = StoreOptions { pool_pages, ..StoreOptions::default() };
+            let open = || -> ShardedStore<u64, u64> {
+                ShardedStore::open_or_create(&dir, Router::uniform_span(shards, KEYS), opts.clone())
+                    .unwrap()
+            };
+            let mut rng = StdRng::seed_from_u64(47 + shards as u64);
+            let mut oracle = BTreeMap::new();
+            let mut store = open();
+            let ops: Vec<_> = (0..KEYS).map(|k| Op::Put(k, 0)).collect();
+            oracle.extend((0..KEYS).map(|k| (k, 0)));
+            store.commit(ops).unwrap();
+            store.save().unwrap();
+            let (mut links, mut fulls) = (0, 0);
+            for round in 1..=10u64 {
+                // A uniform batch of puts and deletes: about one key in
+                // ten, so nearly every leaf of every shard changes.
+                let ops: Vec<_> = (0..KEYS / 10)
+                    .map(|_| {
+                        let k = rng.gen_range(0..KEYS);
+                        if rng.gen_bool(0.2) {
+                            oracle.remove(&k);
+                            Op::Delete(k)
+                        } else {
+                            oracle.insert(k, round);
+                            Op::Put(k, round)
+                        }
+                    })
+                    .collect();
+                store.commit(ops).unwrap();
+                let sdirs: Vec<_> = (0..shards).map(|i| dir.join(shard_dir_name(i))).collect();
+                let before: Vec<_> = sdirs.iter().map(|d| chain_files(d)).collect();
+                store.compact().unwrap();
+                for (i, sdir) in sdirs.iter().enumerate() {
+                    let after = chain_files(sdir);
+                    check_step(i, &before[i], &after);
+                    // The directory holds under two full pages plus the
+                    // newest link: the links before it weigh less than
+                    // the full page.
+                    let (full, chain) = &after;
+                    let older: u64 = chain.iter().rev().skip(1).sum();
+                    assert!(older < *full, "shard {i}, round {round}: {after:?}");
+                    if after.1.is_empty() { fulls += 1 } else { links += 1 }
+                }
+                // Reopen: the same contents, and the chains counted from
+                // the files the load applied.
+                drop(store);
+                store = open();
+                let got: Vec<(u64, u64)> = store.range_entries(&0, &u64::MAX);
+                assert!(got.into_iter().eq(oracle.clone()), "{shards} shards, round {round}");
+                for (i, sdir) in sdirs.iter().enumerate() {
+                    check_gauges(i, &chain_files(sdir));
+                }
+            }
+            // Both steps of the rule were taken.
+            assert!(links > 0 && fulls > 0, "{links} links, {fulls} full pages");
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }
 
 #[test]

@@ -256,6 +256,8 @@ fn render_text_exposes_the_write_path_schema() {
         "pacstore_commit_apply_ns",
         "pacstore_wal_append_ns",
         "pacstore_snapshots_total",
+        "pacstore_incr_chain_depth{shard=\"000\"}",
+        "pacstore_incr_chain_bytes{shard=\"000\"}",
         "cpam_node_allocs_total",
     ] {
         assert!(text.contains(series), "render_text missing {series}:\n{text}");

@@ -339,6 +339,48 @@ fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A full checkpoint of a lazily opened shard reads every still-lazy
+/// leaf once and admits none of them: a resident leaf is a hit, every
+/// other one a miss, and the pool neither evicts nor grows, so the
+/// pages queries made resident are still there after it.
+#[test]
+fn a_full_checkpoint_of_a_lazy_shard_admits_no_leaf() {
+    let _g = page_gate();
+    let dir = scratch("full-checkpoint-admits-nothing");
+    {
+        let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
+        store.commit((0..N).map(|k| Op::Put(k, k * 3)).collect()).unwrap();
+        store.save().unwrap();
+    }
+    let store: PacStore<u64, u64> = PacStore::open_with(&dir, pooled(8)).unwrap();
+    let lazy = store.snapshot().map().space_stats().lazy_nodes as u64;
+    assert!(lazy > 100, "{lazy} lazy leaves");
+    let hot = [1, N / 2 + 1, N - 1];
+    for k in hot {
+        assert_eq!(store.get(&k), Some(k * 3));
+    }
+    let before = store.pool_stats().unwrap();
+    assert_eq!((before.misses, before.resident_pages), (3, 3), "three leaves made resident");
+
+    store.save().unwrap();
+    let after = store.pool_stats().unwrap();
+    assert_eq!(after.evictions, before.evictions, "the checkpoint evicted a page");
+    assert_eq!(after.resident_pages, before.resident_pages);
+    assert_eq!(after.resident_bytes, before.resident_bytes);
+    assert_eq!(after.misses - before.misses, lazy - 3, "one miss per leaf not resident");
+    assert_eq!(after.hits - before.hits, 3, "one hit per resident leaf");
+    for k in hot {
+        assert_eq!(store.get(&k), Some(k * 3));
+    }
+    assert_eq!(store.pool_stats().unwrap().misses, after.misses, "a hot leaf was lost");
+    drop(store);
+
+    let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
+    assert!(store.snapshot().to_vec().into_iter().eq((0..N).map(|k| (k, k * 3))));
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn a_one_key_commit_writes_exactly_one_leaf_record() {
     let _g = page_gate();

@@ -56,7 +56,7 @@ fn main() {
             || line.starts_with("pacstore_compact")
             || line.starts_with("pacstore_wal_append_ns")
             || line.starts_with("cpam_")
-            || line.starts_with("pacstore_incr_chain_depth")
+            || line.starts_with("pacstore_incr_chain_")
         {
             println!("{line}");
         }
