@@ -193,6 +193,33 @@ fn read_mid_frame<R: Read>(
 mod tests {
     use super::*;
 
+    /// The bytes of one request frame, pinned: a change to this literal
+    /// is a wire format change.
+    #[test]
+    fn a_frame_keeps_its_bytes() {
+        let ops = (0..10u32)
+            .map(|i| {
+                let k = u64::MAX >> (7 * i);
+                store::Op::Put(k, format!("value-{i}"))
+            })
+            .collect();
+        let payload = crate::proto::Request::<u64, String>::PutBatch(ops).encode();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "9401b3010a00ffffffffffffffffff010776616c75652d3000ffffffffffffffff010776",
+                "616c75652d3100ffffffffffffff010776616c75652d3200ffffffffffff010776616c75",
+                "652d3300ffffffffff010776616c75652d3400ffffffff010776616c75652d3500ffffff",
+                "010776616c75652d3600ffff010776616c75652d3700ff010776616c75652d3800010776",
+                "616c75652d39adb98c0d",
+            )
+        );
+        assert_eq!(read_frame(&mut &wire[..]).unwrap(), payload);
+    }
+
     #[test]
     fn frames_roundtrip_through_a_stream() {
         let mut wire = Vec::new();

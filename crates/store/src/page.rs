@@ -1253,6 +1253,102 @@ mod tests {
         }
     }
 
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Keys, gaps and values that take every varint length from 1 to 10
+    /// bytes.
+    fn every_varint_length() -> Vec<(u64, u64)> {
+        let mut keys = vec![0u64, u64::MAX];
+        for s in (7..64).step_by(7) {
+            keys.extend([(1u64 << s) - 1, 1 << s]);
+        }
+        keys.sort_unstable();
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| (k, (k >> 1) ^ i as u64))
+            .collect()
+    }
+
+    /// `n` sorted keys with gaps of every magnitude (xorshift64*) and
+    /// values of every length.
+    fn seeded_pairs(n: usize) -> Vec<(u64, u64)> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut key = 0u64;
+        (0..n)
+            .map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                key += 1 + (r >> (40 + r % 24));
+                (key, r >> (r % 64))
+            })
+            .collect()
+    }
+
+    /// The bytes of a full raw page, a full delta page and an incremental
+    /// link, pinned: a change to any of these literals is a format
+    /// change, and needs a new magic. Larger pages, with delta leaves
+    /// past a restart, are pinned by CRC-32 and length.
+    #[test]
+    fn pages_keep_their_bytes() {
+        let pairs = every_varint_length();
+        let raw: RawMap = PacMap::from_sorted_pairs(4, &pairs);
+        assert_eq!(
+            hex(&encode_snapshot(&raw, 7)),
+            concat!(
+                "50414350414745314900000000000000009cbc2e2e04000714018080808080018a808080",
+                "4001ffff7ffaff3f020512a5ac51f00204248f74c57f01ffffffffffffff7ff0ffffffff",
+                "ffff3f0204389de8865202044b5ebe6a001046ae2c051000007f3e800142ff7ffc3f8080",
+                "018440042280808001868040ffffff7ff8ffff3f808080800188808040ffffffff7ff6ff",
+                "ffff3f0436ffffffffff7ff4ffffffff3f808080808080018c8080808040ffffffffffff",
+                "7ff2ffffffffff3f80808080808080018e80808080804004498080808080808080019080",
+                "808080808040ffffffffffffffff7feeffffffffffffff3f808080808080808080019280",
+                "80808080808040ffffffffffffffffff01ecffffffffffffff7f",
+            )
+        );
+        let delta: DeltaMap = PacMap::from_sorted_pairs(4, &pairs);
+        assert_eq!(
+            hex(&encode_snapshot(&delta, 7)),
+            concat!(
+                "50414350414745314900000000000000019cbc2e2e04000714018080808080018a808080",
+                "4001ffff7ffaff3f0205113febd46d0204222dd0a76001ffffffffffffff7ff0ffffffff",
+                "ffff3f02042c3d1237000204436d8ae561de09fd40050f0000fe013e0242fefd01fc3f02",
+                "8440042080808001868040fefffffd01f8ffff3f0288808040fefffffffd01f6ffffff3f",
+                "042affffffffff7ff4ffffffff3f028c8080808040fefffffffffffd01f2ffffffffff3f",
+                "028e80808080804004418080808080808080019080808080808040fefffffffffffffffd",
+                "01eeffffffffffffff3f02928080808080808040feffffffffffffffff01ecffffffffff",
+                "ffff7f",
+            )
+        );
+        let next = delta
+            .insert(5, 5)
+            .remove(&(1 << 35))
+            .insert(u64::MAX - 1, 9);
+        assert_eq!(
+            hex(&encode_page(&next, Some((&delta, 7)), 8)),
+            concat!(
+                "50414350414745314300000000000000019cbc2e2e0408081501ffffffff7ff6ffffff3f",
+                "01808001844002051049c0c02702041a7d7cd6d901ffffffffffffff7ff0ffffffffffff",
+                "3f040b04020545acbd6bf33857d39e050e00000a05f4013e0242fefd01fc3f0418ffff7f",
+                "faff3f02868040fefffffd01f8ffff3f0288808040054380808080808080800190808080",
+                "80808040fefffffffffffffffd01eeffffffffffffff3f02928080808080808040fcffff",
+                "ffffffffffff010902ecffffffffffffff7f",
+            )
+        );
+
+        let pairs = seeded_pairs(3_000);
+        let raw: RawMap = PacMap::from_sorted_pairs(128, &pairs);
+        let page = encode_snapshot(&raw, 3);
+        assert_eq!((crc32(&page), page.len()), (0xa98a_054d, 29519));
+        let delta: DeltaMap = PacMap::from_sorted_pairs(128, &pairs);
+        let page = encode_snapshot(&delta, 3);
+        assert_eq!((crc32(&page), page.len()), (0x4aee_0aaa, 21851));
+    }
+
     #[test]
     fn incr_file_names_roundtrip_in_version_order() {
         assert_eq!(parse_incr_file_name(&incr_file_name(42)), Some(42));

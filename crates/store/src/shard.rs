@@ -1825,6 +1825,45 @@ mod tests {
         }
     }
 
+    /// The bytes one cross-shard commit group appends to the log,
+    /// pinned: a change to this literal is a log format change.
+    #[test]
+    fn a_commit_group_keeps_its_bytes() {
+        let dir = scratch("group-bytes");
+        let store = ShardedStore::<u64, String>::open_or_create(
+            &dir,
+            Router::uniform_span(3, 1_000),
+            StoreOptions::default(),
+        )
+        .unwrap();
+        let before = std::fs::read(dir.join(LOG_FILE)).unwrap().len();
+        store
+            .commit(vec![
+                Op::Put(1, "one".into()),
+                Op::Put(400, String::new()),
+                Op::Delete(999),
+                Op::Put(u64::MAX, "x".repeat(130)),
+                Op::Put(1 << 35, "y".into()),
+            ])
+            .unwrap();
+        let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        let group: String = log[before..].iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            group,
+            concat!(
+                "12a20194378c3e0103000102010001036f6e651374862010a20194378c3e010300010201",
+                "0090030009e93ad6a701a20194378c3e01030001020301e70700ffffffffffffffffff01",
+                "820178787878787878787878787878787878787878787878787878787878787878787878",
+                "787878787878787878787878787878787878787878787878787878787878787878787878",
+                "787878787878787878787878787878787878787878787878787878787878787878787878",
+                "7878787878787878787878787878787878787878787878780080808080800101793f1d87",
+                "f6",
+            )
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn compact_and_checkpoint_apis_are_typed_on_ephemeral_stores() {
         let store = mem(2);
