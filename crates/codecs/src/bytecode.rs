@@ -5,31 +5,145 @@
 //! wasting little space compared to bit-level codes such as gamma codes.
 //!
 //! Every varint in the crate, and in the store's and server's formats
-//! built on it, is read by [`try_read_varint`]. It decodes from one
-//! 8-byte little-endian word plus the two bytes after it, with no branch
-//! on the value's length; within the last 15 bytes of a buffer it loads
-//! those bytes padded with zeros. It refuses a varint cut off by the end
-//! of the buffer and one that overflows 64 bits (a 10th byte other than
-//! `0` or `1`).
+//! built on it, is written by [`write_varint`] and read by
+//! [`try_read_varint`]: one writer, one reader, each working on one
+//! 16-byte word with no branch on the value's length. The writer spreads
+//! the value's 7-bit groups into the word and stores it whole; the
+//! reader decodes from one 8-byte little-endian word plus the two bytes
+//! after it, and within the last 15 bytes of a buffer it loads those
+//! bytes padded with zeros. The reader refuses a varint cut off by the
+//! end of the buffer and one that overflows 64 bits (a 10th byte other
+//! than `0` or `1`).
 
-/// Appends `v` to `out` as a varint (7 bits per byte, MSB = continue).
+use std::ops::Range;
+
+/// Appends `v` to `out` as a varint (7 bits per byte, MSB = continue):
+/// the one varint encoder.
+///
+/// It builds the whole code in one 16-byte word: the low 56 bits are
+/// spread into eight 7-bit groups in three mask-and-shift steps (the
+/// inverse of [`try_read_varint`]'s pack), bits 56–62 and bit 63 become
+/// the 9th and 10th bytes, and one mask, looked up with the length by
+/// the value's leading zeros, sets the continuation bit of every byte
+/// before the last. The word is appended whole, as two 8-byte stores,
+/// and `out` is cut back to the code's length, so a value's length costs
+/// no data-dependent branch. When `out` has fewer than 16 bytes of
+/// spare capacity only the code's bytes are copied, so the writer never
+/// grows a buffer the byte-at-a-time one would not have grown.
 ///
 /// ```
 /// let mut buf = Vec::new();
 /// codecs::bytecode::write_varint(300, &mut buf);
 /// assert_eq!(buf, vec![0b1010_1100, 0b0000_0010]);
 /// ```
-#[inline]
-pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+#[inline(always)]
+pub fn write_varint(v: u64, out: &mut Vec<u8>) {
+    let (lo, hi, len) = spread(v);
+    if out.capacity() - out.len() >= 16 {
+        // The word goes out as its two register halves: a 16-byte array
+        // assembled from them would be stored to the stack and loaded
+        // back whole, a load that store forwarding cannot serve.
+        let end = out.len() + len;
+        out.extend_from_slice(&lo.to_le_bytes());
+        out.extend_from_slice(&hi.to_le_bytes());
+        out.truncate(end);
+    } else {
+        append_cold(&code(lo, hi)[..len], out);
     }
+}
+
+/// [`write_varint`]'s append into a buffer without 16 spare bytes, out
+/// of line so that the word store inlines small.
+#[cold]
+#[inline(never)]
+fn append_cold(code: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(code);
+}
+
+/// Appends the bytes `body` writes to `out`, preceded by their count as
+/// a varint, and returns where they sit in `out`.
+///
+/// The count is known only once `body` has run, so `body` writes straight
+/// into `out` behind a slot sized for a count of `expect` bytes, and the
+/// count is filled in after it; only a body whose count takes another
+/// number of bytes moves, once, to fit.
+pub fn write_prefixed(
+    out: &mut Vec<u8>,
+    expect: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Range<usize> {
+    let at = out.len();
+    let slot = varint_len(expect as u64);
+    out.resize(at + slot, 0);
+    body(out);
+    let len = out.len() - at - slot;
+    let (lo, hi, need) = spread(len as u64);
+    if need != slot {
+        let end = out.len();
+        out.resize(end.max(at + need + len), 0);
+        out.copy_within(at + slot..end, at + need);
+        out.truncate(at + need + len);
+    }
+    out[at..at + need].copy_from_slice(&code(lo, hi)[..need]);
+    at + need..at + need + len
+}
+
+/// The shape of a varint by the leading zeros of its value: its length
+/// and the continuation bits of its first eight bytes and of its 9th,
+/// each byte's but the last's.
+#[derive(Clone, Copy)]
+struct Shape {
+    len: usize,
+    more_lo: u64,
+    more_hi: u64,
+}
+
+/// [`Shape`] by `v.leading_zeros()`, 0 to 64.
+static SHAPES: [Shape; 65] = {
+    let mut shapes = [Shape {
+        len: 0,
+        more_lo: 0,
+        more_hi: 0,
+    }; 65];
+    let mut lz = 0usize;
+    while lz <= 64 {
+        let len = if lz == 64 { 1 } else { (64 - lz).div_ceil(7) };
+        let mut shape = Shape {
+            len,
+            more_lo: 0,
+            more_hi: 0,
+        };
+        let mut i = 0;
+        while i + 1 < len {
+            if i < 8 {
+                shape.more_lo |= 0x80 << (8 * i);
+            } else {
+                shape.more_hi |= 0x80;
+            }
+            i += 1;
+        }
+        shapes[lz] = shape;
+        lz += 1;
+    }
+    shapes
+};
+
+/// `v`'s varint in the low bytes of a 16-byte little-endian word, as
+/// the word's low and high halves, and its length.
+#[inline(always)]
+fn spread(v: u64) -> (u64, u64, usize) {
+    let shape = SHAPES[v.leading_zeros() as usize];
+    let mut w = v & 0x00ff_ffff_ffff_ffff;
+    w = ((w << 4) & 0x0fff_ffff_0000_0000) | (w & 0x0000_0000_0fff_ffff);
+    w = ((w << 2) & 0x3fff_0000_3fff_0000) | (w & 0x0000_3fff_0000_3fff);
+    w = ((w << 1) & 0x7f00_7f00_7f00_7f00) | (w & 0x007f_007f_007f_007f);
+    let high = ((v >> 56) & 0x7f) | ((v >> 63) << 8);
+    (w | shape.more_lo, high | shape.more_hi, shape.len)
+}
+
+/// The bytes of the word [`spread`] returns as `lo` and `hi`.
+fn code(lo: u64, hi: u64) -> [u8; 16] {
+    (u128::from(hi) << 64 | u128::from(lo)).to_le_bytes()
 }
 
 /// Reads a varint from `buf` at `*pos`, advancing `*pos`: the one
@@ -91,14 +205,11 @@ pub fn try_read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     Some(v)
 }
 
-/// Number of bytes [`write_varint`] would use for `v`.
+/// Number of bytes [`write_varint`] would use for `v`: one per 7
+/// significant bits, and one for zero.
 #[inline]
 pub fn varint_len(v: u64) -> usize {
-    if v == 0 {
-        1
-    } else {
-        (64 - v.leading_zeros() as usize).div_ceil(7)
-    }
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Maps a signed value to an unsigned one with small magnitudes staying
@@ -252,6 +363,70 @@ mod tests {
                 } else {
                     assert_eq!(got, None, "{tenth}, pad {pad}");
                 }
+            }
+        }
+    }
+
+    /// The varint writer as one byte per step: the oracle for
+    /// [`write_varint`], whose one-word store must write the same bytes.
+    fn write_varint_bytewise(mut v: u64, out: &mut Vec<u8>) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    /// Every value one below, at and one above a power of two (so every
+    /// length boundary), written after 0–2 bytes into a buffer with room
+    /// for the one-word store and into one without: the byte loop's
+    /// bytes, the capacity the byte loop leaves, and a round trip.
+    #[test]
+    fn writer_matches_the_byte_loop_at_every_length_boundary() {
+        let mut cases = vec![0u64, u64::MAX];
+        for s in 1..64 {
+            cases.extend([(1u64 << s) - 1, 1 << s, (1 << s) + 1]);
+        }
+        for &v in &cases {
+            let mut want = Vec::new();
+            write_varint_bytewise(v, &mut want);
+            assert_eq!(want.len(), varint_len(v), "{v}");
+            for prefix in 0..3 {
+                for room in [0, 16] {
+                    let mut out = Vec::with_capacity(prefix + want.len() + room);
+                    out.resize(prefix, 0xEE);
+                    let capacity = out.capacity();
+                    write_varint(v, &mut out);
+                    let at = format!("{v} after {prefix} bytes, {room} spare");
+                    assert_eq!(&out[..prefix], &[0xEE; 3][..prefix], "{at}");
+                    assert_eq!(&out[prefix..], &want[..], "{at}");
+                    assert_eq!(out.capacity(), capacity, "{at}");
+                    let mut pos = prefix;
+                    assert_eq!(try_read_varint(&out, &mut pos), Some(v), "{at}");
+                    assert_eq!(pos, out.len(), "{at}");
+                }
+            }
+        }
+    }
+
+    /// A body of every varint length of count, behind a slot sized for
+    /// every other: the count's varint, then the body, wherever it
+    /// started.
+    #[test]
+    fn write_prefixed_puts_the_count_before_the_body() {
+        let lens = [0usize, 1, 127, 128, 16_383, 16_384, 1 << 21];
+        for &expect in &lens {
+            for &len in &lens {
+                let mut out = vec![0xEE; 3];
+                let body = write_prefixed(&mut out, expect, |out| {
+                    out.extend((0..len).map(|i| i as u8));
+                });
+                let mut want = vec![0xEE; 3];
+                write_varint(len as u64, &mut want);
+                let start = want.len();
+                want.extend((0..len).map(|i| i as u8));
+                assert_eq!(body, start..start + len, "{len} expecting {expect}");
+                assert!(out == want, "{len} expecting {expect}");
             }
         }
     }

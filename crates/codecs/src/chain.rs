@@ -12,6 +12,7 @@
 //! [`DeltaCodec`]: crate::DeltaCodec
 //! [`KeyDeltaCodec`]: crate::KeyDeltaCodec
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -142,7 +143,7 @@ impl<'a> Writer<'a> {
             src,
             src_samples,
             bytes: Vec::with_capacity(bytes),
-            samples: Vec::with_capacity(entries / RESTART_INTERVAL),
+            samples: Vec::with_capacity(entries.saturating_sub(1) / RESTART_INTERVAL),
             count: 0,
             pending: 0..0,
         }
@@ -217,18 +218,45 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Encodes `entries` as one stream, sample table included.
+/// The largest buffer [`encode`] keeps for its thread's next stream:
+/// a leaf of a few hundred entries takes a few KiB.
+const SCRATCH_KEEP: usize = 64 << 10;
+
+thread_local! {
+    /// The buffer [`encode`] writes its stream into before copying it
+    /// out at its length; taken while in use, so a nested encode starts
+    /// one of its own.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Encodes `entries` as one stream, sample table included. The stream
+/// is written into the thread's reused buffer and copied out at its
+/// length, and the sample table is reserved at its size, so the block
+/// costs one allocation per non-empty buffer and no reallocation.
 pub(crate) fn encode<'e, E: Delta + 'e>(
     entries: impl ExactSizeIterator<Item = &'e E>,
 ) -> EncodedBlock {
     let n = entries.len();
-    let mut w = Writer::new(&[], &[], n * 2 + 8, n);
+    let mut w = Writer {
+        bytes: SCRATCH.take(),
+        ..Writer::new(&[], &[], 0, n)
+    };
+    w.bytes.reserve(n * 2 + 8);
     let mut prev = None;
     for e in entries {
         w.push(e, prev);
         prev = Some(e);
     }
-    w.finish()
+    let block = EncodedBlock {
+        bytes: w.bytes.as_slice().into(),
+        count: w.count as u32,
+        samples: w.samples.into_boxed_slice(),
+    };
+    if w.bytes.capacity() <= SCRATCH_KEEP {
+        w.bytes.clear();
+        SCRATCH.set(w.bytes);
+    }
+    block
 }
 
 /// Reads entry `i` at `*pos`, or `None` if its bytes are not one;

@@ -478,6 +478,7 @@ impl<T: ByteEncode> ByteEncode for Option<T> {
 macro_rules! impl_byte_encode_uint {
     ($($t:ty),*) => {$(
         impl ByteEncode for $t {
+            #[inline]
             fn write(&self, out: &mut Vec<u8>) {
                 bytecode::write_varint(*self as u64, out);
             }
@@ -493,6 +494,7 @@ impl_byte_encode_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_byte_encode_int {
     ($($t:ty),*) => {$(
         impl ByteEncode for $t {
+            #[inline]
             fn write(&self, out: &mut Vec<u8>) {
                 bytecode::write_signed(*self as i64, out);
             }
@@ -566,9 +568,11 @@ impl ByteEncode for f64 {
 macro_rules! impl_delta_uint {
     ($($t:ty),*) => {$(
         impl Delta for $t {
+            #[inline]
             fn write_first(&self, out: &mut Vec<u8>) {
                 bytecode::write_varint(*self as u64, out);
             }
+            #[inline]
             fn write_delta(&self, prev: &Self, out: &mut Vec<u8>) {
                 // Wrapping difference + zigzag: exact for any pair, and a
                 // small non-negative gap (sorted data) costs one byte.
@@ -1054,14 +1058,16 @@ impl<E: ByteEncode + Clone + Send + Sync + 'static> BlockIo<E> for RawCodec {
     const CODEC_ID: u8 = 0;
     const CODEC_NAME: &'static str = "raw";
 
+    /// The entries are written straight into `out`, behind a payload
+    /// length sized for `size_of::<E>()` bytes per entry.
     fn write_block(block: &Self::Block, out: &mut Vec<u8>) {
         bytecode::write_varint(block.len() as u64, out);
-        let mut payload = Vec::with_capacity(block.len() * 2);
-        for e in block.iter() {
-            e.write(&mut payload);
-        }
-        bytecode::write_varint(payload.len() as u64, out);
-        out.extend_from_slice(&payload);
+        let expect = block.len() * std::mem::size_of::<E>();
+        bytecode::write_prefixed(out, expect, |out| {
+            for e in block.iter() {
+                e.write(out);
+            }
+        });
     }
 
     /// The frame's count sizes the block's one allocation once it is

@@ -4,26 +4,34 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use codecs::{bytecode, ByteEncode};
 
 struct LargestAlloc;
 
-/// The largest allocation (or reallocation's new size) a measuring
-/// thread made since the last reset.
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Whether this thread's allocations are measured: the test harness
     /// allocates on its own threads while a test runs.
     static MEASURED: Cell<bool> = const { Cell::new(false) };
+    /// The largest allocation (or reallocation's new size) this thread
+    /// made while measured since the last reset. Per thread, as the
+    /// tests run at the same time.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     if MEASURED.with(Cell::get) {
-        LARGEST.fetch_max(size, Ordering::Relaxed);
+        LARGEST.with(|l| l.set(l.get().max(size)));
     }
+}
+
+/// The largest allocation `f` makes on this thread.
+fn largest_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    MEASURED.with(|m| m.set(true));
+    let out = f();
+    MEASURED.with(|m| m.set(false));
+    (out, LARGEST.with(Cell::get))
 }
 
 unsafe impl GlobalAlloc for LargestAlloc {
@@ -53,11 +61,7 @@ fn a_list_count_never_reserves_more_than_the_input() {
         let mut buf = Vec::new();
         bytecode::write_varint(n as u64, &mut buf);
         buf.resize(buf.len() + n, 0xFF);
-        LARGEST.store(0, Ordering::Relaxed);
-        MEASURED.with(|m| m.set(true));
-        let got = Vec::<String>::try_read(&buf, &mut 0);
-        MEASURED.with(|m| m.set(false));
-        let largest = LARGEST.load(Ordering::Relaxed);
+        let (got, largest) = largest_in(|| Vec::<String>::try_read(&buf, &mut 0));
         assert_eq!(got, None, "n = {n}");
         assert!(largest <= n, "n = {n}: one allocation of {largest} bytes");
     }
@@ -72,11 +76,7 @@ fn a_parsed_item_does_not_let_the_count_reserve_more_than_the_input() {
         bytecode::write_varint(n as u64, &mut buf);
         buf.push(0);
         buf.resize(buf.len() + n - 1, 0xFF);
-        LARGEST.store(0, Ordering::Relaxed);
-        MEASURED.with(|m| m.set(true));
-        let got = Vec::<String>::try_read(&buf, &mut 0);
-        MEASURED.with(|m| m.set(false));
-        let largest = LARGEST.load(Ordering::Relaxed);
+        let (got, largest) = largest_in(|| Vec::<String>::try_read(&buf, &mut 0));
         assert_eq!(got, None, "n = {n}");
         assert!(largest <= n, "n = {n}: one allocation of {largest} bytes");
     }

@@ -1,8 +1,8 @@
 //! Property tests: every codec is an exact inverse pair on arbitrary
 //! data, the zero-allocation access layer (cursor / `get` / `seek_by` /
 //! `search_by` / `cursor_at`) agrees with the decode-everything oracle,
-//! no decoder panics on hostile bytes, and the varint reader agrees with
-//! a byte-at-a-time oracle.
+//! no decoder panics on hostile bytes, and the varint reader and writer
+//! agree with byte-at-a-time oracles.
 
 use codecs::{
     BlockCursor, BlockIo, ByteEncode, Codec, Delta, DeltaCodec, GammaCodec, KeyDeltaCodec, RawCodec,
@@ -383,5 +383,47 @@ proptest! {
                 prop_assert_eq!((at, fast), (at, slow));
             }
         }
+    }
+}
+
+/// The varint writer as one byte per step: the oracle for
+/// `bytecode::write_varint`, whose one-word store must write the same
+/// bytes.
+fn write_varint_bytewise(mut v: u64, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Values of every varint length.
+fn any_length() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0..64u32).prop_map(|(v, s)| v >> s)
+}
+
+// The varint writer against the byte-at-a-time oracle, value after value
+// into one buffer that starts with and without room for its one-word
+// store, and the reader reading every value back.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn varint_writer_matches_the_byte_loop(
+        values in prop::collection::vec(any_length(), 0..40),
+        room in 0..24usize,
+    ) {
+        let mut fast = Vec::with_capacity(room);
+        let mut slow = Vec::new();
+        for &v in &values {
+            codecs::bytecode::write_varint(v, &mut fast);
+            write_varint_bytewise(v, &mut slow);
+            prop_assert_eq!(&fast, &slow);
+        }
+        let mut pos = 0;
+        for &v in &values {
+            prop_assert_eq!(codecs::bytecode::try_read_varint(&fast, &mut pos), Some(v));
+        }
+        prop_assert_eq!(pos, fast.len());
     }
 }

@@ -6,6 +6,8 @@
 
 use crate::error::StoreError;
 
+mod clmul;
+
 /// The reflected CRC-32 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
@@ -47,22 +49,32 @@ static TABLES: [[u32; 256]; 16] = make_tables();
 
 /// CRC-32 of `bytes`.
 ///
-/// Slice-by-16: sixteen 256-entry tables (16 KiB, built at compile time)
+/// Inputs of 64 bytes and more, on a CPU with PCLMULQDQ, are folded
+/// 16 bytes at a time by carry-less multiplication (the private `clmul`
+/// module, the store's one use of intrinsics). Shorter inputs, the last
+/// `len % 16` bytes of longer ones, and every input on other CPUs take
+/// slice-by-16: sixteen 256-entry tables (16 KiB, built at compile time)
 /// fold 16 input bytes per step with 16 independent lookups instead of a
-/// chain of 16 dependent ones; the last `len % 16` bytes take the classic
-/// byte-at-a-time loop. Same polynomial, same bytes: the result equals
-/// that loop's for every input, so checksums already on disk or on the
-/// wire are unchanged. On a 2-core Xeon @ 2.1 GHz (release build) it runs
-/// at 0.59 ns/B over a 16 MiB buffer, where the byte loop runs at
-/// 2.99–3.09 ns/B; a 1.7 KB leaf record takes ~0.93 µs instead of ~5 µs.
+/// chain of 16 dependent ones, and the last `len % 16` bytes take the
+/// classic byte-at-a-time loop. Same polynomial, same bytes: the result
+/// equals that loop's for every input, so checksums already on disk or
+/// on the wire are unchanged. On a 2-core Xeon @ 2.1 GHz (release build),
+/// over a 16 MiB buffer, the folding runs at 0.085–0.13 ns/B, slice-by-16
+/// at 0.59–0.66 ns/B and the byte loop at 2.99–3.09 ns/B; a 1.7 KB leaf
+/// record takes ~0.1–0.15 µs, ~1 µs by slice-by-16.
 ///
 /// ```
 /// // The standard check value for CRC-32/IEEE.
 /// assert_eq!(store::checksum::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let (crc, rest) = clmul::fold(!0, bytes).unwrap_or((!0, bytes));
+    !slice_by_16(crc, rest)
+}
+
+/// The CRC register `crc` after `bytes`, by slice-by-16.
+fn slice_by_16(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc = !0u32;
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
         let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -86,7 +98,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
-    !crc
+    crc
 }
 
 /// Seals `body` in the envelope of a file read whole (the partition
@@ -187,17 +199,29 @@ mod tests {
         );
     }
 
+    /// Both kernels, and `crc32` whichever it picks, equal the byte loop
+    /// at every length up to 2 100 (every split of the fold's 64-byte
+    /// steps, 16-byte chunks and tail) from three start offsets, and on
+    /// a 1 MiB buffer.
     #[test]
-    fn slice_by_16_matches_the_byte_loop() {
-        let data = seeded_bytes(1024 + 16, 0x9E37_79B9_7F4A_7C15);
-        for start in 0..16 {
-            for len in 0..=1024 {
+    fn both_kernels_match_the_byte_loop() {
+        let data = seeded_bytes(2100 + 16, 0x9E37_79B9_7F4A_7C15);
+        for start in [0, 1, 13] {
+            for len in 0..=2100 {
                 let slice = &data[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    crc32_bytewise(slice),
-                    "start {start}, len {len}"
-                );
+                let want = crc32_bytewise(slice);
+                let at = format!("start {start}, len {len}");
+                assert_eq!(crc32(slice), want, "{at}");
+                assert_eq!(!slice_by_16(!0, slice), want, "slice-by-16, {at}");
+                let folded = clmul::fold(!0, slice);
+                if let Some((crc, rest)) = folded {
+                    assert_eq!(!slice_by_16(crc, rest), want, "fold, {at}");
+                    assert!(len >= 64 && rest.len() == len % 16, "{at}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if len >= 64 && std::arch::is_x86_feature_detected!("pclmulqdq") {
+                    assert!(folded.is_some(), "{at}: the fold did not run");
+                }
             }
         }
         let big = seeded_bytes(1 << 20, 29);

@@ -306,6 +306,10 @@ where
     maps: Box<[PacMap<K, V, NoAug, C>]>,
 }
 
+/// The versions a commit group evicted from the history, freed by its
+/// leader once the group's results are posted.
+type Evicted<K, V, C> = Vec<Arc<Version<K, V, C>>>;
+
 impl<K, V, C> Clone for Version<K, V, C>
 where
     K: StoreKey,
@@ -993,12 +997,10 @@ where
         let ticket = q.next_ticket;
         q.next_ticket += 1;
         q.pending.push((ticket, ops));
-        loop {
+        let mut evicted = Vec::new();
+        let result = loop {
             if let Some(result) = q.results.remove(&ticket) {
-                drop(q);
-                inner.metrics.ticket_wait.record(wait_ns);
-                inner.metrics.commit.record_duration(enqueued.elapsed());
-                return result.map_err(StoreError::CommitFailed);
+                break result;
             }
             if q.leader_running {
                 let parked = Instant::now();
@@ -1011,24 +1013,30 @@ where
             drop(q);
             let tickets: Vec<u64> = group.iter().map(|(t, _)| *t).collect();
             let all_ops: Vec<Op<K, V>> = group.into_iter().flat_map(|(_, ops)| ops).collect();
-            let outcome = self.apply_group(all_ops);
+            let outcome = match self.apply_group(all_ops) {
+                Ok((version, old)) => {
+                    evicted = old;
+                    Ok(version)
+                }
+                Err(e) => Err(e.to_string()),
+            };
             q = inner.commit.lock();
             q.leader_running = false;
-            match &outcome {
-                Ok(version) => {
-                    for t in tickets {
-                        q.results.insert(t, Ok(*version));
-                    }
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    for t in tickets {
-                        q.results.insert(t, Err(msg.clone()));
-                    }
-                }
+            for t in tickets {
+                q.results.insert(t, outcome.clone());
             }
             inner.commit_cv.notify_all();
-        }
+        };
+        drop(q);
+        // A leader frees the versions its group evicted only now, with
+        // the group's results posted and the next leader free to start,
+        // and outside every lock: the walk frees every node only they own
+        // and runs their values' `Drop`s. Off the pool it never forks
+        // (cpam's `drop_heavy`), so it stays on this thread.
+        drop(evicted);
+        inner.metrics.ticket_wait.record(wait_ns);
+        inner.metrics.commit.record_duration(enqueued.elapsed());
+        result.map_err(StoreError::CommitFailed)
     }
 
     /// Shorthand for committing a single [`Op::Put`].
@@ -1050,8 +1058,10 @@ where
     }
 
     /// Applies one commit group: range-split, parallel per-shard tree
-    /// updates, one log append, one published version vector.
-    fn apply_group(&self, all_ops: Vec<Op<K, V>>) -> Result<u64, StoreError> {
+    /// updates, one log append, one published version vector. Returns the
+    /// group's global commit id and the versions it evicted from the
+    /// history, for the caller to drop once the group's results are out.
+    fn apply_group(&self, all_ops: Vec<Op<K, V>>) -> Result<(u64, Evicted<K, V, C>), StoreError> {
         let inner = &self.inner;
         let mut log_guard = inner.log.lock();
         if log_guard.as_ref().is_some_and(|log| log.poisoned) {
@@ -1144,13 +1154,7 @@ where
         );
         drop(history);
         drop(log_guard);
-        // Drop outside both locks: freeing a superseded version walks
-        // every node only it owns and runs its values' `Drop`s, and
-        // `state` is the lock every `get` and `snapshot` takes. Off the
-        // pool that walk never forks (cpam's `drop_heavy`), so it stays
-        // on this thread too.
-        drop(evicted);
-        Ok(g)
+        Ok((g, evicted))
     }
 
     /// Pins the current version vector: one `Arc` clone of the version

@@ -85,14 +85,14 @@ pub fn encode_record<K: ByteEncode, V: ByteEncode>(
     schema: u32,
     ops: &[Op<K, V>],
 ) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(ops.len() * 8 + 24);
-    payload.push(LOG_FORMAT);
-    bytecode::write_varint(version, &mut payload);
-    payload.extend_from_slice(&schema.to_le_bytes());
-    bytecode::write_varint(global, &mut payload);
-    write_list(participants, &mut payload);
-    write_list(ops, &mut payload);
-    frame(&payload)
+    framed(ops.len() * 8 + 24, |payload| {
+        payload.push(LOG_FORMAT);
+        bytecode::write_varint(version, payload);
+        payload.extend_from_slice(&schema.to_le_bytes());
+        bytecode::write_varint(global, payload);
+        write_list(participants, payload);
+        write_list(ops, payload);
+    })
 }
 
 /// A failed [`append_bytes`]: the original I/O error, and whether the
@@ -217,10 +217,16 @@ impl<'a> Frames<'a> {
 
 /// Frames `payload` for appending: `varint len ++ payload ++ crc32`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    bytecode::write_varint(payload.len() as u64, &mut out);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    framed(payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// The frame of the payload `body` writes, which it writes straight into
+/// the frame's one buffer; `expect` is the payload length to size it for.
+fn framed(expect: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(expect + 16);
+    let payload = bytecode::write_prefixed(&mut out, expect, body);
+    let crc = crc32(&out[payload]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
