@@ -606,31 +606,17 @@ mod tests {
     /// subtrees the oracle finds in the base, each rank is the base rank
     /// of the subtree's first key, and the stream rebuilds the walked
     /// tree. `PROPTEST_SEED=<n>` replays one script everywhere;
-    /// `DIFF_CASES=<n>` sets the number of scripts.
+    /// `PROPTEST_CASES=<n>` sets the number of scripts.
     #[test]
     fn the_descent_finds_exactly_the_shared_subtrees() {
-        let seeds: Vec<u64> = match std::env::var("PROPTEST_SEED").ok() {
-            Some(seed) => vec![seed.parse().expect("PROPTEST_SEED is a u64")],
-            None => {
-                let cases = std::env::var("DIFF_CASES")
-                    .ok()
-                    .and_then(|v| v.parse().ok());
-                (0..cases.unwrap_or(40u64))
-                    .map(|c| c ^ 0x5EED_0042)
-                    .collect()
-            }
-        };
-        for seed in seeds {
-            for b in [1, 2, 4, 8, 32, 128] {
+        let name = "the_descent_finds_exactly_the_shared_subtrees";
+        proptest::check_seeded(name, 40, |seed| {
+            [1, 2, 4, 8, 32, 128].into_iter().try_for_each(|b| {
                 let raw = exact_script::<RawCodec>(seed, b).map_err(|e| ("raw", e));
                 let delta = exact_script::<DeltaCodec>(seed, b).map_err(|e| ("delta", e));
-                if let Err((codec, e)) = raw.and(delta) {
-                    panic!(
-                        "{codec} map, B = {b}: {e}\n  replay: PROPTEST_SEED={seed} cargo test \
-                         -p cpam --lib the_descent_finds_exactly_the_shared_subtrees"
-                    );
-                }
-            }
-        }
+                raw.and(delta)
+                    .map_err(|(codec, e)| format!("{codec} map, B = {b}: {e}"))
+            })
+        });
     }
 }

@@ -26,17 +26,6 @@ use crate::{DiffMap, PacMap, PacSeq, PacSet};
 
 const KEY_SPAN: u64 = 128;
 
-fn cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
-}
-
-fn env_seed() -> Option<u64> {
-    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok())
-}
-
 fn oracle_vec(oracle: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
     oracle.iter().map(|(&k, &v)| (k, v)).collect()
 }
@@ -235,19 +224,7 @@ fn run_one(seed: u64, b: usize) -> Result<(), String> {
 }
 
 fn run_block_size(b: usize) {
-    let (start, n) = match env_seed() {
-        Some(seed) => (seed, 1),
-        None => ((b as u64).wrapping_mul(0xA076_1D64_78BD_642F), cases()),
-    };
-    for case in 0..n {
-        let seed = start.wrapping_add(case);
-        if let Err(msg) = run_one(seed, b) {
-            panic!(
-                "pacmap differential divergence (b={b}): {msg}\n\
-                 reproduce with: PROPTEST_SEED={seed} cargo test -p cpam differential"
-            );
-        }
-    }
+    proptest::check_seeded(&format!("pacmap differential, b = {b}"), 1000, |seed| run_one(seed, b));
 }
 
 #[test]

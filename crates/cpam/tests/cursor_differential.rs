@@ -25,17 +25,6 @@ use rand::{Rng, SeedableRng};
 
 const KEY_SPAN: u64 = 512;
 
-fn cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120)
-}
-
-fn env_seed() -> Option<u64> {
-    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok())
-}
-
 /// One randomized map scenario over one codec and block size.
 fn run_map_one<C>(seed: u64, b: usize) -> Result<(), String>
 where
@@ -431,27 +420,12 @@ where
 
 const BLOCK_SIZES: [usize; 5] = [1, 2, 8, 32, 128];
 
+/// 120 seeded cases, each on every block size.
 fn drive(label: &str, run: impl Fn(u64, usize) -> Result<(), String> + Sync) {
     parlay::run(|| {
-        if let Some(seed) = env_seed() {
-            for &b in &BLOCK_SIZES {
-                if let Err(e) = run(seed, b) {
-                    panic!("{label}: replay PROPTEST_SEED={seed} B={b}: {e}");
-                }
-            }
-            return;
-        }
-        for case in 0..cases() {
-            let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FF_EE00;
-            for &b in &BLOCK_SIZES {
-                if let Err(e) = run(seed, b) {
-                    panic!(
-                        "{label}: case {case} failed at B={b}: {e}\n\
-                         replay with PROPTEST_SEED={seed}"
-                    );
-                }
-            }
-        }
+        proptest::check_seeded(label, 120, |seed| {
+            BLOCK_SIZES.iter().try_for_each(|&b| run(seed, b).map_err(|e| format!("B={b}: {e}")))
+        })
     });
 }
 

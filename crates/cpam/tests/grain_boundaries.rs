@@ -29,17 +29,6 @@ use rand::{Rng, SeedableRng};
 /// hand-off exactly where the code switches.
 const BOUNDARIES: [usize; 6] = [1023, 1024, 1025, 4095, 4096, 4097];
 
-fn cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6)
-}
-
-fn env_seed() -> Option<u64> {
-    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok())
-}
-
 /// One randomized scenario: sets of `n` and `n/2` keys around one
 /// boundary size, every bulk op checked against the `BTreeSet` oracle.
 fn run_set_one(seed: u64, b: usize, n: usize) -> Result<(), String> {
@@ -178,24 +167,11 @@ fn bulk_ops_identical_at_grain_boundaries() {
     let threads = parlay::num_threads();
     for b in [8usize, 32] {
         for &n in &BOUNDARIES {
-            let seeds: Vec<u64> = match env_seed() {
-                Some(s) => vec![s],
-                None => (0..cases()).map(|i| 0xC0FFEE + i * 7919).collect(),
-            };
-            for seed in seeds {
-                if let Err(e) = run_set_one(seed, b, n) {
-                    panic!(
-                        "set ops diverge (b={b}, n={n}, threads={threads}): {e}\n\
-                         replay with PROPTEST_SEED={seed}"
-                    );
-                }
-                if let Err(e) = run_map_one(seed, b, n) {
-                    panic!(
-                        "map ops diverge (b={b}, n={n}, threads={threads}): {e}\n\
-                         replay with PROPTEST_SEED={seed}"
-                    );
-                }
-            }
+            // The name leaves the pool size out: every leg runs the same cases.
+            proptest::check_seeded(&format!("bulk ops, b={b}, n={n}"), 6, |seed| {
+                run_set_one(seed, b, n).map_err(|e| format!("set ops diverge, threads={threads}: {e}"))?;
+                run_map_one(seed, b, n).map_err(|e| format!("map ops diverge, threads={threads}: {e}"))
+            });
         }
     }
 }
@@ -208,13 +184,9 @@ fn bulk_ops_identical_at_kappa_boundary() {
     let threads = parlay::num_threads();
     for b in [32usize, 128] {
         for n in [8 * b - 1, 8 * b, 8 * b + 1] {
-            let seed = env_seed().unwrap_or(0xBADCAB);
-            if let Err(e) = run_set_one(seed, b, n) {
-                panic!(
-                    "set ops diverge at kappa (b={b}, n={n}, threads={threads}): {e}\n\
-                     replay with PROPTEST_SEED={seed}"
-                );
-            }
+            proptest::check_seeded(&format!("set ops at kappa, b={b}, n={n}"), 1, |seed| {
+                run_set_one(seed, b, n).map_err(|e| format!("threads={threads}: {e}"))
+            });
         }
     }
 }
@@ -303,18 +275,10 @@ fn batch_updates_identical_at_density_boundary() {
                     continue;
                 }
                 for embed in [1usize, 16] {
-                    let seeds: Vec<u64> = match env_seed() {
-                        Some(seed) => vec![seed],
-                        None => (0..cases()).map(|i| 0xD15EA5E + i * 104_729).collect(),
-                    };
-                    for seed in seeds {
-                        if let Err(e) = run_density_one(seed, b, s, m, embed) {
-                            panic!(
-                                "batch updates diverge (b={b}, s={s}, m={m}, embed={embed}, \
-                                 threads={threads}): {e}\nreplay with PROPTEST_SEED={seed}"
-                            );
-                        }
-                    }
+                    let name = format!("batch updates, b={b}, s={s}, m={m}, embed={embed}");
+                    proptest::check_seeded(&name, 6, |seed| {
+                        run_density_one(seed, b, s, m, embed).map_err(|e| format!("threads={threads}: {e}"))
+                    });
                 }
             }
         }
@@ -332,19 +296,21 @@ fn batch_updates_identical_at_fork_floor() {
     let (b, n) = (32usize, 60_000u64);
     let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i * 4, i)).collect();
     let base: PacMap<u64, u64> = PacMap::from_sorted_pairs(b, &pairs);
-    let seed = env_seed().unwrap_or(0xF100D);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for m in [503usize, 504, 505, 506, 1024] {
-        let ctx = format!("b={b}, m={m}, threads={threads}; replay with PROPTEST_SEED={seed}");
-        let keys: BTreeSet<u64> = (0..m).map(|_| rng.gen_range(0..4 * n)).collect();
-        let mut want: BTreeMap<u64, u64> = pairs.iter().copied().collect();
-        want.extend(keys.iter().map(|&k| (k, 7)));
-        let inserted = base.multi_insert(keys.iter().map(|&k| (k, 7)).collect());
-        inserted.check_invariants().unwrap_or_else(|e| panic!("multi_insert invariants ({ctx}): {e}"));
-        assert!(inserted.to_vec().into_iter().eq(want.iter().map(|(&k, &v)| (k, v))), "multi_insert diverges ({ctx})");
-        let deleted = inserted.multi_delete(keys.iter().copied().collect());
-        deleted.check_invariants().unwrap_or_else(|e| panic!("multi_delete invariants ({ctx}): {e}"));
-        let kept: Vec<(u64, u64)> = pairs.iter().copied().filter(|(k, _)| !keys.contains(k)).collect();
-        assert_eq!(deleted.to_vec(), kept, "multi_delete diverges ({ctx})");
-    }
+    proptest::check_seeded("batch updates at the fork floor", 1, |seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for m in [503usize, 504, 505, 506, 1024] {
+            let ctx = format!("b={b}, m={m}, threads={threads}; replay with PROPTEST_SEED={seed}");
+            let keys: BTreeSet<u64> = (0..m).map(|_| rng.gen_range(0..4 * n)).collect();
+            let mut want: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+            want.extend(keys.iter().map(|&k| (k, 7)));
+            let inserted = base.multi_insert(keys.iter().map(|&k| (k, 7)).collect());
+            inserted.check_invariants().unwrap_or_else(|e| panic!("multi_insert invariants ({ctx}): {e}"));
+            assert!(inserted.to_vec().into_iter().eq(want.iter().map(|(&k, &v)| (k, v))), "multi_insert diverges ({ctx})");
+            let deleted = inserted.multi_delete(keys.iter().copied().collect());
+            deleted.check_invariants().unwrap_or_else(|e| panic!("multi_delete invariants ({ctx}): {e}"));
+            let kept: Vec<(u64, u64)> = pairs.iter().copied().filter(|(k, _)| !keys.contains(k)).collect();
+            assert_eq!(deleted.to_vec(), kept, "multi_delete diverges ({ctx})");
+        }
+        Ok(())
+    });
 }

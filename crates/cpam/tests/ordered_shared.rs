@@ -286,44 +286,17 @@ where
     Ok(())
 }
 
-fn cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60)
-}
-
-fn env_seed() -> Option<u64> {
-    std::env::var("PROPTEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
 fn drive<E, C>(label: &str, shape: Shape<E, C>)
 where
     E: Entry<Key = u64> + PartialEq + Debug,
     C: Codec<E>,
 {
     parlay::run(|| {
-        if let Some(seed) = env_seed() {
-            for &b in &BLOCK_SIZES {
-                if let Err(e) = exercise(seed, b, &shape) {
-                    panic!("{label}: replay PROPTEST_SEED={seed} B={b}: {e}");
-                }
-            }
-            return;
-        }
-        for case in 0..cases() {
-            let seed = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0DDE_55ED;
-            for &b in &BLOCK_SIZES {
-                if let Err(e) = exercise(seed, b, &shape) {
-                    panic!(
-                        "{label}: case {case} failed at B={b}: {e}\n\
-                         replay with PROPTEST_SEED={seed}"
-                    );
-                }
-            }
-        }
+        proptest::check_seeded(label, 60, |seed| {
+            BLOCK_SIZES
+                .iter()
+                .try_for_each(|&b| exercise(seed, b, &shape).map_err(|e| format!("B={b}: {e}")))
+        })
     });
 }
 

@@ -12,7 +12,7 @@
 //! The CI thread matrix runs this binary under every
 //! `PARLAY_NUM_THREADS` leg. Replayable like the other differential
 //! suites: failures panic with the reproducing seed; `PROPTEST_SEED=<n>`
-//! replays one sequence, `DIFF_CASES=<n>` sets how many run.
+//! replays one sequence, `PROPTEST_CASES=<n>` sets how many run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -27,33 +27,11 @@ const BLOCK_SIZES: [usize; 8] = [1, 2, 31, 32, 33, 64, 65, 128];
 /// Operations per sequence.
 const STEPS: usize = 160;
 
-fn cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("PROPTEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(seed) => vec![seed],
-        None => (0..cases()).map(|c| 0x5EED_0000 + c).collect(),
-    }
-}
-
-/// Runs `one(seed, b)` for every block size and seed, reporting the
-/// seed of the first failure.
+/// Runs `one(seed, b)` for 2 seeded cases, each on every block size.
 fn run(name: &str, one: impl Fn(u64, usize) -> Result<(), String>) {
-    for b in BLOCK_SIZES {
-        for seed in seeds() {
-            if let Err(e) = one(seed, b) {
-                panic!("{name} at b = {b}: {e}\nreplay with PROPTEST_SEED={seed}");
-            }
-        }
-    }
+    proptest::check_seeded(name, 2, |seed| {
+        BLOCK_SIZES.iter().try_for_each(|&b| one(seed, b).map_err(|e| format!("b = {b}: {e}")))
+    });
 }
 
 /// A key drawn from a range about four leaves wide, so writes keep

@@ -1,45 +1,40 @@
-//! Differential tests for the wire protocol: random op sequences
-//! driven through a *live* in-process server — real frames, real
-//! connection threads, real group commit — and checked request-by-
-//! request against a `BTreeMap` oracle.
-//!
-//! Every sequence also exercises the two failure paths a network
-//! client actually hits: a mid-sequence reconnect (the client drops
-//! its connection and redials; no state may leak across the redial)
-//! and one torn-frame injection (a bit-flipped frame written on a raw
-//! connection must come back as a typed `MalformedRequest` error and
-//! kill only that connection, never the server).
-//!
-//! Any divergence panics with the exact reproducing seed, and setting
-//! `PROPTEST_SEED=<n>` replays just that sequence. `DIFF_SERVER_CASES`
-//! overrides the default volume (40 sequences).
+//! Differential tests for the wire protocol: seeded scripts of the
+//! store world (`store/tests/world/mod.rs`) through a *live* in-process
+//! server — real frames, connection threads and group commit — checked
+//! step by step against the world's oracle. The server's target adds the
+//! two failure paths a network client hits: a mid-script reconnect (no
+//! state may leak across the redial) and a torn frame on a raw
+//! connection, which must get a typed `MalformedRequest` and kill only
+//! that connection, never the server.
 
-use std::collections::BTreeMap;
+#[path = "../../store/tests/world/mod.rs"]
+mod world;
+
+use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use server::{
-    serve_pipe, serve_tcp, Client, ClientError, ClientOptions, Dialer, ErrorCode, Request,
-    Response, ServerHandle, ServerOptions,
+    serve_pipe, serve_tcp, Client, ClientError, ClientOptions, Dialer, ErrorCode, PipeConnector,
+    Request, Response, ServerHandle, ServerOptions,
 };
 use store::{Op, Router, ShardedStore, StoreOptions};
+use world::{check, replay, AtVersion, Config, Entries, Key, Mix, Script, Target, Val, NONE};
 
 /// Keys are drawn a little past the routed span so the last shard's
 /// open upper range is exercised through the wire too.
 const KEY_SPAN: u64 = 96;
 
-fn cases() -> u64 {
-    std::env::var("DIFF_SERVER_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
-}
-
-fn env_seed() -> Option<u64> {
-    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok())
-}
+const SERVER: Mix = Mix {
+    commit: 45,
+    pin: 10,
+    unpin: 5,
+    probe: 40,
+    steps: 4..14,
+    keys: KEY_SPAN,
+    batch: 1..16,
+    ..NONE
+};
 
 fn client_opts() -> ClientOptions {
     ClientOptions {
@@ -52,7 +47,7 @@ fn client_opts() -> ClientOptions {
 /// raw connection: the server must answer with a typed
 /// `MalformedRequest` error, then drop that connection (frame
 /// boundaries are unrecoverable after a CRC failure).
-fn inject_torn_frame(connector: &server::PipeConnector) -> Result<(), String> {
+fn inject_torn_frame(connector: &PipeConnector) -> Result<(), String> {
     let mut raw = connector.connect().map_err(|e| e.to_string())?;
     raw.set_read_timeout(Some(Duration::from_secs(10)));
     let mut bytes = store::wal::frame(&Request::<u64, u32>::Snapshot.encode());
@@ -72,162 +67,112 @@ fn inject_torn_frame(connector: &server::PipeConnector) -> Result<(), String> {
     }
 }
 
-/// One randomized sequence through a live pipe server.
-fn run_one(seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let opts = StoreOptions {
-        block_size: 4,
-        history_limit: 4,
-        ..StoreOptions::default()
-    };
-    let shards = 1 + rng.gen_range(0..4usize);
-    let store: ShardedStore<u64, u32> =
-        ShardedStore::in_memory_with(Router::uniform_span(shards, KEY_SPAN), opts)
-            .map_err(|e| e.to_string())?;
-    let (mut handle, connector) = serve_pipe(store, ServerOptions::default());
-    let mut client: Client<u64, u32> = Client::connect_pipe(connector.clone(), client_opts());
+/// A pipe client of a live server over an in-memory store: every read
+/// and write goes through the wire.
+struct Wire {
+    store: ShardedStore<Key, Val>,
+    client: RefCell<Client<Key, Val>>,
+    connector: PipeConnector,
+    _server: ServerHandle,
+    /// State checks so far: the reconnect and the torn frame come
+    /// before the ones the seed picks.
+    checks: Cell<u64>,
+    reconnect_at: u64,
+    torn_at: u64,
+}
 
-    let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
-    // Oracle state at the moment we pinned, for end-of-run `get_at`.
-    let mut pinned: Option<(u64, BTreeMap<u64, u32>)> = None;
-
-    let commits = 2 + rng.gen_range(0..6usize);
-    let reconnect_at = rng.gen_range(0..commits);
-    let torn_at = rng.gen_range(0..commits);
-    let pin_at = rng.gen_range(0..commits);
-
-    for c in 0..commits {
-        if c == reconnect_at {
-            client.reconnect();
-        }
-        if c == torn_at {
-            inject_torn_frame(&connector)?;
-        }
-
-        let len = rng.gen_range(1..16usize);
-        let mut ops = Vec::with_capacity(len);
-        for _ in 0..len {
-            let k = rng.gen_range(0..KEY_SPAN + KEY_SPAN / 4);
-            if rng.gen_range(0..10) < 7 {
-                let v = rng.gen_range(0..1_000u32);
-                oracle.insert(k, v);
-                ops.push(Op::Put(k, v));
-            } else {
-                oracle.remove(&k);
-                ops.push(Op::Delete(k));
-            }
-        }
-        let version = client.put_batch(ops).map_err(|e| format!("commit {c}: {e}"))?;
-        if version != c as u64 + 1 {
-            return Err(format!("commit {c}: version {version}, expected {}", c + 1));
-        }
-
-        if c == pin_at {
-            client.pin(version).map_err(|e| format!("pin {version}: {e}"))?;
-            pinned = Some((version, oracle.clone()));
-        }
-
-        // Point probes, including misses.
-        for _ in 0..4 {
-            let k = rng.gen_range(0..KEY_SPAN + KEY_SPAN / 4);
-            let got = client.get(k).map_err(|e| format!("get({k}): {e}"))?;
-            if got != oracle.get(&k).copied() {
-                return Err(format!(
-                    "after commit {c}: get({k}) = {got:?}, oracle {:?}",
-                    oracle.get(&k)
-                ));
-            }
-        }
-
-        // A random inclusive range, spanning shard boundaries, with a
-        // random limit (0 = unlimited).
-        let a = rng.gen_range(0..KEY_SPAN);
-        let z = rng.gen_range(0..KEY_SPAN);
-        let (lo, hi) = (a.min(z), a.max(z));
-        let limit = rng.gen_range(0..8u64);
-        let got = client
-            .range(lo, hi, limit, None)
-            .map_err(|e| format!("range [{lo},{hi}]: {e}"))?;
-        let mut want: Vec<(u64, u32)> = oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-        if limit != 0 && want.len() as u64 > limit {
-            want.truncate(limit as usize);
-        }
-        if got != want {
-            return Err(format!(
-                "after commit {c}: range [{lo}, {hi}] limit {limit} diverges\n  \
-                 server: {got:?}\n  oracle: {want:?}"
-            ));
-        }
-
-        // The version vector is consistent: the global version equals
-        // the commit count, and each local is at most the global.
-        let (global, locals) = client.snapshot().map_err(|e| format!("snapshot: {e}"))?;
-        if global != c as u64 + 1 {
-            return Err(format!("after commit {c}: global {global} != {}", c + 1));
-        }
-        if locals.len() != shards || locals.iter().any(|&l| l > global) {
-            return Err(format!(
-                "after commit {c}: inconsistent version vector {locals:?} (global {global})"
-            ));
-        }
+impl Wire {
+    fn start(cfg: &Config, seed: u64) -> Result<Wire, String> {
+        let store = cfg.in_memory(KEY_SPAN)?;
+        let (server, connector) = serve_pipe(store.clone(), ServerOptions::default());
+        Ok(Wire {
+            store,
+            client: RefCell::new(Client::connect_pipe(connector.clone(), client_opts())),
+            connector,
+            _server: server,
+            checks: Cell::new(0),
+            reconnect_at: 1 + seed % 3,
+            torn_at: 1 + (seed >> 16) % 3,
+        })
     }
 
-    // The pinned version still reads exactly its commit-time contents,
-    // even though history_limit=4 evicted its unpinned contemporaries.
-    if let Some((version, ref at_pin)) = pinned {
-        for _ in 0..6 {
-            let k = rng.gen_range(0..KEY_SPAN + KEY_SPAN / 4);
-            let got = client
-                .get_at(k, Some(version))
-                .map_err(|e| format!("get_at({k}, {version}): {e}"))?;
-            if got != at_pin.get(&k).copied() {
-                return Err(format!(
-                    "pinned get_at({k}, {version}) = {got:?}, oracle-at-pin {:?}",
-                    at_pin.get(&k)
-                ));
-            }
-        }
-        client.unpin(version).map_err(|e| format!("unpin {version}: {e}"))?;
+    fn call<T>(&self, what: &str, f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>) -> Result<T, String> {
+        f(&mut self.client.borrow_mut()).map_err(|e| format!("{what}: {e}"))
     }
 
-    // A version that fell off the (tiny) retained history is a typed
-    // VersionNotFound through the wire, not a hang or a wrong answer.
-    if commits as u64 > 4 + 1 {
-        let evicted = 1u64;
-        if pinned.as_ref().map(|(v, _)| *v) != Some(evicted) {
-            match client.get_at(0, Some(evicted)) {
-                Err(ClientError::Server { code: ErrorCode::VersionNotFound, .. }) => {}
-                other => {
-                    return Err(format!("evicted version read: expected typed miss, got {other:?}"))
-                }
-            }
+    /// A read at a version, `VersionNotFound` through the wire as `None`.
+    fn at<T>(&self, what: &str, f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>) -> AtVersion<T> {
+        match f(&mut self.client.borrow_mut()) {
+            Ok(t) => Ok(Some(t)),
+            Err(ClientError::Server { code: ErrorCode::VersionNotFound, .. }) => Ok(None),
+            Err(e) => Err(format!("{what}: {e}")),
         }
     }
+}
 
-    // The metrics scrape flows through the same wire path.
-    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    if !stats.contains("pacserve_requests_total") {
-        return Err("stats scrape is missing pacserve_requests_total".into());
+impl Target for Wire {
+    /// The served store: only the list of retained versions, which the
+    /// protocol does not carry, comes from it.
+    fn engine(&self) -> &ShardedStore<Key, Val> {
+        &self.store
     }
-
-    handle.shutdown();
-    Ok(())
+    fn commit(&self, ops: Vec<Op<Key, Val>>) -> Result<u64, String> {
+        self.call("put_batch", |c| c.put_batch(ops))
+    }
+    /// Also checks the version vector: one local per shard, none past
+    /// the global version.
+    fn current_version(&self) -> Result<u64, String> {
+        let n = self.checks.replace(self.checks.get() + 1);
+        if n == self.reconnect_at {
+            self.client.borrow_mut().reconnect();
+        }
+        if n == self.torn_at {
+            inject_torn_frame(&self.connector)?;
+        }
+        let (global, locals) = self.call("snapshot", |c| c.snapshot())?;
+        if locals.len() != self.store.shard_count() || locals.iter().any(|&l| l > global) {
+            return Err(format!("inconsistent version vector {locals:?} (global {global})"));
+        }
+        Ok(global)
+    }
+    fn len(&self) -> Result<usize, String> {
+        Ok(self.range(0, Key::MAX, None)?.len())
+    }
+    fn entries(&self, at: Option<u64>) -> AtVersion<Entries> {
+        self.at("range", |c| c.range(0, Key::MAX, 0, at))
+    }
+    fn get(&self, key: Key, at: Option<u64>) -> AtVersion<Option<Val>> {
+        self.at("get", |c| c.get_at(key, at))
+    }
+    fn range(&self, lo: Key, hi: Key, limit: Option<usize>) -> Result<Entries, String> {
+        self.call("range", |c| c.range(lo, hi, limit.map_or(0, |n| n as u64), None))
+    }
+    fn pin(&self, version: u64) -> Result<(), String> {
+        self.call("pin", |c| c.pin(version))
+    }
+    fn unpin(&self, version: u64) -> Result<(), String> {
+        self.call("unpin", |c| c.unpin(version))
+    }
 }
 
 #[test]
 fn server_matches_btreemap_oracle() {
-    let (start, n) = match env_seed() {
-        Some(seed) => (seed, 1),
-        None => (0xD1FF_5E2Bu64.wrapping_mul(0x9E37_79B9_7F4A_7C15), cases()),
-    };
-    for case in 0..n {
-        let seed = start.wrapping_add(case);
-        if let Err(msg) = run_one(seed) {
-            panic!(
-                "server differential divergence: {msg}\n\
-                 reproduce with: PROPTEST_SEED={seed} cargo test -p server --test differential"
-            );
-        }
+    for shards in 1..=4 {
+        let cfg = Config { shards, b: 4, pool_pages: None, history: 4 };
+        check(
+            &format!("server_matches_btreemap_oracle, {shards} shards"),
+            10,
+            |seed| Script::generate(seed, &SERVER),
+            |script| {
+                let done = replay(script, &cfg, || Wire::start(&cfg, script.seed))?;
+                // The metrics scrape flows through the same wire path.
+                let stats = done.target.call("stats", |c| c.stats())?;
+                match stats.contains("pacserve_requests_total") {
+                    true => Ok(()),
+                    false => Err("stats scrape is missing pacserve_requests_total".into()),
+                }
+            },
+        );
     }
 }
 

@@ -56,7 +56,7 @@
 //! lazy record that fails at a load (a bad CRC, or a read error) can
 //! only panic with its typed error's message, because
 //! [`BlockSource::load`] has no error channel (DESIGN.md §5); ROADMAP
-//! item 9 (b) gives `load` a `Result`. Every other failure, and every
+//! item 14 gives `load` a `Result`. Every other failure, and every
 //! failure of an eager read, is a returned error.
 
 use std::fs::{File, OpenOptions};

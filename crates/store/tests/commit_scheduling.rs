@@ -11,12 +11,14 @@
 //! mutex.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use parlay::SchedulerStats;
 use store::{Op, PacStore, Router, ShardedStore, StoreOptions};
+
+mod world;
+use world::scratch;
 
 static SCHEDULER: Mutex<()> = Mutex::new(());
 
@@ -25,13 +27,6 @@ fn forking_pool() -> MutexGuard<'static, ()> {
     parlay::set_num_threads(2);
     assert_eq!(parlay::num_threads(), 2);
     SCHEDULER.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A fresh, empty scratch directory unique to this test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("paccommit-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The options the store benchmarks run with; the read policy is left to
@@ -150,7 +145,6 @@ fn sixty_four_op_commits_on_four_durable_shards_stay_on_their_thread() {
     let want: Vec<(u64, u64)> = oracle.into_iter().collect();
     assert_eq!(store.range_entries(&0, &u64::MAX), want);
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -171,5 +165,4 @@ fn sixteen_op_commits_on_a_pacstore_stay_on_their_thread() {
     let want: Vec<(u64, u64)> = oracle.into_iter().collect();
     assert_eq!(store.range_entries(&0, &u64::MAX), want);
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

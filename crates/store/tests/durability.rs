@@ -13,7 +13,6 @@
 //! all-or-nothing — visible in every shard or in none — with torn tails
 //! cleanly truncated.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use store::{
@@ -21,12 +20,8 @@ use store::{
     LOG_FILE, PARTITION_FILE, SNAPSHOT_FILE,
 };
 
-/// A fresh, empty scratch directory unique to this test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pacstore-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod world;
+use world::{dir_tree, scratch, shard0};
 
 /// Options pinning the *eager* read policy, immune to the
 /// `PAC_POOL_PAGES` environment override — for tests that damage a leaf
@@ -44,11 +39,6 @@ const SHARD_COUNTS: [usize; 2] = [1, 3];
 fn sharded_open(dir: &Path, shards: usize) -> ShardedStore<u64, u64> {
     ShardedStore::open_or_create(dir, Router::uniform_span(shards, 3_000), StoreOptions::default())
         .expect("open sharded")
-}
-
-/// The only shard's directory of a `PacStore` at `dir`.
-fn shard0(dir: &Path) -> PathBuf {
-    dir.join(shard_dir_name(0))
 }
 
 #[test]
@@ -78,7 +68,6 @@ fn save_and_reopen_serves_same_data() {
         assert_eq!(store.get(&2_500), Some(1));
         assert_eq!(store.get(&1_000), Some(7_000));
         drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -103,7 +92,6 @@ fn log_replay_recovers_unsaved_commits() {
     // Replayed versions are reachable for time travel.
     assert_eq!(store.versions(), vec![1, 2, 3]);
     assert_eq!(store.snapshot_at(2).unwrap().get(&201), None);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -130,7 +118,6 @@ fn truncated_snapshot_is_a_typed_error() {
             "cut at {cut}: unexpected error {err}"
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -163,7 +150,6 @@ fn bit_flipped_snapshot_is_a_checksum_error() {
         PacStore::<u64, u64>::open_with(&dir, eager()).unwrap_err(),
         StoreError::BadMagic
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -198,7 +184,6 @@ fn torn_log_tail_is_truncated_by_default_and_fatal_in_strict_mode() {
     assert_eq!(store.get(&2), Some(2));
     drop(store);
     assert_eq!(std::fs::read(&log_path).unwrap().len(), clean_len);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -219,7 +204,6 @@ fn second_handle_on_same_directory_is_locked_out() {
         let reopened: ShardedStore<u64, u64> = ShardedStore::open(&dir).unwrap();
         assert_eq!(reopened.get(&1), Some(1));
         drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -236,7 +220,6 @@ fn reopening_with_different_types_is_a_typed_error() {
         PacStore::<u64, String>::open(&dir).unwrap_err(),
         StoreError::SchemaMismatch { .. }
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 
     // Log-only store: schema check in each WAL record.
     let dir = scratch("schema-log");
@@ -251,7 +234,6 @@ fn reopening_with_different_types_is_a_typed_error() {
     // The right types still open it fine.
     let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
     assert_eq!(store.get(&1), Some(300));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -276,7 +258,6 @@ fn save_resets_log_and_later_commits_append_cleanly() {
     assert_eq!(store.current_version(), 11);
     assert_eq!(store.len(), 11);
     assert_eq!(store.get(&100), Some(100));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -318,7 +299,6 @@ fn resurrected_incrementals_after_a_full_save_are_ignored_and_recleaned() {
     let store: PacStore<u64, u64> = PacStore::open(&dir).unwrap();
     assert_eq!(store.get(&6_000), Some(6));
     assert_eq!(store.get(&5_000), Some(7));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -344,7 +324,6 @@ fn renamed_incremental_link_is_corrupt_not_applied_under_the_wrong_version() {
         // Put back, the chain reads as before.
         std::fs::rename(sdir.join(incr_file_name(3)), sdir.join(incr_file_name(2))).unwrap();
         assert_eq!(sharded_open(&dir, shards).get(&2_001), Some(2));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -379,7 +358,6 @@ fn sharded_open_requires_matching_partition_map() {
         ShardedStore::<u64, u64>::open(&empty),
         Err(StoreError::PartitionMismatch(_))
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -412,8 +390,6 @@ fn pacstore_open_on_a_multi_shard_directory_is_a_partition_mismatch() {
     assert_eq!(store.shard_count(), 1);
     assert_eq!(store.get(&7), Some(7));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&single).unwrap();
 }
 
 #[test]
@@ -455,14 +431,12 @@ fn legacy_flat_layout_fails_open_typed_and_is_left_untouched() {
         )
         .unwrap_err();
         assert!(matches!(err, StoreError::LegacyLayout(_)), "{survivor}: unexpected error {err}");
-        std::fs::remove_dir_all(&lone).unwrap();
     }
     // The message names what it found, and nothing was created.
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(err.to_string().contains(SNAPSHOT_FILE), "{err}");
     assert!(!dir.join(PARTITION_FILE).exists());
     assert!(!shard0(&dir).exists());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A store directory with one full page and one link, for the tests
@@ -492,7 +466,6 @@ fn old_full_snapshot_magic_fails_open_typed() {
     std::fs::write(sdir.join(SNAPSHOT_FILE), old_header(b"PACSNP02")).unwrap();
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(matches!(err, StoreError::BadMagic), "unexpected error {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -502,7 +475,6 @@ fn old_incremental_magic_fails_open_typed() {
     std::fs::write(sdir.join(incr_file_name(2)), old_header(b"PACINC01")).unwrap();
     let err = PacStore::<u64, u64>::open(&dir).unwrap_err();
     assert!(matches!(err, StoreError::BadMagic), "unexpected error {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -530,8 +502,6 @@ fn old_paged_snapshot_file_fails_open_typed_even_beside_new_pages() {
     std::fs::write(flat.join("snapshot.pgf"), old_header(b"PACPGF01")).unwrap();
     let err = PacStore::<u64, u64>::open(&flat).unwrap_err();
     assert!(matches!(err, StoreError::LegacyLayout(_)), "unexpected error {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&flat).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -581,29 +551,11 @@ fn the_log_is_one_group_per_commit_after_a_head_per_checkpoint() {
             (1, 3, vec![1], 1),
         ]
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
 // Crash injection: the one log, cut at every byte
 // ---------------------------------------------------------------------
-
-/// Every file under `dir`, by relative path.
-fn dir_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
-    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), std::fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(dir, dir, &mut out);
-    out
-}
 
 fn log_bytes(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join(LOG_FILE)).unwrap_or_default()
@@ -679,7 +631,6 @@ fn a_torn_log_never_splits_a_cross_shard_group() {
         cut_matrix(&dir, shards, &full, baseline, &[baseline, full.len()], |store, context| {
             all_or_nothing(store, &G2_KEYS, context)
         });
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -709,7 +660,6 @@ fn an_incomplete_group_before_a_later_group_is_corrupt_and_never_truncated() {
         assert!(matches!(err, StoreError::Corrupt(_)), "strict_log {strict_log}: {err}");
         assert_eq!(log_bytes(&dir), holed, "strict_log {strict_log}: log truncated");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -769,7 +719,6 @@ fn compaction_survives_log_truncation_at_every_byte() {
         let head_len = compact_fixture(&dir, shards);
         let full = log_bytes(&dir);
         cut_matrix(&dir, shards, &full, 0, &[0, head_len, full.len()], check_compact_atomic);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -834,7 +783,6 @@ fn truncated_checkpoint_pages_are_typed_errors() {
 
         // Restored intact, everything reads back.
         assert!(check_compact_atomic(&sharded_open(&dir, shards), "restored"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -877,7 +825,6 @@ fn crash_between_page_writes_and_wal_truncation_during_compact_is_safe() {
         }
         let store = sharded_open(&dir, shards);
         assert_eq!(store.get(&5), Some(5));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -928,7 +875,6 @@ fn checkpoints_racing_commits_keep_every_acknowledged_commit() {
             }
             assert_eq!(store.len(), 3_000 + commits as usize, "reopen {reopen}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -954,7 +900,6 @@ fn empty_commits_survive_restart_without_regressing_the_global_clock() {
         assert_eq!(store.current_version(), 3);
         assert_eq!(store.get(&1), Some(1));
         assert_eq!(store.get(&2), Some(2));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -990,5 +935,4 @@ fn groups_below_a_checkpoint_are_skipped_not_replayed() {
     let store = sharded_open(&dir, shards);
     assert_eq!(store.current_version(), 3);
     assert_eq!(store.get(&5), Some(5));
-    std::fs::remove_dir_all(&dir).unwrap();
 }

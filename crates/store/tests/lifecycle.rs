@@ -13,13 +13,8 @@ use store::{
     StoreOptions, LOG_FILE, SNAPSHOT_FILE,
 };
 
-/// A fresh, empty scratch directory unique to this test.
-fn scratch(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("pacstore-lifecycle-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod world;
+use world::{dir_tree, scratch, shard0};
 
 /// The [`cpam::stats`] counters are process-global: the leak gate
 /// measures allocation deltas, which any test building a tree at the
@@ -38,11 +33,6 @@ fn live_nodes() -> u64 {
 /// The shard counts the handle-agnostic cases run at: what a
 /// [`PacStore`] is, and a genuinely sharded store.
 const SHARD_COUNTS: [usize; 2] = [1, 3];
-
-/// The only shard's directory of a `PacStore` at `dir`.
-fn shard0(dir: &std::path::Path) -> PathBuf {
-    dir.join(shard_dir_name(0))
-}
 
 // ---------------------------------------------------------------------
 // Leak / reclaim gate
@@ -191,7 +181,6 @@ fn incremental_chain_reopens_and_rolls_over_to_full_pages() {
     assert_eq!(store.latest_checkpoint(), Some(19));
     check_step(0, &before, &chain_files(&shard0(&dir)));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -213,7 +202,6 @@ fn tiny_links_roll_over_at_the_chain_cap() {
     let stats = store.lifecycle_stats();
     assert_eq!((stats.incremental_saves, stats.full_saves), (17, 2));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -281,7 +269,6 @@ fn uniform_churn_keeps_each_shard_under_two_full_pages_and_a_link() {
             // Both steps of the rule were taken.
             assert!(links > 0 && fulls > 0, "{links} links, {fulls} full pages");
             drop(store);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -309,7 +296,6 @@ fn incremental_pages_are_much_smaller_than_full_pages() {
         Err(StoreError::CheckpointMismatch { requested: 1, actual: Some(2) })
     ));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -350,7 +336,6 @@ fn deleted_snapshot_page_is_a_version_gap_not_a_silent_replay() {
         matches!(err, StoreError::VersionGap { checkpoint: 0, first: 4 }),
         "unexpected error: {err}"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -381,7 +366,6 @@ fn broken_incremental_chain_is_typed() {
         PacStore::<u64, u64>::open(&dir).unwrap_err(),
         StoreError::Corrupt(_)
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -434,24 +418,6 @@ fn sharded_missing_page_chain_is_a_version_gap() {
     assert_eq!(store.get(&1), Some(1));
     assert_eq!(store.get(&1_001), Some(1));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Every file under `dir`, by relative path.
-fn dir_tree(dir: &std::path::Path) -> BTreeMap<PathBuf, Vec<u8>> {
-    fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), std::fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(dir, dir, &mut out);
-    out
 }
 
 #[test]
@@ -485,7 +451,6 @@ fn the_manifest_and_per_shard_log_layout_fails_open_untouched() {
         let err = ShardedStore::<u64, u64>::open(&dir).unwrap_err();
         assert!(matches!(err, StoreError::LegacyLayout(_)), "{planted:?}: unexpected error {err}");
         assert!(before == dir_tree(&dir), "{planted:?}: the refused open wrote to the directory");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -526,7 +491,6 @@ fn pinned_snapshots_stay_readable_through_gc_and_compaction() {
         Err(StoreError::VersionNotFound(4))
     ));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -575,7 +539,6 @@ fn pin_survives_reopen() {
         let store: ShardedStore<u64, u64> = ShardedStore::open_with(&dir, opts).unwrap();
         assert!(store.pinned_versions().is_empty());
         drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -593,7 +556,6 @@ fn clobbered_pin_table_fails_open_typed() {
         PacStore::<u64, u64>::open(&dir).unwrap_err(),
         StoreError::BadMagic
     ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,9 @@ use std::sync::{Mutex, MutexGuard};
 use obs::HistogramSnapshot;
 use store::{Op, PacStore, RetentionPolicy, Router, ShardedStore, StoreOptions};
 
+mod world;
+use world::scratch;
+
 /// Only durable stores append to a log. Every test here that opens one
 /// holds this gate, so a test counting log samples sees only its own.
 static DURABLE: Mutex<()> = Mutex::new(());
@@ -40,8 +43,7 @@ fn counter(name: &str) -> u64 {
 #[test]
 fn pacstore_write_path_records_every_stage() {
     let _g = durable_gate();
-    let dir = std::env::temp_dir().join(format!("metrics-pacstore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("pacstore");
     let opts = StoreOptions { fsync_commits: true, history_limit: 4, ..StoreOptions::default() };
 
     let commit_before = hist_before("pacstore_commit_ns");
@@ -99,7 +101,6 @@ fn pacstore_write_path_records_every_stage() {
     assert!(counter("pacstore_gc_versions_dropped_total") > dropped_before);
 
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -133,8 +134,7 @@ fn snapshot_at_counts_into_snapshots_total_for_both_handles() {
 #[test]
 fn sharded_store_times_compaction_phases() {
     let _g = durable_gate();
-    let dir = std::env::temp_dir().join(format!("metrics-sharded-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("sharded");
 
     let pages_before = hist_before("pacstore_compact_pages_ns");
     let truncate_before = hist_before("pacstore_compact_truncate_ns");
@@ -157,7 +157,6 @@ fn sharded_store_times_compaction_phases() {
     assert!(counter("pacstore_pages_written_total") > pages_written_before);
 
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -166,8 +165,7 @@ fn one_log_append_and_one_fsync_per_commit_group() {
     // an empty one: each is one write to the one log, and under
     // `fsync_commits` one `sync_data`.
     let _g = durable_gate();
-    let dir = std::env::temp_dir().join(format!("metrics-one-append-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("one-append");
     let opts = StoreOptions { fsync_commits: true, ..StoreOptions::default() };
     let store: ShardedStore<u64, u64> =
         ShardedStore::open_or_create(&dir, Router::uniform_span(3, 3_000), opts).unwrap();
@@ -185,14 +183,12 @@ fn one_log_append_and_one_fsync_per_commit_group() {
     assert_eq!(window("pacstore_wal_append_ns", &append_before).count(), groups.len() as u64);
     assert_eq!(window("pacstore_wal_fsync_ns", &fsync_before).count(), groups.len() as u64);
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn pool_stats_publish_gauges_and_counter_deltas() {
     let _g = durable_gate();
-    let dir = std::env::temp_dir().join(format!("metrics-pool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("pool");
     let opts = StoreOptions { pool_pages: Some(4), ..StoreOptions::default() };
 
     let misses_before = counter("pacstore_pool_misses_total");
@@ -240,7 +236,6 @@ fn pool_stats_publish_gauges_and_counter_deltas() {
     }
 
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -4,16 +4,15 @@
 //! pools. (That the policy is not a format — byte-identical directories
 //! under both — is stated in `differential.rs`.)
 
-use store::{
-    shard_dir_name, Op, PacStore, PoolStats, Router, ShardedStore, StoreOptions, LOG_FILE,
-    SNAPSHOT_FILE,
-};
+use store::{Op, PacStore, PoolStats, Router, ShardedStore, StoreOptions, LOG_FILE, SNAPSHOT_FILE};
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use codecs::DeltaCodec;
+
+mod world;
+use world::{scratch, shard0};
 
 /// Every test here reads page files, and every record a read parses
 /// counts in the process-wide `pacstore_records_parsed_total`. Each test
@@ -26,19 +25,6 @@ fn page_gate() -> MutexGuard<'static, ()> {
 
 fn records_parsed() -> u64 {
     obs::global().counter_value("pacstore_records_parsed_total").unwrap_or(0)
-}
-
-/// A fresh, empty scratch directory unique to this test.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pacpaging-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The only shard's directory of a `PacStore` at `dir`: where its
-/// pages and log live.
-fn shard0(dir: &Path) -> PathBuf {
-    dir.join(shard_dir_name(0))
 }
 
 fn pooled(pages: usize) -> StoreOptions {
@@ -85,7 +71,6 @@ fn lazy_open_reads_no_leaf_and_residency_is_bounded() {
     // u64 pair block at default b=128 is ≤ 256 entries × 16 bytes plus
     // headers — use a generous 64 KiB/page ceiling.
     assert!(s.resident_bytes <= 8 * 64 * 1024, "resident {} bytes", s.resident_bytes);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A store's point read and the stats of the one pool it goes through.
@@ -167,7 +152,6 @@ fn on_both_handles(name: &str, check: fn(Get, Stats)) {
     let others = &store.shard_pool_stats().unwrap()[1..];
     assert!(others.iter().all(|s| s.hits + s.misses == 0), "{others:?}");
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -208,7 +192,6 @@ fn incrementals_and_wal_replay_chain_onto_lazy_base() {
     assert_eq!(store.get(&50_001), Some(2));
     assert_eq!(store.get(&7), None);
     assert_eq!(store.get(&19_999), Some(19_999));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -242,7 +225,6 @@ fn sharded_lazy_store_keeps_per_shard_pools() {
     for (i, s) in store.shard_pool_stats().unwrap().iter().enumerate() {
         assert!(s.resident_pages <= 4, "shard {i} resident {} pages", s.resident_pages);
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -255,7 +237,6 @@ fn unpooled_stores_report_no_pool() {
     let mem: PacStore<u64, u64> = PacStore::in_memory_with(pooled(8));
     // An in-memory store has no pages to cache; pool_pages is inert.
     assert!(mem.pool_stats().is_none());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A one-key commit rewrites one leaf: the incremental page after it
@@ -336,7 +317,6 @@ fn one_key_commit_dirties_one_leaf(name: &str, opts: StoreOptions) {
     assert_eq!(store.get(&60_000), Some(30_000));
     assert_eq!(store.len(), N as usize);
     assert!(store.snapshot().to_vec().into_iter().eq(oracle), "the reopened chain differs");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A full checkpoint of a lazily opened shard reads every still-lazy
@@ -378,7 +358,6 @@ fn a_full_checkpoint_of_a_lazy_shard_admits_no_leaf() {
     let store: PacStore<u64, u64> = PacStore::open_with(&dir, unpooled()).unwrap();
     assert!(store.snapshot().to_vec().into_iter().eq((0..N).map(|k| (k, k * 3))));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -430,5 +409,4 @@ fn a_lazy_record_is_parsed_once_however_often_it_is_reloaded() {
     assert_eq!(records_parsed() - before, records, "an eager open parses each record once");
     assert!(store.snapshot().map().iter().eq(oracle.iter().map(|(&k, &v)| (k, v))));
     drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

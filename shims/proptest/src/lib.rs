@@ -11,13 +11,21 @@
 //!
 //! * **No shrinking.** A failing case reports the generated inputs
 //!   (`Debug`-formatted), the case number, and the exact RNG seed, but
-//!   does not minimize.
+//!   does not minimize. (A suite that wants a minimal failing input
+//!   shrinks its own inputs inside the case it hands [`check_seeded`].)
 //! * **Deterministic and replayable.** Case `i` of every test derives
 //!   its RNG seed from `i` and the test's name alone, so runs are
 //!   reproducible without a persistence file. A failure prints
 //!   `PROPTEST_SEED=<seed>`; setting that environment variable makes
 //!   every test run exactly one case with precisely that seed — the
 //!   local replay of a CI failure.
+//! * **One runner.** [`check_seeded`] is the case loop: the
+//!   [`proptest!`] macro calls it, and so does every hand-rolled seeded
+//!   suite, so all of them share one seed derivation, one
+//!   `PROPTEST_SEED` replay and one failure message.
+//!   `PROPTEST_CASES=<n>` sets every test's case count, an explicit
+//!   [`ProptestConfig::with_cases`] included (real proptest lets an
+//!   explicit config win).
 
 use std::fmt;
 use std::ops::Range;
@@ -90,22 +98,33 @@ impl fmt::Display for TestCaseError {
 
 impl std::error::Error for TestCaseError {}
 
-/// The `PROPTEST_SEED` environment variable, parsed once: when set,
-/// every `proptest!` test runs exactly one case seeded with this value,
-/// replaying a printed failure.
-#[doc(hidden)]
-pub fn env_seed() -> Option<u64> {
-    static ENV_SEED: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *ENV_SEED.get_or_init(|| {
-        std::env::var("PROPTEST_SEED")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-    })
+/// Runs `cases` seeded cases of the check `name`: case `i` gets the
+/// seed [`TestRng::seed_for_case`]`(i, name_salt(name))`, and the first
+/// `Err` panics with the case number, the error and the
+/// `PROPTEST_SEED=<seed>` that replays it. `PROPTEST_SEED` runs exactly
+/// one case with that seed; `PROPTEST_CASES` replaces `cases`.
+///
+/// # Panics
+///
+/// On the first failing case.
+pub fn check_seeded(name: &str, cases: u32, mut case: impl FnMut(u64) -> Result<(), String>) {
+    let env = |var| std::env::var(var).ok().and_then(|s| s.parse::<u64>().ok());
+    let fixed = env("PROPTEST_SEED");
+    let cases = if fixed.is_some() { 1 } else { env("PROPTEST_CASES").unwrap_or(cases as u64) };
+    let salt = name_salt(name);
+    for i in 0..cases {
+        let seed = fixed.unwrap_or_else(|| TestRng::seed_for_case(i, salt));
+        if let Err(error) = case(seed) {
+            panic!(
+                "{name}: proptest case {}/{cases} failed: {error}\nreproduce with: PROPTEST_SEED={seed}",
+                i + 1,
+            );
+        }
+    }
 }
 
 /// FNV-1a hash of a test name, used to salt its RNG streams.
-#[doc(hidden)]
-pub fn name_salt(name: &str) -> u64 {
+fn name_salt(name: &str) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for byte in name.bytes() {
         hash ^= byte as u64;
@@ -424,44 +443,34 @@ macro_rules! __proptest_impl {
             #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $config;
-                let salt = $crate::name_salt(concat!(module_path!(), "::", stringify!($name)));
-                // PROPTEST_SEED replays exactly one case with that seed.
-                let cases: u64 = if $crate::env_seed().is_some() { 1 } else { config.cases as u64 };
-                for case in 0..cases {
-                    let seed = $crate::env_seed()
-                        .unwrap_or_else(|| $crate::TestRng::seed_for_case(case, salt));
-                    let mut rng = $crate::TestRng::from_seed(seed);
-                    let ($($pat,)+) =
-                        ($( $crate::Strategy::generate(&($strategy), &mut rng), )+);
-                    let outcome = ::std::panic::catch_unwind(
-                        ::std::panic::AssertUnwindSafe(
-                            move || -> ::std::result::Result<(), $crate::TestCaseError> {
-                                $body
-                                Ok(())
-                            },
-                        ),
-                    );
-                    let error = match outcome {
-                        Ok(Ok(())) => None,
-                        Ok(Err(error)) => Some(error.to_string()),
-                        Err(payload) => Some($crate::panic_message(payload)),
-                    };
-                    if let Some(error) = error {
+                $crate::check_seeded(
+                    concat!(module_path!(), "::", stringify!($name)),
+                    config.cases,
+                    |seed| {
+                        let mut rng = $crate::TestRng::from_seed(seed);
+                        let ($($pat,)+) =
+                            ($( $crate::Strategy::generate(&($strategy), &mut rng), )+);
+                        let outcome = ::std::panic::catch_unwind(
+                            ::std::panic::AssertUnwindSafe(
+                                move || -> ::std::result::Result<(), $crate::TestCaseError> {
+                                    $body
+                                    Ok(())
+                                },
+                            ),
+                        );
+                        let error = match outcome {
+                            Ok(Ok(())) => return Ok(()),
+                            Ok(Err(error)) => error.to_string(),
+                            Err(payload) => $crate::panic_message(payload),
+                        };
                         // Generation is deterministic per seed, so the
                         // consumed inputs can be regenerated for the report.
                         let mut rng = $crate::TestRng::from_seed(seed);
                         let values =
                             ($( $crate::Strategy::generate(&($strategy), &mut rng), )+);
-                        panic!(
-                            "proptest case {}/{} failed: {}\ninputs: {:#?}\nreproduce with: PROPTEST_SEED={}",
-                            case + 1,
-                            config.cases,
-                            error,
-                            values,
-                            seed,
-                        );
-                    }
-                }
+                        Err(format!("{}\ninputs: {:#?}", error, values))
+                    },
+                );
             }
         )*
     };
@@ -605,6 +614,26 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, crate::TestRng::seed_for_case(0, 1));
+    }
+
+    #[test]
+    fn check_seeded_reports_the_seed_of_the_failing_case() {
+        if std::env::var_os("PROPTEST_SEED").is_some() || std::env::var_os("PROPTEST_CASES").is_some() {
+            return; // the environment sets the cases counted here
+        }
+        let mut seeds = Vec::new();
+        let third = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::check_seeded("shim::third", 5, |seed| {
+                seeds.push(seed);
+                if seeds.len() == 3 { Err("boom".into()) } else { Ok(()) }
+            })
+        }));
+        let message = *third.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.starts_with("shim::third: proptest case 3/5 failed: boom"), "got: {message}");
+        let seed: u64 = message.rsplit("PROPTEST_SEED=").next().unwrap().trim().parse().unwrap();
+        assert_eq!(seed, crate::TestRng::seed_for_case(2, crate::name_salt("shim::third")));
+        assert_eq!(seeds[2], seed);
+        assert!(seeds[0] != seeds[1] && seeds[1] != seeds[2], "every case gets its own seed");
     }
 
     #[test]
