@@ -55,7 +55,10 @@ fn inject_torn_frame(connector: &PipeConnector) -> Result<(), String> {
     raw.write_all(&bytes).map_err(|e| e.to_string())?;
     match server::read_frame(&mut raw) {
         Ok(payload) => match Response::<u64, u32>::decode(&payload) {
-            Ok(Response::Error { code: ErrorCode::MalformedRequest, .. }) => {}
+            Ok(Response::Error {
+                code: ErrorCode::MalformedRequest,
+                ..
+            }) => {}
             other => return Err(format!("torn frame: unexpected response {other:?}")),
         },
         Err(e) => return Err(format!("torn frame: no error response ({e})")),
@@ -96,15 +99,26 @@ impl Wire {
         })
     }
 
-    fn call<T>(&self, what: &str, f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>) -> Result<T, String> {
+    fn call<T>(
+        &self,
+        what: &str,
+        f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>,
+    ) -> Result<T, String> {
         f(&mut self.client.borrow_mut()).map_err(|e| format!("{what}: {e}"))
     }
 
     /// A read at a version, `VersionNotFound` through the wire as `None`.
-    fn at<T>(&self, what: &str, f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>) -> AtVersion<T> {
+    fn at<T>(
+        &self,
+        what: &str,
+        f: impl FnOnce(&mut Client<Key, Val>) -> Result<T, ClientError>,
+    ) -> AtVersion<T> {
         match f(&mut self.client.borrow_mut()) {
             Ok(t) => Ok(Some(t)),
-            Err(ClientError::Server { code: ErrorCode::VersionNotFound, .. }) => Ok(None),
+            Err(ClientError::Server {
+                code: ErrorCode::VersionNotFound,
+                ..
+            }) => Ok(None),
             Err(e) => Err(format!("{what}: {e}")),
         }
     }
@@ -131,7 +145,9 @@ impl Target for Wire {
         }
         let (global, locals) = self.call("snapshot", |c| c.snapshot())?;
         if locals.len() != self.store.shard_count() || locals.iter().any(|&l| l > global) {
-            return Err(format!("inconsistent version vector {locals:?} (global {global})"));
+            return Err(format!(
+                "inconsistent version vector {locals:?} (global {global})"
+            ));
         }
         Ok(global)
     }
@@ -145,7 +161,9 @@ impl Target for Wire {
         self.at("get", |c| c.get_at(key, at))
     }
     fn range(&self, lo: Key, hi: Key, limit: Option<usize>) -> Result<Entries, String> {
-        self.call("range", |c| c.range(lo, hi, limit.map_or(0, |n| n as u64), None))
+        self.call("range", |c| {
+            c.range(lo, hi, limit.map_or(0, |n| n as u64), None)
+        })
     }
     fn pin(&self, version: u64) -> Result<(), String> {
         self.call("pin", |c| c.pin(version))
@@ -158,7 +176,12 @@ impl Target for Wire {
 #[test]
 fn server_matches_btreemap_oracle() {
     for shards in 1..=4 {
-        let cfg = Config { shards, b: 4, pool_pages: None, history: 4 };
+        let cfg = Config {
+            shards,
+            b: 4,
+            pool_pages: None,
+            history: 4,
+        };
         check(
             &format!("server_matches_btreemap_oracle, {shards} shards"),
             10,
@@ -167,9 +190,10 @@ fn server_matches_btreemap_oracle() {
                 let done = replay(script, &cfg, || Wire::start(&cfg, script.seed))?;
                 // The metrics scrape flows through the same wire path.
                 let stats = done.target.call("stats", |c| c.stats())?;
-                match stats.contains("pacserve_requests_total") {
-                    true => Ok(()),
-                    false => Err("stats scrape is missing pacserve_requests_total".into()),
+                if stats.contains("pacserve_requests_total") {
+                    Ok(())
+                } else {
+                    Err("stats scrape is missing pacserve_requests_total".into())
                 }
             },
         );
@@ -182,25 +206,28 @@ fn server_matches_btreemap_oracle() {
 /// succeeds.
 #[test]
 fn malformed_message_keeps_the_connection() {
-    let store: ShardedStore<u64, u32> = ShardedStore::in_memory_with(
-        Router::uniform_span(2, KEY_SPAN),
-        StoreOptions::default(),
-    )
-    .unwrap();
+    let store: ShardedStore<u64, u32> =
+        ShardedStore::in_memory_with(Router::uniform_span(2, KEY_SPAN), StoreOptions::default())
+            .unwrap();
     let (mut handle, connector) = serve_pipe(store, ServerOptions::default());
 
     let mut raw = connector.connect().unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10)));
     // A framed message with a bogus opcode: intact on the wire,
     // nonsense at the protocol layer.
-    raw.write_all(&store::wal::frame(&[server::WIRE_FORMAT, 0x7E])).unwrap();
+    raw.write_all(&store::wal::frame(&[server::WIRE_FORMAT, 0x7E]))
+        .unwrap();
     let payload = server::read_frame(&mut raw).unwrap();
     match Response::<u64, u32>::decode(&payload).unwrap() {
-        Response::Error { code: ErrorCode::MalformedRequest, .. } => {}
+        Response::Error {
+            code: ErrorCode::MalformedRequest,
+            ..
+        } => {}
         other => panic!("expected MalformedRequest, got {other:?}"),
     }
     // Same connection, now a well-formed request: still served.
-    raw.write_all(&store::wal::frame(&Request::<u64, u32>::Snapshot.encode())).unwrap();
+    raw.write_all(&store::wal::frame(&Request::<u64, u32>::Snapshot.encode()))
+        .unwrap();
     let payload = server::read_frame(&mut raw).unwrap();
     match Response::<u64, u32>::decode(&payload).unwrap() {
         Response::Snapshot { global: 0, .. } => {}
@@ -229,8 +256,8 @@ fn serve_over_pipe(store: ShardedStore<u64, u64>) -> (ServerHandle, Dialer) {
 /// Serves `store` over TCP on an ephemeral loopback port. A failed bind
 /// fails the test.
 fn serve_over_tcp(store: ShardedStore<u64, u64>) -> (ServerHandle, Dialer) {
-    let handle = serve_tcp(store, "127.0.0.1:0", ServerOptions::default())
-        .expect("bind 127.0.0.1:0");
+    let handle =
+        serve_tcp(store, "127.0.0.1:0", ServerOptions::default()).expect("bind 127.0.0.1:0");
     let addr = handle.addr().expect("a tcp server has an address");
     (handle, Dialer::Tcp(addr))
 }
@@ -246,7 +273,10 @@ fn connect(dialer: &Dialer) -> Client<u64, u64> {
 fn pinned_reader_isolation(serve: fn(ShardedStore<u64, u64>) -> (ServerHandle, Dialer)) {
     let store: ShardedStore<u64, u64> = ShardedStore::in_memory_with(
         Router::uniform_span(4, KEY_SPAN),
-        StoreOptions { history_limit: 8, ..StoreOptions::default() },
+        StoreOptions {
+            history_limit: 8,
+            ..StoreOptions::default()
+        },
     )
     .unwrap();
     let (mut handle, dialer) = serve(store);

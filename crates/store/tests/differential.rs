@@ -16,8 +16,8 @@ mod world;
 
 use store::{Op, ShardedStore};
 use world::{
-    check, dir_tree, replay, same_tree, scratch, shrink, Config, Gen, Key, Mix, Script, Step, Target,
-    Val, NONE,
+    check, dir_tree, replay, same_tree, scratch, shrink, Config, Gen, Key, Mix, Script, Step,
+    Target, Val, NONE,
 };
 
 const IN_MEMORY: Mix = Mix {
@@ -28,6 +28,7 @@ const IN_MEMORY: Mix = Mix {
     probe: 4,
     steps: 2..12,
     batch: 0..20,
+    probe_commits: true,
     ..NONE
 };
 
@@ -80,18 +81,26 @@ const LIFECYCLE: Mix = Mix {
     ..NONE
 };
 
+/// The read policies: a pool that evicts all the time, a roomy one,
+/// and eager reads.
+const POOLS: [Option<usize>; 3] = [Some(8), Some(64), None];
+
 macro_rules! lifecycle_grid {
-    ($($name:ident: $open:ident ($b:expr, $shards:expr, $pool:expr),)*) => {$(
+    ($($name:ident: $open:ident ($b:expr, $shards:expr),)*) => {$(
         #[test]
         fn $name() {
-            let cfg = Config { shards: $shards, b: $b, pool_pages: $pool, history: 5 };
             check(
                 stringify!($name),
                 50,
                 |seed| Script::generate(seed, &LIFECYCLE),
                 |script| {
-                    let dir = scratch("lifecycle");
-                    replay(script, &cfg, || lifecycle_grid!(@$open cfg, &dir)).map(drop)
+                    for pool_pages in POOLS {
+                        let cfg = Config { shards: $shards, b: $b, pool_pages, history: 5 };
+                        let dir = scratch("lifecycle");
+                        replay(script, &cfg, || lifecycle_grid!(@$open cfg, &dir))
+                            .map_err(|e| format!("pool_pages {pool_pages:?}: {e}"))?;
+                    }
+                    Ok(())
                 },
             );
         }
@@ -101,20 +110,20 @@ macro_rules! lifecycle_grid {
 }
 
 // Durable scripts are slower than in-memory ones, so the grid takes the
-// block-size extremes and middle against every shard count, each block
-// size at one read policy.
+// block-size extremes and middle against every shard count, each under
+// every read policy.
 lifecycle_grid! {
-    lifecycle_b1_s1: sharded(1, 1, Some(64)),
-    lifecycle_b1_s2: sharded(1, 2, Some(64)),
-    lifecycle_b1_s7: sharded(1, 7, Some(64)),
-    lifecycle_b8_s1: sharded(8, 1, Some(8)),
-    lifecycle_b8_s2: sharded(8, 2, Some(8)),
-    lifecycle_b8_s7: sharded(8, 7, Some(8)),
-    lifecycle_b128_s1: sharded(128, 1, None),
-    lifecycle_b128_s2: sharded(128, 2, None),
-    lifecycle_b128_s7: sharded(128, 7, None),
-    lifecycle_pac_b2: pac(2, 1, Some(8)),
-    lifecycle_pac_b32: pac(32, 1, None),
+    lifecycle_b1_s1: sharded(1, 1),
+    lifecycle_b1_s2: sharded(1, 2),
+    lifecycle_b1_s7: sharded(1, 7),
+    lifecycle_b8_s1: sharded(8, 1),
+    lifecycle_b8_s2: sharded(8, 2),
+    lifecycle_b8_s7: sharded(8, 7),
+    lifecycle_b128_s1: sharded(128, 1),
+    lifecycle_b128_s2: sharded(128, 2),
+    lifecycle_b128_s7: sharded(128, 7),
+    lifecycle_pac_b2: pac(2, 1),
+    lifecycle_pac_b32: pac(32, 1),
 }
 
 /// A bulk load far past the small pools, then maintenance rounds.
@@ -143,7 +152,12 @@ fn out_of_core_grid_pool_budget_is_invisible() {
             Step::Save,
             Step::Reopen,
             Step::scan(0, span),
-            Step::Probe { gets: vec![1_000, 5_000, 7_999], lo: 0, hi: 0, limit: None },
+            Step::Probe {
+                gets: vec![1_000, 5_000, 7_999],
+                lo: 0,
+                hi: 0,
+                limit: None,
+            },
         ];
         script.steps.splice(1..1, lazy_base);
         // End scanning everything on a fresh handle: on the tiny pool,
@@ -151,28 +165,40 @@ fn out_of_core_grid_pool_budget_is_invisible() {
         script.steps.extend([Step::Reopen, Step::scan(0, span)]);
         script
     };
-    check("out_of_core_grid_pool_budget_is_invisible", 5, generate, |script| {
-        for pool in [Some(8), Some(64), None] {
-            for shards in [1, 3] {
-                let cfg = Config { shards, b: 128, pool_pages: pool, history: 4 };
-                let dir = scratch("ooc");
-                let done = replay(script, &cfg, || cfg.sharded(&dir, span))
-                    .map_err(|e| format!("pool_pages {pool:?}, {shards} shards: {e}"))?;
-                // The tiny pool worked out of core, the roomy one served
-                // re-reads as hits, and eager reads have no pool at all.
-                let p = done.pool;
-                let bad = match pool {
-                    Some(8) => p.misses <= 8 || p.evictions == 0,
-                    Some(_) => p.hits == 0,
-                    None => done.target.pool_stats().is_some(),
-                };
-                if bad {
-                    return Err(format!("pool_pages {pool:?}, {shards} shards: pool totals {p:?}"));
+    check(
+        "out_of_core_grid_pool_budget_is_invisible",
+        5,
+        generate,
+        |script| {
+            for pool in POOLS {
+                for shards in [1, 3] {
+                    let cfg = Config {
+                        shards,
+                        b: 128,
+                        pool_pages: pool,
+                        history: 4,
+                    };
+                    let dir = scratch("ooc");
+                    let done = replay(script, &cfg, || cfg.sharded(&dir, span))
+                        .map_err(|e| format!("pool_pages {pool:?}, {shards} shards: {e}"))?;
+                    // The tiny pool worked out of core, the roomy one served
+                    // re-reads as hits, and eager reads have no pool at all.
+                    let p = done.pool;
+                    let bad = match pool {
+                        Some(8) => p.misses <= 8 || p.evictions == 0,
+                        Some(_) => p.hits == 0,
+                        None => done.target.pool_stats().is_some(),
+                    };
+                    if bad {
+                        return Err(format!(
+                            "pool_pages {pool:?}, {shards} shards: pool totals {p:?}"
+                        ));
+                    }
                 }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// Enough preloaded keys for several leaf blocks, so incremental pages
@@ -191,6 +217,7 @@ const ENGINE: Mix = Mix {
     keys: 2_000,
     batch: 0..24,
     preload: 600,
+    probe_commits: false,
 };
 
 #[test]
@@ -201,7 +228,12 @@ fn pacstore_is_the_one_shard_sharded_store_byte_for_byte() {
         |seed| Script::generate(seed, &ENGINE),
         |script| {
             for pool in [Some(8), None] {
-                let cfg = Config { shards: 1, b: 16, pool_pages: pool, history: 4 };
+                let cfg = Config {
+                    shards: 1,
+                    b: 16,
+                    pool_pages: pool,
+                    history: 4,
+                };
                 let (pac_dir, sharded_dir) = (scratch("pac"), scratch("sharded"));
                 let pac = replay(script, &cfg, || cfg.pac(&pac_dir))?;
                 let sharded = replay(script, &cfg, || cfg.sharded(&sharded_dir, ENGINE.keys))?;
@@ -211,7 +243,8 @@ fn pacstore_is_the_one_shard_sharded_store_byte_for_byte() {
                         pac.log[i], sharded.log[i]
                     ));
                 }
-                same_tree(&pac_dir, &sharded_dir).map_err(|e| format!("pool_pages {pool:?}: {e}"))?;
+                same_tree(&pac_dir, &sharded_dir)
+                    .map_err(|e| format!("pool_pages {pool:?}: {e}"))?;
             }
             Ok(())
         },
@@ -223,7 +256,12 @@ fn pacstore_is_the_one_shard_sharded_store_byte_for_byte() {
 /// a full page, three more — with reopens in between, and a last commit
 /// left in the log.
 fn policy_script() -> Script {
-    const POLICY: Mix = Mix { keys: 6_000, batch: 0..40, preload: 4_000, ..NONE };
+    const POLICY: Mix = Mix {
+        keys: 6_000,
+        batch: 0..40,
+        preload: 4_000,
+        ..NONE
+    };
     let seed = 0x9A6E_F11E;
     let mut gen = Gen::new(seed, &POLICY);
     let mut steps = vec![gen.preload().expect("a preload"), Step::Save];
@@ -244,18 +282,34 @@ fn policy_script() -> Script {
 #[test]
 fn pool_pages_is_a_read_policy_not_a_format() {
     let script = policy_script();
-    let eager = Config { shards: 1, b: 128, pool_pages: None, history: 4 };
-    let lazy = Config { pool_pages: Some(8), ..eager };
+    let eager = Config {
+        shards: 1,
+        b: 128,
+        pool_pages: None,
+        history: 4,
+    };
+    let lazy = Config {
+        pool_pages: Some(8),
+        ..eager
+    };
     let (eager_dir, lazy_dir) = (scratch("eager"), scratch("lazy"));
-    let want = replay(&script, &eager, || eager.pac(&eager_dir)).unwrap().contents;
+    let eager_done = replay(&script, &eager, || eager.pac(&eager_dir)).unwrap();
+    let want = eager_done.target.range_entries(&0, &Key::MAX);
+    drop(eager_done); // its directory is opened again below
     replay(&script, &lazy, || lazy.pac(&lazy_dir)).unwrap();
 
     // The policy a directory was written under leaves no trace in it.
     same_tree(&eager_dir, &lazy_dir).unwrap();
     // 20 checkpoints after the first save, a handful of links left: the
     // chain rolled over to a full page and grew again.
-    let links = dir_tree(&eager_dir).keys().filter(|p| p.to_string_lossy().contains("incr-")).count();
-    assert!((2..=4).contains(&links), "the script must end on a short chain: {links} links");
+    let links = dir_tree(&eager_dir)
+        .keys()
+        .filter(|p| p.to_string_lossy().contains("incr-"))
+        .count();
+    assert!(
+        (2..=4).contains(&links),
+        "the script must end on a short chain: {links} links"
+    );
 
     // Written under either, it opens under the other.
     let store = eager.pac(&lazy_dir).unwrap();
@@ -297,9 +351,17 @@ impl Target for DropsLastOp {
 /// and shrunk to a handful of steps.
 #[test]
 fn the_world_finds_and_shrinks_a_planted_bug() {
-    let cfg = Config { shards: 2, b: 8, pool_pages: None, history: 4 };
+    let cfg = Config {
+        shards: 2,
+        b: 8,
+        pool_pages: None,
+        history: 4,
+    };
     let case = |script: &Script| {
-        replay(script, &cfg, || cfg.in_memory(IN_MEMORY.keys).map(DropsLastOp)).map(drop)
+        replay(script, &cfg, || {
+            cfg.in_memory(IN_MEMORY.keys).map(DropsLastOp)
+        })
+        .map(drop)
     };
     let (script, error) = (0..100)
         .map(|seed| Script::generate(seed, &IN_MEMORY))

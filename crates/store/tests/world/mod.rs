@@ -13,8 +13,8 @@
 //!
 //! [`check`] runs cases through `proptest::check_seeded`
 //! (`PROPTEST_SEED`, `PROPTEST_CASES`). A failing script is shrunk on
-//! fresh directories and reported with its seed and minimal steps; the
-//! last replay keeps its directories and prints them.
+//! fresh directories, which it removes, and reported with its seed and
+//! minimal steps; the last replay keeps its directories and prints them.
 
 #![allow(dead_code)] // each test binary uses its own part of the world
 
@@ -27,28 +27,65 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use store::{Op, PacStore, PoolStats, RetentionPolicy, Router, ShardedStore, StoreError, StoreOptions};
+use store::{
+    Op, PacStore, PoolStats, RetentionPolicy, Router, ShardedStore, StoreError, StoreOptions,
+};
 
 pub type Key = u64;
 pub type Val = u32;
 pub type Entries = Vec<(Key, Val)>;
 
+/// Whether a dropped [`Scratch`] keeps its directory.
+#[derive(Clone, Copy)]
+enum Keep {
+    /// When its test is failing (panicking): the default.
+    OnPanic,
+    /// Never: [`check`] runs cases and shrink candidates, whose
+    /// failures it replays once more at the end.
+    Never,
+    /// Always: [`check`]'s replay of the minimal failing script.
+    Always,
+}
+
 thread_local! {
-    /// Set while [`check`] replays the minimal failing script.
-    static KEEP: Cell<bool> = const { Cell::new(false) };
+    static KEEP: Cell<Keep> = const { Cell::new(Keep::OnPanic) };
+}
+
+/// Runs `f` with dropped [`Scratch`]es keeping their directories as
+/// `keep` says.
+fn keeping<R>(keep: Keep, f: impl FnOnce() -> R) -> R {
+    let outer = KEEP.replace(keep);
+    let r = f();
+    KEEP.set(outer);
+    r
 }
 
 /// A fresh directory path named by process id, test name, `tag` and a
 /// per-process counter, so no two tests, replays or concurrent test
 /// processes share one. Dropping it removes the directory, unless the
 /// test is failing: then the directory is kept and its path printed.
+///
+/// It lies in memory-backed `/dev/shm` where the system has one and
+/// `TMPDIR` is unset, else in the temp dir. The suites check what a
+/// store answers after a reopen, never what survives a power cut, and
+/// on a disk the `fsync`s of checkpoints and pin tables take most of a
+/// durable script's time.
 pub struct Scratch(PathBuf);
 
 pub fn scratch(tag: &str) -> Scratch {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let test = std::thread::current().name().unwrap_or("main").replace("::", "-");
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("main")
+        .replace("::", "-");
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("pactest-{}-{test}-{tag}-{n}", std::process::id()));
+    let shm = Path::new("/dev/shm");
+    let root = if std::env::var_os("TMPDIR").is_none() && shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let dir = root.join(format!("pactest-{}-{test}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     Scratch(dir)
 }
@@ -68,8 +105,13 @@ impl AsRef<Path> for Scratch {
 
 impl Drop for Scratch {
     fn drop(&mut self) {
+        let keep = match KEEP.get() {
+            Keep::OnPanic => std::thread::panicking(),
+            Keep::Never => false,
+            Keep::Always => true,
+        };
         if !self.0.exists() {
-        } else if std::thread::panicking() || KEEP.with(Cell::get) {
+        } else if keep {
             eprintln!("kept the failing case's directory {}", self.0.display());
         } else {
             let _ = std::fs::remove_dir_all(&self.0);
@@ -105,7 +147,11 @@ pub fn dir_tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 pub fn same_tree(a: &Path, b: &Path) -> Result<(), String> {
     let (a, b) = (dir_tree(a), dir_tree(b));
     match a.iter().zip(&b).find(|(x, y)| x != y) {
-        Some(((path, _), (other, _))) => Err(format!("{} differs from {}", path.display(), other.display())),
+        Some(((path, _), (other, _))) => Err(format!(
+            "{} differs from {}",
+            path.display(),
+            other.display()
+        )),
         None if a.len() != b.len() => Err(format!("{} files against {}", a.len(), b.len())),
         None => Ok(()),
     }
@@ -141,11 +187,13 @@ impl Config {
     }
 
     pub fn in_memory(&self, span: Key) -> Result<ShardedStore<Key, Val>, String> {
-        ShardedStore::in_memory_with(self.router(span), self.options()).map_err(|e| format!("open: {e}"))
+        ShardedStore::in_memory_with(self.router(span), self.options())
+            .map_err(|e| format!("open: {e}"))
     }
 
     pub fn sharded(&self, dir: &Path, span: Key) -> Result<ShardedStore<Key, Val>, String> {
-        ShardedStore::open_or_create(dir, self.router(span), self.options()).map_err(|e| format!("open: {e}"))
+        ShardedStore::open_or_create(dir, self.router(span), self.options())
+            .map_err(|e| format!("open: {e}"))
     }
 
     pub fn pac(&self, dir: &Path) -> Result<PacStore<Key, Val>, String> {
@@ -171,12 +219,22 @@ pub enum Step {
     Unpin(usize),
     Gc(usize),
     Reopen,
-    Probe { gets: Vec<Key>, lo: Key, hi: Key, limit: Option<usize> },
+    Probe {
+        gets: Vec<Key>,
+        lo: Key,
+        hi: Key,
+        limit: Option<usize>,
+    },
 }
 
 impl Step {
     pub fn scan(lo: Key, hi: Key) -> Step {
-        Step::Probe { gets: Vec::new(), lo, hi, limit: None }
+        Step::Probe {
+            gets: Vec::new(),
+            lo,
+            hi,
+            limit: None,
+        }
     }
 }
 
@@ -184,7 +242,13 @@ impl fmt::Display for Step {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Step::Commit(ops) if ops.len() > 8 => {
-                write!(f, "Commit({} ops: {:?} .. {:?})", ops.len(), &ops[..3], &ops[ops.len() - 2..])
+                write!(
+                    f,
+                    "Commit({} ops: {:?} .. {:?})",
+                    ops.len(),
+                    &ops[..3],
+                    &ops[ops.len() - 2..]
+                )
             }
             step => write!(f, "{step:?}"),
         }
@@ -195,8 +259,8 @@ impl fmt::Display for Step {
 /// of weight 0 is never drawn, so a target never meets a step its mix
 /// lacks), the number of steps, the routed key span (keys are drawn a
 /// quarter past it, into the last shard's open range), the ops per
-/// commit, and a bulk first commit of `preload` keys spread over the
-/// span.
+/// commit, a bulk first commit of `preload` keys spread over the span,
+/// and whether every drawn commit is followed by a probe with no limit.
 pub struct Mix {
     pub commit: u32,
     pub save: u32,
@@ -211,6 +275,7 @@ pub struct Mix {
     pub keys: Key,
     pub batch: Range<usize>,
     pub preload: u64,
+    pub probe_commits: bool,
 }
 
 /// The mix of nothing, which the suites' mixes fill in.
@@ -228,6 +293,7 @@ pub const NONE: Mix = Mix {
     keys: 96,
     batch: 0..1,
     preload: 0,
+    probe_commits: false,
 };
 
 /// Draws the steps of one mix from one seed.
@@ -238,7 +304,10 @@ pub struct Gen<'m> {
 
 impl<'m> Gen<'m> {
     pub fn new(seed: u64, mix: &'m Mix) -> Self {
-        Gen { rng: StdRng::seed_from_u64(seed), mix }
+        Gen {
+            rng: StdRng::seed_from_u64(seed),
+            mix,
+        }
     }
 
     fn key(&mut self) -> Key {
@@ -247,7 +316,13 @@ impl<'m> Gen<'m> {
 
     pub fn preload(&self) -> Option<Step> {
         let n = self.mix.preload;
-        (n > 0).then(|| Step::Commit((0..n).map(|i| Op::Put(i * self.mix.keys / n, (i % 1000) as Val)).collect()))
+        (n > 0).then(|| {
+            Step::Commit(
+                (0..n)
+                    .map(|i| Op::Put(i * self.mix.keys / n, (i % 1000) as Val))
+                    .collect(),
+            )
+        })
     }
 
     /// 70% puts, 30% deletes.
@@ -263,11 +338,37 @@ impl<'m> Gen<'m> {
         )
     }
 
+    /// Four point gets, misses among them, and one range.
+    fn probe(&mut self, limit: Option<usize>) -> Step {
+        let gets = (0..4).map(|_| self.key()).collect();
+        let keys = self.mix.keys;
+        let (a, z) = (self.rng.gen_range(0..keys), self.rng.gen_range(0..keys));
+        Step::Probe {
+            gets,
+            lo: a.min(z),
+            hi: a.max(z),
+            limit,
+        }
+    }
+
     fn step(&mut self) -> Step {
         let m = self.mix;
-        let weights = [m.commit, m.save, m.save_incremental, m.compact, m.pin, m.unpin, m.gc, m.reopen, m.probe];
+        let weights = [
+            m.commit,
+            m.save,
+            m.save_incremental,
+            m.compact,
+            m.pin,
+            m.unpin,
+            m.gc,
+            m.reopen,
+            m.probe,
+        ];
         let mut roll = self.rng.gen_range(0..weights.iter().sum::<u32>());
-        let kind = weights.iter().take_while(|&&w| roll.checked_sub(w).map(|r| roll = r).is_some()).count();
+        let kind = weights
+            .iter()
+            .take_while(|&&w| roll.checked_sub(w).map(|r| roll = r).is_some())
+            .count();
         match kind {
             0 => self.commit(),
             1 => Step::Save,
@@ -278,10 +379,8 @@ impl<'m> Gen<'m> {
             6 => Step::Gc(self.rng.gen_range(1..4)),
             7 => Step::Reopen,
             _ => {
-                let gets = (0..4).map(|_| self.key()).collect();
-                let (a, z) = (self.rng.gen_range(0..m.keys), self.rng.gen_range(0..m.keys));
                 let limit = self.rng.gen_range(0..16usize);
-                Step::Probe { gets, lo: a.min(z), hi: a.max(z), limit: (limit < 8).then_some(limit + 1) }
+                self.probe((limit < 8).then_some(limit + 1))
             }
         }
     }
@@ -295,12 +394,23 @@ pub struct Script {
 }
 
 impl Script {
-    /// The mix's preload, then a mix-drawn number of mix-drawn steps.
+    /// The mix's preload, then a mix-drawn number of mix-drawn steps,
+    /// and one more commit if the mix commits and none was drawn.
     pub fn generate(seed: u64, mix: &Mix) -> Script {
         let mut gen = Gen::new(seed, mix);
         let mut steps: Vec<Step> = gen.preload().into_iter().collect();
         let n = gen.rng.gen_range(mix.steps.clone());
-        steps.extend((0..n).map(|_| gen.step()));
+        let mut drawn: Vec<Step> = (0..n).map(|_| gen.step()).collect();
+        if mix.commit > 0 && !drawn.iter().any(|step| matches!(step, Step::Commit(_))) {
+            drawn.push(gen.commit());
+        }
+        for step in drawn {
+            let commit = matches!(step, Step::Commit(_));
+            steps.push(step);
+            if commit && mix.probe_commits {
+                steps.push(gen.probe(None));
+            }
+        }
         Script { seed, steps }
     }
 }
@@ -308,7 +418,10 @@ impl Script {
 impl fmt::Display for Script {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "seed {}, {} steps:", self.seed, self.steps.len())?;
-        self.steps.iter().enumerate().try_for_each(|(i, step)| write!(f, "\n  {i:>3}: {step}"))
+        self.steps
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, step)| write!(f, "\n  {i:>3}: {step}"))
     }
 }
 
@@ -316,22 +429,27 @@ impl fmt::Display for Script {
 /// `VersionNotFound`.
 pub type AtVersion<T> = Result<Option<T>, String>;
 
-fn at_version<T>(read: Result<T, StoreError>) -> AtVersion<T> {
+/// A read at version `v`: `VersionNotFound` must name `v`.
+fn at_version<T>(v: u64, read: Result<T, StoreError>) -> AtVersion<T> {
     match read {
         Ok(t) => Ok(Some(t)),
-        Err(StoreError::VersionNotFound(_)) => Ok(None),
-        Err(e) => Err(e.to_string()),
+        Err(StoreError::VersionNotFound(n)) if n == v => Ok(None),
+        Err(e) => Err(format!("read at version {v}: {e}")),
     }
 }
 
 /// The first `limit` entries `read` streams.
-fn first(limit: usize, read: impl FnOnce(&mut dyn FnMut(&(Key, Val)) -> ControlFlow<()>)) -> Entries {
+fn first(
+    limit: usize,
+    read: impl FnOnce(&mut dyn FnMut(&(Key, Val)) -> ControlFlow<()>),
+) -> Entries {
     let mut out = Vec::new();
     read(&mut |e| {
         out.push(*e);
-        match out.len() == limit {
-            true => ControlFlow::Break(()),
-            false => ControlFlow::Continue(()),
+        if out.len() == limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
     });
     out
@@ -361,18 +479,25 @@ pub trait Target {
     fn entries(&self, at: Option<u64>) -> AtVersion<Entries> {
         match at {
             None => Ok(Some(self.engine().snapshot().to_vec())),
-            Some(v) => at_version(self.engine().snapshot_at(v).map(|s| s.to_vec())),
+            Some(v) => at_version(v, self.engine().snapshot_at(v).map(|s| s.to_vec())),
         }
     }
     fn get(&self, key: Key, at: Option<u64>) -> AtVersion<Option<Val>> {
         let store = self.engine();
-        let Some(snap) = at_version(at.map_or(Ok(store.snapshot()), |v| store.snapshot_at(v)))? else {
-            return Ok(None);
+        let snap = match at {
+            None => store.snapshot(),
+            Some(v) => match at_version(v, store.snapshot_at(v))? {
+                Some(snap) => snap,
+                None => return Ok(None),
+            },
         };
         let got = snap.get(&key);
-        match snap.contains_key(&key) == got.is_some() && (at.is_some() || store.get(&key) == got) {
-            true => Ok(Some(got)),
-            false => Err(format!("get({key}) at {at:?}: snapshot get, contains_key and store get disagree")),
+        if snap.contains_key(&key) == got.is_some() && (at.is_some() || store.get(&key) == got) {
+            Ok(Some(got))
+        } else {
+            Err(format!(
+                "get({key}) at {at:?}: snapshot get, contains_key and store get disagree"
+            ))
         }
     }
     /// `lo..=hi` at the current version, at most `limit` entries.
@@ -385,10 +510,14 @@ pub trait Target {
         })
     }
     fn pin(&self, version: u64) -> Result<(), String> {
-        self.engine().pin_version(version).map_err(|e| e.to_string())
+        self.engine()
+            .pin_version(version)
+            .map_err(|e| e.to_string())
     }
     fn unpin(&self, version: u64) -> Result<(), String> {
-        self.engine().unpin_version(version).map_err(|e| e.to_string())
+        self.engine()
+            .unpin_version(version)
+            .map_err(|e| e.to_string())
     }
     fn gc(&self, keep: usize) {
         self.engine().gc(RetentionPolicy::keep_last(keep));
@@ -413,7 +542,10 @@ pub trait Target {
     /// pins and the lifecycle counters, less `nodes_reclaimed`, a delta
     /// of process-global cpam counters that concurrent tests move.
     fn state(&self) -> String {
-        let counters = store::LifecycleStats { nodes_reclaimed: 0, ..self.engine().lifecycle_stats() };
+        let counters = store::LifecycleStats {
+            nodes_reclaimed: 0,
+            ..self.engine().lifecycle_stats()
+        };
         format!("pins {:?}, {counters:?}", self.engine().pinned_versions())
     }
 }
@@ -439,13 +571,13 @@ impl Target for PacStore<Key, Val> {
     fn entries(&self, at: Option<u64>) -> AtVersion<Entries> {
         match at {
             None => Ok(Some(self.snapshot().map().to_vec())),
-            Some(v) => at_version(self.snapshot_at(v).map(|s| s.map().to_vec())),
+            Some(v) => at_version(v, self.snapshot_at(v).map(|s| s.map().to_vec())),
         }
     }
     fn get(&self, key: Key, at: Option<u64>) -> AtVersion<Option<Val>> {
         match at {
             None => Ok(Some(PacStore::get(self, &key))),
-            Some(v) => at_version(self.snapshot_at(v).map(|s| s.map().find(&key))),
+            Some(v) => at_version(v, self.snapshot_at(v).map(|s| s.map().find(&key))),
         }
     }
     fn range(&self, lo: Key, hi: Key, limit: Option<usize>) -> Result<Entries, String> {
@@ -498,24 +630,35 @@ impl Oracle {
 
 /// What a replay leaves: the last handle, a line per step of what the
 /// target answered (and its [`Target::state`] after each reopen and at
-/// the end), the pool counters (hits, misses, evictions) of every
-/// handle it opened, and the final contents.
+/// the end), and the pool counters (hits, misses, evictions) of every
+/// handle it opened.
 pub struct Replayed<T> {
     pub target: T,
     pub log: Vec<String>,
     pub pool: PoolStats,
-    pub contents: Entries,
 }
 
 /// Replays `script` on the target `open` builds, and rebuilds at each
 /// reopen, checking it against the oracle after every step.
-pub fn replay<T: Target>(script: &Script, cfg: &Config, open: impl Fn() -> Result<T, String>) -> Result<Replayed<T>, String> {
+pub fn replay<T: Target>(
+    script: &Script,
+    cfg: &Config,
+    open: impl Fn() -> Result<T, String>,
+) -> Result<Replayed<T>, String> {
     let mut t = open()?;
-    let mut oracle = Oracle { at: vec![Vec::new()], pins: Vec::new(), checkpoint: None };
+    let mut oracle = Oracle {
+        at: vec![Vec::new()],
+        pins: Vec::new(),
+        checkpoint: None,
+    };
     let (mut log, mut pool) = (Vec::new(), PoolStats::default());
     let count = |pool: &mut PoolStats, t: &T| {
         for p in t.pools() {
-            (pool.hits, pool.misses, pool.evictions) = (pool.hits + p.hits, pool.misses + p.misses, pool.evictions + p.evictions);
+            (pool.hits, pool.misses, pool.evictions) = (
+                pool.hits + p.hits,
+                pool.misses + p.misses,
+                pool.evictions + p.evictions,
+            );
         }
     };
     check_state(&t, &oracle, cfg, true).map_err(|e| format!("on open: {e}"))?;
@@ -533,7 +676,10 @@ pub fn replay<T: Target>(script: &Script, cfg: &Config, open: impl Fn() -> Resul
             step => run_step(&t, &mut oracle, step),
         };
         // Unpinned history is reread where its backing can change.
-        let rebuilt = matches!(step, Step::Reopen | Step::Save | Step::SaveIncremental | Step::Compact | Step::Gc(_));
+        let rebuilt = matches!(
+            step,
+            Step::Reopen | Step::Save | Step::SaveIncremental | Step::Compact | Step::Gc(_)
+        );
         let did = did
             .and_then(|did| check_state(&t, &oracle, cfg, rebuilt).map(|()| did))
             .map_err(|e| format!("step {i} ({step}): {e}"))?;
@@ -545,35 +691,57 @@ pub fn replay<T: Target>(script: &Script, cfg: &Config, open: impl Fn() -> Resul
     check_state(&t, &oracle, cfg, true).map_err(|e| format!("after the last step: {e}"))?;
     log.push(t.state());
     count(&mut pool, &t);
-    let contents = oracle.entries(oracle.version()).clone();
-    Ok(Replayed { target: t, log, pool, contents })
+    Ok(Replayed {
+        target: t,
+        log,
+        pool,
+    })
 }
 
 /// Runs one step on the target and the oracle; what the target answered.
 fn run_step<T: Target>(t: &T, oracle: &mut Oracle, step: &Step) -> Result<String, String> {
-    let checkpoint = |oracle: &mut Oracle, saved: u64| match saved == oracle.version() {
-        true => Ok(format!("checkpoint {}", *oracle.checkpoint.insert(saved))),
-        false => Err(format!("checkpointed version {saved}, current is {}", oracle.version())),
+    let checkpoint = |oracle: &mut Oracle, saved: u64| {
+        if saved == oracle.version() {
+            Ok(format!("checkpoint {}", *oracle.checkpoint.insert(saved)))
+        } else {
+            Err(format!(
+                "checkpointed version {saved}, current is {}",
+                oracle.version()
+            ))
+        }
     };
     match step {
         Step::Commit(ops) => {
             oracle.commit(ops);
             match t.commit(ops.clone())? {
                 v if v == oracle.version() => Ok(format!("committed {v}")),
-                v => Err(format!("commit returned version {v}, expected {}", oracle.version())),
+                v => Err(format!(
+                    "commit returned version {v}, expected {}",
+                    oracle.version()
+                )),
             }
         }
         Step::Save => checkpoint(oracle, t.save()?),
         Step::Compact => checkpoint(oracle, t.compact()?),
         Step::SaveIncremental => {
             let saved = match oracle.checkpoint {
-                Some(base) => t.save_incremental(base).map_err(|e| format!("save_incremental({base}): {e}"))?,
+                Some(base) => t
+                    .save_incremental(base)
+                    .map_err(|e| format!("save_incremental({base}): {e}"))?,
                 None => t.save()?,
             };
-            for wrong in [saved.checked_sub(1), Some(saved + 1)].into_iter().flatten() {
+            for wrong in [saved.checked_sub(1), Some(saved + 1)]
+                .into_iter()
+                .flatten()
+            {
                 match t.save_incremental(wrong) {
-                    Err(StoreError::CheckpointMismatch { requested, actual }) if requested == wrong && actual == Some(saved) => {}
-                    other => return Err(format!("save_incremental({wrong}) on checkpoint {saved}: {other:?}")),
+                    Err(StoreError::CheckpointMismatch { requested, actual })
+                        if requested == wrong && actual == Some(saved) => {}
+                    other => {
+                        return Err(format!(
+                            "save_incremental({wrong}) on checkpoint {saved}: {other:?}"
+                        ))
+                    }
                 }
             }
             checkpoint(oracle, saved)
@@ -596,27 +764,44 @@ fn run_step<T: Target>(t: &T, oracle: &mut Oracle, step: &Step) -> Result<String
             let after = t.versions();
             // The newest `keep` stay, and nothing comes back.
             let newest = &before[before.len().saturating_sub(*keep)..];
-            match after.iter().all(|v| before.contains(v)) && newest.iter().all(|v| after.contains(v)) {
-                true => Ok(format!("gc kept {after:?} of {before:?}")),
-                false => Err(format!("gc keeping {keep} turned {before:?} into {after:?}")),
+            if after.iter().all(|v| before.contains(v)) && newest.iter().all(|v| after.contains(v))
+            {
+                Ok(format!("gc kept {after:?} of {before:?}"))
+            } else {
+                Err(format!(
+                    "gc keeping {keep} turned {before:?} into {after:?}"
+                ))
             }
         }
-        Step::Probe { gets, lo, hi, limit } => {
+        Step::Probe {
+            gets,
+            lo,
+            hi,
+            limit,
+        } => {
             for &k in gets {
                 for at in std::iter::once(None).chain(oracle.pins.iter().map(|&p| Some(p))) {
                     let want = oracle.get(at.unwrap_or(oracle.version()), k);
                     match t.get(k, at)? {
                         Some(got) if got == want => {}
-                        got => return Err(format!("get({k}) at {at:?} = {got:?}, oracle {want:?}")),
+                        got => {
+                            return Err(format!("get({k}) at {at:?} = {got:?}, oracle {want:?}"))
+                        }
                     }
                 }
             }
             let got = t.range(*lo, *hi, *limit)?;
-            let all = oracle.entries(oracle.version()).iter().filter(|e| (lo..=hi).contains(&&e.0));
+            let all = oracle
+                .entries(oracle.version())
+                .iter()
+                .filter(|e| (lo..=hi).contains(&&e.0));
             let want: Entries = all.take(limit.unwrap_or(usize::MAX)).copied().collect();
-            match got == want {
-                true => Ok(format!("{} entries in range", got.len())),
-                false => Err(format!("range [{lo}, {hi}] limit {limit:?}\n  target: {got:?}\n  oracle: {want:?}")),
+            if got == want {
+                Ok(format!("{} entries in range", got.len()))
+            } else {
+                Err(format!(
+                    "range [{lo}, {hi}] limit {limit:?}\n  target: {got:?}\n  oracle: {want:?}"
+                ))
             }
         }
         Step::Reopen => unreachable!("the replay loop reopens"),
@@ -625,37 +810,62 @@ fn run_step<T: Target>(t: &T, oracle: &mut Oracle, step: &Step) -> Result<String
 
 /// The target's state against the oracle's; unpinned history's contents
 /// only with `history`.
-fn check_state<T: Target>(t: &T, oracle: &Oracle, cfg: &Config, history: bool) -> Result<(), String> {
+fn check_state<T: Target>(
+    t: &T,
+    oracle: &Oracle,
+    cfg: &Config,
+    history: bool,
+) -> Result<(), String> {
     let cur = oracle.version();
     let (version, checkpoint) = (t.current_version()?, t.latest_checkpoint());
     if (version, checkpoint) != (cur, oracle.checkpoint) {
-        return Err(format!("at version {version}, checkpoint {checkpoint:?}; oracle {cur}, {:?}", oracle.checkpoint));
+        return Err(format!(
+            "at version {version}, checkpoint {checkpoint:?}; oracle {cur}, {:?}",
+            oracle.checkpoint
+        ));
     }
     let want = oracle.entries(cur);
     let (len, got) = (t.len()?, t.entries(None)?);
     if len != want.len() || got.as_ref() != Some(want) {
-        return Err(format!("len {len}, contents diverge\n  target: {got:?}\n  oracle: {want:?}"));
+        return Err(format!(
+            "len {len}, contents diverge\n  target: {got:?}\n  oracle: {want:?}"
+        ));
     }
     let listed = t.versions();
-    if let Some(v) = std::iter::once(&cur).chain(&oracle.pins).find(|v| !listed.contains(v)) {
-        return Err(format!("version {v}, current or pinned, is not among {listed:?}"));
+    if let Some(v) = std::iter::once(&cur)
+        .chain(&oracle.pins)
+        .find(|v| !listed.contains(v))
+    {
+        return Err(format!(
+            "version {v}, current or pinned, is not among {listed:?}"
+        ));
     }
     for v in 0..=cur {
-        let got = match listed.contains(&v) {
-            true if history || oracle.pins.contains(&v) => t.entries(Some(v))?,
-            true => continue,
+        let got = if !listed.contains(&v) {
             // Not listed: the one answer is `VersionNotFound`.
-            false => match t.get(0, Some(v))? {
+            match t.get(0, Some(v))? {
                 None => continue,
-                Some(got) => return Err(format!("version {v} is not listed, yet get(0) at it is {got:?}")),
-            },
+                Some(got) => {
+                    return Err(format!(
+                        "version {v} is not listed, yet get(0) at it is {got:?}"
+                    ))
+                }
+            }
+        } else if history || oracle.pins.contains(&v) {
+            t.entries(Some(v))?
+        } else {
+            continue;
         };
         if got.as_ref() != Some(oracle.entries(v)) {
-            return Err(format!("version {v} diverges\n  target: {got:?}\n  oracle: {:?}", oracle.entries(v)));
+            return Err(format!(
+                "version {v} diverges\n  target: {got:?}\n  oracle: {:?}",
+                oracle.entries(v)
+            ));
         }
     }
-    match t.pools().iter().position(|p| cfg.pool_pages.is_some_and(|budget| p.resident_pages > budget)) {
-        Some(shard) => Err(format!("shard {shard} holds more than {:?} pages", cfg.pool_pages)),
+    let budget = cfg.pool_pages.unwrap_or(usize::MAX);
+    match t.pools().iter().position(|p| p.resident_pages > budget) {
+        Some(shard) => Err(format!("shard {shard} holds more than {budget} pages")),
         None => Ok(()),
     }
 }
@@ -664,18 +874,23 @@ fn check_state<T: Target>(t: &T, oracle: &Oracle, cfg: &Config, history: bool) -
 /// `proptest::check_seeded`, each `generate`d from its seed and run by
 /// `case`. A panic fails a case like an `Err`; a failing script is
 /// shrunk, replayed once more with its directories kept, and reported.
-pub fn check(name: &str, cases: u32, generate: impl Fn(u64) -> Script, case: impl Fn(&Script) -> Result<(), String>) {
+pub fn check(
+    name: &str,
+    cases: u32,
+    generate: impl Fn(u64) -> Script,
+    case: impl Fn(&Script) -> Result<(), String>,
+) {
     let case = |script: &Script| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(script)))
             .unwrap_or_else(|payload| Err(proptest::panic_message(payload)))
     };
     proptest::check_seeded(name, cases, |seed| {
         let script = generate(seed);
-        let Err(error) = case(&script) else { return Ok(()) };
-        let (minimal, error) = shrink(script, error, &case);
-        KEEP.with(|k| k.set(true));
-        let _ = case(&minimal);
-        KEEP.with(|k| k.set(false));
+        let Err(error) = keeping(Keep::Never, || case(&script)) else {
+            return Ok(());
+        };
+        let (minimal, error) = keeping(Keep::Never, || shrink(script, error, &case));
+        let _ = keeping(Keep::Always, || case(&minimal));
         Err(format!("{error}\nminimal script, {minimal}"))
     });
 }
@@ -683,7 +898,11 @@ pub fn check(name: &str, cases: u32, generate: impl Fn(u64) -> Script, case: imp
 /// Drops steps and halves commits, one change at a time, keeping each
 /// change while `case` still fails: a script no single change of which
 /// fails anymore, and its error.
-pub fn shrink(mut script: Script, mut error: String, case: &impl Fn(&Script) -> Result<(), String>) -> (Script, String) {
+pub fn shrink(
+    mut script: Script,
+    mut error: String,
+    case: &impl Fn(&Script) -> Result<(), String>,
+) -> (Script, String) {
     let candidates = |script: &Script| {
         let mut out: Vec<Script> = Vec::new();
         for (i, step) in script.steps.iter().enumerate() {
@@ -701,7 +920,10 @@ pub fn shrink(mut script: Script, mut error: String, case: &impl Fn(&Script) -> 
         }
         out
     };
-    while let Some((smaller, e)) = candidates(&script).into_iter().find_map(|c| case(&c).err().map(|e| (c, e))) {
+    while let Some((smaller, e)) = candidates(&script)
+        .into_iter()
+        .find_map(|c| case(&c).err().map(|e| (c, e)))
+    {
         (script, error) = (smaller, e);
     }
     (script, error)
